@@ -32,6 +32,28 @@ VARIANTS = ("forward", "backward")
 _SENSITIVITY_LIMIT = 1e-6
 
 
+def _future_times(t: float, horizon: float, step: float) -> list[float]:
+    count = max(1, math.ceil(horizon / step - 1e-9))
+    return [t + i * step for i in range(count + 1)]
+
+
+def _past_times(t: float, step: float) -> list[float]:
+    last = int(math.floor(t / step + 1e-9))
+    times = [i * step for i in range(last + 1)]
+    if not times or abs(times[-1] - t) > 1e-12:
+        times.append(t)
+    return times
+
+
+def query_lattice(grid, horizon: float, step: float) -> list[float]:
+    """The grid plus every future time the horizon-doubling pass of norm
+    families on ``grid`` samples, with the families' own float expressions."""
+    times = set(grid)
+    for t in grid:
+        times.update(_future_times(t, 2.0 * horizon, step))
+    return sorted(times)
+
+
 class LyapunovNormFamily:
     """Evaluator for one norm-family variant with per-time matrix stacks.
 
@@ -71,23 +93,10 @@ class LyapunovNormFamily:
         """True when doubling the horizon moved sampled values >= 1e-6 relative."""
         return self.horizon_delta_rel >= _SENSITIVITY_LIMIT
 
-    # -- sampling lattices ------------------------------------------------
-
-    def _future_times(self, t: float, horizon: float) -> list[float]:
-        count = max(1, math.ceil(horizon / self.step - 1e-9))
-        return [t + i * self.step for i in range(count + 1)]
-
-    def _past_times(self, t: float) -> list[float]:
-        last = int(math.floor(t / self.step + 1e-9))
-        times = [i * self.step for i in range(last + 1)]
-        if not times or abs(times[-1] - t) > 1e-12:
-            times.append(t)
-        return times
-
     # -- stack construction ------------------------------------------------
 
     def _future_stacks(self, t: float, horizon: float):
-        taus = self._future_times(t, horizon)
+        taus = _future_times(t, horizon, self.step)
         n = self.family.dimension
         p1 = self.family.member(1, t)
         p3 = self.family.member(3, t)
@@ -110,7 +119,7 @@ class LyapunovNormFamily:
         return f1, f3
 
     def _past_stacks(self, t: float):
-        rs = self._past_times(t)
+        rs = _past_times(t, self.step)
         n = self.family.dimension
         k = self.rates["k"]
         if self.family.member(2, t).any():
@@ -238,7 +247,7 @@ def _fullnorm_limit(nf: LyapunovNormFamily, grid) -> list[float]:
     requirement = []
     for t in grid:
         worst = 1.0
-        for tau in nf._future_times(t, nf.horizon):
+        for tau in _future_times(t, nf.horizon, nf.step):
             worst = max(worst, required_factor(nf.operator, nf.family, nf.rates,
                                                tau, t, "stable_decay",
                                                nf.inverses, full=True))
@@ -247,7 +256,7 @@ def _fullnorm_limit(nf: LyapunovNormFamily, grid) -> list[float]:
                                                    nf.rates, tau, t,
                                                    "center_growth",
                                                    nf.inverses, full=True))
-        for r in nf._past_times(t):
+        for r in _past_times(t, nf.step):
             worst = max(worst, required_factor(nf.operator, nf.family, nf.rates,
                                                t, r, "unstable_growth",
                                                nf.inverses, full=True))
@@ -423,6 +432,19 @@ def verify_sufficiency(forward: LyapunovNormFamily,
     return report
 
 
+def specialization_rates(kind: str, exponents) -> dict[str, GrowthRate]:
+    """The rates h, k, mu, nu of one kind with the four given exponents."""
+    if kind not in ("exponential", "polynomial"):
+        raise ValueError(f"kind must be exponential or polynomial, got {kind!r}")
+    alphas = [float(a) for a in exponents]
+    if len(alphas) != 4:
+        raise ValueError("exactly four exponents are required")
+    if any(a <= 0 for a in alphas):
+        raise ValueError("exponent must be positive")
+    maker = GrowthRate.exponential if kind == "exponential" else GrowthRate.polynomial
+    return dict(zip(("h", "k", "mu", "nu"), (maker(a) for a in alphas)))
+
+
 def check_rate_specialization(kind: str, exponents, operator, family, inverses,
                               grid, horizon: float, step: float,
                               tol: float = 1e-9, samples: int = 32,
@@ -434,20 +456,10 @@ def check_rate_specialization(kind: str, exponents, operator, family, inverses,
     form: right-hand factors read e^{-a(t-s)} / e^{+a(t-s)} for exponential
     rates and ((s+1)/(t+1))^a / ((t+1)/(s+1))^a for polynomial ones.
     """
-    if kind not in ("exponential", "polynomial"):
-        raise ValueError(f"kind must be exponential or polynomial, got {kind!r}")
-    alphas = [float(a) for a in exponents]
-    if len(alphas) != 4:
-        raise ValueError("exactly four exponents are required")
-    if any(a <= 0 for a in alphas):
-        raise ValueError("exponent must be positive")
-    maker = GrowthRate.exponential if kind == "exponential" else GrowthRate.polynomial
-    rates = dict(zip(("h", "k", "mu", "nu"), (maker(a) for a in alphas)))
+    rates = specialization_rates(kind, exponents)
     grid = list(grid)
-    fwd = build_norm_family("forward", operator, family, inverses, rates,
-                            horizon, step, grid)
-    bwd = build_norm_family("backward", operator, family, inverses, rates,
-                            horizon, step, grid)
+    fwd, bwd = (build_norm_family(variant, operator, family, inverses, rates,
+                                  horizon, step, grid) for variant in VARIANTS)
     report = verify_norm_trichotomy(fwd, bwd, grid, tol, samples, seed)
     report.label = f"{kind}_rates"
     return report

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import evolution, norms, projectors, trichotomy
 from .errors import ScenarioError
-from .scenario import Scenario
+from .scenario import RATE_KEYS, Scenario
 from .util import grid_pairs, grid_triples, make_grid
 
 STAGES = (
@@ -54,7 +54,7 @@ class _Workspace:
         self.family = _build_family(scenario)
         self.operator = _build_operator(scenario, self.family, self.grid)
         self._inverses = None
-        self._norm_families = None
+        self._norms = {}  # (what, h, k, mu, nu) -> families or theorem report
 
     @property
     def inverses(self):
@@ -62,15 +62,25 @@ class _Workspace:
             self._inverses = projectors.build_inverses(self.operator, self.family)
         return self._inverses
 
-    @property
-    def norm_families(self):
-        if self._norm_families is None:
+    def norm_families(self, rates):
+        """Forward and backward families for ``rates``, built once per rate set."""
+        key = ("families", *(rates[name] for name in RATE_KEYS))
+        if key not in self._norms:
             s = self.scenario
-            build = lambda variant: norms.build_norm_family(
-                variant, self.operator, self.family, self.inverses, s.rates,
-                s.horizon, s.grid_step, self.grid)
-            self._norm_families = (build("forward"), build("backward"))
-        return self._norm_families
+            self._norms[key] = tuple(norms.build_norm_family(
+                variant, self.operator, self.family, self.inverses, rates,
+                s.horizon, s.grid_step, self.grid) for variant in norms.VARIANTS)
+        return self._norms[key]
+
+    def norm_theorem(self, rates):
+        """The constant-free norm system for ``rates``, verified once per rate set."""
+        key = ("theorem", *(rates[name] for name in RATE_KEYS))
+        if key not in self._norms:
+            s = self.scenario
+            self._norms[key] = norms.verify_norm_trichotomy(
+                *self.norm_families(rates), self.grid, s.tol_theorem,
+                s.samples, s.seed)
+        return self._norms[key]
 
 
 def _build_family(scenario: Scenario) -> projectors.ProjectorFamily:
@@ -109,7 +119,8 @@ def _build_operator(scenario: Scenario, family, grid) -> evolution.EvolutionOper
         coeff = _builtin_coefficient(spec["builtin"], scenario.dimension)
         gen = evolution.GeneratorSpec(scenario.dimension, coeff,
                                       float(spec["step"]))
-    return evolution.from_generator(gen, anchors=grid)
+    lattice = norms.query_lattice(grid, scenario.horizon, scenario.grid_step)
+    return evolution.from_generator(gen, anchors=lattice)
 
 
 def _run_check(name: str, ws: _Workspace) -> dict:
@@ -140,24 +151,21 @@ def _run_check(name: str, ws: _Workspace) -> dict:
     if name == "norms":
         return _run_norms(ws)
     if name == "norm_trichotomy":
-        fwd, bwd = ws.norm_families
-        rep = norms.verify_norm_trichotomy(fwd, bwd, grid, s.tol_theorem,
-                                           s.samples, s.seed)
+        fwd, bwd = ws.norm_families(s.rates)
+        rep = ws.norm_theorem(s.rates)
         suff = norms.verify_sufficiency(fwd, bwd, grid, s.samples, s.seed)
         payload = {"necessity": rep.payload(), "sufficiency": suff.payload()}
         rows = rep.csv_rows(name) + suff.csv_rows(name + "_sufficiency")
         return _entry(name, rep.passed and bool(suff.passed), payload, rows=rows)
     if name == "norm_trichotomy_unprojected":
-        fwd, bwd = ws.norm_families
+        fwd, bwd = ws.norm_families(s.rates)
         rep = norms.verify_norm_trichotomy_unprojected(fwd, bwd, grid,
                                                        s.tol_theorem,
                                                        s.samples, s.seed)
         return _entry(name, rep.passed, rep.payload(), rep)
     if name == "rate_instantiation":
         kind, exponents = _instantiation_spec(s)
-        rep = norms.check_rate_specialization(
-            kind, exponents, ws.operator, ws.family, ws.inverses, grid,
-            s.horizon, s.grid_step, s.tol_theorem, s.samples, s.seed)
+        rep = ws.norm_theorem(norms.specialization_rates(kind, exponents))
         payload = {"kind": kind, "exponents": list(exponents), **rep.payload()}
         return _entry(name, rep.passed, payload, rep)
     raise ValueError(f"unknown check {name!r}")
@@ -197,7 +205,7 @@ def _run_splitting(name: str, ws: _Workspace) -> dict:
 
 def _run_norms(ws: _Workspace) -> dict:
     s = ws.scenario
-    fwd, bwd = ws.norm_families
+    fwd, bwd = ws.norm_families(s.rates)
     rep_f = norms.check_compatibility(fwd, ws.grid, s.samples, seed=s.seed)
     rep_b = norms.check_compatibility(bwd, ws.grid, s.samples, seed=s.seed)
     sens = {

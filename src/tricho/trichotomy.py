@@ -29,7 +29,7 @@ import numpy as np
 from .errors import PreconditionError
 from .projectors import ProjectorFamily, InverseFamily, build_inverses
 from .reports import FactorRecord, TrichotomyReport
-from .util import grid_pairs, map_indexed, opnorm, range_basis
+from .util import grid_pairs, opnorm, range_basis
 
 INEQUALITIES = ("stable_decay", "unstable_growth", "center_growth", "center_decay")
 BINDS = {"stable_decay": "s", "unstable_growth": "t",
@@ -87,18 +87,11 @@ def _run_system(operator, family, rates, grid, bound, inverses, label, full):
         raise ValueError("grid must be nonempty")
     if inverses is None:
         inverses = build_inverses(operator, family)
-    pairs = grid_pairs(grid)
-
-    def factors_at(pair):
-        t, s = pair
-        return [required_factor(operator, family, rates, t, s, tag,
-                                inverses, full) for tag in INEQUALITIES]
-
-    rows = map_indexed(factors_at, pairs)
-
     records: list[FactorRecord] = []
-    for (t, s), factors in zip(pairs, rows):
-        for tag, factor in zip(INEQUALITIES, factors):
+    for t, s in grid_pairs(grid):
+        for tag in INEQUALITIES:
+            factor = required_factor(operator, family, rates, t, s, tag,
+                                     inverses, full)
             arg = s if BINDS[tag] == "s" else t
             b = float(bound(arg)) if bound is not None else None
             margin = (b - factor) if b is not None else None

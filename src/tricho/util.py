@@ -6,8 +6,6 @@ explicitly seeded generator.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -78,26 +76,3 @@ def test_vector_batch(dimension: int, samples: int, seed: int) -> tuple[list[str
     basis = np.eye(dimension)
     randoms = sample_unit_vectors(dimension, samples, seed)
     return ids, np.hstack([basis, randoms])
-
-
-def thread_count() -> int:
-    """Worker cap from TRICHO_THREADS (default 1, clipped to CPU count)."""
-    raw = os.environ.get("TRICHO_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, min(n, os.cpu_count() or 1))
-
-
-def map_indexed(fn, items):
-    """Order-preserving map, threaded when TRICHO_THREADS > 1.
-
-    Results are assembled in input order, so the output is identical to the
-    sequential run regardless of scheduling.
-    """
-    workers = thread_count()
-    if workers == 1 or len(items) < 8:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

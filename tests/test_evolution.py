@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from tricho import (DomainError, GeneratorSpec, GrowthRate, PreconditionError,
                     ProjectorFamily, check_cocycle, check_identity,
-                    from_generator, rate_model)
+                    from_generator, rate_model, run, scenario_from_tree)
+from tricho import runner
 from tricho.util import grid_triples, make_grid, opnorm
 
 # frozen scalar-arithmetic oracles for the model operator at (1, 0), u(t)=t+1
@@ -148,6 +149,67 @@ def test_anchored_queries_compose_with_cached_factors():
     off = operator.evaluate(0.75, 0.25)
     want = np.diag([math.exp(-0.5), math.exp(0.25)])
     np.testing.assert_allclose(off, want, atol=1e-10)
+
+    # a non-commuting time-varying generator anchored from 0.5 on
+    anchors = grid[1:]
+    gen = GeneratorSpec(2, lambda t: np.array([[-1.0, math.sin(t)],
+                                               [0.3, 0.5 * math.cos(2 * t)]]),
+                        1e-3)
+    operator = from_generator(gen, anchors=anchors)
+    free = from_generator(gen)  # no anchors: one RK4 run per query
+    assert check_cocycle(operator, grid_triples(anchors), 1e-12).passed
+    # anchor-aligned: the left-to-right product of the interval propagators
+    for lo, hi in [(0, len(anchors) - 1), (2, 5), (3, 4)]:
+        want = np.eye(2)
+        for a, b in zip(anchors[lo:hi], anchors[lo + 1:hi + 1]):
+            want = free.evaluate(b, a) @ want
+        got = operator.evaluate(anchors[hi], anchors[lo])
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            got[0, 0] = 1.0
+    # between, before and past the anchors only the gaps are integrated
+    for t, s in [(0.75, 0.25), (0.9, 0.6), (3.0, 0.2), (4.0, 0.0),
+                 (5.3, 1.0), (4.7, 4.2), (6.1, 3.3)]:
+        direct = free.evaluate(t, s)
+        assert opnorm(operator.evaluate(t, s) - direct) <= 1e-12 * opnorm(direct)
+
+
+def test_run_integrates_each_lattice_interval_once(monkeypatch):
+    calls = [0]
+    builtin = runner._builtin_coefficient
+
+    def counting(spec, dimension):
+        coefficient = builtin(spec, dimension)
+
+        def counted(t):
+            calls[0] += 1
+            return coefficient(t)
+        return counted
+
+    monkeypatch.setattr(runner, "_builtin_coefficient", counting)
+    t_max, step, horizon, rk4_step = 2.0, 0.5, 1.0, 0.01
+    tree = {
+        "dimension": 3,
+        "operator": {"type": "ode", "step": rk4_step,
+                     "builtin": {"name": "periodic_diag",
+                                 "base": [-1.5, 2.5, 0.0],
+                                 "amplitude": [0.3, 0.3, 0.1], "omega": 1.0}},
+        "projectors": {"type": "coordinate_split", "sizes": [1, 1, 1]},
+        "rates": {key: {"kind": "exponential", "exponent": a}
+                  for key, a in (("h", 1.0), ("k", 2.0), ("mu", 0.5),
+                                 ("nu", 0.25))},
+        "grid": {"t_max": t_max, "step": step},
+        "horizon": horizon,
+        "tolerances": {"structural": 1e-8, "theorem": 1e-9},
+        "samples": 8,
+        "checks": ["cocycle", "norms", "norm_trichotomy",
+                   "norm_trichotomy_unprojected", "rate_instantiation"],
+    }
+    report = run(scenario_from_tree(tree))
+    assert report.overall == "pass"
+    probes = len(make_grid(t_max + 2 * horizon, step))  # one per anchor
+    rk4_calls = 4 * (t_max + 2 * horizon) / rk4_step
+    assert calls[0] <= rk4_calls + 4 * probes
 
 
 def test_nonpositive_step_rejected():

@@ -109,6 +109,17 @@ def test_uniform_example_scenario_all_pass():
     assert all(c["status"] == "pass" for c in report.checks)
 
 
+def test_ode_example_cli_all_pass(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["--scenario", str(SCENARIOS / "ode_periodic_example.json"),
+                 "--out", str(out), "--format", "csv"])
+    assert code == 0
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    assert len(rows) == 12
+    assert all(row.endswith(",pass") for row in rows)
+    assert "overall: pass" in capsys.readouterr().out
+
+
 def test_failed_prerequisite_skips_dependents(tmp_path):
     tree = minimal_tree(checks=["uniform", "norms"],
                         bounds={"uniform": 5.0},
@@ -224,16 +235,3 @@ def test_scenario_echo_is_sorted_and_complete():
     scenario = parse_scenario(SCENARIOS / "uniform_example.json")
     keys = list(scenario.echo)
     assert keys == sorted(keys)
-
-
-def test_thread_cap_does_not_change_results(tmp_path, monkeypatch):
-    tree = minimal_tree(checks=["trichotomy", "uniform"],
-                        grid={"t_max": 6.0, "step": 0.5})
-    report_seq = run(scenario_from_tree(tree))
-    emit(report_seq, "both", tmp_path / "seq")
-    monkeypatch.setenv("TRICHO_THREADS", "4")
-    report_par = run(scenario_from_tree(tree))
-    emit(report_par, "both", tmp_path / "par")
-    for name in ("report.json", "records.csv", "summary.csv"):
-        assert (tmp_path / "seq" / name).read_bytes() == \
-               (tmp_path / "par" / name).read_bytes()
