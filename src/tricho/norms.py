@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import bisect
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, StructuralError
 from .rates import GrowthRate
 from .reports import CompatibilityReport, IneqRecord, TheoremReport, TrichotomyReport
-from .trichotomy import check_trichotomy, required_factor
-from .util import opnorm, test_vector_batch
+from .trichotomy import check_trichotomy, factor_table
+from .util import grid_pairs, opnorms, test_vector_batch
 
 VARIANTS = ("forward", "backward")
 _SENSITIVITY_LIMIT = 1e-6
@@ -81,9 +82,8 @@ class LyapunovNormFamily:
         self.rates = rates
         self.horizon = float(horizon)
         self.step = float(step)
-        self._stacks: dict[float, tuple] = {}
-        for t in times:
-            self._stacks[t] = self._build(t)
+        # the future terms run out to twice the horizon, for the sensitivity pass
+        self._stacks = {t: self._build(t, 2.0 * self.horizon) for t in times}
         self.horizon_delta_abs = 0.0
         self.horizon_delta_rel = 0.0
         self._measure_sensitivity(list(times))
@@ -95,75 +95,63 @@ class LyapunovNormFamily:
 
     # -- stack construction ------------------------------------------------
 
-    def _future_stacks(self, t: float, horizon: float):
+    def _weighted(self, index: int, t: float, key: str, quotients, maps):
+        """rate(a)/rate(b) * maps() over (a, b) in ``quotients``; zeros when
+        P_index(t) vanishes."""
+        n = self.family.dimension
+        if not self.family.member(index, t).any():
+            return np.zeros((len(quotients), n, n))
+        rate = self.rates.get(key)
+        if rate is None:
+            raise StructuralError(f"{self.variant} variant needs the {key!r} rate")
+        ratios = np.array([rate.ratio(a, b) for a, b in quotients])
+        return ratios.reshape(-1, 1, 1) * maps()
+
+    def _build(self, t: float, horizon: float):
         taus = _future_times(t, horizon, self.step)
-        n = self.family.dimension
-        p1 = self.family.member(1, t)
-        p3 = self.family.member(3, t)
-        h = self.rates["h"]
-        if p1.any():
-            f1 = np.stack([h.ratio(tau, t) * (self.operator.evaluate(tau, t) @ p1)
-                           for tau in taus])
-        else:
-            f1 = np.zeros((len(taus), n, n))
-        if self.variant != "forward":
-            return f1, None
-        mu = self.rates.get("mu")
-        if p3.any():
-            if mu is None:
-                raise StructuralError("forward variant needs the 'mu' rate")
-            f3 = np.stack([mu.ratio(t, tau) * (self.operator.evaluate(tau, t) @ p3)
-                           for tau in taus])
-        else:
-            f3 = np.zeros((len(taus), n, n))
-        return f1, f3
-
-    def _past_stacks(self, t: float):
-        rs = _past_times(t, self.step)
-        n = self.family.dimension
-        k = self.rates["k"]
-        if self.family.member(2, t).any():
-            g2 = np.stack([k.ratio(t, r) * self.inverses[2].evaluate(t, r)
-                           for r in rs])
-        else:
-            g2 = np.zeros((len(rs), n, n))
+        past = [(t, r) for r in _past_times(t, self.step)]
+        u = self.operator.evaluate_many([(tau, t) for tau in taus])
+        f1 = self._weighted(1, t, "h", [(tau, t) for tau in taus],
+                            lambda: u @ self.family.member(1, t))
+        g2 = self._weighted(2, t, "k", past, lambda: self.inverses[2].stack(past))
         if self.variant == "forward":
-            return g2, None
-        nu = self.rates.get("nu")
-        if self.family.member(3, t).any():
-            if nu is None:
-                raise StructuralError("backward variant needs the 'nu' rate")
-            g3 = np.stack([nu.ratio(r, t) * self.inverses[3].evaluate(t, r)
-                           for r in rs])
+            third = self._weighted(3, t, "mu", [(t, tau) for tau in taus],
+                                   lambda: u @ self.family.member(3, t))
         else:
-            g3 = np.zeros((len(rs), n, n))
-        return g2, g3
-
-    def _build(self, t: float):
-        f1, f3 = self._future_stacks(t, self.horizon)
-        g2, g3 = self._past_stacks(t)
-        third = f3 if self.variant == "forward" else g3
+            third = self._weighted(3, t, "nu", [(r, t) for _, r in past],
+                                   lambda: self.inverses[3].stack(past))
         return f1, g2, third
 
-    def _stacks_at(self, t: float):
+    def _stacks_at(self, t: float, wide: bool = False):
         got = self._stacks.get(t)
         if got is None:
-            got = self._build(t)
-            self._stacks[t] = got
-        return got
+            got = self._stacks[t] = self._build(t, self.horizon)
+        if wide:
+            return got
+        cut = len(_future_times(t, self.horizon, self.step))
+        f1, g2, third = got
+        return f1[:cut], g2, third[:cut] if self.variant == "forward" else third
 
     # -- evaluation ---------------------------------------------------------
 
     @staticmethod
     def _term(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """max over the (m, n, n) stack of |M y| for each column y of x.
+
+        x is (n, batch) or a stack (..., n, batch); every matrix meets every
+        (n, batch) block in its own product, the same BLAS call as a single
+        block, so batching does not change the values.
+        """
         if stack.shape[0] == 0:
-            return np.zeros(x.shape[1])
-        images = stack @ x                       # (m, n, batch)
-        norms = np.sqrt(np.sum(images * images, axis=1))
-        return norms.max(axis=0)
+            return np.zeros(x.shape[:-2] + x.shape[-1:])
+        images = stack.reshape(stack.shape[:1] + (1,) * (x.ndim - 2)
+                               + stack.shape[1:]) @ x
+        np.square(images, out=images)
+        return np.sqrt(images.sum(axis=-2).max(axis=0))
 
     def evaluate_many(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Norm values for each column of the (dimension, batch) matrix x."""
+        """Norm values for each column of the (dimension, batch) matrix x,
+        or of each matrix of a (..., dimension, batch) stack."""
         if t < 0:
             raise DomainError("norms are defined for t >= 0")
         x = np.asarray(x, dtype=float)
@@ -184,10 +172,10 @@ class LyapunovNormFamily:
         worst_rel = 0.0
         for t in times:
             f1, g2, third = self._stacks_at(t)
+            f1d, _, f3d = self._stacks_at(t, wide=True)
             past = self._term(g2, basis)
             if self.variant == "backward":
                 past = past + self._term(third, basis)
-            f1d, f3d = self._future_stacks(t, 2.0 * self.horizon)
             base = past + self._term(f1, basis)
             wide = past + self._term(f1d, basis)
             if self.variant == "forward":
@@ -224,12 +212,9 @@ def check_compatibility(norm_family: LyapunovNormFamily, grid, samples: int,
     n = norm_family.family.dimension
     _, x = test_vector_batch(n, samples, seed)
 
-    ratios = []
-    lower = math.inf
-    for t in grid:
-        vals = norm_family.evaluate_many(t, x)
-        ratios.append(float(vals.max()))
-        lower = min(lower, float(vals.min()) - 1.0)
+    values = np.stack([norm_family.evaluate_many(t, x) for t in grid])
+    ratios = values.max(axis=1).tolist()
+    lower = float(values.min()) - 1.0
 
     limit = _fullnorm_limit(norm_family, grid)
     crosscheck_ok = all(c <= lim * (1.0 + tol) + 1e-12
@@ -244,28 +229,20 @@ def check_compatibility(norm_family: LyapunovNormFamily, grid, samples: int,
 
 def _fullnorm_limit(nf: LyapunovNormFamily, grid) -> list[float]:
     """3 * nondecreasing envelope of the full-norm factors bounding each term."""
-    requirement = []
-    for t in grid:
-        worst = 1.0
-        for tau in _future_times(t, nf.horizon, nf.step):
-            worst = max(worst, required_factor(nf.operator, nf.family, nf.rates,
-                                               tau, t, "stable_decay",
-                                               nf.inverses, full=True))
-            if nf.variant == "forward":
-                worst = max(worst, required_factor(nf.operator, nf.family,
-                                                   nf.rates, tau, t,
-                                                   "center_growth",
-                                                   nf.inverses, full=True))
-        for r in _past_times(t, nf.step):
-            worst = max(worst, required_factor(nf.operator, nf.family, nf.rates,
-                                               t, r, "unstable_growth",
-                                               nf.inverses, full=True))
-            if nf.variant == "backward":
-                worst = max(worst, required_factor(nf.operator, nf.family,
-                                                   nf.rates, t, r,
-                                                   "center_decay",
-                                                   nf.inverses, full=True))
-        requirement.append(worst)
+    future = [[(tau, t) for tau in _future_times(t, nf.horizon, nf.step)]
+              for t in grid]
+    past = [[(t, r) for r in _past_times(t, nf.step)] for t in grid]
+    forward = nf.variant == "forward"
+    requirement = np.ones(len(grid))
+    for groups, tags in (
+            (future, ("stable_decay", "center_growth") if forward else ("stable_decay",)),
+            (past, ("unstable_growth",) if forward else ("unstable_growth", "center_decay"))):
+        pairs = [p for group in groups for p in group]
+        table = factor_table(nf.operator, nf.family, nf.rates, pairs, tags,
+                             nf.inverses, full=True)
+        worst = np.max([table[tag] for tag in tags], axis=0)
+        starts = np.cumsum([0] + [len(group) for group in groups[:-1]])
+        requirement = np.maximum(requirement, np.maximum.reduceat(worst, starts))
     envelope = np.maximum.accumulate(requirement)
     return [3.0 * float(v) for v in envelope]
 
@@ -278,68 +255,115 @@ def _require_shared_sources(forward: LyapunovNormFamily,
         raise StructuralError("norm families must be built from the same sources")
 
 
-def _theorem_records(forward, backward, grid, x, ids, unprojected):
+@dataclass
+class TheoremSides:
+    """What the projected and unprojected norm systems share: ``lhs[tag]``,
+    the left-hand norms as (pairs, batch) in ``grid_pairs`` order (center
+    tags only when some pair has a central member), and ``base[variant]``,
+    the norms of x, P1 x, P2 x and P3 x at each grid time as (grid, 4, batch).
+    """
+
+    families: tuple  # the forward and backward families they were taken from
+    grid: list[float]
+    samples: int
+    seed: int
+    ids: list[str]
+    lhs: dict[str, np.ndarray]
+    base: dict[str, np.ndarray]
+    central: np.ndarray  # per pair: member 3 is nonzero at t or at s
+
+
+# tag -> (variant of its norms, time of the right-hand norm, base column when
+# projected, rate, whether the rate quotient is rate(t)/rate(s))
+_SIDES = {"stable_decay": ("forward", "s", 1, "h", False),
+          "unstable_growth": ("backward", "t", 2, "k", False),
+          "center_growth": ("forward", "s", 3, "mu", True),
+          "center_decay": ("backward", "t", 3, "nu", True)}
+
+
+def theorem_sides(forward: LyapunovNormFamily, backward: LyapunovNormFamily,
+                  grid, samples: int = 32, seed: int = 0) -> TheoremSides:
+    """Both sides of the norm inequalities over grid pairs, without rates.
+
+    The U terms are batched per t over s and the W_j terms per s over t;
+    each right-hand norm depends on one time and is taken once per time.
+    """
+    _require_shared_sources(forward, backward)
+    grid = list(grid)
+    family = forward.family
+    ids, x = test_vector_batch(family.dimension, samples, seed)
+    proj = np.stack([[x] + [family.member(j, t) @ x for j in (1, 2, 3)]
+                     for t in grid])  # (grid, 4, n, batch)
+    base = {nf.variant: np.stack([nf.evaluate_many(t, y) for t, y in zip(grid, proj)])
+            for nf in (forward, backward)}
+    rows, cols = np.tril_indices(len(grid))  # grid_pairs order
+    third = np.array([family.member(3, t).any() for t in grid])
+    central = third[rows] | third[cols]
+    tags = ["stable_decay", "unstable_growth"]
+    if central.any():
+        if forward.rates.get("mu") is None or forward.rates.get("nu") is None:
+            raise StructuralError("norm checks with a nonzero third member "
+                                  "need the 'mu' and 'nu' rates")
+        tags += ["center_growth", "center_decay"]
+    lhs = {tag: np.empty((len(rows), x.shape[1])) for tag in tags}
+    offsets = np.cumsum(np.arange(len(grid) + 1))  # row i of pairs starts here
+    for i, t in enumerate(grid):
+        u = forward.operator.evaluate_many([(t, s) for s in grid[:i + 1]])
+        for tag, j in (("stable_decay", 1), ("center_growth", 3)):
+            if tag in lhs:
+                lhs[tag][offsets[i]:offsets[i + 1]] = forward.evaluate_many(
+                    t, u @ proj[:i + 1, j])
+    for j, s in enumerate(grid):
+        later = [(t, s) for t in grid[j:]]
+        for tag, nf, inverse in (("unstable_growth", forward, 2),
+                                 ("center_decay", backward, 3)):
+            if tag in lhs:
+                lhs[tag][offsets[j:-1] + j] = backward.evaluate_many(
+                    s, nf.inverses[inverse].stack(later) @ x)
+    return TheoremSides((forward, backward), grid, samples, seed, ids, lhs,
+                        base, central)
+
+
+def _theorem_records(sides: TheoremSides, rates, unprojected: bool):
     """Margins of the four norm inequalities, worst vector per (tag, pair).
 
     Inequalities are evaluated in ratio form (divided by the rate value at
     the left argument), which keeps margins O(1) and matches the
     exponential/polynomial specialization forms directly.
     """
-    operator, family = forward.operator, forward.family
-    rates = forward.rates
-    h, k = rates["h"], rates["k"]
-    mu, nu = rates.get("mu"), rates.get("nu")
-    records = []
-    for i, t in enumerate(grid):
-        p2_t = family.member(2, t)
-        p3_t = family.member(3, t)
-        for s in grid[:i + 1]:
-            u_ts = operator.evaluate(t, s)
-            p1_s = family.member(1, s)
-            p3_s = family.member(3, s)
-
-            y1 = p1_s @ x
-            lhs = forward.evaluate_many(t, u_ts @ y1)
-            base = forward.evaluate_many(s, x if unprojected else y1)
-            records.append(_worst("stable_decay", t, s, ids, lhs,
-                                  h.ratio(s, t) * base))
-
-            z2 = forward.inverses[2].evaluate(t, s) @ x
-            lhs = backward.evaluate_many(s, z2)
-            base = backward.evaluate_many(t, x if unprojected else p2_t @ x)
-            records.append(_worst("unstable_growth", t, s, ids, lhs,
-                                  k.ratio(s, t) * base))
-
-            if p3_s.any() or p3_t.any():
-                if mu is None or nu is None:
-                    raise StructuralError(
-                        "norm checks with a nonzero third member need the "
-                        "'mu' and 'nu' rates")
-                y3 = p3_s @ x
-                lhs = forward.evaluate_many(t, u_ts @ y3)
-                base = forward.evaluate_many(s, x if unprojected else y3)
-                records.append(_worst("center_growth", t, s, ids, lhs,
-                                      mu.ratio(t, s) * base))
-
-                z3 = backward.inverses[3].evaluate(t, s) @ x
-                lhs = backward.evaluate_many(s, z3)
-                base = backward.evaluate_many(t, x if unprojected else p3_t @ x)
-                records.append(_worst("center_decay", t, s, ids, lhs,
-                                      nu.ratio(t, s) * base))
-            else:
-                records.append(IneqRecord("center_growth", t, s, ids[0],
-                                          0.0, 0.0, 0.0, vacuous=True))
-                records.append(IneqRecord("center_decay", t, s, ids[0],
-                                          0.0, 0.0, 0.0, vacuous=True))
-    return records
+    pairs = grid_pairs(sides.grid)
+    rows, cols = np.tril_indices(len(sides.grid))
+    per_tag = []
+    for tag, (variant, at, column, key, rising) in _SIDES.items():
+        if tag not in sides.lhs:
+            per_tag.append([IneqRecord(tag, t, s, sides.ids[0], 0.0, 0.0, 0.0,
+                                       vacuous=True) for t, s in pairs])
+            continue
+        rate = rates[key]
+        quotient = [rate.ratio(t, s) if rising else rate.ratio(s, t)
+                    for t, s in pairs]
+        base = sides.base[variant][cols if at == "s" else rows,
+                                   0 if unprojected else column]
+        records = _worst_rows(tag, pairs, sides.ids, sides.lhs[tag],
+                              np.array(quotient)[:, None] * base)
+        if tag.startswith("center"):
+            records = [r if c else IneqRecord(tag, r.t, r.s, sides.ids[0],
+                                              0.0, 0.0, 0.0, vacuous=True)
+                       for r, c in zip(records, sides.central.tolist())]
+        per_tag.append(records)
+    return [r for group in zip(*per_tag) for r in group]
 
 
-def _worst(tag, t, s, ids, lhs, rhs) -> IneqRecord:
+def _worst_rows(tag, pairs, ids, lhs, rhs) -> list[IneqRecord]:
+    """Worst sample vector per row of the (pairs, batch) sides of one tag."""
     margins = rhs - lhs
-    idx = int(np.argmin(margins))
-    vacuous = bool(np.all(lhs == 0.0) and np.all(rhs == 0.0))
-    return IneqRecord(tag, t, s, ids[idx], float(lhs[idx]), float(rhs[idx]),
-                      float(margins[idx]), vacuous=vacuous)
+    idx = np.argmin(margins, axis=1)[:, None]
+    vacuous = np.all(lhs == 0.0, axis=1) & np.all(rhs == 0.0, axis=1)
+    picked = [np.take_along_axis(a, idx, axis=1)[:, 0].tolist()
+              for a in (lhs, rhs, margins)]
+    return [IneqRecord(tag, t, s, ids[i], left, right, margin, vacuous=v)
+            for (t, s), i, left, right, margin, v
+            in zip(pairs, idx[:, 0].tolist(), *picked, vacuous.tolist())]
 
 
 def _finish(label, records, tol, slack, samples, seed) -> TheoremReport:
@@ -356,45 +380,55 @@ def _finish(label, records, tol, slack, samples, seed) -> TheoremReport:
                          seed=seed, samples=samples)
 
 
+def _sides_for(forward, backward, grid, samples, seed, sides) -> TheoremSides:
+    _require_shared_sources(forward, backward)
+    if sides is None:
+        return theorem_sides(forward, backward, grid, samples, seed)
+    if (sides.families, sides.grid, sides.samples, sides.seed) != (
+            (forward, backward), grid, samples, seed):
+        raise ValueError("theorem sides were computed for other families, "
+                         "grid, sample count or seed")
+    return sides
+
+
 def verify_norm_trichotomy(forward: LyapunovNormFamily,
                            backward: LyapunovNormFamily, grid,
                            tol: float = 1e-9, samples: int = 32,
-                           seed: int = 0) -> TheoremReport:
+                           seed: int = 0,
+                           sides: TheoremSides | None = None) -> TheoremReport:
     """Constant-free inequality system in the built norms over grid pairs.
 
     The pass threshold is tol plus the measured truncation slack of the two
-    families.
+    families. ``sides`` are ``theorem_sides`` of the same arguments, when
+    already computed.
     """
-    _require_shared_sources(forward, backward)
     grid = list(grid)
-    ids, x = test_vector_batch(forward.family.dimension, samples, seed)
+    sides = _sides_for(forward, backward, grid, samples, seed, sides)
     slack = max(forward.horizon_delta_abs, backward.horizon_delta_abs)
-    records = _theorem_records(forward, backward, grid, x, ids, unprojected=False)
+    records = _theorem_records(sides, forward.rates, unprojected=False)
     return _finish("norm_trichotomy", records, tol, slack, samples, seed)
 
 
 def verify_norm_trichotomy_unprojected(forward: LyapunovNormFamily,
                                        backward: LyapunovNormFamily, grid,
                                        tol: float = 1e-9, samples: int = 32,
-                                       seed: int = 0) -> TheoremReport:
+                                       seed: int = 0,
+                                       sides: TheoremSides | None = None) -> TheoremReport:
     """Variant with unprojected right-hand sides, plus the projection lemma.
 
     The lemma rows assert that applying any member at its own time never
     increases either norm; they are what reduces this system to the
     projected one.
     """
-    _require_shared_sources(forward, backward)
     grid = list(grid)
-    ids, x = test_vector_batch(forward.family.dimension, samples, seed)
+    sides = _sides_for(forward, backward, grid, samples, seed, sides)
     slack = max(forward.horizon_delta_abs, backward.horizon_delta_abs)
-    records = _theorem_records(forward, backward, grid, x, ids, unprojected=True)
-    for t in grid:
-        for nf, label in ((forward, "projection_bound_forward"),
-                          (backward, "projection_bound_backward")):
-            base = nf.evaluate_many(t, x)
-            for j in (1, 2, 3):
-                proj = nf.evaluate_many(t, nf.family.member(j, t) @ x)
-                records.append(_worst(label, t, t, ids, proj, base))
+    records = _theorem_records(sides, forward.rates, unprojected=True)
+    diagonal = [(t, t) for t in grid]
+    lemma = [_worst_rows(f"projection_bound_{variant}", diagonal, sides.ids,
+                         sides.base[variant][:, j], sides.base[variant][:, 0])
+             for variant in VARIANTS for j in (1, 2, 3)]
+    records += [r for group in zip(*lemma) for r in group]
     return _finish("norm_trichotomy_unprojected", records, tol, slack,
                    samples, seed)
 
@@ -402,24 +436,26 @@ def verify_norm_trichotomy_unprojected(forward: LyapunovNormFamily,
 def verify_sufficiency(forward: LyapunovNormFamily,
                        backward: LyapunovNormFamily, grid,
                        samples: int = 32, seed: int = 0,
-                       inverses=None) -> TrichotomyReport:
+                       inverses=None, factors=None,
+                       compatibility=None) -> TrichotomyReport:
     """Close the loop: bound built from measured sandwich constants.
 
     The candidate bound N(a) = sup_{s <= a} C(s) (|P1(s)| + |P2(s)| + |P3(s)|)
     is assembled from the measured compatibility ratios of both families and
     fed back into the projected trichotomy system, which it must dominate.
+    ``compatibility`` is the pair of forward and backward
+    ``check_compatibility`` reports for the same grid, samples and seed, and
+    ``factors`` the projected factor table, when already computed.
     """
     _require_shared_sources(forward, backward)
     grid = list(grid)
-    compat_f = check_compatibility(forward, grid, samples, seed=seed)
-    compat_b = check_compatibility(backward, grid, samples, seed=seed)
+    compat_f, compat_b = compatibility or (
+        check_compatibility(forward, grid, samples, seed=seed),
+        check_compatibility(backward, grid, samples, seed=seed))
     family = forward.family
-    values = []
-    for i, t in enumerate(grid):
-        c = max(compat_f.ratios[i], compat_b.ratios[i])
-        pnorm = sum(opnorm(family.member(j, t)) for j in (1, 2, 3))
-        values.append(c * pnorm)
-    candidate = list(np.maximum.accumulate(values))
+    pnorm = sum(opnorms(family.stack(j, grid)) for j in (1, 2, 3))
+    candidate = list(np.maximum.accumulate(
+        np.maximum(compat_f.ratios, compat_b.ratios) * pnorm))
 
     def bound(a: float) -> float:
         idx = bisect.bisect_right(grid, a) - 1
@@ -427,7 +463,8 @@ def verify_sufficiency(forward: LyapunovNormFamily,
 
     report = check_trichotomy(forward.operator, family, forward.rates, grid,
                               bound=bound,
-                              inverses=inverses or forward.inverses)
+                              inverses=inverses or forward.inverses,
+                              factors=factors)
     report.label = "sufficiency"
     return report
 

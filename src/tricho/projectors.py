@@ -18,13 +18,16 @@ import numpy as np
 
 from .errors import DomainError, NotStronglyInvariantError, StructuralError
 from .reports import CheckReport
-from .util import opnorm, range_basis
+from .util import grid_pairs, opnorms, pair_slots, peak, range_basis
 
 RANK_TOL = 1e-10  # scale-invariant: smallest singular value vs largest
 
 
 class ProjectorFamily:
-    """Three maps t -> n x n matrix, constant or callback-defined."""
+    """Three maps t -> n x n matrix, constant or callback-defined.
+
+    Members and their range bases are evaluated once per time, read-only.
+    """
 
     def __init__(self, dimension: int, members):
         if dimension <= 0:
@@ -33,6 +36,8 @@ class ProjectorFamily:
             raise StructuralError("a family has exactly three members")
         self.dimension = int(dimension)
         self._members = tuple(members)
+        self._values: dict[tuple[int, float], np.ndarray] = {}
+        self._bases: dict[tuple[int, float], np.ndarray] = {}
 
     @classmethod
     def constant(cls, p1, p2, p3) -> "ProjectorFamily":
@@ -66,15 +71,38 @@ class ProjectorFamily:
         """Matrix of P_index(t), index in {1, 2, 3}."""
         if index not in (1, 2, 3):
             raise ValueError("member index must be 1, 2 or 3")
-        m = np.asarray(self._members[index - 1](t), dtype=float)
-        if m.shape != (self.dimension, self.dimension):
-            raise StructuralError(
-                f"member {index} at t={t} has shape {m.shape}, "
-                f"expected {(self.dimension, self.dimension)}")
+        m = self._values.get((index, t))
+        if m is None:
+            m = np.array(self._members[index - 1](t), dtype=float)
+            if m.shape != (self.dimension, self.dimension):
+                raise StructuralError(
+                    f"member {index} at t={t} has shape {m.shape}, "
+                    f"expected {(self.dimension, self.dimension)}")
+            m.flags.writeable = False
+            self._values[(index, t)] = m
         return m
 
     def members(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.member(1, t), self.member(2, t), self.member(3, t)
+
+    def basis(self, index: int, t: float) -> np.ndarray:
+        """Orthonormal basis of the range of P_index(t), as an n x rank matrix."""
+        b = self._bases.get((index, t))
+        if b is None:
+            b = self._bases[(index, t)] = range_basis(self.member(index, t))
+            b.flags.writeable = False
+        return b
+
+    def stack(self, index: int, times) -> np.ndarray:
+        """P_index(t) for each of ``times`` as an (m, n, n) stack."""
+        n = self.dimension
+        return np.array([self.member(index, t) for t in times]).reshape(-1, n, n)
+
+
+def rank_groups(ranks) -> list[list[int]]:
+    """Positions holding each nonzero rank, one list per rank."""
+    return [[i for i, r in enumerate(ranks) if r == rank]
+            for rank in sorted(set(ranks) - {0})]
 
 
 def check_orthogonal(family: ProjectorFamily, grid, tol: float) -> CheckReport:
@@ -82,93 +110,138 @@ def check_orthogonal(family: ProjectorFamily, grid, tol: float) -> CheckReport:
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
-    eye = np.eye(family.dimension)
-    worst = {"idempotency": 0.0, "sum_identity": 0.0, "pairwise_product": 0.0}
-    for t in grid:
-        ps = family.members(t)
-        worst["idempotency"] = max(
-            worst["idempotency"], max(opnorm(p @ p - p) for p in ps))
-        worst["sum_identity"] = max(
-            worst["sum_identity"], opnorm(ps[0] + ps[1] + ps[2] - eye))
-        cross = max(opnorm(ps[i] @ ps[j])
-                    for i in range(3) for j in range(3) if i != j)
-        worst["pairwise_product"] = max(worst["pairwise_product"], cross)
+    ps = [family.stack(j, grid) for j in (1, 2, 3)]
+    worst = {
+        "idempotency": max(peak(opnorms(p @ p - p)) for p in ps),
+        "sum_identity": peak(opnorms(sum(ps) - np.eye(family.dimension))),
+        "pairwise_product": max(peak(opnorms(ps[i] @ ps[j]))
+                                for i in range(3) for j in range(3) if i != j),
+    }
     return CheckReport("orthogonality", tol, worst,
                        passed=all(v <= tol for v in worst.values()))
 
 
-def check_invariance(family: ProjectorFamily, operator, pairs, tol: float) -> CheckReport:
-    """Worst commutation residual |U(t,s)P_i(s) - P_i(t)U(t,s)| over pairs."""
-    worst = 0.0
+def _ordered(pairs) -> list:
+    pairs = list(pairs)
     for t, s in pairs:
         if t < s or s < 0:
             raise DomainError(f"pair ({t}, {s}) outside t >= s >= 0")
-        u = operator.evaluate(t, s)
-        for i in (1, 2, 3):
-            worst = max(worst, opnorm(u @ family.member(i, s)
-                                      - family.member(i, t) @ u))
+    return pairs
+
+
+def _commutation(family, index: int, u: np.ndarray, pairs) -> float:
+    """Worst |U(t,s)P(s) - P(t)U(t,s)| of one member over a stack of U."""
+    p_s = family.stack(index, [s for _, s in pairs])
+    return peak(opnorms(u @ p_s - family.stack(index, [t for t, _ in pairs]) @ u))
+
+
+def check_invariance(family: ProjectorFamily, operator, pairs, tol: float) -> CheckReport:
+    """Worst commutation residual |U(t,s)P_i(s) - P_i(t)U(t,s)| over pairs."""
+    pairs = _ordered(pairs)
+    u = operator.evaluate_many(pairs)
+    worst = max(_commutation(family, i, u, pairs) for i in (1, 2, 3))
     return CheckReport("invariance", tol, {"commutation": worst}, worst <= tol)
+
+
+def restricted_inverses(operator, family: ProjectorFamily, index: int, pairs,
+                        rank_tol: float = RANK_TOL) -> tuple[np.ndarray, list]:
+    """Matrices of V_j(t, s) P_j(t) for j = index in {2, 3} over (t, s) pairs.
+
+    The restriction of U(t, s) to Range P_j(s) is expressed in orthonormal
+    bases of the two ranges and inverted, in one batched SVD and solve per
+    rank. Returns the (m, n, n) stack and one note per pair: None, or why
+    the restriction is not an isomorphism (then the matrix is zero rather
+    than a garbage inverse). Rank-0 members (the dichotomy case) yield the
+    zero matrix.
+    """
+    if index not in (2, 3):
+        raise ValueError("restricted inverses exist for members 2 and 3")
+    pairs = _ordered(pairs)
+    out = np.zeros((len(pairs), family.dimension, family.dimension))
+    notes = [None] * len(pairs)
+    ranks = []
+    for i, (t, s) in enumerate(pairs):
+        rank_s, rank_t = (family.basis(index, x).shape[1] for x in (s, t))
+        if rank_s != rank_t:
+            notes[i] = (f"rank of member {index} changes from {rank_s} at "
+                        f"s={s} to {rank_t} at t={t}")
+        ranks.append(rank_s if rank_s == rank_t else 0)
+    for rows in rank_groups(ranks):
+        sub = [pairs[i] for i in rows]
+        basis_s = np.array([family.basis(index, s) for _, s in sub])
+        basis_t = np.array([family.basis(index, t) for t, _ in sub])
+        mapped = operator.evaluate_many(sub) @ basis_s
+        restricted = np.swapaxes(basis_t, -1, -2) @ mapped  # basis_t orthonormal
+        sigma = np.linalg.svd(restricted, compute_uv=False)
+        good = (sigma[:, 0] != 0.0) & (sigma[:, -1] > rank_tol * sigma[:, 0])
+        for i, (t, s), ok, (hi, lo) in zip(rows, sub, good, sigma[:, [0, -1]]):
+            if not ok:
+                notes[i] = (f"restriction of U({t}, {s}) to range of member "
+                            f"{index} is rank-deficient (singular values "
+                            f"{lo:.3e} vs {hi:.3e})")
+        keep = np.flatnonzero(good)
+        rhs = (np.swapaxes(basis_t[keep], -1, -2)
+               @ family.stack(index, [sub[i][0] for i in keep]))
+        out[np.asarray(rows, dtype=int)[keep]] = (
+            basis_s[keep] @ np.linalg.solve(restricted[keep], rhs))
+    return out, notes
 
 
 def compute_restricted_inverse(operator, family: ProjectorFamily, index: int,
                                t: float, s: float,
                                rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Matrix of V_j(t, s) P_j(t) for j = index in {2, 3}.
-
-    The restriction of U(t, s) to Range P_j(s) is expressed in orthonormal
-    bases of the two ranges and inverted; rank deficiency of that square
-    system means the restriction is not an isomorphism and raises
-    NotStronglyInvariantError instead of returning a garbage inverse.
-    Rank-0 members (the dichotomy case) yield the zero matrix.
-    """
-    if index not in (2, 3):
-        raise ValueError("restricted inverses exist for members 2 and 3")
-    if t < s or s < 0:
-        raise DomainError(f"pair ({t}, {s}) outside t >= s >= 0")
-    n = family.dimension
-    basis_s = range_basis(family.member(index, s))
-    p_t = family.member(index, t)
-    basis_t = range_basis(p_t)
-    if basis_s.shape[1] == 0 and basis_t.shape[1] == 0:
-        return np.zeros((n, n))
-    if basis_s.shape[1] != basis_t.shape[1]:
-        raise NotStronglyInvariantError(
-            f"rank of member {index} changes from {basis_s.shape[1]} at s={s} "
-            f"to {basis_t.shape[1]} at t={t}")
-    mapped = operator.evaluate(t, s) @ basis_s
-    restricted = basis_t.T @ mapped  # least-squares coefficients, basis_t orthonormal
-    sigma = np.linalg.svd(restricted, compute_uv=False)
-    if sigma[0] == 0.0 or sigma[-1] <= rank_tol * sigma[0]:
-        raise NotStronglyInvariantError(
-            f"restriction of U({t}, {s}) to range of member {index} is "
-            f"rank-deficient (singular values {sigma[-1]:.3e} vs {sigma[0]:.3e})")
-    return basis_s @ np.linalg.solve(restricted, basis_t.T @ p_t)
+    """``restricted_inverses`` at one pair; a restriction that is not an
+    isomorphism raises NotStronglyInvariantError."""
+    stack, notes = restricted_inverses(operator, family, index, [(t, s)], rank_tol)
+    if notes[0]:
+        raise NotStronglyInvariantError(notes[0])
+    return stack[0]
 
 
 class InverseFamily:
-    """Cached evaluator for W(t, s) = V_j(t, s) P_j(t) on t >= s >= 0."""
+    """Cached evaluator for W(t, s) = V_j(t, s) P_j(t) on t >= s >= 0.
+
+    ``compute(pairs)`` returns the matrices and notes of new pairs, as
+    ``restricted_inverses`` does; each batch of unseen pairs is one call.
+    """
 
     def __init__(self, index: int, dimension: int,
-                 evaluator: Callable[[float, float], np.ndarray]):
+                 compute: Callable[[list], tuple[np.ndarray, list]]):
         self.index = index
         self.dimension = dimension
-        self._evaluator = evaluator
+        self._compute = compute
         self._cache: dict[tuple[float, float], np.ndarray] = {}
+        self._notes: dict[tuple[float, float], str] = {}
+
+    def evaluate_many(self, pairs) -> tuple[np.ndarray, list]:
+        """Stack of W over pairs and one note per pair, as ``restricted_inverses``."""
+        missing = [p for p in dict.fromkeys(pairs) if p not in self._cache]
+        if missing:
+            stack, notes = self._compute(missing)
+            stack.flags.writeable = False
+            self._cache.update(zip(missing, stack))
+            self._notes.update((p, n) for p, n in zip(missing, notes) if n)
+        n = self.dimension
+        return (np.array([self._cache[p] for p in pairs]).reshape(-1, n, n),
+                [self._notes.get(p) for p in pairs])
+
+    def stack(self, pairs) -> np.ndarray:
+        """Stack of W over pairs; NotStronglyInvariantError where W does not exist."""
+        out, notes = self.evaluate_many(pairs)
+        for note in filter(None, notes):
+            raise NotStronglyInvariantError(note)
+        return out
 
     def evaluate(self, t: float, s: float) -> np.ndarray:
-        key = (t, s)
-        got = self._cache.get(key)
-        if got is None:
-            got = self._evaluator(t, s)
-            self._cache[key] = got
-        return got
+        self.stack([(t, s)])
+        return self._cache[(t, s)]
 
 
 def build_inverse_family(operator, family: ProjectorFamily, index: int,
                          rank_tol: float = RANK_TOL) -> InverseFamily:
-    def evaluator(t, s):
-        return compute_restricted_inverse(operator, family, index, t, s, rank_tol)
-    return InverseFamily(index, family.dimension, evaluator)
+    def compute(pairs):
+        return restricted_inverses(operator, family, index, pairs, rank_tol)
+    return InverseFamily(index, family.dimension, compute)
 
 
 def build_inverses(operator, family: ProjectorFamily,
@@ -191,31 +264,23 @@ def check_compatible(family: ProjectorFamily, operator, grid, tol: float,
         raise ValueError("grid must be nonempty")
     if inverses is None:
         inverses = build_inverses(operator, family)
-    pairs = [(grid[i], grid[j]) for i in range(len(grid)) for j in range(i + 1)]
-
-    worst_inv = 0.0
-    for t, s in pairs:
-        u = operator.evaluate(t, s)
-        worst_inv = max(worst_inv, opnorm(u @ family.member(1, s)
-                                          - family.member(1, t) @ u))
-    residuals = {"invariance_p1": worst_inv, "right_inverse": 0.0, "left_inverse": 0.0}
+    pairs = grid_pairs(grid)
+    u = operator.evaluate_many(pairs)
+    residuals = {"invariance_p1": _commutation(family, 1, u, pairs),
+                 "right_inverse": 0.0, "left_inverse": 0.0}
     notes = []
-    passed = worst_inv <= tol
     for j in (2, 3):
-        for t, s in pairs:
-            try:
-                w = inverses[j].evaluate(t, s)
-            except NotStronglyInvariantError as exc:
-                notes.append(str(exc))
-                passed = False
-                continue
-            u = operator.evaluate(t, s)
-            p_t, p_s = family.member(j, t), family.member(j, s)
-            residuals["right_inverse"] = max(residuals["right_inverse"],
-                                             opnorm(u @ w - p_t))
-            residuals["left_inverse"] = max(residuals["left_inverse"],
-                                            opnorm(w @ u @ p_s - p_s))
-    passed = passed and all(v <= tol for v in residuals.values())
+        w, failed = inverses[j].evaluate_many(pairs)
+        notes += filter(None, failed)
+        ok = np.array([note is None for note in failed])
+        p_t = family.stack(j, [t for t, _ in pairs])[ok]
+        p_s = family.stack(j, [s for _, s in pairs])[ok]
+        w, u_ok = w[ok], u[ok]
+        residuals["right_inverse"] = max(residuals["right_inverse"],
+                                         peak(opnorms(u_ok @ w - p_t)))
+        residuals["left_inverse"] = max(residuals["left_inverse"],
+                                        peak(opnorms(w @ u_ok @ p_s - p_s)))
+    passed = not notes and all(v <= tol for v in residuals.values())
     return CheckReport("compatibility", tol, residuals, passed, notes)
 
 
@@ -229,23 +294,24 @@ def check_inverse_properties(operator, family: ProjectorFamily, index: int,
     equal_time (W(t,t) = P(t)).
     """
     inv = (inverses or build_inverses(operator, family))[index]
-    worst = {"right_inverse": 0.0, "left_inverse": 0.0, "cocycle": 0.0,
-             "range": 0.0, "equal_time": 0.0}
+    triples = list(triples)
     times = sorted({x for triple in triples for x in triple})
-    for t in times:
-        worst["equal_time"] = max(worst["equal_time"],
-                                  opnorm(inv.evaluate(t, t) - family.member(index, t)))
-    for t, s, t0 in triples:
-        if not t >= s >= t0 >= 0:
-            raise ValueError(f"triple ({t}, {s}, {t0}) not ordered t >= s >= t0 >= 0")
-        w_ts = inv.evaluate(t, s)
-        u = operator.evaluate(t, s)
-        p_t, p_s = family.member(index, t), family.member(index, s)
-        worst["right_inverse"] = max(worst["right_inverse"], opnorm(u @ w_ts - p_t))
-        worst["left_inverse"] = max(worst["left_inverse"], opnorm(w_ts @ u @ p_s - p_s))
-        worst["range"] = max(worst["range"], opnorm(w_ts - p_s @ w_ts))
-        worst["cocycle"] = max(worst["cocycle"],
-                               opnorm(inv.evaluate(t, t0)
-                                      - inv.evaluate(s, t0) @ w_ts))
+    equal = inv.stack([(t, t) for t in times]) - family.stack(index, times)
+    pairs, slots = pair_slots(triples)
+    w, notes = inv.evaluate_many(pairs)
+    for i in slots[:, [1, 0, 2]].ravel().tolist() if any(notes) else ():
+        if notes[i]:  # the first failure in triple order, (t, s) before the rest
+            raise NotStronglyInvariantError(notes[i])
+    direct, left, right = slots.T
+    spans = np.unique(left)  # the (t, s) pairs, where U and W meet
+    w_ts = w[spans]
+    u = operator.evaluate_many([pairs[i] for i in spans])
+    p_t = family.stack(index, [pairs[i][0] for i in spans])
+    p_s = family.stack(index, [pairs[i][1] for i in spans])
+    worst = {"right_inverse": peak(opnorms(u @ w_ts - p_t)),
+             "left_inverse": peak(opnorms(w_ts @ u @ p_s - p_s)),
+             "cocycle": peak(opnorms(w[direct] - w[right] @ w[left])),
+             "range": peak(opnorms(w_ts - p_s @ w_ts)),
+             "equal_time": peak(opnorms(equal))}
     return CheckReport(f"inverse_properties_{index}", tol, worst,
                        passed=all(v <= tol for v in worst.values()))

@@ -54,7 +54,7 @@ class _Workspace:
         self.family = _build_family(scenario)
         self.operator = _build_operator(scenario, self.family, self.grid)
         self._inverses = None
-        self._norms = {}  # (what, h, k, mu, nu) -> families or theorem report
+        self._memo = {}  # (what, h, k, mu, nu) -> object built for that rate set
 
     @property
     def inverses(self):
@@ -62,25 +62,46 @@ class _Workspace:
             self._inverses = projectors.build_inverses(self.operator, self.family)
         return self._inverses
 
+    def _once(self, what, rates, build):
+        key = (what, *(rates[name] for name in RATE_KEYS))
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def factors(self, rates):
+        """The projected factor table over the grid pairs."""
+        return self._once("factors", rates, lambda: trichotomy.factor_table(
+            self.operator, self.family, rates, grid_pairs(self.grid),
+            inverses=self.inverses))
+
     def norm_families(self, rates):
-        """Forward and backward families for ``rates``, built once per rate set."""
-        key = ("families", *(rates[name] for name in RATE_KEYS))
-        if key not in self._norms:
-            s = self.scenario
-            self._norms[key] = tuple(norms.build_norm_family(
-                variant, self.operator, self.family, self.inverses, rates,
-                s.horizon, s.grid_step, self.grid) for variant in norms.VARIANTS)
-        return self._norms[key]
+        """Forward and backward norm families."""
+        s = self.scenario
+        return self._once("families", rates, lambda: tuple(
+            norms.build_norm_family(variant, self.operator, self.family,
+                                    self.inverses, rates, s.horizon,
+                                    s.grid_step, self.grid)
+            for variant in norms.VARIANTS))
+
+    def compatibility(self, rates):
+        """Sandwich-constant reports of the forward and backward families."""
+        s = self.scenario
+        return self._once("compatibility", rates, lambda: tuple(
+            norms.check_compatibility(nf, self.grid, s.samples, seed=s.seed)
+            for nf in self.norm_families(rates)))
+
+    def theorem_sides(self, rates):
+        """Both sides of the norm inequalities, shared by both norm systems."""
+        s = self.scenario
+        return self._once("sides", rates, lambda: norms.theorem_sides(
+            *self.norm_families(rates), self.grid, s.samples, s.seed))
 
     def norm_theorem(self, rates):
-        """The constant-free norm system for ``rates``, verified once per rate set."""
-        key = ("theorem", *(rates[name] for name in RATE_KEYS))
-        if key not in self._norms:
-            s = self.scenario
-            self._norms[key] = norms.verify_norm_trichotomy(
-                *self.norm_families(rates), self.grid, s.tol_theorem,
-                s.samples, s.seed)
-        return self._norms[key]
+        """The constant-free norm system."""
+        s = self.scenario
+        return self._once("theorem", rates, lambda: norms.verify_norm_trichotomy(
+            *self.norm_families(rates), self.grid, s.tol_theorem, s.samples,
+            s.seed, sides=self.theorem_sides(rates)))
 
 
 def _build_family(scenario: Scenario) -> projectors.ProjectorFamily:
@@ -91,19 +112,13 @@ def _build_family(scenario: Scenario) -> projectors.ProjectorFamily:
 
 
 def _builtin_coefficient(spec: dict, dimension: int):
-    name = spec["name"]
-    if name == "rotation":
-        omega = float(spec.get("omega", 1.0))
-        if dimension != 2:
-            raise ScenarioError("builtin rotation needs dimension 2")
+    """Coefficient of a builtin generator; the parser checked its keys."""
+    omega = float(spec.get("omega", 1.0))
+    if spec["name"] == "rotation":
         a = np.array([[0.0, omega], [-omega, 0.0]])
         return lambda t: a
     base = np.asarray(spec.get("base", [0.0] * dimension), dtype=float)
     amplitude = np.asarray(spec.get("amplitude", [0.0] * dimension), dtype=float)
-    omega = float(spec.get("omega", 1.0))
-    if base.shape != (dimension,) or amplitude.shape != (dimension,):
-        raise ScenarioError("builtin periodic_diag needs base/amplitude of "
-                            "length dimension")
     return lambda t: np.diag(base + amplitude * math.cos(omega * t))
 
 
@@ -153,15 +168,17 @@ def _run_check(name: str, ws: _Workspace) -> dict:
     if name == "norm_trichotomy":
         fwd, bwd = ws.norm_families(s.rates)
         rep = ws.norm_theorem(s.rates)
-        suff = norms.verify_sufficiency(fwd, bwd, grid, s.samples, s.seed)
+        suff = norms.verify_sufficiency(
+            fwd, bwd, grid, s.samples, s.seed, factors=ws.factors(s.rates),
+            compatibility=ws.compatibility(s.rates))
         payload = {"necessity": rep.payload(), "sufficiency": suff.payload()}
         rows = rep.csv_rows(name) + suff.csv_rows(name + "_sufficiency")
         return _entry(name, rep.passed and bool(suff.passed), payload, rows=rows)
     if name == "norm_trichotomy_unprojected":
         fwd, bwd = ws.norm_families(s.rates)
-        rep = norms.verify_norm_trichotomy_unprojected(fwd, bwd, grid,
-                                                       s.tol_theorem,
-                                                       s.samples, s.seed)
+        rep = norms.verify_norm_trichotomy_unprojected(
+            fwd, bwd, grid, s.tol_theorem, s.samples, s.seed,
+            sides=ws.theorem_sides(s.rates))
         return _entry(name, rep.passed, rep.payload(), rep)
     if name == "rate_instantiation":
         kind, exponents = _instantiation_spec(s)
@@ -186,19 +203,16 @@ def _instantiation_spec(s: Scenario) -> tuple[str, list[float]]:
 def _run_splitting(name: str, ws: _Workspace) -> dict:
     s = ws.scenario
     bound = s.bounds.get("trichotomy")
-    if name == "trichotomy":
-        rep = trichotomy.check_trichotomy(ws.operator, ws.family, s.rates,
-                                          ws.grid, bound, ws.inverses)
-    elif name == "trichotomy_full":
+    if name == "trichotomy_full":
         rep = trichotomy.check_trichotomy_full(ws.operator, ws.family, s.rates,
                                                ws.grid, bound, ws.inverses)
-    elif name == "dichotomy":
-        rep = trichotomy.check_dichotomy(ws.operator, ws.family, s.rates,
-                                         ws.grid, bound, ws.inverses)
     else:
-        rep = trichotomy.check_uniform(ws.operator, ws.family, s.rates,
-                                       ws.grid, s.bounds.get("uniform"),
-                                       ws.inverses)
+        check, limit = {"trichotomy": (trichotomy.check_trichotomy, bound),
+                        "dichotomy": (trichotomy.check_dichotomy, bound),
+                        "uniform": (trichotomy.check_uniform,
+                                    s.bounds.get("uniform"))}[name]
+        rep = check(ws.operator, ws.family, s.rates, ws.grid, limit,
+                    ws.inverses, factors=ws.factors(s.rates))
     ok = rep.passed if rep.passed is not None else True
     return _entry(name, ok, rep.payload(), rep)
 
@@ -206,8 +220,7 @@ def _run_splitting(name: str, ws: _Workspace) -> dict:
 def _run_norms(ws: _Workspace) -> dict:
     s = ws.scenario
     fwd, bwd = ws.norm_families(s.rates)
-    rep_f = norms.check_compatibility(fwd, ws.grid, s.samples, seed=s.seed)
-    rep_b = norms.check_compatibility(bwd, ws.grid, s.samples, seed=s.seed)
+    rep_f, rep_b = ws.compatibility(s.rates)
     sens = {
         "forward": {"abs": fwd.horizon_delta_abs, "rel": fwd.horizon_delta_rel,
                     "flagged": fwd.horizon_flagged},
@@ -304,6 +317,29 @@ def _json_text(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _holds_containers(value) -> bool:
+    """A dict with a container value, or a list whose first item is one."""
+    if isinstance(value, dict):
+        return any(isinstance(v, (dict, list, tuple)) for v in value.values())
+    return (isinstance(value, (list, tuple)) and bool(value)
+            and _holds_containers(value[0]))
+
+
+def _write_json(value, write, indent: int = 0) -> None:
+    """Write ``_json_text(value)`` in pieces, one item of each container of
+    containers at a time, so a large report is never held as one string."""
+    if not _holds_containers(value):
+        write(_json_text(value, indent))
+        return
+    is_dict = isinstance(value, dict)
+    write("{\n" if is_dict else "[\n")
+    for i, (key, val) in enumerate(value.items() if is_dict else enumerate(value)):
+        write((",\n" if i else "") + "  " * (indent + 1)
+              + (f'"{key}": ' if is_dict else ""))
+        _write_json(val, write, indent + 1)
+    write("\n" + "  " * indent + ("}" if is_dict else "]"))
+
+
 def emit(report: RunReport, format: str, out_dir) -> list[Path]:
     """Write report files; returns the written paths.
 
@@ -324,7 +360,9 @@ def emit(report: RunReport, format: str, out_dir) -> list[Path]:
                         "payload": e["payload"]} for e in report.checks],
         }
         path = out / "report.json"
-        path.write_text(_json_text(tree) + "\n")
+        with path.open("w") as fh:
+            _write_json(tree, fh.write)
+            fh.write("\n")
         written.append(path)
 
     if format in ("csv", "both"):

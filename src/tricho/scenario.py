@@ -56,6 +56,16 @@ def _require(tree: dict, key: str, kind, where: str = "scenario"):
     return value
 
 
+def _finite_array(value, shape: tuple, where: str) -> None:
+    """Reject anything but finite numbers of the given shape at ``where``."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.array(np.nan)
+    if arr.shape != shape or not np.all(np.isfinite(arr)):
+        raise ScenarioError(f"{where} must hold finite numbers of shape {shape}")
+
+
 def _parse_rate(spec, key: str) -> GrowthRate:
     if not isinstance(spec, dict):
         raise ScenarioError(f"rates.{key} must be an object")
@@ -145,14 +155,20 @@ def scenario_from_tree(tree: dict) -> Scenario:
         if op_step <= 0:
             raise ScenarioError("operator.step must be positive")
         if "matrix" in operator:
-            m = np.array(operator["matrix"], dtype=float)
-            if m.shape != (n, n):
-                raise ScenarioError(f"operator.matrix must be {n}x{n}")
+            _finite_array(operator["matrix"], (n, n), "operator.matrix")
         elif "builtin" in operator:
-            name = operator["builtin"].get("name")
+            builtin = _require(operator, "builtin", dict, "operator")
+            name = builtin.get("name")
             if name not in ("rotation", "periodic_diag"):
                 raise ScenarioError("operator.builtin.name must be rotation "
                                     f"or periodic_diag, got {name!r}")
+            if name == "rotation" and n != 2:
+                raise ScenarioError("operator.builtin.name rotation needs "
+                                    f"dimension 2, got {n}")
+            _finite_array(builtin.get("omega", 1.0), (), "operator.builtin.omega")
+            for key in ("base", "amplitude"):
+                if name == "periodic_diag" and key in builtin:
+                    _finite_array(builtin[key], (n,), f"operator.builtin.{key}")
         else:
             raise ScenarioError("operator needs either matrix or builtin")
     else:
@@ -172,9 +188,7 @@ def scenario_from_tree(tree: dict) -> Scenario:
         if len(mats) != 3:
             raise ScenarioError("projectors.matrices must list three matrices")
         for i, m in enumerate(mats):
-            arr = np.array(m, dtype=float)
-            if arr.shape != (n, n):
-                raise ScenarioError(f"projectors.matrices[{i}] must be {n}x{n}")
+            _finite_array(m, (n, n), f"projectors.matrices[{i}]")
     else:
         raise ScenarioError("projectors.type must be coordinate_split or "
                             f"explicit, got {proj_type!r}")

@@ -27,88 +27,96 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionError
-from .projectors import ProjectorFamily, InverseFamily, build_inverses
+from .projectors import ProjectorFamily, InverseFamily, build_inverses, rank_groups
 from .reports import FactorRecord, TrichotomyReport
-from .util import grid_pairs, opnorm, range_basis
+from .util import grid_pairs, opnorm, opnorms
 
 INEQUALITIES = ("stable_decay", "unstable_growth", "center_growth", "center_decay")
 BINDS = {"stable_decay": "s", "unstable_growth": "t",
          "center_growth": "s", "center_decay": "t"}
+# tag -> (member, rate, whether the rate quotient is rate(t)/rate(s))
+_TERMS = {"stable_decay": (1, "h", True), "unstable_growth": (2, "k", True),
+          "center_growth": (3, "mu", False), "center_decay": (3, "nu", False)}
 _REL_SLACK = 1e-9  # forgiveness when comparing factors against a bound
+
+
+def factor_table(operator, family: ProjectorFamily, rates: dict, pairs,
+                 tags=INEQUALITIES,
+                 inverses: dict[int, InverseFamily] | None = None,
+                 full: bool = False) -> dict[str, np.ndarray]:
+    """Minimal admissible bounding values of each inequality in ``tags`` at
+    every (t, s) pair, one array per tag.
+
+    Each tag takes one batched product and SVD per member rank. Rank-0
+    members make the inequality vacuous and give 0. With ``full=True`` the
+    right-hand side uses the unprojected state norm.
+    """
+    for tag in tags:
+        if tag not in INEQUALITIES:
+            raise ValueError(f"unknown inequality {tag!r}")
+    pairs = list(pairs)
+    u = None
+    table = {}
+    for tag in tags:
+        j, rate_key, rising = _TERMS[tag]
+        decay = BINDS[tag] == "s"  # U on Range P_j(s); else W_j on Range P_j(t)
+        bases = [family.basis(j, s if decay else t) for t, s in pairs]
+        table[tag] = np.zeros(len(pairs))
+        for rows in rank_groups([b.shape[1] for b in bases]):
+            sub = [pairs[i] for i in rows]
+            right = (family.stack(j, [s for _, s in sub]) if full and decay
+                     else np.array([bases[i] for i in rows]))
+            if decay:
+                u = operator.evaluate_many(pairs) if u is None else u
+                mats = u[rows] @ right
+            else:
+                if inverses is None:
+                    inverses = build_inverses(operator, family)
+                mats = inverses[j].stack(sub)
+                mats = mats if full else mats @ right
+            rate = rates[rate_key]
+            ratio = [rate.ratio(t, s) if rising else rate.ratio(s, t) for t, s in sub]
+            table[tag][rows] = np.array(ratio) * opnorms(mats)
+    return table
 
 
 def required_factor(operator, family: ProjectorFamily, rates: dict, t: float,
                     s: float, inequality: str,
                     inverses: dict[int, InverseFamily] | None = None,
                     full: bool = False) -> float:
-    """Minimal admissible bounding value for one inequality at one pair.
-
-    Rank-0 members make the inequality vacuous and return 0. With
-    ``full=True`` the right-hand side uses the unprojected state norm.
-    """
-    if inequality not in INEQUALITIES:
-        raise ValueError(f"unknown inequality {inequality!r}")
-    if inverses is None and inequality in ("unstable_growth", "center_decay"):
-        inverses = build_inverses(operator, family)
-
-    if inequality == "stable_decay":
-        p = family.member(1, s)
-        basis = range_basis(p)
-        if basis.shape[1] == 0:
-            return 0.0
-        target = operator.evaluate(t, s) @ (p if full else basis)
-        return rates["h"].ratio(t, s) * opnorm(target)
-
-    if inequality == "unstable_growth":
-        basis_t = range_basis(family.member(2, t))
-        if basis_t.shape[1] == 0:
-            return 0.0
-        w = inverses[2].evaluate(t, s)
-        return rates["k"].ratio(t, s) * opnorm(w if full else w @ basis_t)
-
-    if inequality == "center_growth":
-        p = family.member(3, s)
-        basis = range_basis(p)
-        if basis.shape[1] == 0:
-            return 0.0
-        target = operator.evaluate(t, s) @ (p if full else basis)
-        return rates["mu"].ratio(s, t) * opnorm(target)
-
-    basis_t = range_basis(family.member(3, t))  # center_decay
-    if basis_t.shape[1] == 0:
-        return 0.0
-    w = inverses[3].evaluate(t, s)
-    return rates["nu"].ratio(s, t) * opnorm(w if full else w @ basis_t)
+    """Minimal admissible bounding value for one inequality at one pair
+    (``factor_table`` at a single pair)."""
+    table = factor_table(operator, family, rates, [(t, s)], (inequality,),
+                         inverses, full)
+    return float(table[inequality][0])
 
 
-def _run_system(operator, family, rates, grid, bound, inverses, label, full):
+def _run_system(operator, family, rates, grid, bound, inverses, label, full,
+                factors=None) -> TrichotomyReport:
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
-    if inverses is None:
-        inverses = build_inverses(operator, family)
+    pairs = grid_pairs(grid)
+    if factors is None:
+        factors = factor_table(operator, family, rates, pairs,
+                               inverses=inverses, full=full)
+    bound_values = [float(bound(a)) for a in grid] if bound is not None else None
+    bounds = dict(zip(grid, bound_values or []))
     records: list[FactorRecord] = []
-    for t, s in grid_pairs(grid):
-        for tag in INEQUALITIES:
-            factor = required_factor(operator, family, rates, t, s, tag,
-                                     inverses, full)
-            arg = s if BINDS[tag] == "s" else t
-            b = float(bound(arg)) if bound is not None else None
+    columns = zip(*(factors[tag].tolist() for tag in INEQUALITIES))
+    for (t, s), row in zip(pairs, columns):
+        for tag, factor in zip(INEQUALITIES, row):
+            b = bounds.get(s if BINDS[tag] == "s" else t)
             margin = (b - factor) if b is not None else None
             records.append(FactorRecord(tag, t, s, factor, BINDS[tag], b, margin))
-    return _assemble(label, grid, records, bound)
-
-
-def _assemble(label, grid, records, bound) -> TrichotomyReport:
-    index = {t: i for i, t in enumerate(grid)}
-    pointwise = {tag: [0.0] * len(grid) for tag in INEQUALITIES}
-    for r in records:
-        i = index[r.s if r.binds == "s" else r.t]
-        pointwise[r.tag][i] = max(pointwise[r.tag][i], r.factor)
-    requirement = [max(1.0, *(pointwise[tag][i] for tag in INEQUALITIES))
-                   for i in range(len(grid))]
+    rows, cols = np.tril_indices(len(grid))  # grid_pairs order
+    pointwise = {}
+    for tag in INEQUALITIES:
+        worst = np.zeros(len(grid))
+        np.maximum.at(worst, cols if BINDS[tag] == "s" else rows, factors[tag])
+        pointwise[tag] = worst.tolist()
+    requirement = np.maximum(1.0, np.max(list(pointwise.values()), axis=0)).tolist()
     envelope = list(np.maximum.accumulate(requirement))
-    bound_values = [float(bound(a)) for a in grid] if bound is not None else None
     passed = None
     if bound is not None:
         passed = all(e <= b * (1.0 + _REL_SLACK) + 1e-12
@@ -122,14 +130,18 @@ def _assemble(label, grid, records, bound) -> TrichotomyReport:
 
 def check_trichotomy(operator, family: ProjectorFamily, rates: dict, grid,
                      bound: Callable[[float], float] | None = None,
-                     inverses: dict[int, InverseFamily] | None = None) -> TrichotomyReport:
+                     inverses: dict[int, InverseFamily] | None = None,
+                     factors: dict[str, np.ndarray] | None = None) -> TrichotomyReport:
     """Projected-right-hand-side system over all grid pairs.
 
     ``bound``, when given, must be a nondecreasing function; the report
-    passes iff it dominates the measured envelope on the grid.
+    passes iff it dominates the measured envelope on the grid. ``factors``
+    is the projected ``factor_table`` over ``grid_pairs(grid)``, when
+    already computed; ``check_uniform`` and ``check_dichotomy`` accept it
+    too.
     """
     return _run_system(operator, family, rates, grid, bound, inverses,
-                       "trichotomy", full=False)
+                       "trichotomy", False, factors)
 
 
 def check_trichotomy_full(operator, family: ProjectorFamily, rates: dict, grid,
@@ -142,7 +154,8 @@ def check_trichotomy_full(operator, family: ProjectorFamily, rates: dict, grid,
 
 def check_uniform(operator, family: ProjectorFamily, rates: dict, grid,
                   constant: float | None = None,
-                  inverses: dict[int, InverseFamily] | None = None) -> TrichotomyReport:
+                  inverses: dict[int, InverseFamily] | None = None,
+                  factors: dict[str, np.ndarray] | None = None) -> TrichotomyReport:
     """Single-constant system: the factor supremum over all grid pairs.
 
     The constant system uses projected right-hand sides (the growth
@@ -151,7 +164,7 @@ def check_uniform(operator, family: ProjectorFamily, rates: dict, grid,
     """
     bound = (lambda a: float(constant)) if constant is not None else None
     report = _run_system(operator, family, rates, grid, bound, inverses,
-                         "uniform", full=False)
+                         "uniform", False, factors)
     if constant is not None:
         report.passed = report.uniform_constant <= constant * (1.0 + _REL_SLACK)
     return report
@@ -159,7 +172,8 @@ def check_uniform(operator, family: ProjectorFamily, rates: dict, grid,
 
 def check_dichotomy(operator, family: ProjectorFamily, rates: dict, grid,
                     bound: Callable[[float], float] | None = None,
-                    inverses: dict[int, InverseFamily] | None = None) -> TrichotomyReport:
+                    inverses: dict[int, InverseFamily] | None = None,
+                    factors: dict[str, np.ndarray] | None = None) -> TrichotomyReport:
     """Two-projector special case: member 3 must vanish identically.
 
     Delegates to the projected system; the center rows are vacuous
@@ -169,6 +183,5 @@ def check_dichotomy(operator, family: ProjectorFamily, rates: dict, grid,
         if opnorm(family.member(3, t)) > 1e-12:
             raise PreconditionError(
                 f"dichotomy requires member 3 to vanish, nonzero at t={t}")
-    report = _run_system(operator, family, rates, grid, bound, inverses,
-                         "dichotomy", full=False)
-    return report
+    return _run_system(operator, family, rates, grid, bound, inverses,
+                       "dichotomy", False, factors)

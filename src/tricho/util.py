@@ -14,9 +14,21 @@ _RANGE_CUTOFF = 0.5  # projector singular values cluster at {0} and [1, inf)
 
 def opnorm(m: np.ndarray) -> float:
     """Spectral norm (largest singular value); 0.0 for empty matrices."""
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(opnorms(m))
+
+
+def opnorms(stack: np.ndarray) -> np.ndarray:
+    """Spectral norms of a (..., rows, cols) stack in one batched SVD call,
+    bitwise equal to per-matrix ``opnorm``; 0.0 for empty matrices."""
+    stack = np.asarray(stack, dtype=float)
+    if stack.size == 0:
+        return np.zeros(stack.shape[:-2])
+    return np.linalg.norm(stack, 2, axis=(-2, -1))
+
+
+def peak(values) -> float:
+    """Largest entry of an array of nonnegative residuals; 0.0 when empty."""
+    return float(np.max(values, initial=0.0))
 
 
 def range_basis(p: np.ndarray, cutoff: float = _RANGE_CUTOFF) -> np.ndarray:
@@ -47,6 +59,26 @@ def make_grid(t_max: float, step: float) -> list[float]:
 def grid_pairs(grid: list[float]) -> list[tuple[float, float]]:
     """All ordered pairs (t, s) with t >= s, including t == s."""
     return [(grid[i], grid[j]) for i in range(len(grid)) for j in range(i + 1)]
+
+
+def pair_slots(triples) -> tuple[list[tuple[float, float]], np.ndarray]:
+    """Distinct pairs of (t, s, t0) triples, and per triple the positions
+    of its (t, t0), (t, s) and (s, t0) pairs as an (m, 3) array. Raises
+    ValueError naming the first triple not ordered t >= s >= t0 >= 0."""
+    triples = list(triples)
+    arr = np.asarray(triples, dtype=float).reshape(-1, 3)
+    ordered = (arr[:, 0] >= arr[:, 1]) & (arr[:, 1] >= arr[:, 2]) & (arr[:, 2] >= 0)
+    if not ordered.all():
+        t, s, t0 = triples[int(np.argmin(ordered))]
+        raise ValueError(f"triple ({t}, {s}, {t0}) not ordered t >= s >= t0 >= 0")
+    times, index = np.unique(arr, return_inverse=True)
+    index = index.reshape(-1, 3)
+    width = len(times)
+    keys = index[:, [0, 0, 1]] * width + index[:, [2, 1, 2]]
+    distinct, slots = np.unique(keys, return_inverse=True)
+    values = times.tolist()
+    pairs = [(values[k // width], values[k % width]) for k in distinct.tolist()]
+    return pairs, slots.reshape(-1, 3)
 
 
 def grid_triples(grid: list[float]) -> list[tuple[float, float, float]]:

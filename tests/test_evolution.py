@@ -221,3 +221,23 @@ def test_unbounded_coefficient_rejected():
     gen = GeneratorSpec(2, lambda t: np.full((2, 2), np.inf), 0.1)
     with pytest.raises(ValueError, match="unbounded"):
         from_generator(gen)
+
+
+def test_batched_cocycle_matches_per_triple_loop():
+    # non-commuting, time-varying generator; anchors on every other grid time
+    # so that off-anchor queries give nonzero residuals
+    gen = GeneratorSpec(2, lambda t: np.array([[-0.5, 1.0 + t],
+                                               [-1.0, 0.3 * math.sin(t)]]), 0.01)
+    grid = make_grid(2.0, 0.25)
+    operator = from_generator(gen, anchors=grid[::2])
+    triples = grid_triples(grid)
+    triples = triples[::-1] + triples[:7]  # out of order, with duplicates
+    want = 0.0
+    for t, s, t0 in triples:
+        direct = operator.evaluate(t, t0)
+        residual = opnorm(direct - operator.evaluate(t, s) @ operator.evaluate(s, t0))
+        want = max(want, residual / max(1.0, opnorm(direct)))
+    assert want > 0.0
+    assert check_cocycle(operator, triples, 1e-12).residuals["cocycle"] == want
+    with pytest.raises(ValueError, match="not ordered"):
+        check_cocycle(operator, triples + [(0.5, 1.0, 0.0)], 1e-12)

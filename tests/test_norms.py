@@ -9,6 +9,8 @@ from tricho import (DomainError, GeneratorSpec, GrowthRate, ProjectorFamily,
                     check_trichotomy, check_uniform, from_generator,
                     rate_model, required_factor, verify_norm_trichotomy,
                     verify_norm_trichotomy_unprojected, verify_sufficiency)
+from tricho import util
+from tricho.norms import query_lattice, theorem_sides
 from tricho.util import make_grid
 
 HORIZON = 5.0
@@ -318,3 +320,74 @@ def test_dichotomy_specialization_has_vacuous_center_rows(exp_rates):
               if r.tag in ("center_growth", "center_decay")]
     assert center and all(r.vacuous for r in center)
     assert report.vacuous_count == len(center)
+
+
+def reference_theorem_rows(fwd, bwd, grid, samples, seed, unprojected):
+    """Per-pair loop over the four norm inequalities: (tag, t, s, id, margin)."""
+    ids, x = util.test_vector_batch(fwd.family.dimension, samples, seed)
+    family, rates = fwd.family, fwd.rates
+    rows = []
+    for i, t in enumerate(grid):
+        for s in grid[:i + 1]:
+            u = fwd.operator.evaluate(t, s)
+            y1, y3 = family.member(1, s) @ x, family.member(3, s) @ x
+            sides = (
+                ("stable_decay", fwd.evaluate_many(t, u @ y1),
+                 fwd.evaluate_many(s, x if unprojected else y1),
+                 rates["h"].ratio(s, t)),
+                ("unstable_growth",
+                 bwd.evaluate_many(s, fwd.inverses[2].evaluate(t, s) @ x),
+                 bwd.evaluate_many(t, x if unprojected
+                                   else family.member(2, t) @ x),
+                 rates["k"].ratio(s, t)),
+                ("center_growth", fwd.evaluate_many(t, u @ y3),
+                 fwd.evaluate_many(s, x if unprojected else y3),
+                 rates["mu"].ratio(t, s)),
+                ("center_decay",
+                 bwd.evaluate_many(s, bwd.inverses[3].evaluate(t, s) @ x),
+                 bwd.evaluate_many(t, x if unprojected
+                                   else family.member(3, t) @ x),
+                 rates["nu"].ratio(t, s)))
+            for tag, lhs, base, quotient in sides:
+                margins = quotient * base - lhs
+                k = int(np.argmin(margins))
+                rows.append((tag, t, s, ids[k], float(margins[k])))
+    if unprojected:
+        for t in grid:
+            for nf, label in ((fwd, "projection_bound_forward"),
+                              (bwd, "projection_bound_backward")):
+                base = nf.evaluate_many(t, x)
+                for j in (1, 2, 3):
+                    margins = base - nf.evaluate_many(t, family.member(j, t) @ x)
+                    k = int(np.argmin(margins))
+                    rows.append((label, t, t, ids[k], float(margins[k])))
+    return rows
+
+
+def test_batched_theorem_records_match_per_pair_loop():
+    # G=5 grid, non-commuting rotating unstable block, nonzero central member
+    a = np.diag([-1.5, 2.5, 2.5, 0.0])
+    a[1, 2], a[2, 1] = 1.0, -1.0
+    grid = make_grid(2.0, 0.5)
+    horizon, step = 1.0, 0.5
+    operator = from_generator(GeneratorSpec.constant(a, 0.05),
+                              anchors=query_lattice(grid, horizon, step))
+    family = ProjectorFamily.coordinate_split(1, 2, 1)
+    e = GrowthRate.exponential
+    rates = {"h": e(1.0), "k": e(2.0), "mu": e(0.5), "nu": e(0.25)}
+    inverses = build_inverses(operator, family)
+    fwd, bwd = (build_norm_family(variant, operator, family, inverses, rates,
+                                  horizon, step, grid)
+                for variant in ("forward", "backward"))
+    for verify, unprojected in ((verify_norm_trichotomy, False),
+                                (verify_norm_trichotomy_unprojected, True)):
+        report = verify(fwd, bwd, grid, samples=6, seed=17)
+        got = [(r.tag, r.t, r.s, r.vector_id, r.margin) for r in report.records]
+        assert got == reference_theorem_rows(fwd, bwd, grid, 6, 17, unprojected)
+    sides = theorem_sides(fwd, bwd, grid, samples=6, seed=17)
+    shared = verify_norm_trichotomy(fwd, bwd, grid, samples=6, seed=17,
+                                    sides=sides)
+    assert shared.records == verify_norm_trichotomy(
+        fwd, bwd, grid, samples=6, seed=17).records
+    with pytest.raises(ValueError):  # sides of another seed are refused
+        verify_norm_trichotomy(fwd, bwd, grid, samples=6, seed=18, sides=sides)

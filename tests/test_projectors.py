@@ -169,3 +169,38 @@ def test_inverses_cache_is_shared(uniform_operator, split_family):
     inv = build_inverses(uniform_operator, split_family)
     first = inv[2].evaluate(2.0, 1.0)
     assert inv[2].evaluate(2.0, 1.0) is first
+
+
+def test_batched_inverse_identities_match_per_triple_loop():
+    # rank-2 unstable block that rotates, so U and W do not commute blockwise
+    a = np.diag([-1.5, 2.5, 2.5, 0.0])
+    a[1, 2], a[2, 1] = 1.0, -1.0
+    grid = make_grid(2.0, 0.5)
+    operator = from_generator(GeneratorSpec.constant(a, 0.05), anchors=grid[::2])
+    family = ProjectorFamily.coordinate_split(1, 2, 1)
+    triples = sample_triples(grid, 40, seed=5)
+    triples += triples[:5]  # duplicates
+    for j in (2, 3):
+        inv = build_inverses(operator, family)[j]
+        want = {key: 0.0 for key in ("right_inverse", "left_inverse",
+                                     "cocycle", "range", "equal_time")}
+        for t in {x for triple in triples for x in triple}:
+            want["equal_time"] = max(want["equal_time"], opnorm(
+                compute_restricted_inverse(operator, family, j, t, t)
+                - family.member(j, t)))
+        for t, s, t0 in triples:
+            w = compute_restricted_inverse(operator, family, j, t, s)
+            u = operator.evaluate(t, s)
+            p_t, p_s = family.member(j, t), family.member(j, s)
+            for key, value in (
+                    ("right_inverse", opnorm(u @ w - p_t)),
+                    ("left_inverse", opnorm(w @ u @ p_s - p_s)),
+                    ("range", opnorm(w - p_s @ w)),
+                    ("cocycle", opnorm(
+                        compute_restricted_inverse(operator, family, j, t, t0)
+                        - compute_restricted_inverse(operator, family, j, s, t0)
+                        @ w))):
+                want[key] = max(want[key], value)
+        report = check_inverse_properties(operator, family, j, triples, 1e-9)
+        assert report.residuals == want
+        assert report.passed

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from tricho import ScenarioError, emit, parse_scenario, run, scenario_from_tree
+from tricho import runner
 from tricho.cli import main
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -235,3 +236,37 @@ def test_scenario_echo_is_sorted_and_complete():
     scenario = parse_scenario(SCENARIOS / "uniform_example.json")
     keys = list(scenario.echo)
     assert keys == sorted(keys)
+
+
+def ode_tree(dimension, **operator):
+    sizes = [1, 1, dimension - 2]
+    return minimal_tree(dimension=dimension,
+                        operator={"type": "ode", "step": 0.01, **operator},
+                        projectors={"type": "coordinate_split", "sizes": sizes})
+
+
+def test_periodic_diag_base_length_fails_at_parse():
+    tree = ode_tree(3, builtin={"name": "periodic_diag", "base": [-1.0, 2.0]})
+    with pytest.raises(ScenarioError, match=r"operator\.builtin\.base"):
+        scenario_from_tree(tree)
+
+
+def test_rotation_dimension_fails_at_parse():
+    tree = ode_tree(3, builtin={"name": "rotation", "omega": 1.0})
+    with pytest.raises(ScenarioError, match=r"operator\.builtin\.name"):
+        scenario_from_tree(tree)
+
+
+def test_nonfinite_operator_matrix_fails_at_parse():
+    matrix = [[-1.0, 0.0, 0.0], [0.0, float("inf"), 0.0], [0.0, 0.0, 0.0]]
+    with pytest.raises(ScenarioError, match=r"operator\.matrix"):
+        scenario_from_tree(ode_tree(3, matrix=matrix))
+
+
+def test_streamed_report_text_matches_whole_text():
+    value = {"a": [], "b": {}, "c": [{"x": 1.5, "y": [1, 2]}, {"x": None}],
+             "d": [[1, 2], [3]], "e": "s", "f": ({"g": True, "h": {}},),
+             "i": [{"j": 1}, {"k": [2.5]}]}
+    pieces = []
+    runner._write_json(value, pieces.append)
+    assert "".join(pieces) == runner._json_text(value)
