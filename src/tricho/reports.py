@@ -1,12 +1,23 @@
 """Report containers produced by the check operations.
 
-Each report knows how to flatten itself into a plain dict (``payload``)
-and into (check, t, s, tag, value, margin) CSV rows (``csv_rows``) so the
-runner can serialize any mix of checks uniformly.
+Each report knows how to flatten itself into a plain dict of summaries
+(``payload``) and into (check, t, s, tag, value, margin[, vector]) CSV rows
+(``csv_rows``) so the runner can serialize any mix of checks uniformly.
+Per-pair records appear only in the rows; a payload keeps, per tag, the
+records that bind (``binding``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+
+
+def _first_max(records, key) -> dict:
+    """Per tag, the first record in record order of largest ``key``."""
+    best = {}
+    for r in records:
+        if r.tag not in best or key(r) > key(best[r.tag]):
+            best[r.tag] = r
+    return {tag: asdict(r) for tag, r in best.items()}
 
 
 @dataclass
@@ -81,6 +92,10 @@ class TrichotomyReport:
     basis: str = "grid-evidence"
 
     def payload(self) -> dict:
+        # binding: per tag, the record of the largest factor and, when a
+        # bound is given, the record of the smallest margin
+        binding = {tag: {"factor": r} for tag, r in
+                   _first_max(self.records, lambda r: r.factor).items()}
         out = {
             "grid": list(self.grid),
             "uniform_constant": self.uniform_constant,
@@ -88,14 +103,12 @@ class TrichotomyReport:
             "requirement": list(self.requirement),
             "pointwise": {k: list(v) for k, v in self.pointwise.items()},
             "verdict_basis": self.basis,
-            "records": [
-                {"tag": r.tag, "t": r.t, "s": r.s, "factor": r.factor,
-                 "binds": r.binds, "bound": r.bound, "margin": r.margin}
-                for r in self.records
-            ],
+            "binding": binding,
         }
         if self.bound_values is not None:
             out["bound_values"] = list(self.bound_values)
+            for tag, r in _first_max(self.records, lambda r: -r.margin).items():
+                binding[tag]["margin"] = r
         return out
 
     def csv_rows(self, check: str) -> list[tuple]:
@@ -173,13 +186,9 @@ class TheoremReport:
             "vacuous_count": self.vacuous_count,
             "samples": self.samples,
             "seed": self.seed,
-            "records": [
-                {"tag": r.tag, "t": r.t, "s": r.s, "vector": r.vector_id,
-                 "lhs": r.lhs, "rhs": r.rhs, "margin": r.margin,
-                 "vacuous": r.vacuous}
-                for r in self.records
-            ],
+            "binding": _first_max(self.records, lambda r: -r.margin),
         }
 
     def csv_rows(self, check: str) -> list[tuple]:
-        return [(check, r.t, r.s, r.tag, r.lhs, r.margin) for r in self.records]
+        return [(check, r.t, r.s, r.tag, r.lhs, r.margin, r.vector_id)
+                for r in self.records]

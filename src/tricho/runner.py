@@ -4,13 +4,16 @@ Checks run in dependency stages (structure -> cocycle -> invariance ->
 splitting systems -> norms -> norm theorems); when any check of an earlier
 stage fails, later requested checks are marked "skipped", never "passed".
 All output files are byte-stable for a fixed scenario and seed: numbers are
-printed with 17 significant digits and wall-clock timing stays out of the
-emitted artifacts (it is kept on the in-memory report and printed by the
-CLI).
+written as their shortest round-trip ``repr`` and wall-clock timing stays
+out of the emitted artifacts (it is kept on the in-memory report and
+printed by the CLI). ``report.json`` holds check summaries, each with the
+records that bind it; the per-pair records are written only to
+``records.csv``.
 """
 from __future__ import annotations
 
 import csv
+import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -281,70 +284,14 @@ def run(scenario: Scenario) -> RunReport:
 
 # -- serialization ----------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"cannot serialize non-finite number {value}")
-        return format(value, ".17g")
-    return str(value)
-
-
-def _json_text(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f'{inner}"{key}": {_json_text(val, indent + 1)}'
-                 for key, val in value.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{inner}{_json_text(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, float):
-        return _fmt(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        import json as _json
-        return _json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _holds_containers(value) -> bool:
-    """A dict with a container value, or a list whose first item is one."""
-    if isinstance(value, dict):
-        return any(isinstance(v, (dict, list, tuple)) for v in value.values())
-    return (isinstance(value, (list, tuple)) and bool(value)
-            and _holds_containers(value[0]))
-
-
-def _write_json(value, write, indent: int = 0) -> None:
-    """Write ``_json_text(value)`` in pieces, one item of each container of
-    containers at a time, so a large report is never held as one string."""
-    if not _holds_containers(value):
-        write(_json_text(value, indent))
-        return
-    is_dict = isinstance(value, dict)
-    write("{\n" if is_dict else "[\n")
-    for i, (key, val) in enumerate(value.items() if is_dict else enumerate(value)):
-        write((",\n" if i else "") + "  " * (indent + 1)
-              + (f'"{key}": ' if is_dict else ""))
-        _write_json(val, write, indent + 1)
-    write("\n" + "  " * indent + ("}" if is_dict else "]"))
+COLUMNS = ("check", "t", "s", "tag", "value", "margin", "vector")
 
 
 def emit(report: RunReport, format: str, out_dir) -> list[Path]:
     """Write report files; returns the written paths.
 
     ``format`` is "json", "csv" or "both". Identical report contents produce
-    byte-identical files.
+    byte-identical files; a non-finite number raises ValueError.
     """
     if format not in ("json", "csv", "both"):
         raise ValueError(f"format must be json, csv or both, got {format!r}")
@@ -360,21 +307,21 @@ def emit(report: RunReport, format: str, out_dir) -> list[Path]:
                         "payload": e["payload"]} for e in report.checks],
         }
         path = out / "report.json"
-        with path.open("w") as fh:
-            _write_json(tree, fh.write)
-            fh.write("\n")
+        path.write_text(json.dumps(tree, indent=2, allow_nan=False) + "\n")
         written.append(path)
 
     if format in ("csv", "both"):
-        rows = [row for e in report.checks for row in e["rows"]]
+        rows = [row + ("",) * (len(COLUMNS) - len(row))
+                for e in report.checks for row in e["rows"]]
+        if not np.isfinite([v for row in rows for v in row
+                            if isinstance(v, float)]).all():
+            raise ValueError("cannot serialize a non-finite number")
         if rows:
             path = out / "records.csv"
             with path.open("w", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["check", "t", "s", "tag", "value", "margin"])
-                for check, t, s, tag, value, margin in rows:
-                    writer.writerow([check, _fmt(t), _fmt(s), tag,
-                                     _fmt(value), _fmt(margin)])
+                writer.writerow(COLUMNS)
+                writer.writerows(rows)
             written.append(path)
         path = out / "summary.csv"
         with path.open("w", newline="") as fh:

@@ -56,6 +56,11 @@ def _require(tree: dict, key: str, kind, where: str = "scenario"):
     return value
 
 
+def _optional(tree: dict, key: str, kind, default, where: str = "scenario"):
+    """``_require`` for a key that may be left out."""
+    return _require(tree, key, kind, where) if key in tree else default
+
+
 def _finite_array(value, shape: tuple, where: str) -> None:
     """Reject anything but finite numbers of the given shape at ``where``."""
     try:
@@ -75,8 +80,15 @@ def _parse_rate(spec, key: str) -> GrowthRate:
             return GrowthRate(kind, float(_require(spec, "exponent", (int, float),
                                                    f"rates.{key}")))
         if kind == "tabulated":
-            table = _require(spec, "table", list, f"rates.{key}")
-            return GrowthRate.tabulated(table)
+            rate = GrowthRate.tabulated(_require(spec, "table", list,
+                                                 f"rates.{key}"))
+            values = [v for _, v in rate.table]
+            if (not all(math.isfinite(x) for point in rate.table for x in point)
+                    or values[0] < 1
+                    or any(b < a for a, b in zip(values, values[1:]))):
+                raise ScenarioError(f"rates.{key}.table must hold finite "
+                                    "values >= 1 that are nondecreasing")
+            return rate
     except ScenarioError:
         raise
     except (TypeError, ValueError) as exc:
@@ -128,7 +140,7 @@ def scenario_from_tree(tree: dict) -> Scenario:
     if step > t_max:
         raise ScenarioError("grid.step must not exceed grid.t_max")
 
-    horizon = float(tree.get("horizon", 5.0))
+    horizon = float(_optional(tree, "horizon", (int, float), 5.0))
     if horizon <= 0:
         raise ScenarioError("horizon must be positive")
 
@@ -193,9 +205,11 @@ def scenario_from_tree(tree: dict) -> Scenario:
         raise ScenarioError("projectors.type must be coordinate_split or "
                             f"explicit, got {proj_type!r}")
 
-    tols = tree.get("tolerances", {})
-    tol_structural = float(tols.get("structural", 1e-10))
-    tol_theorem = float(tols.get("theorem", 1e-9))
+    tols = _optional(tree, "tolerances", dict, {})
+    tol_structural = float(_optional(tols, "structural", (int, float), 1e-10,
+                                     "tolerances"))
+    tol_theorem = float(_optional(tols, "theorem", (int, float), 1e-9,
+                                  "tolerances"))
     if tol_structural <= 0 or tol_theorem <= 0:
         raise ScenarioError("tolerances must be positive")
 
@@ -214,18 +228,19 @@ def scenario_from_tree(tree: dict) -> Scenario:
             raise ScenarioError(f"checks: unknown check {name!r} "
                                 f"(known: {', '.join(CHECK_NAMES)})")
 
-    bounds_tree = tree.get("bounds", {})
+    bounds_tree = _optional(tree, "bounds", dict, {})
     bounds = {}
     if "trichotomy" in bounds_tree:
-        bounds["trichotomy"] = _parse_bound(bounds_tree["trichotomy"],
-                                            "bounds.trichotomy")
+        bounds["trichotomy"] = _parse_bound(
+            _require(bounds_tree, "trichotomy", dict, "bounds"),
+            "bounds.trichotomy")
     if "uniform" in bounds_tree:
         value = bounds_tree["uniform"]
         if not isinstance(value, (int, float)) or value < 1:
             raise ScenarioError("bounds.uniform must be a number >= 1")
         bounds["uniform"] = float(value)
 
-    inst = tree.get("rate_instantiation")
+    inst = _optional(tree, "rate_instantiation", (dict, type(None)), None)
     if inst is not None:
         kind = inst.get("kind")
         if kind not in ("exponential", "polynomial"):

@@ -1,10 +1,11 @@
+import csv
 import json
 from pathlib import Path
 
 import pytest
 
 from tricho import ScenarioError, emit, parse_scenario, run, scenario_from_tree
-from tricho import runner
+from tricho import norms, runner
 from tricho.cli import main
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -91,6 +92,35 @@ def test_short_tabulated_span_rejected():
         scenario_from_tree(tree)
 
 
+WRONG_TYPES = {
+    "horizon": {"horizon": "abc"},
+    "tolerances": {"tolerances": "x"},
+    "tolerances.structural": {"tolerances": {"structural": "x"}},
+    "tolerances.theorem": {"tolerances": {"theorem": [1e-9]}},
+    "bounds.trichotomy": {"bounds": {"trichotomy": [1]}},
+    "rate_instantiation": {"rate_instantiation": [1]},
+}
+
+
+@pytest.mark.parametrize("key", WRONG_TYPES)
+def test_wrong_typed_key_fails_at_parse(key):
+    overrides = WRONG_TYPES[key]
+    with pytest.raises(ScenarioError, match=key.replace(".", r"\.")):
+        scenario_from_tree(minimal_tree(**overrides))
+
+
+@pytest.mark.parametrize("table", [
+    [[0.0, 0.0], [40.0, 0.0]],           # below 1
+    [[0.0, 1.0], [40.0, float("nan")]],  # not finite
+    [[0.0, 2.0], [40.0, 1.5]],           # decreasing
+], ids=["below_one", "nan", "decreasing"])
+def test_invalid_tabulated_rate_fails_at_parse(table):
+    tree = minimal_tree()
+    tree["rates"]["u"] = {"kind": "tabulated", "table": table}
+    with pytest.raises(ScenarioError, match=r"rates\.u\.table"):
+        scenario_from_tree(tree)
+
+
 def test_bounds_validation():
     tree = minimal_tree(bounds={"trichotomy": {"kind": "affine", "coeff": -1.0,
                                                "offset": 2.0}})
@@ -110,13 +140,14 @@ def test_uniform_example_scenario_all_pass():
     assert all(c["status"] == "pass" for c in report.checks)
 
 
-def test_ode_example_cli_all_pass(tmp_path, capsys):
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_example_cli_all_pass(tmp_path, capsys, path):
     out = tmp_path / "out"
-    code = main(["--scenario", str(SCENARIOS / "ode_periodic_example.json"),
-                 "--out", str(out), "--format", "csv"])
+    code = main(["--scenario", str(path), "--out", str(out), "--format", "csv"])
     assert code == 0
     rows = (out / "summary.csv").read_text().splitlines()[1:]
-    assert len(rows) == 12
+    assert len(rows) == len(json.loads(path.read_text())["checks"]) + 1
     assert all(row.endswith(",pass") for row in rows)
     assert "overall: pass" in capsys.readouterr().out
 
@@ -263,10 +294,48 @@ def test_nonfinite_operator_matrix_fails_at_parse():
         scenario_from_tree(ode_tree(3, matrix=matrix))
 
 
-def test_streamed_report_text_matches_whole_text():
-    value = {"a": [], "b": {}, "c": [{"x": 1.5, "y": [1, 2]}, {"x": None}],
-             "d": [[1, 2], [3]], "e": "s", "f": ({"g": True, "h": {}},),
-             "i": [{"j": 1}, {"k": [2.5]}]}
-    pieces = []
-    runner._write_json(value, pieces.append)
-    assert "".join(pieces) == runner._json_text(value)
+def test_emitted_files_match_the_in_memory_report(tmp_path):
+    scenario = scenario_from_tree(minimal_tree(
+        grid={"t_max": 2.0, "step": 0.5}, horizon=1.0, samples=4,
+        checks=["trichotomy", "norm_trichotomy_unprojected"]))
+    report = run(scenario)
+    assert report.overall == "pass"
+    emit(report, "both", tmp_path)
+
+    tree = json.loads((tmp_path / "report.json").read_text())
+    assert tree["checks"] == [
+        {key: e[key] for key in ("name", "status", "payload")}
+        for e in report.checks]
+    splitting, theorem = (e["payload"] for e in report.checks)
+    for tag, pointwise in splitting["pointwise"].items():
+        assert splitting["binding"][tag]["factor"]["factor"] == max(pointwise)
+    for tag, margin in theorem["worst_per_tag"].items():
+        assert theorem["binding"][tag]["margin"] == margin
+
+    rows = list(csv.reader((tmp_path / "records.csv").open()))
+    memory = [row for e in report.checks for row in e["rows"]]
+    assert rows[0] == list(runner.COLUMNS)
+    assert len(rows) == len(memory) + 1
+    assert {len(row) for row in rows} == {len(runner.COLUMNS)}
+    for row, kept in zip(rows[1:], memory):
+        assert row[:len(kept)] == [v if isinstance(v, str) else repr(float(v))
+                                   for v in kept]
+    ws = runner._Workspace(scenario)
+    records = norms.verify_norm_trichotomy_unprojected(
+        *ws.norm_families(scenario.rates), ws.grid, scenario.tol_theorem,
+        scenario.samples, scenario.seed).records
+    vectors = [row[-1] for row in rows if row[0] == "norm_trichotomy_unprojected"]
+    assert vectors == [r.vector_id for r in records]
+    assert all(row[-1] == "" for row in rows[1:] if row[0] == "trichotomy")
+
+
+@pytest.mark.parametrize("where", ["payload", "rows"])
+def test_emit_refuses_nonfinite_numbers(tmp_path, where):
+    entry = {"name": "x", "status": "pass", "payload": {}, "rows": []}
+    if where == "payload":
+        entry["payload"]["value"] = float("nan")
+    else:
+        entry["rows"].append(("x", 0.0, 0.0, "tag", float("nan"), 0.0))
+    report = runner.RunReport(scenario={}, checks=[entry], overall="pass")
+    with pytest.raises(ValueError):
+        emit(report, "json" if where == "payload" else "csv", tmp_path)
