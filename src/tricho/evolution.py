@@ -6,7 +6,10 @@ growth rates, and operators generated by integrating the matrix equation
 X' = A(t) X with a fixed-step fourth-order Runge-Kutta scheme. Generated
 operators cache the propagators between consecutive anchor times and their
 products, so composition identities hold by construction up to integration
-error; queries off the anchors integrate only the gaps.
+error; queries off the anchors integrate only the gaps. Every operator keeps
+one store of the pairs it has computed, so each distinct U(t, s) is computed
+once per operator, in one batched call per batch of unseen pairs, and shared
+read-only by every check that reads it.
 """
 from __future__ import annotations
 
@@ -28,24 +31,58 @@ _PROBE_TOL = 1e-9
 _CHUNK = 8192  # cocycle triples per batched residual, bounds transient stacks
 
 
-@dataclass(frozen=True)
 class EvolutionOperator:
-    dimension: int
-    provenance: str  # "closed_form" | "ode_generated" | "composed"
-    _evaluator: Callable[[float, float], np.ndarray]
+    """U(t, s) on the half-plane t >= s >= 0.
+
+    Give ``compute(pairs)``, the matrices of a list of in-domain pairs as an
+    (m, n, n) stack, or ``evaluator(t, s)``, one matrix, for operators
+    without a batched formula. Each distinct pair is computed once per
+    operator, in one call per batch of unseen pairs, and kept read-only.
+    """
+
+    def __init__(self, dimension: int, provenance: str,
+                 evaluator: Callable[[float, float], np.ndarray] | None = None,
+                 compute: Callable[[list], np.ndarray] | None = None):
+        if (evaluator is None) == (compute is None):
+            raise ValueError("give exactly one of evaluator and compute")
+        if compute is None:
+            def compute(pairs):
+                return np.array([evaluator(t, s) for t, s in pairs])
+        self.dimension = dimension
+        self.provenance = provenance  # "closed_form" | "ode_generated" | "composed"
+        self._compute = compute
+        self._index: dict[tuple[float, float], int] = {}  # pair -> row of _values
+        self._values = np.empty((0, dimension, dimension))
+
+    def _rows(self, pairs) -> list[int]:
+        index = self._index
+        missing = [p for p in dict.fromkeys(pairs) if p not in index]
+        if missing:
+            for t, s in missing:
+                if s < 0 or t < s:
+                    raise DomainError(f"({t}, {s}) outside the domain t >= s >= 0")
+            n = self.dimension
+            stack = np.asarray(self._compute(missing), dtype=float).reshape(-1, n, n)
+            start, stop = len(index), len(index) + len(missing)
+            if stop > len(self._values):  # double; rows handed out keep the old buffer
+                grown = np.empty((max(stop, 2 * len(self._values)), n, n))
+                grown[:start] = self._values[:start]
+                self._values = grown
+            self._values[start:stop] = stack
+            index.update(zip(missing, range(start, stop)))
+        return [index[p] for p in pairs]
 
     def evaluate(self, t: float, s: float) -> np.ndarray:
-        """Matrix of U(t, s); only t >= s >= 0 is in the domain."""
-        if s < 0 or t < s:
-            raise DomainError(f"({t}, {s}) outside the domain t >= s >= 0")
-        return self._evaluator(t, s)
+        """Read-only matrix of U(t, s); only t >= s >= 0 is in the domain."""
+        row = self._rows([(t, s)])[0]
+        m = self._values[row]
+        m.flags.writeable = False
+        return m
 
     def evaluate_many(self, pairs) -> np.ndarray:
-        """U(t, s) for each (t, s) in ``pairs`` as an (m, n, n) stack."""
-        out = np.empty((len(pairs), self.dimension, self.dimension))
-        for i, (t, s) in enumerate(pairs):
-            out[i] = self.evaluate(t, s)
-        return out
+        """U(t, s) for each (t, s) in ``pairs`` as a new (m, n, n) stack."""
+        rows = self._rows(pairs)  # may grow _values
+        return self._values[rows]
 
 
 def identity_operator(dimension: int) -> EvolutionOperator:
@@ -65,18 +102,21 @@ def rate_model(u: GrowthRate, h: GrowthRate, k: GrowthRate,
     sum to the identity and satisfy P_i(t) P_j(s) = delta_ij P_i(s) (checked
     on a fixed probe set). That structure makes the operator commute with
     every member, so identity and composition hold exactly by telescoping of
-    the quotients.
+    the quotients. A batch of pairs is one broadcast expression over the
+    member stacks; the scalar quotients come from ``GrowthRate.ratio``, whose
+    ``math.exp`` values ``np.exp`` does not reproduce to the last bit.
     """
     _require_model_family(family)
 
-    def evaluator(t, s):
-        p1, p2, p3 = family.members(s)
-        outer = u.ratio(s, t)
-        return outer * (h.ratio(s, t) * p1
-                        + k.ratio(t, s) * p2
-                        + mu.ratio(t, s) * nu.ratio(s, t) * p3)
+    def compute(pairs):
+        quotients = np.array([(u.ratio(s, t), h.ratio(s, t), k.ratio(t, s),
+                               mu.ratio(t, s), nu.ratio(s, t)) for t, s in pairs])
+        outer, hq, kq, muq, nuq = quotients.T.reshape(5, -1, 1, 1)
+        times = [s for _, s in pairs]
+        p1, p2, p3 = (family.stack(j, times) for j in (1, 2, 3))
+        return outer * (hq * p1 + kq * p2 + muq * nuq * p3)
 
-    return EvolutionOperator(family.dimension, "closed_form", evaluator)
+    return EvolutionOperator(family.dimension, "closed_form", compute=compute)
 
 
 def _require_model_family(family: ProjectorFamily) -> None:
@@ -192,10 +232,10 @@ def conjugate(operator: EvolutionOperator, basis_change: np.ndarray) -> Evolutio
     """Operator in a new orthonormal basis: Q U(t, s) Q^T."""
     q = np.array(basis_change, dtype=float)
 
-    def evaluator(t, s):
-        return q @ operator.evaluate(t, s) @ q.T
+    def compute(pairs):
+        return q @ operator.evaluate_many(pairs) @ q.T
 
-    return EvolutionOperator(operator.dimension, "composed", evaluator)
+    return EvolutionOperator(operator.dimension, "composed", compute=compute)
 
 
 def check_identity(operator: EvolutionOperator, times, tol: float) -> CheckReport:
@@ -205,16 +245,31 @@ def check_identity(operator: EvolutionOperator, times, tol: float) -> CheckRepor
     return CheckReport("identity", tol, {"identity": worst}, worst <= tol)
 
 
-def check_cocycle(operator: EvolutionOperator, triples, tol: float) -> CheckReport:
+def check_cocycle(operator: EvolutionOperator, triples, tol: float,
+                  pairs=None) -> CheckReport:
     """Residual of U(t, t0) = U(t, s) U(s, t0) over (t, s, t0) triples.
 
-    Residuals are measured relative to the size of U(t, t0), floored at 1:
-    growing operators reach norms ~e^{a t} where even a one-ulp relative
-    error dwarfs any absolute tolerance, so the scale-aware residual is the
-    meaningful one. Each distinct pair is evaluated once; the products and
-    residual norms are taken in batches of triples.
+    ``triples`` are float triples; or, with ``pairs``, an (m, 3) integer
+    array holding per triple the positions in ``pairs`` of its (t, t0),
+    (t, s) and (s, t0) pairs, which is how ``util.grid_slots`` addresses
+    every triple of a grid without building one. Residuals are measured
+    relative to the size of U(t, t0), floored at 1: growing operators reach
+    norms ~e^{a t} where even a one-ulp relative error dwarfs any absolute
+    tolerance, so the scale-aware residual is the meaningful one. Each
+    distinct pair is evaluated once; the products and residual norms are
+    taken in batches of triples.
     """
-    pairs, slots = pair_slots(triples)
+    if pairs is None:
+        pairs, slots = pair_slots(triples)
+    else:
+        slots = np.asarray(triples, dtype=np.intp).reshape(-1, 3)
+        ts, ss = np.asarray(pairs, dtype=float).reshape(-1, 2).T
+        direct, left, right = slots.T
+        if not (np.array_equal(ts[direct], ts[left])
+                and np.array_equal(ss[left], ts[right])
+                and np.array_equal(ss[direct], ss[right])):
+            raise ValueError("slots must point at the (t, t0), (t, s) and "
+                             "(s, t0) pairs of each triple")
     stack = operator.evaluate_many(pairs)
     scale = np.maximum(1.0, opnorms(stack))
     worst = 0.0

@@ -31,6 +31,7 @@ from .util import grid_pairs, opnorms, test_vector_batch
 
 VARIANTS = ("forward", "backward")
 _SENSITIVITY_LIMIT = 1e-6
+_IMAGE_FLOATS = 1 << 16  # image entries per chunk of a norm term (512 kB)
 
 
 def _future_times(t: float, horizon: float, step: float) -> list[float]:
@@ -140,14 +141,22 @@ class LyapunovNormFamily:
 
         x is (n, batch) or a stack (..., n, batch); every matrix meets every
         (n, batch) block in its own product, the same BLAS call as a single
-        block, so batching does not change the values.
+        block, so batching does not change the values. The stack is taken in
+        chunks of about ``_IMAGE_FLOATS`` image entries with a running
+        maximum, so the images stay in cache.
         """
-        if stack.shape[0] == 0:
-            return np.zeros(x.shape[:-2] + x.shape[-1:])
-        images = stack.reshape(stack.shape[:1] + (1,) * (x.ndim - 2)
-                               + stack.shape[1:]) @ x
-        np.square(images, out=images)
-        return np.sqrt(images.sum(axis=-2).max(axis=0))
+        worst = np.zeros(x.shape[:-2] + x.shape[-1:])
+        step = max(1, _IMAGE_FLOATS // x.size)
+        shape = (1,) * (x.ndim - 2) + stack.shape[1:]
+        for lo in range(0, stack.shape[0], step):
+            chunk = stack[lo:lo + step]
+            images = chunk.reshape(chunk.shape[:1] + shape) @ x
+            np.square(images, out=images)
+            total = images[..., 0, :]
+            for row in range(1, x.shape[-2]):
+                total = total + images[..., row, :]
+            np.maximum(worst, total.max(axis=0), out=worst)
+        return np.sqrt(worst)
 
     def evaluate_many(self, t: float, x: np.ndarray) -> np.ndarray:
         """Norm values for each column of the (dimension, batch) matrix x,

@@ -24,7 +24,7 @@ import numpy as np
 from . import evolution, norms, projectors, trichotomy
 from .errors import ScenarioError
 from .scenario import RATE_KEYS, Scenario
-from .util import grid_pairs, grid_triples, make_grid
+from .util import grid_pairs, grid_slots, make_grid
 
 STAGES = (
     ("orthogonality",),
@@ -149,8 +149,8 @@ def _run_check(name: str, ws: _Workspace) -> dict:
         return _entry(name, rep.passed, rep.payload(), rep)
     if name == "cocycle":
         ident = evolution.check_identity(ws.operator, grid, s.tol_structural)
-        coc = evolution.check_cocycle(ws.operator, grid_triples(grid),
-                                      s.tol_structural)
+        coc = evolution.check_cocycle(ws.operator, grid_slots(len(grid)),
+                                      s.tol_structural, pairs=grid_pairs(grid))
         payload = {"tol": s.tol_structural,
                    "residuals": {**ident.residuals, **coc.residuals}}
         ok = ident.passed and coc.passed
@@ -311,17 +311,17 @@ def emit(report: RunReport, format: str, out_dir) -> list[Path]:
         written.append(path)
 
     if format in ("csv", "both"):
-        rows = [row + ("",) * (len(COLUMNS) - len(row))
-                for e in report.checks for row in e["rows"]]
-        if not np.isfinite([v for row in rows for v in row
-                            if isinstance(v, float)]).all():
+        rows = [row for e in report.checks for row in e["rows"]]
+        if not all(math.isfinite(v) for row in rows for v in row
+                   if isinstance(v, float)):
             raise ValueError("cannot serialize a non-finite number")
         if rows:
             path = out / "records.csv"
             with path.open("w", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(COLUMNS)
-                writer.writerows(rows)
+                writer.writerows(row + ("",) * (len(COLUMNS) - len(row))
+                                 for row in rows)
             written.append(path)
         path = out / "summary.csv"
         with path.open("w", newline="") as fh:

@@ -48,9 +48,7 @@ def _require(tree: dict, key: str, kind, where: str = "scenario"):
     if key not in tree:
         raise ScenarioError(f"{where}.{key} is missing")
     value = tree[key]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, kind):  # bool is an int
         raise ScenarioError(f"{where}.{key} has wrong type "
                             f"({type(value).__name__})")
     return value
@@ -59,6 +57,16 @@ def _require(tree: dict, key: str, kind, where: str = "scenario"):
 def _optional(tree: dict, key: str, kind, default, where: str = "scenario"):
     """``_require`` for a key that may be left out."""
     return _require(tree, key, kind, where) if key in tree else default
+
+
+def _number(tree: dict, key: str, where: str = "scenario", default=None) -> float:
+    """A finite number at ``tree[key]``; ``default``, if given, when left out."""
+    if default is not None and key not in tree:
+        return default
+    value = float(_require(tree, key, (int, float), where))
+    if not math.isfinite(value):
+        raise ScenarioError(f"{where}.{key} must be finite")
+    return value
 
 
 def _finite_array(value, shape: tuple, where: str) -> None:
@@ -77,8 +85,7 @@ def _parse_rate(spec, key: str) -> GrowthRate:
     kind = spec.get("kind")
     try:
         if kind in ("exponential", "polynomial"):
-            return GrowthRate(kind, float(_require(spec, "exponent", (int, float),
-                                                   f"rates.{key}")))
+            return GrowthRate(kind, _number(spec, "exponent", f"rates.{key}"))
         if kind == "tabulated":
             rate = GrowthRate.tabulated(_require(spec, "table", list,
                                                  f"rates.{key}"))
@@ -100,11 +107,11 @@ def _parse_rate(spec, key: str) -> GrowthRate:
 def _parse_bound(spec, where: str):
     kind = spec.get("kind")
     if kind == "constant":
-        value = float(_require(spec, "value", (int, float), where))
+        value = _number(spec, "value", where)
         return lambda a: value
     if kind == "affine":
-        coeff = float(_require(spec, "coeff", (int, float), where))
-        offset = float(_require(spec, "offset", (int, float), where))
+        coeff = _number(spec, "coeff", where)
+        offset = _number(spec, "offset", where)
         if coeff < 0:
             raise ScenarioError(f"{where}.coeff must be nonnegative "
                                 "(bounds are nondecreasing)")
@@ -131,8 +138,8 @@ def scenario_from_tree(tree: dict) -> Scenario:
         raise ScenarioError("dimension must be positive")
 
     grid = _require(tree, "grid", dict)
-    t_max = float(_require(grid, "t_max", (int, float), "grid"))
-    step = float(_require(grid, "step", (int, float), "grid"))
+    t_max = _number(grid, "t_max", "grid")
+    step = _number(grid, "step", "grid")
     if t_max <= 0:
         raise ScenarioError("grid.t_max must be positive")
     if step <= 0:
@@ -140,7 +147,7 @@ def scenario_from_tree(tree: dict) -> Scenario:
     if step > t_max:
         raise ScenarioError("grid.step must not exceed grid.t_max")
 
-    horizon = float(_optional(tree, "horizon", (int, float), 5.0))
+    horizon = _number(tree, "horizon", default=5.0)
     if horizon <= 0:
         raise ScenarioError("horizon must be positive")
 
@@ -163,7 +170,7 @@ def scenario_from_tree(tree: dict) -> Scenario:
         if "u" not in rates:
             raise ScenarioError("operator.type rate_model needs rates.u")
     elif op_type == "ode":
-        op_step = float(_require(operator, "step", (int, float), "operator"))
+        op_step = _number(operator, "step", "operator")
         if op_step <= 0:
             raise ScenarioError("operator.step must be positive")
         if "matrix" in operator:
@@ -190,7 +197,7 @@ def scenario_from_tree(tree: dict) -> Scenario:
     proj_type = projectors.get("type")
     if proj_type == "coordinate_split":
         sizes = _require(projectors, "sizes", list, "projectors")
-        if len(sizes) != 3 or any(not isinstance(v, int) or v < 0 for v in sizes):
+        if len(sizes) != 3 or any(type(v) is not int or v < 0 for v in sizes):
             raise ScenarioError("projectors.sizes must be three nonnegative integers")
         if sum(sizes) != n:
             raise ScenarioError(
@@ -206,18 +213,14 @@ def scenario_from_tree(tree: dict) -> Scenario:
                             f"explicit, got {proj_type!r}")
 
     tols = _optional(tree, "tolerances", dict, {})
-    tol_structural = float(_optional(tols, "structural", (int, float), 1e-10,
-                                     "tolerances"))
-    tol_theorem = float(_optional(tols, "theorem", (int, float), 1e-9,
-                                  "tolerances"))
+    tol_structural = _number(tols, "structural", "tolerances", 1e-10)
+    tol_theorem = _number(tols, "theorem", "tolerances", 1e-9)
     if tol_structural <= 0 or tol_theorem <= 0:
         raise ScenarioError("tolerances must be positive")
 
-    seed = tree.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ScenarioError("seed must be an integer")
-    samples = tree.get("samples", 32)
-    if not isinstance(samples, int) or samples < 0:
+    seed = _optional(tree, "seed", int, 0)
+    samples = _optional(tree, "samples", int, 32)
+    if samples < 0:
         raise ScenarioError("samples must be a nonnegative integer")
 
     checks = tree.get("checks", [])
@@ -235,10 +238,10 @@ def scenario_from_tree(tree: dict) -> Scenario:
             _require(bounds_tree, "trichotomy", dict, "bounds"),
             "bounds.trichotomy")
     if "uniform" in bounds_tree:
-        value = bounds_tree["uniform"]
-        if not isinstance(value, (int, float)) or value < 1:
+        value = _number(bounds_tree, "uniform", "bounds")
+        if value < 1:
             raise ScenarioError("bounds.uniform must be a number >= 1")
-        bounds["uniform"] = float(value)
+        bounds["uniform"] = value
 
     inst = _optional(tree, "rate_instantiation", (dict, type(None)), None)
     if inst is not None:
@@ -247,14 +250,10 @@ def scenario_from_tree(tree: dict) -> Scenario:
             raise ScenarioError("rate_instantiation.kind must be exponential "
                                 "or polynomial")
         exps = _require(inst, "exponents", list, "rate_instantiation")
-        if len(exps) != 4 or any(not isinstance(v, (int, float)) or v <= 0
-                                 for v in exps):
+        if len(exps) != 4 or not all(type(v) in (int, float) and 0 < v < math.inf
+                                     for v in exps):
             raise ScenarioError("rate_instantiation.exponents must be four "
-                                "positive numbers")
-
-    if not all(math.isfinite(v) for v in (t_max, step, horizon,
-                                          tol_structural, tol_theorem)):
-        raise ScenarioError("scenario numbers must be finite")
+                                "finite positive numbers")
 
     return Scenario(dimension=n, operator=dict(operator),
                     projectors=dict(projectors), rates=rates,

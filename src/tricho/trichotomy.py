@@ -55,7 +55,6 @@ def factor_table(operator, family: ProjectorFamily, rates: dict, pairs,
         if tag not in INEQUALITIES:
             raise ValueError(f"unknown inequality {tag!r}")
     pairs = list(pairs)
-    u = None
     table = {}
     for tag in tags:
         j, rate_key, rising = _TERMS[tag]
@@ -67,8 +66,7 @@ def factor_table(operator, family: ProjectorFamily, rates: dict, pairs,
             right = (family.stack(j, [s for _, s in sub]) if full and decay
                      else np.array([bases[i] for i in rows]))
             if decay:
-                u = operator.evaluate_many(pairs) if u is None else u
-                mats = u[rows] @ right
+                mats = operator.evaluate_many(sub) @ right
             else:
                 if inverses is None:
                     inverses = build_inverses(operator, family)

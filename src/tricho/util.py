@@ -91,6 +91,17 @@ def grid_triples(grid: list[float]) -> list[tuple[float, float, float]]:
     return out
 
 
+def grid_slots(size: int) -> np.ndarray:
+    """For every triple of grid indices i >= j >= k, in ``grid_triples``
+    order, the positions in ``grid_pairs`` of its (i, k), (i, j) and (j, k)
+    pairs as an (m, 3) array; pair (i, j) sits at i(i+1)/2 + j."""
+    rows, cols = np.tril_indices(size)  # pair p is (rows[p], cols[p])
+    left = np.repeat(np.arange(len(rows)), cols + 1)
+    k = np.arange(len(left)) - np.repeat(np.cumsum(cols + 1) - (cols + 1), cols + 1)
+    i, j = rows[left], cols[left]
+    return np.stack([i * (i + 1) // 2 + k, left, j * (j + 1) // 2 + k], axis=1)
+
+
 def sample_unit_vectors(dimension: int, count: int, seed: int) -> np.ndarray:
     """(dimension, count) matrix of unit columns from a seeded generator."""
     if count <= 0:

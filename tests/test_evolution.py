@@ -9,7 +9,7 @@ from tricho import (DomainError, GeneratorSpec, GrowthRate, PreconditionError,
                     ProjectorFamily, check_cocycle, check_identity,
                     from_generator, rate_model, run, scenario_from_tree)
 from tricho import runner
-from tricho.util import grid_triples, make_grid, opnorm
+from tricho.util import grid_pairs, grid_slots, grid_triples, make_grid, opnorm
 
 # frozen scalar-arithmetic oracles for the model operator at (1, 0), u(t)=t+1
 DIAG_1_0 = [0.18393972058572117, 3.694528049465325, 0.6420127083438707]
@@ -241,3 +241,98 @@ def test_batched_cocycle_matches_per_triple_loop():
     assert check_cocycle(operator, triples, 1e-12).residuals["cocycle"] == want
     with pytest.raises(ValueError, match="not ordered"):
         check_cocycle(operator, triples + [(0.5, 1.0, 0.0)], 1e-12)
+
+
+def per_pair_model(rates, family, t, s):
+    """The rate-model formula at one pair, scalar quotients times members."""
+    u, h, k, mu, nu = rates
+    p1, p2, p3 = family.members(s)
+    return u.ratio(s, t) * (h.ratio(s, t) * p1 + k.ratio(t, s) * p2
+                            + mu.ratio(t, s) * nu.ratio(s, t) * p3)
+
+
+def rotated_split_family():
+    c, s = math.cos(0.7), math.sin(0.7)
+    q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    q = q @ np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    return ProjectorFamily.constant(*(q @ np.diag(e) @ q.T for e in np.eye(3)))
+
+
+@pytest.mark.parametrize("family", [ProjectorFamily.coordinate_split(1, 1, 1),
+                                    rotated_split_family()],
+                         ids=["coordinate_split", "rotated"])
+def test_batched_rate_model_matches_per_pair_formula(family):
+    e = GrowthRate.exponential
+    rates = (GrowthRate.polynomial(1.0), e(1.0), e(2.0), e(0.5), e(0.25))
+    operator = rate_model(*rates, family)
+    grid = make_grid(10.0, 0.1)
+    pairs = [(t, s) for t in grid for s in grid if s <= t][::7] + [(37.5, 0.3)]
+    want = np.array([per_pair_model(rates, family, t, s) for t, s in pairs])
+    assert np.array_equal(operator.evaluate_many(pairs), want)
+    assert np.array_equal(operator.evaluate(37.5, 0.3), want[-1])
+
+
+def test_run_computes_each_distinct_pair_once(monkeypatch):
+    computed = []
+    build = runner._build_operator
+
+    def counting(*args):
+        operator = build(*args)
+        compute = operator._compute
+
+        def counted(pairs):
+            computed.extend(pairs)
+            return compute(pairs)
+        operator._compute = counted
+        return operator
+
+    monkeypatch.setattr(runner, "_build_operator", counting)
+    rate = lambda kind, a: {"kind": kind, "exponent": a}
+    tree = {
+        "dimension": 3, "operator": {"type": "rate_model"},
+        "projectors": {"type": "coordinate_split", "sizes": [1, 1, 1]},
+        "rates": {"h": rate("exponential", 1.0), "k": rate("exponential", 2.0),
+                  "mu": rate("exponential", 0.5), "nu": rate("exponential", 0.25),
+                  "u": rate("polynomial", 1.0)},
+        "grid": {"t_max": 2.0, "step": 0.5}, "horizon": 1.0, "samples": 4,
+        "checks": ["orthogonality", "cocycle", "invariance", "compatibility",
+                   "trichotomy", "trichotomy_full", "uniform", "norms",
+                   "norm_trichotomy", "norm_trichotomy_unprojected",
+                   "rate_instantiation"],
+    }
+    assert run(scenario_from_tree(tree)).overall == "pass"
+    assert computed and len(computed) == len(set(computed))
+
+
+def test_stored_pairs_are_not_changed_through_returned_stacks(nonuniform_operator):
+    pairs = [(2.0, 1.0), (3.0, 0.0)]
+    first = nonuniform_operator.evaluate_many(pairs)
+    want = first.copy()
+    first[:] = 7.0
+    assert np.array_equal(nonuniform_operator.evaluate_many(pairs), want)
+    with pytest.raises(ValueError):
+        nonuniform_operator.evaluate(2.0, 1.0)[0, 0] = 7.0
+
+
+def test_out_of_domain_pair_raises_beside_stored_pairs(uniform_operator):
+    stored = [(1.0, 0.0), (2.0, 1.0)]
+    uniform_operator.evaluate_many(stored)
+    for bad in [(1.0, 2.0), (0.5, -0.5)]:
+        with pytest.raises(DomainError):
+            uniform_operator.evaluate_many(stored + [bad])
+
+
+def test_grid_slots_cocycle_matches_float_triples():
+    # off-anchor queries of a non-commuting generator give nonzero residuals
+    gen = GeneratorSpec(2, lambda t: np.array([[-0.5, 1.0 + t],
+                                               [-1.0, 0.3 * math.sin(t)]]), 0.01)
+    grid = make_grid(2.0, 0.25)
+    operator = from_generator(gen, anchors=grid[::2])
+    want = check_cocycle(operator, grid_triples(grid), 1e-12).residuals["cocycle"]
+    got = check_cocycle(operator, grid_slots(len(grid)), 1e-12,
+                        pairs=grid_pairs(grid)).residuals["cocycle"]
+    assert want > 0.0 and got == want
+    slots = grid_slots(len(grid))
+    slots[5, [1, 2]] = slots[5, [2, 1]]
+    with pytest.raises(ValueError, match="slots"):
+        check_cocycle(operator, slots, 1e-12, pairs=grid_pairs(grid))

@@ -9,7 +9,7 @@ from tricho import (DomainError, GeneratorSpec, GrowthRate, ProjectorFamily,
                     check_trichotomy, check_uniform, from_generator,
                     rate_model, required_factor, verify_norm_trichotomy,
                     verify_norm_trichotomy_unprojected, verify_sufficiency)
-from tricho import util
+from tricho import norms, util
 from tricho.norms import query_lattice, theorem_sides
 from tricho.util import make_grid
 
@@ -391,3 +391,15 @@ def test_batched_theorem_records_match_per_pair_loop():
         fwd, bwd, grid, samples=6, seed=17).records
     with pytest.raises(ValueError):  # sides of another seed are refused
         verify_norm_trichotomy(fwd, bwd, grid, samples=6, seed=18, sides=sides)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_chunked_term_matches_one_shot(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((23, n, n)) * np.logspace(-3, 3, 23)[:, None, None]
+    for x in (rng.standard_normal((n, 9)), rng.standard_normal((5, n, 9))):
+        images = stack.reshape(stack.shape[:1] + (1,) * (x.ndim - 2)
+                               + stack.shape[1:]) @ x
+        want = np.sqrt(np.square(images).sum(axis=-2).max(axis=0))
+        monkeypatch.setattr(norms, "_IMAGE_FLOATS", 4 * x.size)  # 6 chunks
+        assert np.array_equal(norms.LyapunovNormFamily._term(stack, x), want)

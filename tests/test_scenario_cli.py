@@ -121,6 +121,48 @@ def test_invalid_tabulated_rate_fails_at_parse(table):
         scenario_from_tree(tree)
 
 
+BOOLEANS = {  # JSON true/false where a number is asked for
+    "dimension": {"dimension": True,
+                  "projectors": {"type": "coordinate_split", "sizes": [1, 0, 0]}},
+    "horizon": {"horizon": True},
+    "seed": {"seed": True},
+    "samples": {"samples": False},
+    "projectors.sizes": {"projectors": {"type": "coordinate_split",
+                                        "sizes": [1, True, 1]}},
+    "bounds.uniform": {"bounds": {"uniform": True}},
+    "rate_instantiation.exponents": {"rate_instantiation": {
+        "kind": "exponential", "exponents": [1.0, True, 0.5, 0.25]}},
+}
+
+
+@pytest.mark.parametrize("key", BOOLEANS)
+def test_boolean_for_a_number_fails_at_parse(key):
+    with pytest.raises(ScenarioError, match=key.replace(".", r"\.")):
+        scenario_from_tree(minimal_tree(**BOOLEANS[key]))
+
+
+NONFINITE = {
+    "bounds.trichotomy.value": {"bounds": {"trichotomy": {
+        "kind": "constant", "value": float("nan")}}},
+    "bounds.trichotomy.coeff": {"bounds": {"trichotomy": {
+        "kind": "affine", "coeff": float("inf"), "offset": 3.0}}},
+    "bounds.uniform": {"bounds": {"uniform": float("nan")}},
+    "rate_instantiation.exponents": {"rate_instantiation": {
+        "kind": "exponential", "exponents": [1.0, float("nan"), 0.5, 0.25]}},
+}
+
+
+@pytest.mark.parametrize("key", NONFINITE)
+def test_nonfinite_number_exits_2_naming_its_key(tmp_path, capsys, key):
+    tree = json.loads((SCENARIOS / "uniform_example.json").read_text())
+    tree.update(NONFINITE[key])
+    path = write_tree(tmp_path, tree)  # json writes the NaN and Infinity literals
+    code = main(["--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bounds_validation():
     tree = minimal_tree(bounds={"trichotomy": {"kind": "affine", "coeff": -1.0,
                                                "offset": 2.0}})
