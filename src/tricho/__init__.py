@@ -7,8 +7,8 @@ characterizations.
 from .errors import (DomainError, ExtrapolationError, NotStronglyInvariantError,
                      PreconditionError, ScenarioError, StructuralError)
 from .rates import GrowthRate, validate_on_grid
-from .projectors import (InverseFamily, ProjectorFamily, build_inverse_family,
-                         build_inverses, check_compatible,
+from .projectors import (InverseFamily, ProjectorFamily, build_inverses,
+                         check_compatible,
                          check_inverse_properties, check_invariance,
                          check_orthogonal, compute_restricted_inverse)
 from .evolution import (EvolutionOperator, GeneratorSpec, check_cocycle,
@@ -29,8 +29,8 @@ __all__ = [
     "DomainError", "ExtrapolationError", "NotStronglyInvariantError",
     "PreconditionError", "ScenarioError", "StructuralError",
     "GrowthRate", "validate_on_grid",
-    "InverseFamily", "ProjectorFamily", "build_inverse_family",
-    "build_inverses", "check_compatible", "check_inverse_properties",
+    "InverseFamily", "ProjectorFamily", "build_inverses", "check_compatible",
+    "check_inverse_properties",
     "check_invariance", "check_orthogonal", "compute_restricted_inverse",
     "EvolutionOperator", "GeneratorSpec", "check_cocycle", "check_identity",
     "conjugate", "from_generator", "identity_operator", "rate_model",

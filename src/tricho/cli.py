@@ -11,7 +11,7 @@ import time
 
 from .errors import PreconditionError, ScenarioError, StructuralError
 from .runner import emit, run
-from .scenario import parse_scenario
+from .scenario import read_tree, scenario_from_tree
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,39 +39,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(scenario, args) -> None:
-    if args.grid_max is not None:
-        if args.grid_max <= 0:
-            raise ScenarioError("--grid-max must be positive")
-        scenario.grid_max = args.grid_max
-        scenario.echo.setdefault("grid", {})["t_max"] = args.grid_max
-    if args.grid_step is not None:
-        if args.grid_step <= 0:
-            raise ScenarioError("--grid-step must be positive")
-        scenario.grid_step = args.grid_step
-        scenario.echo.setdefault("grid", {})["step"] = args.grid_step
-    if args.horizon is not None:
-        if args.horizon <= 0:
-            raise ScenarioError("--horizon must be positive")
-        scenario.horizon = args.horizon
-        scenario.echo["horizon"] = args.horizon
-    if args.tol is not None:
-        if args.tol <= 0:
-            raise ScenarioError("--tol must be positive")
-        scenario.tol_theorem = args.tol
-        scenario.echo.setdefault("tolerances", {})["theorem"] = args.tol
-    if args.seed is not None:
-        scenario.seed = args.seed
-        scenario.echo["seed"] = args.seed
+_OVERRIDES = {"grid_max": ("grid", "t_max"), "grid_step": ("grid", "step"),
+              "horizon": ("horizon",), "tol": ("tolerances", "theorem"),
+              "seed": ("seed",)}
+
+
+def _apply_overrides(tree, args) -> None:
+    """Write the given overrides into the scenario tree, where the parser
+    checks them like every other value."""
+    for option, (*section, key) in _OVERRIDES.items():
+        value = getattr(args, option)
+        if value is None or not isinstance(tree, dict):
+            continue
+        node = tree.setdefault(section[0], {}) if section else tree
+        if isinstance(node, dict):  # otherwise the parser names the wrong type
+            node[key] = value
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        scenario = parse_scenario(args.scenario)
-        _apply_overrides(scenario, args)
-        report = run(scenario)
+        tree = read_tree(args.scenario)
+        _apply_overrides(tree, args)
+        report = run(scenario_from_tree(tree))
     except (ScenarioError, StructuralError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ from .errors import DomainError, PreconditionError
 from .rates import GrowthRate
 from .projectors import ProjectorFamily
 from .reports import CheckReport
-from .util import opnorm, opnorms, pair_slots, peak
+from .util import MatrixStore, opnorm, opnorms, pair_slots, peak
 
 _PROBE_TIMES = (0.0, 0.9, 2.3, 5.7)
 _PROBE_TOL = 1e-9
@@ -34,60 +34,35 @@ _CHUNK = 8192  # cocycle triples per batched residual, bounds transient stacks
 class EvolutionOperator:
     """U(t, s) on the half-plane t >= s >= 0.
 
-    Give ``compute(pairs)``, the matrices of a list of in-domain pairs as an
-    (m, n, n) stack, or ``evaluator(t, s)``, one matrix, for operators
-    without a batched formula. Each distinct pair is computed once per
-    operator, in one call per batch of unseen pairs, and kept read-only.
+    ``compute(pairs)`` gives the matrices of a list of in-domain pairs as an
+    (m, n, n) stack. Each distinct pair is computed once per operator and
+    kept read-only in ``store``; the restricted inverses of each projector
+    family are kept beside it in ``inverses`` (``projectors.build_inverses``).
     """
 
-    def __init__(self, dimension: int, provenance: str,
-                 evaluator: Callable[[float, float], np.ndarray] | None = None,
-                 compute: Callable[[list], np.ndarray] | None = None):
-        if (evaluator is None) == (compute is None):
-            raise ValueError("give exactly one of evaluator and compute")
-        if compute is None:
-            def compute(pairs):
-                return np.array([evaluator(t, s) for t, s in pairs])
-        self.dimension = dimension
-        self.provenance = provenance  # "closed_form" | "ode_generated" | "composed"
-        self._compute = compute
-        self._index: dict[tuple[float, float], int] = {}  # pair -> row of _values
-        self._values = np.empty((0, dimension, dimension))
-
-    def _rows(self, pairs) -> list[int]:
-        index = self._index
-        missing = [p for p in dict.fromkeys(pairs) if p not in index]
-        if missing:
-            for t, s in missing:
+    def __init__(self, dimension: int, compute: Callable[[list], np.ndarray]):
+        def checked(pairs):
+            for t, s in pairs:
                 if s < 0 or t < s:
                     raise DomainError(f"({t}, {s}) outside the domain t >= s >= 0")
-            n = self.dimension
-            stack = np.asarray(self._compute(missing), dtype=float).reshape(-1, n, n)
-            start, stop = len(index), len(index) + len(missing)
-            if stop > len(self._values):  # double; rows handed out keep the old buffer
-                grown = np.empty((max(stop, 2 * len(self._values)), n, n))
-                grown[:start] = self._values[:start]
-                self._values = grown
-            self._values[start:stop] = stack
-            index.update(zip(missing, range(start, stop)))
-        return [index[p] for p in pairs]
+            return compute(pairs)
+
+        self.dimension = dimension
+        self.store = MatrixStore((dimension, dimension), checked)
+        self.inverses: dict = {}  # family -> {2: W_2, 3: W_3}
 
     def evaluate(self, t: float, s: float) -> np.ndarray:
         """Read-only matrix of U(t, s); only t >= s >= 0 is in the domain."""
-        row = self._rows([(t, s)])[0]
-        m = self._values[row]
-        m.flags.writeable = False
-        return m
+        return self.store.get((t, s))
 
     def evaluate_many(self, pairs) -> np.ndarray:
         """U(t, s) for each (t, s) in ``pairs`` as a new (m, n, n) stack."""
-        rows = self._rows(pairs)  # may grow _values
-        return self._values[rows]
+        return self.store.stack(pairs)
 
 
 def identity_operator(dimension: int) -> EvolutionOperator:
     eye = np.eye(dimension)
-    return EvolutionOperator(dimension, "closed_form", lambda t, s: eye)
+    return EvolutionOperator(dimension, lambda pairs: np.tile(eye, (len(pairs), 1, 1)))
 
 
 def rate_model(u: GrowthRate, h: GrowthRate, k: GrowthRate,
@@ -116,7 +91,7 @@ def rate_model(u: GrowthRate, h: GrowthRate, k: GrowthRate,
         p1, p2, p3 = (family.stack(j, times) for j in (1, 2, 3))
         return outer * (hq * p1 + kq * p2 + muq * nuq * p3)
 
-    return EvolutionOperator(family.dimension, "closed_form", compute=compute)
+    return EvolutionOperator(family.dimension, compute)
 
 
 def _require_model_family(family: ProjectorFamily) -> None:
@@ -225,17 +200,15 @@ def from_generator(spec: GeneratorSpec, anchors=None) -> EvolutionOperator:
             m = _rk4(spec.coefficient, anchor_list[hi], t, spec.step, n) @ m
         return m
 
-    return EvolutionOperator(n, "ode_generated", evaluator)
+    return EvolutionOperator(
+        n, lambda pairs: np.array([evaluator(t, s) for t, s in pairs]))
 
 
 def conjugate(operator: EvolutionOperator, basis_change: np.ndarray) -> EvolutionOperator:
     """Operator in a new orthonormal basis: Q U(t, s) Q^T."""
     q = np.array(basis_change, dtype=float)
-
-    def compute(pairs):
-        return q @ operator.evaluate_many(pairs) @ q.T
-
-    return EvolutionOperator(operator.dimension, "composed", compute=compute)
+    return EvolutionOperator(operator.dimension,
+                             lambda pairs: q @ operator.evaluate_many(pairs) @ q.T)
 
 
 def check_identity(operator: EvolutionOperator, times, tol: float) -> CheckReport:

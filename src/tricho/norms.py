@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StructuralError
+from .projectors import build_inverses
 from .rates import GrowthRate
 from .reports import CompatibilityReport, IneqRecord, TheoremReport, TrichotomyReport
 from .trichotomy import check_trichotomy, factor_table
@@ -32,6 +33,7 @@ from .util import grid_pairs, opnorms, test_vector_batch
 VARIANTS = ("forward", "backward")
 _SENSITIVITY_LIMIT = 1e-6
 _IMAGE_FLOATS = 1 << 16  # image entries per chunk of a norm term (512 kB)
+_CROSSCHECK_TOL = 1e-9  # relative slack of C(t) against its full-norm limit
 
 
 def _future_times(t: float, horizon: float, step: float) -> list[float]:
@@ -64,7 +66,7 @@ class LyapunovNormFamily:
     construction are pure.
     """
 
-    def __init__(self, variant: str, operator, family, inverses, rates,
+    def __init__(self, variant: str, operator, family, rates,
                  horizon: float, step: float, times):
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
@@ -72,14 +74,10 @@ class LyapunovNormFamily:
             raise ValueError("horizon must be positive")
         if step <= 0:
             raise ValueError("step must be positive")
-        needed = (2,) if variant == "forward" else (2, 3)
-        for j in needed:
-            if j not in inverses:
-                raise StructuralError(f"variant {variant!r} needs inverse family {j}")
         self.variant = variant
         self.operator = operator
         self.family = family
-        self.inverses = inverses
+        self.inverses = build_inverses(operator, family)
         self.rates = rates
         self.horizon = float(horizon)
         self.step = float(step)
@@ -198,15 +196,15 @@ class LyapunovNormFamily:
         self.horizon_delta_rel = worst_rel
 
 
-def build_norm_family(variant: str, operator, family, inverses, rates,
+def build_norm_family(variant: str, operator, family, rates,
                       horizon: float, step: float, times) -> LyapunovNormFamily:
     """Construct one norm-family variant and measure its truncation slack."""
-    return LyapunovNormFamily(variant, operator, family, inverses, rates,
-                              horizon, step, times)
+    return LyapunovNormFamily(variant, operator, family, rates, horizon, step,
+                              times)
 
 
 def check_compatibility(norm_family: LyapunovNormFamily, grid, samples: int,
-                        tol: float = 1e-9, seed: int = 0) -> CompatibilityReport:
+                        seed: int = 0) -> CompatibilityReport:
     """Estimate the sandwich constants |x| <= |x|_t <= C(t) |x|.
 
     C(t) is maximized over the orthonormal basis plus seeded random unit
@@ -226,7 +224,7 @@ def check_compatibility(norm_family: LyapunovNormFamily, grid, samples: int,
     lower = float(values.min()) - 1.0
 
     limit = _fullnorm_limit(norm_family, grid)
-    crosscheck_ok = all(c <= lim * (1.0 + tol) + 1e-12
+    crosscheck_ok = all(c <= lim * (1.0 + _CROSSCHECK_TOL) + 1e-12
                         for c, lim in zip(ratios, limit))
     passed = (lower >= -1e-12 and crosscheck_ok
               and all(math.isfinite(c) for c in ratios))
@@ -248,7 +246,7 @@ def _fullnorm_limit(nf: LyapunovNormFamily, grid) -> list[float]:
             (past, ("unstable_growth",) if forward else ("unstable_growth", "center_decay"))):
         pairs = [p for group in groups for p in group]
         table = factor_table(nf.operator, nf.family, nf.rates, pairs, tags,
-                             nf.inverses, full=True)
+                             full=True)
         worst = np.max([table[tag] for tag in tags], axis=0)
         starts = np.cumsum([0] + [len(group) for group in groups[:-1]])
         requirement = np.maximum(requirement, np.maximum.reduceat(worst, starts))
@@ -444,8 +442,7 @@ def verify_norm_trichotomy_unprojected(forward: LyapunovNormFamily,
 
 def verify_sufficiency(forward: LyapunovNormFamily,
                        backward: LyapunovNormFamily, grid,
-                       samples: int = 32, seed: int = 0,
-                       inverses=None, factors=None,
+                       samples: int = 32, seed: int = 0, factors=None,
                        compatibility=None) -> TrichotomyReport:
     """Close the loop: bound built from measured sandwich constants.
 
@@ -471,9 +468,7 @@ def verify_sufficiency(forward: LyapunovNormFamily,
         return candidate[max(idx, 0)]
 
     report = check_trichotomy(forward.operator, family, forward.rates, grid,
-                              bound=bound,
-                              inverses=inverses or forward.inverses,
-                              factors=factors)
+                              bound=bound, factors=factors)
     report.label = "sufficiency"
     return report
 
@@ -491,8 +486,8 @@ def specialization_rates(kind: str, exponents) -> dict[str, GrowthRate]:
     return dict(zip(("h", "k", "mu", "nu"), (maker(a) for a in alphas)))
 
 
-def check_rate_specialization(kind: str, exponents, operator, family, inverses,
-                              grid, horizon: float, step: float,
+def check_rate_specialization(kind: str, exponents, operator, family, grid,
+                              horizon: float, step: float,
                               tol: float = 1e-9, samples: int = 32,
                               seed: int = 0) -> TheoremReport:
     """Instantiate the norm system for exponential or polynomial rates.
@@ -504,8 +499,8 @@ def check_rate_specialization(kind: str, exponents, operator, family, inverses,
     """
     rates = specialization_rates(kind, exponents)
     grid = list(grid)
-    fwd, bwd = (build_norm_family(variant, operator, family, inverses, rates,
-                                  horizon, step, grid) for variant in VARIANTS)
+    fwd, bwd = (build_norm_family(variant, operator, family, rates, horizon,
+                                  step, grid) for variant in VARIANTS)
     report = verify_norm_trichotomy(fwd, bwd, grid, tol, samples, seed)
     report.label = f"{kind}_rates"
     return report

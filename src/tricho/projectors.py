@@ -12,13 +12,13 @@ defining identities.
 """
 from __future__ import annotations
 
-from typing import Callable
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, NotStronglyInvariantError, StructuralError
 from .reports import CheckReport
-from .util import grid_pairs, opnorms, pair_slots, peak, range_basis
+from .util import MatrixStore, grid_pairs, opnorms, pair_slots, peak, range_basis
 
 RANK_TOL = 1e-10  # scale-invariant: smallest singular value vs largest
 
@@ -34,10 +34,19 @@ class ProjectorFamily:
             raise StructuralError("dimension must be positive")
         if len(members) != 3:
             raise StructuralError("a family has exactly three members")
-        self.dimension = int(dimension)
-        self._members = tuple(members)
-        self._values: dict[tuple[int, float], np.ndarray] = {}
+        self.dimension = n = int(dimension)
+        self._stores = {i: MatrixStore((n, n), partial(self._compute, i, member))
+                        for i, member in enumerate(members, 1)}  # index -> P_index
         self._bases: dict[tuple[int, float], np.ndarray] = {}
+
+    def _compute(self, index: int, member, times) -> list[np.ndarray]:
+        out = [np.array(member(t), dtype=float) for t in times]
+        for t, m in zip(times, out):
+            if m.shape != (self.dimension, self.dimension):
+                raise StructuralError(
+                    f"member {index} at t={t} has shape {m.shape}, "
+                    f"expected {(self.dimension, self.dimension)}")
+        return out
 
     @classmethod
     def constant(cls, p1, p2, p3) -> "ProjectorFamily":
@@ -63,24 +72,9 @@ class ProjectorFamily:
             start += size
         return cls.constant(*mats)
 
-    @classmethod
-    def from_callables(cls, dimension: int, f1, f2, f3) -> "ProjectorFamily":
-        return cls(dimension, [f1, f2, f3])
-
     def member(self, index: int, t: float) -> np.ndarray:
         """Matrix of P_index(t), index in {1, 2, 3}."""
-        if index not in (1, 2, 3):
-            raise ValueError("member index must be 1, 2 or 3")
-        m = self._values.get((index, t))
-        if m is None:
-            m = np.array(self._members[index - 1](t), dtype=float)
-            if m.shape != (self.dimension, self.dimension):
-                raise StructuralError(
-                    f"member {index} at t={t} has shape {m.shape}, "
-                    f"expected {(self.dimension, self.dimension)}")
-            m.flags.writeable = False
-            self._values[(index, t)] = m
-        return m
+        return self._stores[index].get(t)
 
     def members(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.member(1, t), self.member(2, t), self.member(3, t)
@@ -95,8 +89,7 @@ class ProjectorFamily:
 
     def stack(self, index: int, times) -> np.ndarray:
         """P_index(t) for each of ``times`` as an (m, n, n) stack."""
-        n = self.dimension
-        return np.array([self.member(index, t) for t in times]).reshape(-1, n, n)
+        return self._stores[index].stack(times)
 
 
 def rank_groups(ranks) -> list[list[int]]:
@@ -143,8 +136,8 @@ def check_invariance(family: ProjectorFamily, operator, pairs, tol: float) -> Ch
     return CheckReport("invariance", tol, {"commutation": worst}, worst <= tol)
 
 
-def restricted_inverses(operator, family: ProjectorFamily, index: int, pairs,
-                        rank_tol: float = RANK_TOL) -> tuple[np.ndarray, list]:
+def restricted_inverses(operator, family: ProjectorFamily, index: int,
+                        pairs) -> tuple[np.ndarray, list]:
     """Matrices of V_j(t, s) P_j(t) for j = index in {2, 3} over (t, s) pairs.
 
     The restriction of U(t, s) to Range P_j(s) is expressed in orthonormal
@@ -173,7 +166,7 @@ def restricted_inverses(operator, family: ProjectorFamily, index: int, pairs,
         mapped = operator.evaluate_many(sub) @ basis_s
         restricted = np.swapaxes(basis_t, -1, -2) @ mapped  # basis_t orthonormal
         sigma = np.linalg.svd(restricted, compute_uv=False)
-        good = (sigma[:, 0] != 0.0) & (sigma[:, -1] > rank_tol * sigma[:, 0])
+        good = (sigma[:, 0] != 0.0) & (sigma[:, -1] > RANK_TOL * sigma[:, 0])
         for i, (t, s), ok, (hi, lo) in zip(rows, sub, good, sigma[:, [0, -1]]):
             if not ok:
                 notes[i] = (f"restriction of U({t}, {s}) to range of member "
@@ -188,42 +181,32 @@ def restricted_inverses(operator, family: ProjectorFamily, index: int, pairs,
 
 
 def compute_restricted_inverse(operator, family: ProjectorFamily, index: int,
-                               t: float, s: float,
-                               rank_tol: float = RANK_TOL) -> np.ndarray:
+                               t: float, s: float) -> np.ndarray:
     """``restricted_inverses`` at one pair; a restriction that is not an
     isomorphism raises NotStronglyInvariantError."""
-    stack, notes = restricted_inverses(operator, family, index, [(t, s)], rank_tol)
+    stack, notes = restricted_inverses(operator, family, index, [(t, s)])
     if notes[0]:
         raise NotStronglyInvariantError(notes[0])
     return stack[0]
 
 
 class InverseFamily:
-    """Cached evaluator for W(t, s) = V_j(t, s) P_j(t) on t >= s >= 0.
+    """W(t, s) = V_j(t, s) P_j(t) of one operator and family on t >= s >= 0,
+    one ``restricted_inverses`` call per batch of unseen pairs, kept read-only
+    in ``store`` with the note of each pair where W does not exist."""
 
-    ``compute(pairs)`` returns the matrices and notes of new pairs, as
-    ``restricted_inverses`` does; each batch of unseen pairs is one call.
-    """
+    def __init__(self, operator, family: ProjectorFamily, index: int):
+        def compute(pairs):
+            stack, notes = restricted_inverses(operator, family, index, pairs)
+            self._notes.update((p, n) for p, n in zip(pairs, notes) if n)
+            return stack
 
-    def __init__(self, index: int, dimension: int,
-                 compute: Callable[[list], tuple[np.ndarray, list]]):
-        self.index = index
-        self.dimension = dimension
-        self._compute = compute
-        self._cache: dict[tuple[float, float], np.ndarray] = {}
+        self.store = MatrixStore((family.dimension, family.dimension), compute)
         self._notes: dict[tuple[float, float], str] = {}
 
     def evaluate_many(self, pairs) -> tuple[np.ndarray, list]:
         """Stack of W over pairs and one note per pair, as ``restricted_inverses``."""
-        missing = [p for p in dict.fromkeys(pairs) if p not in self._cache]
-        if missing:
-            stack, notes = self._compute(missing)
-            stack.flags.writeable = False
-            self._cache.update(zip(missing, stack))
-            self._notes.update((p, n) for p, n in zip(missing, notes) if n)
-        n = self.dimension
-        return (np.array([self._cache[p] for p in pairs]).reshape(-1, n, n),
-                [self._notes.get(p) for p in pairs])
+        return self.store.stack(pairs), [self._notes.get(p) for p in pairs]
 
     def stack(self, pairs) -> np.ndarray:
         """Stack of W over pairs; NotStronglyInvariantError where W does not exist."""
@@ -234,24 +217,19 @@ class InverseFamily:
 
     def evaluate(self, t: float, s: float) -> np.ndarray:
         self.stack([(t, s)])
-        return self._cache[(t, s)]
+        return self.store.get((t, s))
 
 
-def build_inverse_family(operator, family: ProjectorFamily, index: int,
-                         rank_tol: float = RANK_TOL) -> InverseFamily:
-    def compute(pairs):
-        return restricted_inverses(operator, family, index, pairs, rank_tol)
-    return InverseFamily(index, family.dimension, compute)
+def build_inverses(operator, family: ProjectorFamily) -> dict[int, InverseFamily]:
+    """The inverse families of members 2 and 3, built once per operator and
+    family and kept on the operator."""
+    if family not in operator.inverses:
+        operator.inverses[family] = {j: InverseFamily(operator, family, j)
+                                     for j in (2, 3)}
+    return operator.inverses[family]
 
 
-def build_inverses(operator, family: ProjectorFamily,
-                   rank_tol: float = RANK_TOL) -> dict[int, InverseFamily]:
-    """Inverse families for members 2 and 3, sharing the operator."""
-    return {j: build_inverse_family(operator, family, j, rank_tol) for j in (2, 3)}
-
-
-def check_compatible(family: ProjectorFamily, operator, grid, tol: float,
-                     inverses: dict[int, InverseFamily] | None = None) -> CheckReport:
+def check_compatible(family: ProjectorFamily, operator, grid, tol: float) -> CheckReport:
     """Invariance of P1 plus two-sided inverse identities for P2 and P3.
 
     For every grid pair the computed W(t, s) must satisfy
@@ -262,15 +240,13 @@ def check_compatible(family: ProjectorFamily, operator, grid, tol: float,
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
-    if inverses is None:
-        inverses = build_inverses(operator, family)
     pairs = grid_pairs(grid)
     u = operator.evaluate_many(pairs)
     residuals = {"invariance_p1": _commutation(family, 1, u, pairs),
                  "right_inverse": 0.0, "left_inverse": 0.0}
     notes = []
     for j in (2, 3):
-        w, failed = inverses[j].evaluate_many(pairs)
+        w, failed = build_inverses(operator, family)[j].evaluate_many(pairs)
         notes += filter(None, failed)
         ok = np.array([note is None for note in failed])
         p_t = family.stack(j, [t for t, _ in pairs])[ok]
@@ -285,15 +261,14 @@ def check_compatible(family: ProjectorFamily, operator, grid, tol: float,
 
 
 def check_inverse_properties(operator, family: ProjectorFamily, index: int,
-                             triples, tol: float,
-                             inverses: dict[int, InverseFamily] | None = None) -> CheckReport:
+                             triples, tol: float) -> CheckReport:
     """Full identity suite for a restricted inverse family over (t, s, t0) triples.
 
     Residual keys: right_inverse (U W = P at t), left_inverse (W U P = P at s),
     cocycle (W(t,t0) = W(s,t0) W(t,s)), range (W lands in Range P(s)),
     equal_time (W(t,t) = P(t)).
     """
-    inv = (inverses or build_inverses(operator, family))[index]
+    inv = build_inverses(operator, family)[index]
     triples = list(triples)
     times = sorted({x for triple in triples for x in triple})
     equal = inv.stack([(t, t) for t in times]) - family.stack(index, times)

@@ -56,14 +56,7 @@ class _Workspace:
         self.grid = make_grid(scenario.grid_max, scenario.grid_step)
         self.family = _build_family(scenario)
         self.operator = _build_operator(scenario, self.family, self.grid)
-        self._inverses = None
         self._memo = {}  # (what, h, k, mu, nu) -> object built for that rate set
-
-    @property
-    def inverses(self):
-        if self._inverses is None:
-            self._inverses = projectors.build_inverses(self.operator, self.family)
-        return self._inverses
 
     def _once(self, what, rates, build):
         key = (what, *(rates[name] for name in RATE_KEYS))
@@ -74,16 +67,14 @@ class _Workspace:
     def factors(self, rates):
         """The projected factor table over the grid pairs."""
         return self._once("factors", rates, lambda: trichotomy.factor_table(
-            self.operator, self.family, rates, grid_pairs(self.grid),
-            inverses=self.inverses))
+            self.operator, self.family, rates, grid_pairs(self.grid)))
 
     def norm_families(self, rates):
         """Forward and backward norm families."""
         s = self.scenario
         return self._once("families", rates, lambda: tuple(
-            norms.build_norm_family(variant, self.operator, self.family,
-                                    self.inverses, rates, s.horizon,
-                                    s.grid_step, self.grid)
+            norms.build_norm_family(variant, self.operator, self.family, rates,
+                                    s.horizon, s.grid_step, self.grid)
             for variant in norms.VARIANTS))
 
     def compatibility(self, rates):
@@ -162,7 +153,7 @@ def _run_check(name: str, ws: _Workspace) -> dict:
         return _entry(name, rep.passed, rep.payload(), rep)
     if name == "compatibility":
         rep = projectors.check_compatible(ws.family, ws.operator, grid,
-                                          s.tol_structural, ws.inverses)
+                                          s.tol_structural)
         return _entry(name, rep.passed, rep.payload(), rep)
     if name in ("trichotomy", "trichotomy_full", "uniform", "dichotomy"):
         return _run_splitting(name, ws)
@@ -208,14 +199,14 @@ def _run_splitting(name: str, ws: _Workspace) -> dict:
     bound = s.bounds.get("trichotomy")
     if name == "trichotomy_full":
         rep = trichotomy.check_trichotomy_full(ws.operator, ws.family, s.rates,
-                                               ws.grid, bound, ws.inverses)
+                                               ws.grid, bound)
     else:
         check, limit = {"trichotomy": (trichotomy.check_trichotomy, bound),
                         "dichotomy": (trichotomy.check_dichotomy, bound),
                         "uniform": (trichotomy.check_uniform,
                                     s.bounds.get("uniform"))}[name]
         rep = check(ws.operator, ws.family, s.rates, ws.grid, limit,
-                    ws.inverses, factors=ws.factors(s.rates))
+                    factors=ws.factors(s.rates))
     ok = rep.passed if rep.passed is not None else True
     return _entry(name, ok, rep.payload(), rep)
 

@@ -70,12 +70,12 @@ def _number(tree: dict, key: str, where: str = "scenario", default=None) -> floa
 
 
 def _finite_array(value, shape: tuple, where: str) -> None:
-    """Reject anything but finite numbers of the given shape at ``where``."""
-    try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        arr = np.array(np.nan)
-    if arr.shape != shape or not np.all(np.isfinite(arr)):
+    """Reject anything but finite numbers of the given shape at ``where``;
+    JSON booleans are not numbers."""
+    arr = np.array(value, dtype=object)
+    if arr.shape != shape or not all(
+            type(x) is int or (type(x) is float and math.isfinite(x))
+            for x in arr.flat):
         raise ScenarioError(f"{where} must hold finite numbers of shape {shape}")
 
 
@@ -87,14 +87,13 @@ def _parse_rate(spec, key: str) -> GrowthRate:
         if kind in ("exponential", "polynomial"):
             return GrowthRate(kind, _number(spec, "exponent", f"rates.{key}"))
         if kind == "tabulated":
-            rate = GrowthRate.tabulated(_require(spec, "table", list,
-                                                 f"rates.{key}"))
+            table = _require(spec, "table", list, f"rates.{key}")
+            rate = GrowthRate.tabulated(table)
+            _finite_array(table, (len(table), 2), f"rates.{key}.table")
             values = [v for _, v in rate.table]
-            if (not all(math.isfinite(x) for point in rate.table for x in point)
-                    or values[0] < 1
-                    or any(b < a for a, b in zip(values, values[1:]))):
-                raise ScenarioError(f"rates.{key}.table must hold finite "
-                                    "values >= 1 that are nondecreasing")
+            if values[0] < 1 or any(b < a for a, b in zip(values, values[1:])):
+                raise ScenarioError(f"rates.{key}.table must hold values >= 1 "
+                                    "that are nondecreasing")
             return rate
     except ScenarioError:
         raise
@@ -119,15 +118,19 @@ def _parse_bound(spec, where: str):
     raise ScenarioError(f"{where}.kind must be constant or affine, got {kind!r}")
 
 
-def parse_scenario(path) -> Scenario:
+def read_tree(path):
+    """The JSON tree of a scenario file, not yet checked."""
     path = Path(path)
     if not path.exists():
         raise ScenarioError(f"scenario file {path} does not exist")
     try:
-        tree = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
-    return scenario_from_tree(tree)
+
+
+def parse_scenario(path) -> Scenario:
+    return scenario_from_tree(read_tree(path))
 
 
 def scenario_from_tree(tree: dict) -> Scenario:
@@ -220,8 +223,9 @@ def scenario_from_tree(tree: dict) -> Scenario:
 
     seed = _optional(tree, "seed", int, 0)
     samples = _optional(tree, "samples", int, 32)
-    if samples < 0:
-        raise ScenarioError("samples must be a nonnegative integer")
+    for key, value in (("seed", seed), ("samples", samples)):
+        if value < 0:
+            raise ScenarioError(f"{key} must be a nonnegative integer")
 
     checks = tree.get("checks", [])
     if not isinstance(checks, list):

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionError
-from .projectors import ProjectorFamily, InverseFamily, build_inverses, rank_groups
+from .projectors import ProjectorFamily, build_inverses, rank_groups
 from .reports import FactorRecord, TrichotomyReport
 from .util import grid_pairs, opnorm, opnorms
 
@@ -41,9 +41,7 @@ _REL_SLACK = 1e-9  # forgiveness when comparing factors against a bound
 
 
 def factor_table(operator, family: ProjectorFamily, rates: dict, pairs,
-                 tags=INEQUALITIES,
-                 inverses: dict[int, InverseFamily] | None = None,
-                 full: bool = False) -> dict[str, np.ndarray]:
+                 tags=INEQUALITIES, full: bool = False) -> dict[str, np.ndarray]:
     """Minimal admissible bounding values of each inequality in ``tags`` at
     every (t, s) pair, one array per tag.
 
@@ -68,9 +66,7 @@ def factor_table(operator, family: ProjectorFamily, rates: dict, pairs,
             if decay:
                 mats = operator.evaluate_many(sub) @ right
             else:
-                if inverses is None:
-                    inverses = build_inverses(operator, family)
-                mats = inverses[j].stack(sub)
+                mats = build_inverses(operator, family)[j].stack(sub)
                 mats = mats if full else mats @ right
             rate = rates[rate_key]
             ratio = [rate.ratio(t, s) if rising else rate.ratio(s, t) for t, s in sub]
@@ -79,25 +75,21 @@ def factor_table(operator, family: ProjectorFamily, rates: dict, pairs,
 
 
 def required_factor(operator, family: ProjectorFamily, rates: dict, t: float,
-                    s: float, inequality: str,
-                    inverses: dict[int, InverseFamily] | None = None,
-                    full: bool = False) -> float:
+                    s: float, inequality: str, full: bool = False) -> float:
     """Minimal admissible bounding value for one inequality at one pair
     (``factor_table`` at a single pair)."""
-    table = factor_table(operator, family, rates, [(t, s)], (inequality,),
-                         inverses, full)
+    table = factor_table(operator, family, rates, [(t, s)], (inequality,), full)
     return float(table[inequality][0])
 
 
-def _run_system(operator, family, rates, grid, bound, inverses, label, full,
+def _run_system(operator, family, rates, grid, bound, label, full,
                 factors=None) -> TrichotomyReport:
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
     pairs = grid_pairs(grid)
     if factors is None:
-        factors = factor_table(operator, family, rates, pairs,
-                               inverses=inverses, full=full)
+        factors = factor_table(operator, family, rates, pairs, full=full)
     bound_values = [float(bound(a)) for a in grid] if bound is not None else None
     bounds = dict(zip(grid, bound_values or []))
     records: list[FactorRecord] = []
@@ -128,7 +120,6 @@ def _run_system(operator, family, rates, grid, bound, inverses, label, full,
 
 def check_trichotomy(operator, family: ProjectorFamily, rates: dict, grid,
                      bound: Callable[[float], float] | None = None,
-                     inverses: dict[int, InverseFamily] | None = None,
                      factors: dict[str, np.ndarray] | None = None) -> TrichotomyReport:
     """Projected-right-hand-side system over all grid pairs.
 
@@ -138,21 +129,19 @@ def check_trichotomy(operator, family: ProjectorFamily, rates: dict, grid,
     already computed; ``check_uniform`` and ``check_dichotomy`` accept it
     too.
     """
-    return _run_system(operator, family, rates, grid, bound, inverses,
-                       "trichotomy", False, factors)
+    return _run_system(operator, family, rates, grid, bound, "trichotomy",
+                       False, factors)
 
 
 def check_trichotomy_full(operator, family: ProjectorFamily, rates: dict, grid,
-                          bound: Callable[[float], float] | None = None,
-                          inverses: dict[int, InverseFamily] | None = None) -> TrichotomyReport:
+                          bound: Callable[[float], float] | None = None) -> TrichotomyReport:
     """Variant whose right-hand sides use the full state norm |x|."""
-    return _run_system(operator, family, rates, grid, bound, inverses,
-                       "trichotomy_full", full=True)
+    return _run_system(operator, family, rates, grid, bound, "trichotomy_full",
+                       full=True)
 
 
 def check_uniform(operator, family: ProjectorFamily, rates: dict, grid,
                   constant: float | None = None,
-                  inverses: dict[int, InverseFamily] | None = None,
                   factors: dict[str, np.ndarray] | None = None) -> TrichotomyReport:
     """Single-constant system: the factor supremum over all grid pairs.
 
@@ -161,8 +150,8 @@ def check_uniform(operator, family: ProjectorFamily, rates: dict, grid,
     projected ones. The verdict is evidence on the grid only.
     """
     bound = (lambda a: float(constant)) if constant is not None else None
-    report = _run_system(operator, family, rates, grid, bound, inverses,
-                         "uniform", False, factors)
+    report = _run_system(operator, family, rates, grid, bound, "uniform",
+                         False, factors)
     if constant is not None:
         report.passed = report.uniform_constant <= constant * (1.0 + _REL_SLACK)
     return report
@@ -170,7 +159,6 @@ def check_uniform(operator, family: ProjectorFamily, rates: dict, grid,
 
 def check_dichotomy(operator, family: ProjectorFamily, rates: dict, grid,
                     bound: Callable[[float], float] | None = None,
-                    inverses: dict[int, InverseFamily] | None = None,
                     factors: dict[str, np.ndarray] | None = None) -> TrichotomyReport:
     """Two-projector special case: member 3 must vanish identically.
 
@@ -181,5 +169,5 @@ def check_dichotomy(operator, family: ProjectorFamily, rates: dict, grid,
         if opnorm(family.member(3, t)) > 1e-12:
             raise PreconditionError(
                 f"dichotomy requires member 3 to vanish, nonzero at t={t}")
-    return _run_system(operator, family, rates, grid, bound, inverses,
-                       "dichotomy", False, factors)
+    return _run_system(operator, family, rates, grid, bound, "dichotomy",
+                       False, factors)

@@ -1,4 +1,5 @@
-"""Small numeric helpers: grids, spectral norms, range bases, sample vectors.
+"""Small numeric helpers: a matrix store, grids, spectral norms, range bases,
+sample vectors.
 
 Everything here is deterministic; random vectors always come from an
 explicitly seeded generator.
@@ -10,6 +11,46 @@ import math
 import numpy as np
 
 _RANGE_CUTOFF = 0.5  # projector singular values cluster at {0} and [1, inf)
+
+
+class MatrixStore:
+    """Matrices of one shape by key, each computed once and kept read-only.
+
+    ``compute(keys)`` gives the matrices of a batch of unseen keys as a stack,
+    one call per batch; the rows live in one array that doubles when full.
+    """
+
+    def __init__(self, shape: tuple, compute):
+        self.shape = tuple(shape)
+        self.compute = compute
+        self._index: dict = {}  # key -> row of _values
+        self._values = np.empty((0, *self.shape))
+
+    def _rows(self, keys) -> list[int]:
+        index = self._index
+        missing = [k for k in dict.fromkeys(keys) if k not in index]
+        if missing:
+            stack = np.asarray(self.compute(missing), dtype=float)
+            start, stop = len(index), len(index) + len(missing)
+            if stop > len(self._values):  # rows handed out keep the old buffer
+                grown = np.empty((max(stop, 2 * len(self._values)), *self.shape))
+                grown[:start] = self._values[:start]
+                self._values = grown
+            self._values[start:stop] = stack.reshape(-1, *self.shape)
+            index.update(zip(missing, range(start, stop)))
+        return [index[k] for k in keys]
+
+    def get(self, key) -> np.ndarray:
+        """The read-only matrix of one key."""
+        row = self._rows([key])[0]  # may grow _values
+        m = self._values[row]
+        m.flags.writeable = False
+        return m
+
+    def stack(self, keys) -> np.ndarray:
+        """The matrices of ``keys`` as a new (m, *shape) stack."""
+        rows = self._rows(keys)  # may grow _values
+        return self._values[rows]
 
 
 def opnorm(m: np.ndarray) -> float:
@@ -31,15 +72,15 @@ def peak(values) -> float:
     return float(np.max(values, initial=0.0))
 
 
-def range_basis(p: np.ndarray, cutoff: float = _RANGE_CUTOFF) -> np.ndarray:
+def range_basis(p: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column space of a projector matrix.
 
-    Left singular vectors with singular value >= cutoff are kept; nonzero
+    Left singular vectors with singular value >= 0.5 are kept; nonzero
     singular values of an idempotent matrix are >= 1, so 0.5 separates
     range directions from numerical noise.
     """
     u, sigma, _ = np.linalg.svd(p)
-    rank = int(np.count_nonzero(sigma >= cutoff))
+    rank = int(np.count_nonzero(sigma >= _RANGE_CUTOFF))
     return np.ascontiguousarray(u[:, :rank])
 
 

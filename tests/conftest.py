@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tricho import GrowthRate, ProjectorFamily, build_inverses, rate_model
+from tricho import GrowthRate, ProjectorFamily, rate_model
 from tricho.util import make_grid
 
 EXPONENTS = {"h": 1.0, "k": 2.0, "mu": 0.5, "nu": 0.25}
@@ -36,16 +36,6 @@ def nonuniform_operator(split_family, exp_rates):
 @pytest.fixture(scope="session")
 def grid10():
     return make_grid(10.0, 0.5)
-
-
-@pytest.fixture(scope="session")
-def uniform_inverses(uniform_operator, split_family):
-    return build_inverses(uniform_operator, split_family)
-
-
-@pytest.fixture(scope="session")
-def nonuniform_inverses(nonuniform_operator, split_family):
-    return build_inverses(nonuniform_operator, split_family)
 
 
 @pytest.fixture

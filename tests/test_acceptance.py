@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tricho import (GeneratorSpec, GrowthRate, ProjectorFamily, build_inverses,
+from tricho import (GeneratorSpec, GrowthRate, ProjectorFamily,
                     build_norm_family, check_compatibility, check_cocycle,
                     check_identity, check_inverse_properties, check_orthogonal,
                     check_rate_specialization, check_trichotomy, check_uniform,
@@ -31,16 +31,15 @@ def _verdict(number: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def norm_stacks(uniform_operator, nonuniform_operator, split_family, exp_rates,
-                uniform_inverses, nonuniform_inverses, grid10):
+                grid10):
     """Both norm variants for both model-operator variants, built once."""
     out = {}
-    for key, operator, inverses in (
-            ("uniform", uniform_operator, uniform_inverses),
-            ("nonuniform", nonuniform_operator, nonuniform_inverses)):
-        fwd = build_norm_family("forward", operator, split_family, inverses,
-                                exp_rates, HORIZON, STEP, grid10)
-        bwd = build_norm_family("backward", operator, split_family, inverses,
-                                exp_rates, HORIZON, STEP, grid10)
+    for key, operator in (("uniform", uniform_operator),
+                          ("nonuniform", nonuniform_operator)):
+        fwd = build_norm_family("forward", operator, split_family, exp_rates,
+                                HORIZON, STEP, grid10)
+        bwd = build_norm_family("backward", operator, split_family, exp_rates,
+                                HORIZON, STEP, grid10)
         out[key] = (fwd, bwd)
     return out
 
@@ -146,19 +145,17 @@ def test_criterion_6_uniform_theorem(norm_stacks, uniform_operator,
 
 
 def test_criterion_7_rate_specializations(uniform_operator, split_family,
-                                          uniform_inverses, exp_rates, grid10):
+                                          exp_rates, grid10):
     exp_report = check_rate_specialization(
         "exponential", (1.0, 2.0, 0.5, 0.25), uniform_operator, split_family,
-        uniform_inverses, grid10, HORIZON, STEP, tol=1e-9, samples=16,
-        seed=2024)
+        grid10, HORIZON, STEP, tol=1e-9, samples=16, seed=2024)
 
     poly = GrowthRate.polynomial
     poly_operator = rate_model(GrowthRate.constant(40.0), poly(1.0), poly(2.0),
                                poly(0.5), poly(0.25), split_family)
     poly_report = check_rate_specialization(
         "polynomial", (1.0, 2.0, 0.5, 0.25), poly_operator, split_family,
-        build_inverses(poly_operator, split_family), grid10, HORIZON, STEP,
-        tol=1e-9, samples=16, seed=2024)
+        grid10, HORIZON, STEP, tol=1e-9, samples=16, seed=2024)
 
     di_family = ProjectorFamily.constant(np.diag([1.0, 0.0]),
                                          np.diag([0.0, 1.0]),
@@ -168,8 +165,7 @@ def test_criterion_7_rate_specializations(uniform_operator, split_family,
                              di_family)
     di_report = check_rate_specialization(
         "exponential", (1.0, 2.0, 0.5, 0.25), di_operator, di_family,
-        build_inverses(di_operator, di_family), grid10, HORIZON, STEP,
-        tol=1e-9, samples=16, seed=2024)
+        grid10, HORIZON, STEP, tol=1e-9, samples=16, seed=2024)
     center = [r for r in di_report.records
               if r.tag in ("center_growth", "center_decay")]
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tricho import (DomainError, GeneratorSpec, GrowthRate, PreconditionError,
                     ProjectorFamily, check_cocycle, check_identity,
                     from_generator, rate_model, run, scenario_from_tree)
-from tricho import runner
+from tricho import projectors, runner
 from tricho.util import grid_pairs, grid_slots, grid_triples, make_grid, opnorm
 
 # frozen scalar-arithmetic oracles for the model operator at (1, 0), u(t)=t+1
@@ -278,15 +278,23 @@ def test_run_computes_each_distinct_pair_once(monkeypatch):
 
     def counting(*args):
         operator = build(*args)
-        compute = operator._compute
+        compute = operator.store.compute
 
         def counted(pairs):
             computed.extend(pairs)
             return compute(pairs)
-        operator._compute = counted
+        operator.store.compute = counted
         return operator
 
+    inverses = []
+    restricted = projectors.restricted_inverses
+
+    def counted_inverses(operator, family, index, pairs):
+        inverses.extend((index, t, s) for t, s in pairs)
+        return restricted(operator, family, index, pairs)
+
     monkeypatch.setattr(runner, "_build_operator", counting)
+    monkeypatch.setattr(projectors, "restricted_inverses", counted_inverses)
     rate = lambda kind, a: {"kind": kind, "exponent": a}
     tree = {
         "dimension": 3, "operator": {"type": "rate_model"},
@@ -302,6 +310,7 @@ def test_run_computes_each_distinct_pair_once(monkeypatch):
     }
     assert run(scenario_from_tree(tree)).overall == "pass"
     assert computed and len(computed) == len(set(computed))
+    assert inverses and len(inverses) == len(set(inverses))
 
 
 def test_stored_pairs_are_not_changed_through_returned_stacks(nonuniform_operator):

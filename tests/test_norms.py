@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tricho import (DomainError, GeneratorSpec, GrowthRate, ProjectorFamily,
-                    StructuralError, build_inverses, build_norm_family,
+                    StructuralError, build_norm_family,
                     check_compatibility, check_rate_specialization,
                     check_trichotomy, check_uniform, from_generator,
                     rate_model, required_factor, verify_norm_trichotomy,
@@ -18,20 +18,18 @@ STEP = 0.5
 
 
 @pytest.fixture(scope="module")
-def uniform_norms(uniform_operator, split_family, exp_rates, uniform_inverses,
-                  grid10):
+def uniform_norms(uniform_operator, split_family, exp_rates, grid10):
     build = lambda variant: build_norm_family(
-        variant, uniform_operator, split_family, uniform_inverses, exp_rates,
-        HORIZON, STEP, grid10)
+        variant, uniform_operator, split_family, exp_rates, HORIZON, STEP,
+        grid10)
     return build("forward"), build("backward")
 
 
 @pytest.fixture(scope="module")
-def nonuniform_norms(nonuniform_operator, split_family, exp_rates,
-                     nonuniform_inverses, grid10):
+def nonuniform_norms(nonuniform_operator, split_family, exp_rates, grid10):
     build = lambda variant: build_norm_family(
-        variant, nonuniform_operator, split_family, nonuniform_inverses,
-        exp_rates, HORIZON, STEP, grid10)
+        variant, nonuniform_operator, split_family, exp_rates, HORIZON, STEP,
+        grid10)
     return build("forward"), build("backward")
 
 
@@ -55,7 +53,6 @@ def test_scalar_oracle_for_nonuniform_norm(nonuniform_norms, grid10):
 
 def test_backward_scalar_oracle_for_nonuniform_norm(nonuniform_operator,
                                                     split_family, exp_rates,
-                                                    nonuniform_inverses,
                                                     nonuniform_norms):
     # third term pulls back along the center: sup over the past lattice of
     # (u(t)/u(r)) * (mu(r)/mu(t)) per unit of |x3|
@@ -104,12 +101,11 @@ def test_lower_bound_dominates_base_norm(nonuniform_norms, rng):
 
 
 def test_enlarging_horizon_never_decreases(nonuniform_operator, split_family,
-                                           exp_rates, nonuniform_inverses,
-                                           grid10, rng):
+                                           exp_rates, grid10, rng):
     small = build_norm_family("forward", nonuniform_operator, split_family,
-                              nonuniform_inverses, exp_rates, 2.0, STEP, grid10)
+                              exp_rates, 2.0, STEP, grid10)
     large = build_norm_family("forward", nonuniform_operator, split_family,
-                              nonuniform_inverses, exp_rates, 6.0, STEP, grid10)
+                              exp_rates, 6.0, STEP, grid10)
     for _ in range(20):
         t = float(rng.choice(grid10))
         x = rng.standard_normal(3)
@@ -124,17 +120,17 @@ def test_horizon_sensitivity_is_tiny_on_examples(uniform_norms, nonuniform_norms
 
 
 def test_variant_and_parameter_validation(uniform_operator, split_family,
-                                          uniform_inverses, exp_rates, grid10):
+                                          exp_rates, grid10):
     with pytest.raises(ValueError):
         build_norm_family("sideways", uniform_operator, split_family,
-                          uniform_inverses, exp_rates, HORIZON, STEP, grid10)
+                          exp_rates, HORIZON, STEP, grid10)
     with pytest.raises(ValueError):
         build_norm_family("forward", uniform_operator, split_family,
-                          uniform_inverses, exp_rates, 0.0, STEP, grid10)
+                          exp_rates, 0.0, STEP, grid10)
+    without_nu = {key: rate for key, rate in exp_rates.items() if key != "nu"}
     with pytest.raises(StructuralError):
         build_norm_family("backward", uniform_operator, split_family,
-                          {2: uniform_inverses[2]}, exp_rates, HORIZON, STEP,
-                          grid10)
+                          without_nu, HORIZON, STEP, grid10)
 
 
 def test_compatibility_constant_outer_rate(uniform_norms, grid10):
@@ -229,10 +225,10 @@ def test_unprojected_reduces_to_projected_on_range_vectors(uniform_norms):
 
 
 def test_exponential_specialization_passes(uniform_operator, split_family,
-                                           uniform_inverses, grid10):
+                                           grid10):
     report = check_rate_specialization(
         "exponential", (1.0, 2.0, 0.5, 0.25), uniform_operator, split_family,
-        uniform_inverses, grid10, HORIZON, STEP, tol=1e-9, samples=16, seed=3)
+        grid10, HORIZON, STEP, tol=1e-9, samples=16, seed=3)
     assert report.passed
     assert report.label == "exponential_rates"
 
@@ -242,24 +238,23 @@ def test_polynomial_specialization_passes():
     poly = GrowthRate.polynomial
     u = GrowthRate.constant(40.0)
     operator = rate_model(u, poly(1.0), poly(1.0), poly(1.0), poly(1.0), family)
-    inverses = build_inverses(operator, family)
     grid = make_grid(10.0, 0.5)
     report = check_rate_specialization(
-        "polynomial", (1.0, 1.0, 1.0, 1.0), operator, family, inverses, grid,
+        "polynomial", (1.0, 1.0, 1.0, 1.0), operator, family, grid,
         HORIZON, STEP, tol=1e-9, samples=16, seed=3)
     assert report.passed
 
 
 def test_specialization_rejects_bad_exponents(uniform_operator, split_family,
-                                              uniform_inverses, grid10):
+                                              grid10):
     with pytest.raises(ValueError):
         check_rate_specialization("exponential", (0.0, 1.0, 1.0, 1.0),
-                                  uniform_operator, split_family,
-                                  uniform_inverses, grid10, HORIZON, STEP)
+                                  uniform_operator, split_family, grid10,
+                                  HORIZON, STEP)
     with pytest.raises(ValueError):
         check_rate_specialization("logarithmic", (1.0, 1.0, 1.0, 1.0),
-                                  uniform_operator, split_family,
-                                  uniform_inverses, grid10, HORIZON, STEP)
+                                  uniform_operator, split_family, grid10,
+                                  HORIZON, STEP)
 
 
 def test_coupled_stable_block_full_pipeline():
@@ -291,11 +286,8 @@ def test_coupled_stable_block_full_pipeline():
                           for t in grid for s in grid if t >= s))
     assert uniform.uniform_constant == pytest.approx(oracle, abs=1e-6)
 
-    inverses = build_inverses(operator, family)
-    fwd = build_norm_family("forward", operator, family, inverses, rates,
-                            4.0, 0.5, grid)
-    bwd = build_norm_family("backward", operator, family, inverses, rates,
-                            4.0, 0.5, grid)
+    fwd = build_norm_family("forward", operator, family, rates, 4.0, 0.5, grid)
+    bwd = build_norm_family("backward", operator, family, rates, 4.0, 0.5, grid)
     assert fwd.horizon_delta_rel < 1e-6 and bwd.horizon_delta_rel < 1e-6
     theorem = verify_norm_trichotomy(fwd, bwd, grid, tol=1e-7, samples=8,
                                      seed=13)
@@ -310,11 +302,10 @@ def test_dichotomy_specialization_has_vacuous_center_rows(exp_rates):
     u = GrowthRate.constant(40.0)
     operator = rate_model(u, exp_rates["h"], exp_rates["k"], exp_rates["mu"],
                           exp_rates["nu"], family)
-    inverses = build_inverses(operator, family)
     grid = make_grid(6.0, 0.5)
     report = check_rate_specialization(
-        "exponential", (1.0, 2.0, 0.5, 0.25), operator, family, inverses,
-        grid, HORIZON, STEP, tol=1e-9, samples=8, seed=3)
+        "exponential", (1.0, 2.0, 0.5, 0.25), operator, family, grid,
+        HORIZON, STEP, tol=1e-9, samples=8, seed=3)
     assert report.passed
     center = [r for r in report.records
               if r.tag in ("center_growth", "center_decay")]
@@ -375,9 +366,8 @@ def test_batched_theorem_records_match_per_pair_loop():
     family = ProjectorFamily.coordinate_split(1, 2, 1)
     e = GrowthRate.exponential
     rates = {"h": e(1.0), "k": e(2.0), "mu": e(0.5), "nu": e(0.25)}
-    inverses = build_inverses(operator, family)
-    fwd, bwd = (build_norm_family(variant, operator, family, inverses, rates,
-                                  horizon, step, grid)
+    fwd, bwd = (build_norm_family(variant, operator, family, rates, horizon,
+                                  step, grid)
                 for variant in ("forward", "backward"))
     for verify, unprojected in ((verify_norm_trichotomy, False),
                                 (verify_norm_trichotomy_unprojected, True)):

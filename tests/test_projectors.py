@@ -9,6 +9,7 @@ from tricho import (EvolutionOperator, GeneratorSpec, GrowthRate,
                     check_invariance, check_orthogonal,
                     compute_restricted_inverse, from_generator,
                     identity_operator, rate_model)
+from tricho import projectors
 from tricho.util import make_grid, opnorm
 
 E_MINUS_2 = 0.1353352832366127  # frozen reciprocal of e^2
@@ -44,9 +45,9 @@ def test_non_idempotent_member_detected():
 
 
 def test_dimension_mismatch_is_structural():
-    family = ProjectorFamily.from_callables(3, lambda t: np.eye(2),
-                                            lambda t: np.zeros((3, 3)),
-                                            lambda t: np.zeros((3, 3)))
+    family = ProjectorFamily(3, [lambda t: np.eye(2),
+                                 lambda t: np.zeros((3, 3)),
+                                 lambda t: np.zeros((3, 3))])
     with pytest.raises(StructuralError):
         check_orthogonal(family, [0.0], 1e-10)
 
@@ -70,7 +71,8 @@ def test_rotation_breaks_invariance_of_axis_projector():
         return np.array([[math.cos(a), math.sin(a)],
                          [-math.sin(a), math.cos(a)]])
 
-    operator = EvolutionOperator(2, "closed_form", rot)
+    operator = EvolutionOperator(
+        2, lambda pairs: np.array([rot(t, s) for t, s in pairs]))
     family = ProjectorFamily.constant(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
                                       np.zeros((2, 2)))
     report = check_invariance(family, operator, [(math.pi / 2, 0.0)], 1e-10)
@@ -92,9 +94,8 @@ def test_restricted_inverse_equal_times_is_projector(uniform_operator, split_fam
 
 
 def collapse_operator():
-    return EvolutionOperator(
-        3, "closed_form",
-        lambda t, s: np.eye(3) if t == s else np.diag([1.0, 0.0, 1.0]))
+    return EvolutionOperator(3, lambda pairs: np.array(
+        [np.eye(3) if t == s else np.diag([1.0, 0.0, 1.0]) for t, s in pairs]))
 
 
 def test_rank_collapse_raises():
@@ -158,17 +159,33 @@ def test_inverse_range_containment_oblique():
     p2 = np.eye(2) - p1
     family = ProjectorFamily.constant(np.zeros((2, 2)), p2, np.zeros((2, 2)))
     operator = EvolutionOperator(
-        2, "closed_form",
-        lambda t, s: np.eye(2) * math.exp(t - s))
+        2, lambda pairs: np.array([np.eye(2) * math.exp(t - s) for t, s in pairs]))
     w = compute_restricted_inverse(operator, family, 2, 2.0, 1.0)
     assert opnorm(w - p2 @ w) <= 1e-12
     assert opnorm(operator.evaluate(2.0, 1.0) @ w - p2) <= 1e-12
 
 
-def test_inverses_cache_is_shared(uniform_operator, split_family):
-    inv = build_inverses(uniform_operator, split_family)
+def test_inverses_cache_is_shared(monkeypatch, split_family, exp_rates):
+    # a fresh operator, so that no other test has stored its W yet
+    operator = rate_model(GrowthRate.constant(80.0), exp_rates["h"],
+                          exp_rates["k"], exp_rates["mu"], exp_rates["nu"],
+                          split_family)
+    computed = []
+    compute = projectors.restricted_inverses
+
+    def counted(operator, family, index, pairs):
+        computed.extend((index, t, s) for t, s in pairs)
+        return compute(operator, family, index, pairs)
+
+    monkeypatch.setattr(projectors, "restricted_inverses", counted)
+    inv = build_inverses(operator, split_family)
     first = inv[2].evaluate(2.0, 1.0)
-    assert inv[2].evaluate(2.0, 1.0) is first
+    assert build_inverses(operator, split_family) is inv
+    assert np.array_equal(build_inverses(operator, split_family)[2]
+                          .evaluate(2.0, 1.0), first)
+    assert computed == [(2, 2.0, 1.0)]
+    assert check_compatible(split_family, operator, [0.0, 1.0, 2.0], 1e-10).passed
+    assert len(computed) == len(set(computed)) == 2 * 6
 
 
 def test_batched_inverse_identities_match_per_triple_loop():

@@ -132,6 +132,19 @@ BOOLEANS = {  # JSON true/false where a number is asked for
     "bounds.uniform": {"bounds": {"uniform": True}},
     "rate_instantiation.exponents": {"rate_instantiation": {
         "kind": "exponential", "exponents": [1.0, True, 0.5, 0.25]}},
+    "operator.builtin.omega": {"operator": {"type": "ode", "step": 0.01, "builtin": {
+        "name": "periodic_diag", "omega": True}}},
+    "operator.builtin.base": {"operator": {"type": "ode", "step": 0.01, "builtin": {
+        "name": "periodic_diag", "base": [-1.0, True, 0.0]}}},
+    "operator.builtin.amplitude": {"operator": {"type": "ode", "step": 0.01, "builtin": {
+        "name": "periodic_diag", "amplitude": [0.0, 0.0, False]}}},
+    "operator.matrix": {"operator": {"type": "ode", "step": 0.01, "matrix": [
+        [-1.0, 0.0, 0.0], [0.0, True, 0.0], [0.0, 0.0, 0.0]]}},
+    "projectors.matrices": {"projectors": {"type": "explicit", "matrices": [
+        [[1, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, True, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 1]]]}},
+    "rates.u.table": {"rates": {**minimal_tree()["rates"], "u": {
+        "kind": "tabulated", "table": [[0, True], [40, True]]}}},
 }
 
 
@@ -292,11 +305,26 @@ def test_cli_roundtrip_and_overrides(tmp_path, capsys):
     assert tree["overall"] == "pass"
 
 
-def test_cli_parse_error_exit_code(tmp_path, capsys):
-    path = write_tree(tmp_path, minimal_tree(grid={"t_max": 1.0, "step": -1.0}))
-    code = main(["--scenario", str(path), "--out", str(tmp_path / "o")])
+CLI_PARSE_ERRORS = {  # case -> (scenario file or tree, options, text of the error)
+    "negative_step": (minimal_tree(grid={"t_max": 1.0, "step": -1.0}), [],
+                      "step must be positive"),
+    "grid_step_over_t_max": ("nonuniform_example.json", ["--grid-step", "20"],
+                             "grid.step"),
+    "horizon_past_rate_table": ("uniform_example.json", ["--horizon", "100"],
+                                "horizon"),
+    "negative_seed_option": ("uniform_example.json", ["--seed", "-1"], "seed"),
+    "negative_seed_in_file": (minimal_tree(seed=-1), [], "seed"),
+}
+
+
+@pytest.mark.parametrize("case", CLI_PARSE_ERRORS)
+def test_cli_parse_error_exit_code(tmp_path, capsys, case):
+    scenario, options, named = CLI_PARSE_ERRORS[case]
+    path = (SCENARIOS / scenario if isinstance(scenario, str)
+            else write_tree(tmp_path, scenario))
+    code = main(["--scenario", str(path), "--out", str(tmp_path / "o"), *options])
     assert code == 2
-    assert "step must be positive" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
 
 
 def test_cli_missing_file_exit_code(tmp_path, capsys):

@@ -24,12 +24,11 @@ def test_unstable_factor_grows_like_outer_rate(nonuniform_operator, split_family
     assert got == pytest.approx(t + 1.0, rel=1e-12)
 
 
-def test_equal_time_factors_are_one(nonuniform_operator, split_family, exp_rates,
-                                    nonuniform_inverses):
+def test_equal_time_factors_are_one(nonuniform_operator, split_family, exp_rates):
     for tag in ("stable_decay", "unstable_growth", "center_growth",
                 "center_decay"):
         got = required_factor(nonuniform_operator, split_family, exp_rates,
-                              2.0, 2.0, tag, nonuniform_inverses)
+                              2.0, 2.0, tag)
         assert got == pytest.approx(1.0, rel=1e-12)
 
 
@@ -95,11 +94,11 @@ def test_envelope_is_monotone_and_floored(nonuniform_operator, split_family,
 
 def test_fullnorm_envelope_within_projector_factor(nonuniform_operator,
                                                    split_family, exp_rates,
-                                                   grid10, nonuniform_inverses):
+                                                   grid10):
     projected = check_trichotomy(nonuniform_operator, split_family, exp_rates,
-                                 grid10, inverses=nonuniform_inverses)
+                                 grid10)
     full = check_trichotomy_full(nonuniform_operator, split_family, exp_rates,
-                                 grid10, inverses=nonuniform_inverses)
+                                 grid10)
     # orthonormal members: the two systems need the same bounding function,
     # and in general full <= 3 * projected
     np.testing.assert_allclose(full.envelope, projected.envelope, rtol=1e-12)
@@ -136,13 +135,12 @@ def test_uniform_identity_scenario():
 
 def test_uniform_constant_bounds_projected_system(nonuniform_operator,
                                                   split_family, exp_rates,
-                                                  grid10, nonuniform_inverses):
+                                                  grid10):
     uniform = check_uniform(nonuniform_operator, split_family, exp_rates,
-                            grid10, inverses=nonuniform_inverses)
+                            grid10)
     const = uniform.uniform_constant
     report = check_trichotomy(nonuniform_operator, split_family, exp_rates,
-                              grid10, bound=lambda a: const,
-                              inverses=nonuniform_inverses)
+                              grid10, bound=lambda a: const)
     assert report.passed
 
 
@@ -197,9 +195,8 @@ def test_dichotomy_matches_trichotomy_stable_unstable_rows(exp_rates, grid10):
 def test_uniform_exponential_dichotomy_constant_one():
     family = ProjectorFamily.constant(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
                                       np.zeros((2, 2)))
-    operator = EvolutionOperator(
-        2, "closed_form",
-        lambda t, s: np.diag([math.exp(-(t - s)), math.exp(t - s)]))
+    operator = EvolutionOperator(2, lambda pairs: np.array(
+        [np.diag([math.exp(-(t - s)), math.exp(t - s)]) for t, s in pairs]))
     e1 = GrowthRate.exponential(1.0)
     report = check_dichotomy(operator, family, {"h": e1, "k": e1},
                              make_grid(8.0, 1.0))
