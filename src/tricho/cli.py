@@ -1,7 +1,8 @@
 """Command-line front end: parse a scenario, run its checks, emit reports.
 
 Exit codes: 0 all requested checks passed, 1 at least one check failed or
-was skipped behind a failure, 2 scenario/parse/setup error.
+was skipped behind a failure, 2 scenario/parse/setup error or an output
+directory that cannot be written.
 """
 from __future__ import annotations
 
@@ -67,7 +68,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    paths = emit(report, args.format, args.out)
+    try:
+        paths = emit(report, args.format, args.out)
+    except OSError as exc:
+        print(f"error: cannot write reports to {args.out}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
     for entry in report.checks:
         elapsed = report.timing.get(entry["name"])
         suffix = f" ({elapsed:.3f}s)" if elapsed is not None else ""

@@ -37,7 +37,9 @@ class EvolutionOperator:
     ``compute(pairs)`` gives the matrices of a list of in-domain pairs as an
     (m, n, n) stack. Each distinct pair is computed once per operator and
     kept read-only in ``store``; the restricted inverses of each projector
-    family are kept beside it in ``inverses`` (``projectors.build_inverses``).
+    family are kept beside it in ``inverses`` (``projectors.build_inverses``),
+    and the factor tables of each family and rate in ``factors``
+    (``trichotomy.factor_table``).
     """
 
     def __init__(self, dimension: int, compute: Callable[[list], np.ndarray]):
@@ -50,6 +52,7 @@ class EvolutionOperator:
         self.dimension = dimension
         self.store = MatrixStore((dimension, dimension), checked)
         self.inverses: dict = {}  # family -> {2: W_2, 3: W_3}
+        self.factors: dict = {}  # (family, tag, rate, full, pairs) -> factors
 
     def evaluate(self, t: float, s: float) -> np.ndarray:
         """Read-only matrix of U(t, s); only t >= s >= 0 is in the domain."""

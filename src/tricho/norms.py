@@ -63,7 +63,9 @@ class LyapunovNormFamily:
 
     Construction precomputes the stacks for the supplied times; evaluating
     at other times extends the cache lazily. All evaluations after
-    construction are pure.
+    construction are pure. The family keeps what is computed from it:
+    its ``check_compatibility`` reports in ``compatibility`` and, for a
+    forward family, its ``theorem_sides`` in ``sides``.
     """
 
     def __init__(self, variant: str, operator, family, rates,
@@ -81,11 +83,14 @@ class LyapunovNormFamily:
         self.rates = rates
         self.horizon = float(horizon)
         self.step = float(step)
+        self.compatibility: dict = {}  # (grid, samples, seed) -> report
+        self.sides: dict = {}  # (backward, grid, samples, seed) -> TheoremSides
+        times = list(times)
         # the future terms run out to twice the horizon, for the sensitivity pass
         self._stacks = {t: self._build(t, 2.0 * self.horizon) for t in times}
         self.horizon_delta_abs = 0.0
         self.horizon_delta_rel = 0.0
-        self._measure_sensitivity(list(times))
+        self._measure_sensitivity(times)
 
     @property
     def horizon_flagged(self) -> bool:
@@ -211,11 +216,15 @@ def check_compatibility(norm_family: LyapunovNormFamily, grid, samples: int,
     vectors; the lower bound is exact on every sample. The estimate is
     cross-checked against three times the envelope of full-norm required
     factors taken over the family's own sample pairs, which the construction
-    can never exceed.
+    can never exceed. The report is computed once per grid, sample count and
+    seed, and kept in ``norm_family.compatibility``.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
+    key = (tuple(grid), samples, seed)
+    if key in norm_family.compatibility:
+        return norm_family.compatibility[key]
     n = norm_family.family.dimension
     _, x = test_vector_batch(n, samples, seed)
 
@@ -228,10 +237,11 @@ def check_compatibility(norm_family: LyapunovNormFamily, grid, samples: int,
                         for c, lim in zip(ratios, limit))
     passed = (lower >= -1e-12 and crosscheck_ok
               and all(math.isfinite(c) for c in ratios))
-    return CompatibilityReport(grid=grid, ratios=ratios,
-                               c_uniform=max(ratios), lower_margin=lower,
-                               crosscheck_limit=limit, crosscheck_ok=crosscheck_ok,
-                               samples=samples, seed=seed, passed=passed)
+    report = norm_family.compatibility[key] = CompatibilityReport(
+        grid=grid, ratios=ratios, c_uniform=max(ratios), lower_margin=lower,
+        crosscheck_limit=limit, crosscheck_ok=crosscheck_ok, samples=samples,
+        seed=seed, passed=passed)
+    return report
 
 
 def _fullnorm_limit(nf: LyapunovNormFamily, grid) -> list[float]:
@@ -268,12 +278,10 @@ class TheoremSides:
     the left-hand norms as (pairs, batch) in ``grid_pairs`` order (center
     tags only when some pair has a central member), and ``base[variant]``,
     the norms of x, P1 x, P2 x and P3 x at each grid time as (grid, 4, batch).
+    ``theorem_sides`` keeps them on the forward family they were taken from.
     """
 
-    families: tuple  # the forward and backward families they were taken from
     grid: list[float]
-    samples: int
-    seed: int
     ids: list[str]
     lhs: dict[str, np.ndarray]
     base: dict[str, np.ndarray]
@@ -294,9 +302,14 @@ def theorem_sides(forward: LyapunovNormFamily, backward: LyapunovNormFamily,
 
     The U terms are batched per t over s and the W_j terms per s over t;
     each right-hand norm depends on one time and is taken once per time.
+    The sides are computed once per backward family, grid, sample count and
+    seed, and kept in ``forward.sides``.
     """
     _require_shared_sources(forward, backward)
     grid = list(grid)
+    key = (backward, tuple(grid), samples, seed)
+    if key in forward.sides:
+        return forward.sides[key]
     family = forward.family
     ids, x = test_vector_batch(family.dimension, samples, seed)
     proj = np.stack([[x] + [family.member(j, t) @ x for j in (1, 2, 3)]
@@ -327,8 +340,8 @@ def theorem_sides(forward: LyapunovNormFamily, backward: LyapunovNormFamily,
             if tag in lhs:
                 lhs[tag][offsets[j:-1] + j] = backward.evaluate_many(
                     s, nf.inverses[inverse].stack(later) @ x)
-    return TheoremSides((forward, backward), grid, samples, seed, ids, lhs,
-                        base, central)
+    sides = forward.sides[key] = TheoremSides(grid, ids, lhs, base, central)
+    return sides
 
 
 def _theorem_records(sides: TheoremSides, rates, unprojected: bool):
@@ -387,30 +400,17 @@ def _finish(label, records, tol, slack, samples, seed) -> TheoremReport:
                          seed=seed, samples=samples)
 
 
-def _sides_for(forward, backward, grid, samples, seed, sides) -> TheoremSides:
-    _require_shared_sources(forward, backward)
-    if sides is None:
-        return theorem_sides(forward, backward, grid, samples, seed)
-    if (sides.families, sides.grid, sides.samples, sides.seed) != (
-            (forward, backward), grid, samples, seed):
-        raise ValueError("theorem sides were computed for other families, "
-                         "grid, sample count or seed")
-    return sides
-
-
 def verify_norm_trichotomy(forward: LyapunovNormFamily,
                            backward: LyapunovNormFamily, grid,
                            tol: float = 1e-9, samples: int = 32,
-                           seed: int = 0,
-                           sides: TheoremSides | None = None) -> TheoremReport:
+                           seed: int = 0) -> TheoremReport:
     """Constant-free inequality system in the built norms over grid pairs.
 
     The pass threshold is tol plus the measured truncation slack of the two
-    families. ``sides`` are ``theorem_sides`` of the same arguments, when
-    already computed.
+    families. Its ``theorem_sides`` are kept on the forward family and
+    shared with ``verify_norm_trichotomy_unprojected`` of the same arguments.
     """
-    grid = list(grid)
-    sides = _sides_for(forward, backward, grid, samples, seed, sides)
+    sides = theorem_sides(forward, backward, grid, samples, seed)
     slack = max(forward.horizon_delta_abs, backward.horizon_delta_abs)
     records = _theorem_records(sides, forward.rates, unprojected=False)
     return _finish("norm_trichotomy", records, tol, slack, samples, seed)
@@ -419,19 +419,17 @@ def verify_norm_trichotomy(forward: LyapunovNormFamily,
 def verify_norm_trichotomy_unprojected(forward: LyapunovNormFamily,
                                        backward: LyapunovNormFamily, grid,
                                        tol: float = 1e-9, samples: int = 32,
-                                       seed: int = 0,
-                                       sides: TheoremSides | None = None) -> TheoremReport:
+                                       seed: int = 0) -> TheoremReport:
     """Variant with unprojected right-hand sides, plus the projection lemma.
 
     The lemma rows assert that applying any member at its own time never
     increases either norm; they are what reduces this system to the
     projected one.
     """
-    grid = list(grid)
-    sides = _sides_for(forward, backward, grid, samples, seed, sides)
+    sides = theorem_sides(forward, backward, grid, samples, seed)
     slack = max(forward.horizon_delta_abs, backward.horizon_delta_abs)
     records = _theorem_records(sides, forward.rates, unprojected=True)
-    diagonal = [(t, t) for t in grid]
+    diagonal = [(t, t) for t in sides.grid]
     lemma = [_worst_rows(f"projection_bound_{variant}", diagonal, sides.ids,
                          sides.base[variant][:, j], sides.base[variant][:, 0])
              for variant in VARIANTS for j in (1, 2, 3)]
@@ -442,22 +440,20 @@ def verify_norm_trichotomy_unprojected(forward: LyapunovNormFamily,
 
 def verify_sufficiency(forward: LyapunovNormFamily,
                        backward: LyapunovNormFamily, grid,
-                       samples: int = 32, seed: int = 0, factors=None,
-                       compatibility=None) -> TrichotomyReport:
+                       samples: int = 32, seed: int = 0) -> TrichotomyReport:
     """Close the loop: bound built from measured sandwich constants.
 
     The candidate bound N(a) = sup_{s <= a} C(s) (|P1(s)| + |P2(s)| + |P3(s)|)
     is assembled from the measured compatibility ratios of both families and
     fed back into the projected trichotomy system, which it must dominate.
-    ``compatibility`` is the pair of forward and backward
-    ``check_compatibility`` reports for the same grid, samples and seed, and
-    ``factors`` the projected factor table, when already computed.
+    Both ``check_compatibility`` reports are kept on their families and the
+    projected factor table on the operator, so a run that already took them
+    reads them without recomputing.
     """
     _require_shared_sources(forward, backward)
     grid = list(grid)
-    compat_f, compat_b = compatibility or (
-        check_compatibility(forward, grid, samples, seed=seed),
-        check_compatibility(backward, grid, samples, seed=seed))
+    compat_f, compat_b = (check_compatibility(nf, grid, samples, seed=seed)
+                          for nf in (forward, backward))
     family = forward.family
     pnorm = sum(opnorms(family.stack(j, grid)) for j in (1, 2, 3))
     candidate = list(np.maximum.accumulate(
@@ -468,7 +464,7 @@ def verify_sufficiency(forward: LyapunovNormFamily,
         return candidate[max(idx, 0)]
 
     report = check_trichotomy(forward.operator, family, forward.rates, grid,
-                              bound=bound, factors=factors)
+                              bound=bound)
     report.label = "sufficiency"
     return report
 

@@ -64,11 +64,6 @@ class _Workspace:
             self._memo[key] = build()
         return self._memo[key]
 
-    def factors(self, rates):
-        """The projected factor table over the grid pairs."""
-        return self._once("factors", rates, lambda: trichotomy.factor_table(
-            self.operator, self.family, rates, grid_pairs(self.grid)))
-
     def norm_families(self, rates):
         """Forward and backward norm families."""
         s = self.scenario
@@ -77,25 +72,12 @@ class _Workspace:
                                     s.horizon, s.grid_step, self.grid)
             for variant in norms.VARIANTS))
 
-    def compatibility(self, rates):
-        """Sandwich-constant reports of the forward and backward families."""
-        s = self.scenario
-        return self._once("compatibility", rates, lambda: tuple(
-            norms.check_compatibility(nf, self.grid, s.samples, seed=s.seed)
-            for nf in self.norm_families(rates)))
-
-    def theorem_sides(self, rates):
-        """Both sides of the norm inequalities, shared by both norm systems."""
-        s = self.scenario
-        return self._once("sides", rates, lambda: norms.theorem_sides(
-            *self.norm_families(rates), self.grid, s.samples, s.seed))
-
     def norm_theorem(self, rates):
         """The constant-free norm system."""
         s = self.scenario
         return self._once("theorem", rates, lambda: norms.verify_norm_trichotomy(
             *self.norm_families(rates), self.grid, s.tol_theorem, s.samples,
-            s.seed, sides=self.theorem_sides(rates)))
+            s.seed))
 
 
 def _build_family(scenario: Scenario) -> projectors.ProjectorFamily:
@@ -162,17 +144,14 @@ def _run_check(name: str, ws: _Workspace) -> dict:
     if name == "norm_trichotomy":
         fwd, bwd = ws.norm_families(s.rates)
         rep = ws.norm_theorem(s.rates)
-        suff = norms.verify_sufficiency(
-            fwd, bwd, grid, s.samples, s.seed, factors=ws.factors(s.rates),
-            compatibility=ws.compatibility(s.rates))
+        suff = norms.verify_sufficiency(fwd, bwd, grid, s.samples, s.seed)
         payload = {"necessity": rep.payload(), "sufficiency": suff.payload()}
         rows = rep.csv_rows(name) + suff.csv_rows(name + "_sufficiency")
         return _entry(name, rep.passed and bool(suff.passed), payload, rows=rows)
     if name == "norm_trichotomy_unprojected":
         fwd, bwd = ws.norm_families(s.rates)
         rep = norms.verify_norm_trichotomy_unprojected(
-            fwd, bwd, grid, s.tol_theorem, s.samples, s.seed,
-            sides=ws.theorem_sides(s.rates))
+            fwd, bwd, grid, s.tol_theorem, s.samples, s.seed)
         return _entry(name, rep.passed, rep.payload(), rep)
     if name == "rate_instantiation":
         kind, exponents = _instantiation_spec(s)
@@ -196,17 +175,9 @@ def _instantiation_spec(s: Scenario) -> tuple[str, list[float]]:
 
 def _run_splitting(name: str, ws: _Workspace) -> dict:
     s = ws.scenario
-    bound = s.bounds.get("trichotomy")
-    if name == "trichotomy_full":
-        rep = trichotomy.check_trichotomy_full(ws.operator, ws.family, s.rates,
-                                               ws.grid, bound)
-    else:
-        check, limit = {"trichotomy": (trichotomy.check_trichotomy, bound),
-                        "dichotomy": (trichotomy.check_dichotomy, bound),
-                        "uniform": (trichotomy.check_uniform,
-                                    s.bounds.get("uniform"))}[name]
-        rep = check(ws.operator, ws.family, s.rates, ws.grid, limit,
-                    factors=ws.factors(s.rates))
+    check = getattr(trichotomy, f"check_{name}")
+    limit = s.bounds.get("uniform" if name == "uniform" else "trichotomy")
+    rep = check(ws.operator, ws.family, s.rates, ws.grid, limit)
     ok = rep.passed if rep.passed is not None else True
     return _entry(name, ok, rep.payload(), rep)
 
@@ -214,7 +185,8 @@ def _run_splitting(name: str, ws: _Workspace) -> dict:
 def _run_norms(ws: _Workspace) -> dict:
     s = ws.scenario
     fwd, bwd = ws.norm_families(s.rates)
-    rep_f, rep_b = ws.compatibility(s.rates)
+    rep_f, rep_b = (norms.check_compatibility(nf, ws.grid, s.samples, seed=s.seed)
+                    for nf in (fwd, bwd))
     sens = {
         "forward": {"abs": fwd.horizon_delta_abs, "rel": fwd.horizon_delta_rel,
                     "flagged": fwd.horizon_flagged},

@@ -59,23 +59,29 @@ def _optional(tree: dict, key: str, kind, default, where: str = "scenario"):
     return _require(tree, key, kind, where) if key in tree else default
 
 
+def _finite(x) -> bool:
+    """True for an int or float that is a finite float; JSON booleans are
+    not numbers, and neither is an int too large for a float."""
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _number(tree: dict, key: str, where: str = "scenario", default=None) -> float:
     """A finite number at ``tree[key]``; ``default``, if given, when left out."""
     if default is not None and key not in tree:
         return default
-    value = float(_require(tree, key, (int, float), where))
-    if not math.isfinite(value):
+    value = _require(tree, key, (int, float), where)
+    if not _finite(value):
         raise ScenarioError(f"{where}.{key} must be finite")
-    return value
+    return float(value)
 
 
 def _finite_array(value, shape: tuple, where: str) -> None:
-    """Reject anything but finite numbers of the given shape at ``where``;
-    JSON booleans are not numbers."""
+    """Reject anything but finite numbers of the given shape at ``where``."""
     arr = np.array(value, dtype=object)
-    if arr.shape != shape or not all(
-            type(x) is int or (type(x) is float and math.isfinite(x))
-            for x in arr.flat):
+    if arr.shape != shape or not all(map(_finite, arr.flat)):
         raise ScenarioError(f"{where} must hold finite numbers of shape {shape}")
 
 
@@ -97,7 +103,7 @@ def _parse_rate(spec, key: str) -> GrowthRate:
             return rate
     except ScenarioError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"rates.{key}: {exc}") from exc
     raise ScenarioError(f"rates.{key}.kind must be exponential, polynomial "
                         f"or tabulated, got {kind!r}")
@@ -254,8 +260,7 @@ def scenario_from_tree(tree: dict) -> Scenario:
             raise ScenarioError("rate_instantiation.kind must be exponential "
                                 "or polynomial")
         exps = _require(inst, "exponents", list, "rate_instantiation")
-        if len(exps) != 4 or not all(type(v) in (int, float) and 0 < v < math.inf
-                                     for v in exps):
+        if len(exps) != 4 or not all(_finite(v) and v > 0 for v in exps):
             raise ScenarioError("rate_instantiation.exponents must be four "
                                 "finite positive numbers")
 

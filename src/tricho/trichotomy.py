@@ -43,35 +43,49 @@ _REL_SLACK = 1e-9  # forgiveness when comparing factors against a bound
 def factor_table(operator, family: ProjectorFamily, rates: dict, pairs,
                  tags=INEQUALITIES, full: bool = False) -> dict[str, np.ndarray]:
     """Minimal admissible bounding values of each inequality in ``tags`` at
-    every (t, s) pair, one array per tag.
+    every (t, s) pair, one read-only array per tag.
 
     Each tag takes one batched product and SVD per member rank. Rank-0
     members make the inequality vacuous and give 0. With ``full=True`` the
-    right-hand side uses the unprojected state norm.
+    right-hand side uses the unprojected state norm. Each array is computed
+    once per operator and kept in ``operator.factors``, keyed by the family,
+    the tag, its rate, ``full`` and the pairs, so every check that reads the
+    same table shares it.
     """
     for tag in tags:
         if tag not in INEQUALITIES:
             raise ValueError(f"unknown inequality {tag!r}")
     pairs = list(pairs)
+    at = np.asarray(pairs, dtype=float).tobytes()  # keeps no per-pair objects
     table = {}
     for tag in tags:
-        j, rate_key, rising = _TERMS[tag]
-        decay = BINDS[tag] == "s"  # U on Range P_j(s); else W_j on Range P_j(t)
-        bases = [family.basis(j, s if decay else t) for t, s in pairs]
-        table[tag] = np.zeros(len(pairs))
-        for rows in rank_groups([b.shape[1] for b in bases]):
-            sub = [pairs[i] for i in rows]
-            right = (family.stack(j, [s for _, s in sub]) if full and decay
-                     else np.array([bases[i] for i in rows]))
-            if decay:
-                mats = operator.evaluate_many(sub) @ right
-            else:
-                mats = build_inverses(operator, family)[j].stack(sub)
-                mats = mats if full else mats @ right
-            rate = rates[rate_key]
-            ratio = [rate.ratio(t, s) if rising else rate.ratio(s, t) for t, s in sub]
-            table[tag][rows] = np.array(ratio) * opnorms(mats)
+        key = (family, tag, rates.get(_TERMS[tag][1]), full, at)
+        if key not in operator.factors:
+            operator.factors[key] = _factors(operator, family, rates, pairs,
+                                             tag, full)
+        table[tag] = operator.factors[key]
     return table
+
+
+def _factors(operator, family, rates, pairs, tag, full) -> np.ndarray:
+    j, rate_key, rising = _TERMS[tag]
+    decay = BINDS[tag] == "s"  # U on Range P_j(s); else W_j on Range P_j(t)
+    bases = [family.basis(j, s if decay else t) for t, s in pairs]
+    out = np.zeros(len(pairs))
+    for rows in rank_groups([b.shape[1] for b in bases]):
+        sub = [pairs[i] for i in rows]
+        right = (family.stack(j, [s for _, s in sub]) if full and decay
+                 else np.array([bases[i] for i in rows]))
+        if decay:
+            mats = operator.evaluate_many(sub) @ right
+        else:
+            mats = build_inverses(operator, family)[j].stack(sub)
+            mats = mats if full else mats @ right
+        rate = rates[rate_key]
+        ratio = [rate.ratio(t, s) if rising else rate.ratio(s, t) for t, s in sub]
+        out[rows] = np.array(ratio) * opnorms(mats)
+    out.flags.writeable = False
+    return out
 
 
 def required_factor(operator, family: ProjectorFamily, rates: dict, t: float,
@@ -82,14 +96,13 @@ def required_factor(operator, family: ProjectorFamily, rates: dict, t: float,
     return float(table[inequality][0])
 
 
-def _run_system(operator, family, rates, grid, bound, label, full,
-                factors=None) -> TrichotomyReport:
+def _run_system(operator, family, rates, grid, bound, label,
+                full=False) -> TrichotomyReport:
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
     pairs = grid_pairs(grid)
-    if factors is None:
-        factors = factor_table(operator, family, rates, pairs, full=full)
+    factors = factor_table(operator, family, rates, pairs, full=full)
     bound_values = [float(bound(a)) for a in grid] if bound is not None else None
     bounds = dict(zip(grid, bound_values or []))
     records: list[FactorRecord] = []
@@ -119,18 +132,16 @@ def _run_system(operator, family, rates, grid, bound, label, full,
 
 
 def check_trichotomy(operator, family: ProjectorFamily, rates: dict, grid,
-                     bound: Callable[[float], float] | None = None,
-                     factors: dict[str, np.ndarray] | None = None) -> TrichotomyReport:
+                     bound: Callable[[float], float] | None = None) -> TrichotomyReport:
     """Projected-right-hand-side system over all grid pairs.
 
     ``bound``, when given, must be a nondecreasing function; the report
-    passes iff it dominates the measured envelope on the grid. ``factors``
-    is the projected ``factor_table`` over ``grid_pairs(grid)``, when
-    already computed; ``check_uniform`` and ``check_dichotomy`` accept it
-    too.
+    passes iff it dominates the measured envelope on the grid. The projected
+    ``factor_table`` over ``grid_pairs(grid)`` is kept on the operator, so
+    ``check_uniform``, ``check_dichotomy`` and ``norms.verify_sufficiency``
+    on the same operator, family, rates and grid read it without recomputing.
     """
-    return _run_system(operator, family, rates, grid, bound, "trichotomy",
-                       False, factors)
+    return _run_system(operator, family, rates, grid, bound, "trichotomy")
 
 
 def check_trichotomy_full(operator, family: ProjectorFamily, rates: dict, grid,
@@ -141,8 +152,7 @@ def check_trichotomy_full(operator, family: ProjectorFamily, rates: dict, grid,
 
 
 def check_uniform(operator, family: ProjectorFamily, rates: dict, grid,
-                  constant: float | None = None,
-                  factors: dict[str, np.ndarray] | None = None) -> TrichotomyReport:
+                  constant: float | None = None) -> TrichotomyReport:
     """Single-constant system: the factor supremum over all grid pairs.
 
     The constant system uses projected right-hand sides (the growth
@@ -150,24 +160,22 @@ def check_uniform(operator, family: ProjectorFamily, rates: dict, grid,
     projected ones. The verdict is evidence on the grid only.
     """
     bound = (lambda a: float(constant)) if constant is not None else None
-    report = _run_system(operator, family, rates, grid, bound, "uniform",
-                         False, factors)
+    report = _run_system(operator, family, rates, grid, bound, "uniform")
     if constant is not None:
         report.passed = report.uniform_constant <= constant * (1.0 + _REL_SLACK)
     return report
 
 
 def check_dichotomy(operator, family: ProjectorFamily, rates: dict, grid,
-                    bound: Callable[[float], float] | None = None,
-                    factors: dict[str, np.ndarray] | None = None) -> TrichotomyReport:
+                    bound: Callable[[float], float] | None = None) -> TrichotomyReport:
     """Two-projector special case: member 3 must vanish identically.
 
     Delegates to the projected system; the center rows are vacuous
     (factor 0), so only the h/k rates are consulted.
     """
+    grid = list(grid)
     for t in grid:
         if opnorm(family.member(3, t)) > 1e-12:
             raise PreconditionError(
                 f"dichotomy requires member 3 to vanish, nonzero at t={t}")
-    return _run_system(operator, family, rates, grid, bound, "dichotomy",
-                       False, factors)
+    return _run_system(operator, family, rates, grid, bound, "dichotomy")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tricho import (DomainError, GeneratorSpec, GrowthRate, PreconditionError,
                     ProjectorFamily, check_cocycle, check_identity,
                     from_generator, rate_model, run, scenario_from_tree)
-from tricho import projectors, runner
+from tricho import norms, projectors, runner, trichotomy
 from tricho.util import grid_pairs, grid_slots, grid_triples, make_grid, opnorm
 
 # frozen scalar-arithmetic oracles for the model operator at (1, 0), u(t)=t+1
@@ -293,8 +293,29 @@ def test_run_computes_each_distinct_pair_once(monkeypatch):
         inverses.extend((index, t, s) for t, s in pairs)
         return restricted(operator, family, index, pairs)
 
+    tables = []
+    factors = trichotomy._factors
+
+    def counted_factors(operator, family, rates, pairs, tag, full):
+        rate = rates.get(trichotomy._TERMS[tag][1])
+        tables.append((id(family), tag, rate, full, tuple(pairs)))
+        return factors(operator, family, rates, pairs, tag, full)
+
+    built = []
+
+    def counted_class(name):
+        cls = getattr(norms, name)
+
+        def make(*args, **kwargs):
+            built.append(name)
+            return cls(*args, **kwargs)
+        monkeypatch.setattr(norms, name, make)
+
     monkeypatch.setattr(runner, "_build_operator", counting)
     monkeypatch.setattr(projectors, "restricted_inverses", counted_inverses)
+    monkeypatch.setattr(trichotomy, "_factors", counted_factors)
+    counted_class("TheoremSides")
+    counted_class("CompatibilityReport")
     rate = lambda kind, a: {"kind": kind, "exponent": a}
     tree = {
         "dimension": 3, "operator": {"type": "rate_model"},
@@ -311,6 +332,10 @@ def test_run_computes_each_distinct_pair_once(monkeypatch):
     assert run(scenario_from_tree(tree)).overall == "pass"
     assert computed and len(computed) == len(set(computed))
     assert inverses and len(inverses) == len(set(inverses))
+    assert tables and len(tables) == len(set(tables))
+    # the instantiation rates equal the scenario's, so one pair of norm
+    # families: one set of theorem sides, one compatibility report each
+    assert sorted(built) == ["CompatibilityReport"] * 2 + ["TheoremSides"]
 
 
 def test_stored_pairs_are_not_changed_through_returned_stacks(nonuniform_operator):

@@ -375,12 +375,25 @@ def test_batched_theorem_records_match_per_pair_loop():
         got = [(r.tag, r.t, r.s, r.vector_id, r.margin) for r in report.records]
         assert got == reference_theorem_rows(fwd, bwd, grid, 6, 17, unprojected)
     sides = theorem_sides(fwd, bwd, grid, samples=6, seed=17)
-    shared = verify_norm_trichotomy(fwd, bwd, grid, samples=6, seed=17,
-                                    sides=sides)
-    assert shared.records == verify_norm_trichotomy(
-        fwd, bwd, grid, samples=6, seed=17).records
-    with pytest.raises(ValueError):  # sides of another seed are refused
-        verify_norm_trichotomy(fwd, bwd, grid, samples=6, seed=18, sides=sides)
+    assert theorem_sides(fwd, bwd, iter(grid), samples=6, seed=17) is sides
+    other = theorem_sides(fwd, bwd, grid, samples=6, seed=18)
+    assert other is not sides
+    assert theorem_sides(fwd, bwd, grid, samples=6, seed=18) is other
+
+
+@pytest.mark.parametrize("as_input", [list, iter])
+def test_iterator_times_keep_the_truncation_slack(as_input):
+    # a transient hump past the horizon, so doubling it moves the norms
+    grid = make_grid(2.0, 0.25)
+    operator = from_generator(
+        GeneratorSpec.constant([[-1.0, 10.0], [0.0, -2.0]], 0.01),
+        anchors=query_lattice(grid, 0.25, 0.25))
+    family = ProjectorFamily.coordinate_split(2, 0, 0)
+    nf = build_norm_family("forward", operator, family,
+                           {"h": GrowthRate.exponential(0.5)}, 0.25, 0.25,
+                           as_input(grid))
+    assert nf.horizon_delta_abs == pytest.approx(1.031, abs=1e-3)
+    assert nf.horizon_flagged
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -162,6 +162,15 @@ NONFINITE = {
     "bounds.uniform": {"bounds": {"uniform": float("nan")}},
     "rate_instantiation.exponents": {"rate_instantiation": {
         "kind": "exponential", "exponents": [1.0, float("nan"), 0.5, 0.25]}},
+    # an integer too large for a float
+    "grid.t_max-huge": {"grid": {"t_max": 10 ** 400, "step": 0.5}},
+    "projectors.matrices-huge": {"projectors": {"type": "explicit", "matrices": [
+        [[10 ** 400, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 1]]]}},
+    "rate_instantiation.exponents-huge": {"rate_instantiation": {
+        "kind": "exponential", "exponents": [1.0, 10 ** 400, 0.5, 0.25]}},
+    "rates.u-huge": {"rates": {**minimal_tree()["rates"], "u": {
+        "kind": "tabulated", "table": [[0, 1], [10 ** 400, 1]]}}},
 }
 
 
@@ -172,7 +181,7 @@ def test_nonfinite_number_exits_2_naming_its_key(tmp_path, capsys, key):
     path = write_tree(tmp_path, tree)  # json writes the NaN and Infinity literals
     code = main(["--scenario", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert key in capsys.readouterr().err
+    assert key.removesuffix("-huge") in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -333,6 +342,16 @@ def test_cli_missing_file_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_unwritable_out_exit_code(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    code = main(["--scenario", str(write_tree(tmp_path, minimal_tree())),
+                 "--out", str(taken)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(taken) in err[0]
+
+
 def test_scenario_echo_is_sorted_and_complete():
     scenario = parse_scenario(SCENARIOS / "uniform_example.json")
     keys = list(scenario.echo)
@@ -382,7 +401,8 @@ def test_emitted_files_match_the_in_memory_report(tmp_path):
     for tag, margin in theorem["worst_per_tag"].items():
         assert theorem["binding"][tag]["margin"] == margin
 
-    rows = list(csv.reader((tmp_path / "records.csv").open()))
+    with (tmp_path / "records.csv").open() as fh:
+        rows = list(csv.reader(fh))
     memory = [row for e in report.checks for row in e["rows"]]
     assert rows[0] == list(runner.COLUMNS)
     assert len(rows) == len(memory) + 1

@@ -203,6 +203,15 @@ def test_uniform_exponential_dichotomy_constant_one():
     assert report.uniform_constant == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("as_input", [list, iter])
+def test_dichotomy_takes_an_iterator_grid(exp_rates, grid10, as_input):
+    family, operator = dichotomy_fixture(exp_rates)
+    report = check_dichotomy(operator, family, exp_rates, as_input(grid10))
+    want = check_dichotomy(operator, family, exp_rates, grid10)
+    assert report.grid == grid10
+    assert report.records == want.records
+
+
 def test_dichotomy_rejects_nonzero_third_member(nonuniform_operator,
                                                 split_family, exp_rates):
     with pytest.raises(PreconditionError):
