@@ -10,7 +10,6 @@ import argparse
 import sys
 import time
 
-from .errors import PreconditionError, ScenarioError, StructuralError
 from .runner import emit, run
 from .scenario import read_tree, scenario_from_tree
 
@@ -64,7 +63,7 @@ def main(argv=None) -> int:
         tree = read_tree(args.scenario)
         _apply_overrides(tree, args)
         report = run(scenario_from_tree(tree))
-    except (ScenarioError, StructuralError, PreconditionError) as exc:
+    except (ValueError, MemoryError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

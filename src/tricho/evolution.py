@@ -36,10 +36,10 @@ class EvolutionOperator:
 
     ``compute(pairs)`` gives the matrices of a list of in-domain pairs as an
     (m, n, n) stack. Each distinct pair is computed once per operator and
-    kept read-only in ``store``; the restricted inverses of each projector
-    family are kept beside it in ``inverses`` (``projectors.build_inverses``),
-    and the factor tables of each family and rate in ``factors``
-    (``trichotomy.factor_table``).
+    kept read-only in ``store``. Everything derived from U is kept beside it
+    through ``keep``: the restricted inverses, factor tables, norm families,
+    their compatibility reports, the theorem sides and the theorem reports.
+    ``run`` empties ``kept`` when it returns.
     """
 
     def __init__(self, dimension: int, compute: Callable[[list], np.ndarray]):
@@ -51,8 +51,13 @@ class EvolutionOperator:
 
         self.dimension = dimension
         self.store = MatrixStore((dimension, dimension), checked)
-        self.inverses: dict = {}  # family -> {2: W_2, 3: W_3}
-        self.factors: dict = {}  # (family, tag, rate, full, pairs) -> factors
+        self.kept: dict = {}
+
+    def keep(self, key, build: Callable[[], object]):
+        """``kept[key]``, set to ``build()`` on the first call with ``key``."""
+        if key not in self.kept:
+            self.kept[key] = build()
+        return self.kept[key]
 
     def evaluate(self, t: float, s: float) -> np.ndarray:
         """Read-only matrix of U(t, s); only t >= s >= 0 is in the domain."""

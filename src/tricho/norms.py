@@ -18,8 +18,8 @@ horizon doubles, and theorem verdicts widen their tolerance by that slack.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import DomainError, StructuralError
 from .projectors import build_inverses
 from .rates import GrowthRate
 from .reports import CompatibilityReport, IneqRecord, TheoremReport, TrichotomyReport
-from .trichotomy import check_trichotomy, factor_table
+from .trichotomy import TERMS, check_trichotomy, factor_table
 from .util import grid_pairs, opnorms, test_vector_batch
 
 VARIANTS = ("forward", "backward")
@@ -63,9 +63,7 @@ class LyapunovNormFamily:
 
     Construction precomputes the stacks for the supplied times; evaluating
     at other times extends the cache lazily. All evaluations after
-    construction are pure. The family keeps what is computed from it:
-    its ``check_compatibility`` reports in ``compatibility`` and, for a
-    forward family, its ``theorem_sides`` in ``sides``.
+    construction are pure.
     """
 
     def __init__(self, variant: str, operator, family, rates,
@@ -83,8 +81,6 @@ class LyapunovNormFamily:
         self.rates = rates
         self.horizon = float(horizon)
         self.step = float(step)
-        self.compatibility: dict = {}  # (grid, samples, seed) -> report
-        self.sides: dict = {}  # (backward, grid, samples, seed) -> TheoremSides
         times = list(times)
         # the future terms run out to twice the horizon, for the sensitivity pass
         self._stacks = {t: self._build(t, 2.0 * self.horizon) for t in times}
@@ -203,9 +199,14 @@ class LyapunovNormFamily:
 
 def build_norm_family(variant: str, operator, family, rates,
                       horizon: float, step: float, times) -> LyapunovNormFamily:
-    """Construct one norm-family variant and measure its truncation slack."""
-    return LyapunovNormFamily(variant, operator, family, rates, horizon, step,
-                              times)
+    """Construct one norm-family variant and measure its truncation slack,
+    once per variant, projector family, h/k/mu/nu rates, horizon, step and
+    times, kept through ``operator.keep``."""
+    times = list(times)
+    key = ("norm_family", variant, family,
+           *map(rates.get, ("h", "k", "mu", "nu")), horizon, step, tuple(times))
+    return operator.keep(key, lambda: LyapunovNormFamily(
+        variant, operator, family, rates, horizon, step, times))
 
 
 def check_compatibility(norm_family: LyapunovNormFamily, grid, samples: int,
@@ -216,15 +217,18 @@ def check_compatibility(norm_family: LyapunovNormFamily, grid, samples: int,
     vectors; the lower bound is exact on every sample. The estimate is
     cross-checked against three times the envelope of full-norm required
     factors taken over the family's own sample pairs, which the construction
-    can never exceed. The report is computed once per grid, sample count and
-    seed, and kept in ``norm_family.compatibility``.
+    can never exceed. The report is computed once per family, grid, sample
+    count and seed, and kept through ``operator.keep``.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
-    key = (tuple(grid), samples, seed)
-    if key in norm_family.compatibility:
-        return norm_family.compatibility[key]
+    return norm_family.operator.keep(
+        ("compatibility", norm_family, tuple(grid), samples, seed),
+        lambda: _compatibility(norm_family, grid, samples, seed))
+
+
+def _compatibility(norm_family, grid, samples, seed) -> CompatibilityReport:
     n = norm_family.family.dimension
     _, x = test_vector_batch(n, samples, seed)
 
@@ -237,11 +241,10 @@ def check_compatibility(norm_family: LyapunovNormFamily, grid, samples: int,
                         for c, lim in zip(ratios, limit))
     passed = (lower >= -1e-12 and crosscheck_ok
               and all(math.isfinite(c) for c in ratios))
-    report = norm_family.compatibility[key] = CompatibilityReport(
+    return CompatibilityReport(
         grid=grid, ratios=ratios, c_uniform=max(ratios), lower_margin=lower,
         crosscheck_limit=limit, crosscheck_ok=crosscheck_ok, samples=samples,
         seed=seed, passed=passed)
-    return report
 
 
 def _fullnorm_limit(nf: LyapunovNormFamily, grid) -> list[float]:
@@ -272,13 +275,12 @@ def _require_shared_sources(forward: LyapunovNormFamily,
         raise StructuralError("norm families must be built from the same sources")
 
 
-@dataclass
+@dataclasses.dataclass(eq=False)  # hashed by identity, part of a kept key
 class TheoremSides:
     """What the projected and unprojected norm systems share: ``lhs[tag]``,
     the left-hand norms as (pairs, batch) in ``grid_pairs`` order (center
     tags only when some pair has a central member), and ``base[variant]``,
     the norms of x, P1 x, P2 x and P3 x at each grid time as (grid, 4, batch).
-    ``theorem_sides`` keeps them on the forward family they were taken from.
     """
 
     grid: list[float]
@@ -288,28 +290,23 @@ class TheoremSides:
     central: np.ndarray  # per pair: member 3 is nonzero at t or at s
 
 
-# tag -> (variant of its norms, time of the right-hand norm, base column when
-# projected, rate, whether the rate quotient is rate(t)/rate(s))
-_SIDES = {"stable_decay": ("forward", "s", 1, "h", False),
-          "unstable_growth": ("backward", "t", 2, "k", False),
-          "center_growth": ("forward", "s", 3, "mu", True),
-          "center_decay": ("backward", "t", 3, "nu", True)}
-
-
 def theorem_sides(forward: LyapunovNormFamily, backward: LyapunovNormFamily,
                   grid, samples: int = 32, seed: int = 0) -> TheoremSides:
     """Both sides of the norm inequalities over grid pairs, without rates.
 
     The U terms are batched per t over s and the W_j terms per s over t;
     each right-hand norm depends on one time and is taken once per time.
-    The sides are computed once per backward family, grid, sample count and
-    seed, and kept in ``forward.sides``.
+    The sides are computed once per pair of families, grid, sample count and
+    seed, and kept through ``operator.keep``.
     """
     _require_shared_sources(forward, backward)
     grid = list(grid)
-    key = (backward, tuple(grid), samples, seed)
-    if key in forward.sides:
-        return forward.sides[key]
+    return forward.operator.keep(
+        ("sides", forward, backward, tuple(grid), samples, seed),
+        lambda: _theorem_sides(forward, backward, grid, samples, seed))
+
+
+def _theorem_sides(forward, backward, grid, samples, seed) -> TheoremSides:
     family = forward.family
     ids, x = test_vector_batch(family.dimension, samples, seed)
     proj = np.stack([[x] + [family.member(j, t) @ x for j in (1, 2, 3)]
@@ -340,8 +337,7 @@ def theorem_sides(forward: LyapunovNormFamily, backward: LyapunovNormFamily,
             if tag in lhs:
                 lhs[tag][offsets[j:-1] + j] = backward.evaluate_many(
                     s, nf.inverses[inverse].stack(later) @ x)
-    sides = forward.sides[key] = TheoremSides(grid, ids, lhs, base, central)
-    return sides
+    return TheoremSides(grid, ids, lhs, base, central)
 
 
 def _theorem_records(sides: TheoremSides, rates, unprojected: bool):
@@ -349,21 +345,22 @@ def _theorem_records(sides: TheoremSides, rates, unprojected: bool):
 
     Inequalities are evaluated in ratio form (divided by the rate value at
     the left argument), which keeps margins O(1) and matches the
-    exponential/polynomial specialization forms directly.
+    exponential/polynomial specialization forms directly. Per ``TERMS``,
+    N binding at s means forward norms; the quotient inverts the factor's.
     """
     pairs = grid_pairs(sides.grid)
     rows, cols = np.tril_indices(len(sides.grid))
     per_tag = []
-    for tag, (variant, at, column, key, rising) in _SIDES.items():
+    for tag, (column, key, at, factor_rising) in TERMS.items():
         if tag not in sides.lhs:
             per_tag.append([IneqRecord(tag, t, s, sides.ids[0], 0.0, 0.0, 0.0,
                                        vacuous=True) for t, s in pairs])
             continue
         rate = rates[key]
-        quotient = [rate.ratio(t, s) if rising else rate.ratio(s, t)
+        quotient = [rate.ratio(s, t) if factor_rising else rate.ratio(t, s)
                     for t, s in pairs]
-        base = sides.base[variant][cols if at == "s" else rows,
-                                   0 if unprojected else column]
+        base = sides.base["forward" if at == "s" else "backward"][
+            cols if at == "s" else rows, 0 if unprojected else column]
         records = _worst_rows(tag, pairs, sides.ids, sides.lhs[tag],
                               np.array(quotient)[:, None] * base)
         if tag.startswith("center"):
@@ -407,13 +404,15 @@ def verify_norm_trichotomy(forward: LyapunovNormFamily,
     """Constant-free inequality system in the built norms over grid pairs.
 
     The pass threshold is tol plus the measured truncation slack of the two
-    families. Its ``theorem_sides`` are kept on the forward family and
-    shared with ``verify_norm_trichotomy_unprojected`` of the same arguments.
+    families. The report is kept through ``operator.keep`` per sides and
+    tol (callers must not change it); the sides are shared with
+    ``verify_norm_trichotomy_unprojected`` of the same arguments.
     """
     sides = theorem_sides(forward, backward, grid, samples, seed)
     slack = max(forward.horizon_delta_abs, backward.horizon_delta_abs)
-    records = _theorem_records(sides, forward.rates, unprojected=False)
-    return _finish("norm_trichotomy", records, tol, slack, samples, seed)
+    return forward.operator.keep(("theorem", sides, tol), lambda: _finish(
+        "norm_trichotomy", _theorem_records(sides, forward.rates, unprojected=False),
+        tol, slack, samples, seed))
 
 
 def verify_norm_trichotomy_unprojected(forward: LyapunovNormFamily,
@@ -446,9 +445,7 @@ def verify_sufficiency(forward: LyapunovNormFamily,
     The candidate bound N(a) = sup_{s <= a} C(s) (|P1(s)| + |P2(s)| + |P3(s)|)
     is assembled from the measured compatibility ratios of both families and
     fed back into the projected trichotomy system, which it must dominate.
-    Both ``check_compatibility`` reports are kept on their families and the
-    projected factor table on the operator, so a run that already took them
-    reads them without recomputing.
+    It reads the kept compatibility reports and projected factor table.
     """
     _require_shared_sources(forward, backward)
     grid = list(grid)
@@ -498,5 +495,4 @@ def check_rate_specialization(kind: str, exponents, operator, family, grid,
     fwd, bwd = (build_norm_family(variant, operator, family, rates, horizon,
                                   step, grid) for variant in VARIANTS)
     report = verify_norm_trichotomy(fwd, bwd, grid, tol, samples, seed)
-    report.label = f"{kind}_rates"
-    return report
+    return dataclasses.replace(report, label=f"{kind}_rates")

@@ -222,11 +222,9 @@ class InverseFamily:
 
 def build_inverses(operator, family: ProjectorFamily) -> dict[int, InverseFamily]:
     """The inverse families of members 2 and 3, built once per operator and
-    family and kept on the operator."""
-    if family not in operator.inverses:
-        operator.inverses[family] = {j: InverseFamily(operator, family, j)
-                                     for j in (2, 3)}
-    return operator.inverses[family]
+    family and kept through ``operator.keep``."""
+    return operator.keep(("inverses", family), lambda: {
+        j: InverseFamily(operator, family, j) for j in (2, 3)})
 
 
 def check_compatible(family: ProjectorFamily, operator, grid, tol: float) -> CheckReport:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import evolution, norms, projectors, trichotomy
 from .errors import ScenarioError
-from .scenario import RATE_KEYS, Scenario
+from .scenario import Scenario
 from .util import grid_pairs, grid_slots, make_grid
 
 STAGES = (
@@ -49,35 +49,21 @@ class RunReport:
 
 
 class _Workspace:
-    """Lazily built shared objects for one run."""
+    """The grid, projector family and operator of one run."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.grid = make_grid(scenario.grid_max, scenario.grid_step)
         self.family = _build_family(scenario)
         self.operator = _build_operator(scenario, self.family, self.grid)
-        self._memo = {}  # (what, h, k, mu, nu) -> object built for that rate set
 
-    def _once(self, what, rates, build):
-        key = (what, *(rates[name] for name in RATE_KEYS))
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
-
-    def norm_families(self, rates):
-        """Forward and backward norm families."""
+    def norm_families(self):
+        """Forward and backward norm families of the scenario's rates."""
         s = self.scenario
-        return self._once("families", rates, lambda: tuple(
-            norms.build_norm_family(variant, self.operator, self.family, rates,
-                                    s.horizon, s.grid_step, self.grid)
-            for variant in norms.VARIANTS))
-
-    def norm_theorem(self, rates):
-        """The constant-free norm system."""
-        s = self.scenario
-        return self._once("theorem", rates, lambda: norms.verify_norm_trichotomy(
-            *self.norm_families(rates), self.grid, s.tol_theorem, s.samples,
-            s.seed))
+        return tuple(norms.build_norm_family(variant, self.operator, self.family,
+                                             s.rates, s.horizon, s.grid_step,
+                                             self.grid)
+                     for variant in norms.VARIANTS)
 
 
 def _build_family(scenario: Scenario) -> projectors.ProjectorFamily:
@@ -142,20 +128,23 @@ def _run_check(name: str, ws: _Workspace) -> dict:
     if name == "norms":
         return _run_norms(ws)
     if name == "norm_trichotomy":
-        fwd, bwd = ws.norm_families(s.rates)
-        rep = ws.norm_theorem(s.rates)
+        fwd, bwd = ws.norm_families()
+        rep = norms.verify_norm_trichotomy(fwd, bwd, grid, s.tol_theorem,
+                                           s.samples, s.seed)
         suff = norms.verify_sufficiency(fwd, bwd, grid, s.samples, s.seed)
         payload = {"necessity": rep.payload(), "sufficiency": suff.payload()}
         rows = rep.csv_rows(name) + suff.csv_rows(name + "_sufficiency")
         return _entry(name, rep.passed and bool(suff.passed), payload, rows=rows)
     if name == "norm_trichotomy_unprojected":
-        fwd, bwd = ws.norm_families(s.rates)
+        fwd, bwd = ws.norm_families()
         rep = norms.verify_norm_trichotomy_unprojected(
             fwd, bwd, grid, s.tol_theorem, s.samples, s.seed)
         return _entry(name, rep.passed, rep.payload(), rep)
     if name == "rate_instantiation":
         kind, exponents = _instantiation_spec(s)
-        rep = ws.norm_theorem(norms.specialization_rates(kind, exponents))
+        rep = norms.check_rate_specialization(
+            kind, exponents, ws.operator, ws.family, grid, s.horizon,
+            s.grid_step, s.tol_theorem, s.samples, s.seed)
         payload = {"kind": kind, "exponents": list(exponents), **rep.payload()}
         return _entry(name, rep.passed, payload, rep)
     raise ValueError(f"unknown check {name!r}")
@@ -184,7 +173,7 @@ def _run_splitting(name: str, ws: _Workspace) -> dict:
 
 def _run_norms(ws: _Workspace) -> dict:
     s = ws.scenario
-    fwd, bwd = ws.norm_families(s.rates)
+    fwd, bwd = ws.norm_families()
     rep_f, rep_b = (norms.check_compatibility(nf, ws.grid, s.samples, seed=s.seed)
                     for nf in (fwd, bwd))
     sens = {
@@ -225,8 +214,9 @@ def run(scenario: Scenario) -> RunReport:
                             "rows": []})
             continue
         start = time.perf_counter()
-        try:
-            entry = _run_check(name, ws)
+        try:  # an overflow raises, so no inf or nan reaches the report
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                entry = _run_check(name, ws)
         except Exception as exc:  # recorded per check, dependents skip
             entry = {"name": name, "status": "error",
                      "payload": {"error": f"{type(exc).__name__}: {exc}"},
@@ -235,6 +225,7 @@ def run(scenario: Scenario) -> RunReport:
         entries.append(entry)
         if entry["status"] != "pass" and failed_stage is None:
             failed_stage = stage_of[name]
+    ws.operator.kept.clear()  # kept norm families point back at the operator
 
     overall = "pass"
     if any(e["status"] == "error" for e in entries):

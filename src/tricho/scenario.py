@@ -172,6 +172,15 @@ def scenario_from_tree(tree: dict) -> Scenario:
             raise ScenarioError(
                 f"rates.{key}: tabulated span must reach t_max + 2*horizon "
                 f"= {needed:g} (got {span[1]:g})")
+    gap = max(t_max, 2.0 * horizon + step)  # widest gap of a rising ratio
+    for key in RATE_KEYS:  # tabulated values are finite, and so their ratios
+        try:
+            finite = (rates[key].span is not None
+                      or math.isfinite(rates[key].ratio(gap, 0.0)))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ScenarioError(f"rates.{key}: ratio over a gap of {gap:g} overflows")
 
     operator = _require(tree, "operator", dict)
     op_type = operator.get("type")

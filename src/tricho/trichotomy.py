@@ -31,12 +31,13 @@ from .projectors import ProjectorFamily, build_inverses, rank_groups
 from .reports import FactorRecord, TrichotomyReport
 from .util import grid_pairs, opnorm, opnorms
 
-INEQUALITIES = ("stable_decay", "unstable_growth", "center_growth", "center_decay")
-BINDS = {"stable_decay": "s", "unstable_growth": "t",
-         "center_growth": "s", "center_decay": "t"}
-# tag -> (member, rate, whether the rate quotient is rate(t)/rate(s))
-_TERMS = {"stable_decay": (1, "h", True), "unstable_growth": (2, "k", True),
-          "center_growth": (3, "mu", False), "center_decay": (3, "nu", False)}
+# tag -> (member, rate, argument N binds to, whether the factor's rate
+# quotient is rate(t)/rate(s))
+TERMS = {"stable_decay": (1, "h", "s", True),
+         "unstable_growth": (2, "k", "t", True),
+         "center_growth": (3, "mu", "s", False),
+         "center_decay": (3, "nu", "t", False)}
+INEQUALITIES = tuple(TERMS)
 _REL_SLACK = 1e-9  # forgiveness when comparing factors against a bound
 
 
@@ -48,28 +49,24 @@ def factor_table(operator, family: ProjectorFamily, rates: dict, pairs,
     Each tag takes one batched product and SVD per member rank. Rank-0
     members make the inequality vacuous and give 0. With ``full=True`` the
     right-hand side uses the unprojected state norm. Each array is computed
-    once per operator and kept in ``operator.factors``, keyed by the family,
-    the tag, its rate, ``full`` and the pairs, so every check that reads the
-    same table shares it.
+    once per operator and kept through ``operator.keep``, keyed by the
+    family, the tag, its rate, ``full`` and the pairs, so every check that
+    reads the same table shares it.
     """
     for tag in tags:
         if tag not in INEQUALITIES:
             raise ValueError(f"unknown inequality {tag!r}")
     pairs = list(pairs)
     at = np.asarray(pairs, dtype=float).tobytes()  # keeps no per-pair objects
-    table = {}
-    for tag in tags:
-        key = (family, tag, rates.get(_TERMS[tag][1]), full, at)
-        if key not in operator.factors:
-            operator.factors[key] = _factors(operator, family, rates, pairs,
-                                             tag, full)
-        table[tag] = operator.factors[key]
-    return table
+    return {tag: operator.keep(
+                ("factors", family, tag, rates.get(TERMS[tag][1]), full, at),
+                lambda: _factors(operator, family, rates, pairs, tag, full))
+            for tag in tags}
 
 
 def _factors(operator, family, rates, pairs, tag, full) -> np.ndarray:
-    j, rate_key, rising = _TERMS[tag]
-    decay = BINDS[tag] == "s"  # U on Range P_j(s); else W_j on Range P_j(t)
+    j, rate_key, binds, rising = TERMS[tag]
+    decay = binds == "s"  # U on Range P_j(s); else W_j on Range P_j(t)
     bases = [family.basis(j, s if decay else t) for t, s in pairs]
     out = np.zeros(len(pairs))
     for rows in rank_groups([b.shape[1] for b in bases]):
@@ -107,16 +104,17 @@ def _run_system(operator, family, rates, grid, bound, label,
     bounds = dict(zip(grid, bound_values or []))
     records: list[FactorRecord] = []
     columns = zip(*(factors[tag].tolist() for tag in INEQUALITIES))
+    binds = [TERMS[tag][2] for tag in INEQUALITIES]
     for (t, s), row in zip(pairs, columns):
-        for tag, factor in zip(INEQUALITIES, row):
-            b = bounds.get(s if BINDS[tag] == "s" else t)
+        for tag, at, factor in zip(INEQUALITIES, binds, row):
+            b = bounds.get(s if at == "s" else t)
             margin = (b - factor) if b is not None else None
-            records.append(FactorRecord(tag, t, s, factor, BINDS[tag], b, margin))
+            records.append(FactorRecord(tag, t, s, factor, at, b, margin))
     rows, cols = np.tril_indices(len(grid))  # grid_pairs order
     pointwise = {}
-    for tag in INEQUALITIES:
+    for tag, at in zip(INEQUALITIES, binds):
         worst = np.zeros(len(grid))
-        np.maximum.at(worst, cols if BINDS[tag] == "s" else rows, factors[tag])
+        np.maximum.at(worst, cols if at == "s" else rows, factors[tag])
         pointwise[tag] = worst.tolist()
     requirement = np.maximum(1.0, np.max(list(pointwise.values()), axis=0)).tolist()
     envelope = list(np.maximum.accumulate(requirement))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tricho import (DomainError, GeneratorSpec, GrowthRate, PreconditionError,
                     ProjectorFamily, check_cocycle, check_identity,
                     from_generator, rate_model, run, scenario_from_tree)
-from tricho import norms, projectors, runner, trichotomy
+from tricho import evolution, norms, projectors, runner, trichotomy
 from tricho.util import grid_pairs, grid_slots, grid_triples, make_grid, opnorm
 
 # frozen scalar-arithmetic oracles for the model operator at (1, 0), u(t)=t+1
@@ -297,9 +297,18 @@ def test_run_computes_each_distinct_pair_once(monkeypatch):
     factors = trichotomy._factors
 
     def counted_factors(operator, family, rates, pairs, tag, full):
-        rate = rates.get(trichotomy._TERMS[tag][1])
+        rate = rates.get(trichotomy.TERMS[tag][1])
         tables.append((id(family), tag, rate, full, tuple(pairs)))
         return factors(operator, family, rates, pairs, tag, full)
+
+    kept = []
+    keep = evolution.EvolutionOperator.keep
+
+    def counted_keep(self, key, build):
+        def counted_build():
+            kept.append(key)
+            return build()
+        return keep(self, key, counted_build)
 
     built = []
 
@@ -314,8 +323,10 @@ def test_run_computes_each_distinct_pair_once(monkeypatch):
     monkeypatch.setattr(runner, "_build_operator", counting)
     monkeypatch.setattr(projectors, "restricted_inverses", counted_inverses)
     monkeypatch.setattr(trichotomy, "_factors", counted_factors)
-    counted_class("TheoremSides")
-    counted_class("CompatibilityReport")
+    monkeypatch.setattr(evolution.EvolutionOperator, "keep", counted_keep)
+    for name in ("LyapunovNormFamily", "TheoremSides", "TheoremReport",
+                 "CompatibilityReport"):
+        counted_class(name)
     rate = lambda kind, a: {"kind": kind, "exponent": a}
     tree = {
         "dimension": 3, "operator": {"type": "rate_model"},
@@ -333,9 +344,13 @@ def test_run_computes_each_distinct_pair_once(monkeypatch):
     assert computed and len(computed) == len(set(computed))
     assert inverses and len(inverses) == len(set(inverses))
     assert tables and len(tables) == len(set(tables))
+    assert kept and len(kept) == len(set(kept))
     # the instantiation rates equal the scenario's, so one pair of norm
-    # families: one set of theorem sides, one compatibility report each
-    assert sorted(built) == ["CompatibilityReport"] * 2 + ["TheoremSides"]
+    # families: one set of theorem sides, one compatibility report each, and
+    # one theorem report per norm system
+    assert sorted(built) == (["CompatibilityReport"] * 2
+                             + ["LyapunovNormFamily"] * 2
+                             + ["TheoremReport"] * 2 + ["TheoremSides"])
 
 
 def test_stored_pairs_are_not_changed_through_returned_stacks(nonuniform_operator):

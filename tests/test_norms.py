@@ -233,6 +233,25 @@ def test_exponential_specialization_passes(uniform_operator, split_family,
     assert report.label == "exponential_rates"
 
 
+def test_specialization_with_the_family_rates_shares_their_report():
+    grid = make_grid(2.0, 0.5)
+    family = ProjectorFamily.coordinate_split(1, 1, 1)
+    e = GrowthRate.exponential
+    rates = {"h": e(1.0), "k": e(2.0), "mu": e(0.5), "nu": e(0.25)}
+    operator = rate_model(GrowthRate.polynomial(1.0), *rates.values(), family)
+    fwd, bwd = (build_norm_family(variant, operator, family, rates, 1.0, 0.5,
+                                  grid) for variant in norms.VARIANTS)
+    report = verify_norm_trichotomy(fwd, bwd, grid, 1e-9, 8, 3)
+    special = check_rate_specialization("exponential", (1.0, 2.0, 0.5, 0.25),
+                                        operator, family, grid, 1.0, 0.5,
+                                        1e-9, 8, 3)
+    assert special.payload() == report.payload()
+    assert special.records is report.records  # the kept report, relabelled
+    assert special.label == "exponential_rates"
+    assert report.label == "norm_trichotomy"
+    assert verify_norm_trichotomy(fwd, bwd, grid, 1e-9, 8, 3) is report
+
+
 def test_polynomial_specialization_passes():
     family = ProjectorFamily.coordinate_split(1, 1, 1)
     poly = GrowthRate.polynomial

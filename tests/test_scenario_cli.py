@@ -1,5 +1,7 @@
 import csv
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -171,6 +173,13 @@ NONFINITE = {
         "kind": "exponential", "exponents": [1.0, 10 ** 400, 0.5, 0.25]}},
     "rates.u-huge": {"rates": {**minimal_tree()["rates"], "u": {
         "kind": "tabulated", "table": [[0, 1], [10 ** 400, 1]]}}},
+    # a rate whose ratio over the widest gap a check takes overflows a float
+    "rates.k-overflow": {"rates": {**minimal_tree()["rates"], "k": {
+        "kind": "exponential", "exponent": 100}}},
+    "rates.nu-overflow": {"rates": {**minimal_tree()["rates"], "nu": {
+        "kind": "polynomial", "exponent": 400}}},
+    "rates.mu-overflow": {"rates": {**minimal_tree()["rates"], "mu": {
+        "kind": "exponential", "exponent": 1e308}}},  # exponent * gap is inf
 }
 
 
@@ -181,8 +190,33 @@ def test_nonfinite_number_exits_2_naming_its_key(tmp_path, capsys, key):
     path = write_tree(tmp_path, tree)  # json writes the NaN and Infinity literals
     code = main(["--scenario", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert key.removesuffix("-huge") in capsys.readouterr().err
+    assert key.partition("-")[0] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_rate_that_overflows_only_past_the_widest_gap_runs(tmp_path):
+    # e^(36 * 10.5) is a float; e^(36 * (t_max + 2*horizon)) is not
+    tree = json.loads((SCENARIOS / "uniform_example.json").read_text())
+    tree["rates"]["h"]["exponent"] = 36
+    code = main(["--scenario", str(write_tree(tmp_path, tree)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # as the CLI runs
+def test_overflow_inside_a_check_ends_it_in_error(tmp_path):
+    tree = json.loads((SCENARIOS / "uniform_example.json").read_text())
+    tree["rates"]["mu"]["exponent"] = 36
+    out = tmp_path / "out"
+    code = main(["--scenario", str(write_tree(tmp_path, tree)), "--out", str(out)])
+    assert code == 2
+    assert sorted(p.name for p in out.iterdir()) == [
+        "records.csv", "report.json", "summary.csv"]
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    errors = {c["name"]: c["payload"]["error"] for c in checks
+              if c["status"] == "error"}
+    assert errors and all(e.startswith("FloatingPointError: overflow")
+                          for e in errors.values())
 
 
 def test_bounds_validation():
@@ -323,6 +357,10 @@ CLI_PARSE_ERRORS = {  # case -> (scenario file or tree, options, text of the err
                                 "horizon"),
     "negative_seed_option": ("uniform_example.json", ["--seed", "-1"], "seed"),
     "negative_seed_in_file": (minimal_tree(seed=-1), [], "seed"),
+    "dimension_too_large_to_build": (minimal_tree(
+        dimension=10 ** 400, projectors={"type": "coordinate_split",
+                                         "sizes": [10 ** 400, 0, 0]}),
+        [], "Maximum allowed dimension exceeded"),
 }
 
 
@@ -333,7 +371,8 @@ def test_cli_parse_error_exit_code(tmp_path, capsys, case):
             else write_tree(tmp_path, scenario))
     code = main(["--scenario", str(path), "--out", str(tmp_path / "o"), *options])
     assert code == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
 
 
 def test_cli_missing_file_exit_code(tmp_path, capsys):
@@ -411,12 +450,39 @@ def test_emitted_files_match_the_in_memory_report(tmp_path):
         assert row[:len(kept)] == [v if isinstance(v, str) else repr(float(v))
                                    for v in kept]
     ws = runner._Workspace(scenario)
+    families = [norms.build_norm_family(
+        variant, ws.operator, ws.family, scenario.rates, scenario.horizon,
+        scenario.grid_step, ws.grid) for variant in norms.VARIANTS]
     records = norms.verify_norm_trichotomy_unprojected(
-        *ws.norm_families(scenario.rates), ws.grid, scenario.tol_theorem,
-        scenario.samples, scenario.seed).records
+        *families, ws.grid, scenario.tol_theorem, scenario.samples,
+        scenario.seed).records
     vectors = [row[-1] for row in rows if row[0] == "norm_trichotomy_unprojected"]
     assert vectors == [r.vector_id for r in records]
     assert all(row[-1] == "" for row in rows[1:] if row[0] == "trichotomy")
+
+
+def test_run_frees_its_norm_families(monkeypatch):
+    refs = []
+    build = norms.build_norm_family
+
+    def tracked(*args):
+        family = build(*args)
+        refs.append(weakref.ref(family))
+        return family
+
+    monkeypatch.setattr(norms, "build_norm_family", tracked)
+    scenario = scenario_from_tree(minimal_tree(
+        grid={"t_max": 2.0, "step": 0.5}, horizon=1.0, samples=4,
+        checks=["norms", "norm_trichotomy", "rate_instantiation"]))
+    gc.collect()
+    gc.disable()  # freed by reference counting, not by a later collection
+    try:
+        report = run(scenario)
+        alive = [ref for ref in refs if ref() is not None]
+    finally:
+        gc.enable()
+    assert report.overall == "pass"
+    assert refs and not alive
 
 
 @pytest.mark.parametrize("where", ["payload", "rows"])
