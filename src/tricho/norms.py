@@ -26,7 +26,8 @@ import numpy as np
 from .errors import DomainError, StructuralError
 from .projectors import build_inverses
 from .rates import GrowthRate
-from .reports import CompatibilityReport, IneqRecord, TheoremReport, TrichotomyReport
+from .reports import (CompatibilityReport, Rows, TheoremReport, TrichotomyReport,
+                      smallest_margins)
 from .trichotomy import TERMS, check_trichotomy, factor_table
 from .util import grid_pairs, opnorms, test_vector_batch
 
@@ -138,24 +139,25 @@ class LyapunovNormFamily:
     def _term(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
         """max over the (m, n, n) stack of |M y| for each column y of x.
 
-        x is (n, batch) or a stack (..., n, batch); every matrix meets every
-        (n, batch) block in its own product, the same BLAS call as a single
-        block, so batching does not change the values. The stack is taken in
-        chunks of about ``_IMAGE_FLOATS`` image entries with a running
-        maximum, so the images stay in cache.
+        x is (n, batch) or a stack (..., n, batch) of p blocks, laid out once
+        as one wide (n, p * batch) block, so each matrix meets every column in
+        one product, with the same n-term sums as a block of its own.
+        The stack is taken in chunks of about ``_IMAGE_FLOATS`` image entries
+        with a running maximum, so the images stay in cache, and the squared
+        rows are summed in place.
         """
-        worst = np.zeros(x.shape[:-2] + x.shape[-1:])
+        n = x.shape[-2]
+        wide = np.moveaxis(x, -2, 0).reshape(n, -1)
+        worst = np.zeros(wide.shape[1])
         step = max(1, _IMAGE_FLOATS // x.size)
-        shape = (1,) * (x.ndim - 2) + stack.shape[1:]
         for lo in range(0, stack.shape[0], step):
-            chunk = stack[lo:lo + step]
-            images = chunk.reshape(chunk.shape[:1] + shape) @ x
+            images = stack[lo:lo + step] @ wide
             np.square(images, out=images)
-            total = images[..., 0, :]
-            for row in range(1, x.shape[-2]):
-                total = total + images[..., row, :]
+            total = images[:, 0]
+            for row in range(1, n):
+                total += images[:, row]
             np.maximum(worst, total.max(axis=0), out=worst)
-        return np.sqrt(worst)
+        return np.sqrt(worst).reshape(x.shape[:-2] + x.shape[-1:])
 
     def evaluate_many(self, t: float, x: np.ndarray) -> np.ndarray:
         """Norm values for each column of the (dimension, batch) matrix x,
@@ -340,8 +342,8 @@ def _theorem_sides(forward, backward, grid, samples, seed) -> TheoremSides:
     return TheoremSides(grid, ids, lhs, base, central)
 
 
-def _theorem_records(sides: TheoremSides, rates, unprojected: bool):
-    """Margins of the four norm inequalities, worst vector per (tag, pair).
+def _theorem_table(sides: TheoremSides, rates, unprojected: bool) -> Rows:
+    """Margins of the four norm inequalities, worst vector per (pair, tag).
 
     Inequalities are evaluated in ratio form (divided by the rate value at
     the left argument), which keeps margins O(1) and matches the
@@ -350,50 +352,51 @@ def _theorem_records(sides: TheoremSides, rates, unprojected: bool):
     """
     pairs = grid_pairs(sides.grid)
     rows, cols = np.tril_indices(len(sides.grid))
-    per_tag = []
+    columns = []
     for tag, (column, key, at, factor_rising) in TERMS.items():
-        if tag not in sides.lhs:
-            per_tag.append([IneqRecord(tag, t, s, sides.ids[0], 0.0, 0.0, 0.0,
-                                       vacuous=True) for t, s in pairs])
-            continue
-        rate = rates[key]
-        quotient = [rate.ratio(s, t) if factor_rising else rate.ratio(t, s)
-                    for t, s in pairs]
-        base = sides.base["forward" if at == "s" else "backward"][
-            cols if at == "s" else rows, 0 if unprojected else column]
-        records = _worst_rows(tag, pairs, sides.ids, sides.lhs[tag],
-                              np.array(quotient)[:, None] * base)
-        if tag.startswith("center"):
-            records = [r if c else IneqRecord(tag, r.t, r.s, sides.ids[0],
-                                              0.0, 0.0, 0.0, vacuous=True)
-                       for r, c in zip(records, sides.central.tolist())]
-        per_tag.append(records)
-    return [r for group in zip(*per_tag) for r in group]
+        lhs = rhs = np.zeros((len(pairs), 1))  # no central member anywhere
+        if tag in sides.lhs:
+            rate = rates[key]
+            quotient = [rate.ratio(s, t) if factor_rising else rate.ratio(t, s)
+                        for t, s in pairs]
+            base = sides.base["forward" if at == "s" else "backward"][
+                cols if at == "s" else rows, 0 if unprojected else column]
+            lhs, rhs = sides.lhs[tag], np.array(quotient)[:, None] * base
+            if tag.startswith("center"):  # vacuous where P3 is 0 at t and s
+                lhs, rhs = (np.where(sides.central[:, None], a, 0.0)
+                            for a in (lhs, rhs))
+        columns.append(_worst(lhs, rhs))
+    return _margins(sides, (rows, cols), list(TERMS), columns)
 
 
-def _worst_rows(tag, pairs, ids, lhs, rhs) -> list[IneqRecord]:
-    """Worst sample vector per row of the (pairs, batch) sides of one tag."""
+def _worst(lhs, rhs) -> list[np.ndarray]:
+    """Worst sample vector per row of the (pairs, batch) sides of one tag:
+    its lhs, rhs, margin and index, and whether both sides vanish."""
     margins = rhs - lhs
     idx = np.argmin(margins, axis=1)[:, None]
     vacuous = np.all(lhs == 0.0, axis=1) & np.all(rhs == 0.0, axis=1)
-    picked = [np.take_along_axis(a, idx, axis=1)[:, 0].tolist()
-              for a in (lhs, rhs, margins)]
-    return [IneqRecord(tag, t, s, ids[i], left, right, margin, vacuous=v)
-            for (t, s), i, left, right, margin, v
-            in zip(pairs, idx[:, 0].tolist(), *picked, vacuous.tolist())]
+    picked = [np.take_along_axis(a, idx, axis=1)[:, 0] for a in (lhs, rhs, margins)]
+    return [*picked, idx[:, 0], vacuous]
 
 
-def _finish(label, records, tol, slack, samples, seed) -> TheoremReport:
-    worst_per_tag: dict[str, float] = {}
-    for r in records:
-        cur = worst_per_tag.get(r.tag)
-        worst_per_tag[r.tag] = r.margin if cur is None else min(cur, r.margin)
+def _margins(sides, at, tags, columns) -> Rows:
+    """One table from per-tag ``_worst`` columns at the (t, s) grid indices."""
+    lhs, rhs, margin, vector, vacuous = (np.stack(c, axis=1) for c in zip(*columns))
+    vector = np.array(sides.ids)[vector]
+    return Rows(sides.grid, *at, tags, lhs, margin, vector, {
+        "vector_id": vector, "lhs": lhs, "rhs": rhs, "margin": margin,
+        "vacuous": vacuous})
+
+
+def _finish(label, tables, tol, slack, samples, seed) -> TheoremReport:
+    worst_per_tag = {tag: r["margin"] for tag, r in smallest_margins(tables).items()}
     min_margin = min(worst_per_tag.values())
-    return TheoremReport(label=label, records=records,
+    return TheoremReport(label=label, tables=tables,
                          worst_per_tag=worst_per_tag, min_margin=min_margin,
                          tolerance=tol, truncation_slack=slack,
                          passed=min_margin >= -(tol + slack),
-                         vacuous_count=sum(r.vacuous for r in records),
+                         vacuous_count=sum(int(t.fields["vacuous"].sum())
+                                           for t in tables),
                          seed=seed, samples=samples)
 
 
@@ -411,7 +414,7 @@ def verify_norm_trichotomy(forward: LyapunovNormFamily,
     sides = theorem_sides(forward, backward, grid, samples, seed)
     slack = max(forward.horizon_delta_abs, backward.horizon_delta_abs)
     return forward.operator.keep(("theorem", sides, tol), lambda: _finish(
-        "norm_trichotomy", _theorem_records(sides, forward.rates, unprojected=False),
+        "norm_trichotomy", [_theorem_table(sides, forward.rates, unprojected=False)],
         tol, slack, samples, seed))
 
 
@@ -427,14 +430,15 @@ def verify_norm_trichotomy_unprojected(forward: LyapunovNormFamily,
     """
     sides = theorem_sides(forward, backward, grid, samples, seed)
     slack = max(forward.horizon_delta_abs, backward.horizon_delta_abs)
-    records = _theorem_records(sides, forward.rates, unprojected=True)
-    diagonal = [(t, t) for t in sides.grid]
-    lemma = [_worst_rows(f"projection_bound_{variant}", diagonal, sides.ids,
-                         sides.base[variant][:, j], sides.base[variant][:, 0])
-             for variant in VARIANTS for j in (1, 2, 3)]
-    records += [r for group in zip(*lemma) for r in group]
-    return _finish("norm_trichotomy_unprojected", records, tol, slack,
-                   samples, seed)
+    diagonal = np.arange(len(sides.grid))
+    lemma = _margins(
+        sides, (diagonal, diagonal),
+        [f"projection_bound_{variant}" for variant in VARIANTS for _ in (1, 2, 3)],
+        [_worst(sides.base[variant][:, j], sides.base[variant][:, 0])
+         for variant in VARIANTS for j in (1, 2, 3)])
+    return _finish("norm_trichotomy_unprojected",
+                   [_theorem_table(sides, forward.rates, unprojected=True), lemma],
+                   tol, slack, samples, seed)
 
 
 def verify_sufficiency(forward: LyapunovNormFamily,
@@ -473,10 +477,7 @@ def specialization_rates(kind: str, exponents) -> dict[str, GrowthRate]:
     alphas = [float(a) for a in exponents]
     if len(alphas) != 4:
         raise ValueError("exactly four exponents are required")
-    if any(a <= 0 for a in alphas):
-        raise ValueError("exponent must be positive")
-    maker = GrowthRate.exponential if kind == "exponential" else GrowthRate.polynomial
-    return dict(zip(("h", "k", "mu", "nu"), (maker(a) for a in alphas)))
+    return {key: GrowthRate(kind, a) for key, a in zip(("h", "k", "mu", "nu"), alphas)}
 
 
 def check_rate_specialization(kind: str, exponents, operator, family, grid,

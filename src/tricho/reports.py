@@ -1,23 +1,63 @@
 """Report containers produced by the check operations.
 
-Each report knows how to flatten itself into a plain dict of summaries
-(``payload``) and into (check, t, s, tag, value, margin[, vector]) CSV rows
-(``csv_rows``) so the runner can serialize any mix of checks uniformly.
-Per-pair records appear only in the rows; a payload keeps, per tag, the
-records that bind (``binding``).
+Each report flattens itself into a plain dict of summaries (``payload``)
+and into (check, ``Rows``) blocks of ``records.csv`` columns (``csv_rows``).
+Per-pair results stay the (pairs, tags) arrays the kernels produce: a
+payload keeps, per tag, the records that bind (``binding``), and
+``records`` builds every record as a dict on demand.
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
 
-def _first_max(records, key) -> dict:
-    """Per tag, the first record in record order of largest ``key``."""
-    best = {}
-    for r in records:
-        if r.tag not in best or key(r) > key(best[r.tag]):
-            best[r.tag] = r
-    return {tag: asdict(r) for tag, r in best.items()}
+
+@dataclass(eq=False)
+class Rows:
+    """Records of one check as columns. Record ``p * len(tags) + j`` is tag
+    ``tags[j]`` at the pair (grid[t[p]], grid[s[p]]), so records run in C
+    order of the (pairs, tags) arrays. ``records.csv`` writes ``value``,
+    ``margin`` and ``vector``, a column or time of None as empty cells.
+    ``fields`` are a record's named columns after its tag and times, each
+    broadcast to (pairs, tags), None where unset."""
+
+    grid: list[float]
+    t: np.ndarray | None  # (pairs,) grid indices
+    s: np.ndarray | None
+    tags: list[str]
+    value: np.ndarray
+    margin: np.ndarray | None = None
+    vector: np.ndarray | None = None  # sample-vector ids
+    fields: dict = field(default_factory=dict)
+
+    def record(self, p: int, j: int) -> dict:
+        return {"tag": self.tags[j], "t": self.grid[self.t[p]],
+                "s": self.grid[self.s[p]], **{
+                    name: None if col is None
+                    else np.broadcast_to(col, self.value.shape)[p, j].item()
+                    for name, col in self.fields.items()}}
+
+    def records(self) -> list[dict]:
+        return [self.record(p, j) for p, j in np.ndindex(self.value.shape)]
+
+
+def _first(tags, values, pick=np.argmin) -> dict[str, tuple[int, int]]:
+    """Per tag, the (pair, column) of the first record in record order whose
+    value ``pick`` selects."""
+    out = {}
+    for tag in dict.fromkeys(tags):
+        cols = [j for j, name in enumerate(tags) if name == tag]
+        p, c = divmod(int(pick(values[:, cols])), len(cols))
+        out[tag] = (p, cols[c])
+    return out
+
+
+def smallest_margins(tables: list[Rows]) -> dict[str, dict]:
+    """Per tag, the first record in record order of smallest margin; no tag
+    is in two tables."""
+    return {tag: table.record(*at) for table in tables
+            for tag, at in _first(table.tags, table.margin).items()}
 
 
 @dataclass
@@ -47,34 +87,20 @@ class CheckReport:
         return max(self.residuals.values(), default=0.0)
 
     def payload(self) -> dict:
-        return {
-            "tol": self.tol,
-            "residuals": dict(self.residuals),
-            "notes": list(self.notes),
-        }
+        return {k: v for k, v in asdict(self).items() if k not in ("name", "passed")}
 
-    def csv_rows(self, check: str) -> list[tuple]:
-        return [(check, "", "", key, value, self.tol - value)
-                for key, value in self.residuals.items()]
-
-
-@dataclass
-class FactorRecord:
-    """Minimal admissible bounding factor for one inequality at one pair."""
-
-    tag: str
-    t: float
-    s: float
-    factor: float
-    binds: str  # which argument the bounding function is attached to: "s" or "t"
-    bound: float | None = None
-    margin: float | None = None
+    def csv_rows(self, check: str) -> list[tuple[str, Rows]]:
+        values = np.array([list(self.residuals.values())], dtype=float)
+        return [(check, Rows([], None, None, list(self.residuals), values,
+                             self.tol - values))]
 
 
 @dataclass
 class TrichotomyReport:
     """Empirical bounding-function requirements over a time grid.
 
+    ``rows`` holds, per (pair, inequality), the record fields factor,
+    binds, bound and margin (the last two None without a bound).
     ``envelope`` is the smallest nondecreasing majorant (running maximum,
     floored at 1) of the pointwise requirements; ``uniform_constant`` is its
     maximum. Verdicts are grid-relative evidence, never proof.
@@ -82,7 +108,7 @@ class TrichotomyReport:
 
     label: str
     grid: list[float]
-    records: list[FactorRecord]
+    rows: Rows
     pointwise: dict[str, list[float]]
     requirement: list[float]
     envelope: list[float]
@@ -91,11 +117,16 @@ class TrichotomyReport:
     passed: bool | None = None
     basis: str = "grid-evidence"
 
+    @property
+    def records(self) -> list[dict]:
+        return self.rows.records()
+
     def payload(self) -> dict:
         # binding: per tag, the record of the largest factor and, when a
         # bound is given, the record of the smallest margin
-        binding = {tag: {"factor": r} for tag, r in
-                   _first_max(self.records, lambda r: r.factor).items()}
+        r = self.rows
+        binding = {tag: {"factor": r.record(*at)}
+                   for tag, at in _first(r.tags, r.value, np.argmax).items()}
         out = {
             "grid": list(self.grid),
             "uniform_constant": self.uniform_constant,
@@ -107,14 +138,12 @@ class TrichotomyReport:
         }
         if self.bound_values is not None:
             out["bound_values"] = list(self.bound_values)
-            for tag, r in _first_max(self.records, lambda r: -r.margin).items():
-                binding[tag]["margin"] = r
+            for tag, at in _first(r.tags, r.margin).items():
+                binding[tag]["margin"] = r.record(*at)
         return out
 
-    def csv_rows(self, check: str) -> list[tuple]:
-        return [(check, r.t, r.s, r.tag, r.factor,
-                 "" if r.margin is None else r.margin)
-                for r in self.records]
+    def csv_rows(self, check: str) -> list[tuple[str, Rows]]:
+        return [(check, self.rows)]
 
 
 @dataclass
@@ -132,42 +161,23 @@ class CompatibilityReport:
     passed: bool
 
     def payload(self) -> dict:
-        return {
-            "grid": list(self.grid),
-            "ratios": list(self.ratios),
-            "c_uniform": self.c_uniform,
-            "lower_margin": self.lower_margin,
-            "crosscheck_limit": list(self.crosscheck_limit),
-            "crosscheck_ok": self.crosscheck_ok,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "passed"}
 
-    def csv_rows(self, check: str) -> list[tuple]:
-        return [(check, t, "", "compatibility_ratio", c, limit - c)
-                for t, c, limit in zip(self.grid, self.ratios, self.crosscheck_limit)]
-
-
-@dataclass
-class IneqRecord:
-    """Worst-vector evaluation of one norm inequality at one pair."""
-
-    tag: str
-    t: float
-    s: float
-    vector_id: str
-    lhs: float
-    rhs: float
-    margin: float
-    vacuous: bool = False
+    def csv_rows(self, check: str) -> list[tuple[str, Rows]]:
+        ratios = np.array(self.ratios)[:, None]
+        margin = np.array(self.crosscheck_limit)[:, None] - ratios
+        return [(check, Rows(self.grid, np.arange(len(self.grid)), None,
+                             ["compatibility_ratio"], ratios, margin))]
 
 
 @dataclass
 class TheoremReport:
-    """Margins for a norm-inequality system over grid pairs and sample vectors."""
+    """Margins for a norm-inequality system over grid pairs and sample
+    vectors: per table, the record fields vector_id, lhs, rhs, margin and
+    vacuous of the worst sample vector at every (pair, inequality)."""
 
     label: str
-    records: list[IneqRecord]
+    tables: list[Rows]
     worst_per_tag: dict[str, float]
     min_margin: float
     tolerance: float
@@ -176,6 +186,10 @@ class TheoremReport:
     vacuous_count: int = 0
     seed: int = 0
     samples: int = 0
+
+    @property
+    def records(self) -> list[dict]:
+        return [r for table in self.tables for r in table.records()]
 
     def payload(self) -> dict:
         return {
@@ -186,9 +200,8 @@ class TheoremReport:
             "vacuous_count": self.vacuous_count,
             "samples": self.samples,
             "seed": self.seed,
-            "binding": _first_max(self.records, lambda r: -r.margin),
+            "binding": smallest_margins(self.tables),
         }
 
-    def csv_rows(self, check: str) -> list[tuple]:
-        return [(check, r.t, r.s, r.tag, r.lhs, r.margin, r.vector_id)
-                for r in self.records]
+    def csv_rows(self, check: str) -> list[tuple[str, Rows]]:
+        return [(check, table) for table in self.tables]

@@ -12,7 +12,7 @@ records that bind it; the per-pair records are written only to
 """
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import math
 import time
@@ -23,6 +23,7 @@ import numpy as np
 
 from . import evolution, norms, projectors, trichotomy
 from .errors import ScenarioError
+from .reports import Rows
 from .scenario import Scenario
 from .util import grid_pairs, grid_slots, make_grid
 
@@ -100,33 +101,40 @@ def _build_operator(scenario: Scenario, family, grid) -> evolution.EvolutionOper
     return evolution.from_generator(gen, anchors=lattice)
 
 
-def _run_check(name: str, ws: _Workspace) -> dict:
-    s = ws.scenario
-    grid = ws.grid
+def _run_check(name: str, ws: _Workspace) -> tuple[bool, dict, list]:
+    """Whether one check passed, its payload and its ``records.csv`` rows."""
+    s, grid, op, family = ws.scenario, ws.grid, ws.operator, ws.family
+    tol = s.tol_structural
     if name == "orthogonality":
-        rep = projectors.check_orthogonal(ws.family, grid, s.tol_structural)
-        return _entry(name, rep.passed, rep.payload(), rep)
+        return _outcome(name, projectors.check_orthogonal(family, grid, tol))
     if name == "cocycle":
-        ident = evolution.check_identity(ws.operator, grid, s.tol_structural)
-        coc = evolution.check_cocycle(ws.operator, grid_slots(len(grid)),
-                                      s.tol_structural, pairs=grid_pairs(grid))
-        payload = {"tol": s.tol_structural,
-                   "residuals": {**ident.residuals, **coc.residuals}}
-        ok = ident.passed and coc.passed
-        rows = ident.csv_rows(name) + coc.csv_rows(name)
-        return _entry(name, ok, payload, rows=rows)
+        ident = evolution.check_identity(op, grid, tol)
+        coc = evolution.check_cocycle(op, grid_slots(len(grid)), tol,
+                                      pairs=grid_pairs(grid))
+        payload = {"tol": tol, "residuals": {**ident.residuals, **coc.residuals}}
+        return (ident.passed and coc.passed, payload,
+                ident.csv_rows(name) + coc.csv_rows(name))
     if name == "invariance":
-        rep = projectors.check_invariance(ws.family, ws.operator,
-                                          grid_pairs(grid), s.tol_structural)
-        return _entry(name, rep.passed, rep.payload(), rep)
+        return _outcome(name, projectors.check_invariance(family, op,
+                                                          grid_pairs(grid), tol))
     if name == "compatibility":
-        rep = projectors.check_compatible(ws.family, ws.operator, grid,
-                                          s.tol_structural)
-        return _entry(name, rep.passed, rep.payload(), rep)
+        return _outcome(name, projectors.check_compatible(family, op, grid, tol))
     if name in ("trichotomy", "trichotomy_full", "uniform", "dichotomy"):
-        return _run_splitting(name, ws)
+        limit = s.bounds.get("uniform" if name == "uniform" else "trichotomy")
+        rep = getattr(trichotomy, f"check_{name}")(op, family, s.rates, grid, limit)
+        return rep.passed is None or rep.passed, rep.payload(), rep.csv_rows(name)
     if name == "norms":
-        return _run_norms(ws)
+        fwd, bwd = ws.norm_families()
+        rep_f, rep_b = (norms.check_compatibility(nf, grid, s.samples, seed=s.seed)
+                        for nf in (fwd, bwd))
+        ok = (rep_f.passed and rep_b.passed
+              and not fwd.horizon_flagged and not bwd.horizon_flagged)
+        payload = {"forward": rep_f.payload(), "backward": rep_b.payload(),
+                   "horizon_sensitivity": {nf.variant: {
+                       "abs": nf.horizon_delta_abs, "rel": nf.horizon_delta_rel,
+                       "flagged": nf.horizon_flagged} for nf in (fwd, bwd)}}
+        rows = rep_f.csv_rows("norms_forward") + rep_b.csv_rows("norms_backward")
+        return ok, payload, rows
     if name == "norm_trichotomy":
         fwd, bwd = ws.norm_families()
         rep = norms.verify_norm_trichotomy(fwd, bwd, grid, s.tol_theorem,
@@ -134,20 +142,22 @@ def _run_check(name: str, ws: _Workspace) -> dict:
         suff = norms.verify_sufficiency(fwd, bwd, grid, s.samples, s.seed)
         payload = {"necessity": rep.payload(), "sufficiency": suff.payload()}
         rows = rep.csv_rows(name) + suff.csv_rows(name + "_sufficiency")
-        return _entry(name, rep.passed and bool(suff.passed), payload, rows=rows)
+        return rep.passed and bool(suff.passed), payload, rows
     if name == "norm_trichotomy_unprojected":
-        fwd, bwd = ws.norm_families()
-        rep = norms.verify_norm_trichotomy_unprojected(
-            fwd, bwd, grid, s.tol_theorem, s.samples, s.seed)
-        return _entry(name, rep.passed, rep.payload(), rep)
+        return _outcome(name, norms.verify_norm_trichotomy_unprojected(
+            *ws.norm_families(), grid, s.tol_theorem, s.samples, s.seed))
     if name == "rate_instantiation":
         kind, exponents = _instantiation_spec(s)
         rep = norms.check_rate_specialization(
-            kind, exponents, ws.operator, ws.family, grid, s.horizon,
-            s.grid_step, s.tol_theorem, s.samples, s.seed)
+            kind, exponents, op, family, grid, s.horizon, s.grid_step,
+            s.tol_theorem, s.samples, s.seed)
         payload = {"kind": kind, "exponents": list(exponents), **rep.payload()}
-        return _entry(name, rep.passed, payload, rep)
+        return rep.passed, payload, rep.csv_rows(name)
     raise ValueError(f"unknown check {name!r}")
+
+
+def _outcome(name: str, report) -> tuple[bool, dict, list]:
+    return report.passed, report.payload(), report.csv_rows(name)
 
 
 def _instantiation_spec(s: Scenario) -> tuple[str, list[float]]:
@@ -162,39 +172,8 @@ def _instantiation_spec(s: Scenario) -> tuple[str, list[float]]:
         "tabulated; add a rate_instantiation block with kind and exponents")
 
 
-def _run_splitting(name: str, ws: _Workspace) -> dict:
-    s = ws.scenario
-    check = getattr(trichotomy, f"check_{name}")
-    limit = s.bounds.get("uniform" if name == "uniform" else "trichotomy")
-    rep = check(ws.operator, ws.family, s.rates, ws.grid, limit)
-    ok = rep.passed if rep.passed is not None else True
-    return _entry(name, ok, rep.payload(), rep)
-
-
-def _run_norms(ws: _Workspace) -> dict:
-    s = ws.scenario
-    fwd, bwd = ws.norm_families()
-    rep_f, rep_b = (norms.check_compatibility(nf, ws.grid, s.samples, seed=s.seed)
-                    for nf in (fwd, bwd))
-    sens = {
-        "forward": {"abs": fwd.horizon_delta_abs, "rel": fwd.horizon_delta_rel,
-                    "flagged": fwd.horizon_flagged},
-        "backward": {"abs": bwd.horizon_delta_abs, "rel": bwd.horizon_delta_rel,
-                     "flagged": bwd.horizon_flagged},
-    }
-    ok = (rep_f.passed and rep_b.passed
-          and not fwd.horizon_flagged and not bwd.horizon_flagged)
-    payload = {"forward": rep_f.payload(), "backward": rep_b.payload(),
-               "horizon_sensitivity": sens}
-    rows = rep_f.csv_rows("norms_forward") + rep_b.csv_rows("norms_backward")
-    return _entry("norms", ok, payload, rows=rows)
-
-
-def _entry(name: str, ok: bool, payload: dict, report=None, rows=None) -> dict:
-    if rows is None:
-        rows = report.csv_rows(name) if report is not None else []
-    return {"name": name, "status": "pass" if ok else "fail",
-            "payload": payload, "rows": rows}
+def _entry(name: str, status: str, payload: dict, rows=()) -> dict:
+    return {"name": name, "status": status, "payload": payload, "rows": list(rows)}
 
 
 def run(scenario: Scenario) -> RunReport:
@@ -209,18 +188,15 @@ def run(scenario: Scenario) -> RunReport:
     failed_stage = None
     for name in ordered:
         if failed_stage is not None and stage_of[name] > failed_stage:
-            entries.append({"name": name, "status": "skipped",
-                            "payload": {"reason": "earlier stage failed"},
-                            "rows": []})
+            entries.append(_entry(name, "skipped", {"reason": "earlier stage failed"}))
             continue
         start = time.perf_counter()
         try:  # an overflow raises, so no inf or nan reaches the report
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                entry = _run_check(name, ws)
+                ok, payload, rows = _run_check(name, ws)
+            entry = _entry(name, "pass" if ok else "fail", payload, rows)
         except Exception as exc:  # recorded per check, dependents skip
-            entry = {"name": name, "status": "error",
-                     "payload": {"error": f"{type(exc).__name__}: {exc}"},
-                     "rows": []}
+            entry = _entry(name, "error", {"error": f"{type(exc).__name__}: {exc}"})
         timing[name] = time.perf_counter() - start
         entries.append(entry)
         if entry["status"] != "pass" and failed_stage is None:
@@ -241,11 +217,28 @@ def run(scenario: Scenario) -> RunReport:
 COLUMNS = ("check", "t", "s", "tag", "value", "margin", "vector")
 
 
+def _write_rows(fh, check: str, rows: Rows) -> None:
+    """Write one block of records as CSV lines in record order, each line
+    formatted as the file takes it; floats as their ``repr``. Names and
+    sample-vector ids hold no delimiter or quote, so no cell is quoted."""
+    times = [repr(t) for t in rows.grid]  # formatted once per grid time
+    t, s = ([""] * len(rows.value) if at is None else [times[i] for i in at.tolist()]
+            for at in (rows.t, rows.s))
+    heads = (f"{check},{a},{b},{tag}," for a, b in zip(t, s) for tag in rows.tags)
+    cells = [itertools.repeat("") if a is None
+             else a.ravel().tolist() if a.dtype.kind == "U"
+             else map(repr, a.ravel().tolist())
+             for a in (rows.value, rows.margin, rows.vector)]
+    fh.writelines(map("{}{},{},{}\n".format, heads, *cells))
+
+
 def emit(report: RunReport, format: str, out_dir) -> list[Path]:
     """Write report files; returns the written paths.
 
-    ``format`` is "json", "csv" or "both". Identical report contents produce
-    byte-identical files; a non-finite number raises ValueError.
+    ``format`` is "json", "csv" or "both". ``records.csv`` is written from
+    each check's columns (``Rows``), a line at a time, with no row built.
+    Identical report contents produce byte-identical files; a non-finite
+    number raises ValueError.
     """
     if format not in ("json", "csv", "both"):
         raise ValueError(f"format must be json, csv or both, got {format!r}")
@@ -265,24 +258,20 @@ def emit(report: RunReport, format: str, out_dir) -> list[Path]:
         written.append(path)
 
     if format in ("csv", "both"):
-        rows = [row for e in report.checks for row in e["rows"]]
-        if not all(math.isfinite(v) for row in rows for v in row
-                   if isinstance(v, float)):
+        blocks = [block for e in report.checks for block in e["rows"]]
+        if not all(np.isfinite(a).all() for _, rows in blocks
+                   for a in (rows.value, rows.margin) if a is not None):
             raise ValueError("cannot serialize a non-finite number")
-        if rows:
+        if any(rows.value.size for _, rows in blocks):
             path = out / "records.csv"
             with path.open("w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(COLUMNS)
-                writer.writerows(row + ("",) * (len(COLUMNS) - len(row))
-                                 for row in rows)
+                fh.write(",".join(COLUMNS) + "\n")
+                for check, rows in blocks:
+                    _write_rows(fh, check, rows)
             written.append(path)
         path = out / "summary.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["check", "status"])
-            for e in report.checks:
-                writer.writerow([e["name"], e["status"]])
-            writer.writerow(["overall", report.overall])
+        lines = ["check,status", *(f"{e['name']},{e['status']}" for e in report.checks),
+                 f"overall,{report.overall}"]
+        path.write_text("\n".join(lines) + "\n")
         written.append(path)
     return written

@@ -85,6 +85,16 @@ def _finite_array(value, shape: tuple, where: str) -> None:
         raise ScenarioError(f"{where} must hold finite numbers of shape {shape}")
 
 
+def _bounded_ratio(rate: GrowthRate, gap: float, where: str) -> None:
+    """Reject a rate whose ratio over ``gap`` overflows a float."""
+    try:
+        finite = math.isfinite(rate.ratio(gap, 0.0))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ScenarioError(f"{where}: ratio over a gap of {gap:g} overflows")
+
+
 def _parse_rate(spec, key: str) -> GrowthRate:
     if not isinstance(spec, dict):
         raise ScenarioError(f"rates.{key} must be an object")
@@ -165,22 +175,16 @@ def scenario_from_tree(tree: dict) -> Scenario:
              for key in RATE_KEYS}
     if "u" in rates_tree:
         rates["u"] = _parse_rate(rates_tree["u"], "u")
+    needed = t_max + 2.0 * horizon
+    gap = max(t_max, 2.0 * horizon + step)  # widest gap of a rising ratio
     for key, rate in rates.items():
         span = rate.span
-        needed = t_max + 2.0 * horizon
         if span is not None and span[1] < needed - 1e-9:
             raise ScenarioError(
                 f"rates.{key}: tabulated span must reach t_max + 2*horizon "
                 f"= {needed:g} (got {span[1]:g})")
-    gap = max(t_max, 2.0 * horizon + step)  # widest gap of a rising ratio
-    for key in RATE_KEYS:  # tabulated values are finite, and so their ratios
-        try:
-            finite = (rates[key].span is not None
-                      or math.isfinite(rates[key].ratio(gap, 0.0)))
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ScenarioError(f"rates.{key}: ratio over a gap of {gap:g} overflows")
+        if span is None and key in RATE_KEYS:  # tabulated ratios are finite
+            _bounded_ratio(rate, gap, f"rates.{key}")
 
     operator = _require(tree, "operator", dict)
     op_type = operator.get("type")
@@ -206,6 +210,10 @@ def scenario_from_tree(tree: dict) -> Scenario:
             for key in ("base", "amplitude"):
                 if name == "periodic_diag" and key in builtin:
                     _finite_array(builtin[key], (n,), f"operator.builtin.{key}")
+            terms = zip(builtin.get("base", []), builtin.get("amplitude", []))
+            if name == "periodic_diag" and not all(
+                    math.isfinite(abs(b) + abs(a)) for b, a in terms):
+                raise ScenarioError("operator.builtin: |base| + |amplitude| overflows")
         else:
             raise ScenarioError("operator needs either matrix or builtin")
     else:
@@ -272,6 +280,8 @@ def scenario_from_tree(tree: dict) -> Scenario:
         if len(exps) != 4 or not all(_finite(v) and v > 0 for v in exps):
             raise ScenarioError("rate_instantiation.exponents must be four "
                                 "finite positive numbers")
+        _bounded_ratio(GrowthRate(kind, float(max(exps))), gap,  # the largest ratio
+                       "rate_instantiation.exponents")
 
     return Scenario(dimension=n, operator=dict(operator),
                     projectors=dict(projectors), rates=rates,

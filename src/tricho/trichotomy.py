@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .projectors import ProjectorFamily, build_inverses, rank_groups
-from .reports import FactorRecord, TrichotomyReport
+from .reports import Rows, TrichotomyReport
 from .util import grid_pairs, opnorm, opnorms
 
 # tag -> (member, rate, argument N binds to, whether the factor's rate
@@ -98,31 +98,27 @@ def _run_system(operator, family, rates, grid, bound, label,
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
-    pairs = grid_pairs(grid)
-    factors = factor_table(operator, family, rates, pairs, full=full)
-    bound_values = [float(bound(a)) for a in grid] if bound is not None else None
-    bounds = dict(zip(grid, bound_values or []))
-    records: list[FactorRecord] = []
-    columns = zip(*(factors[tag].tolist() for tag in INEQUALITIES))
-    binds = [TERMS[tag][2] for tag in INEQUALITIES]
-    for (t, s), row in zip(pairs, columns):
-        for tag, at, factor in zip(INEQUALITIES, binds, row):
-            b = bounds.get(s if at == "s" else t)
-            margin = (b - factor) if b is not None else None
-            records.append(FactorRecord(tag, t, s, factor, at, b, margin))
+    factors = factor_table(operator, family, rates, grid_pairs(grid), full=full)
     rows, cols = np.tril_indices(len(grid))  # grid_pairs order
-    pointwise = {}
-    for tag, at in zip(INEQUALITIES, binds):
-        worst = np.zeros(len(grid))
-        np.maximum.at(worst, cols if at == "s" else rows, factors[tag])
-        pointwise[tag] = worst.tolist()
-    requirement = np.maximum(1.0, np.max(list(pointwise.values()), axis=0)).tolist()
-    envelope = list(np.maximum.accumulate(requirement))
-    passed = None
+    binds = [TERMS[tag][2] for tag in INEQUALITIES]
+    at = np.stack([cols if b == "s" else rows for b in binds], axis=1)  # N's time
+    value = np.stack([factors[tag] for tag in INEQUALITIES], axis=1)
+    worst = np.zeros((len(grid), len(binds)))
+    np.maximum.at(worst, (at, np.arange(len(binds))), value)
+    pointwise = dict(zip(INEQUALITIES, worst.T.tolist()))
+    fields = {"factor": value, "binds": np.array(binds), "bound": None, "margin": None}
+    bound_values = None
     if bound is not None:
-        passed = all(e <= b * (1.0 + _REL_SLACK) + 1e-12
-                     for e, b in zip(envelope, bound_values))
-    return TrichotomyReport(label=label, grid=grid, records=records,
+        bound_values = [float(bound(a)) for a in grid]
+        fields["bound"] = np.array(bound_values)[at]
+        fields["margin"] = fields["bound"] - value
+    requirement = np.maximum(1.0, worst.max(axis=1)).tolist()
+    envelope = list(np.maximum.accumulate(requirement))
+    passed = None if bound is None else all(
+        e <= b * (1.0 + _REL_SLACK) + 1e-12 for e, b in zip(envelope, bound_values))
+    table = Rows(grid, rows, cols, list(INEQUALITIES), value, fields["margin"],
+                 fields=fields)
+    return TrichotomyReport(label=label, grid=grid, rows=table,
                             pointwise=pointwise, requirement=requirement,
                             envelope=envelope,
                             uniform_constant=float(envelope[-1]),

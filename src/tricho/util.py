@@ -143,20 +143,10 @@ def grid_slots(size: int) -> np.ndarray:
     return np.stack([i * (i + 1) // 2 + k, left, j * (j + 1) // 2 + k], axis=1)
 
 
-def sample_unit_vectors(dimension: int, count: int, seed: int) -> np.ndarray:
-    """(dimension, count) matrix of unit columns from a seeded generator."""
-    if count <= 0:
-        return np.zeros((dimension, 0))
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((dimension, count))
-    v /= np.linalg.norm(v, axis=0)
-    return v
-
-
 def test_vector_batch(dimension: int, samples: int, seed: int) -> tuple[list[str], np.ndarray]:
     """Standard basis columns followed by seeded random unit columns."""
     ids = [f"e{i + 1}" for i in range(dimension)]
     ids += [f"r{i + 1:02d}" for i in range(samples)]
-    basis = np.eye(dimension)
-    randoms = sample_unit_vectors(dimension, samples, seed)
-    return ids, np.hstack([basis, randoms])
+    randoms = np.random.default_rng(seed).standard_normal((dimension, max(samples, 0)))
+    randoms /= np.linalg.norm(randoms, axis=0)
+    return ids, np.hstack([np.eye(dimension), randoms])

@@ -167,10 +167,10 @@ def test_criterion_7_rate_specializations(uniform_operator, split_family,
         "exponential", (1.0, 2.0, 0.5, 0.25), di_operator, di_family,
         grid10, HORIZON, STEP, tol=1e-9, samples=16, seed=2024)
     center = [r for r in di_report.records
-              if r.tag in ("center_growth", "center_decay")]
+              if r["tag"] in ("center_growth", "center_decay")]
 
     ok = (exp_report.passed and poly_report.passed and di_report.passed
-          and bool(center) and all(r.vacuous for r in center))
+          and bool(center) and all(r["vacuous"] for r in center))
     _verdict(7, ok, f"exponential margin {exp_report.min_margin:.1e}, "
                     f"polynomial margin {poly_report.min_margin:.1e}, "
                     f"dichotomy passes with {len(center)} vacuous center rows")

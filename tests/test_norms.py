@@ -174,10 +174,10 @@ def test_equal_time_records_have_zero_margin(uniform_norms, grid10):
     fwd, bwd = uniform_norms
     report = verify_norm_trichotomy(fwd, bwd, grid10, tol=1e-10, samples=8,
                                     seed=9)
-    diag = [r for r in report.records if r.t == r.s]
+    diag = [r for r in report.records if r["t"] == r["s"]]
     assert diag
     for r in diag:
-        assert r.margin == pytest.approx(0.0, abs=1e-12)
+        assert r["margin"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mismatched_sources_rejected(uniform_norms, nonuniform_norms, grid10):
@@ -211,8 +211,8 @@ def test_unprojected_system_and_lemma(uniform_norms, nonuniform_norms, grid10):
                                                     samples=16, seed=9)
         assert report.passed
         lemma = [r for r in report.records
-                 if r.tag.startswith("projection_bound")]
-        assert lemma and all(r.margin >= -1e-10 for r in lemma)
+                 if r["tag"].startswith("projection_bound")]
+        assert lemma and all(r["margin"] >= -1e-10 for r in lemma)
 
 
 def test_unprojected_reduces_to_projected_on_range_vectors(uniform_norms):
@@ -246,7 +246,7 @@ def test_specialization_with_the_family_rates_shares_their_report():
                                         operator, family, grid, 1.0, 0.5,
                                         1e-9, 8, 3)
     assert special.payload() == report.payload()
-    assert special.records is report.records  # the kept report, relabelled
+    assert special.tables is report.tables  # the kept report, relabelled
     assert special.label == "exponential_rates"
     assert report.label == "norm_trichotomy"
     assert verify_norm_trichotomy(fwd, bwd, grid, 1e-9, 8, 3) is report
@@ -327,8 +327,8 @@ def test_dichotomy_specialization_has_vacuous_center_rows(exp_rates):
         HORIZON, STEP, tol=1e-9, samples=8, seed=3)
     assert report.passed
     center = [r for r in report.records
-              if r.tag in ("center_growth", "center_decay")]
-    assert center and all(r.vacuous for r in center)
+              if r["tag"] in ("center_growth", "center_decay")]
+    assert center and all(r["vacuous"] for r in center)
     assert report.vacuous_count == len(center)
 
 
@@ -391,7 +391,8 @@ def test_batched_theorem_records_match_per_pair_loop():
     for verify, unprojected in ((verify_norm_trichotomy, False),
                                 (verify_norm_trichotomy_unprojected, True)):
         report = verify(fwd, bwd, grid, samples=6, seed=17)
-        got = [(r.tag, r.t, r.s, r.vector_id, r.margin) for r in report.records]
+        got = [tuple(r[k] for k in ("tag", "t", "s", "vector_id", "margin"))
+               for r in report.records]
         assert got == reference_theorem_rows(fwd, bwd, grid, 6, 17, unprojected)
     sides = theorem_sides(fwd, bwd, grid, samples=6, seed=17)
     assert theorem_sides(fwd, bwd, iter(grid), samples=6, seed=17) is sides
@@ -419,7 +420,8 @@ def test_iterator_times_keep_the_truncation_slack(as_input):
 def test_chunked_term_matches_one_shot(monkeypatch, n):
     rng = np.random.default_rng(n)
     stack = rng.standard_normal((23, n, n)) * np.logspace(-3, 3, 23)[:, None, None]
-    for x in (rng.standard_normal((n, 9)), rng.standard_normal((5, n, 9))):
+    for x in (rng.standard_normal((n, 9)), rng.standard_normal((5, n, 9)),
+              rng.standard_normal((2, 3, n, 9))):
         images = stack.reshape(stack.shape[:1] + (1,) * (x.ndim - 2)
                                + stack.shape[1:]) @ x
         want = np.sqrt(np.square(images).sum(axis=-2).max(axis=0))

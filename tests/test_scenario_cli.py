@@ -1,14 +1,19 @@
 import csv
 import gc
+import io
 import json
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tricho import ScenarioError, emit, parse_scenario, run, scenario_from_tree
 from tricho import norms, runner
 from tricho.cli import main
+from tricho.reports import (CheckReport, CompatibilityReport, Rows, TheoremReport,
+                            TrichotomyReport)
+from tricho.scenario import CHECK_NAMES
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -171,6 +176,8 @@ NONFINITE = {
         [[0, 0, 0], [0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 1]]]}},
     "rate_instantiation.exponents-huge": {"rate_instantiation": {
         "kind": "exponential", "exponents": [1.0, 10 ** 400, 0.5, 0.25]}},
+    "rate_instantiation.exponents-overflow": {"rate_instantiation": {
+        "kind": "exponential", "exponents": [1.0, 100, 0.5, 0.25]}},
     "rates.u-huge": {"rates": {**minimal_tree()["rates"], "u": {
         "kind": "tabulated", "table": [[0, 1], [10 ** 400, 1]]}}},
     # a rate whose ratio over the widest gap a check takes overflows a float
@@ -361,6 +368,10 @@ CLI_PARSE_ERRORS = {  # case -> (scenario file or tree, options, text of the err
         dimension=10 ** 400, projectors={"type": "coordinate_split",
                                          "sizes": [10 ** 400, 0, 0]}),
         [], "Maximum allowed dimension exceeded"),
+    "periodic_diag_coefficient_overflows": (minimal_tree(operator={
+        "type": "ode", "step": 0.01, "builtin": {
+            "name": "periodic_diag", "base": [1e308, 1e308, 0],
+            "amplitude": [1e308, 0, 0]}}), [], "operator.builtin"),
 }
 
 
@@ -442,13 +453,14 @@ def test_emitted_files_match_the_in_memory_report(tmp_path):
 
     with (tmp_path / "records.csv").open() as fh:
         rows = list(csv.reader(fh))
-    memory = [row for e in report.checks for row in e["rows"]]
+    memory = [[check, repr(rows_.grid[rows_.t[p]]), repr(rows_.grid[rows_.s[p]]),
+               tag, repr(float(rows_.value[p, j])),
+               "" if rows_.margin is None else repr(float(rows_.margin[p, j])),
+               "" if rows_.vector is None else str(rows_.vector[p, j])]
+              for e in report.checks for check, rows_ in e["rows"]
+              for p in range(len(rows_.t)) for j, tag in enumerate(rows_.tags)]
     assert rows[0] == list(runner.COLUMNS)
-    assert len(rows) == len(memory) + 1
-    assert {len(row) for row in rows} == {len(runner.COLUMNS)}
-    for row, kept in zip(rows[1:], memory):
-        assert row[:len(kept)] == [v if isinstance(v, str) else repr(float(v))
-                                   for v in kept]
+    assert rows[1:] == memory
     ws = runner._Workspace(scenario)
     families = [norms.build_norm_family(
         variant, ws.operator, ws.family, scenario.rates, scenario.horizon,
@@ -457,7 +469,7 @@ def test_emitted_files_match_the_in_memory_report(tmp_path):
         *families, ws.grid, scenario.tol_theorem, scenario.samples,
         scenario.seed).records
     vectors = [row[-1] for row in rows if row[0] == "norm_trichotomy_unprojected"]
-    assert vectors == [r.vector_id for r in records]
+    assert vectors == [r["vector_id"] for r in records]
     assert all(row[-1] == "" for row in rows[1:] if row[0] == "trichotomy")
 
 
@@ -491,7 +503,53 @@ def test_emit_refuses_nonfinite_numbers(tmp_path, where):
     if where == "payload":
         entry["payload"]["value"] = float("nan")
     else:
-        entry["rows"].append(("x", 0.0, 0.0, "tag", float("nan"), 0.0))
+        entry["rows"].append(("x", Rows([0.0], np.zeros(1, int), np.zeros(1, int),
+                                        ["tag"], np.array([[float("nan")]]),
+                                        np.zeros((1, 1)), None)))
     report = runner.RunReport(scenario={}, checks=[entry], overall="pass")
     with pytest.raises(ValueError):
         emit(report, "json" if where == "payload" else "csv", tmp_path)
+
+
+def per_record_rows(check, report):
+    """The rows of one report as a per-record writer gives them."""
+    if isinstance(report, CheckReport):
+        return [(check, "", "", key, value, report.tol - value)
+                for key, value in report.residuals.items()]
+    if isinstance(report, CompatibilityReport):
+        return [(check, t, "", "compatibility_ratio", c, limit - c) for t, c, limit
+                in zip(report.grid, report.ratios, report.crosscheck_limit)]
+    if isinstance(report, TrichotomyReport):
+        return [(check, r["t"], r["s"], r["tag"], r["factor"],
+                 "" if r["margin"] is None else r["margin"]) for r in report.records]
+    return [(check, r["t"], r["s"], r["tag"], r["lhs"], r["margin"], r["vector_id"])
+            for r in report.records]
+
+
+def test_records_csv_matches_a_csv_writer_over_the_records(tmp_path, monkeypatch):
+    reports = []  # (check, report) in the order the runner asks for rows
+    for cls in (CheckReport, CompatibilityReport, TrichotomyReport, TheoremReport):
+        def wrapped(self, check, original=cls.csv_rows):
+            reports.append((check, self))
+            return original(self, check)
+        monkeypatch.setattr(cls, "csv_rows", wrapped)
+    scenario = scenario_from_tree(minimal_tree(  # P3 = 0: vacuous center rows
+        grid={"t_max": 2.0, "step": 0.5}, horizon=1.0, samples=4,
+        checks=list(CHECK_NAMES),
+        projectors={"type": "coordinate_split", "sizes": [1, 2, 0]},
+        bounds={"trichotomy": {"kind": "affine", "coeff": 1.0, "offset": 40.0},
+                "uniform": 1000.0}))
+    report = run(scenario)
+    assert report.overall == "pass"
+    emit(report, "csv", tmp_path)
+
+    rows = [row for check, rep in reports for row in per_record_rows(check, rep)]
+    assert any(r["margin"] is not None for _, rep in reports
+               if isinstance(rep, TrichotomyReport) for r in rep.records)
+    assert any(r["vacuous"] for _, rep in reports
+               if isinstance(rep, TheoremReport) for r in rep.records)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(runner.COLUMNS)
+    writer.writerows(row + ("",) * (len(runner.COLUMNS) - len(row)) for row in rows)
+    assert (tmp_path / "records.csv").read_text() == want.getvalue()

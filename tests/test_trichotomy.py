@@ -167,7 +167,7 @@ def test_factors_invariant_under_orthogonal_conjugation(nonuniform_operator,
                             exp_rates, grid)
     moved = check_trichotomy(rotated, rotated_family, exp_rates, grid)
     for a, b in zip(base.records, moved.records):
-        assert b.factor == pytest.approx(a.factor, rel=1e-10, abs=1e-10)
+        assert b["factor"] == pytest.approx(a["factor"], rel=1e-10, abs=1e-10)
 
 
 def dichotomy_fixture(exp_rates):
@@ -186,10 +186,10 @@ def test_dichotomy_matches_trichotomy_stable_unstable_rows(exp_rates, grid10):
     assert report.label == "dichotomy"
     tri = check_trichotomy(operator, family, exp_rates, grid10)
     for a, b in zip(report.records, tri.records):
-        assert a.factor == pytest.approx(b.factor, abs=1e-14)
+        assert a["factor"] == pytest.approx(b["factor"], abs=1e-14)
     center = [r for r in report.records
-              if r.tag in ("center_growth", "center_decay")]
-    assert center and all(r.factor == 0.0 for r in center)
+              if r["tag"] in ("center_growth", "center_decay")]
+    assert center and all(r["factor"] == 0.0 for r in center)
 
 
 def test_uniform_exponential_dichotomy_constant_one():
