@@ -142,19 +142,29 @@ class LyapunovNormFamily:
         x is (n, batch) or a stack (..., n, batch) of p blocks, laid out once
         as one wide (n, p * batch) block, so each matrix meets every column in
         one product, with the same n-term sums as a block of its own.
+        Coordinate k is live when column k of some matrix and row k of some
+        vector are nonzero. With none live the term is 0; with one, stack and
+        block are cut to column k's nonzero rows and to row k, which keeps the
+        bits, as each image entry is one product and a dropped squared row +0.
+        Two or more, or a non-finite entry (0 * inf is NaN), cut nothing.
         The stack is taken in chunks of about ``_IMAGE_FLOATS`` image entries
         with a running maximum, so the images stay in cache, and the squared
         rows are summed in place.
         """
-        n = x.shape[-2]
-        wide = np.moveaxis(x, -2, 0).reshape(n, -1)
+        wide = np.moveaxis(x, -2, 0).reshape(x.shape[-2], -1)
+        live = (stack.any(axis=(0, 1)) & wide.any(axis=1)).nonzero()[0]
+        if len(live) < 2 and np.isfinite(stack).all() and np.isfinite(wide).all():
+            if len(live) == 0:
+                return np.zeros(x.shape[:-2] + x.shape[-1:])
+            rows = stack[:, :, live[0]].any(axis=0).nonzero()[0]
+            stack, wide = stack[:, rows][:, :, live], wide[live]
         worst = np.zeros(wide.shape[1])
-        step = max(1, _IMAGE_FLOATS // x.size)
+        step = max(1, _IMAGE_FLOATS // max(1, stack.shape[1] * wide.shape[1]))
         for lo in range(0, stack.shape[0], step):
             images = stack[lo:lo + step] @ wide
             np.square(images, out=images)
             total = images[:, 0]
-            for row in range(1, n):
+            for row in range(1, images.shape[1]):
                 total += images[:, row]
             np.maximum(worst, total.max(axis=0), out=worst)
         return np.sqrt(worst).reshape(x.shape[:-2] + x.shape[-1:])
@@ -178,25 +188,17 @@ class LyapunovNormFamily:
 
     def _measure_sensitivity(self, times) -> None:
         basis = np.eye(self.family.dimension)
-        worst_abs = 0.0
-        worst_rel = 0.0
+        order = (1, 0, 2) if self.variant == "forward" else (1, 2, 0)  # past first
         for t in times:
-            f1, g2, third = self._stacks_at(t)
-            f1d, _, f3d = self._stacks_at(t, wide=True)
-            past = self._term(g2, basis)
-            if self.variant == "backward":
-                past = past + self._term(third, basis)
-            base = past + self._term(f1, basis)
-            wide = past + self._term(f1d, basis)
-            if self.variant == "forward":
-                base = base + self._term(third, basis)
-                wide = wide + self._term(f3d, basis)
+            narrow, full = self._stacks_at(t), self._stacks_at(t, True)
+            terms = [self._term(s, basis) for s in narrow]
+            wider = [v if s is f else self._term(f, basis)  # past stacks are shared
+                     for v, s, f in zip(terms, narrow, full)]
+            base, wide = (sum(values[i] for i in order) for values in (terms, wider))
             delta = np.abs(wide - base)
-            worst_abs = max(worst_abs, float(delta.max()))
-            scale = np.maximum(base, 1e-300)
-            worst_rel = max(worst_rel, float((delta / scale).max()))
-        self.horizon_delta_abs = worst_abs
-        self.horizon_delta_rel = worst_rel
+            self.horizon_delta_abs = max(self.horizon_delta_abs, float(delta.max()))
+            self.horizon_delta_rel = max(self.horizon_delta_rel,
+                                         float((delta / np.maximum(base, 1e-300)).max()))
 
 
 def build_norm_family(variant: str, operator, family, rates,

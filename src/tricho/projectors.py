@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, NotStronglyInvariantError, StructuralError
 from .reports import CheckReport
-from .util import MatrixStore, grid_pairs, opnorms, pair_slots, peak, range_basis
+from .util import MatrixStore, grid_pairs, pair_slots, peak, range_basis
 
 RANK_TOL = 1e-10  # scale-invariant: smallest singular value vs largest
 
@@ -105,9 +105,9 @@ def check_orthogonal(family: ProjectorFamily, grid, tol: float) -> CheckReport:
         raise ValueError("grid must be nonempty")
     ps = [family.stack(j, grid) for j in (1, 2, 3)]
     worst = {
-        "idempotency": max(peak(opnorms(p @ p - p)) for p in ps),
-        "sum_identity": peak(opnorms(sum(ps) - np.eye(family.dimension))),
-        "pairwise_product": max(peak(opnorms(ps[i] @ ps[j]))
+        "idempotency": max(peak(p @ p - p) for p in ps),
+        "sum_identity": peak(sum(ps) - np.eye(family.dimension)),
+        "pairwise_product": max(peak(ps[i] @ ps[j])
                                 for i in range(3) for j in range(3) if i != j),
     }
     return CheckReport("orthogonality", tol, worst,
@@ -125,7 +125,7 @@ def _ordered(pairs) -> list:
 def _commutation(family, index: int, u: np.ndarray, pairs) -> float:
     """Worst |U(t,s)P(s) - P(t)U(t,s)| of one member over a stack of U."""
     p_s = family.stack(index, [s for _, s in pairs])
-    return peak(opnorms(u @ p_s - family.stack(index, [t for t, _ in pairs]) @ u))
+    return peak(u @ p_s - family.stack(index, [t for t, _ in pairs]) @ u)
 
 
 def check_invariance(family: ProjectorFamily, operator, pairs, tol: float) -> CheckReport:
@@ -250,10 +250,8 @@ def check_compatible(family: ProjectorFamily, operator, grid, tol: float) -> Che
         p_t = family.stack(j, [t for t, _ in pairs])[ok]
         p_s = family.stack(j, [s for _, s in pairs])[ok]
         w, u_ok = w[ok], u[ok]
-        residuals["right_inverse"] = max(residuals["right_inverse"],
-                                         peak(opnorms(u_ok @ w - p_t)))
-        residuals["left_inverse"] = max(residuals["left_inverse"],
-                                        peak(opnorms(w @ u_ok @ p_s - p_s)))
+        residuals["right_inverse"] = max(residuals["right_inverse"], peak(u_ok @ w - p_t))
+        residuals["left_inverse"] = max(residuals["left_inverse"], peak(w @ u_ok @ p_s - p_s))
     passed = not notes and all(v <= tol for v in residuals.values())
     return CheckReport("compatibility", tol, residuals, passed, notes)
 
@@ -281,10 +279,10 @@ def check_inverse_properties(operator, family: ProjectorFamily, index: int,
     u = operator.evaluate_many([pairs[i] for i in spans])
     p_t = family.stack(index, [pairs[i][0] for i in spans])
     p_s = family.stack(index, [pairs[i][1] for i in spans])
-    worst = {"right_inverse": peak(opnorms(u @ w_ts - p_t)),
-             "left_inverse": peak(opnorms(w_ts @ u @ p_s - p_s)),
-             "cocycle": peak(opnorms(w[direct] - w[right] @ w[left])),
-             "range": peak(opnorms(w_ts - p_s @ w_ts)),
-             "equal_time": peak(opnorms(equal))}
+    worst = {"right_inverse": peak(u @ w_ts - p_t),
+             "left_inverse": peak(w_ts @ u @ p_s - p_s),
+             "cocycle": peak(w[direct] - w[right] @ w[left]),
+             "range": peak(w_ts - p_s @ w_ts),
+             "equal_time": peak(equal)}
     return CheckReport(f"inverse_properties_{index}", tol, worst,
                        passed=all(v <= tol for v in worst.values()))

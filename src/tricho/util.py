@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 _RANGE_CUTOFF = 0.5  # projector singular values cluster at {0} and [1, inf)
+_SCREEN_MARGIN = 1e-9  # relative, far above the rounding of either bound
 
 
 class MatrixStore:
@@ -67,9 +68,25 @@ def opnorms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.norm(stack, 2, axis=(-2, -1))
 
 
-def peak(values) -> float:
-    """Largest entry of an array of nonnegative residuals; 0.0 when empty."""
-    return float(np.max(values, initial=0.0))
+def peak(stack: np.ndarray, scale=1.0) -> float:
+    """Largest spectral norm over a (..., rows, cols) stack, each divided by
+    its positive ``scale``: ``max(opnorms(stack) / scale)`` to the bit, 0.0
+    with no SVD if all are zero. Each norm lies in [max(|r_ij|, ||R||_F /
+    sqrt(min(rows, cols))), ||R||_F]; only a matrix whose upper bound reaches
+    the largest lower bound, less a margin rounding cannot cross, goes to the
+    SVD. Non-finite stacks all go: the SVD raises on NaN, gives NaN on inf."""
+    scale = np.broadcast_to(scale, stack.shape[:-2])
+    if np.isfinite(stack).all():
+        size = np.abs(stack).max(axis=(-2, -1), initial=0.0)
+        unit = stack / np.where(size > 0.0, size, 1.0)[..., None, None]  # no under/overflow
+        upper = size * np.linalg.norm(unit, axis=(-2, -1)) / scale
+        if not upper.any():
+            return 0.0
+        floor = max((size / scale).max(), upper.max() / math.sqrt(min(stack.shape[-2:])))
+        if math.isfinite(floor):
+            keep = upper * (1.0 + _SCREEN_MARGIN) >= floor * (1.0 - _SCREEN_MARGIN)
+            stack, scale = stack[keep], scale[keep]
+    return float(np.max(opnorms(stack) / scale, initial=0.0))
 
 
 def range_basis(p: np.ndarray) -> np.ndarray:

@@ -416,14 +416,55 @@ def test_iterator_times_keep_the_truncation_slack(as_input):
     assert nf.horizon_flagged
 
 
+def broadcast_term(stack, x):
+    """The reference norm term: every matrix times x in one broadcast product."""
+    images = stack.reshape(stack.shape[:1] + (1,) * (x.ndim - 2)
+                           + stack.shape[1:]) @ x
+    return np.sqrt(np.square(images).sum(axis=-2).max(axis=0, initial=0.0))
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_chunked_term_matches_one_shot(monkeypatch, n):
     rng = np.random.default_rng(n)
     stack = rng.standard_normal((23, n, n)) * np.logspace(-3, 3, 23)[:, None, None]
     for x in (rng.standard_normal((n, 9)), rng.standard_normal((5, n, 9)),
               rng.standard_normal((2, 3, n, 9))):
-        images = stack.reshape(stack.shape[:1] + (1,) * (x.ndim - 2)
-                               + stack.shape[1:]) @ x
-        want = np.sqrt(np.square(images).sum(axis=-2).max(axis=0))
+        want = broadcast_term(stack, x)
         monkeypatch.setattr(norms, "_IMAGE_FLOATS", 4 * x.size)  # 6 chunks
         assert np.array_equal(norms.LyapunovNormFamily._term(stack, x), want)
+
+
+def test_term_skipping_zero_coordinates_keeps_the_bits(monkeypatch):
+    monkeypatch.setattr(norms, "_IMAGE_FLOATS", 64)  # several chunks
+    rng = np.random.default_rng(11)
+    n = 4
+    block = np.zeros((23, n, n))  # a coordinate block: rows and columns 1, 2
+    block[:, 1:3, 1:3] = rng.standard_normal((23, 2, 2)) * np.logspace(
+        -3, 3, 23)[:, None, None]
+    x = rng.standard_normal((3, n, 9))
+    one = x.copy()  # only 1 live: rows 0 (-0.0) and 2 zero, 3 meets a zero column
+    one[:, 0], one[:, 2], one[:, 3] = -0.0, 0.0, -1.0
+    gemv = np.zeros((20, 7, n, n))  # two live coordinates, one image row
+    gemv[:, :, 2, [0, 3]] = rng.standard_normal((20, 7, 2))
+    cases = [(block, x), (block, one), (block, one[0]), (block, one[:, :, :1]),
+             (block, x[0, :, :1]), (block, -0.0 * x), (np.zeros((5, n, n)), x),
+             (np.zeros((0, n, n)), x), (1e-30 * block, one),
+             *((g, x[0]) for g in gemv)]
+    for stack, vectors in cases:
+        got = norms.LyapunovNormFamily._term(stack, vectors)
+        assert got.shape == vectors.shape[:-2] + vectors.shape[-1:]
+        assert np.array_equal(got, broadcast_term(stack, vectors))
+    assert np.count_nonzero(broadcast_term(block, one)) == one[:, 0].size
+    lone = one[0].copy()
+    lone[0, 4] = np.inf  # meets the zero column 0: 0 * inf is NaN
+    with np.errstate(invalid="ignore"):
+        want = broadcast_term(block, lone)
+        got = norms.LyapunovNormFamily._term(block, lone)
+    assert np.isnan(want[4]) and np.isfinite(np.delete(want, 4)).all()
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_empty_batch_gives_empty_norms(uniform_norms):
+    fwd, _ = uniform_norms
+    assert fwd.evaluate_many(1.0, np.zeros((3, 0))).shape == (0,)
+    assert fwd.evaluate_many(1.0, np.zeros((0, 3, 5))).shape == (0, 5)
