@@ -8,9 +8,8 @@ from .errors import (DomainError, ExtrapolationError, NotStronglyInvariantError,
                      PreconditionError, ScenarioError, StructuralError)
 from .rates import GrowthRate, validate_on_grid
 from .projectors import (InverseFamily, ProjectorFamily, build_inverses,
-                         check_compatible,
-                         check_inverse_properties, check_invariance,
-                         check_orthogonal, compute_restricted_inverse)
+                         check_compatible, check_inverse_properties,
+                         check_invariance, check_orthogonal, compute_restricted_inverse)
 from .evolution import (EvolutionOperator, GeneratorSpec, check_cocycle,
                         check_identity, conjugate, from_generator,
                         identity_operator, rate_model)

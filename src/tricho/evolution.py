@@ -108,18 +108,13 @@ def _require_model_family(family: ProjectorFamily) -> None:
         ps = family.members(t)
         if opnorm(ps[0] + ps[1] + ps[2] - eye) > _PROBE_TOL:
             raise PreconditionError("family members must sum to the identity")
-        for s in _PROBE_TIMES:
-            if s > t:
-                continue
+        for s in (s for s in _PROBE_TIMES if s <= t):
             qs = family.members(s)
-            for i in range(3):
-                for j in range(3):
-                    want = qs[i] if i == j else 0.0
-                    if opnorm(ps[i] @ qs[j] - want) > _PROBE_TOL:
-                        raise PreconditionError(
-                            "family is not orthogonal-and-constant enough for "
-                            "the rate model (member products deviate at "
-                            f"t={t}, s={s})")
+            if any(opnorm(ps[i] @ qs[j] - (qs[i] if i == j else 0.0)) > _PROBE_TOL
+                   for i in range(3) for j in range(3)):
+                raise PreconditionError(
+                    "family is not orthogonal-and-constant enough for the rate "
+                    f"model (member products deviate at t={t}, s={s})")
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,45 @@ def query_lattice(grid, horizon: float, step: float) -> list[float]:
     return sorted(times)
 
 
+def _views(stack: np.ndarray, cut: int):
+    """stack[:cut] and stack, each screened once for all its terms: (view, mask
+    of entries nonzero in some matrix, live columns, all finite, each column's
+    largest |entry|); with nothing past the cut both are the narrow one."""
+    views, nonzero, finite, peak = [], False, True, 0.0
+    parts = [stack[:cut], stack[cut:]][:1 + (cut < len(stack))]
+    # the narrow view is a copy, so the wide stack can go after the horizon pass
+    for view, part in zip((stack[:cut].copy(), stack), parts):
+        nonzero = nonzero | part.any(axis=0)
+        finite = finite and bool(np.isfinite(part).all())
+        peak = np.maximum(peak, np.abs(part).max(axis=(0, 1), initial=0.0))
+        views.append((view, nonzero, nonzero.any(axis=0), finite, peak))
+    return views[0], views[-1]
+
+
+def _block(x: np.ndarray):
+    """x, (n, batch) or a stack (..., n, batch), as one wide (n, p * batch)
+    block, with its live rows, its finiteness and the shape of its norms."""
+    wide = np.moveaxis(x, -2, 0).reshape(x.shape[-2], -1)
+    return (wide, wide.any(axis=1), bool(np.isfinite(wide).all()),
+            x.shape[:-2] + x.shape[-1:])
+
+
+def _full_term(stack: np.ndarray, wide: np.ndarray) -> np.ndarray:
+    """max over the stack of |M y|^2 per column y of wide: one product per
+    chunk of about ``_IMAGE_FLOATS`` image entries (kept in cache), with the
+    n-term sums of a block of its own, and squared rows summed in place."""
+    worst = np.zeros(wide.shape[1])
+    step = max(1, _IMAGE_FLOATS // max(1, stack.shape[1] * wide.shape[1]))
+    for lo in range(0, stack.shape[0], step):
+        images = stack[lo:lo + step] @ wide
+        np.square(images, out=images)
+        total = images[:, 0]
+        for row in range(1, images.shape[1]):
+            total += images[:, row]
+        np.maximum(worst, total.max(axis=0), out=worst)
+    return worst
+
+
 class LyapunovNormFamily:
     """Evaluator for one norm-family variant with per-time matrix stacks.
 
@@ -82,12 +121,11 @@ class LyapunovNormFamily:
         self.rates = rates
         self.horizon = float(horizon)
         self.step = float(step)
-        times = list(times)
-        # the future terms run out to twice the horizon, for the sensitivity pass
-        self._stacks = {t: self._build(t, 2.0 * self.horizon) for t in times}
-        self.horizon_delta_abs = 0.0
-        self.horizon_delta_rel = 0.0
-        self._measure_sensitivity(times)
+        # the future terms run out to twice the horizon for the sensitivity pass only
+        built = {t: self._build(t, 2.0 * self.horizon) for t in times}
+        self._stacks = {t: narrow for t, (narrow, _) in built.items()}
+        self.horizon_delta_abs = self.horizon_delta_rel = 0.0
+        self._measure_sensitivity(built.values())
 
     @property
     def horizon_flagged(self) -> bool:
@@ -109,6 +147,7 @@ class LyapunovNormFamily:
         return ratios.reshape(-1, 1, 1) * maps()
 
     def _build(self, t: float, horizon: float):
+        """The three term stacks at t as (narrow views, wide views), screened."""
         taus = _future_times(t, horizon, self.step)
         past = [(t, r) for r in _past_times(t, self.step)]
         u = self.operator.evaluate_many([(tau, t) for tau in taus])
@@ -121,62 +160,48 @@ class LyapunovNormFamily:
         else:
             third = self._weighted(3, t, "nu", [(r, t) for _, r in past],
                                    lambda: self.inverses[3].stack(past))
-        return f1, g2, third
-
-    def _stacks_at(self, t: float, wide: bool = False):
-        got = self._stacks.get(t)
-        if got is None:
-            got = self._stacks[t] = self._build(t, self.horizon)
-        if wide:
-            return got
         cut = len(_future_times(t, self.horizon, self.step))
-        f1, g2, third = got
-        return f1[:cut], g2, third[:cut] if self.variant == "forward" else third
+        cuts = (cut, len(g2), cut if self.variant == "forward" else len(third))
+        return tuple(zip(*map(_views, (f1, g2, third), cuts)))
+
+    def _stacks_at(self, t: float):
+        if t not in self._stacks:
+            self._stacks[t] = self._build(t, self.horizon)[0]
+        return self._stacks[t]
 
     # -- evaluation ---------------------------------------------------------
 
     @staticmethod
-    def _term(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """max over the (m, n, n) stack of |M y| for each column y of x.
-
-        x is (n, batch) or a stack (..., n, batch) of p blocks, laid out once
-        as one wide (n, p * batch) block, so each matrix meets every column in
-        one product, with the same n-term sums as a block of its own.
-        Coordinate k is live when column k of some matrix and row k of some
-        vector are nonzero. With none live the term is 0; with one, stack and
-        block are cut to column k's nonzero rows and to row k, which keeps the
-        bits, as each image entry is one product and a dropped squared row +0.
-        Two or more, or a non-finite entry (0 * inf is NaN), cut nothing.
-        The stack is taken in chunks of about ``_IMAGE_FLOATS`` image entries
-        with a running maximum, so the images stay in cache, and the squared
-        rows are summed in place.
-        """
-        wide = np.moveaxis(x, -2, 0).reshape(x.shape[-2], -1)
-        live = (stack.any(axis=(0, 1)) & wide.any(axis=1)).nonzero()[0]
-        if len(live) < 2 and np.isfinite(stack).all() and np.isfinite(wide).all():
+    def _term(view, block) -> np.ndarray:
+        """max over a screened stack (``_views``) of |M y| per column y of a
+        block (``_block``). Coordinate k is live when column k of some matrix
+        and row k of some vector are nonzero. With none live the term is 0.
+        With one, whose column has one nonzero row, it is sqrt(square(c* x_k))
+        for c* the column's largest |entry|: each image entry is one product,
+        and rounding is monotone, so |fl(c x)| = fl(|c| |x|) and fl(y^2) never
+        decrease as |c| and |y| grow; the largest square is c*'s to the bit,
+        and if any square overflows, c*'s does. With several rows, stack and
+        block are cut to them and to row k: a dropped squared row is +0. Two
+        or more live, or a non-finite entry (0 * inf is NaN), cut nothing."""
+        stack, nonzero, columns, finite, peak = view
+        wide, rows, finite_x, shape = block
+        live = (columns & rows).nonzero()[0]
+        if len(live) < 2 and finite and finite_x:
             if len(live) == 0:
-                return np.zeros(x.shape[:-2] + x.shape[-1:])
-            rows = stack[:, :, live[0]].any(axis=0).nonzero()[0]
-            stack, wide = stack[:, rows][:, :, live], wide[live]
-        worst = np.zeros(wide.shape[1])
-        step = max(1, _IMAGE_FLOATS // max(1, stack.shape[1] * wide.shape[1]))
-        for lo in range(0, stack.shape[0], step):
-            images = stack[lo:lo + step] @ wide
-            np.square(images, out=images)
-            total = images[:, 0]
-            for row in range(1, images.shape[1]):
-                total += images[:, row]
-            np.maximum(worst, total.max(axis=0), out=worst)
-        return np.sqrt(worst).reshape(x.shape[:-2] + x.shape[-1:])
+                return np.zeros(shape)
+            cut = nonzero[:, live[0]].nonzero()[0]
+            if len(cut) == 1:
+                return np.sqrt(np.square(peak[live] * wide[live])).reshape(shape)
+            stack, wide = stack[:, cut][:, :, live], wide[live]
+        return np.sqrt(_full_term(stack, wide)).reshape(shape)
 
     def evaluate_many(self, t: float, x: np.ndarray) -> np.ndarray:
         """Norm values for each column of the (dimension, batch) matrix x,
         or of each matrix of a (..., dimension, batch) stack."""
         if t < 0:
             raise DomainError("norms are defined for t >= 0")
-        x = np.asarray(x, dtype=float)
-        stacks = self._stacks_at(t)
-        return sum(self._term(stack, x) for stack in stacks)
+        block = _block(np.asarray(x, dtype=float))
+        return sum(self._term(view, block) for view in self._stacks_at(t))
 
     def evaluate(self, t: float, x) -> float:
         x = np.asarray(x, dtype=float).reshape(-1, 1)
@@ -186,11 +211,10 @@ class LyapunovNormFamily:
 
     # -- truncation honesty ---------------------------------------------------
 
-    def _measure_sensitivity(self, times) -> None:
-        basis = np.eye(self.family.dimension)
+    def _measure_sensitivity(self, built) -> None:
+        basis = _block(np.eye(self.family.dimension))
         order = (1, 0, 2) if self.variant == "forward" else (1, 2, 0)  # past first
-        for t in times:
-            narrow, full = self._stacks_at(t), self._stacks_at(t, True)
+        for narrow, full in built:
             terms = [self._term(s, basis) for s in narrow]
             wider = [v if s is f else self._term(f, basis)  # past stacks are shared
                      for v, s, f in zip(terms, narrow, full)]
@@ -472,16 +496,6 @@ def verify_sufficiency(forward: LyapunovNormFamily,
     return report
 
 
-def specialization_rates(kind: str, exponents) -> dict[str, GrowthRate]:
-    """The rates h, k, mu, nu of one kind with the four given exponents."""
-    if kind not in ("exponential", "polynomial"):
-        raise ValueError(f"kind must be exponential or polynomial, got {kind!r}")
-    alphas = [float(a) for a in exponents]
-    if len(alphas) != 4:
-        raise ValueError("exactly four exponents are required")
-    return {key: GrowthRate(kind, a) for key, a in zip(("h", "k", "mu", "nu"), alphas)}
-
-
 def check_rate_specialization(kind: str, exponents, operator, family, grid,
                               horizon: float, step: float,
                               tol: float = 1e-9, samples: int = 32,
@@ -493,7 +507,12 @@ def check_rate_specialization(kind: str, exponents, operator, family, grid,
     form: right-hand factors read e^{-a(t-s)} / e^{+a(t-s)} for exponential
     rates and ((s+1)/(t+1))^a / ((t+1)/(s+1))^a for polynomial ones.
     """
-    rates = specialization_rates(kind, exponents)
+    if kind not in ("exponential", "polynomial"):
+        raise ValueError(f"kind must be exponential or polynomial, got {kind!r}")
+    alphas = [float(a) for a in exponents]
+    if len(alphas) != 4:
+        raise ValueError("exactly four exponents are required")
+    rates = {key: GrowthRate(kind, a) for key, a in zip(("h", "k", "mu", "nu"), alphas)}
     grid = list(grid)
     fwd, bwd = (build_norm_family(variant, operator, family, rates, horizon,
                                   step, grid) for variant in VARIANTS)

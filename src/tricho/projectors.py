@@ -52,9 +52,8 @@ class ProjectorFamily:
     def constant(cls, p1, p2, p3) -> "ProjectorFamily":
         mats = [np.array(p, dtype=float) for p in (p1, p2, p3)]
         n = mats[0].shape[0]
-        for m in mats:
-            if m.shape != (n, n):
-                raise StructuralError("members must be square matrices of equal size")
+        if any(m.shape != (n, n) for m in mats):
+            raise StructuralError("members must be square matrices of equal size")
         return cls(n, [lambda t, m=m: m for m in mats])
 
     @classmethod
@@ -63,13 +62,9 @@ class ProjectorFamily:
         if min(n1, n2, n3) < 0 or n1 + n2 + n3 <= 0:
             raise StructuralError("block sizes must be nonnegative with positive sum")
         n = n1 + n2 + n3
-        mats = []
-        start = 0
-        for size in (n1, n2, n3):
-            m = np.zeros((n, n))
-            m[start:start + size, start:start + size] = np.eye(size)
-            mats.append(m)
-            start += size
+        mats = [np.zeros((n, n)) for _ in range(3)]
+        for m, lo, hi in zip(mats, (0, n1, n1 + n2), (n1, n1 + n2, n)):
+            m[lo:hi, lo:hi] = np.eye(hi - lo)
         return cls.constant(*mats)
 
     def member(self, index: int, t: float) -> np.ndarray:

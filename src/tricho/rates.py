@@ -114,13 +114,8 @@ def validate_on_grid(rate: GrowthRate, grid) -> ValidationReport:
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
 
-    violations = []
     values = [rate.evaluate(t) for t in grid]
-    for t, v in zip(grid, values):
-        if v < 1.0:
-            violations.append(f"value < 1 at t={t:g}")
-    for (t0, v0), (t1, v1) in zip(zip(grid, values), zip(grid[1:], values[1:])):
-        if v1 < v0:
-            violations.append(f"decreasing on [{t0:g},{t1:g}]")
-    slow = values[-1] < 10.0 * values[0]
-    return ValidationReport(violations=violations, slow_divergence=slow)
+    violations = [f"value < 1 at t={t:g}" for t, v in zip(grid, values) if v < 1.0]
+    violations += [f"decreasing on [{t0:g},{t1:g}]" for t0, t1, v0, v1
+                   in zip(grid, grid[1:], values, values[1:]) if v1 < v0]
+    return ValidationReport(violations, slow_divergence=values[-1] < 10.0 * values[0])

@@ -192,16 +192,11 @@ class TheoremReport:
         return [r for table in self.tables for r in table.records()]
 
     def payload(self) -> dict:
-        return {
-            "min_margin": self.min_margin,
-            "tolerance": self.tolerance,
-            "truncation_slack": self.truncation_slack,
-            "worst_per_tag": dict(self.worst_per_tag),
-            "vacuous_count": self.vacuous_count,
-            "samples": self.samples,
-            "seed": self.seed,
-            "binding": smallest_margins(self.tables),
-        }
+        return {"min_margin": self.min_margin, "tolerance": self.tolerance,
+                "truncation_slack": self.truncation_slack,
+                "worst_per_tag": dict(self.worst_per_tag),
+                "vacuous_count": self.vacuous_count, "samples": self.samples,
+                "seed": self.seed, "binding": smallest_margins(self.tables)}
 
     def csv_rows(self, check: str) -> list[tuple[str, Rows]]:
         return [(check, table) for table in self.tables]

@@ -215,30 +215,31 @@ def run(scenario: Scenario) -> RunReport:
 # -- serialization ----------------------------------------------------------
 
 COLUMNS = ("check", "t", "s", "tag", "value", "margin", "vector")
+_CHUNK = 256  # records formatted at a time, so no whole column is a list
 
 
-def _write_rows(fh, check: str, rows: Rows) -> None:
-    """Write one block of records as CSV lines in record order, each line
-    formatted as the file takes it; floats as their ``repr``. Names and
-    sample-vector ids hold no delimiter or quote, so no cell is quoted."""
+def _text(rows: Rows, check: str):
+    """One block of records as CSV text of check ``check``, ``_CHUNK`` lines a
+    piece in record order; ``format`` writes floats as their ``repr``. Names
+    and sample-vector ids hold no delimiter, quote or NUL: no cell is quoted."""
     times = [repr(t) for t in rows.grid]  # formatted once per grid time
     t, s = ([""] * len(rows.value) if at is None else [times[i] for i in at.tolist()]
             for at in (rows.t, rows.s))
     heads = (f"{check},{a},{b},{tag}," for a, b in zip(t, s) for tag in rows.tags)
-    cells = [itertools.repeat("") if a is None
-             else a.ravel().tolist() if a.dtype.kind == "U"
-             else map(repr, a.ravel().tolist())
-             for a in (rows.value, rows.margin, rows.vector)]
-    fh.writelines(map("{}{},{},{}\n".format, heads, *cells))
+    columns = [a if a is None else a.ravel() for a in (rows.value, rows.margin, rows.vector)]
+    for lo in range(0, rows.value.size, _CHUNK):
+        cells = [itertools.repeat("") if a is None else a[lo:lo + _CHUNK].tolist()
+                 for a in columns]
+        yield "".join(map("{}{},{},{}\n".format, itertools.islice(heads, _CHUNK), *cells))
 
 
 def emit(report: RunReport, format: str, out_dir) -> list[Path]:
     """Write report files; returns the written paths.
 
     ``format`` is "json", "csv" or "both". ``records.csv`` is written from
-    each check's columns (``Rows``), a line at a time, with no row built.
-    Identical report contents produce byte-identical files; a non-finite
-    number raises ValueError.
+    each check's columns (``Rows``) with no row built, a block two checks
+    share formatted once. Identical report contents produce byte-identical
+    files; a non-finite number raises ValueError.
     """
     if format not in ("json", "csv", "both"):
         raise ValueError(f"format must be json, csv or both, got {format!r}")
@@ -266,8 +267,13 @@ def emit(report: RunReport, format: str, out_dir) -> list[Path]:
             path = out / "records.csv"
             with path.open("w", newline="") as fh:
                 fh.write(",".join(COLUMNS) + "\n")
+                # a block two checks share is formatted once, with NUL for its name
+                owners = [rows for _, rows in blocks]
+                shared = {rows: list(_text(rows, "\0")) for rows in dict.fromkeys(owners)
+                          if owners.count(rows) > 1}
                 for check, rows in blocks:
-                    _write_rows(fh, check, rows)
+                    fh.writelines((c.replace("\0", check) for c in shared[rows])
+                                  if rows in shared else _text(rows, check))
             written.append(path)
         path = out / "summary.csv"
         lines = ["check,status", *(f"{e['name']},{e['status']}" for e in report.checks),

@@ -141,12 +141,8 @@ def pair_slots(triples) -> tuple[list[tuple[float, float]], np.ndarray]:
 
 def grid_triples(grid: list[float]) -> list[tuple[float, float, float]]:
     """All ordered triples (t, s, t0) with t >= s >= t0."""
-    out = []
-    for i in range(len(grid)):
-        for j in range(i + 1):
-            for k in range(j + 1):
-                out.append((grid[i], grid[j], grid[k]))
-    return out
+    return [(grid[i], grid[j], grid[k])
+            for i in range(len(grid)) for j in range(i + 1) for k in range(j + 1)]
 
 
 def grid_slots(size: int) -> np.ndarray:

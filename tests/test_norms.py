@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from tricho import (DomainError, GeneratorSpec, GrowthRate, ProjectorFamily,
                     check_trichotomy, check_uniform, from_generator,
                     rate_model, required_factor, verify_norm_trichotomy,
                     verify_norm_trichotomy_unprojected, verify_sufficiency)
-from tricho import norms, util
+from tricho import norms, parse_scenario, run, util
 from tricho.norms import query_lattice, theorem_sides
 from tricho.util import make_grid
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 HORIZON = 5.0
 STEP = 0.5
@@ -416,11 +419,28 @@ def test_iterator_times_keep_the_truncation_slack(as_input):
     assert nf.horizon_flagged
 
 
+def test_families_keep_only_the_narrow_stacks(uniform_norms, grid10):
+    # the wide stacks serve the horizon-doubling pass and are dropped after it
+    for nf in uniform_norms:
+        for t in grid10:
+            future = len(norms._future_times(t, HORIZON, STEP))
+            stacks = [view[0] for view in nf._stacks_at(t)]
+            assert all(stack.base is None for stack in stacks)
+            assert len(stacks[0]) == future
+            assert len(stacks[2]) == (future if nf.variant == "forward" else t / STEP + 1)
+
+
 def broadcast_term(stack, x):
     """The reference norm term: every matrix times x in one broadcast product."""
     images = stack.reshape(stack.shape[:1] + (1,) * (x.ndim - 2)
                            + stack.shape[1:]) @ x
     return np.sqrt(np.square(images).sum(axis=-2).max(axis=0, initial=0.0))
+
+
+def kept_term(stack, x):
+    """The norm-term kernel on the whole stack, screened as a family keeps it."""
+    view, _ = norms._views(stack, len(stack))
+    return norms.LyapunovNormFamily._term(view, norms._block(x))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -431,7 +451,7 @@ def test_chunked_term_matches_one_shot(monkeypatch, n):
               rng.standard_normal((2, 3, n, 9))):
         want = broadcast_term(stack, x)
         monkeypatch.setattr(norms, "_IMAGE_FLOATS", 4 * x.size)  # 6 chunks
-        assert np.array_equal(norms.LyapunovNormFamily._term(stack, x), want)
+        assert np.array_equal(kept_term(stack, x), want)
 
 
 def test_term_skipping_zero_coordinates_keeps_the_bits(monkeypatch):
@@ -451,7 +471,7 @@ def test_term_skipping_zero_coordinates_keeps_the_bits(monkeypatch):
              (np.zeros((0, n, n)), x), (1e-30 * block, one),
              *((g, x[0]) for g in gemv)]
     for stack, vectors in cases:
-        got = norms.LyapunovNormFamily._term(stack, vectors)
+        got = kept_term(stack, vectors)
         assert got.shape == vectors.shape[:-2] + vectors.shape[-1:]
         assert np.array_equal(got, broadcast_term(stack, vectors))
     assert np.count_nonzero(broadcast_term(block, one)) == one[:, 0].size
@@ -459,9 +479,123 @@ def test_term_skipping_zero_coordinates_keeps_the_bits(monkeypatch):
     lone[0, 4] = np.inf  # meets the zero column 0: 0 * inf is NaN
     with np.errstate(invalid="ignore"):
         want = broadcast_term(block, lone)
-        got = norms.LyapunovNormFamily._term(block, lone)
+        got = kept_term(block, lone)
     assert np.isnan(want[4]) and np.isfinite(np.delete(want, 4)).all()
     assert np.array_equal(got, want, equal_nan=True)
+
+
+def one_entry_stack(rng, m):
+    """An (m, 3, 3) stack whose column k is nonzero only in row (k + 1) % 3,
+    with mixed signs, a tie of +-2.5 as the largest |entry| of column 0, and
+    -0.0 elsewhere in each column."""
+    stack = np.full((m, 3, 3), -0.0)
+    for k in range(3):
+        stack[:, (k + 1) % 3, k] = rng.standard_normal(m)
+    stack[[1, 4], 1, 0] = 2.5, -2.5
+    stack[2, 0, 1] = -9.0  # column 1's largest |entry| is negative
+    return stack
+
+
+def test_kept_screen_term_matches_the_broadcast_product():
+    rng = np.random.default_rng(7)
+    stack = one_entry_stack(rng, 12)
+    lone = [np.zeros((3, 8)) for _ in range(3)]  # one live row each
+    for k, x in enumerate(lone):
+        x[k] = rng.standard_normal(8) * np.logspace(-5, 5, 8)
+        x[k, 3] = -0.0
+    tiny = np.full((3, 5), -0.0)
+    tiny[0] = [1.0, 1e10, -1e-10, 3.0, -0.0]
+    cases = [(stack, x) for x in lone] + [
+        (stack, lone[1][None].repeat(2, axis=0)), (-stack, lone[2]),
+        (1e-170 * stack, tiny), (1e-165 * stack, tiny)]  # squares underflow
+    for m in (0, 1, 5):
+        cases.append((stack[:m], lone[0]))
+    for stack_, x in cases:
+        want = broadcast_term(stack_, x)
+        assert np.array_equal(kept_term(stack_, x), want)
+    assert (broadcast_term(1e-170 * stack, tiny) == 0.0).any()
+
+
+def test_kept_screen_term_overflows_as_the_broadcast_product():
+    stack = one_entry_stack(np.random.default_rng(8), 6)
+    x = np.zeros((3, 4))
+    x[0] = [1.0, -1e200, 1e100, 1e-300]  # (2.5 * 1e200) ** 2 overflows
+    for scale in (1.0, 1e200):  # the square or the product overflows
+        with np.errstate(over="raise"):
+            for term in (broadcast_term, kept_term):
+                with pytest.raises(FloatingPointError):
+                    term(scale * stack, x)
+        with np.errstate(over="ignore"):
+            want = broadcast_term(scale * stack, x)
+            assert np.isinf(want).any()
+            assert np.array_equal(kept_term(scale * stack, x), want)
+
+
+def test_kept_screen_term_takes_the_full_path_on_nonfinite_entries():
+    stack = one_entry_stack(np.random.default_rng(9), 6)
+    x = np.zeros((3, 4))
+    x[1] = [1.0, -2.0, 0.5, 3.0]
+    bad_stack = stack.copy()
+    bad_stack[3, 2, 0] = np.inf  # column 0 meets x's zero row 0: 0 * inf
+    nan_stack = stack.copy()
+    nan_stack[2, 1, 2] = np.nan  # column 2 meets x's zero row 2
+    bad_x = x.copy()
+    bad_x[2, 1] = np.inf  # row 2 meets the zero column 2 of the cut stack
+    nan_x = x.copy()
+    nan_x[1, 2] = np.nan
+    cut = stack.copy()
+    cut[:, :, 2] = 0.0
+    with np.errstate(invalid="ignore"):
+        for stack_, x_ in ((bad_stack, x), (nan_stack, x), (cut, bad_x),
+                           (stack, nan_x)):
+            want = broadcast_term(stack_, x_)
+            assert np.isnan(want).any()
+            assert np.array_equal(kept_term(stack_, x_), want, equal_nan=True)
+
+
+def test_kept_screen_narrow_and_wide_views_of_one_build():
+    stack = one_entry_stack(np.random.default_rng(10), 10)
+    stack[8, 1, 0] = -30.0  # past the cut: column 0's largest |entry|
+    stack[7, 0, 1] = -40.0  # past the cut: column 1 has two rows when wide
+    nonfinite = stack.copy()
+    nonfinite[9, 1, 0] = np.inf  # past the cut, meets x's zero row 0 below
+    values = np.array([1.0, -2.0, 0.5, 3.0, -0.0, 1e-3])
+    for whole in (stack, nonfinite):
+        narrow, wide = norms._views(whole, 5)
+        for k in (0, 1):
+            x = np.zeros((2, 3, 6))
+            x[:, k] = values, -7.0 * values
+            block = norms._block(x)
+            with np.errstate(invalid="ignore"):
+                for view, seen in ((narrow, whole[:5]), (wide, whole)):
+                    got = norms.LyapunovNormFamily._term(view, block)
+                    assert np.array_equal(got, broadcast_term(seen, x),
+                                          equal_nan=True)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(broadcast_term(nonfinite, x)).all()
+    assert np.isfinite(broadcast_term(nonfinite[:5], x)).all()
+
+
+def test_one_entry_columns_never_reach_the_full_product(monkeypatch):
+    full_term, cut_to_one, shortcuts = norms._full_term, [], []
+    term = norms.LyapunovNormFamily._term
+
+    def counted_full_term(stack, wide):
+        cut_to_one.append(stack.shape[1:] == (1, 1))
+        return full_term(stack, wide)
+
+    def counted_term(view, block):
+        before = len(cut_to_one)
+        out = term(view, block)
+        shortcuts.append(len(cut_to_one) == before and out.any())
+        return out
+
+    monkeypatch.setattr(norms, "_full_term", counted_full_term)
+    monkeypatch.setattr(norms.LyapunovNormFamily, "_term", staticmethod(counted_term))
+    report = run(parse_scenario(SCENARIOS / "nonuniform_example.json"))  # G=21
+    assert report.overall == "pass"
+    assert sum(shortcuts) > 400
+    assert not any(cut_to_one)
 
 
 def test_empty_batch_gives_empty_norms(uniform_norms):

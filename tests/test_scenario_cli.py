@@ -1,3 +1,4 @@
+import copy
 import csv
 import gc
 import io
@@ -299,6 +300,20 @@ def test_emit_is_deterministic(tmp_path):
     for name in ("report.json", "records.csv", "summary.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
                (tmp_path / "b" / name).read_bytes()
+
+
+def test_emit_writes_a_shared_block_as_a_deep_copy_of_it(tmp_path):
+    report = run(parse_scenario(SCENARIOS / "nonuniform_example.json"))
+    blocks = {e["name"]: e["rows"] for e in report.checks}
+    shared = blocks["rate_instantiation"][0][1]
+    assert shared is blocks["norm_trichotomy"][0][1]  # the kept theorem report
+    emit(report, "csv", tmp_path / "shared")
+    for entry in report.checks:
+        entry["rows"] = copy.deepcopy(entry["rows"])  # no block shared
+    emit(report, "csv", tmp_path / "copied")
+    text = (tmp_path / "shared" / "records.csv").read_bytes()
+    assert text == (tmp_path / "copied" / "records.csv").read_bytes()
+    assert text.count(b"\nrate_instantiation,") == shared.value.size
 
 
 def test_emit_summary_only_when_no_records(tmp_path):
