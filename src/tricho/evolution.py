@@ -2,19 +2,19 @@
 
 Two constructions are provided: a closed-form model operator whose action on
 each member of an orthogonal projector family is a prescribed quotient of
-growth rates, and operators generated by integrating the matrix equation
-X' = A(t) X with a fixed-step fourth-order Runge-Kutta scheme. Generated
-operators cache the propagators between consecutive anchor times and their
-products, so composition identities hold by construction up to integration
-error; queries off the anchors integrate only the gaps. Every operator keeps
-one store of the pairs it has computed, so each distinct U(t, s) is computed
-once per operator, in one batched call per batch of unseen pairs, and shared
-read-only by every check that reads it.
+growth rates, and operators generated by integrating X' = A(t) X with a
+fixed-step fourth-order Runge-Kutta scheme, A taken over arrays of times.
+Generated operators integrate every interval between consecutive anchor
+times in one batched pass and cache those propagators and their products, so
+composition identities hold by construction up to integration error; queries
+off the anchors integrate only the gaps, through the same kernel. Every
+operator keeps one store of the pairs it has computed, so each distinct
+U(t, s) is computed once per operator, in one batched call per batch of
+unseen pairs, and shared read-only by every check that reads it.
 """
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -86,17 +86,16 @@ def rate_model(u: GrowthRate, h: GrowthRate, k: GrowthRate,
     on a fixed probe set). That structure makes the operator commute with
     every member, so identity and composition hold exactly by telescoping of
     the quotients. A batch of pairs is one broadcast expression over the
-    member stacks; the scalar quotients come from ``GrowthRate.ratio``, whose
-    ``math.exp`` values ``np.exp`` does not reproduce to the last bit.
+    member stacks and the quotient columns of ``GrowthRate.ratios``.
     """
     _require_model_family(family)
 
     def compute(pairs):
-        quotients = np.array([(u.ratio(s, t), h.ratio(s, t), k.ratio(t, s),
-                               mu.ratio(t, s), nu.ratio(s, t)) for t, s in pairs])
-        outer, hq, kq, muq, nuq = quotients.T.reshape(5, -1, 1, 1)
-        times = [s for _, s in pairs]
-        p1, p2, p3 = (family.stack(j, times) for j in (1, 2, 3))
+        t, s = np.array(pairs, dtype=float).reshape(-1, 2).T
+        outer, hq, kq, muq, nuq = (q.reshape(-1, 1, 1) for q in (
+            u.ratios(s, t), h.ratios(s, t), k.ratios(t, s), mu.ratios(t, s),
+            nu.ratios(s, t)))
+        p1, p2, p3 = (family.stack(j, s.tolist()) for j in (1, 2, 3))
         return outer * (hq * p1 + kq * p2 + muq * nuq * p3)
 
     return EvolutionOperator(family.dimension, compute)
@@ -119,10 +118,11 @@ def _require_model_family(family: ProjectorFamily) -> None:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Coefficient A(t) of x' = A(t) x plus a fixed integration step."""
+    """x' = A(t) x: ``coefficient(times)`` is the (m, n, n) stack of A over a
+    1-D array of m times; ``step`` is the fixed RK4 step."""
 
     dimension: int
-    coefficient: Callable[[float], np.ndarray]
+    coefficient: Callable[[np.ndarray], np.ndarray]
     step: float
 
     def __post_init__(self):
@@ -136,50 +136,63 @@ class GeneratorSpec:
         a = np.array(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("coefficient must be a square matrix")
-        return cls(a.shape[0], lambda t: a, step)
+        return cls(a.shape[0], lambda times: np.broadcast_to(a, (len(times), *a.shape)), step)
 
 
-def _rk4(coefficient, s: float, t: float, step: float, n: int) -> np.ndarray:
-    x = np.eye(n)
-    span = t - s
-    if span <= 0:
-        return x
-    steps = max(1, math.ceil(span / step - 1e-12))
-    h = span / steps
-    for i in range(steps):
-        tau = s + i * h
-        k1 = coefficient(tau) @ x
-        k2 = coefficient(tau + 0.5 * h) @ (x + 0.5 * h * k1)
-        k3 = coefficient(tau + 0.5 * h) @ (x + 0.5 * h * k2)
-        k4 = coefficient(tau + h) @ (x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
+def _coefficients(coefficient, times: np.ndarray, n: int) -> np.ndarray:
+    """``coefficient(times)``, checked to be an (m, n, n) stack of finite numbers."""
+    a = np.asarray(coefficient(times), dtype=float)
+    if a.shape != (len(times), n, n):
+        raise ValueError(f"coefficient from t={times[0]} has shape {a.shape}, "
+                         f"expected {(len(times), n, n)}")
+    finite = np.isfinite(a).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"coefficient is unbounded at t={times[np.argmin(finite)]}")
+    return a
+
+
+def _rk4(coefficient, starts, ends, step: float, n: int) -> np.ndarray:
+    """RK4 propagators over [starts[i], ends[i]] as an (m, n, n) stack, I where
+    empty. Intervals of one step count advance together, one coefficient call
+    per step over all their stage times, each with the scalar scheme's bits."""
+    spans = np.subtract(ends, starts, dtype=float)
+    counts = np.where(spans > 0, np.maximum(1, np.ceil(spans / step - 1e-12)), 0)
+    out = np.tile(np.eye(n), (len(starts), 1, 1))
+    for steps in sorted(set(counts.tolist()) - {0}):
+        rows = counts == steps
+        s, h = np.asarray(starts, dtype=float)[rows], spans[rows] / steps
+        half, full, sixth = (v[:, None, None] for v in (0.5 * h, h, h / 6.0))
+        x, m = out[rows], len(s)
+        for i in range(int(steps)):
+            tau = s + i * h
+            a = _coefficients(coefficient, np.concatenate((tau, tau + 0.5 * h, tau + h)), n)
+            k1 = a[:m] @ x
+            k2 = a[m:2 * m] @ (x + half * k1)
+            k3 = a[m:2 * m] @ (x + half * k2)
+            k4 = a[2 * m:] @ (x + full * k3)
+            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[rows] = x
+    return out
 
 
 def from_generator(spec: GeneratorSpec, anchors=None) -> EvolutionOperator:
     """Integrate the generator into an evolution operator.
 
-    When anchor times are given, the propagator over each consecutive anchor
-    interval is precomputed once, and each chain product over anchors lo..hi
-    is multiplied once, left to right, and returned read-only. The scenario
-    runner anchors on the grid plus the norm families' future lattice out to
-    t_max + 2*horizon (``norms.query_lattice``); off-lattice queries
-    integrate only the gaps. Anchor-aligned queries therefore satisfy the
-    composition identity up to floating-point reassociation only.
+    When anchor times are given, the propagators over all consecutive anchor
+    intervals are integrated once, in one ``_rk4`` call, and each chain
+    product over anchors lo..hi is multiplied once, left to right, and
+    returned read-only. The scenario runner anchors on the grid plus the norm
+    families' future lattice out to t_max + 2*horizon (``norms.query_lattice``);
+    off-lattice queries integrate only the gaps, one interval per call.
+    Anchor-aligned queries satisfy the composition identity up to
+    floating-point reassociation only.
     """
     n = spec.dimension
     anchor_list = sorted(float(a) for a in anchors) if anchors else []
     if anchor_list and anchor_list[0] < 0:
         raise ValueError("anchors must be nonnegative")
-    for tau in anchor_list or (0.0, 0.5, 1.0):
-        a = np.asarray(spec.coefficient(tau), dtype=float)
-        if a.shape != (n, n):
-            raise ValueError(f"coefficient at t={tau} has shape {a.shape}, "
-                             f"expected {(n, n)}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError(f"coefficient is unbounded at t={tau}")
-    props = [_rk4(spec.coefficient, a, b, spec.step, n)
-             for a, b in zip(anchor_list, anchor_list[1:])]
+    _coefficients(spec.coefficient, np.array(anchor_list or (0.0, 0.5, 1.0)), n)
+    props = _rk4(spec.coefficient, anchor_list[:-1], anchor_list[1:], spec.step, n)
     rows: dict[int, list[np.ndarray]] = {}  # lo -> [I, props[lo], ...]
 
     def chain(lo, hi):
@@ -195,12 +208,12 @@ def from_generator(spec: GeneratorSpec, anchors=None) -> EvolutionOperator:
         lo = bisect.bisect_left(anchor_list, s)
         hi = bisect.bisect_right(anchor_list, t) - 1
         if lo > hi:
-            return _rk4(spec.coefficient, s, t, spec.step, n)
+            return _rk4(spec.coefficient, [s], [t], spec.step, n)[0]
         m = chain(lo, hi)
         if s < anchor_list[lo]:
-            m = m @ _rk4(spec.coefficient, s, anchor_list[lo], spec.step, n)
+            m = m @ _rk4(spec.coefficient, [s], [anchor_list[lo]], spec.step, n)[0]
         if t > anchor_list[hi]:
-            m = _rk4(spec.coefficient, anchor_list[hi], t, spec.step, n) @ m
+            m = _rk4(spec.coefficient, [anchor_list[hi]], [t], spec.step, n)[0] @ m
         return m
 
     return EvolutionOperator(

@@ -11,6 +11,8 @@ import bisect
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, ExtrapolationError
 from .reports import ValidationReport
 
@@ -83,20 +85,28 @@ class GrowthRate:
     __call__ = evaluate
 
     def ratio(self, a: float, b: float) -> float:
-        """evaluate(a) / evaluate(b), computed stably; exactly 1 when a == b.
+        """evaluate(a) / evaluate(b): ``ratios`` at one pair of times."""
+        return float(self.ratios([a], [b])[0])
 
-        Exponential ratios go through exp(exponent*(a-b)) so that large
-        times never overflow the individual values.
-        """
-        if a < 0 or b < 0:
+    def ratios(self, a, b) -> np.ndarray:
+        """evaluate(a) / evaluate(b) over 1-D arrays of times broadcast together;
+        exactly 1 where a == b. Exponentials go through exp(exponent*(a-b)), so
+        large times never overflow; powers are taken per value by ``math.exp``
+        and ``**``, whose last bits ``np.exp`` does not reproduce."""
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if np.fmin.reduce(np.fmin(a, b), axis=None, initial=0.0) < 0:  # fmin skips nan
             raise DomainError("rate ratio needs nonnegative times")
-        if a == b:
-            return 1.0
-        if self.kind == "exponential":
-            return math.exp(self.exponent * (a - b))
-        if self.kind == "polynomial":
-            return ((a + 1.0) / (b + 1.0)) ** self.exponent
-        return self.evaluate(a) / self.evaluate(b)
+        with np.errstate(all="ignore"):  # as with Python floats: inf or nan, no warning
+            if self.kind == "exponential":
+                values = map(math.exp, (self.exponent * (a - b)).tolist())
+            elif self.kind == "polynomial":
+                values = (q ** self.exponent for q in ((a + 1.0) / (b + 1.0)).tolist())
+            else:
+                values = (1.0 if x == y else self.evaluate(x) / self.evaluate(y)
+                          for x, y in zip(*(v.tolist() for v in np.broadcast_arrays(a, b))))
+        out = np.fromiter(values, float, max(a.size, b.size))
+        out[a == b] = 1.0
+        return out
 
 
 def validate_on_grid(rate: GrowthRate, grid) -> ValidationReport:

@@ -79,10 +79,16 @@ def _builtin_coefficient(spec: dict, dimension: int):
     omega = float(spec.get("omega", 1.0))
     if spec["name"] == "rotation":
         a = np.array([[0.0, omega], [-omega, 0.0]])
-        return lambda t: a
+        return lambda times: np.broadcast_to(a, (len(times), 2, 2))
     base = np.asarray(spec.get("base", [0.0] * dimension), dtype=float)
     amplitude = np.asarray(spec.get("amplitude", [0.0] * dimension), dtype=float)
-    return lambda t: np.diag(base + amplitude * math.cos(omega * t))
+
+    def periodic_diag(times):  # math.cos per value: np.cos need not round the same
+        cos = np.fromiter(map(math.cos, (omega * np.asarray(times)).tolist()), float)
+        out = np.zeros((len(cos), dimension, dimension))
+        out[:, range(dimension), range(dimension)] = base + amplitude * cos[:, None]
+        return out
+    return periodic_diag
 
 
 def _build_operator(scenario: Scenario, family, grid) -> evolution.EvolutionOperator:

@@ -78,9 +78,8 @@ def _factors(operator, family, rates, pairs, tag, full) -> np.ndarray:
         else:
             mats = build_inverses(operator, family)[j].stack(sub)
             mats = mats if full else mats @ right
-        rate = rates[rate_key]
-        ratio = [rate.ratio(t, s) if rising else rate.ratio(s, t) for t, s in sub]
-        out[rows] = np.array(ratio) * opnorms(mats)
+        ts, ss = np.array(sub).T
+        out[rows] = rates[rate_key].ratios(*((ts, ss) if rising else (ss, ts))) * opnorms(mats)
     out.flags.writeable = False
     return out
 

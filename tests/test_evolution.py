@@ -15,6 +15,15 @@ from tricho.util import grid_pairs, grid_slots, grid_triples, make_grid, opnorm
 DIAG_1_0 = [0.18393972058572117, 3.694528049465325, 0.6420127083438707]
 
 
+def batched(entries):
+    """Coefficient over an array of times from ``entries(times)``: n rows of
+    n entries, each an array over the times or a constant."""
+    def coefficient(times):
+        rows = [np.broadcast_arrays(*row, times)[:-1] for row in entries(times)]
+        return np.moveaxis(np.array(rows), -1, 0)
+    return coefficient
+
+
 def test_equal_times_give_identity(nonuniform_operator):
     np.testing.assert_allclose(nonuniform_operator.evaluate(5.0, 5.0),
                                np.eye(3), atol=0.0)
@@ -132,7 +141,8 @@ def test_commuting_time_varying_generator_matches_closed_form():
     # A(t) = diag(a_i + b_i cos t) integrates to exp(a_i dt + b_i (sin t - sin s))
     base = np.array([-0.5, 0.3])
     amp = np.array([0.2, -0.1])
-    gen = GeneratorSpec(2, lambda t: np.diag(base + amp * math.cos(t)), 1e-3)
+    gen = GeneratorSpec(2, lambda times: np.diag(base)
+                        + np.cos(times)[:, None, None] * np.diag(amp), 1e-3)
     operator = from_generator(gen)
     t, s = 2.0, 0.5
     want = np.diag(np.exp(base * (t - s) + amp * (math.sin(t) - math.sin(s))))
@@ -152,8 +162,8 @@ def test_anchored_queries_compose_with_cached_factors():
 
     # a non-commuting time-varying generator anchored from 0.5 on
     anchors = grid[1:]
-    gen = GeneratorSpec(2, lambda t: np.array([[-1.0, math.sin(t)],
-                                               [0.3, 0.5 * math.cos(2 * t)]]),
+    gen = GeneratorSpec(2, batched(lambda t: [[-1.0, np.sin(t)],
+                                              [0.3, 0.5 * np.cos(2 * t)]]),
                         1e-3)
     operator = from_generator(gen, anchors=anchors)
     free = from_generator(gen)  # no anchors: one RK4 run per query
@@ -207,9 +217,9 @@ def test_run_integrates_each_lattice_interval_once(monkeypatch):
     }
     report = run(scenario_from_tree(tree))
     assert report.overall == "pass"
-    probes = len(make_grid(t_max + 2 * horizon, step))  # one per anchor
-    rk4_calls = 4 * (t_max + 2 * horizon) / rk4_step
-    assert calls[0] <= rk4_calls + 4 * probes
+    # one probe call over the anchors, then one call per RK4 step over the
+    # stage times of every lattice interval, each of step / rk4_step steps
+    assert calls[0] == 1 + round(step / rk4_step)
 
 
 def test_nonpositive_step_rejected():
@@ -218,16 +228,98 @@ def test_nonpositive_step_rejected():
 
 
 def test_unbounded_coefficient_rejected():
-    gen = GeneratorSpec(2, lambda t: np.full((2, 2), np.inf), 0.1)
+    gen = GeneratorSpec(2, lambda times: np.full((len(times), 2, 2), np.inf), 0.1)
     with pytest.raises(ValueError, match="unbounded"):
         from_generator(gen)
+
+
+def test_coefficient_unbounded_between_anchors_rejected():
+    def coefficient(times):  # finite at the anchors and the default probes
+        out = np.zeros((len(times), 2, 2))
+        out[times == 0.375] = np.inf  # a mid stage time of [0, 0.5]
+        return out
+    gen = GeneratorSpec(2, coefficient, 0.25)
+    with pytest.raises(ValueError, match=r"unbounded at t=0\.375"):
+        from_generator(gen, anchors=[0.0, 0.5, 1.0])
+    operator = from_generator(gen)
+    with pytest.raises(ValueError, match=r"unbounded at t=0\.375"):
+        operator.evaluate(0.5, 0.0)
+
+
+def test_coefficient_not_a_stack_rejected():
+    gen = GeneratorSpec(2, lambda times: np.zeros((2, 2)), 0.1)
+    with pytest.raises(ValueError, match="shape"):
+        from_generator(gen)
+
+
+def scalar_rk4(coefficient, s, t, step, n):
+    """The per-interval RK4 loop the batched kernel replaced, kept as its
+    reference; ``coefficient`` maps one time to an (n, n) matrix."""
+    x = np.eye(n)
+    span = t - s
+    if span <= 0:
+        return x
+    steps = max(1, math.ceil(span / step - 1e-12))
+    h = span / steps
+    for i in range(steps):
+        tau = s + i * h
+        k1 = coefficient(tau) @ x
+        k2 = coefficient(tau + 0.5 * h) @ (x + 0.5 * h * k1)
+        k3 = coefficient(tau + 0.5 * h) @ (x + 0.5 * h * k2)
+        k4 = coefficient(tau + h) @ (x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+def periodic_diag_case():
+    """The ode_periodic_g21 benchmark lattice, against the scalar np.diag
+    coefficient the builtin had before it took arrays of times."""
+    base, amplitude = np.array([-1.5, 2.5, 0.0]), np.array([0.3, 0.3, 0.1])
+    coefficient = runner._builtin_coefficient(
+        {"name": "periodic_diag", "base": base.tolist(),
+         "amplitude": amplitude.tolist(), "omega": 1.0}, 3)
+    scalar = lambda t: np.diag(base + amplitude * math.cos(1.0 * t))
+    return coefficient, scalar, norms.query_lattice(make_grid(10.0, 0.5), 5.0, 0.5), 0.01
+
+
+def block_case():
+    """The ode_block_g41 benchmark lattice with its constant coefficient."""
+    a = np.array([[-1.5, 0.0, 0.0, 0.0], [0.0, 2.5, 1.0, 0.0],
+                  [0.0, -1.0, 2.5, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    lattice = norms.query_lattice(make_grid(10.0, 0.25), 5.0, 0.25)
+    return GeneratorSpec.constant(a, 0.05).coefficient, lambda t: a, lattice, 0.05
+
+
+def mixed_case():
+    """Intervals of different lengths and step counts, two of them empty."""
+    coefficient = batched(lambda t: [[-0.5, 1.0 + t], [-1.0, 0.3 * np.sin(t)]])
+    scalar = lambda t: coefficient(np.array([t]))[0]
+    anchors = [0.0, 0.013, 0.5, 0.52, 0.52, 1.7, 1.75, 1.75, 3.0, 3.0001, 4.3]
+    return coefficient, scalar, anchors, 0.1
+
+
+@pytest.mark.parametrize("case", [periodic_diag_case, block_case, mixed_case],
+                         ids=["ode_periodic_g21", "ode_block_g41", "mixed"])
+def test_batched_rk4_matches_the_scalar_loop_bit_for_bit(case):
+    coefficient, scalar, anchors, step = case()
+    n = scalar(0.0).shape[0]
+    got = evolution._rk4(coefficient, anchors[:-1], anchors[1:], step, n)
+    want = [scalar_rk4(scalar, a, b, step, n) for a, b in zip(anchors, anchors[1:])]
+    assert len(got) == len(anchors) - 1 and np.array_equal(got, want)
+    # the lattice through the operator, and off it the one-interval gap path
+    gen = GeneratorSpec(n, coefficient, step)
+    operator = from_generator(gen, anchors=anchors)
+    assert np.array_equal(operator.evaluate(anchors[1], anchors[0]), want[0])
+    free = from_generator(gen)
+    for s, t in [(0.0, 0.013), (0.25, 0.75), (0.1, 3.3), (2.0, 2.0 + 1e-3)]:
+        assert np.array_equal(free.evaluate(t, s), scalar_rk4(scalar, s, t, step, n))
 
 
 def test_batched_cocycle_matches_per_triple_loop():
     # non-commuting, time-varying generator; anchors on every other grid time
     # so that off-anchor queries give nonzero residuals
-    gen = GeneratorSpec(2, lambda t: np.array([[-0.5, 1.0 + t],
-                                               [-1.0, 0.3 * math.sin(t)]]), 0.01)
+    gen = GeneratorSpec(2, batched(lambda t: [[-0.5, 1.0 + t],
+                                              [-1.0, 0.3 * np.sin(t)]]), 0.01)
     grid = make_grid(2.0, 0.25)
     operator = from_generator(gen, anchors=grid[::2])
     triples = grid_triples(grid)
@@ -373,8 +465,8 @@ def test_out_of_domain_pair_raises_beside_stored_pairs(uniform_operator):
 
 def test_grid_slots_cocycle_matches_float_triples():
     # off-anchor queries of a non-commuting generator give nonzero residuals
-    gen = GeneratorSpec(2, lambda t: np.array([[-0.5, 1.0 + t],
-                                               [-1.0, 0.3 * math.sin(t)]]), 0.01)
+    gen = GeneratorSpec(2, batched(lambda t: [[-0.5, 1.0 + t],
+                                              [-1.0, 0.3 * np.sin(t)]]), 0.01)
     grid = make_grid(2.0, 0.25)
     operator = from_generator(gen, anchors=grid[::2])
     want = check_cocycle(operator, grid_triples(grid), 1e-12).residuals["cocycle"]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,3 +136,36 @@ def test_validate_divergence_heuristic():
 def test_validate_empty_grid_errors():
     with pytest.raises(ValueError):
         validate_on_grid(GrowthRate.exponential(1.0), [])
+
+
+def scalar_ratio(rate, a, b):
+    """The per-pair quotient ``GrowthRate.ratios`` replaced, kept as its
+    reference."""
+    if a < 0 or b < 0:
+        raise DomainError("rate ratio needs nonnegative times")
+    if a == b:
+        return 1.0
+    if rate.kind == "exponential":
+        return math.exp(rate.exponent * (a - b))
+    if rate.kind == "polynomial":
+        return ((a + 1.0) / (b + 1.0)) ** rate.exponent
+    return rate.evaluate(a) / rate.evaluate(b)
+
+
+@pytest.mark.parametrize("rate", [
+    GrowthRate.exponential(0.7), GrowthRate.exponential(2.0),
+    GrowthRate.polynomial(1.5), GrowthRate.polynomial(0.3),
+    GrowthRate.tabulated([(0.0, 1.0), (3.0, 2.0), (10.0, 50.0)])],
+    ids=["exp0.7", "exp2", "poly1.5", "poly0.3", "tabulated"])
+def test_ratios_match_the_scalar_quotient_bit_for_bit(rate):
+    rng = np.random.default_rng(7)
+    a, b = rng.uniform(0.0, 10.0, (2, 300))
+    a[:30] = b[:30]
+    want = [scalar_ratio(rate, x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert np.array_equal(rate.ratios(a, b), want)
+    assert np.array_equal(rate.ratios(a, 4.0), [scalar_ratio(rate, x, 4.0) for x in a])
+    assert [rate.ratio(x, y) for x, y in zip(a[::29], b[::29])] == want[::29]
+    # equal times give exactly 1 without evaluating, even past a table's span
+    assert rate.ratios([np.inf, 40.0], [np.inf, 40.0]).tolist() == [1.0, 1.0]
+    with pytest.raises(DomainError):
+        rate.ratios(a, np.where(a > 5.0, -b, b))
