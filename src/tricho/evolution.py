@@ -20,9 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import PreconditionError
 from .rates import GrowthRate
-from .projectors import ProjectorFamily
+from .projectors import ProjectorFamily, ordered_pairs
 from .reports import CheckReport
 from .util import MatrixStore, opnorm, opnorms, pair_slots, peak
 
@@ -32,25 +32,20 @@ _CHUNK = 8192  # cocycle triples per batched residual, bounds transient stacks
 
 
 class EvolutionOperator:
-    """U(t, s) on the half-plane t >= s >= 0.
+    """U(t, s) on the half-plane t >= s >= 0 of finite times.
 
-    ``compute(pairs)`` gives the matrices of a list of in-domain pairs as an
-    (m, n, n) stack. Each distinct pair is computed once per operator and
-    kept read-only in ``store``. Everything derived from U is kept beside it
-    through ``keep``: the restricted inverses, factor tables, norm families,
-    their compatibility reports, the theorem sides and the theorem reports.
-    ``run`` empties ``kept`` when it returns.
+    ``compute(pairs)`` gives the matrices of an (m, 2) array of in-domain
+    pairs as an (m, n, n) stack. Each distinct pair is computed once per
+    operator and kept read-only in the array-keyed ``store``. Everything
+    derived from U is kept beside it through ``keep``: the restricted inverses,
+    factor tables, norm families, their compatibility reports, the theorem
+    sides and the theorem reports. ``run`` empties ``kept`` when it returns.
     """
 
-    def __init__(self, dimension: int, compute: Callable[[list], np.ndarray]):
-        def checked(pairs):
-            for t, s in pairs:
-                if s < 0 or t < s:
-                    raise DomainError(f"({t}, {s}) outside the domain t >= s >= 0")
-            return compute(pairs)
-
+    def __init__(self, dimension: int, compute: Callable[[np.ndarray], np.ndarray]):
         self.dimension = dimension
-        self.store = MatrixStore((dimension, dimension), checked)
+        self.store = MatrixStore((dimension, dimension),
+                                 lambda pairs: compute(ordered_pairs(pairs)))
         self.kept: dict = {}
 
     def keep(self, key, build: Callable[[], object]):
@@ -64,7 +59,7 @@ class EvolutionOperator:
         return self.store.get((t, s))
 
     def evaluate_many(self, pairs) -> np.ndarray:
-        """U(t, s) for each (t, s) in ``pairs`` as a new (m, n, n) stack."""
+        """U(t, s) for each (t, s) of an (m, 2) array or list as a new stack."""
         return self.store.stack(pairs)
 
 
@@ -91,11 +86,11 @@ def rate_model(u: GrowthRate, h: GrowthRate, k: GrowthRate,
     _require_model_family(family)
 
     def compute(pairs):
-        t, s = np.array(pairs, dtype=float).reshape(-1, 2).T
+        t, s = pairs.T
         outer, hq, kq, muq, nuq = (q.reshape(-1, 1, 1) for q in (
             u.ratios(s, t), h.ratios(s, t), k.ratios(t, s), mu.ratios(t, s),
             nu.ratios(s, t)))
-        p1, p2, p3 = (family.stack(j, s.tolist()) for j in (1, 2, 3))
+        p1, p2, p3 = (family.stack(j, s) for j in (1, 2, 3))
         return outer * (hq * p1 + kq * p2 + muq * nuq * p3)
 
     return EvolutionOperator(family.dimension, compute)
@@ -217,7 +212,7 @@ def from_generator(spec: GeneratorSpec, anchors=None) -> EvolutionOperator:
         return m
 
     return EvolutionOperator(
-        n, lambda pairs: np.array([evaluator(t, s) for t, s in pairs]))
+        n, lambda pairs: np.array([evaluator(t, s) for t, s in pairs.tolist()]))
 
 
 def conjugate(operator: EvolutionOperator, basis_change: np.ndarray) -> EvolutionOperator:
@@ -229,7 +224,7 @@ def conjugate(operator: EvolutionOperator, basis_change: np.ndarray) -> Evolutio
 
 def check_identity(operator: EvolutionOperator, times, tol: float) -> CheckReport:
     """Residual of U(t, t) = I over sampled times."""
-    stack = operator.evaluate_many([(t, t) for t in times])
+    stack = operator.evaluate_many(np.repeat(np.asarray(times, dtype=float)[:, None], 2, 1))
     worst = peak(stack - np.eye(operator.dimension))
     return CheckReport("identity", tol, {"identity": worst}, worst <= tol)
 
@@ -244,8 +239,8 @@ def check_cocycle(operator: EvolutionOperator, triples, tol: float,
     every triple of a grid without building one. Residuals are measured
     relative to the size of U(t, t0), floored at 1: growing operators reach
     norms ~e^{a t} where even a one-ulp relative error dwarfs any absolute
-    tolerance, so the scale-aware residual is the meaningful one. Each
-    distinct pair is evaluated once; the products are taken in batches of
+    tolerance, so the scale-aware residual is the meaningful one. The store
+    computes each distinct pair once; the products are taken in batches of
     triples, each reduced to its worst residual norm by ``util.peak``.
     """
     if pairs is None:

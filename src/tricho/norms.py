@@ -29,7 +29,7 @@ from .rates import GrowthRate
 from .reports import (CompatibilityReport, Rows, TheoremReport, TrichotomyReport,
                       smallest_margins)
 from .trichotomy import TERMS, check_trichotomy, factor_table
-from .util import opnorms, test_vector_batch
+from .util import grid_pairs, opnorms, test_vector_batch
 
 VARIANTS = ("forward", "backward")
 _SENSITIVITY_LIMIT = 1e-6
@@ -37,26 +37,34 @@ _IMAGE_FLOATS = 1 << 16  # image entries per chunk of a norm term (512 kB)
 _CROSSCHECK_TOL = 1e-9  # relative slack of C(t) against its full-norm limit
 
 
-def _future_times(t: float, horizon: float, step: float) -> list[float]:
+def _future_times(t: float, horizon: float, step: float) -> np.ndarray:
     count = max(1, math.ceil(horizon / step - 1e-9))
-    return [t + i * step for i in range(count + 1)]
+    return t + np.arange(count + 1) * step
 
 
-def _past_times(t: float, step: float) -> list[float]:
+def _past_times(t: float, step: float) -> np.ndarray:
     last = int(math.floor(t / step + 1e-9))
-    times = [i * step for i in range(last + 1)]
-    if not times or abs(times[-1] - t) > 1e-12:
-        times.append(t)
+    times = np.arange(last + 1) * step
+    if not len(times) or abs(times[-1] - t) > 1e-12:
+        times = np.append(times, t)
     return times
+
+
+def _pairs(times, lattice, later: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(x, t) pairs if ``later``, else (t, x), for each t of ``times`` and x
+    of ``lattice(t)`` as an (m, 2) array, and where each t's rows start."""
+    lattices = [lattice(t) for t in times]
+    sizes = [len(x) for x in lattices]
+    own = np.repeat(np.asarray(times, dtype=float), sizes)
+    pairs = np.stack((np.concatenate(lattices), own)[::1 if later else -1], axis=1)
+    return pairs, np.cumsum([0] + sizes)
 
 
 def query_lattice(grid, horizon: float, step: float) -> list[float]:
     """The grid plus every future time the horizon-doubling pass of norm
     families on ``grid`` samples, with the families' own float expressions."""
-    times = set(grid)
-    for t in grid:
-        times.update(_future_times(t, 2.0 * horizon, step))
-    return sorted(times)
+    times = [grid] + [_future_times(t, 2.0 * horizon, step) for t in grid]
+    return sorted(set(np.concatenate(times).tolist()))
 
 
 def _views(stack: np.ndarray, cut: int):
@@ -122,7 +130,7 @@ class LyapunovNormFamily:
         self.horizon = float(horizon)
         self.step = float(step)
         # the future terms run out to twice the horizon for the sensitivity pass only
-        built = {t: self._build(t, 2.0 * self.horizon) for t in times}
+        built = dict(zip(times, self._build(times, 2.0 * self.horizon)))
         self._stacks = {t: narrow for t, (narrow, _) in built.items()}
         self.horizon_delta_abs = self.horizon_delta_rel = 0.0
         self._measure_sensitivity(built.values())
@@ -134,38 +142,42 @@ class LyapunovNormFamily:
 
     # -- stack construction ------------------------------------------------
 
-    def _weighted(self, index: int, t: float, key: str, a, b, maps):
-        """rate(a)/rate(b) * maps() over the times a and b, broadcast against
-        each other; zeros when P_index(t) vanishes."""
-        n = self.family.dimension
-        if not self.family.member(index, t).any():
-            return np.zeros((np.broadcast(a, b).size, n, n))
-        rate = self.rates.get(key)
-        if rate is None:
-            raise StructuralError(f"{self.variant} variant needs the {key!r} rate")
-        return rate.ratios(a, b).reshape(-1, 1, 1) * maps()
+    def _weighted(self, key: str, a, b, member, maps):
+        """rate(a)/rate(b) * maps(live, member[live]) on the rows ``live`` where
+        the (m, n, n) member stack is nonzero, zeros elsewhere."""
+        live = member.any(axis=(1, 2))
+        out = np.zeros(member.shape)
+        if live.any():
+            rate = self.rates.get(key)
+            if rate is None:
+                raise StructuralError(f"{self.variant} variant needs the {key!r} rate")
+            out[live] = rate.ratios(a[live], b[live])[:, None, None] * maps(live, member[live])
+        return out
 
-    def _build(self, t: float, horizon: float):
-        """The three term stacks at t as (narrow views, wide views), screened."""
-        taus = _future_times(t, horizon, self.step)
-        rs = _past_times(t, self.step)
-        past = [(t, r) for r in rs]
-        u = self.operator.evaluate_many([(tau, t) for tau in taus])
-        f1 = self._weighted(1, t, "h", taus, t, lambda: u @ self.family.member(1, t))
-        g2 = self._weighted(2, t, "k", t, rs, lambda: self.inverses[2].stack(past))
-        if self.variant == "forward":
-            third = self._weighted(3, t, "mu", t, taus,
-                                   lambda: u @ self.family.member(3, t))
+    def _build(self, times, horizon: float) -> list:
+        """The three term stacks at each of ``times`` as (narrow views, wide
+        views), screened; one U or W_j lookup and one ``ratios`` call a term."""
+        future, ends = _pairs(times, lambda t: _future_times(t, horizon, self.step), True)
+        past, starts = _pairs(times, lambda t: _past_times(t, self.step), False)
+        (taus, at), (ts, rs) = future.T, past.T  # (tau, t) and (t, r)
+        u, member = self.operator.evaluate_many(future), self.family.stack
+        f1 = self._weighted("h", taus, at, member(1, at), lambda live, p: u[live] @ p)
+        g2 = self._weighted("k", ts, rs, member(2, ts),
+                            lambda live, _: self.inverses[2].stack(past[live]))
+        forward = self.variant == "forward"
+        if forward:
+            third = self._weighted("mu", at, taus, member(3, at), lambda live, p: u[live] @ p)
         else:
-            third = self._weighted(3, t, "nu", rs, t,
-                                   lambda: self.inverses[3].stack(past))
-        cut = len(_future_times(t, self.horizon, self.step))
-        cuts = (cut, len(g2), cut if self.variant == "forward" else len(third))
-        return tuple(zip(*map(_views, (f1, g2, third), cuts)))
+            third = self._weighted("nu", rs, ts, member(3, ts),
+                                   lambda live, _: self.inverses[3].stack(past[live]))
+        cut = len(_future_times(0.0, self.horizon, self.step))
+        cuts = (cut, len(past), cut if forward else len(past))  # past stacks: all narrow
+        return [tuple(zip(*map(_views, (f1[f], g2[p], third[f if forward else p]), cuts)))
+                for f, p in zip(map(slice, ends, ends[1:]), map(slice, starts, starts[1:]))]
 
     def _stacks_at(self, t: float):
         if t not in self._stacks:
-            self._stacks[t] = self._build(t, self.horizon)[0]
+            self._stacks[t] = self._build([t], self.horizon)[0][0]
         return self._stacks[t]
 
     # -- evaluation ---------------------------------------------------------
@@ -197,8 +209,8 @@ class LyapunovNormFamily:
     def evaluate_many(self, t: float, x: np.ndarray) -> np.ndarray:
         """Norm values for each column of the (dimension, batch) matrix x,
         or of each matrix of a (..., dimension, batch) stack."""
-        if t < 0:
-            raise DomainError("norms are defined for t >= 0")
+        if not 0 <= t < math.inf:
+            raise DomainError(f"norms are defined for finite t >= 0, not t={t}")
         block = _block(np.asarray(x, dtype=float))
         return sum(self._term(view, block) for view in self._stacks_at(t))
 
@@ -276,20 +288,17 @@ def _compatibility(norm_family, grid, samples, seed) -> CompatibilityReport:
 
 def _fullnorm_limit(nf: LyapunovNormFamily, grid) -> list[float]:
     """3 * nondecreasing envelope of the full-norm factors bounding each term."""
-    future = [[(tau, t) for tau in _future_times(t, nf.horizon, nf.step)]
-              for t in grid]
-    past = [[(t, r) for r in _past_times(t, nf.step)] for t in grid]
+    future = _pairs(grid, lambda t: _future_times(t, nf.horizon, nf.step), True)
+    past = _pairs(grid, lambda t: _past_times(t, nf.step), False)
     forward = nf.variant == "forward"
     requirement = np.ones(len(grid))
-    for groups, tags in (
+    for (pairs, starts), tags in (
             (future, ("stable_decay", "center_growth") if forward else ("stable_decay",)),
             (past, ("unstable_growth",) if forward else ("unstable_growth", "center_decay"))):
-        pairs = [p for group in groups for p in group]
         table = factor_table(nf.operator, nf.family, nf.rates, pairs, tags,
                              full=True)
         worst = np.max([table[tag] for tag in tags], axis=0)
-        starts = np.cumsum([0] + [len(group) for group in groups[:-1]])
-        requirement = np.maximum(requirement, np.maximum.reduceat(worst, starts))
+        requirement = np.maximum(requirement, np.maximum.reduceat(worst, starts[:-1]))
     envelope = np.maximum.accumulate(requirement)
     return [3.0 * float(v) for v in envelope]
 
@@ -336,12 +345,13 @@ def theorem_sides(forward: LyapunovNormFamily, backward: LyapunovNormFamily,
 def _theorem_sides(forward, backward, grid, samples, seed) -> TheoremSides:
     family = forward.family
     ids, x = test_vector_batch(family.dimension, samples, seed)
-    proj = np.stack([[x] + [family.member(j, t) @ x for j in (1, 2, 3)]
-                     for t in grid])  # (grid, 4, n, batch)
+    members = [family.stack(j, grid) for j in (1, 2, 3)]
+    proj = np.stack([np.broadcast_to(x, (len(grid), *x.shape))]
+                    + [p @ x for p in members], axis=1)  # (grid, 4, n, batch)
     base = {nf.variant: np.stack([nf.evaluate_many(t, y) for t, y in zip(grid, proj)])
             for nf in (forward, backward)}
     rows, cols = np.tril_indices(len(grid))  # grid_pairs order
-    third = np.array([family.member(3, t).any() for t in grid])
+    third = members[2].any(axis=(1, 2))
     central = third[rows] | third[cols]
     tags = ["stable_decay", "unstable_growth"]
     if central.any():
@@ -350,20 +360,21 @@ def _theorem_sides(forward, backward, grid, samples, seed) -> TheoremSides:
                                   "need the 'mu' and 'nu' rates")
         tags += ["center_growth", "center_decay"]
     lhs = {tag: np.empty((len(rows), x.shape[1])) for tag in tags}
+    pairs = grid_pairs(grid)
+    u = forward.operator.evaluate_many(pairs)
     offsets = np.cumsum(np.arange(len(grid) + 1))  # row i of pairs starts here
     for i, t in enumerate(grid):
-        u = forward.operator.evaluate_many([(t, s) for s in grid[:i + 1]])
         for tag, j in (("stable_decay", 1), ("center_growth", 3)):
             if tag in lhs:
                 lhs[tag][offsets[i]:offsets[i + 1]] = forward.evaluate_many(
-                    t, u @ proj[:i + 1, j])
+                    t, u[offsets[i]:offsets[i + 1]] @ proj[:i + 1, j])
     for j, s in enumerate(grid):
-        later = [(t, s) for t in grid[j:]]
+        later = offsets[j:-1] + j  # the pairs (t, s), t >= s
         for tag, nf, inverse in (("unstable_growth", forward, 2),
                                  ("center_decay", backward, 3)):
             if tag in lhs:
-                lhs[tag][offsets[j:-1] + j] = backward.evaluate_many(
-                    s, nf.inverses[inverse].stack(later) @ x)
+                lhs[tag][later] = backward.evaluate_many(
+                    s, nf.inverses[inverse].stack(pairs[later]) @ x)
     return TheoremSides(grid, ids, lhs, base, central)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, NotStronglyInvariantError, StructuralError
 from .reports import CheckReport
-from .util import MatrixStore, grid_pairs, pair_slots, peak, range_basis
+from .util import MatrixStore, grid_pairs, pair_slots, peak, range_bases
 
 RANK_TOL = 1e-10  # scale-invariant: smallest singular value vs largest
 
@@ -26,7 +26,8 @@ RANK_TOL = 1e-10  # scale-invariant: smallest singular value vs largest
 class ProjectorFamily:
     """Three maps t -> n x n matrix, constant or callback-defined.
 
-    Members and their range bases are evaluated once per time, read-only.
+    Members and their range bases are evaluated once per time, read-only, in
+    stores keyed by arrays of times: one batched SVD per batch of new times.
     """
 
     def __init__(self, dimension: int, members):
@@ -37,9 +38,11 @@ class ProjectorFamily:
         self.dimension = n = int(dimension)
         self._stores = {i: MatrixStore((n, n), partial(self._compute, i, member))
                         for i, member in enumerate(members, 1)}  # index -> P_index
-        self._bases: dict[tuple[int, float], np.ndarray] = {}
+        self._bases = {i: MatrixStore((n, n), lambda times, i=i: range_bases(
+            self.stack(i, times))[0]) for i in self._stores}
 
     def _compute(self, index: int, member, times) -> list[np.ndarray]:
+        times = times.tolist()
         out = [np.array(member(t), dtype=float) for t in times]
         for t, m in zip(times, out):
             if m.shape != (self.dimension, self.dimension):
@@ -74,23 +77,30 @@ class ProjectorFamily:
     def members(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.member(1, t), self.member(2, t), self.member(3, t)
 
-    def basis(self, index: int, t: float) -> np.ndarray:
-        """Orthonormal basis of the range of P_index(t), as an n x rank matrix."""
-        b = self._bases.get((index, t))
-        if b is None:
-            b = self._bases[(index, t)] = range_basis(self.member(index, t))
-            b.flags.writeable = False
-        return b
-
     def stack(self, index: int, times) -> np.ndarray:
         """P_index(t) for each of ``times`` as an (m, n, n) stack."""
         return self._stores[index].stack(times)
 
+    def bases(self, index: int, times) -> tuple[np.ndarray, np.ndarray]:
+        """``util.range_bases`` of P_index(t) for each of ``times``."""
+        b = self._bases[index].stack(times)
+        return b, np.count_nonzero(b.any(axis=-2), axis=-1)
 
-def rank_groups(ranks) -> list[list[int]]:
-    """Positions holding each nonzero rank, one list per rank."""
-    return [[i for i, r in enumerate(ranks) if r == rank]
-            for rank in sorted(set(ranks) - {0})]
+
+def rank_groups(ranks: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Each nonzero rank with the positions holding it."""
+    return [(r, np.flatnonzero(ranks == r)) for r in sorted(set(ranks.tolist()) - {0})]
+
+
+def ordered_pairs(pairs) -> np.ndarray:
+    """``pairs`` as an (m, 2) array; DomainError names one not in inf > t >= s >= 0."""
+    pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    t, s = pairs.T
+    outside = ~((t >= s) & (s >= 0) & np.isfinite(t))
+    if outside.any():
+        t, s = pairs[outside.argmax()].tolist()
+        raise DomainError(f"({t}, {s}) outside the domain inf > t >= s >= 0")
+    return pairs
 
 
 def check_orthogonal(family: ProjectorFamily, grid, tol: float) -> CheckReport:
@@ -109,69 +119,53 @@ def check_orthogonal(family: ProjectorFamily, grid, tol: float) -> CheckReport:
                        passed=all(v <= tol for v in worst.values()))
 
 
-def _ordered(pairs) -> list:
-    pairs = list(pairs)
-    for t, s in pairs:
-        if t < s or s < 0:
-            raise DomainError(f"pair ({t}, {s}) outside t >= s >= 0")
-    return pairs
-
-
-def _commutation(family, index: int, u: np.ndarray, pairs) -> float:
+def _commutation(family, index: int, u: np.ndarray, pairs: np.ndarray) -> float:
     """Worst |U(t,s)P(s) - P(t)U(t,s)| of one member over a stack of U."""
-    p_s = family.stack(index, [s for _, s in pairs])
-    return peak(u @ p_s - family.stack(index, [t for t, _ in pairs]) @ u)
+    p_s = family.stack(index, pairs[:, 1])
+    return peak(u @ p_s - family.stack(index, pairs[:, 0]) @ u)
 
 
 def check_invariance(family: ProjectorFamily, operator, pairs, tol: float) -> CheckReport:
     """Worst commutation residual |U(t,s)P_i(s) - P_i(t)U(t,s)| over pairs."""
-    pairs = _ordered(pairs)
+    pairs = ordered_pairs(pairs)
     u = operator.evaluate_many(pairs)
     worst = max(_commutation(family, i, u, pairs) for i in (1, 2, 3))
     return CheckReport("invariance", tol, {"commutation": worst}, worst <= tol)
 
 
 def restricted_inverses(operator, family: ProjectorFamily, index: int,
-                        pairs) -> tuple[np.ndarray, list]:
+                        pairs) -> tuple[np.ndarray, np.ndarray]:
     """Matrices of V_j(t, s) P_j(t) for j = index in {2, 3} over (t, s) pairs.
 
     The restriction of U(t, s) to Range P_j(s) is expressed in orthonormal
     bases of the two ranges and inverted, in one batched SVD and solve per
-    rank. Returns the (m, n, n) stack and one note per pair: None, or why
-    the restriction is not an isomorphism (then the matrix is zero rather
-    than a garbage inverse). Rank-0 members (the dichotomy case) yield the
-    zero matrix.
+    rank. Returns the (m, n, n) stack and an object array of one note per
+    pair: None, or why the restriction is not an isomorphism (then the matrix
+    is zero rather than a garbage inverse). Rank-0 members yield zero.
     """
     if index not in (2, 3):
         raise ValueError("restricted inverses exist for members 2 and 3")
-    pairs = _ordered(pairs)
+    pairs = ordered_pairs(pairs)
+    (basis_t, rank_t), (basis_s, rank_s) = (family.bases(index, x) for x in pairs.T)
     out = np.zeros((len(pairs), family.dimension, family.dimension))
-    notes = [None] * len(pairs)
-    ranks = []
-    for i, (t, s) in enumerate(pairs):
-        rank_s, rank_t = (family.basis(index, x).shape[1] for x in (s, t))
-        if rank_s != rank_t:
-            notes[i] = (f"rank of member {index} changes from {rank_s} at "
-                        f"s={s} to {rank_t} at t={t}")
-        ranks.append(rank_s if rank_s == rank_t else 0)
-    for rows in rank_groups(ranks):
-        sub = [pairs[i] for i in rows]
-        basis_s = np.array([family.basis(index, s) for _, s in sub])
-        basis_t = np.array([family.basis(index, t) for t, _ in sub])
-        mapped = operator.evaluate_many(sub) @ basis_s
-        restricted = np.swapaxes(basis_t, -1, -2) @ mapped  # basis_t orthonormal
+    notes = np.full(len(pairs), None, dtype=object)
+    for i in np.flatnonzero(rank_s != rank_t):
+        t, s = pairs[i].tolist()
+        notes[i] = (f"rank of member {index} changes from {rank_s[i]} at "
+                    f"s={s} to {rank_t[i]} at t={t}")
+    for rank, rows in rank_groups(np.where(rank_s == rank_t, rank_s, 0)):
+        sub, b_s, b_t = pairs[rows], basis_s[rows, :, :rank], basis_t[rows, :, :rank]
+        mapped = operator.evaluate_many(sub) @ b_s
+        restricted = np.swapaxes(b_t, -1, -2) @ mapped  # b_t orthonormal
         sigma = np.linalg.svd(restricted, compute_uv=False)
         good = (sigma[:, 0] != 0.0) & (sigma[:, -1] > RANK_TOL * sigma[:, 0])
-        for i, (t, s), ok, (hi, lo) in zip(rows, sub, good, sigma[:, [0, -1]]):
-            if not ok:
-                notes[i] = (f"restriction of U({t}, {s}) to range of member "
-                            f"{index} is rank-deficient (singular values "
-                            f"{lo:.3e} vs {hi:.3e})")
-        keep = np.flatnonzero(good)
-        rhs = (np.swapaxes(basis_t[keep], -1, -2)
-               @ family.stack(index, [sub[i][0] for i in keep]))
-        out[np.asarray(rows, dtype=int)[keep]] = (
-            basis_s[keep] @ np.linalg.solve(restricted[keep], rhs))
+        for i in np.flatnonzero(~good):
+            (t, s), (hi, lo) = sub[i].tolist(), sigma[i, [0, -1]].tolist()
+            notes[rows[i]] = (f"restriction of U({t}, {s}) to range of member "
+                              f"{index} is rank-deficient (singular values "
+                              f"{lo:.3e} vs {hi:.3e})")
+        rhs = np.swapaxes(b_t[good], -1, -2) @ family.stack(index, sub[good, 0])
+        out[rows[good]] = b_s[good] @ np.linalg.solve(restricted[good], rhs)
     return out, notes
 
 
@@ -179,34 +173,32 @@ def compute_restricted_inverse(operator, family: ProjectorFamily, index: int,
                                t: float, s: float) -> np.ndarray:
     """``restricted_inverses`` at one pair; a restriction that is not an
     isomorphism raises NotStronglyInvariantError."""
-    stack, notes = restricted_inverses(operator, family, index, [(t, s)])
-    if notes[0]:
-        raise NotStronglyInvariantError(notes[0])
-    return stack[0]
+    return InverseFamily(operator, family, index).evaluate(t, s)
 
 
 class InverseFamily:
     """W(t, s) = V_j(t, s) P_j(t) of one operator and family on t >= s >= 0,
     one ``restricted_inverses`` call per batch of unseen pairs, kept read-only
-    in ``store`` with the note of each pair where W does not exist."""
+    in an array-keyed ``store`` with the note of each of its rows."""
 
     def __init__(self, operator, family: ProjectorFamily, index: int):
         def compute(pairs):
             stack, notes = restricted_inverses(operator, family, index, pairs)
-            self._notes.update((p, n) for p, n in zip(pairs, notes) if n)
+            self._notes = np.concatenate((self._notes, notes))  # row order
             return stack
 
         self.store = MatrixStore((family.dimension, family.dimension), compute)
-        self._notes: dict[tuple[float, float], str] = {}
+        self._notes = np.empty(0, dtype=object)
 
-    def evaluate_many(self, pairs) -> tuple[np.ndarray, list]:
+    def evaluate_many(self, pairs) -> tuple[np.ndarray, np.ndarray]:
         """Stack of W over pairs and one note per pair, as ``restricted_inverses``."""
-        return self.store.stack(pairs), [self._notes.get(p) for p in pairs]
+        rows = self.store.rows(pairs)  # may grow values and notes
+        return self.store.values[rows], self._notes[rows]
 
     def stack(self, pairs) -> np.ndarray:
         """Stack of W over pairs; NotStronglyInvariantError where W does not exist."""
         out, notes = self.evaluate_many(pairs)
-        for note in filter(None, notes):
+        for note in notes[np.not_equal(notes, None)][:1]:
             raise NotStronglyInvariantError(note)
         return out
 
@@ -240,10 +232,9 @@ def check_compatible(family: ProjectorFamily, operator, grid, tol: float) -> Che
     notes = []
     for j in (2, 3):
         w, failed = build_inverses(operator, family)[j].evaluate_many(pairs)
-        notes += filter(None, failed)
-        ok = np.array([note is None for note in failed])
-        p_t = family.stack(j, [t for t, _ in pairs])[ok]
-        p_s = family.stack(j, [s for _, s in pairs])[ok]
+        ok = np.equal(failed, None)
+        notes += failed[~ok].tolist()
+        p_t, p_s = (family.stack(j, x) for x in pairs[ok].T)
         w, u_ok = w[ok], u[ok]
         residuals["right_inverse"] = max(residuals["right_inverse"], peak(u_ok @ w - p_t))
         residuals["left_inverse"] = max(residuals["left_inverse"], peak(w @ u_ok @ p_s - p_s))
@@ -260,20 +251,14 @@ def check_inverse_properties(operator, family: ProjectorFamily, index: int,
     equal_time (W(t,t) = P(t)).
     """
     inv = build_inverses(operator, family)[index]
-    triples = list(triples)
-    times = sorted({x for triple in triples for x in triple})
-    equal = inv.stack([(t, t) for t in times]) - family.stack(index, times)
     pairs, slots = pair_slots(triples)
-    w, notes = inv.evaluate_many(pairs)
-    for i in slots[:, [1, 0, 2]].ravel().tolist() if any(notes) else ():
-        if notes[i]:  # the first failure in triple order, (t, s) before the rest
-            raise NotStronglyInvariantError(notes[i])
-    direct, left, right = slots.T
-    spans = np.unique(left)  # the (t, s) pairs, where U and W meet
-    w_ts = w[spans]
-    u = operator.evaluate_many([pairs[i] for i in spans])
-    p_t = family.stack(index, [pairs[i][0] for i in spans])
-    p_s = family.stack(index, [pairs[i][1] for i in spans])
+    times = pairs.ravel()  # W(t, t) = P(t) at every time of a triple
+    equal = inv.stack(np.stack((times, times), axis=1)) - family.stack(index, times)
+    w = inv.stack(pairs)  # raises at the first failure, (t, s) first in each triple
+    direct, left, right = slots.T  # left: the (t, s) pairs, where U and W meet
+    w_ts = w[left]
+    u = operator.evaluate_many(pairs[left])
+    p_t, p_s = (family.stack(index, x) for x in pairs[left].T)
     worst = {"right_inverse": peak(u @ w_ts - p_t),
              "left_inverse": peak(w_ts @ u @ p_s - p_s),
              "cocycle": peak(w[direct] - w[right] @ w[left]),

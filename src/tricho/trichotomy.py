@@ -56,8 +56,8 @@ def factor_table(operator, family: ProjectorFamily, rates: dict, pairs,
     for tag in tags:
         if tag not in INEQUALITIES:
             raise ValueError(f"unknown inequality {tag!r}")
-    pairs = list(pairs)
-    at = np.asarray(pairs, dtype=float).tobytes()  # keeps no per-pair objects
+    pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    at = pairs.tobytes()  # keeps no per-pair objects
     return {tag: operator.keep(
                 ("factors", family, tag, rates.get(TERMS[tag][1]), full, at),
                 lambda: _factors(operator, family, rates, pairs, tag, full))
@@ -67,19 +67,17 @@ def factor_table(operator, family: ProjectorFamily, rates: dict, pairs,
 def _factors(operator, family, rates, pairs, tag, full) -> np.ndarray:
     j, rate_key, binds, rising = TERMS[tag]
     decay = binds == "s"  # U on Range P_j(s); else W_j on Range P_j(t)
-    bases = [family.basis(j, s if decay else t) for t, s in pairs]
+    bases, ranks = family.bases(j, pairs[:, 1 if decay else 0])
     out = np.zeros(len(pairs))
-    for rows in rank_groups([b.shape[1] for b in bases]):
-        sub = [pairs[i] for i in rows]
-        right = (family.stack(j, [s for _, s in sub]) if full and decay
-                 else np.array([bases[i] for i in rows]))
+    for rank, rows in rank_groups(ranks):
+        sub = pairs[rows]
+        right = family.stack(j, sub[:, 1]) if full and decay else bases[rows, :, :rank]
         if decay:
             mats = operator.evaluate_many(sub) @ right
         else:
             mats = build_inverses(operator, family)[j].stack(sub)
             mats = mats if full else mats @ right
-        ts, ss = np.array(sub).T
-        out[rows] = rates[rate_key].ratios(*((ts, ss) if rising else (ss, ts))) * opnorms(mats)
+        out[rows] = rates[rate_key].ratios(*(sub.T if rising else sub.T[::-1])) * opnorms(mats)
     out.flags.writeable = False
     return out
 

@@ -15,43 +15,53 @@ _SCREEN_MARGIN = 1e-9  # relative, far above the rounding of either bound
 
 
 class MatrixStore:
-    """Matrices of one shape by key, each computed once and kept read-only.
+    """Matrices of one shape keyed by time or by (t, s) pair, each computed
+    once and kept read-only in ``values``, in the order computed.
 
-    ``compute(keys)`` gives the matrices of a batch of unseen keys as a stack,
-    one call per batch; the rows live in one array that doubles when full.
+    Keys are a 1-D array of times or an (m, 2) array of pairs, or lists of
+    them. A pair is the complex t + 1j*s, which numpy sorts lexicographically,
+    so a lookup is one ``searchsorted`` in the sorted keys, one hit test and
+    one gather. ``compute(keys)`` gets the unseen keys of a batch once each,
+    in first-seen order; 0.0 and -0.0 are one key, and NaN is never found.
     """
 
     def __init__(self, shape: tuple, compute):
         self.shape = tuple(shape)
         self.compute = compute
-        self._index: dict = {}  # key -> row of _values
-        self._values = np.empty((0, *self.shape))
+        self.values = np.empty((0, *self.shape))
+        self._keys = np.array([np.nan])  # sorted; NaN sorts last and equals no key
+        self._slots = np.array([-1])  # row of values of each key
 
-    def _rows(self, keys) -> list[int]:
-        index = self._index
-        missing = [k for k in dict.fromkeys(keys) if k not in index]
-        if missing:
-            stack = np.asarray(self.compute(missing), dtype=float)
-            start, stop = len(index), len(index) + len(missing)
-            if stop > len(self._values):  # rows handed out keep the old buffer
-                grown = np.empty((max(stop, 2 * len(self._values)), *self.shape))
-                grown[:start] = self._values[:start]
-                self._values = grown
-            self._values[start:stop] = stack.reshape(-1, *self.shape)
-            index.update(zip(missing, range(start, stop)))
-        return [index[k] for k in keys]
+    def rows(self, keys) -> np.ndarray:
+        """The row of ``values`` holding each key, computing unseen keys first."""
+        keys = np.asarray(keys, dtype=float)
+        flat = np.ascontiguousarray(keys).view(complex)[:, 0] if keys.ndim == 2 else keys
+        pos = np.searchsorted(self._keys, flat)
+        miss = np.flatnonzero(self._keys[pos] != flat)
+        if len(miss):
+            order = miss[np.argsort(flat[miss], kind="stable")]
+            heads = np.concatenate(([True], flat[order[1:]] != flat[order[:-1]]))
+            new = np.flatnonzero(np.bincount(order[heads], minlength=len(flat)))  # first-seen order
+            stack = np.asarray(self.compute(keys[new]), dtype=float)
+            slots = np.arange(len(self.values), len(self.values) + len(new))
+            self.values = np.concatenate((self.values, stack.reshape(-1, *self.shape)))
+            merged = np.concatenate((self._keys, flat[new]))
+            order = np.argsort(merged, kind="stable")
+            self._keys, self._slots = merged[order], np.concatenate((self._slots, slots))[order]
+            pos = np.searchsorted(self._keys, flat)
+        return self._slots[pos]
 
     def get(self, key) -> np.ndarray:
         """The read-only matrix of one key."""
-        row = self._rows([key])[0]  # may grow _values
-        m = self._values[row]
+        row = self.rows([key])[0]  # may grow values
+        m = self.values[row]
         m.flags.writeable = False
         return m
 
     def stack(self, keys) -> np.ndarray:
         """The matrices of ``keys`` as a new (m, *shape) stack."""
-        rows = self._rows(keys)  # may grow _values
-        return self._values[rows]
+        rows = self.rows(keys)  # may grow values
+        return self.values[rows]
 
 
 def opnorm(m: np.ndarray) -> float:
@@ -89,15 +99,19 @@ def peak(stack: np.ndarray, scale=1.0) -> float:
     return float(np.max(opnorms(stack) / scale, initial=0.0))
 
 
-def range_basis(p: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column space of a projector matrix.
+def range_bases(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal range bases of a (..., n, n) stack of projectors from one
+    SVD: left singular vectors with singular value >= 0.5, zero columns after
+    them, and the ranks. Nonzero singular values of an idempotent matrix are
+    >= 1, so 0.5 separates range directions from numerical noise."""
+    u, sigma, _ = np.linalg.svd(stack)
+    keep = sigma >= _RANGE_CUTOFF  # a leading run: sigma is descending
+    return np.where(keep[..., None, :], u, 0.0), np.count_nonzero(keep, axis=-1)
 
-    Left singular vectors with singular value >= 0.5 are kept; nonzero
-    singular values of an idempotent matrix are >= 1, so 0.5 separates
-    range directions from numerical noise.
-    """
-    u, sigma, _ = np.linalg.svd(p)
-    rank = int(np.count_nonzero(sigma >= _RANGE_CUTOFF))
+
+def range_basis(p: np.ndarray) -> np.ndarray:
+    """``range_bases`` of one projector matrix, as an n x rank matrix."""
+    u, rank = range_bases(p)
     return np.ascontiguousarray(u[:, :rank])
 
 
@@ -114,29 +128,26 @@ def make_grid(t_max: float, step: float) -> list[float]:
     return grid
 
 
-def grid_pairs(grid: list[float]) -> list[tuple[float, float]]:
-    """All ordered pairs (t, s) with t >= s, including t == s."""
-    return [(grid[i], grid[j]) for i in range(len(grid)) for j in range(i + 1)]
+def grid_pairs(grid) -> np.ndarray:
+    """All ordered pairs (t, s) with t >= s as an (m, 2) array; grid indices
+    i >= j sit at row i(i+1)/2 + j."""
+    grid = np.asarray(grid, dtype=float)
+    rows, cols = np.tril_indices(len(grid))
+    return np.stack((grid[rows], grid[cols]), axis=1)
 
 
-def pair_slots(triples) -> tuple[list[tuple[float, float]], np.ndarray]:
-    """Distinct pairs of (t, s, t0) triples, and per triple the positions
-    of its (t, t0), (t, s) and (s, t0) pairs as an (m, 3) array. Raises
-    ValueError naming the first triple not ordered t >= s >= t0 >= 0."""
-    triples = list(triples)
-    arr = np.asarray(triples, dtype=float).reshape(-1, 3)
+def pair_slots(triples) -> tuple[np.ndarray, np.ndarray]:
+    """The (t, s), (t, t0) and (s, t0) pairs of each (t, s, t0) triple as a
+    (3m, 2) array, and per triple the rows of its (t, t0), (t, s) and (s, t0)
+    pairs as an (m, 3) array. Raises ValueError naming the first triple not
+    ordered t >= s >= t0 >= 0."""
+    arr = np.asarray(list(triples), dtype=float).reshape(-1, 3)
     ordered = (arr[:, 0] >= arr[:, 1]) & (arr[:, 1] >= arr[:, 2]) & (arr[:, 2] >= 0)
     if not ordered.all():
-        t, s, t0 = triples[int(np.argmin(ordered))]
+        t, s, t0 = arr[np.argmin(ordered)].tolist()
         raise ValueError(f"triple ({t}, {s}, {t0}) not ordered t >= s >= t0 >= 0")
-    times, index = np.unique(arr, return_inverse=True)
-    index = index.reshape(-1, 3)
-    width = len(times)
-    keys = index[:, [0, 0, 1]] * width + index[:, [2, 1, 2]]
-    distinct, slots = np.unique(keys, return_inverse=True)
-    values = times.tolist()
-    pairs = [(values[k // width], values[k % width]) for k in distinct.tolist()]
-    return pairs, slots.reshape(-1, 3)
+    pairs = arr[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)  # a store computes each distinct one once
+    return pairs, np.arange(arr.size).reshape(-1, 3)[:, [1, 0, 2]]
 
 
 def grid_triples(grid: list[float]) -> list[tuple[float, float, float]]:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -373,7 +374,7 @@ def test_run_computes_each_distinct_pair_once(monkeypatch):
         compute = operator.store.compute
 
         def counted(pairs):
-            computed.extend(pairs)
+            computed.extend(map(tuple, pairs.tolist()))
             return compute(pairs)
         operator.store.compute = counted
         return operator
@@ -390,7 +391,7 @@ def test_run_computes_each_distinct_pair_once(monkeypatch):
 
     def counted_factors(operator, family, rates, pairs, tag, full):
         rate = rates.get(trichotomy.TERMS[tag][1])
-        tables.append((id(family), tag, rate, full, tuple(pairs)))
+        tables.append((id(family), tag, rate, full, tuple(map(tuple, pairs.tolist()))))
         return factors(operator, family, rates, pairs, tag, full)
 
     kept = []
@@ -477,3 +478,43 @@ def test_grid_slots_cocycle_matches_float_triples():
     slots[5, [1, 2]] = slots[5, [2, 1]]
     with pytest.raises(ValueError, match="slots"):
         check_cocycle(operator, slots, 1e-12, pairs=grid_pairs(grid))
+
+
+def model_operator(family, rates):
+    return rate_model(GrowthRate.polynomial(1.0), rates["h"], rates["k"],
+                      rates["mu"], rates["nu"], family)
+
+
+def generated_operator(family, rates):
+    # at the NaN pair, bisect on the anchors used to give the finite U(2, 0)
+    return from_generator(GeneratorSpec.constant(np.diag([-1.0, 2.0, 0.0]), 0.1),
+                          anchors=[0.0, 1.0, 2.0])
+
+
+OPERATORS = {"model": model_operator, "generated": generated_operator}
+NONFINITE_PAIRS = [(math.nan, 0.0), (math.inf, 0.0), (2.0, math.nan),
+                   (math.inf, math.inf)]
+
+
+@pytest.mark.parametrize("pair", NONFINITE_PAIRS, ids=str)
+@pytest.mark.parametrize("entry", ["evaluate", "evaluate_many", "inverse_stack"])
+@pytest.mark.parametrize("make", OPERATORS.values(), ids=OPERATORS)
+def test_nonfinite_pair_raises_domain_error_naming_it(make, entry, pair,
+                                                      split_family, exp_rates):
+    operator = make(split_family, exp_rates)
+    calls = {"evaluate": lambda: operator.evaluate(*pair),
+             "evaluate_many": lambda: operator.evaluate_many([(1.0, 0.0), pair]),
+             "inverse_stack": lambda: projectors.build_inverses(
+                 operator, split_family)[2].stack([(1.0, 0.0), pair])}
+    with pytest.raises(DomainError, match=re.escape(str(pair))):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+@pytest.mark.parametrize("make", OPERATORS.values(), ids=OPERATORS)
+def test_norm_at_a_nonfinite_time_raises_domain_error(make, t, split_family,
+                                                      exp_rates):
+    fwd = norms.build_norm_family("forward", make(split_family, exp_rates),
+                                  split_family, exp_rates, 1.0, 0.5, [0.0, 1.0, 2.0])
+    with pytest.raises(DomainError, match=str(t)):
+        fwd.evaluate_many(t, np.eye(3))
