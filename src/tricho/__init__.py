@@ -6,7 +6,7 @@ characterizations.
 
 from .errors import (DomainError, ExtrapolationError, NotStronglyInvariantError,
                      PreconditionError, ScenarioError, StructuralError)
-from .rates import GrowthRate, validate_on_grid
+from .rates import GrowthRate
 from .projectors import (InverseFamily, ProjectorFamily, build_inverses,
                          check_compatible, check_inverse_properties,
                          check_invariance, check_orthogonal, compute_restricted_inverse)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DomainError", "ExtrapolationError", "NotStronglyInvariantError",
     "PreconditionError", "ScenarioError", "StructuralError",
-    "GrowthRate", "validate_on_grid",
+    "GrowthRate",
     "InverseFamily", "ProjectorFamily", "build_inverses", "check_compatible",
     "check_inverse_properties",
     "check_invariance", "check_orthogonal", "compute_restricted_inverse",

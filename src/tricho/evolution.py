@@ -5,16 +5,17 @@ each member of an orthogonal projector family is a prescribed quotient of
 growth rates, and operators generated by integrating X' = A(t) X with a
 fixed-step fourth-order Runge-Kutta scheme, A taken over arrays of times.
 Generated operators integrate every interval between consecutive anchor
-times in one batched pass and cache those propagators and their products, so
-composition identities hold by construction up to integration error; queries
-off the anchors integrate only the gaps, through the same kernel. Every
+times in one batched pass and keep those propagators, so composition
+identities hold by construction up to integration error. Each batch of
+queries is answered in one pass: chain products of the propagators, and
+every gap off the anchors through one call of the same kernel. Every
 operator keeps one store of the pairs it has computed, so each distinct
 U(t, s) is computed once per operator, in one batched call per batch of
 unseen pairs, and shared read-only by every check that reads it.
 """
 from __future__ import annotations
 
-import bisect
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -174,45 +175,45 @@ def from_generator(spec: GeneratorSpec, anchors=None) -> EvolutionOperator:
     """Integrate the generator into an evolution operator.
 
     When anchor times are given, the propagators over all consecutive anchor
-    intervals are integrated once, in one ``_rk4`` call, and each chain
-    product over anchors lo..hi is multiplied once, left to right, and
-    returned read-only. The scenario runner anchors on the grid plus the norm
-    families' future lattice out to t_max + 2*horizon (``norms.query_lattice``);
-    off-lattice queries integrate only the gaps, one interval per call.
+    intervals are integrated once, in one ``_rk4`` call. A batch of pairs is
+    answered in one pass: one ``searchsorted`` finds the anchors in [s, t] of
+    every pair, the chain products over them are multiplied left to right
+    across the batch, and every gap (before the first anchor of a pair, past
+    its last, or a pair with no anchor in [s, t]) goes through one ``_rk4``
+    call. The scenario runner anchors on the grid plus the norm families'
+    future lattice out to t_max + 2*horizon (``norms.query_lattice``).
     Anchor-aligned queries satisfy the composition identity up to
     floating-point reassociation only.
     """
     n = spec.dimension
-    anchor_list = sorted(float(a) for a in anchors) if anchors else []
-    if anchor_list and anchor_list[0] < 0:
-        raise ValueError("anchors must be nonnegative")
+    anchor_list = sorted(float(a) for a in anchors) if anchors is not None else []
+    for a in anchor_list:
+        if not 0 <= a < math.inf:  # false for NaN
+            raise ValueError(f"anchors must be finite and nonnegative, got {a}")
     _coefficients(spec.coefficient, np.array(anchor_list or (0.0, 0.5, 1.0)), n)
     props = _rk4(spec.coefficient, anchor_list[:-1], anchor_list[1:], spec.step, n)
-    rows: dict[int, list[np.ndarray]] = {}  # lo -> [I, props[lo], ...]
+    points = np.array(anchor_list)
 
-    def chain(lo, hi):
-        row = rows.setdefault(lo, [np.eye(n)])
-        for i in range(lo + len(row) - 1, hi):
-            row.append(props[i] @ row[-1])
-            row[-1].flags.writeable = False
-        return row[hi - lo]
+    def compute(pairs):
+        t, s = pairs.T
+        lo = np.searchsorted(points, s)
+        hi = np.searchsorted(points, t, side="right") - 1
+        on, off = np.flatnonzero(lo <= hi), np.flatnonzero(lo > hi)
+        out = np.tile(np.eye(n), (len(pairs), 1, 1))
+        for d in range(int((hi - lo).max(initial=0))):  # chains, left to right
+            rows = np.flatnonzero(lo + d < hi)
+            out[rows] = props[lo[rows] + d] @ out[rows]
+        head, tail = on[s[on] < points[lo[on]]], on[t[on] > points[hi[on]]]
+        gaps = np.split(_rk4(spec.coefficient,
+                             np.concatenate((s[off], s[head], points[hi[tail]])),
+                             np.concatenate((t[off], points[lo[head]], t[tail])),
+                             spec.step, n), [len(off), len(off) + len(head)])
+        out[off] = gaps[0]
+        out[head] = out[head] @ gaps[1]
+        out[tail] = gaps[2] @ out[tail]
+        return out
 
-    def evaluator(t, s):
-        if t == s:
-            return np.eye(n)
-        lo = bisect.bisect_left(anchor_list, s)
-        hi = bisect.bisect_right(anchor_list, t) - 1
-        if lo > hi:
-            return _rk4(spec.coefficient, [s], [t], spec.step, n)[0]
-        m = chain(lo, hi)
-        if s < anchor_list[lo]:
-            m = m @ _rk4(spec.coefficient, [s], [anchor_list[lo]], spec.step, n)[0]
-        if t > anchor_list[hi]:
-            m = _rk4(spec.coefficient, [anchor_list[hi]], [t], spec.step, n)[0] @ m
-        return m
-
-    return EvolutionOperator(
-        n, lambda pairs: np.array([evaluator(t, s) for t, s in pairs.tolist()]))
+    return EvolutionOperator(n, compute)
 
 
 def conjugate(operator: EvolutionOperator, basis_change: np.ndarray) -> EvolutionOperator:

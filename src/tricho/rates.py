@@ -2,8 +2,10 @@
 
 Three kinds are supported: exponential ``e^(a*t)``, polynomial ``(t+1)^a``
 (both with positive exponent ``a``), and tabulated rates interpolated
-linearly between knots. Divergence at infinity is not decidable from finite
-data, so grid validation reports it only as a heuristic flag.
+linearly between knots. A rate checks its own axioms when it is built:
+finite knots holding values >= 1 that are nondecreasing, or a finite
+exponent. Divergence at infinity is not decidable from finite data and is
+not checked.
 """
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ExtrapolationError
-from .reports import ValidationReport
 
 KINDS = ("exponential", "polynomial", "tabulated")
 
@@ -29,16 +30,20 @@ class GrowthRate:
         if self.kind not in KINDS:
             raise ValueError(f"unknown rate kind {self.kind!r}")
         if self.kind in ("exponential", "polynomial"):
-            if not self.exponent > 0:
-                raise ValueError("exponent must be positive")
+            if not 0 < self.exponent < math.inf:
+                raise ValueError(f"exponent must be positive and finite, got {self.exponent}")
         else:
             if not self.table:
                 raise ValueError("tabulated rate needs at least one knot")
-            times = [t for t, _ in self.table]
+            times, values = zip(*self.table)
+            if not all(map(math.isfinite, times + values)):
+                raise ValueError("tabulated knots must be finite")
             if times[0] < 0:
                 raise ValueError("tabulated times must be nonnegative")
             if any(b <= a for a, b in zip(times, times[1:])):
                 raise ValueError("tabulated times must be strictly increasing")
+            if values[0] < 1 or any(b < a for a, b in zip(values, values[1:])):
+                raise ValueError("tabulated values must be >= 1 and nondecreasing")
 
     @classmethod
     def exponential(cls, exponent: float) -> "GrowthRate":
@@ -108,24 +113,3 @@ class GrowthRate:
         out[a == b] = 1.0
         return out
 
-
-def validate_on_grid(rate: GrowthRate, grid) -> ValidationReport:
-    """Check the rate axioms (values >= 1, nondecreasing) at grid points.
-
-    Divergence is flagged heuristically: if the last grid value is less than
-    ten times the first, the rate looks too slow to diverge. This is a flag,
-    never a failure.
-    """
-    grid = list(grid)
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    if any(t < 0 for t in grid):
-        raise ValueError("grid times must be nonnegative")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly increasing")
-
-    values = [rate.evaluate(t) for t in grid]
-    violations = [f"value < 1 at t={t:g}" for t, v in zip(grid, values) if v < 1.0]
-    violations += [f"decreasing on [{t0:g},{t1:g}]" for t0, t1, v0, v1
-                   in zip(grid, grid[1:], values, values[1:]) if v1 < v0]
-    return ValidationReport(violations, slow_divergence=values[-1] < 10.0 * values[0])

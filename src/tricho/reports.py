@@ -61,18 +61,6 @@ def smallest_margins(tables: list[Rows]) -> dict[str, dict]:
 
 
 @dataclass
-class ValidationReport:
-    """Grid validation of a growth rate."""
-
-    violations: list[str]
-    slow_divergence: bool  # heuristic: growth over the grid looks too slow
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass
 class CheckReport:
     """Worst residual per condition for a structural check."""
 

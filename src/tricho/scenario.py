@@ -99,22 +99,19 @@ def _parse_rate(spec, key: str) -> GrowthRate:
     if not isinstance(spec, dict):
         raise ScenarioError(f"rates.{key} must be an object")
     kind = spec.get("kind")
+    where = f"rates.{key}"
     try:
         if kind in ("exponential", "polynomial"):
-            return GrowthRate(kind, _number(spec, "exponent", f"rates.{key}"))
+            return GrowthRate(kind, _number(spec, "exponent", where))
         if kind == "tabulated":
-            table = _require(spec, "table", list, f"rates.{key}")
-            rate = GrowthRate.tabulated(table)
-            _finite_array(table, (len(table), 2), f"rates.{key}.table")
-            values = [v for _, v in rate.table]
-            if values[0] < 1 or any(b < a for a, b in zip(values, values[1:])):
-                raise ScenarioError(f"rates.{key}.table must hold values >= 1 "
-                                    "that are nondecreasing")
-            return rate
+            table = _require(spec, "table", list, where)
+            where += ".table"
+            _finite_array(table, (len(table), 2), where)
+            return GrowthRate.tabulated(table)
     except ScenarioError:
         raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"rates.{key}: {exc}") from exc
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
     raise ScenarioError(f"rates.{key}.kind must be exponential, polynomial "
                         f"or tabulated, got {kind!r}")
 

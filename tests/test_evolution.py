@@ -1,3 +1,4 @@
+import bisect
 import math
 import re
 
@@ -314,6 +315,100 @@ def test_batched_rk4_matches_the_scalar_loop_bit_for_bit(case):
     free = from_generator(gen)
     for s, t in [(0.0, 0.013), (0.25, 0.75), (0.1, 3.3), (2.0, 2.0 + 1e-3)]:
         assert np.array_equal(free.evaluate(t, s), scalar_rk4(scalar, s, t, step, n))
+
+
+def per_pair_generator(spec, anchors=None):
+    """The per-pair evaluator ``from_generator`` answered queries with before
+    its batched pass, kept as its reference: bisect on the anchors, the chain
+    product over anchors lo..hi left to right, and one RK4 call per gap."""
+    n = spec.dimension
+    points = sorted(float(a) for a in anchors) if anchors else []
+    props = evolution._rk4(spec.coefficient, points[:-1], points[1:], spec.step, n)
+
+    def gap(s, t):
+        return evolution._rk4(spec.coefficient, [s], [t], spec.step, n)[0]
+
+    def evaluate(t, s):
+        if t == s:
+            return np.eye(n)
+        lo = bisect.bisect_left(points, s)
+        hi = bisect.bisect_right(points, t) - 1
+        if lo > hi:
+            return gap(s, t)
+        m = np.eye(n)
+        for i in range(lo, hi):
+            m = props[i] @ m
+        if s < points[lo]:
+            m = m @ gap(s, points[lo])
+        if t > points[hi]:
+            m = gap(points[hi], t) @ m
+        return m
+    return evaluate
+
+
+def reference_pairs(anchors):
+    """On, between, before and past the anchors, with t == s on and off them."""
+    pairs = [(3.7, 0.4), (1.75, 0.52), (2.0, 1.0), (4.3, 0.0), (5.2, 4.5),
+             (0.3, 0.1), (0.52, 0.52), (1.75, 1.75), (0.7, 0.7), (6.0, 6.0),
+             (6.5, 5.0), (4.9, 0.006), (0.013, 0.013)]
+    if anchors:
+        pairs += [(a, a) for a in anchors[::4]]
+        pairs += [(b, a) for a, b in zip(anchors[::3], anchors[2::3])]
+        pairs += [(max(anchors) + 1.1, max(anchors)), (min(anchors) + 0.2, 0.0)]
+    return np.array(pairs)
+
+
+@pytest.mark.parametrize("case", [periodic_diag_case, block_case, mixed_case],
+                         ids=["ode_periodic_g21", "ode_block_g41", "mixed"])
+@pytest.mark.parametrize("shift", [0.0, 0.5, None], ids=["lattice", "shifted", "unanchored"])
+def test_batched_query_matches_the_per_pair_evaluator_bit_for_bit(case, shift):
+    coefficient, scalar, anchors, step = case()
+    anchors = None if shift is None else [a + shift for a in anchors]
+    gen = GeneratorSpec(scalar(0.0).shape[0], coefficient, step)
+    pairs = reference_pairs(anchors)
+    reference = per_pair_generator(gen, anchors)
+    want = [reference(t, s) for t, s in pairs.tolist()]
+    batch = from_generator(gen, anchors=anchors).store.compute(pairs)
+    assert np.array_equal(batch, want)
+    # repeats within one batch, against the same pairs one at a time
+    twice = np.concatenate((pairs, pairs[::-1], pairs[:4]))
+    one_by_one = [from_generator(gen, anchors=anchors).store.compute(p[None])[0]
+                  for p in twice]
+    assert np.array_equal(from_generator(gen, anchors=anchors).store.compute(twice),
+                          one_by_one)
+
+
+def test_gaps_of_one_step_count_cost_one_rk4_pass():
+    calls = []
+
+    def coefficient(times):
+        calls.append(len(times))
+        return np.broadcast_to([[-1.0, 0.5], [0.0, 2.0]], (len(times), 2, 2))
+
+    operator = from_generator(GeneratorSpec(2, coefficient, 0.1), anchors=[0.0, 1.0, 2.0])
+    calls.clear()
+    operator.evaluate_many([(2.0, 0.0), (1.0, 1.0), (2.0, 1.0)])
+    assert calls == []  # on the anchors: chain products of the propagators only
+    # five pairs with no anchor in [s, t] and one with a head and a tail gap,
+    # each gap 0.3 long: three RK4 steps
+    pairs = [(0.4, 0.1), (0.6, 0.3), (0.8, 0.5), (1.5, 1.2), (1.8, 1.5), (1.3, 0.7)]
+    operator.evaluate_many(pairs)
+    assert calls == [3 * 7] * 3  # per step, the three stage times of all 7 gaps
+
+
+def test_anchors_may_be_an_array():
+    gen = GeneratorSpec.constant(np.diag([-1.0, 2.0]), 0.1)
+    pairs = [(2.0, 0.0), (1.5, 0.5)]
+    want = from_generator(gen, anchors=[0.0, 1.0, 2.0]).evaluate_many(pairs)
+    got = from_generator(gen, anchors=np.array([2.0, 0.0, 1.0])).evaluate_many(pairs)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5], ids=str)
+def test_nonfinite_or_negative_anchor_rejected_naming_it(bad):
+    gen = GeneratorSpec.constant(np.diag([-1.0, 2.0]), 0.1)
+    with pytest.raises(ValueError, match=f"finite and nonnegative, got {bad}"):
+        from_generator(gen, anchors=[0.0, 1.0, bad, 2.0])
 
 
 def test_batched_cocycle_matches_per_triple_loop():

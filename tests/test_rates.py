@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tricho import DomainError, ExtrapolationError, GrowthRate, validate_on_grid
+from tricho import DomainError, ExtrapolationError, GrowthRate
 
 # frozen with a 40-digit arbitrary-precision exponential
 E_1 = 2.718281828459045
@@ -105,37 +105,32 @@ def test_tabulated_times_must_increase():
         GrowthRate.tabulated([(0.0, 1.0), (0.0, 2.0)])
 
 
-def test_validate_clean_exponential():
-    report = validate_on_grid(GrowthRate.exponential(1.0), [0.0, 1.0, 2.0])
-    assert report.ok
-    # the divergence heuristic needs a tenfold rise; e^2 < 10 still flags
-    assert report.slow_divergence
-    longer = validate_on_grid(GrowthRate.exponential(1.0), [0.0, 1.0, 2.0, 3.0])
-    assert longer.ok
-    assert not longer.slow_divergence
-
-
 def test_validate_flags_value_below_one():
-    report = validate_on_grid(GrowthRate.tabulated([(0.0, 1.0), (1.0, 0.5)]),
-                              [0.0, 1.0])
-    assert any("value < 1 at t=1" in v for v in report.violations)
+    for table in ([(0.0, 1.0), (1.0, 0.5)], [(0.0, 0.2), (1.0, 0.5)]):
+        with pytest.raises(ValueError, match=">= 1 and nondecreasing"):
+            GrowthRate.tabulated(table)
 
 
 def test_validate_flags_decrease():
-    report = validate_on_grid(GrowthRate.tabulated([(0.0, 2.0), (1.0, 1.5)]),
-                              [0.0, 1.0])
-    assert any("decreasing on [0,1]" in v for v in report.violations)
+    with pytest.raises(ValueError, match=">= 1 and nondecreasing"):
+        GrowthRate.tabulated([(0.0, 2.0), (1.0, 1.5)])
+    assert GrowthRate.tabulated([(0.0, 1.0), (1.0, 1.0), (2.0, 3.0)]).evaluate(1.5) == 2.0
 
 
-def test_validate_divergence_heuristic():
-    report = validate_on_grid(GrowthRate.constant(10.0), [0.0, 5.0, 10.0])
-    assert report.ok  # constant-1 satisfies the grid axioms
-    assert report.slow_divergence
+@pytest.mark.parametrize("table", [
+    [(0.0, 1.0), (math.nan, 2.0)], [(0.0, math.nan), (1.0, 2.0)],
+    [(0.0, 1.0), (math.inf, 2.0)], [(0.0, 1.0), (1.0, math.inf)]],
+    ids=["nan_time", "nan_value", "inf_time", "inf_value"])
+def test_nonfinite_knot_rejected(table):
+    with pytest.raises(ValueError, match="knots must be finite"):
+        GrowthRate.tabulated(table)
 
 
-def test_validate_empty_grid_errors():
-    with pytest.raises(ValueError):
-        validate_on_grid(GrowthRate.exponential(1.0), [])
+@pytest.mark.parametrize("exponent", [math.inf, math.nan])
+@pytest.mark.parametrize("kind", ["exponential", "polynomial"])
+def test_nonfinite_exponent_rejected(kind, exponent):
+    with pytest.raises(ValueError, match="positive and finite"):
+        GrowthRate(kind, exponent)
 
 
 def scalar_ratio(rate, a, b):
