@@ -6,7 +6,7 @@ Two variants exist, differing in how the central directions are weighted:
 - forward:  |x|_t = sup_{tau >= t} h(tau)/h(t) |U(tau,t) P1(t) x|
                   + sup_{r <= t}   k(t)/k(r)   |W2(t,r) x|
                   + sup_{tau >= t} mu(t)/mu(tau) |U(tau,t) P3(t) x|
-- backward: same first two terms, third term
+- backward: the same first two terms (shared ``NormTerm`` objects), third term
                     sup_{r <= t}   nu(r)/nu(t) |W3(t,r) x|
 
 where W_j(t, r) = V_j(t, r) P_j(t) are the restricted inverse maps. The
@@ -28,10 +28,11 @@ from .projectors import build_inverses
 from .rates import GrowthRate
 from .reports import (CompatibilityReport, Rows, TheoremReport, TrichotomyReport,
                       smallest_margins)
-from .trichotomy import TERMS, check_trichotomy, factor_table
+from .trichotomy import TERMS, check_trichotomy
 from .util import grid_pairs, opnorms, test_vector_batch
 
-VARIANTS = ("forward", "backward")
+VARIANTS = {"forward": ("stable_decay", "unstable_growth", "center_growth"),
+            "backward": ("stable_decay", "unstable_growth", "center_decay")}
 _SENSITIVITY_LIMIT = 1e-6
 _IMAGE_FLOATS = 1 << 16  # image entries per chunk of a norm term (512 kB)
 _CROSSCHECK_TOL = 1e-9  # relative slack of C(t) against its full-norm limit
@@ -48,16 +49,6 @@ def _past_times(t: float, step: float) -> np.ndarray:
     if not len(times) or abs(times[-1] - t) > 1e-12:
         times = np.append(times, t)
     return times
-
-
-def _pairs(times, lattice, later: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(x, t) pairs if ``later``, else (t, x), for each t of ``times`` and x
-    of ``lattice(t)`` as an (m, 2) array, and where each t's rows start."""
-    lattices = [lattice(t) for t in times]
-    sizes = [len(x) for x in lattices]
-    own = np.repeat(np.asarray(times, dtype=float), sizes)
-    pairs = np.stack((np.concatenate(lattices), own)[::1 if later else -1], axis=1)
-    return pairs, np.cumsum([0] + sizes)
 
 
 def query_lattice(grid, horizon: float, step: float) -> list[float]:
@@ -106,18 +97,76 @@ def _full_term(stack: np.ndarray, wide: np.ndarray) -> np.ndarray:
     return worst
 
 
-class LyapunovNormFamily:
-    """Evaluator for one norm-family variant with per-time matrix stacks.
+class NormTerm:
+    """The term of inequality ``tag`` in every norm family that sums it: the
+    tag's rate quotient times U(tau, t) P_j(t) over the future lattice of t
+    where ``TERMS[tag]`` binds N at s, else times W_j(t, r) over the past one.
+    ``at(t)`` gives its screened narrow stack at t (``_views``) and its peak,
+    quotient times the spectral norm of each map: ``factor_table(full=True)``
+    to the bit. ``basis`` holds the norms of the basis vectors at the
+    construction times, at the horizon and at twice it; other times are
+    built on first use."""
 
-    Construction precomputes the stacks for the supplied times; evaluating
-    at other times extends the cache lazily. All evaluations after
-    construction are pure.
-    """
+    def __init__(self, tag: str, sources: "LyapunovNormFamily", times):
+        self.tag, self.rate = tag, sources.rates.get(TERMS[tag][1])
+        self.operator, self.family = sources.operator, sources.family
+        self.inverses, self.horizon, self.step = sources.inverses, sources.horizon, sources.step
+        self._kept = {}
+        basis, values = _block(np.eye(self.family.dimension)), []
+        for narrow, wide in self._build(times, 2.0 * self.horizon):
+            value = sources._term(narrow, basis)  # past stacks are all narrow
+            values.append((value, value if wide is narrow else sources._term(wide, basis)))
+        self.basis = [np.stack(column) for column in zip(*values)]
+
+    def _build(self, times, horizon: float) -> list:
+        """(narrow view, wide view) at each of ``times``, the future lattice
+        running out to ``horizon``; keeps each narrow view with its peak."""
+        j, key, binds, rising = TERMS[self.tag]
+        future = binds == "s"
+        lattices = [_future_times(t, horizon, self.step) if future
+                    else _past_times(t, self.step) for t in times]
+        sizes = [len(x) for x in lattices]
+        own = np.repeat(np.asarray(times, dtype=float), sizes)
+        pairs = np.stack((np.concatenate(lattices), own)[::1 if future else -1], axis=1)
+        member = self.family.stack(j, own)  # pairs: (tau, t) or (t, r), later first
+        cut = len(_future_times(0.0, self.horizon, self.step)) if future else len(pairs)
+        narrow = np.concatenate([np.arange(size) < cut for size in sizes])
+        live = member.any(axis=(1, 2))
+        stack, norms = np.zeros(member.shape), np.zeros(len(pairs))
+        if live.any():
+            if self.rate is None:
+                raise StructuralError(f"the {self.tag} norm term needs the {key!r} rate")
+            at = pairs[live]
+            maps = (self.operator.evaluate_many(at) @ member[live] if future
+                    else self.inverses[j].stack(at))
+            ratios = self.rate.ratios(*(at.T if rising else at.T[::-1]))
+            stack[live] = ratios[:, None, None] * maps
+            seen = narrow[live]  # no SVD past the horizon
+            norms[live & narrow] = ratios[seen] * opnorms(maps[seen])
+        built, starts = [], np.cumsum([0] + sizes)
+        for t, lo, hi in zip(times, starts, starts[1:]):
+            built.append(_views(stack[lo:hi], cut))
+            self._kept[t] = built[-1][0], float(norms[lo:hi].max())
+        return built
+
+    def at(self, t: float):
+        """The screened narrow stack at t and its peak."""
+        if t not in self._kept:
+            if not 0 <= t < math.inf:
+                raise DomainError(f"norms are defined for finite t >= 0, not t={t}")
+            self._build([t], self.horizon)
+        return self._kept[t]
+
+
+class LyapunovNormFamily:
+    """One norm-family variant: the sum of its three ``VARIANTS`` terms, each
+    a ``NormTerm`` kept through ``operator.keep``, so the two variants share
+    their stable and unstable terms. Evaluations are pure."""
 
     def __init__(self, variant: str, operator, family, rates,
                  horizon: float, step: float, times):
         if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
+            raise ValueError(f"variant must be one of {tuple(VARIANTS)}")
         if horizon <= 0:
             raise ValueError("horizon must be positive")
         if step <= 0:
@@ -129,58 +178,23 @@ class LyapunovNormFamily:
         self.rates = rates
         self.horizon = float(horizon)
         self.step = float(step)
-        # the future terms run out to twice the horizon for the sensitivity pass only
-        built = dict(zip(times, self._build(times, 2.0 * self.horizon)))
-        self._stacks = {t: narrow for t, (narrow, _) in built.items()}
-        self.horizon_delta_abs = self.horizon_delta_rel = 0.0
-        self._measure_sensitivity(built.values())
+        times = list(times)
+        self.terms = [operator.keep(
+            ("norm_term", tag, family, rates.get(TERMS[tag][1]), self.horizon,
+             self.step, tuple(times)), lambda: NormTerm(tag, self, times))
+            for tag in VARIANTS[variant]]
+        order = (1, 0, 2) if variant == "forward" else (1, 2, 0)  # past first
+        base, wide = (sum(self.terms[i].basis[k] for i in order) for k in (0, 1))
+        delta = np.abs(wide - base)
+        # the largest delta per time; fmax passes over a time holding a NaN
+        self.horizon_delta_abs, self.horizon_delta_rel = (
+            float(np.fmax.reduce(d.max(axis=1), initial=0.0))
+            for d in (delta, delta / np.maximum(base, 1e-300)))
 
     @property
     def horizon_flagged(self) -> bool:
         """True when doubling the horizon moved sampled values >= 1e-6 relative."""
         return self.horizon_delta_rel >= _SENSITIVITY_LIMIT
-
-    # -- stack construction ------------------------------------------------
-
-    def _weighted(self, key: str, a, b, member, maps):
-        """rate(a)/rate(b) * maps(live, member[live]) on the rows ``live`` where
-        the (m, n, n) member stack is nonzero, zeros elsewhere."""
-        live = member.any(axis=(1, 2))
-        out = np.zeros(member.shape)
-        if live.any():
-            rate = self.rates.get(key)
-            if rate is None:
-                raise StructuralError(f"{self.variant} variant needs the {key!r} rate")
-            out[live] = rate.ratios(a[live], b[live])[:, None, None] * maps(live, member[live])
-        return out
-
-    def _build(self, times, horizon: float) -> list:
-        """The three term stacks at each of ``times`` as (narrow views, wide
-        views), screened; one U or W_j lookup and one ``ratios`` call a term."""
-        future, ends = _pairs(times, lambda t: _future_times(t, horizon, self.step), True)
-        past, starts = _pairs(times, lambda t: _past_times(t, self.step), False)
-        (taus, at), (ts, rs) = future.T, past.T  # (tau, t) and (t, r)
-        u, member = self.operator.evaluate_many(future), self.family.stack
-        f1 = self._weighted("h", taus, at, member(1, at), lambda live, p: u[live] @ p)
-        g2 = self._weighted("k", ts, rs, member(2, ts),
-                            lambda live, _: self.inverses[2].stack(past[live]))
-        forward = self.variant == "forward"
-        if forward:
-            third = self._weighted("mu", at, taus, member(3, at), lambda live, p: u[live] @ p)
-        else:
-            third = self._weighted("nu", rs, ts, member(3, ts),
-                                   lambda live, _: self.inverses[3].stack(past[live]))
-        cut = len(_future_times(0.0, self.horizon, self.step))
-        cuts = (cut, len(past), cut if forward else len(past))  # past stacks: all narrow
-        return [tuple(zip(*map(_views, (f1[f], g2[p], third[f if forward else p]), cuts)))
-                for f, p in zip(map(slice, ends, ends[1:]), map(slice, starts, starts[1:]))]
-
-    def _stacks_at(self, t: float):
-        if t not in self._stacks:
-            self._stacks[t] = self._build([t], self.horizon)[0][0]
-        return self._stacks[t]
-
-    # -- evaluation ---------------------------------------------------------
 
     @staticmethod
     def _term(view, block) -> np.ndarray:
@@ -209,10 +223,8 @@ class LyapunovNormFamily:
     def evaluate_many(self, t: float, x: np.ndarray) -> np.ndarray:
         """Norm values for each column of the (dimension, batch) matrix x,
         or of each matrix of a (..., dimension, batch) stack."""
-        if not 0 <= t < math.inf:
-            raise DomainError(f"norms are defined for finite t >= 0, not t={t}")
         block = _block(np.asarray(x, dtype=float))
-        return sum(self._term(view, block) for view in self._stacks_at(t))
+        return sum(self._term(term.at(t)[0], block) for term in self.terms)
 
     def evaluate(self, t: float, x) -> float:
         x = np.asarray(x, dtype=float).reshape(-1, 1)
@@ -220,20 +232,22 @@ class LyapunovNormFamily:
 
     __call__ = evaluate
 
-    # -- truncation honesty ---------------------------------------------------
+    def values(self, grid, samples: int, seed: int) -> np.ndarray:
+        """Norms of the sample vectors x, P1 x, P2 x and P3 x at each grid time,
+        (grid, 4, batch): the sum of the terms' values, each kept once."""
+        grid = tuple(grid)
+        blocks = [_block(y) for y in _projected(self.family, grid, samples, seed)[2]]
+        return sum(self.operator.keep(
+            ("term_values", term, grid, samples, seed), lambda: np.stack(
+                [self._term(term.at(t)[0], b) for t, b in zip(grid, blocks)]))
+            for term in self.terms)
 
-    def _measure_sensitivity(self, built) -> None:
-        basis = _block(np.eye(self.family.dimension))
-        order = (1, 0, 2) if self.variant == "forward" else (1, 2, 0)  # past first
-        for narrow, full in built:
-            terms = [self._term(s, basis) for s in narrow]
-            wider = [v if s is f else self._term(f, basis)  # past stacks are shared
-                     for v, s, f in zip(terms, narrow, full)]
-            base, wide = (sum(values[i] for i in order) for values in (terms, wider))
-            delta = np.abs(wide - base)
-            self.horizon_delta_abs = max(self.horizon_delta_abs, float(delta.max()))
-            self.horizon_delta_rel = max(self.horizon_delta_rel,
-                                         float((delta / np.maximum(base, 1e-300)).max()))
+
+def _projected(family, grid, samples: int, seed: int):
+    """The sample ids and vectors x, and x, P1 x, P2 x, P3 x per grid time."""
+    ids, x = test_vector_batch(family.dimension, samples, seed)
+    return ids, x, np.stack([np.broadcast_to(x, (len(grid), *x.shape))]
+                            + [family.stack(j, grid) @ x for j in (1, 2, 3)], axis=1)
 
 
 def build_norm_family(variant: str, operator, family, rates,
@@ -253,11 +267,12 @@ def check_compatibility(norm_family: LyapunovNormFamily, grid, samples: int,
     """Estimate the sandwich constants |x| <= |x|_t <= C(t) |x|.
 
     C(t) is maximized over the orthonormal basis plus seeded random unit
-    vectors; the lower bound is exact on every sample. The estimate is
-    cross-checked against three times the envelope of full-norm required
-    factors taken over the family's own sample pairs, which the construction
-    can never exceed. The report is computed once per family, grid, sample
-    count and seed, and kept through ``operator.keep``.
+    vectors: column 0 of the family's kept ``values``, which the theorem
+    sides read too. The lower bound is exact on every sample. The estimate
+    is cross-checked against three times the envelope of the terms' peaks,
+    the full-norm required factors over their lattice stacks, which the
+    construction can never exceed. The report is computed once per family,
+    grid, sample count and seed, and kept through ``operator.keep``.
     """
     grid = list(grid)
     if not grid:
@@ -268,10 +283,7 @@ def check_compatibility(norm_family: LyapunovNormFamily, grid, samples: int,
 
 
 def _compatibility(norm_family, grid, samples, seed) -> CompatibilityReport:
-    n = norm_family.family.dimension
-    _, x = test_vector_batch(n, samples, seed)
-
-    values = np.stack([norm_family.evaluate_many(t, x) for t in grid])
+    values = norm_family.values(grid, samples, seed)[:, 0]
     ratios = values.max(axis=1).tolist()
     lower = float(values.min()) - 1.0
 
@@ -287,19 +299,9 @@ def _compatibility(norm_family, grid, samples, seed) -> CompatibilityReport:
 
 
 def _fullnorm_limit(nf: LyapunovNormFamily, grid) -> list[float]:
-    """3 * nondecreasing envelope of the full-norm factors bounding each term."""
-    future = _pairs(grid, lambda t: _future_times(t, nf.horizon, nf.step), True)
-    past = _pairs(grid, lambda t: _past_times(t, nf.step), False)
-    forward = nf.variant == "forward"
-    requirement = np.ones(len(grid))
-    for (pairs, starts), tags in (
-            (future, ("stable_decay", "center_growth") if forward else ("stable_decay",)),
-            (past, ("unstable_growth",) if forward else ("unstable_growth", "center_decay"))):
-        table = factor_table(nf.operator, nf.family, nf.rates, pairs, tags,
-                             full=True)
-        worst = np.max([table[tag] for tag in tags], axis=0)
-        requirement = np.maximum(requirement, np.maximum.reduceat(worst, starts[:-1]))
-    envelope = np.maximum.accumulate(requirement)
+    """3 * nondecreasing envelope of the terms' peaks, floored at 1."""
+    peaks = np.array([[term.at(t)[1] for term in nf.terms] for t in grid])
+    envelope = np.maximum.accumulate(np.maximum(1.0, peaks.max(axis=1)))
     return [3.0 * float(v) for v in envelope]
 
 
@@ -343,38 +345,28 @@ def theorem_sides(forward: LyapunovNormFamily, backward: LyapunovNormFamily,
 
 
 def _theorem_sides(forward, backward, grid, samples, seed) -> TheoremSides:
-    family = forward.family
-    ids, x = test_vector_batch(family.dimension, samples, seed)
-    members = [family.stack(j, grid) for j in (1, 2, 3)]
-    proj = np.stack([np.broadcast_to(x, (len(grid), *x.shape))]
-                    + [p @ x for p in members], axis=1)  # (grid, 4, n, batch)
-    base = {nf.variant: np.stack([nf.evaluate_many(t, y) for t, y in zip(grid, proj)])
-            for nf in (forward, backward)}
+    ids, x, proj = _projected(forward.family, grid, samples, seed)
+    base = {nf.variant: nf.values(grid, samples, seed) for nf in (forward, backward)}
     rows, cols = np.tril_indices(len(grid))  # grid_pairs order
-    third = members[2].any(axis=(1, 2))
+    third = forward.family.stack(3, grid).any(axis=(1, 2))
     central = third[rows] | third[cols]
     tags = ["stable_decay", "unstable_growth"]
-    if central.any():
-        if forward.rates.get("mu") is None or forward.rates.get("nu") is None:
-            raise StructuralError("norm checks with a nonzero third member "
-                                  "need the 'mu' and 'nu' rates")
+    if central.any():  # the families' center terms raised if mu or nu is missing
         tags += ["center_growth", "center_decay"]
     lhs = {tag: np.empty((len(rows), x.shape[1])) for tag in tags}
     pairs = grid_pairs(grid)
     u = forward.operator.evaluate_many(pairs)
     offsets = np.cumsum(np.arange(len(grid) + 1))  # row i of pairs starts here
-    for i, t in enumerate(grid):
-        for tag, j in (("stable_decay", 1), ("center_growth", 3)):
-            if tag in lhs:
-                lhs[tag][offsets[i]:offsets[i + 1]] = forward.evaluate_many(
-                    t, u[offsets[i]:offsets[i + 1]] @ proj[:i + 1, j])
-    for j, s in enumerate(grid):
-        later = offsets[j:-1] + j  # the pairs (t, s), t >= s
-        for tag, nf, inverse in (("unstable_growth", forward, 2),
-                                 ("center_decay", backward, 3)):
-            if tag in lhs:
-                lhs[tag][later] = backward.evaluate_many(
-                    s, nf.inverses[inverse].stack(pairs[later]) @ x)
+    for tag in tags:
+        j, _, binds, _ = TERMS[tag]
+        for i, a in enumerate(grid):
+            if binds == "s":  # |U(t, s) P_j(s) x|_t forward, t = a over s <= t
+                at = slice(offsets[i], offsets[i + 1])
+                lhs[tag][at] = forward.evaluate_many(a, u[at] @ proj[:i + 1, j])
+            else:  # |W_j(t, s) x|_s backward, s = a over t >= s
+                at = offsets[i:-1] + i
+                lhs[tag][at] = backward.evaluate_many(
+                    a, forward.inverses[j].stack(pairs[at]) @ x)
     return TheoremSides(grid, ids, lhs, base, central)
 
 

@@ -9,7 +9,6 @@ not checked.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -76,16 +75,21 @@ class GrowthRate:
             return math.exp(self.exponent * t)
         if self.kind == "polynomial":
             return (t + 1.0) ** self.exponent
+        return float(self._interpolate(np.array([t], dtype=float))[0])
+
+    def _interpolate(self, t: np.ndarray) -> np.ndarray:
+        """The tabulated rate at each of ``t``, linear between knots."""
         lo, hi = self.span
-        if t < lo or t > hi:
-            raise ExtrapolationError(
-                f"time {t} outside tabulated span [{lo}, {hi}]")
-        times = [p[0] for p in self.table]
-        i = bisect.bisect_right(times, t) - 1
-        if i == len(self.table) - 1:
-            return self.table[-1][1]
-        (t0, v0), (t1, v1) = self.table[i], self.table[i + 1]
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+        outside = (t < lo) | (t > hi)
+        if outside.any():
+            raise ExtrapolationError(f"time {t[outside][0]} outside tabulated span [{lo}, {hi}]")
+        times, values = np.array(self.table).T
+        i = np.searchsorted(times, t, side="right") - 1
+        inner = i < len(times) - 1  # the last knot's value at the end of the span
+        out, i = np.full(t.shape, values[-1]), i[inner]
+        t0, t1, v0, v1 = times[i], times[i + 1], values[i], values[i + 1]
+        out[inner] = v0 + (v1 - v0) * (t[inner] - t0) / (t1 - t0)
+        return out
 
     __call__ = evaluate
 
@@ -102,13 +106,16 @@ class GrowthRate:
         if np.fmin.reduce(np.fmin(a, b), axis=None, initial=0.0) < 0:  # fmin skips nan
             raise DomainError("rate ratio needs nonnegative times")
         with np.errstate(all="ignore"):  # as with Python floats: inf or nan, no warning
+            if self.kind == "tabulated":  # a then b of each pair: an error names the first
+                a, b = np.broadcast_arrays(a, b)
+                out, differ = np.ones(a.shape), a != b
+                values = self._interpolate(np.stack((a[differ], b[differ]), axis=1).ravel())
+                out[differ] = values[0::2] / values[1::2]
+                return out
             if self.kind == "exponential":
                 values = map(math.exp, (self.exponent * (a - b)).tolist())
-            elif self.kind == "polynomial":
-                values = (q ** self.exponent for q in ((a + 1.0) / (b + 1.0)).tolist())
             else:
-                values = (1.0 if x == y else self.evaluate(x) / self.evaluate(y)
-                          for x, y in zip(*(v.tolist() for v in np.broadcast_arrays(a, b))))
+                values = (q ** self.exponent for q in ((a + 1.0) / (b + 1.0)).tolist())
         out = np.fromiter(values, float, max(a.size, b.size))
         out[a == b] = 1.0
         return out

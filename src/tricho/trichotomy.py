@@ -29,7 +29,7 @@ import numpy as np
 from .errors import PreconditionError
 from .projectors import ProjectorFamily, build_inverses, rank_groups
 from .reports import Rows, TrichotomyReport
-from .util import grid_pairs, opnorm, opnorms
+from .util import grid_pairs, opnorms
 
 # tag -> (member, rate, argument N binds to, whether the factor's rate
 # quotient is rate(t)/rate(s))
@@ -165,8 +165,8 @@ def check_dichotomy(operator, family: ProjectorFamily, rates: dict, grid,
     (factor 0), so only the h/k rates are consulted.
     """
     grid = list(grid)
-    for t in grid:
-        if opnorm(family.member(3, t)) > 1e-12:
-            raise PreconditionError(
-                f"dichotomy requires member 3 to vanish, nonzero at t={t}")
+    nonzero = np.flatnonzero(opnorms(family.stack(3, grid)) > 1e-12)
+    if len(nonzero):
+        raise PreconditionError(
+            f"dichotomy requires member 3 to vanish, nonzero at t={grid[nonzero[0]]}")
     return _run_system(operator, family, rates, grid, bound, "dichotomy")

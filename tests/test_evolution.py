@@ -512,8 +512,8 @@ def test_run_computes_each_distinct_pair_once(monkeypatch):
     monkeypatch.setattr(projectors, "restricted_inverses", counted_inverses)
     monkeypatch.setattr(trichotomy, "_factors", counted_factors)
     monkeypatch.setattr(evolution.EvolutionOperator, "keep", counted_keep)
-    for name in ("LyapunovNormFamily", "TheoremSides", "TheoremReport",
-                 "CompatibilityReport"):
+    for name in ("LyapunovNormFamily", "NormTerm", "TheoremSides",
+                 "TheoremReport", "CompatibilityReport"):
         counted_class(name)
     rate = lambda kind, a: {"kind": kind, "exponent": a}
     tree = {
@@ -534,10 +534,11 @@ def test_run_computes_each_distinct_pair_once(monkeypatch):
     assert tables and len(tables) == len(set(tables))
     assert kept and len(kept) == len(set(kept))
     # the instantiation rates equal the scenario's, so one pair of norm
-    # families: one set of theorem sides, one compatibility report each, and
+    # families sharing their stable and unstable terms (four terms, not six
+    # stacks): one set of theorem sides, one compatibility report each, and
     # one theorem report per norm system
     assert sorted(built) == (["CompatibilityReport"] * 2
-                             + ["LyapunovNormFamily"] * 2
+                             + ["LyapunovNormFamily"] * 2 + ["NormTerm"] * 4
                              + ["TheoremReport"] * 2 + ["TheoremSides"])
 
 

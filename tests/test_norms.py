@@ -10,8 +10,9 @@ from tricho import (DomainError, GeneratorSpec, GrowthRate, ProjectorFamily,
                     check_trichotomy, check_uniform, from_generator,
                     rate_model, required_factor, verify_norm_trichotomy,
                     verify_norm_trichotomy_unprojected, verify_sufficiency)
-from tricho import norms, parse_scenario, run, util
+from tricho import norms, parse_scenario, run, runner, util
 from tricho.norms import query_lattice, theorem_sides
+from tricho.trichotomy import factor_table
 from tricho.util import make_grid
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -424,7 +425,7 @@ def test_families_keep_only_the_narrow_stacks(uniform_norms, grid10):
     for nf in uniform_norms:
         for t in grid10:
             future = len(norms._future_times(t, HORIZON, STEP))
-            stacks = [view[0] for view in nf._stacks_at(t)]
+            stacks = [term.at(t)[0][0] for term in nf.terms]
             assert all(stack.base is None for stack in stacks)
             assert len(stacks[0]) == future
             assert len(stacks[2]) == (future if nf.variant == "forward" else t / STEP + 1)
@@ -594,7 +595,9 @@ def test_one_entry_columns_never_reach_the_full_product(monkeypatch):
     monkeypatch.setattr(norms.LyapunovNormFamily, "_term", staticmethod(counted_term))
     report = run(parse_scenario(SCENARIOS / "nonuniform_example.json"))  # G=21
     assert report.overall == "pass"
-    assert sum(shortcuts) > 400
+    # each shared term is evaluated once per time: 462 kernel calls, 294 of
+    # them nonzero shortcuts
+    assert sum(shortcuts) > 250
     assert not any(cut_to_one)
 
 
@@ -602,3 +605,77 @@ def test_empty_batch_gives_empty_norms(uniform_norms):
     fwd, _ = uniform_norms
     assert fwd.evaluate_many(1.0, np.zeros((3, 0))).shape == (0,)
     assert fwd.evaluate_many(1.0, np.zeros((0, 3, 5))).shape == (0, 5)
+
+
+def test_variants_share_their_stable_and_unstable_terms(uniform_norms):
+    fwd, bwd = uniform_norms
+    assert [term.tag for term in fwd.terms] == list(norms.VARIANTS["forward"])
+    assert [term.tag for term in bwd.terms] == list(norms.VARIANTS["backward"])
+    assert fwd.terms[0] is bwd.terms[0] and fwd.terms[1] is bwd.terms[1]
+    assert fwd.terms[2] is not bwd.terms[2]
+    assert fwd.inverses is bwd.inverses
+
+
+def reference_fullnorm_limit(nf, grid):
+    """The crosscheck limit from full-norm factor tables over each term's
+    lattice pairs at the horizon, built apart from the family's stacks."""
+    def pairs(lattice, later):
+        lattices = [lattice(t) for t in grid]
+        sizes = [len(x) for x in lattices]
+        own = np.repeat(np.asarray(grid, dtype=float), sizes)
+        both = (np.concatenate(lattices), own)[::1 if later else -1]
+        return np.stack(both, axis=1), np.cumsum([0] + sizes)
+
+    future = pairs(lambda t: norms._future_times(t, nf.horizon, nf.step), True)
+    past = pairs(lambda t: norms._past_times(t, nf.step), False)
+    requirement = np.ones(len(grid))
+    for tag in norms.VARIANTS[nf.variant]:
+        lattice, starts = future if norms.TERMS[tag][2] == "s" else past
+        table = factor_table(nf.operator, nf.family, nf.rates, lattice, [tag],
+                             full=True)[tag]
+        requirement = np.maximum(requirement, np.maximum.reduceat(table, starts[:-1]))
+    return [3.0 * float(v) for v in np.maximum.accumulate(requirement)]
+
+
+def rank_two_block_families(grid, horizon, step):
+    # the ode_block workload's operator: a rotating rank-2 unstable block
+    a = np.zeros((4, 4))
+    a[0, 0], a[1:3, 1:3], a[3, 3] = -1.5, [[2.5, 1.0], [-1.0, 2.5]], 0.0
+    operator = from_generator(GeneratorSpec.constant(a, 0.05),
+                              anchors=query_lattice(grid, horizon, step))
+    family = ProjectorFamily.coordinate_split(1, 2, 1)
+    e = GrowthRate.exponential  # h and k outgrow the blocks: peaks above 1
+    rates = {"h": e(2.0), "k": e(3.0), "mu": e(0.5), "nu": e(0.25)}
+    return [build_norm_family(variant, operator, family, rates, horizon, step,
+                              grid) for variant in norms.VARIANTS]
+
+
+def test_crosscheck_limit_is_the_full_norm_factor_envelope():
+    example = parse_scenario(SCENARIOS / "nonuniform_example.json")
+    ws = runner._Workspace(example)
+    grid = make_grid(2.0, 0.25)
+    cases = [(nf, ws.grid) for nf in ws.norm_families()]
+    cases += [(nf, grid) for nf in rank_two_block_families(grid, 1.0, 0.25)]
+    # times the families were not built at are built on first use
+    cases += [(nf, [0.125, 0.5, 1.75, 3.0]) for nf, _ in cases[-2:][::-1]]
+    for nf, at in cases:
+        report = check_compatibility(nf, at, samples=4, seed=3)
+        want = reference_fullnorm_limit(nf, at)
+        assert report.crosscheck_limit == want
+        assert max(want) > 3.0  # some peak above the floor of 1
+    assert all(nf.terms[0]._kept.keys() >= {0.125, 3.0} for nf, _ in cases[-2:])
+
+
+def test_compatibility_reads_the_theorem_side_bases(uniform_norms, nonuniform_norms,
+                                                   grid10):
+    block = rank_two_block_families(make_grid(2.0, 0.25), 1.0, 0.25)
+    for (fwd, bwd), grid in ((uniform_norms, grid10), (nonuniform_norms, grid10),
+                             (block, make_grid(2.0, 0.25))):
+        sides = theorem_sides(fwd, bwd, grid, samples=8, seed=21)
+        _, x = util.test_vector_batch(fwd.family.dimension, 8, 21)
+        for nf in (fwd, bwd):
+            values = sides.base[nf.variant][:, 0]
+            assert np.array_equal(values, [nf.evaluate_many(t, x) for t in grid])
+            report = check_compatibility(nf, grid, samples=8, seed=21)
+            assert report.ratios == values.max(axis=1).tolist()
+            assert report.lower_margin == float(values.min()) - 1.0

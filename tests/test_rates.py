@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -164,3 +165,40 @@ def test_ratios_match_the_scalar_quotient_bit_for_bit(rate):
     assert rate.ratios([np.inf, 40.0], [np.inf, 40.0]).tolist() == [1.0, 1.0]
     with pytest.raises(DomainError):
         rate.ratios(a, np.where(a > 5.0, -b, b))
+
+
+def scalar_tabulated(table, t):
+    """The per-value interpolation of a tabulated rate that the batched one
+    replaced: bisect on the knot times, the last knot's value at the end."""
+    times = [p[0] for p in table]
+    if t < times[0] or t > times[-1]:
+        raise ExtrapolationError(f"time {t} outside tabulated span")
+    i = bisect.bisect_right(times, t) - 1
+    if i == len(table) - 1:
+        return table[-1][1]
+    (t0, v0), (t1, v1) = table[i], table[i + 1]
+    return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+
+
+@pytest.mark.parametrize("knots", [1, 2, 50, 500])
+def test_tabulated_values_match_the_per_value_reference(knots):
+    rng = np.random.default_rng(knots)
+    times = np.sort(rng.uniform(0.0, 40.0, knots))
+    times[[0, -1]] = 0.0, 40.0 if knots > 1 else 0.0
+    rate = GrowthRate.tabulated(zip(times, 1.0 + np.cumsum(rng.uniform(0, 3, knots))))
+    a, b = rng.uniform(0.0, times[-1], (2, 5151))
+    a[:40], a[40:60], b[60:70] = b[:40], times[-1], times[rng.integers(knots, size=10)]
+    want = [1.0 if x == y else scalar_tabulated(rate.table, x)
+            / scalar_tabulated(rate.table, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert np.array_equal(rate.ratios(a, b), want)
+    for t in times.tolist() + a[:200].tolist():
+        assert rate.evaluate(t) == scalar_tabulated(rate.table, t)
+
+
+def test_tabulated_ratios_name_the_first_time_outside_the_span():
+    rate = GrowthRate.tabulated([(1.0, 1.0), (2.0, 3.0)])
+    with pytest.raises(ExtrapolationError, match=r"time 2\.5 outside"):
+        rate.ratios([1.5, 1.5, 3.0], [1.2, 2.5, 0.5])
+    with pytest.raises(ExtrapolationError, match=r"time 0\.5 outside"):
+        rate.evaluate(0.5)
+    assert rate.ratios([3.0, 2.0], [3.0, 1.0]).tolist() == [1.0, 3.0]

@@ -219,6 +219,20 @@ def test_dichotomy_rejects_nonzero_third_member(nonuniform_operator,
                         [0.0, 1.0])
 
 
+def test_dichotomy_names_the_first_time_member_3_is_nonzero(exp_rates):
+    zero, third = np.zeros((2, 2)), np.diag([0.0, 1.0])
+    family = ProjectorFamily(2, [lambda t: np.diag([1.0, 0.0]),
+                                 lambda t: third if t == 0.0 else zero,
+                                 lambda t: zero if t == 0.0 else third])
+    operator = identity_operator(2)
+    with pytest.raises(PreconditionError, match=r"nonzero at t=0\.5$"):
+        check_dichotomy(operator, family, exp_rates, [0.0, 0.5, 1.0])
+    with pytest.raises(PreconditionError, match=r"nonzero at t=2$"):
+        check_dichotomy(operator, family, exp_rates, [0, 2, 3])
+    report = check_dichotomy(operator, family, exp_rates, [0.0])
+    assert report.envelope == [1.0]
+
+
 def test_equal_time_grid_envelope_is_one(exp_rates, grid10):
     family, operator = dichotomy_fixture(exp_rates)
     report = check_dichotomy(operator, family,
