@@ -69,8 +69,8 @@ class GrowthRate:
         return self.table[0][0], self.table[-1][0]
 
     def evaluate(self, t: float) -> float:
-        if t < 0:
-            raise DomainError(f"rate evaluated at negative time {t}")
+        if not t >= 0:  # false for nan
+            raise DomainError(f"rate evaluated at negative or nan time {t}")
         if self.kind == "exponential":
             return math.exp(self.exponent * t)
         if self.kind == "polynomial":
@@ -103,8 +103,8 @@ class GrowthRate:
         large times never overflow; powers are taken per value by ``math.exp``
         and ``**``, whose last bits ``np.exp`` does not reproduce."""
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        if np.fmin.reduce(np.fmin(a, b), axis=None, initial=0.0) < 0:  # fmin skips nan
-            raise DomainError("rate ratio needs nonnegative times")
+        if not (np.minimum(a, b) >= 0).all():  # false for nan
+            raise DomainError("rate ratio needs nonnegative, non-nan times")
         with np.errstate(all="ignore"):  # as with Python floats: inf or nan, no warning
             if self.kind == "tabulated":  # a then b of each pair: an error names the first
                 a, b = np.broadcast_arrays(a, b)

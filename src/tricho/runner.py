@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import evolution, norms, projectors, trichotomy
-from .errors import ScenarioError
 from .reports import Rows
 from .scenario import Scenario
 from .util import grid_pairs, grid_slots, make_grid
@@ -55,8 +53,8 @@ class _Workspace:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.grid = make_grid(scenario.grid_max, scenario.grid_step)
-        self.family = _build_family(scenario)
-        self.operator = _build_operator(scenario, self.family, self.grid)
+        self.family = scenario.family
+        self.operator = _build_operator(scenario, self.grid)
 
     def norm_families(self):
         """Forward and backward norm families of the scenario's rates."""
@@ -67,44 +65,15 @@ class _Workspace:
                      for variant in norms.VARIANTS)
 
 
-def _build_family(scenario: Scenario) -> projectors.ProjectorFamily:
-    spec = scenario.projectors
-    if spec["type"] == "coordinate_split":
-        return projectors.ProjectorFamily.coordinate_split(*spec["sizes"])
-    return projectors.ProjectorFamily.constant(*spec["matrices"])
-
-
-def _builtin_coefficient(spec: dict, dimension: int):
-    """Coefficient of a builtin generator; the parser checked its keys."""
-    omega = float(spec.get("omega", 1.0))
-    if spec["name"] == "rotation":
-        a = np.array([[0.0, omega], [-omega, 0.0]])
-        return lambda times: np.broadcast_to(a, (len(times), 2, 2))
-    base = np.asarray(spec.get("base", [0.0] * dimension), dtype=float)
-    amplitude = np.asarray(spec.get("amplitude", [0.0] * dimension), dtype=float)
-
-    def periodic_diag(times):  # math.cos per value: np.cos need not round the same
-        cos = np.fromiter(map(math.cos, (omega * np.asarray(times)).tolist()), float)
-        out = np.zeros((len(cos), dimension, dimension))
-        out[:, range(dimension), range(dimension)] = base + amplitude * cos[:, None]
-        return out
-    return periodic_diag
-
-
-def _build_operator(scenario: Scenario, family, grid) -> evolution.EvolutionOperator:
-    spec = scenario.operator
-    if spec["type"] == "rate_model":
+def _build_operator(scenario: Scenario, grid) -> evolution.EvolutionOperator:
+    """The rate model, or the scenario's generator integrated over the query
+    lattice; built here, not at parse time, so parsing calls no coefficient."""
+    if scenario.generator is None:
         r = scenario.rates
         return evolution.rate_model(r["u"], r["h"], r["k"], r["mu"], r["nu"],
-                                    family)
-    if "matrix" in spec:
-        gen = evolution.GeneratorSpec.constant(spec["matrix"], float(spec["step"]))
-    else:
-        coeff = _builtin_coefficient(spec["builtin"], scenario.dimension)
-        gen = evolution.GeneratorSpec(scenario.dimension, coeff,
-                                      float(spec["step"]))
+                                    scenario.family)
     lattice = norms.query_lattice(grid, scenario.horizon, scenario.grid_step)
-    return evolution.from_generator(gen, anchors=lattice)
+    return evolution.from_generator(scenario.generator, anchors=lattice)
 
 
 def _run_check(name: str, ws: _Workspace) -> tuple[bool, dict, list]:
@@ -153,7 +122,7 @@ def _run_check(name: str, ws: _Workspace) -> tuple[bool, dict, list]:
         return _outcome(name, norms.verify_norm_trichotomy_unprojected(
             *ws.norm_families(), grid, s.tol_theorem, s.samples, s.seed))
     if name == "rate_instantiation":
-        kind, exponents = _instantiation_spec(s)
+        kind, exponents = s.instantiation
         rep = norms.check_rate_specialization(
             kind, exponents, op, family, grid, s.horizon, s.grid_step,
             s.tol_theorem, s.samples, s.seed)
@@ -164,18 +133,6 @@ def _run_check(name: str, ws: _Workspace) -> tuple[bool, dict, list]:
 
 def _outcome(name: str, report) -> tuple[bool, dict, list]:
     return report.passed, report.payload(), report.csv_rows(name)
-
-
-def _instantiation_spec(s: Scenario) -> tuple[str, list[float]]:
-    if s.rate_instantiation is not None:
-        return (s.rate_instantiation["kind"],
-                [float(v) for v in s.rate_instantiation["exponents"]])
-    kinds = {s.rates[k].kind for k in ("h", "k", "mu", "nu")}
-    if len(kinds) == 1 and kinds <= {"exponential", "polynomial"}:
-        return kinds.pop(), [s.rates[k].exponent for k in ("h", "k", "mu", "nu")]
-    raise ScenarioError(
-        "rate_instantiation requested but scenario rates are mixed or "
-        "tabulated; add a rate_instantiation block with kind and exponents")
 
 
 def _entry(name: str, status: str, payload: dict, rows=()) -> dict:

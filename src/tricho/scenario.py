@@ -1,8 +1,11 @@
 """Scenario files: a JSON key-value tree describing one verification run.
 
 The full schema is documented in the README. Parsing validates every
-invariant up front and raises ScenarioError naming the offending key, so
-the runner only ever sees well-formed scenarios.
+invariant up front and raises ScenarioError naming the offending key. It
+turns the tree into the objects a run uses: growth rates, the projector
+family, the generator of an ``ode`` operator and the rate instantiation
+spec, so this module alone reads the scenario format. Parsing calls no
+coefficient: the operator is integrated by the runner.
 """
 from __future__ import annotations
 
@@ -14,6 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ScenarioError
+from .evolution import GeneratorSpec
+from .projectors import ProjectorFamily
 from .rates import GrowthRate
 
 CHECK_NAMES = (
@@ -27,9 +32,14 @@ RATE_KEYS = ("h", "k", "mu", "nu")
 
 @dataclass
 class Scenario:
+    """A parsed scenario. ``generator`` is None for the rate model, whose
+    operator is built from the rates and ``family``; ``instantiation`` is the
+    ``(kind, exponents)`` the rate_instantiation check takes, None when
+    neither a block nor the scenario's own rates give one."""
+
     dimension: int
-    operator: dict
-    projectors: dict
+    family: ProjectorFamily
+    generator: GeneratorSpec | None
     rates: dict[str, GrowthRate]
     grid_max: float
     grid_step: float
@@ -40,7 +50,7 @@ class Scenario:
     samples: int
     checks: list[str]
     bounds: dict = field(default_factory=dict)
-    rate_instantiation: dict | None = None
+    instantiation: tuple[str, list[float]] | None = None
     echo: dict = field(default_factory=dict)  # normalized source tree
 
 
@@ -116,6 +126,19 @@ def _parse_rate(spec, key: str) -> GrowthRate:
                         f"or tabulated, got {kind!r}")
 
 
+def _periodic_diag(base, amplitude, omega: float):
+    """Coefficient diag(base + amplitude cos(omega t)) over an array of times."""
+    base, amplitude = np.asarray(base, dtype=float), np.asarray(amplitude, dtype=float)
+    n = len(base)
+
+    def coefficient(times):  # math.cos per value: np.cos need not round the same
+        cos = np.fromiter(map(math.cos, (omega * np.asarray(times)).tolist()), float)
+        out = np.zeros((len(cos), n, n))
+        out[:, range(n), range(n)] = base + amplitude * cos[:, None]
+        return out
+    return coefficient
+
+
 def _parse_bound(spec, where: str):
     kind = spec.get("kind")
     if kind == "constant":
@@ -188,12 +211,14 @@ def scenario_from_tree(tree: dict) -> Scenario:
     if op_type == "rate_model":
         if "u" not in rates:
             raise ScenarioError("operator.type rate_model needs rates.u")
+        generator = None
     elif op_type == "ode":
         op_step = _number(operator, "step", "operator")
         if op_step <= 0:
             raise ScenarioError("operator.step must be positive")
         if "matrix" in operator:
             _finite_array(operator["matrix"], (n, n), "operator.matrix")
+            generator = GeneratorSpec.constant(operator["matrix"], op_step)
         elif "builtin" in operator:
             builtin = _require(operator, "builtin", dict, "operator")
             name = builtin.get("name")
@@ -203,14 +228,20 @@ def scenario_from_tree(tree: dict) -> Scenario:
             if name == "rotation" and n != 2:
                 raise ScenarioError("operator.builtin.name rotation needs "
                                     f"dimension 2, got {n}")
-            _finite_array(builtin.get("omega", 1.0), (), "operator.builtin.omega")
-            for key in ("base", "amplitude"):
-                if name == "periodic_diag" and key in builtin:
-                    _finite_array(builtin[key], (n,), f"operator.builtin.{key}")
-            terms = zip(builtin.get("base", []), builtin.get("amplitude", []))
-            if name == "periodic_diag" and not all(
-                    math.isfinite(abs(b) + abs(a)) for b, a in terms):
-                raise ScenarioError("operator.builtin: |base| + |amplitude| overflows")
+            omega = _number(builtin, "omega", "operator.builtin", 1.0)
+            if name == "rotation":
+                generator = GeneratorSpec.constant([[0.0, omega], [-omega, 0.0]],
+                                                   op_step)
+            else:
+                base = builtin.get("base", [0.0] * n)
+                amplitude = builtin.get("amplitude", [0.0] * n)
+                _finite_array(base, (n,), "operator.builtin.base")
+                _finite_array(amplitude, (n,), "operator.builtin.amplitude")
+                if not all(math.isfinite(abs(b) + abs(a))
+                           for b, a in zip(base, amplitude)):
+                    raise ScenarioError("operator.builtin: |base| + |amplitude| overflows")
+                generator = GeneratorSpec(n, _periodic_diag(base, amplitude, omega),
+                                          op_step)
         else:
             raise ScenarioError("operator needs either matrix or builtin")
     else:
@@ -225,12 +256,14 @@ def scenario_from_tree(tree: dict) -> Scenario:
         if sum(sizes) != n:
             raise ScenarioError(
                 f"projectors.sizes must sum to dimension {n}, got {sum(sizes)}")
+        family = ProjectorFamily.coordinate_split(*sizes)
     elif proj_type == "explicit":
         mats = _require(projectors, "matrices", list, "projectors")
         if len(mats) != 3:
             raise ScenarioError("projectors.matrices must list three matrices")
         for i, m in enumerate(mats):
             _finite_array(m, (n, n), f"projectors.matrices[{i}]")
+        family = ProjectorFamily.constant(*mats)
     else:
         raise ScenarioError("projectors.type must be coordinate_split or "
                             f"explicit, got {proj_type!r}")
@@ -268,6 +301,7 @@ def scenario_from_tree(tree: dict) -> Scenario:
         bounds["uniform"] = value
 
     inst = _optional(tree, "rate_instantiation", (dict, type(None)), None)
+    instantiation = None
     if inst is not None:
         kind = inst.get("kind")
         if kind not in ("exponential", "polynomial"):
@@ -279,13 +313,21 @@ def scenario_from_tree(tree: dict) -> Scenario:
                                 "finite positive numbers")
         _bounded_ratio(GrowthRate(kind, float(max(exps))), gap,  # the largest ratio
                        "rate_instantiation.exponents")
+        instantiation = kind, [float(v) for v in exps]
+    else:  # the scenario's own rates, when they share one closed-form kind
+        kinds = {rates[key].kind for key in RATE_KEYS}
+        if len(kinds) == 1 and kinds <= {"exponential", "polynomial"}:
+            instantiation = kinds.pop(), [rates[key].exponent for key in RATE_KEYS]
+    if instantiation is None and "rate_instantiation" in checks:
+        raise ScenarioError(
+            "rate_instantiation requested but scenario rates are mixed or "
+            "tabulated; add a rate_instantiation block with kind and exponents")
 
-    return Scenario(dimension=n, operator=dict(operator),
-                    projectors=dict(projectors), rates=rates,
+    return Scenario(dimension=n, family=family, generator=generator, rates=rates,
                     grid_max=t_max, grid_step=step, horizon=horizon,
                     tol_structural=tol_structural, tol_theorem=tol_theorem,
                     seed=seed, samples=samples, checks=list(checks),
-                    bounds=bounds, rate_instantiation=inst,
+                    bounds=bounds, instantiation=instantiation,
                     echo=_normalize(tree))
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from tricho import (DomainError, GeneratorSpec, GrowthRate, PreconditionError,
                     ProjectorFamily, check_cocycle, check_identity,
                     from_generator, rate_model, run, scenario_from_tree)
-from tricho import evolution, norms, projectors, runner, trichotomy
+from tricho import evolution, norms, projectors, runner, scenario, trichotomy
 from tricho.util import grid_pairs, grid_slots, grid_triples, make_grid, opnorm
 
 # frozen scalar-arithmetic oracles for the model operator at (1, 0), u(t)=t+1
@@ -188,17 +188,17 @@ def test_anchored_queries_compose_with_cached_factors():
 
 def test_run_integrates_each_lattice_interval_once(monkeypatch):
     calls = [0]
-    builtin = runner._builtin_coefficient
+    builtin = scenario._periodic_diag
 
-    def counting(spec, dimension):
-        coefficient = builtin(spec, dimension)
+    def counting(*args):
+        coefficient = builtin(*args)
 
         def counted(t):
             calls[0] += 1
             return coefficient(t)
         return counted
 
-    monkeypatch.setattr(runner, "_builtin_coefficient", counting)
+    monkeypatch.setattr(scenario, "_periodic_diag", counting)
     t_max, step, horizon, rk4_step = 2.0, 0.5, 1.0, 0.01
     tree = {
         "dimension": 3,
@@ -217,7 +217,9 @@ def test_run_integrates_each_lattice_interval_once(monkeypatch):
         "checks": ["cocycle", "norms", "norm_trichotomy",
                    "norm_trichotomy_unprojected", "rate_instantiation"],
     }
-    report = run(scenario_from_tree(tree))
+    parsed = scenario_from_tree(tree)
+    assert calls[0] == 0  # parsing builds the generator but integrates nothing
+    report = run(parsed)
     assert report.overall == "pass"
     # one probe call over the anchors, then one call per RK4 step over the
     # stage times of every lattice interval, each of step / rk4_step steps
@@ -277,9 +279,7 @@ def periodic_diag_case():
     """The ode_periodic_g21 benchmark lattice, against the scalar np.diag
     coefficient the builtin had before it took arrays of times."""
     base, amplitude = np.array([-1.5, 2.5, 0.0]), np.array([0.3, 0.3, 0.1])
-    coefficient = runner._builtin_coefficient(
-        {"name": "periodic_diag", "base": base.tolist(),
-         "amplitude": amplitude.tolist(), "omega": 1.0}, 3)
+    coefficient = scenario._periodic_diag(base.tolist(), amplitude.tolist(), 1.0)
     scalar = lambda t: np.diag(base + amplitude * math.cos(1.0 * t))
     return coefficient, scalar, norms.query_lattice(make_grid(10.0, 0.5), 5.0, 0.5), 0.01
 

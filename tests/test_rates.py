@@ -94,6 +94,18 @@ def test_negative_time_errors():
         GrowthRate.polynomial(1.0).ratio(1.0, -1.0)
 
 
+@pytest.mark.parametrize("rate", [
+    GrowthRate.exponential(1.0), GrowthRate.polynomial(1.0),
+    GrowthRate.tabulated([(0.0, 1.0), (2.0, 3.0)])],
+    ids=["exponential", "polynomial", "tabulated"])
+def test_nan_time_errors(rate):
+    with pytest.raises(DomainError):
+        rate.evaluate(math.nan)
+    for a, b in (([math.nan], [1.0]), ([1.0], [math.nan]), ([math.nan], [math.nan])):
+        with pytest.raises(DomainError):
+            rate.ratios(a, b)
+
+
 def test_nonpositive_exponent_rejected():
     with pytest.raises(ValueError):
         GrowthRate.exponential(0.0)

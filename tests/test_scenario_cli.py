@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tricho import ScenarioError, emit, parse_scenario, run, scenario_from_tree
+from tricho import (ProjectorFamily, ScenarioError, emit, parse_scenario, run,
+                    scenario_from_tree)
 from tricho import norms, runner
 from tricho.cli import main
 from tricho.reports import (CheckReport, CompatibilityReport, Rows, TheoremReport,
@@ -52,6 +53,8 @@ def test_minimal_scenario_parses(tmp_path):
     assert scenario.grid_step == 0.5
     assert scenario.checks == ["orthogonality"]
     assert scenario.samples == 32  # default
+    assert isinstance(scenario.family, ProjectorFamily)
+    assert scenario.generator is None  # the rate model
 
 
 def test_checks_key_is_optional():
@@ -91,6 +94,15 @@ def test_rate_model_requires_outer_rate():
     del tree["rates"]["u"]
     with pytest.raises(ScenarioError, match="rates.u"):
         scenario_from_tree(tree)
+
+
+def test_rate_instantiation_of_mixed_rates_fails_at_parse():
+    tree = minimal_tree(checks=["rate_instantiation"])
+    tree["rates"]["h"] = {"kind": "polynomial", "exponent": 1.0}
+    with pytest.raises(ScenarioError, match="rate_instantiation"):
+        scenario_from_tree(tree)
+    tree["rate_instantiation"] = {"kind": "polynomial", "exponents": [1, 2, 0.5, 0.25]}
+    assert scenario_from_tree(tree).instantiation == ("polynomial", [1.0, 2.0, 0.5, 0.25])
 
 
 def test_short_tabulated_span_rejected():
@@ -354,6 +366,16 @@ def test_builtin_operator_parses_and_runs(tmp_path):
         checks=["cocycle"])
     report = run(scenario_from_tree(tree))
     assert report.overall == "pass"
+
+
+def test_rotation_coefficient_matches_the_broadcast_matrix_bit_for_bit():
+    omega = 0.7
+    scenario = scenario_from_tree(ode_tree(2, builtin={"name": "rotation",
+                                                      "omega": omega}))
+    times = np.linspace(0.0, 3.0, 7)
+    old = np.broadcast_to(np.array([[0.0, omega], [-omega, 0.0]]), (len(times), 2, 2))
+    got = np.asarray(scenario.generator.coefficient(times))
+    assert got.shape == old.shape and got.tobytes() == old.tobytes()
 
 
 def test_cli_roundtrip_and_overrides(tmp_path, capsys):
