@@ -57,19 +57,13 @@ def query_lattice(grid, horizon: float, step: float) -> list[float]:
     return sorted(set(np.concatenate(times).tolist()))
 
 
-def _views(stack: np.ndarray, cut: int):
-    """stack[:cut] and stack, each screened once for all its terms: (view, mask
-    of entries nonzero in some matrix, live columns, all finite, each column's
-    largest |entry|); with nothing past the cut both are the narrow one."""
-    views, nonzero, finite, peak = [], False, True, 0.0
-    parts = [stack[:cut], stack[cut:]][:1 + (cut < len(stack))]
-    # the narrow view is a copy, so the wide stack can go after the horizon pass
-    for view, part in zip((stack[:cut].copy(), stack), parts):
-        nonzero = nonzero | part.any(axis=0)
-        finite = finite and bool(np.isfinite(part).all())
-        peak = np.maximum(peak, np.abs(part).max(axis=(0, 1), initial=0.0))
-        views.append((view, nonzero, nonzero.any(axis=0), finite, peak))
-    return views[0], views[-1]
+def _view(stack: np.ndarray):
+    """A stack screened once for all its terms: (stack, mask of entries
+    nonzero in some matrix, live columns, all finite, each column's largest
+    |entry|)."""
+    nonzero = stack.any(axis=0)
+    return (stack, nonzero, nonzero.any(axis=0), bool(np.isfinite(stack).all()),
+            np.abs(stack).max(axis=(0, 1), initial=0.0))
 
 
 def _block(x: np.ndarray):
@@ -96,30 +90,50 @@ def _full_term(stack: np.ndarray, wide: np.ndarray) -> np.ndarray:
     return worst
 
 
+def _term(view, block) -> np.ndarray:
+    """max over a screened stack (``_view``) of |M y| per column y of a
+    block (``_block``). Coordinate k is live when column k of some matrix
+    and row k of some vector are nonzero. With none live the term is 0.
+    With one, whose column has one nonzero row, it is sqrt(square(c* x_k))
+    for c* the column's largest |entry|: each image entry is one product,
+    and rounding is monotone, so |fl(c x)| = fl(|c| |x|) and fl(y^2) never
+    decrease as |c| and |y| grow; the largest square is c*'s to the bit,
+    and if any square overflows, c*'s does. With several rows, stack and
+    block are cut to them and to row k: a dropped squared row is +0. Two
+    or more live, or a non-finite entry (0 * inf is NaN), cut nothing."""
+    stack, nonzero, columns, finite, peak = view
+    wide, rows, finite_x, shape = block
+    live = (columns & rows).nonzero()[0]
+    if len(live) < 2 and finite and finite_x:
+        if len(live) == 0:
+            return np.zeros(shape)
+        cut = nonzero[:, live[0]].nonzero()[0]
+        if len(cut) == 1:
+            return np.sqrt(np.square(peak[live] * wide[live])).reshape(shape)
+        stack, wide = stack[:, cut][:, :, live], wide[live]
+    return np.sqrt(_full_term(stack, wide)).reshape(shape)
+
+
 class NormTerm:
-    """The term of inequality ``tag`` in every norm family that sums it: the
-    tag's rate quotient times U(tau, t) P_j(t) over the future lattice of t
+    """The term of inequality ``tag`` in every norm family that sums it:
+    ``rate``'s quotient times U(tau, t) P_j(t) over the future lattice of t
     where ``TERMS[tag]`` binds N at s, else times W_j(t, r) over the past one.
-    ``at(t)`` gives its screened narrow stack at t (``_views``) and its peak,
+    ``at(t)`` gives its screened narrow stack at t (``_view``) and its peak,
     quotient times the spectral norm of each map: ``factor_table(full=True)``
-    to the bit. ``basis`` holds the norms of the basis vectors at the
-    construction times, at the horizon and at twice it; other times are
-    built on first use."""
+    to the bit. ``basis`` holds the norms of the basis vectors at ``times``,
+    at the horizon and at twice it; other times are built on first use."""
 
-    def __init__(self, tag: str, sources: "LyapunovNormFamily", times):
-        self.tag, self.rate = tag, sources.rates.get(TERMS[tag][1])
-        self.operator, self.family = sources.operator, sources.family
-        self.inverses, self.horizon, self.step = sources.inverses, sources.horizon, sources.step
-        self._kept = {}
-        basis, values = _block(np.eye(self.family.dimension)), []
-        for narrow, wide in self._build(times, 2.0 * self.horizon):
-            value = sources._term(narrow, basis)  # past stacks are all narrow
-            values.append((value, value if wide is narrow else sources._term(wide, basis)))
-        self.basis = [np.stack(column) for column in zip(*values)]
+    def __init__(self, operator, tag: str, family, rate, horizon: float,
+                 step: float, times):
+        self.operator, self.tag, self.family, self.rate = operator, tag, family, rate
+        self.horizon, self.step, self._kept = horizon, step, {}
+        self.basis = self._build(times, 2.0 * horizon)
 
-    def _build(self, times, horizon: float) -> list:
-        """(narrow view, wide view) at each of ``times``, the future lattice
-        running out to ``horizon``; keeps each narrow view with its peak."""
+    def _build(self, times, horizon: float) -> list[np.ndarray]:
+        """Keeps the screened narrow stack and peak at each of ``times``, the
+        future lattice running out to ``horizon``, and returns the norms of
+        the basis vectors there, (times, n), over the narrow part and the
+        whole: |M e_k| is column k's norm, so no kernel call is needed."""
         j, key, binds, rising = TERMS[self.tag]
         future = binds == "s"
         lattices = [_future_times(t, horizon, self.step) if future
@@ -137,16 +151,20 @@ class NormTerm:
                 raise StructuralError(f"the {self.tag} norm term needs the {key!r} rate")
             at = pairs[live]
             maps = (self.operator.evaluate_many(at) @ member[live] if future
-                    else self.inverses[j].stack(at))
+                    else build_inverses(self.operator, self.family)[j].stack(at))
             ratios = self.rate.ratios(*(at.T if rising else at.T[::-1]))
             stack[live] = ratios[:, None, None] * maps
             seen = narrow[live]  # no SVD past the horizon
             norms[live & narrow] = ratios[seen] * opnorms(maps[seen])
-        built, starts = [], np.cumsum([0] + sizes)
+        starts = np.cumsum([0] + sizes)
         for t, lo, hi in zip(times, starts, starts[1:]):
-            built.append(_views(stack[lo:hi], cut))
-            self._kept[t] = built[-1][0], float(norms[lo:hi].max())
-        return built
+            # a copy, so the whole stack can go after the horizon pass
+            self._kept[t] = _view(stack[lo:hi][:cut].copy()), float(norms[lo:hi].max())
+        # squared in place (the kept stacks are copies), rows summed in
+        # _full_term's order; a column past the cut counts as 0
+        columns = np.square(stack, out=stack).sum(axis=1)
+        return [np.sqrt(np.maximum.reduceat(c, starts[:-1]))
+                for c in (np.where(narrow[:, None], columns, 0.0), columns)]
 
     def at(self, t: float):
         """The screened narrow stack at t and its peak."""
@@ -173,18 +191,17 @@ class LyapunovNormFamily:
         self.variant = variant
         self.operator = operator
         self.family = family
-        self.inverses = build_inverses(operator, family)
         self.rates = rates
         self.horizon = float(horizon)
         self.step = float(step)
-        times = list(times)
-        self.terms = [operator.keep(
-            ("norm_term", tag, family, rates.get(TERMS[tag][1]), self.horizon,
-             self.step, tuple(times)), lambda: NormTerm(tag, self, times))
-            for tag in VARIANTS[variant]]
+        times, self.terms = tuple(times), []
+        for tag in VARIANTS[variant]:
+            key = (tag, family, rates.get(TERMS[tag][1]), self.horizon, self.step, times)
+            self.terms.append(operator.keep(("norm_term", *key),
+                                            lambda: NormTerm(operator, *key)))
         order = (1, 0, 2) if variant == "forward" else (1, 2, 0)  # past first
-        base, wide = (sum(self.terms[i].basis[k] for i in order) for k in (0, 1))
-        delta = np.abs(wide - base)
+        base, doubled = (sum(self.terms[i].basis[k] for i in order) for k in (0, 1))
+        delta = np.abs(doubled - base)
         # the largest delta per time; fmax passes over a time holding a NaN
         self.horizon_delta_abs, self.horizon_delta_rel = (
             float(np.fmax.reduce(d.max(axis=1), initial=0.0))
@@ -195,35 +212,11 @@ class LyapunovNormFamily:
         """True when doubling the horizon moved sampled values >= 1e-6 relative."""
         return self.horizon_delta_rel >= _SENSITIVITY_LIMIT
 
-    @staticmethod
-    def _term(view, block) -> np.ndarray:
-        """max over a screened stack (``_views``) of |M y| per column y of a
-        block (``_block``). Coordinate k is live when column k of some matrix
-        and row k of some vector are nonzero. With none live the term is 0.
-        With one, whose column has one nonzero row, it is sqrt(square(c* x_k))
-        for c* the column's largest |entry|: each image entry is one product,
-        and rounding is monotone, so |fl(c x)| = fl(|c| |x|) and fl(y^2) never
-        decrease as |c| and |y| grow; the largest square is c*'s to the bit,
-        and if any square overflows, c*'s does. With several rows, stack and
-        block are cut to them and to row k: a dropped squared row is +0. Two
-        or more live, or a non-finite entry (0 * inf is NaN), cut nothing."""
-        stack, nonzero, columns, finite, peak = view
-        wide, rows, finite_x, shape = block
-        live = (columns & rows).nonzero()[0]
-        if len(live) < 2 and finite and finite_x:
-            if len(live) == 0:
-                return np.zeros(shape)
-            cut = nonzero[:, live[0]].nonzero()[0]
-            if len(cut) == 1:
-                return np.sqrt(np.square(peak[live] * wide[live])).reshape(shape)
-            stack, wide = stack[:, cut][:, :, live], wide[live]
-        return np.sqrt(_full_term(stack, wide)).reshape(shape)
-
     def evaluate_many(self, t: float, x: np.ndarray) -> np.ndarray:
         """Norm values for each column of the (dimension, batch) matrix x,
         or of each matrix of a (..., dimension, batch) stack."""
         block = _block(np.asarray(x, dtype=float))
-        return sum(self._term(term.at(t)[0], block) for term in self.terms)
+        return sum(_term(term.at(t)[0], block) for term in self.terms)
 
     def evaluate(self, t: float, x) -> float:
         x = np.asarray(x, dtype=float).reshape(-1, 1)
@@ -238,7 +231,7 @@ class LyapunovNormFamily:
         blocks = [_block(y) for y in _projected(self.family, grid, samples, seed)[2]]
         return sum(self.operator.keep(
             ("term_values", term, grid, samples, seed), lambda: np.stack(
-                [self._term(term.at(t)[0], b) for t, b in zip(grid, blocks)]))
+                [_term(term.at(t)[0], b) for t, b in zip(grid, blocks)]))
             for term in self.terms)
 
 
@@ -355,6 +348,7 @@ def _theorem_sides(forward, backward, grid, samples, seed) -> TheoremSides:
     lhs = {tag: np.empty((len(rows), x.shape[1])) for tag in tags}
     pairs = grid_pairs(grid)
     u = forward.operator.evaluate_many(pairs)
+    inverses = build_inverses(forward.operator, forward.family)
     offsets = np.cumsum(np.arange(len(grid) + 1))  # row i of pairs starts here
     for tag in tags:
         j, _, binds, _ = TERMS[tag]
@@ -365,7 +359,7 @@ def _theorem_sides(forward, backward, grid, samples, seed) -> TheoremSides:
             else:  # |W_j(t, s) x|_s backward, s = a over t >= s
                 at = offsets[i:-1] + i
                 lhs[tag][at] = backward.evaluate_many(
-                    a, forward.inverses[j].stack(pairs[at]) @ x)
+                    a, inverses[j].stack(pairs[at]) @ x)
     return TheoremSides(grid, ids, lhs, base, central)
 
 

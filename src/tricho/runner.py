@@ -22,17 +22,8 @@ import numpy as np
 
 from . import evolution, norms, projectors, trichotomy
 from .reports import Rows
-from .scenario import Scenario
+from .scenario import STAGES, Scenario
 from .util import grid_pairs, grid_slots, make_grid
-
-STAGES = (
-    ("orthogonality",),
-    ("cocycle",),
-    ("invariance", "compatibility"),
-    ("trichotomy", "trichotomy_full", "uniform", "dichotomy"),
-    ("norms",),
-    ("norm_trichotomy", "norm_trichotomy_unprojected", "rate_instantiation"),
-)
 
 
 @dataclass

@@ -21,12 +21,15 @@ from .evolution import GeneratorSpec
 from .projectors import ProjectorFamily
 from .rates import GrowthRate
 
-CHECK_NAMES = (
-    "orthogonality", "cocycle", "invariance", "compatibility",
-    "trichotomy", "trichotomy_full", "uniform", "dichotomy",
-    "norms", "norm_trichotomy", "norm_trichotomy_unprojected",
-    "rate_instantiation",
+STAGES = (  # the checks a run takes, by stage in dependency order
+    ("orthogonality",),
+    ("cocycle",),
+    ("invariance", "compatibility"),
+    ("trichotomy", "trichotomy_full", "uniform", "dichotomy"),
+    ("norms",),
+    ("norm_trichotomy", "norm_trichotomy_unprojected", "rate_instantiation"),
 )
+CHECK_NAMES = tuple(name for stage in STAGES for name in stage)
 RATE_KEYS = ("h", "k", "mu", "nu")
 
 
@@ -175,6 +178,8 @@ def scenario_from_tree(tree: dict) -> Scenario:
     n = _require(tree, "dimension", int)
     if n <= 0:
         raise ScenarioError("dimension must be positive")
+    if 8 * n * n > np.iinfo(np.intp).max:  # more bytes than numpy can describe
+        raise ScenarioError("dimension is too large for an n x n float64 array")
 
     grid = _require(tree, "grid", dict)
     t_max = _number(grid, "t_max", "grid")
@@ -279,6 +284,9 @@ def scenario_from_tree(tree: dict) -> Scenario:
     for key, value in (("seed", seed), ("samples", samples)):
         if value < 0:
             raise ScenarioError(f"{key} must be a nonnegative integer")
+    if 8 * n * (n + samples) > np.iinfo(np.intp).max:
+        raise ScenarioError("samples is too large for the n x (n + samples) "
+                            "float64 test vectors")
 
     checks = tree.get("checks", [])
     if not isinstance(checks, list):

@@ -168,9 +168,10 @@ def grid_slots(size: int) -> np.ndarray:
 
 
 def test_vector_batch(dimension: int, samples: int, seed: int) -> tuple[list[str], np.ndarray]:
-    """Standard basis columns followed by seeded random unit columns."""
-    ids = [f"e{i + 1}" for i in range(dimension)]
-    ids += [f"r{i + 1:02d}" for i in range(samples)]
+    """Standard basis columns followed by seeded random unit columns; the
+    random block comes first, so a size numpy rejects builds no ids."""
     randoms = np.random.default_rng(seed).standard_normal((dimension, max(samples, 0)))
     randoms /= np.linalg.norm(randoms, axis=0)
+    ids = [f"e{i + 1}" for i in range(dimension)]
+    ids += [f"r{i + 1:02d}" for i in range(samples)]
     return ids, np.hstack([np.eye(dimension), randoms])

@@ -12,6 +12,7 @@ from tricho import (DomainError, GeneratorSpec, GrowthRate, ProjectorFamily,
                     verify_norm_trichotomy_unprojected, verify_sufficiency)
 from tricho import norms, parse_scenario, run, runner, util
 from tricho.norms import query_lattice, theorem_sides
+from tricho.projectors import build_inverses
 from tricho.trichotomy import factor_table
 from tricho.util import make_grid
 
@@ -340,6 +341,7 @@ def reference_theorem_rows(fwd, bwd, grid, samples, seed, unprojected):
     """Per-pair loop over the four norm inequalities: (tag, t, s, id, margin)."""
     ids, x = util.test_vector_batch(fwd.family.dimension, samples, seed)
     family, rates = fwd.family, fwd.rates
+    inverses = build_inverses(fwd.operator, family)
     rows = []
     for i, t in enumerate(grid):
         for s in grid[:i + 1]:
@@ -350,7 +352,7 @@ def reference_theorem_rows(fwd, bwd, grid, samples, seed, unprojected):
                  fwd.evaluate_many(s, x if unprojected else y1),
                  rates["h"].ratio(s, t)),
                 ("unstable_growth",
-                 bwd.evaluate_many(s, fwd.inverses[2].evaluate(t, s) @ x),
+                 bwd.evaluate_many(s, inverses[2].evaluate(t, s) @ x),
                  bwd.evaluate_many(t, x if unprojected
                                    else family.member(2, t) @ x),
                  rates["k"].ratio(s, t)),
@@ -358,7 +360,7 @@ def reference_theorem_rows(fwd, bwd, grid, samples, seed, unprojected):
                  fwd.evaluate_many(s, x if unprojected else y3),
                  rates["mu"].ratio(t, s)),
                 ("center_decay",
-                 bwd.evaluate_many(s, bwd.inverses[3].evaluate(t, s) @ x),
+                 bwd.evaluate_many(s, inverses[3].evaluate(t, s) @ x),
                  bwd.evaluate_many(t, x if unprojected
                                    else family.member(3, t) @ x),
                  rates["nu"].ratio(t, s)))
@@ -421,7 +423,7 @@ def test_iterator_times_keep_the_truncation_slack(as_input):
 
 
 def test_families_keep_only_the_narrow_stacks(uniform_norms, grid10):
-    # the wide stacks serve the horizon-doubling pass and are dropped after it
+    # the whole stacks serve the horizon-doubling pass and are dropped after it
     for nf in uniform_norms:
         for t in grid10:
             future = len(norms._future_times(t, HORIZON, STEP))
@@ -440,8 +442,7 @@ def broadcast_term(stack, x):
 
 def kept_term(stack, x):
     """The norm-term kernel on the whole stack, screened as a family keeps it."""
-    view, _ = norms._views(stack, len(stack))
-    return norms.LyapunovNormFamily._term(view, norms._block(x))
+    return norms._term(norms._view(stack), norms._block(x))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -554,32 +555,64 @@ def test_kept_screen_term_takes_the_full_path_on_nonfinite_entries():
             assert np.array_equal(kept_term(stack_, x_), want, equal_nan=True)
 
 
-def test_kept_screen_narrow_and_wide_views_of_one_build():
+def lattice_stacks(term, t):
+    """term's kept narrow stack at t, and its whole stack out to twice the
+    horizon: the narrow stack of the same term built at twice the horizon."""
+    whole = norms.NormTerm(term.operator, term.tag, term.family, term.rate,
+                           2.0 * term.horizon, term.step, [t])
+    return term.at(t)[0][0], whole.at(t)[0][0]
+
+
+def oblique_families(grid, horizon, step):
+    s = np.array([[1.0, 0.5, 0.2], [0.0, 1.0, 0.3], [0.0, 0.0, 1.0]])
+    s_inv = np.linalg.inv(s)
+    operator = from_generator(
+        GeneratorSpec.constant(s @ np.diag([-1.0, 1.2, 0.1]) @ s_inv, 0.05),
+        anchors=query_lattice(grid, horizon, step))
+    family = ProjectorFamily.constant(*(s @ np.diag(np.eye(3)[j]) @ s_inv
+                                        for j in range(3)))
+    e = GrowthRate.exponential
+    rates = {"h": e(0.3), "k": e(0.3), "mu": e(0.1), "nu": e(0.1)}
+    return [build_norm_family(variant, operator, family, rates, horizon, step,
+                              grid) for variant in norms.VARIANTS]
+
+
+def test_basis_norms_are_the_kernel_on_the_identity():
     stack = one_entry_stack(np.random.default_rng(10), 10)
     stack[8, 1, 0] = -30.0  # past the cut: column 0's largest |entry|
-    stack[7, 0, 1] = -40.0  # past the cut: column 1 has two rows when wide
+    stack[7, 0, 1] = -40.0  # past the cut: column 1 has two rows when whole
     nonfinite = stack.copy()
     nonfinite[9, 1, 0] = np.inf  # past the cut, meets x's zero row 0 below
     values = np.array([1.0, -2.0, 0.5, 3.0, -0.0, 1e-3])
     for whole in (stack, nonfinite):
-        narrow, wide = norms._views(whole, 5)
         for k in (0, 1):
             x = np.zeros((2, 3, 6))
             x[:, k] = values, -7.0 * values
-            block = norms._block(x)
             with np.errstate(invalid="ignore"):
-                for view, seen in ((narrow, whole[:5]), (wide, whole)):
-                    got = norms.LyapunovNormFamily._term(view, block)
-                    assert np.array_equal(got, broadcast_term(seen, x),
-                                          equal_nan=True)
+                for seen in (whole[:5], whole):
+                    assert np.array_equal(kept_term(seen, x),
+                                          broadcast_term(seen, x), equal_nan=True)
     with np.errstate(invalid="ignore"):
         assert np.isnan(broadcast_term(nonfinite, x)).all()
     assert np.isfinite(broadcast_term(nonfinite[:5], x)).all()
 
+    example = runner._Workspace(parse_scenario(SCENARIOS / "nonuniform_example.json"))
+    grid = make_grid(2.0, 0.25)
+    cases = [(nf, example.grid) for nf in example.norm_families()]
+    cases += [(nf, grid) for nf in rank_two_block_families(grid, 1.0, 0.25)
+              + oblique_families(grid, 1.0, 0.25)]
+    for nf, at in cases:
+        identity = np.eye(nf.family.dimension)
+        for term in nf.terms:
+            for i, t in enumerate(at):
+                for basis, seen in zip(term.basis, lattice_stacks(term, t)):
+                    assert basis[i].tobytes() == broadcast_term(seen, identity).tobytes()
+    assert any(nf.horizon_flagged for nf, _ in cases)
+
 
 def test_one_entry_columns_never_reach_the_full_product(monkeypatch):
     full_term, cut_to_one, shortcuts = norms._full_term, [], []
-    term = norms.LyapunovNormFamily._term
+    term = norms._term
 
     def counted_full_term(stack, wide):
         cut_to_one.append(stack.shape[1:] == (1, 1))
@@ -592,13 +625,24 @@ def test_one_entry_columns_never_reach_the_full_product(monkeypatch):
         return out
 
     monkeypatch.setattr(norms, "_full_term", counted_full_term)
-    monkeypatch.setattr(norms.LyapunovNormFamily, "_term", staticmethod(counted_term))
+    monkeypatch.setattr(norms, "_term", counted_term)
     report = run(parse_scenario(SCENARIOS / "nonuniform_example.json"))  # G=21
     assert report.overall == "pass"
-    # each shared term is evaluated once per time: 462 kernel calls, 294 of
-    # them nonzero shortcuts
-    assert sum(shortcuts) > 250
+    # each shared term is evaluated once per time, and none while it is built:
+    # 336 kernel calls, 168 of them nonzero shortcuts
+    assert sum(shortcuts) > 150
     assert not any(cut_to_one)
+
+
+def test_terms_are_built_without_the_kernel(monkeypatch):
+    calls = []
+    for name in ("_term", "_full_term"):
+        monkeypatch.setattr(norms, name, lambda *args: calls.append(args))
+    example = runner._Workspace(parse_scenario(SCENARIOS / "nonuniform_example.json"))
+    families = [*example.norm_families(),
+                *rank_two_block_families(make_grid(2.0, 0.25), 1.0, 0.25)]
+    assert all(len(term.basis) == 2 for nf in families for term in nf.terms)
+    assert not calls
 
 
 def test_empty_batch_gives_empty_norms(uniform_norms):
@@ -613,7 +657,6 @@ def test_variants_share_their_stable_and_unstable_terms(uniform_norms):
     assert [term.tag for term in bwd.terms] == list(norms.VARIANTS["backward"])
     assert fwd.terms[0] is bwd.terms[0] and fwd.terms[1] is bwd.terms[1]
     assert fwd.terms[2] is not bwd.terms[2]
-    assert fwd.inverses is bwd.inverses
 
 
 def reference_fullnorm_limit(nf, grid):

@@ -3,6 +3,7 @@ import csv
 import gc
 import io
 import json
+import math
 import weakref
 from pathlib import Path
 
@@ -404,12 +405,26 @@ CLI_PARSE_ERRORS = {  # case -> (scenario file or tree, options, text of the err
     "dimension_too_large_to_build": (minimal_tree(
         dimension=10 ** 400, projectors={"type": "coordinate_split",
                                          "sizes": [10 ** 400, 0, 0]}),
-        [], "Maximum allowed dimension exceeded"),
+        [], "dimension"),
+    "samples_too_large_to_build": (minimal_tree(samples=10 ** 30), [], "samples"),
     "periodic_diag_coefficient_overflows": (minimal_tree(operator={
         "type": "ode", "step": 0.01, "builtin": {
             "name": "periodic_diag", "base": [1e308, 1e308, 0],
             "amplitude": [1e308, 0, 0]}}), [], "operator.builtin"),
 }
+
+
+def test_sizes_past_numpy_limit_fail_at_parse_naming_the_key():
+    # 8 * n * n and 8 * n * (n + samples) bytes against numpy's limit; parse
+    # only: a size just inside it would still be far too large to run
+    limit = np.iinfo(np.intp).max
+    n = math.isqrt(limit // 8) + 1
+    with pytest.raises(ScenarioError, match="^dimension"):
+        scenario_from_tree(minimal_tree(dimension=n, projectors={
+            "type": "coordinate_split", "sizes": [n, 0, 0]}))
+    assert scenario_from_tree(minimal_tree(samples=limit // 24 - 3)).samples
+    with pytest.raises(ScenarioError, match="^samples"):
+        scenario_from_tree(minimal_tree(samples=limit // 24 - 2))
 
 
 @pytest.mark.parametrize("case", CLI_PARSE_ERRORS)

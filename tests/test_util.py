@@ -191,3 +191,16 @@ def test_batched_range_bases_match_range_basis_bit_for_bit():
                 assert not basis[:, rank:].any()
     assert turning_family.bases(1, times)[1].tolist() == [0, 0, 1, 1, 1, 2, 2, 2]
     assert turning_family.bases(2, times)[1].tolist() == [3, 3, 2, 2, 2, 1, 1, 1]
+
+
+def test_impossible_test_vector_batch_raises_before_building_ids(monkeypatch):
+    def bounded_range(n):  # an id list this long would not finish
+        assert n < 10 ** 6, "ids built before the random block"
+        return range(n)
+
+    monkeypatch.setattr(util, "range", bounded_range, raising=False)
+    for samples in (10 ** 30, 2 ** 62):  # numpy rejects both before allocating
+        with pytest.raises(ValueError):
+            util.test_vector_batch(3, samples, 0)
+    ids, x = util.test_vector_batch(3, 4, 0)
+    assert ids == ["e1", "e2", "e3", "r01", "r02", "r03", "r04"] and x.shape == (3, 7)
