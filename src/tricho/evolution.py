@@ -38,9 +38,10 @@ class EvolutionOperator:
     ``compute(pairs)`` gives the matrices of an (m, 2) array of in-domain
     pairs as an (m, n, n) stack. Each distinct pair is computed once per
     operator and kept read-only in the array-keyed ``store``. Everything
-    derived from U is kept beside it through ``keep``: the restricted inverses,
-    factor tables, norm families, their compatibility reports, the theorem
-    sides and the theorem reports. ``run`` empties ``kept`` when it returns.
+    derived from U that a lookup cannot rebuild is kept beside it through
+    ``keep``: the restricted inverses, factor tables, norm terms and their
+    values on the sample vectors, the theorem sides and the theorem reports.
+    ``run`` empties ``kept`` when it returns.
     """
 
     def __init__(self, dimension: int, compute: Callable[[np.ndarray], np.ndarray]):

@@ -18,6 +18,7 @@ horizon doubles, and theorem verdicts widen their tolerance by that slack.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -222,16 +223,16 @@ class LyapunovNormFamily:
         x = np.asarray(x, dtype=float).reshape(-1, 1)
         return float(self.evaluate_many(t, x)[0])
 
-    __call__ = evaluate
-
     def values(self, grid, samples: int, seed: int) -> np.ndarray:
         """Norms of the sample vectors x, P1 x, P2 x and P3 x at each grid time,
-        (grid, 4, batch): the sum of the terms' values, each kept once."""
+        (grid, 4, batch): the sum of the terms' values, each kept once. The
+        vectors are drawn only when some term's values are not kept yet."""
         grid = tuple(grid)
-        blocks = [_block(y) for y in _projected(self.family, grid, samples, seed)[2]]
+        blocks = functools.cache(  # drawn for the first term not kept
+            lambda: [_block(y) for y in _projected(self.family, grid, samples, seed)[2]])
         return sum(self.operator.keep(
             ("term_values", term, grid, samples, seed), lambda: np.stack(
-                [_term(term.at(t)[0], b) for t, b in zip(grid, blocks)]))
+                [_term(term.at(t)[0], b) for t, b in zip(grid, blocks())]))
             for term in self.terms)
 
 
@@ -244,14 +245,9 @@ def _projected(family, grid, samples: int, seed: int):
 
 def build_norm_family(variant: str, operator, family, rates,
                       horizon: float, step: float, times) -> LyapunovNormFamily:
-    """Construct one norm-family variant and measure its truncation slack,
-    once per variant, projector family, h/k/mu/nu rates, horizon, step and
-    times, kept through ``operator.keep``."""
-    times = list(times)
-    key = ("norm_family", variant, family,
-           *map(rates.get, ("h", "k", "mu", "nu")), horizon, step, tuple(times))
-    return operator.keep(key, lambda: LyapunovNormFamily(
-        variant, operator, family, rates, horizon, step, times))
+    """Construct one norm-family variant and measure its truncation slack.
+    Not kept: a rebuild finds its three kept terms and sums their deltas."""
+    return LyapunovNormFamily(variant, operator, family, rates, horizon, step, times)
 
 
 def check_compatibility(norm_family: LyapunovNormFamily, grid, samples: int,
@@ -263,18 +259,12 @@ def check_compatibility(norm_family: LyapunovNormFamily, grid, samples: int,
     sides read too. The lower bound is exact on every sample. The estimate
     is cross-checked against three times the envelope of the terms' peaks,
     the full-norm required factors over their lattice stacks, which the
-    construction can never exceed. The report is computed once per family,
-    grid, sample count and seed, and kept through ``operator.keep``.
+    construction can never exceed. The report is not kept: the values and
+    peaks it reads are, so a second call redoes only maxima and minima.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
-    return norm_family.operator.keep(
-        ("compatibility", norm_family, tuple(grid), samples, seed),
-        lambda: _compatibility(norm_family, grid, samples, seed))
-
-
-def _compatibility(norm_family, grid, samples, seed) -> CompatibilityReport:
     values = norm_family.values(grid, samples, seed)[:, 0]
     ratios = values.max(axis=1).tolist()
     lower = float(values.min()) - 1.0
@@ -326,13 +316,13 @@ def theorem_sides(forward: LyapunovNormFamily, backward: LyapunovNormFamily,
 
     The U terms are batched per t over s and the W_j terms per s over t;
     each right-hand norm depends on one time and is taken once per time.
-    The sides are computed once per pair of families, grid, sample count and
-    seed, and kept through ``operator.keep``.
+    The sides are kept through ``operator.keep`` per terms of the two
+    families, grid, sample count and seed, so rebuilt families find them.
     """
     _require_shared_sources(forward, backward)
     grid = list(grid)
     return forward.operator.keep(
-        ("sides", forward, backward, tuple(grid), samples, seed),
+        ("sides", *forward.terms, *backward.terms, tuple(grid), samples, seed),
         lambda: _theorem_sides(forward, backward, grid, samples, seed))
 
 
@@ -410,7 +400,9 @@ def _margins(sides, at, tags, columns) -> Rows:
         "vacuous": vacuous})
 
 
-def _finish(label, tables, tol, slack, samples, seed) -> TheoremReport:
+def _finish(label, tables, tol, families, samples, seed) -> TheoremReport:
+    """The report of ``tables``, its tolerance widened by the families' slack."""
+    slack = max(nf.horizon_delta_abs for nf in families)
     worst_per_tag = {tag: r["margin"] for tag, r in smallest_margins(tables).items()}
     min_margin = min(worst_per_tag.values())
     return TheoremReport(label=label, tables=tables,
@@ -434,10 +426,9 @@ def verify_norm_trichotomy(forward: LyapunovNormFamily,
     ``verify_norm_trichotomy_unprojected`` of the same arguments.
     """
     sides = theorem_sides(forward, backward, grid, samples, seed)
-    slack = max(forward.horizon_delta_abs, backward.horizon_delta_abs)
     return forward.operator.keep(("theorem", sides, tol), lambda: _finish(
         "norm_trichotomy", [_theorem_table(sides, forward.rates, unprojected=False)],
-        tol, slack, samples, seed))
+        tol, (forward, backward), samples, seed))
 
 
 def verify_norm_trichotomy_unprojected(forward: LyapunovNormFamily,
@@ -451,7 +442,6 @@ def verify_norm_trichotomy_unprojected(forward: LyapunovNormFamily,
     projected one.
     """
     sides = theorem_sides(forward, backward, grid, samples, seed)
-    slack = max(forward.horizon_delta_abs, backward.horizon_delta_abs)
     diagonal = np.arange(len(sides.grid))
     lemma = _margins(
         sides, (diagonal, diagonal),
@@ -460,7 +450,7 @@ def verify_norm_trichotomy_unprojected(forward: LyapunovNormFamily,
          for variant in VARIANTS for j in (1, 2, 3)])
     return _finish("norm_trichotomy_unprojected",
                    [_theorem_table(sides, forward.rates, unprojected=True), lemma],
-                   tol, slack, samples, seed)
+                   tol, (forward, backward), samples, seed)
 
 
 def verify_sufficiency(forward: LyapunovNormFamily,
@@ -471,7 +461,7 @@ def verify_sufficiency(forward: LyapunovNormFamily,
     The candidate bound N(a) = sup_{s <= a} C(s) (|P1(s)| + |P2(s)| + |P3(s)|)
     is assembled from the measured compatibility ratios of both families and
     fed back into the projected trichotomy system, which it must dominate.
-    It reads the kept compatibility reports and projected factor table.
+    It reads the kept term values and projected factor table.
     """
     _require_shared_sources(forward, backward)
     grid = list(grid)

@@ -38,24 +38,6 @@ class RunReport:
         return {"pass": 0, "fail": 1}.get(self.overall, 2)
 
 
-class _Workspace:
-    """The grid, projector family and operator of one run."""
-
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self.grid = make_grid(scenario.grid_max, scenario.grid_step)
-        self.family = scenario.family
-        self.operator = _build_operator(scenario, self.grid)
-
-    def norm_families(self):
-        """Forward and backward norm families of the scenario's rates."""
-        s = self.scenario
-        return tuple(norms.build_norm_family(variant, self.operator, self.family,
-                                             s.rates, s.horizon, s.grid_step,
-                                             self.grid)
-                     for variant in norms.VARIANTS)
-
-
 def _build_operator(scenario: Scenario, grid) -> evolution.EvolutionOperator:
     """The rate model, or the scenario's generator integrated over the query
     lattice; built here, not at parse time, so parsing calls no coefficient."""
@@ -67,10 +49,17 @@ def _build_operator(scenario: Scenario, grid) -> evolution.EvolutionOperator:
     return evolution.from_generator(scenario.generator, anchors=lattice)
 
 
-def _run_check(name: str, ws: _Workspace) -> tuple[bool, dict, list]:
+def _norm_families(scenario: Scenario, operator, grid) -> list:
+    """Forward and backward norm families of the scenario's rates."""
+    return [norms.build_norm_family(variant, operator, scenario.family,
+                                    scenario.rates, scenario.horizon,
+                                    scenario.grid_step, grid)
+            for variant in norms.VARIANTS]
+
+
+def _run_check(name: str, scenario: Scenario, operator, grid) -> tuple[bool, dict, list]:
     """Whether one check passed, its payload and its ``records.csv`` rows."""
-    s, grid, op, family = ws.scenario, ws.grid, ws.operator, ws.family
-    tol = s.tol_structural
+    s, op, family, tol = scenario, operator, scenario.family, scenario.tol_structural
     if name == "orthogonality":
         return _outcome(name, projectors.check_orthogonal(family, grid, tol))
     if name == "cocycle":
@@ -90,7 +79,7 @@ def _run_check(name: str, ws: _Workspace) -> tuple[bool, dict, list]:
         rep = getattr(trichotomy, f"check_{name}")(op, family, s.rates, grid, limit)
         return rep.passed is None or rep.passed, rep.payload(), rep.csv_rows(name)
     if name == "norms":
-        fwd, bwd = ws.norm_families()
+        fwd, bwd = _norm_families(s, op, grid)
         rep_f, rep_b = (norms.check_compatibility(nf, grid, s.samples, seed=s.seed)
                         for nf in (fwd, bwd))
         ok = (rep_f.passed and rep_b.passed
@@ -102,7 +91,7 @@ def _run_check(name: str, ws: _Workspace) -> tuple[bool, dict, list]:
         rows = rep_f.csv_rows("norms_forward") + rep_b.csv_rows("norms_backward")
         return ok, payload, rows
     if name == "norm_trichotomy":
-        fwd, bwd = ws.norm_families()
+        fwd, bwd = _norm_families(s, op, grid)
         rep = norms.verify_norm_trichotomy(fwd, bwd, grid, s.tol_theorem,
                                            s.samples, s.seed)
         suff = norms.verify_sufficiency(fwd, bwd, grid, s.samples, s.seed)
@@ -111,7 +100,7 @@ def _run_check(name: str, ws: _Workspace) -> tuple[bool, dict, list]:
         return rep.passed and bool(suff.passed), payload, rows
     if name == "norm_trichotomy_unprojected":
         return _outcome(name, norms.verify_norm_trichotomy_unprojected(
-            *ws.norm_families(), grid, s.tol_theorem, s.samples, s.seed))
+            *_norm_families(s, op, grid), grid, s.tol_theorem, s.samples, s.seed))
     if name == "rate_instantiation":
         kind, exponents = s.instantiation
         rep = norms.check_rate_specialization(
@@ -132,7 +121,8 @@ def _entry(name: str, status: str, payload: dict, rows=()) -> dict:
 
 def run(scenario: Scenario) -> RunReport:
     """Execute the requested checks in dependency order."""
-    ws = _Workspace(scenario)
+    grid = make_grid(scenario.grid_max, scenario.grid_step)
+    operator = _build_operator(scenario, grid)
     stage_of = {name: i for i, names in enumerate(STAGES) for name in names}
     ordered = [name for names in STAGES for name in names
                if name in scenario.checks]
@@ -147,7 +137,7 @@ def run(scenario: Scenario) -> RunReport:
         start = time.perf_counter()
         try:  # an overflow raises, so no inf or nan reaches the report
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                ok, payload, rows = _run_check(name, ws)
+                ok, payload, rows = _run_check(name, scenario, operator, grid)
             entry = _entry(name, "pass" if ok else "fail", payload, rows)
         except Exception as exc:  # recorded per check, dependents skip
             entry = _entry(name, "error", {"error": f"{type(exc).__name__}: {exc}"})
@@ -155,7 +145,7 @@ def run(scenario: Scenario) -> RunReport:
         entries.append(entry)
         if entry["status"] != "pass" and failed_stage is None:
             failed_stage = stage_of[name]
-    ws.operator.kept.clear()  # kept norm families point back at the operator
+    operator.kept.clear()  # kept norm terms point back at the operator
 
     overall = "pass"
     if any(e["status"] == "error" for e in entries):

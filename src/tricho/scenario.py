@@ -72,6 +72,13 @@ def _optional(tree: dict, key: str, kind, default, where: str = "scenario"):
     return _require(tree, key, kind, where) if key in tree else default
 
 
+def _known(tree: dict, keys, where: str = "scenario") -> None:
+    """Reject a key outside ``keys``: a misspelt optional key, not its default."""
+    for key in tree:
+        if key not in keys:
+            raise ScenarioError(f"{where}.{key} is not a known key")
+
+
 def _finite(x) -> bool:
     """True for an int or float that is a finite float; JSON booleans are
     not numbers, and neither is an int too large for a float."""
@@ -175,6 +182,9 @@ def parse_scenario(path) -> Scenario:
 def scenario_from_tree(tree: dict) -> Scenario:
     if not isinstance(tree, dict):
         raise ScenarioError("scenario root must be an object")
+    _known(tree, ("dimension", "grid", "horizon", "rates", "operator", "projectors",
+                  "tolerances", "seed", "samples", "checks", "bounds",
+                  "rate_instantiation"))
     n = _require(tree, "dimension", int)
     if n <= 0:
         raise ScenarioError("dimension must be positive")
@@ -196,6 +206,7 @@ def scenario_from_tree(tree: dict) -> Scenario:
         raise ScenarioError("horizon must be positive")
 
     rates_tree = _require(tree, "rates", dict)
+    _known(rates_tree, (*RATE_KEYS, "u"), "rates")
     rates = {key: _parse_rate(_require(rates_tree, key, dict, "rates"), key)
              for key in RATE_KEYS}
     if "u" in rates_tree:
@@ -226,6 +237,7 @@ def scenario_from_tree(tree: dict) -> Scenario:
             generator = GeneratorSpec.constant(operator["matrix"], op_step)
         elif "builtin" in operator:
             builtin = _require(operator, "builtin", dict, "operator")
+            _known(builtin, ("name", "omega", "base", "amplitude"), "operator.builtin")
             name = builtin.get("name")
             if name not in ("rotation", "periodic_diag"):
                 raise ScenarioError("operator.builtin.name must be rotation "
@@ -274,6 +286,7 @@ def scenario_from_tree(tree: dict) -> Scenario:
                             f"explicit, got {proj_type!r}")
 
     tols = _optional(tree, "tolerances", dict, {})
+    _known(tols, ("structural", "theorem"), "tolerances")
     tol_structural = _number(tols, "structural", "tolerances", 1e-10)
     tol_theorem = _number(tols, "theorem", "tolerances", 1e-9)
     if tol_structural <= 0 or tol_theorem <= 0:
@@ -297,6 +310,7 @@ def scenario_from_tree(tree: dict) -> Scenario:
                                 f"(known: {', '.join(CHECK_NAMES)})")
 
     bounds_tree = _optional(tree, "bounds", dict, {})
+    _known(bounds_tree, ("trichotomy", "uniform"), "bounds")
     bounds = {}
     if "trichotomy" in bounds_tree:
         bounds["trichotomy"] = _parse_bound(

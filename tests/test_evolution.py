@@ -533,12 +533,13 @@ def test_run_computes_each_distinct_pair_once(monkeypatch):
     assert inverses and len(inverses) == len(set(inverses))
     assert tables and len(tables) == len(set(tables))
     assert kept and len(kept) == len(set(kept))
-    # the instantiation rates equal the scenario's, so one pair of norm
-    # families sharing their stable and unstable terms (four terms, not six
-    # stacks): one set of theorem sides, one compatibility report each, and
-    # one theorem report per norm system
-    assert sorted(built) == (["CompatibilityReport"] * 2
-                             + ["LyapunovNormFamily"] * 2 + ["NormTerm"] * 4
+    # the instantiation rates equal the scenario's, so every pair of norm
+    # families sums the same four terms, not six stacks: one set of theorem
+    # sides and one theorem report per norm system. Families are rebuilt by
+    # each of the four norm checks, and compatibility reports by the norms
+    # check and the sufficiency loop, from the kept terms and their values.
+    assert sorted(built) == (["CompatibilityReport"] * 4
+                             + ["LyapunovNormFamily"] * 8 + ["NormTerm"] * 4
                              + ["TheoremReport"] * 2 + ["TheoremSides"])
 
 

@@ -257,6 +257,50 @@ def test_specialization_with_the_family_rates_shares_their_report():
     assert verify_norm_trichotomy(fwd, bwd, grid, 1e-9, 8, 3) is report
 
 
+def small_model_families(rates):
+    grid = make_grid(2.0, 0.5)
+    family = ProjectorFamily.coordinate_split(1, 1, 1)
+    operator = rate_model(GrowthRate.polynomial(1.0), *rates.values(), family)
+    build = lambda rates: [build_norm_family(variant, operator, family, rates,
+                                             1.0, 0.5, grid)
+                           for variant in norms.VARIANTS]
+    return grid, build
+
+
+def test_families_built_again_find_the_kept_sides_and_report():
+    e = GrowthRate.exponential
+    rates = {"h": e(1.0), "k": e(2.0), "mu": e(0.5), "nu": e(0.25)}
+    grid, build = small_model_families(rates)
+    first, second = build(rates), build(dict(rates))
+    assert first[0] is not second[0]
+    assert first[0].terms == second[0].terms
+    assert theorem_sides(*first, grid, 8, 3) is theorem_sides(*second, grid, 8, 3)
+    report = verify_norm_trichotomy(*first, grid, 1e-9, 8, 3)
+    assert verify_norm_trichotomy(*second, grid, 1e-9, 8, 3) is report
+    other = build({**rates, "h": e(1.5)})  # another stable term
+    assert theorem_sides(*other, grid, 8, 3) is not theorem_sides(*first, grid, 8, 3)
+
+
+def test_values_draw_the_vectors_only_for_terms_not_kept(monkeypatch):
+    draws = []
+    projected = norms._projected
+
+    def counted(*args):
+        draws.append(args)
+        return projected(*args)
+
+    monkeypatch.setattr(norms, "_projected", counted)
+    e = GrowthRate.exponential
+    rates = {"h": e(1.0), "k": e(2.0), "mu": e(0.5), "nu": e(0.25)}
+    grid, build = small_model_families(rates)
+    fwd, bwd = build(rates)
+    want = [nf.values(grid, 8, 3) for nf in (fwd, bwd)]
+    assert len(draws) == 2  # the backward family's center term was not kept
+    for nf, values in zip([fwd, bwd, *build(rates)], want * 2):
+        assert nf.values(grid, 8, 3).tobytes() == values.tobytes()
+    assert len(draws) == 2
+
+
 def test_polynomial_specialization_passes():
     family = ProjectorFamily.coordinate_split(1, 1, 1)
     poly = GrowthRate.polynomial
@@ -563,6 +607,18 @@ def lattice_stacks(term, t):
     return term.at(t)[0][0], whole.at(t)[0][0]
 
 
+def example_families():
+    """The grid of the nonuniform example and its forward and backward norm
+    families, built as a run builds them."""
+    example = parse_scenario(SCENARIOS / "nonuniform_example.json")
+    grid = make_grid(example.grid_max, example.grid_step)
+    operator = runner._build_operator(example, grid)
+    return grid, [build_norm_family(variant, operator, example.family,
+                                    example.rates, example.horizon,
+                                    example.grid_step, grid)
+                  for variant in norms.VARIANTS]
+
+
 def oblique_families(grid, horizon, step):
     s = np.array([[1.0, 0.5, 0.2], [0.0, 1.0, 0.3], [0.0, 0.0, 1.0]])
     s_inv = np.linalg.inv(s)
@@ -596,9 +652,9 @@ def test_basis_norms_are_the_kernel_on_the_identity():
         assert np.isnan(broadcast_term(nonfinite, x)).all()
     assert np.isfinite(broadcast_term(nonfinite[:5], x)).all()
 
-    example = runner._Workspace(parse_scenario(SCENARIOS / "nonuniform_example.json"))
+    example_grid, families = example_families()
     grid = make_grid(2.0, 0.25)
-    cases = [(nf, example.grid) for nf in example.norm_families()]
+    cases = [(nf, example_grid) for nf in families]
     cases += [(nf, grid) for nf in rank_two_block_families(grid, 1.0, 0.25)
               + oblique_families(grid, 1.0, 0.25)]
     for nf, at in cases:
@@ -638,8 +694,7 @@ def test_terms_are_built_without_the_kernel(monkeypatch):
     calls = []
     for name in ("_term", "_full_term"):
         monkeypatch.setattr(norms, name, lambda *args: calls.append(args))
-    example = runner._Workspace(parse_scenario(SCENARIOS / "nonuniform_example.json"))
-    families = [*example.norm_families(),
+    families = [*example_families()[1],
                 *rank_two_block_families(make_grid(2.0, 0.25), 1.0, 0.25)]
     assert all(len(term.basis) == 2 for nf in families for term in nf.terms)
     assert not calls
@@ -694,10 +749,9 @@ def rank_two_block_families(grid, horizon, step):
 
 
 def test_crosscheck_limit_is_the_full_norm_factor_envelope():
-    example = parse_scenario(SCENARIOS / "nonuniform_example.json")
-    ws = runner._Workspace(example)
+    example_grid, families = example_families()
     grid = make_grid(2.0, 0.25)
-    cases = [(nf, ws.grid) for nf in ws.norm_families()]
+    cases = [(nf, example_grid) for nf in families]
     cases += [(nf, grid) for nf in rank_two_block_families(grid, 1.0, 0.25)]
     # times the families were not built at are built on first use
     cases += [(nf, [0.125, 0.5, 1.75, 3.0]) for nf, _ in cases[-2:][::-1]]

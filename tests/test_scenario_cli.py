@@ -17,6 +17,7 @@ from tricho.cli import main
 from tricho.reports import (CheckReport, CompatibilityReport, Rows, TheoremReport,
                             TrichotomyReport)
 from tricho.scenario import CHECK_NAMES
+from tricho.util import make_grid
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -411,6 +412,21 @@ CLI_PARSE_ERRORS = {  # case -> (scenario file or tree, options, text of the err
         "type": "ode", "step": 0.01, "builtin": {
             "name": "periodic_diag", "base": [1e308, 1e308, 0],
             "amplitude": [1e308, 0, 0]}}), [], "operator.builtin"),
+    # an unknown key, at each level that has an optional one
+    "misspelt_checks": ({**{key: value for key, value in minimal_tree().items()
+                            if key != "checks"}, "chekcs": ["orthogonality"]},
+                        [], "scenario.chekcs is not a known key"),
+    "misspelt_horizon": (minimal_tree(horizn=2.0), [], "scenario.horizn is not"),
+    "misspelt_theorem_tolerance": (minimal_tree(tolerances={"theorm": 1.0}), [],
+                                   "tolerances.theorm is not"),
+    "extra_rate": (minimal_tree(rates={**minimal_tree()["rates"], "v": {
+        "kind": "exponential", "exponent": 1.0}}), [], "rates.v is not"),
+    "misspelt_uniform_bound": (minimal_tree(bounds={"uniformm": 2.0}), [],
+                               "bounds.uniformm is not"),
+    "extra_builtin_key": (minimal_tree(operator={
+        "type": "ode", "step": 0.01,
+        "builtin": {"name": "periodic_diag", "omega": 1.0, "phase": 0.5}}),
+        [], "operator.builtin.phase is not"),
 }
 
 
@@ -513,12 +529,13 @@ def test_emitted_files_match_the_in_memory_report(tmp_path):
               for p in range(len(rows_.t)) for j, tag in enumerate(rows_.tags)]
     assert rows[0] == list(runner.COLUMNS)
     assert rows[1:] == memory
-    ws = runner._Workspace(scenario)
+    grid = make_grid(scenario.grid_max, scenario.grid_step)
+    operator = runner._build_operator(scenario, grid)
     families = [norms.build_norm_family(
-        variant, ws.operator, ws.family, scenario.rates, scenario.horizon,
-        scenario.grid_step, ws.grid) for variant in norms.VARIANTS]
+        variant, operator, scenario.family, scenario.rates, scenario.horizon,
+        scenario.grid_step, grid) for variant in norms.VARIANTS]
     records = norms.verify_norm_trichotomy_unprojected(
-        *families, ws.grid, scenario.tol_theorem, scenario.samples,
+        *families, grid, scenario.tol_theorem, scenario.samples,
         scenario.seed).records
     vectors = [row[-1] for row in rows if row[0] == "norm_trichotomy_unprojected"]
     assert vectors == [r["vector_id"] for r in records]
