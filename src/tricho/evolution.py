@@ -25,11 +25,10 @@ from .errors import PreconditionError
 from .rates import GrowthRate
 from .projectors import ProjectorFamily, ordered_pairs
 from .reports import CheckReport
-from .util import MatrixStore, opnorm, opnorms, pair_slots, peak
+from .util import MatrixStore, grid_pairs, opnorm, opnorms, peak, triple_blocks
 
 _PROBE_TIMES = (0.0, 0.9, 2.3, 5.7)
 _PROBE_TOL = 1e-9
-_CHUNK = 8192  # cocycle triples per batched residual, bounds transient stacks
 
 
 class EvolutionOperator:
@@ -231,35 +230,23 @@ def check_identity(operator: EvolutionOperator, times, tol: float) -> CheckRepor
     return CheckReport("identity", tol, {"identity": worst}, worst <= tol)
 
 
-def check_cocycle(operator: EvolutionOperator, triples, tol: float,
-                  pairs=None) -> CheckReport:
-    """Residual of U(t, t0) = U(t, s) U(s, t0) over (t, s, t0) triples.
+def check_cocycle(operator: EvolutionOperator, times, tol: float) -> CheckReport:
+    """Residual of U(t, t0) = U(t, s) U(s, t0) over every triple t >= s >= t0
+    of ascending ``times``; times out of order raise DomainError naming a pair.
 
-    ``triples`` are float triples; or, with ``pairs``, an (m, 3) integer
-    array holding per triple the positions in ``pairs`` of its (t, t0),
-    (t, s) and (s, t0) pairs, which is how ``util.grid_slots`` addresses
-    every triple of a grid without building one. Residuals are measured
-    relative to the size of U(t, t0), floored at 1: growing operators reach
-    norms ~e^{a t} where even a one-ulp relative error dwarfs any absolute
-    tolerance, so the scale-aware residual is the meaningful one. The store
-    computes each distinct pair once; the products are taken in batches of
-    triples, each reduced to its worst residual norm by ``util.peak``.
+    Residuals are measured relative to the size of U(t, t0), floored at 1:
+    growing operators reach norms ~e^{a t} where even a one-ulp relative
+    error dwarfs any absolute tolerance, so the scale-aware residual is the
+    meaningful one. U is read once over ``grid_pairs(times)``; the triples
+    are taken one outer time at a time (``util.triple_blocks``), each block
+    reduced to its worst residual norm by ``util.peak``. For an operator
+    anchored on the times (``from_generator``), U(t, t0) is the chain product
+    through s, so the residual shows floating-point reassociation only, not
+    the integration error.
     """
-    if pairs is None:
-        pairs, slots = pair_slots(triples)
-    else:
-        slots = np.asarray(triples, dtype=np.intp).reshape(-1, 3)
-        ts, ss = np.asarray(pairs, dtype=float).reshape(-1, 2).T
-        direct, left, right = slots.T
-        if not (np.array_equal(ts[direct], ts[left])
-                and np.array_equal(ss[left], ts[right])
-                and np.array_equal(ss[direct], ss[right])):
-            raise ValueError("slots must point at the (t, t0), (t, s) and "
-                             "(s, t0) pairs of each triple")
-    stack = operator.evaluate_many(pairs)
+    stack = operator.evaluate_many(grid_pairs(times))
     scale = np.maximum(1.0, opnorms(stack))
     worst = 0.0
-    for lo in range(0, len(slots), _CHUNK):
-        direct, left, right = slots[lo:lo + _CHUNK].T
+    for direct, left, right in triple_blocks(len(times)):
         worst = max(worst, peak(stack[direct] - stack[left] @ stack[right], scale[direct]))
     return CheckReport("cocycle", tol, {"cocycle": worst}, worst <= tol)

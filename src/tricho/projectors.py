@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, NotStronglyInvariantError, StructuralError
 from .reports import CheckReport
-from .util import MatrixStore, grid_pairs, pair_slots, peak, range_bases
+from .util import MatrixStore, grid_pairs, peak, range_bases, triple_blocks
 
 RANK_TOL = 1e-10  # scale-invariant: smallest singular value vs largest
 
@@ -243,26 +243,27 @@ def check_compatible(family: ProjectorFamily, operator, grid, tol: float) -> Che
 
 
 def check_inverse_properties(operator, family: ProjectorFamily, index: int,
-                             triples, tol: float) -> CheckReport:
-    """Full identity suite for a restricted inverse family over (t, s, t0) triples.
+                             times, tol: float) -> CheckReport:
+    """Full identity suite for a restricted inverse family over ascending times.
 
-    Residual keys: right_inverse (U W = P at t), left_inverse (W U P = P at s),
-    cocycle (W(t,t0) = W(s,t0) W(t,s)), range (W lands in Range P(s)),
-    equal_time (W(t,t) = P(t)).
+    Residual keys: right_inverse (U W = P at t), left_inverse (W U P = P at s)
+    and range (W lands in Range P(s)) over every pair t >= s of ``times``;
+    equal_time (W(t, t) = P(t)) on its diagonal pairs; cocycle
+    (W(t, t0) = W(s, t0) W(t, s)) over every triple t >= s >= t0, taken one
+    outer time at a time (``util.triple_blocks``).
     """
-    inv = build_inverses(operator, family)[index]
-    pairs, slots = pair_slots(triples)
-    times = pairs.ravel()  # W(t, t) = P(t) at every time of a triple
-    equal = inv.stack(np.stack((times, times), axis=1)) - family.stack(index, times)
-    w = inv.stack(pairs)  # raises at the first failure, (t, s) first in each triple
-    direct, left, right = slots.T  # left: the (t, s) pairs, where U and W meet
-    w_ts = w[left]
-    u = operator.evaluate_many(pairs[left])
-    p_t, p_s = (family.stack(index, x) for x in pairs[left].T)
-    worst = {"right_inverse": peak(u @ w_ts - p_t),
-             "left_inverse": peak(w_ts @ u @ p_s - p_s),
-             "cocycle": peak(w[direct] - w[right] @ w[left]),
-             "range": peak(w_ts - p_s @ w_ts),
-             "equal_time": peak(equal)}
+    pairs = grid_pairs(times)
+    w = build_inverses(operator, family)[index].stack(pairs)  # raises at the first failure
+    u = operator.evaluate_many(pairs)
+    p_t, p_s = (family.stack(index, x) for x in pairs.T)
+    equal = pairs[:, 0] == pairs[:, 1]
+    cocycle = 0.0
+    for direct, left, right in triple_blocks(len(times)):
+        cocycle = max(cocycle, peak(w[direct] - w[right] @ w[left]))
+    worst = {"right_inverse": peak(u @ w - p_t),
+             "left_inverse": peak(w @ u @ p_s - p_s),
+             "cocycle": cocycle,
+             "range": peak(w - p_s @ w),
+             "equal_time": peak(w[equal] - p_t[equal])}
     return CheckReport(f"inverse_properties_{index}", tol, worst,
                        passed=all(v <= tol for v in worst.values()))

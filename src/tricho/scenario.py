@@ -29,6 +29,7 @@ STAGES = (  # the checks a run takes, by stage in dependency order
     ("norms",),
     ("norm_trichotomy", "norm_trichotomy_unprojected", "rate_instantiation"),
 )
+STRUCTURAL = 3  # the leading stages of STAGES; only their failure skips later ones
 CHECK_NAMES = tuple(name for stage in STAGES for name in stage)
 RATE_KEYS = ("h", "k", "mu", "nu")
 
@@ -150,9 +151,13 @@ def _periodic_diag(base, amplitude, omega: float):
 
 
 def _parse_bound(spec, where: str):
+    """A nondecreasing bound N(a) with N(0) >= 1: every grid starts at 0,
+    where the factor |P_j(0)| of a nonzero projector is already >= 1."""
     kind = spec.get("kind")
     if kind == "constant":
         value = _number(spec, "value", where)
+        if value < 1:
+            raise ScenarioError(f"{where}.value must be >= 1")
         return lambda a: value
     if kind == "affine":
         coeff = _number(spec, "coeff", where)
@@ -160,6 +165,8 @@ def _parse_bound(spec, where: str):
         if coeff < 0:
             raise ScenarioError(f"{where}.coeff must be nonnegative "
                                 "(bounds are nondecreasing)")
+        if offset < 1:
+            raise ScenarioError(f"{where}.offset must be >= 1 (the bound at t = 0)")
         return lambda a: coeff * a + offset
     raise ScenarioError(f"{where}.kind must be constant or affine, got {kind!r}")
 

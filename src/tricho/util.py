@@ -136,35 +136,15 @@ def grid_pairs(grid) -> np.ndarray:
     return np.stack((grid[rows], grid[cols]), axis=1)
 
 
-def pair_slots(triples) -> tuple[np.ndarray, np.ndarray]:
-    """The (t, s), (t, t0) and (s, t0) pairs of each (t, s, t0) triple as a
-    (3m, 2) array, and per triple the rows of its (t, t0), (t, s) and (s, t0)
-    pairs as an (m, 3) array. Raises ValueError naming the first triple not
-    ordered t >= s >= t0 >= 0."""
-    arr = np.asarray(list(triples), dtype=float).reshape(-1, 3)
-    ordered = (arr[:, 0] >= arr[:, 1]) & (arr[:, 1] >= arr[:, 2]) & (arr[:, 2] >= 0)
-    if not ordered.all():
-        t, s, t0 = arr[np.argmin(ordered)].tolist()
-        raise ValueError(f"triple ({t}, {s}, {t0}) not ordered t >= s >= t0 >= 0")
-    pairs = arr[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)  # a store computes each distinct one once
-    return pairs, np.arange(arr.size).reshape(-1, 3)[:, [1, 0, 2]]
-
-
-def grid_triples(grid: list[float]) -> list[tuple[float, float, float]]:
-    """All ordered triples (t, s, t0) with t >= s >= t0."""
-    return [(grid[i], grid[j], grid[k])
-            for i in range(len(grid)) for j in range(i + 1) for k in range(j + 1)]
-
-
-def grid_slots(size: int) -> np.ndarray:
-    """For every triple of grid indices i >= j >= k, in ``grid_triples``
-    order, the positions in ``grid_pairs`` of its (i, k), (i, j) and (j, k)
-    pairs as an (m, 3) array; pair (i, j) sits at i(i+1)/2 + j."""
-    rows, cols = np.tril_indices(size)  # pair p is (rows[p], cols[p])
-    left = np.repeat(np.arange(len(rows)), cols + 1)
-    k = np.arange(len(left)) - np.repeat(np.cumsum(cols + 1) - (cols + 1), cols + 1)
-    i, j = rows[left], cols[left]
-    return np.stack([i * (i + 1) // 2 + k, left, j * (j + 1) // 2 + k], axis=1)
+def triple_blocks(size: int):
+    """For each outer grid index i, the rows in ``grid_pairs`` of the (i, k),
+    (i, j) and (j, k) pairs of every triple i >= j >= k. The (j, k) pairs are
+    the leading (i + 1)(i + 2)/2 rows, so they come as a slice; the (i, k)
+    and (i, j) pairs as index arrays. No block is longer than the pairs."""
+    rows, cols = np.tril_indices(size)
+    for i in range(size):
+        m, first = (i + 1) * (i + 2) // 2, i * (i + 1) // 2
+        yield first + cols[:m], first + rows[:m], slice(m)
 
 
 def test_vector_batch(dimension: int, samples: int, seed: int) -> tuple[list[str], np.ndarray]:

@@ -11,7 +11,7 @@ from tricho import (DomainError, GeneratorSpec, GrowthRate, PreconditionError,
                     ProjectorFamily, check_cocycle, check_identity,
                     from_generator, rate_model, run, scenario_from_tree)
 from tricho import evolution, norms, projectors, runner, scenario, trichotomy
-from tricho.util import grid_pairs, grid_slots, grid_triples, make_grid, opnorm
+from tricho.util import make_grid, opnorm
 
 # frozen scalar-arithmetic oracles for the model operator at (1, 0), u(t)=t+1
 DIAG_1_0 = [0.18393972058572117, 3.694528049465325, 0.6420127083438707]
@@ -84,19 +84,18 @@ def test_identity_axiom_on_grid(uniform_operator, grid10):
 
 
 def test_cocycle_closed_form(nonuniform_operator):
-    report = check_cocycle(nonuniform_operator,
-                           grid_triples([0.0, 1.0, 2.0, 4.0]), 1e-12)
+    report = check_cocycle(nonuniform_operator, [0.0, 1.0, 2.0, 4.0], 1e-12)
     assert report.passed
 
 
 def test_cocycle_degenerate_triple(uniform_operator):
-    report = check_cocycle(uniform_operator, [(3.0, 3.0, 3.0)], 1e-15)
+    report = check_cocycle(uniform_operator, [3.0, 3.0, 3.0], 1e-15)
     assert report.residuals["cocycle"] == 0.0
 
 
-def test_cocycle_malformed_triple(uniform_operator):
-    with pytest.raises(ValueError):
-        check_cocycle(uniform_operator, [(1.0, 2.0, 0.0)], 1e-12)
+def test_cocycle_times_out_of_order_raise_naming_the_pair(uniform_operator):
+    with pytest.raises(DomainError, match=r"\(1\.0, 2\.0\) outside the domain"):
+        check_cocycle(uniform_operator, [0.0, 2.0, 1.0], 1e-12)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
@@ -135,7 +134,7 @@ def test_rotation_generator_half_turn():
 def test_rotation_cocycle_residual():
     gen = GeneratorSpec.constant([[0.0, 1.0], [-1.0, 0.0]], 1e-3)
     operator = from_generator(gen)
-    report = check_cocycle(operator, [(math.pi, math.pi / 2, 0.0)], 1e-6)
+    report = check_cocycle(operator, [0.0, math.pi / 2, math.pi], 1e-6)
     assert report.passed
 
 
@@ -155,7 +154,7 @@ def test_anchored_queries_compose_with_cached_factors():
     grid = make_grid(4.0, 0.5)
     gen = GeneratorSpec.constant(np.diag([-1.0, 0.5]), 1e-3)
     operator = from_generator(gen, anchors=grid)
-    report = check_cocycle(operator, grid_triples(grid), 1e-12)
+    report = check_cocycle(operator, grid, 1e-12)
     assert report.passed
     # off-anchor query still works
     off = operator.evaluate(0.75, 0.25)
@@ -169,7 +168,7 @@ def test_anchored_queries_compose_with_cached_factors():
                         1e-3)
     operator = from_generator(gen, anchors=anchors)
     free = from_generator(gen)  # no anchors: one RK4 run per query
-    assert check_cocycle(operator, grid_triples(anchors), 1e-12).passed
+    assert check_cocycle(operator, anchors, 1e-12).passed
     # anchor-aligned: the left-to-right product of the interval propagators
     for lo, hi in [(0, len(anchors) - 1), (2, 5), (3, 4)]:
         want = np.eye(2)
@@ -418,17 +417,16 @@ def test_batched_cocycle_matches_per_triple_loop():
                                               [-1.0, 0.3 * np.sin(t)]]), 0.01)
     grid = make_grid(2.0, 0.25)
     operator = from_generator(gen, anchors=grid[::2])
-    triples = grid_triples(grid)
-    triples = triples[::-1] + triples[:7]  # out of order, with duplicates
     want = 0.0
-    for t, s, t0 in triples:
-        direct = operator.evaluate(t, t0)
-        residual = opnorm(direct - operator.evaluate(t, s) @ operator.evaluate(s, t0))
-        want = max(want, residual / max(1.0, opnorm(direct)))
+    for i, t in enumerate(grid):
+        for j, s in enumerate(grid[:i + 1]):
+            for t0 in grid[:j + 1]:
+                direct = operator.evaluate(t, t0)
+                residual = opnorm(direct - operator.evaluate(t, s)
+                                  @ operator.evaluate(s, t0))
+                want = max(want, residual / max(1.0, opnorm(direct)))
     assert want > 0.0
-    assert check_cocycle(operator, triples, 1e-12).residuals["cocycle"] == want
-    with pytest.raises(ValueError, match="not ordered"):
-        check_cocycle(operator, triples + [(0.5, 1.0, 0.0)], 1e-12)
+    assert check_cocycle(operator, grid, 1e-12).residuals["cocycle"] == want
 
 
 def per_pair_model(rates, family, t, s):
@@ -559,22 +557,6 @@ def test_out_of_domain_pair_raises_beside_stored_pairs(uniform_operator):
     for bad in [(1.0, 2.0), (0.5, -0.5)]:
         with pytest.raises(DomainError):
             uniform_operator.evaluate_many(stored + [bad])
-
-
-def test_grid_slots_cocycle_matches_float_triples():
-    # off-anchor queries of a non-commuting generator give nonzero residuals
-    gen = GeneratorSpec(2, batched(lambda t: [[-0.5, 1.0 + t],
-                                              [-1.0, 0.3 * np.sin(t)]]), 0.01)
-    grid = make_grid(2.0, 0.25)
-    operator = from_generator(gen, anchors=grid[::2])
-    want = check_cocycle(operator, grid_triples(grid), 1e-12).residuals["cocycle"]
-    got = check_cocycle(operator, grid_slots(len(grid)), 1e-12,
-                        pairs=grid_pairs(grid)).residuals["cocycle"]
-    assert want > 0.0 and got == want
-    slots = grid_slots(len(grid))
-    slots[5, [1, 2]] = slots[5, [2, 1]]
-    with pytest.raises(ValueError, match="slots"):
-        check_cocycle(operator, slots, 1e-12, pairs=grid_pairs(grid))
 
 
 def model_operator(family, rates):

@@ -16,7 +16,7 @@ from tricho import norms, runner
 from tricho.cli import main
 from tricho.reports import (CheckReport, CompatibilityReport, Rows, TheoremReport,
                             TrichotomyReport)
-from tricho.scenario import CHECK_NAMES
+from tricho.scenario import CHECK_NAMES, read_tree
 from tricho.util import make_grid
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -249,6 +249,11 @@ def test_bounds_validation():
     tree = minimal_tree(bounds={"uniform": 0.5})
     with pytest.raises(ScenarioError, match="uniform"):
         scenario_from_tree(tree)
+    # a trichotomy bound of 1 at t = 0 parses; CLI_PARSE_ERRORS has one below
+    for bound in ({"kind": "constant", "value": 1.0},
+                  {"kind": "affine", "coeff": 0.0, "offset": 1.0}):
+        scenario = scenario_from_tree(minimal_tree(bounds={"trichotomy": bound}))
+        assert scenario.bounds["trichotomy"](0.0) == 1.0
 
 
 def test_uniform_example_scenario_all_pass():
@@ -273,14 +278,28 @@ def test_example_cli_all_pass(tmp_path, capsys, path):
 
 
 def test_failed_prerequisite_skips_dependents(tmp_path):
-    tree = minimal_tree(checks=["uniform", "norms"],
-                        bounds={"uniform": 5.0},
-                        grid={"t_max": 10.0, "step": 0.5})
-    tree["rates"]["u"] = {"kind": "polynomial", "exponent": 1.0}
+    # a generator that mixes the first two coordinates: P1 is not invariant
+    matrix = [[-1.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.5]]
+    tree = minimal_tree(checks=["invariance", "compatibility", "uniform", "norms"],
+                        operator={"type": "ode", "step": 0.1, "matrix": matrix},
+                        grid={"t_max": 2.0, "step": 0.5}, horizon=1.0)
     report = run(scenario_from_tree(tree))
     statuses = {c["name"]: c["status"] for c in report.checks}
-    assert statuses["uniform"] == "fail"
-    assert statuses["norms"] == "skipped"
+    assert statuses == {"invariance": "fail", "compatibility": "fail",
+                        "uniform": "skipped", "norms": "skipped"}
+    assert report.exit_code == 1
+
+
+def test_failed_splitting_check_skips_no_norm_check():
+    tree = read_tree(SCENARIOS / "nonuniform_example.json")
+    tree["bounds"]["trichotomy"] = {"kind": "constant", "value": 3.0}
+    report = run(scenario_from_tree(tree))
+    statuses = {c["name"]: c["status"] for c in report.checks}
+    assert statuses["trichotomy"] == statuses["trichotomy_full"] == "fail"
+    assert "skipped" not in statuses.values()
+    assert all(statuses[name] == "pass" for name in (
+        "norms", "norm_trichotomy", "norm_trichotomy_unprojected",
+        "rate_instantiation"))
     assert report.exit_code == 1
 
 
@@ -423,6 +442,12 @@ CLI_PARSE_ERRORS = {  # case -> (scenario file or tree, options, text of the err
         "kind": "exponential", "exponent": 1.0}}), [], "rates.v is not"),
     "misspelt_uniform_bound": (minimal_tree(bounds={"uniformm": 2.0}), [],
                                "bounds.uniformm is not"),
+    # a trichotomy bound below 1 at t = 0, just under the limit
+    "constant_trichotomy_bound_below_one": (minimal_tree(bounds={"trichotomy": {
+        "kind": "constant", "value": 0.999}}), [], "bounds.trichotomy.value"),
+    "affine_trichotomy_offset_below_one": (minimal_tree(bounds={"trichotomy": {
+        "kind": "affine", "coeff": 5.0, "offset": 0.999}}), [],
+        "bounds.trichotomy.offset"),
     "extra_builtin_key": (minimal_tree(operator={
         "type": "ode", "step": 0.01,
         "builtin": {"name": "periodic_diag", "omega": 1.0, "phase": 0.5}}),

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from tricho import GeneratorSpec, ProjectorFamily, check_cocycle, from_generator, util
+from tricho import (GeneratorSpec, ProjectorFamily, check_cocycle, evolution,
+                    from_generator, util)
 from tricho.norms import query_lattice
-from tricho.util import grid_pairs, grid_slots, make_grid, opnorms, peak, range_basis
+from tricho.util import grid_pairs, make_grid, opnorms, peak, range_basis
 
 
 def all_svd_peak(stack, scale=1.0):
@@ -52,16 +53,23 @@ def test_peak_keeps_the_svd_answer_on_nonfinite_residuals():
     assert np.isnan(peak(stack, np.full(4, 3.0)))
 
 
-def test_cocycle_sends_fewer_residuals_than_triples_to_the_svd(monkeypatch):
-    # the ode_block_g41 benchmark operator: G = 41, 12,341 triples
+def ode_block_g41():
+    """The ode_block_g41 benchmark operator and its grid: G = 41, 861 pairs,
+    12,341 triples."""
     matrix = [[-1.5, 0.0, 0.0, 0.0], [0.0, 2.5, 1.0, 0.0],
               [0.0, -1.0, 2.5, 0.0], [0.0, 0.0, 0.0, 0.0]]
     grid = make_grid(10.0, 0.25)
-    operator = from_generator(GeneratorSpec.constant(matrix, 0.05),
-                              anchors=query_lattice(grid, 5.0, 0.25))
-    pairs, slots = grid_pairs(grid), grid_slots(len(grid))
-    stack = operator.evaluate_many(pairs)
-    direct, left, right = slots.T
+    return from_generator(GeneratorSpec.constant(matrix, 0.05),
+                          anchors=query_lattice(grid, 5.0, 0.25)), grid
+
+
+def test_cocycle_sends_fewer_residuals_than_triples_to_the_svd(monkeypatch):
+    operator, grid = ode_block_g41()
+    stack = operator.evaluate_many(grid_pairs(grid))
+    row = lambda a, b: a * (a + 1) // 2 + b  # of pair (a, b) in grid_pairs
+    i, j, k = np.array([(i, j, k) for i in range(len(grid))
+                        for j in range(i + 1) for k in range(j + 1)]).T
+    direct, left, right = row(i, k), row(i, j), row(j, k)
     want = all_svd_peak(stack[direct] - stack[left] @ stack[right],
                         np.maximum(1.0, opnorms(stack))[direct])
     counted = []
@@ -70,10 +78,22 @@ def test_cocycle_sends_fewer_residuals_than_triples_to_the_svd(monkeypatch):
         counted.append(len(stack))
         return opnorms(stack)
     monkeypatch.setattr(util, "opnorms", counting)
-    got = check_cocycle(operator, slots, 1e-8, pairs=pairs).residuals["cocycle"]
+    got = check_cocycle(operator, grid, 1e-8).residuals["cocycle"]
     assert got == want > 0.0
-    assert 0 < sum(counted) < len(slots) // 10
+    assert 0 < sum(counted) < len(direct) // 10
 
+
+def test_cocycle_residual_stacks_are_no_taller_than_the_pair_stack(monkeypatch):
+    operator, grid = ode_block_g41()
+    heights = []
+
+    def measuring(stack, scale=1.0):
+        heights.append(len(stack))
+        return peak(stack, scale)
+    monkeypatch.setattr(evolution, "peak", measuring)
+    check_cocycle(operator, grid, 1e-8)
+    assert sum(heights) == 12341
+    assert max(heights) <= len(grid_pairs(grid)) == 861
 
 
 class DictStore:
