@@ -38,8 +38,8 @@ class EvolutionOperator:
     pairs as an (m, n, n) stack. Each distinct pair is computed once per
     operator and kept read-only in the array-keyed ``store``. Everything
     derived from U that a lookup cannot rebuild is kept beside it through
-    ``keep``: the restricted inverses, factor tables, norm terms and their
-    values on the sample vectors, the theorem sides and the theorem reports.
+    ``keep``: the restricted inverses, factor tables, norm terms, their
+    values on the sample vectors and the norm systems' margin tables.
     ``run`` empties ``kept`` when it returns.
     """
 
@@ -216,11 +216,13 @@ def from_generator(spec: GeneratorSpec, anchors=None) -> EvolutionOperator:
     return EvolutionOperator(n, compute)
 
 
-def conjugate(operator: EvolutionOperator, basis_change: np.ndarray) -> EvolutionOperator:
-    """Operator in a new orthonormal basis: Q U(t, s) Q^T."""
-    q = np.array(basis_change, dtype=float)
-    return EvolutionOperator(operator.dimension,
-                             lambda pairs: q @ operator.evaluate_many(pairs) @ q.T)
+def conjugate(operator: EvolutionOperator, frame: Callable) -> EvolutionOperator:
+    """Operator in a moving orthonormal frame: Q(t) U(t, s) Q(s)^T, where
+    ``frame`` gives Q over an array of times as an (m, n, n) stack."""
+    def compute(pairs):
+        q_t, q_s = (frame(x) for x in pairs.T)
+        return q_t @ operator.evaluate_many(pairs) @ np.swapaxes(q_s, -1, -2)
+    return EvolutionOperator(operator.dimension, compute)
 
 
 def check_identity(operator: EvolutionOperator, times, tol: float) -> CheckReport:

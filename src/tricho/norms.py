@@ -255,8 +255,8 @@ def check_compatibility(norm_family: LyapunovNormFamily, grid, samples: int,
     """Estimate the sandwich constants |x| <= |x|_t <= C(t) |x|.
 
     C(t) is maximized over the orthonormal basis plus seeded random unit
-    vectors: column 0 of the family's kept ``values``, which the theorem
-    sides read too. The lower bound is exact on every sample. The estimate
+    vectors: column 0 of the family's kept ``values``, which
+    ``theorem_tables`` reads too. The lower bound is exact on every sample. The estimate
     is cross-checked against three times the envelope of the terms' peaks,
     the full-norm required factors over their lattice stacks, which the
     construction can never exceed. The report is not kept: the values and
@@ -295,90 +295,75 @@ def _require_shared_sources(forward: LyapunovNormFamily,
         raise StructuralError("norm families must be built from the same sources")
 
 
-@dataclasses.dataclass(eq=False)  # hashed by identity, part of a kept key
-class TheoremSides:
-    """What the projected and unprojected norm systems share: ``lhs[tag]``,
-    the left-hand norms as (pairs, batch) in ``grid_pairs`` order (center
-    tags only when some pair has a central member), and ``base[variant]``,
-    the norms of x, P1 x, P2 x and P3 x at each grid time as (grid, 4, batch).
-    """
-
-    grid: list[float]
-    ids: list[str]
-    lhs: dict[str, np.ndarray]
-    base: dict[str, np.ndarray]
-    central: np.ndarray  # per pair: member 3 is nonzero at t or at s
-
-
-def theorem_sides(forward: LyapunovNormFamily, backward: LyapunovNormFamily,
-                  grid, samples: int = 32, seed: int = 0) -> TheoremSides:
-    """Both sides of the norm inequalities over grid pairs, without rates.
-
-    The U terms are batched per t over s and the W_j terms per s over t;
-    each right-hand norm depends on one time and is taken once per time.
-    The sides are kept through ``operator.keep`` per terms of the two
-    families, grid, sample count and seed, so rebuilt families find them.
+def theorem_tables(forward: LyapunovNormFamily, backward: LyapunovNormFamily,
+                   grid, samples: int = 32, seed: int = 0) -> tuple[Rows, Rows, Rows]:
+    """Margin tables of the norm inequalities over grid pairs, worst vector
+    per (pair, tag): the projected system, the unprojected one and the
+    projection lemma, which asserts that applying any member at its own time
+    never increases either norm (it reduces the unprojected system to the
+    projected one). Inequalities are in ratio form (divided by the rate
+    value at the left argument), which keeps margins O(1) and matches the
+    exponential/polynomial specialization forms. Per ``TERMS``, N binding at
+    s means forward norms; the quotient inverts the factor's. Each tag's
+    left-hand norms, the U terms batched per t over s and the W_j terms per
+    s over t, are reduced against both right-hand sides (the kept
+    ``values``) before the next tag's are built. The tables are kept through
+    ``operator.keep`` per terms of the two families (which fix the four
+    rates), grid, sample count and seed.
     """
     _require_shared_sources(forward, backward)
     grid = list(grid)
     return forward.operator.keep(
-        ("sides", *forward.terms, *backward.terms, tuple(grid), samples, seed),
-        lambda: _theorem_sides(forward, backward, grid, samples, seed))
+        ("tables", *forward.terms, *backward.terms, tuple(grid), samples, seed),
+        lambda: _theorem_tables(forward, backward, grid, samples, seed))
 
 
-def _theorem_sides(forward, backward, grid, samples, seed) -> TheoremSides:
+def _theorem_tables(forward, backward, grid, samples, seed) -> tuple[Rows, Rows, Rows]:
     ids, x, proj = _projected(forward.family, grid, samples, seed)
     base = {nf.variant: nf.values(grid, samples, seed) for nf in (forward, backward)}
     rows, cols = np.tril_indices(len(grid))  # grid_pairs order
+    ts, ss = (np.asarray(grid, dtype=float)[i] for i in (rows, cols))
     third = forward.family.stack(3, grid).any(axis=(1, 2))
-    central = third[rows] | third[cols]
-    tags = ["stable_decay", "unstable_growth"]
-    if central.any():  # the families' center terms raised if mu or nu is missing
-        tags += ["center_growth", "center_decay"]
-    lhs = {tag: np.empty((len(rows), x.shape[1])) for tag in tags}
+    vacant = ~(third[rows] | third[cols])  # per pair: member 3 is 0 at t and s
+    tags = list(TERMS)[:2 if vacant.all() else 4]  # center terms raised if mu or nu is missing
+    # every quotient column before the (pairs, batch) work: made inside the
+    # loop, they raised the peak RSS of rate_g101 by ~0.7 MB
+    quotients = {tag: forward.rates[key].ratios(*((ss, ts) if rising else (ts, ss)))
+                 for tag, (_, key, _, rising) in TERMS.items() if tag in tags}
     pairs = grid_pairs(grid)
     u = forward.operator.evaluate_many(pairs)
     inverses = build_inverses(forward.operator, forward.family)
     offsets = np.cumsum(np.arange(len(grid) + 1))  # row i of pairs starts here
-    for tag in tags:
-        j, _, binds, _ = TERMS[tag]
+    zero = np.zeros((len(rows), 1))
+    tables = [[], []]  # projected, unprojected: per tag its _worst columns
+    for tag, (j, _, binds, _) in TERMS.items():
+        if tag not in tags:  # no central member anywhere
+            for table in tables:
+                table.append(_worst(zero, zero))
+            continue
+        lhs = np.empty((len(rows), x.shape[1]))
         for i, a in enumerate(grid):
             if binds == "s":  # |U(t, s) P_j(s) x|_t forward, t = a over s <= t
                 at = slice(offsets[i], offsets[i + 1])
-                lhs[tag][at] = forward.evaluate_many(a, u[at] @ proj[:i + 1, j])
+                lhs[at] = forward.evaluate_many(a, u[at] @ proj[:i + 1, j])
             else:  # |W_j(t, s) x|_s backward, s = a over t >= s
                 at = offsets[i:-1] + i
-                lhs[tag][at] = backward.evaluate_many(
-                    a, inverses[j].stack(pairs[at]) @ x)
-    return TheoremSides(grid, ids, lhs, base, central)
-
-
-def _theorem_table(sides: TheoremSides, rates, unprojected: bool) -> Rows:
-    """Margins of the four norm inequalities, worst vector per (pair, tag).
-
-    Inequalities are evaluated in ratio form (divided by the rate value at
-    the left argument), which keeps margins O(1) and matches the
-    exponential/polynomial specialization forms directly. Per ``TERMS``,
-    N binding at s means forward norms; the quotient inverts the factor's.
-    """
-    rows, cols = np.tril_indices(len(sides.grid))  # grid_pairs order
-    ts, ss = (np.asarray(sides.grid, dtype=float)[i] for i in (rows, cols))
-    # every quotient column before the (pairs, batch) work: made inside the
-    # loop, they raised the peak RSS of rate_g101 by ~0.7 MB
-    quotients = {tag: rates[key].ratios(*((ss, ts) if rising else (ts, ss)))
-                 for tag, (_, key, _, rising) in TERMS.items() if tag in sides.lhs}
-    columns = []
-    for tag, (column, _, at, _) in TERMS.items():
-        lhs = rhs = np.zeros((len(rows), 1))  # no central member anywhere
-        if tag in sides.lhs:
-            base = sides.base["forward" if at == "s" else "backward"][
-                cols if at == "s" else rows, 0 if unprojected else column]
-            lhs, rhs = sides.lhs[tag], quotients[tag][:, None] * base
-            if tag.startswith("center"):  # vacuous where P3 is 0 at t and s
-                lhs, rhs = (np.where(sides.central[:, None], a, 0.0)
-                            for a in (lhs, rhs))
-        columns.append(_worst(lhs, rhs))
-    return _margins(sides, (rows, cols), list(TERMS), columns)
+                lhs[at] = backward.evaluate_many(a, inverses[j].stack(pairs[at]) @ x)
+        right = base["forward" if binds == "s" else "backward"]
+        center = tag.startswith("center")
+        if center:  # vacuous where P3 is 0 at t and s
+            lhs[vacant] = 0.0
+        for table, column in zip(tables, (j, 0)):
+            rhs = quotients[tag][:, None] * right[cols if binds == "s" else rows, column]
+            if center:
+                rhs[vacant] = 0.0
+            table.append(_worst(lhs, rhs))
+    diagonal = np.arange(len(grid))
+    return (*(_margins(grid, ids, (rows, cols), list(TERMS), table) for table in tables),
+            _margins(grid, ids, (diagonal, diagonal),
+                     [f"projection_bound_{variant}" for variant in VARIANTS for _ in (1, 2, 3)],
+                     [_worst(base[variant][:, j], base[variant][:, 0])
+                      for variant in VARIANTS for j in (1, 2, 3)]))
 
 
 def _worst(lhs, rhs) -> list[np.ndarray]:
@@ -391,11 +376,11 @@ def _worst(lhs, rhs) -> list[np.ndarray]:
     return [*picked, idx[:, 0], vacuous]
 
 
-def _margins(sides, at, tags, columns) -> Rows:
+def _margins(grid, ids, at, tags, columns) -> Rows:
     """One table from per-tag ``_worst`` columns at the (t, s) grid indices."""
     lhs, rhs, margin, vector, vacuous = (np.stack(c, axis=1) for c in zip(*columns))
-    vector = np.array(sides.ids)[vector]
-    return Rows(sides.grid, *at, tags, lhs, margin, vector, {
+    vector = np.array(ids)[vector]
+    return Rows(grid, *at, tags, lhs, margin, vector, {
         "vector_id": vector, "lhs": lhs, "rhs": rhs, "margin": margin,
         "vacuous": vacuous})
 
@@ -418,39 +403,25 @@ def verify_norm_trichotomy(forward: LyapunovNormFamily,
                            backward: LyapunovNormFamily, grid,
                            tol: float = 1e-9, samples: int = 32,
                            seed: int = 0) -> TheoremReport:
-    """Constant-free inequality system in the built norms over grid pairs.
-
-    The pass threshold is tol plus the measured truncation slack of the two
-    families. The report is kept through ``operator.keep`` per sides and
-    tol (callers must not change it); the sides are shared with
-    ``verify_norm_trichotomy_unprojected`` of the same arguments.
+    """Constant-free inequality system in the built norms over grid pairs:
+    the projected table of ``theorem_tables``, kept and shared with
+    ``verify_norm_trichotomy_unprojected`` of the same arguments. The pass
+    threshold is tol plus the measured truncation slack of the two families.
     """
-    sides = theorem_sides(forward, backward, grid, samples, seed)
-    return forward.operator.keep(("theorem", sides, tol), lambda: _finish(
-        "norm_trichotomy", [_theorem_table(sides, forward.rates, unprojected=False)],
-        tol, (forward, backward), samples, seed))
+    projected = theorem_tables(forward, backward, grid, samples, seed)[0]
+    return _finish("norm_trichotomy", [projected], tol, (forward, backward),
+                   samples, seed)
 
 
 def verify_norm_trichotomy_unprojected(forward: LyapunovNormFamily,
                                        backward: LyapunovNormFamily, grid,
                                        tol: float = 1e-9, samples: int = 32,
                                        seed: int = 0) -> TheoremReport:
-    """Variant with unprojected right-hand sides, plus the projection lemma.
-
-    The lemma rows assert that applying any member at its own time never
-    increases either norm; they are what reduces this system to the
-    projected one.
-    """
-    sides = theorem_sides(forward, backward, grid, samples, seed)
-    diagonal = np.arange(len(sides.grid))
-    lemma = _margins(
-        sides, (diagonal, diagonal),
-        [f"projection_bound_{variant}" for variant in VARIANTS for _ in (1, 2, 3)],
-        [_worst(sides.base[variant][:, j], sides.base[variant][:, 0])
-         for variant in VARIANTS for j in (1, 2, 3)])
-    return _finish("norm_trichotomy_unprojected",
-                   [_theorem_table(sides, forward.rates, unprojected=True), lemma],
-                   tol, (forward, backward), samples, seed)
+    """Variant with unprojected right-hand sides, plus the projection lemma:
+    the other two tables of ``theorem_tables``."""
+    _, unprojected, lemma = theorem_tables(forward, backward, grid, samples, seed)
+    return _finish("norm_trichotomy_unprojected", [unprojected, lemma], tol,
+                   (forward, backward), samples, seed)
 
 
 def verify_sufficiency(forward: LyapunovNormFamily,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, NotStronglyInvariantError, StructuralError
 from .reports import CheckReport
-from .util import MatrixStore, grid_pairs, peak, range_bases, triple_blocks
+from .util import MatrixStore, grid_pairs, opnorms, peak, range_bases, triple_blocks
 
 RANK_TOL = 1e-10  # scale-invariant: smallest singular value vs largest
 
@@ -119,17 +119,20 @@ def check_orthogonal(family: ProjectorFamily, grid, tol: float) -> CheckReport:
                        passed=all(v <= tol for v in worst.values()))
 
 
-def _commutation(family, index: int, u: np.ndarray, pairs: np.ndarray) -> float:
-    """Worst |U(t,s)P(s) - P(t)U(t,s)| of one member over a stack of U."""
+def _commutation(family, index: int, u: np.ndarray, pairs: np.ndarray, u_norm) -> float:
+    """Worst |U(t,s)P(s) - P(t)U(t,s)| / max(1, |U(t,s)|) of one member over
+    a stack of U and its spectral norms."""
     p_s = family.stack(index, pairs[:, 1])
-    return peak(u @ p_s - family.stack(index, pairs[:, 0]) @ u)
+    return peak(u @ p_s - family.stack(index, pairs[:, 0]) @ u, np.maximum(1.0, u_norm))
 
 
 def check_invariance(family: ProjectorFamily, operator, pairs, tol: float) -> CheckReport:
-    """Worst commutation residual |U(t,s)P_i(s) - P_i(t)U(t,s)| over pairs."""
+    """Worst commutation residual |U(t,s)P_i(s) - P_i(t)U(t,s)| over pairs,
+    relative to |U(t,s)| floored at 1, as ``check_cocycle`` explains."""
     pairs = ordered_pairs(pairs)
     u = operator.evaluate_many(pairs)
-    worst = max(_commutation(family, i, u, pairs) for i in (1, 2, 3))
+    u_norm = opnorms(u)
+    worst = max(_commutation(family, i, u, pairs, u_norm) for i in (1, 2, 3))
     return CheckReport("invariance", tol, {"commutation": worst}, worst <= tol)
 
 
@@ -218,16 +221,18 @@ def check_compatible(family: ProjectorFamily, operator, grid, tol: float) -> Che
     """Invariance of P1 plus two-sided inverse identities for P2 and P3.
 
     For every grid pair the computed W(t, s) must satisfy
-    U(t,s) W = P_j(t) and W U(t,s) P_j(s) = P_j(s) within tol. Zero members
-    pass vacuously. A rank-deficient restriction fails the report rather
-    than raising.
+    U(t,s) W = P_j(t) and W U(t,s) P_j(s) = P_j(s) within tol relative to
+    |U| |W|, and P1 commute with U relative to |U|, each floored at 1. Zero
+    members pass vacuously. A rank-deficient restriction fails the report
+    rather than raising.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
     pairs = grid_pairs(grid)
     u = operator.evaluate_many(pairs)
-    residuals = {"invariance_p1": _commutation(family, 1, u, pairs),
+    u_norm = opnorms(u)
+    residuals = {"invariance_p1": _commutation(family, 1, u, pairs, u_norm),
                  "right_inverse": 0.0, "left_inverse": 0.0}
     notes = []
     for j in (2, 3):
@@ -236,8 +241,9 @@ def check_compatible(family: ProjectorFamily, operator, grid, tol: float) -> Che
         notes += failed[~ok].tolist()
         p_t, p_s = (family.stack(j, x) for x in pairs[ok].T)
         w, u_ok = w[ok], u[ok]
-        residuals["right_inverse"] = max(residuals["right_inverse"], peak(u_ok @ w - p_t))
-        residuals["left_inverse"] = max(residuals["left_inverse"], peak(w @ u_ok @ p_s - p_s))
+        scale = np.maximum(1.0, u_norm[ok] * opnorms(w))
+        for key, r in (("right_inverse", u_ok @ w - p_t), ("left_inverse", w @ u_ok @ p_s - p_s)):
+            residuals[key] = max(residuals[key], peak(r, scale))
     passed = not notes and all(v <= tol for v in residuals.values())
     return CheckReport("compatibility", tol, residuals, passed, notes)
 
@@ -246,8 +252,9 @@ def check_inverse_properties(operator, family: ProjectorFamily, index: int,
                              times, tol: float) -> CheckReport:
     """Full identity suite for a restricted inverse family over ascending times.
 
-    Residual keys: right_inverse (U W = P at t), left_inverse (W U P = P at s)
-    and range (W lands in Range P(s)) over every pair t >= s of ``times``;
+    Residual keys: right_inverse (U W = P at t) and left_inverse (W U P = P
+    at s), relative to |U| |W| floored at 1 as in ``check_compatible``, and
+    range (W lands in Range P(s)) over every pair t >= s of ``times``;
     equal_time (W(t, t) = P(t)) on its diagonal pairs; cocycle
     (W(t, t0) = W(s, t0) W(t, s)) over every triple t >= s >= t0, taken one
     outer time at a time (``util.triple_blocks``).
@@ -257,11 +264,12 @@ def check_inverse_properties(operator, family: ProjectorFamily, index: int,
     u = operator.evaluate_many(pairs)
     p_t, p_s = (family.stack(index, x) for x in pairs.T)
     equal = pairs[:, 0] == pairs[:, 1]
+    scale = np.maximum(1.0, opnorms(u) * opnorms(w))
     cocycle = 0.0
     for direct, left, right in triple_blocks(len(times)):
         cocycle = max(cocycle, peak(w[direct] - w[right] @ w[left]))
-    worst = {"right_inverse": peak(u @ w - p_t),
-             "left_inverse": peak(w @ u @ p_s - p_s),
+    worst = {"right_inverse": peak(u @ w - p_t, scale),
+             "left_inverse": peak(w @ u @ p_s - p_s, scale),
              "cocycle": cocycle,
              "range": peak(w - p_s @ w),
              "equal_time": peak(w[equal] - p_t[equal])}

@@ -20,6 +20,7 @@ from .errors import ScenarioError
 from .evolution import GeneratorSpec
 from .projectors import ProjectorFamily
 from .rates import GrowthRate
+from .util import opnorm
 
 STAGES = (  # the checks a run takes, by stage in dependency order
     ("orthogonality",),
@@ -123,8 +124,10 @@ def _parse_rate(spec, key: str) -> GrowthRate:
     where = f"rates.{key}"
     try:
         if kind in ("exponential", "polynomial"):
+            _known(spec, ("kind", "exponent"), where)
             return GrowthRate(kind, _number(spec, "exponent", where))
         if kind == "tabulated":
+            _known(spec, ("kind", "table"), where)
             table = _require(spec, "table", list, where)
             where += ".table"
             _finite_array(table, (len(table), 2), where)
@@ -155,11 +158,13 @@ def _parse_bound(spec, where: str):
     where the factor |P_j(0)| of a nonzero projector is already >= 1."""
     kind = spec.get("kind")
     if kind == "constant":
+        _known(spec, ("kind", "value"), where)
         value = _number(spec, "value", where)
         if value < 1:
             raise ScenarioError(f"{where}.value must be >= 1")
         return lambda a: value
     if kind == "affine":
+        _known(spec, ("kind", "coeff", "offset"), where)
         coeff = _number(spec, "coeff", where)
         offset = _number(spec, "offset", where)
         if coeff < 0:
@@ -199,6 +204,7 @@ def scenario_from_tree(tree: dict) -> Scenario:
         raise ScenarioError("dimension is too large for an n x n float64 array")
 
     grid = _require(tree, "grid", dict)
+    _known(grid, ("t_max", "step"), "grid")
     t_max = _number(grid, "t_max", "grid")
     step = _number(grid, "step", "grid")
     if t_max <= 0:
@@ -232,10 +238,14 @@ def scenario_from_tree(tree: dict) -> Scenario:
     operator = _require(tree, "operator", dict)
     op_type = operator.get("type")
     if op_type == "rate_model":
+        _known(operator, ("type",), "operator")
         if "u" not in rates:
             raise ScenarioError("operator.type rate_model needs rates.u")
         generator = None
     elif op_type == "ode":
+        _known(operator, ("type", "step", "matrix", "builtin"), "operator")
+        if "matrix" in operator and "builtin" in operator:
+            raise ScenarioError("operator takes either matrix or builtin, not both")
         op_step = _number(operator, "step", "operator")
         if op_step <= 0:
             raise ScenarioError("operator.step must be positive")
@@ -274,6 +284,7 @@ def scenario_from_tree(tree: dict) -> Scenario:
     projectors = _require(tree, "projectors", dict)
     proj_type = projectors.get("type")
     if proj_type == "coordinate_split":
+        _known(projectors, ("type", "sizes"), "projectors")
         sizes = _require(projectors, "sizes", list, "projectors")
         if len(sizes) != 3 or any(type(v) is not int or v < 0 for v in sizes):
             raise ScenarioError("projectors.sizes must be three nonnegative integers")
@@ -282,6 +293,7 @@ def scenario_from_tree(tree: dict) -> Scenario:
                 f"projectors.sizes must sum to dimension {n}, got {sum(sizes)}")
         family = ProjectorFamily.coordinate_split(*sizes)
     elif proj_type == "explicit":
+        _known(projectors, ("type", "matrices"), "projectors")
         mats = _require(projectors, "matrices", list, "projectors")
         if len(mats) != 3:
             raise ScenarioError("projectors.matrices must list three matrices")
@@ -315,6 +327,10 @@ def scenario_from_tree(tree: dict) -> Scenario:
         if name not in CHECK_NAMES:
             raise ScenarioError(f"checks: unknown check {name!r} "
                                 f"(known: {', '.join(CHECK_NAMES)})")
+    if "dichotomy" in checks and opnorm(family.member(3, 0.0)) > 1e-12:  # as check_dichotomy
+        key = "sizes" if proj_type == "coordinate_split" else "matrices"
+        raise ScenarioError(f"projectors.{key}[2] gives a nonzero member 3: "
+                            "dichotomy needs it to vanish")
 
     bounds_tree = _optional(tree, "bounds", dict, {})
     _known(bounds_tree, ("trichotomy", "uniform"), "bounds")
@@ -332,6 +348,7 @@ def scenario_from_tree(tree: dict) -> Scenario:
     inst = _optional(tree, "rate_instantiation", (dict, type(None)), None)
     instantiation = None
     if inst is not None:
+        _known(inst, ("kind", "exponents"), "rate_instantiation")
         kind = inst.get("kind")
         if kind not in ("exponential", "polynomial"):
             raise ScenarioError("rate_instantiation.kind must be exponential "

@@ -510,8 +510,8 @@ def test_run_computes_each_distinct_pair_once(monkeypatch):
     monkeypatch.setattr(projectors, "restricted_inverses", counted_inverses)
     monkeypatch.setattr(trichotomy, "_factors", counted_factors)
     monkeypatch.setattr(evolution.EvolutionOperator, "keep", counted_keep)
-    for name in ("LyapunovNormFamily", "NormTerm", "TheoremSides",
-                 "TheoremReport", "CompatibilityReport"):
+    for name in ("LyapunovNormFamily", "NormTerm", "TheoremReport",
+                 "CompatibilityReport"):
         counted_class(name)
     rate = lambda kind, a: {"kind": kind, "exponent": a}
     tree = {
@@ -532,13 +532,17 @@ def test_run_computes_each_distinct_pair_once(monkeypatch):
     assert tables and len(tables) == len(set(tables))
     assert kept and len(kept) == len(set(kept))
     # the instantiation rates equal the scenario's, so every pair of norm
-    # families sums the same four terms, not six stacks: one set of theorem
-    # sides and one theorem report per norm system. Families are rebuilt by
-    # each of the four norm checks, and compatibility reports by the norms
-    # check and the sufficiency loop, from the kept terms and their values.
+    # families sums the same four terms, not six stacks: one kept set of
+    # theorem tables, and one report per theorem check made from it. Families
+    # are rebuilt by each of the four norm checks, and compatibility reports
+    # by the norms check and the sufficiency loop, from the kept terms and
+    # their values.
+    assert [key[0] for key in kept].count("tables") == 1
+    assert {key[0] for key in kept} == {"inverses", "factors", "norm_term",
+                                        "term_values", "tables"}
     assert sorted(built) == (["CompatibilityReport"] * 4
                              + ["LyapunovNormFamily"] * 8 + ["NormTerm"] * 4
-                             + ["TheoremReport"] * 2 + ["TheoremSides"])
+                             + ["TheoremReport"] * 3)
 
 
 def test_stored_pairs_are_not_changed_through_returned_stacks(nonuniform_operator):

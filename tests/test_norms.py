@@ -11,7 +11,7 @@ from tricho import (DomainError, GeneratorSpec, GrowthRate, ProjectorFamily,
                     rate_model, required_factor, verify_norm_trichotomy,
                     verify_norm_trichotomy_unprojected, verify_sufficiency)
 from tricho import norms, parse_scenario, run, runner, util
-from tricho.norms import query_lattice, theorem_sides
+from tricho.norms import query_lattice, theorem_tables
 from tricho.projectors import build_inverses
 from tricho.trichotomy import factor_table
 from tricho.util import make_grid
@@ -251,10 +251,12 @@ def test_specialization_with_the_family_rates_shares_their_report():
                                         operator, family, grid, 1.0, 0.5,
                                         1e-9, 8, 3)
     assert special.payload() == report.payload()
-    assert special.tables is report.tables  # the kept report, relabelled
+    assert special.tables[0] is report.tables[0]  # the kept projected table
+    assert special.tables[0] is theorem_tables(fwd, bwd, grid, 8, 3)[0]
     assert special.label == "exponential_rates"
     assert report.label == "norm_trichotomy"
-    assert verify_norm_trichotomy(fwd, bwd, grid, 1e-9, 8, 3) is report
+    again = verify_norm_trichotomy(fwd, bwd, grid, 1e-9, 8, 3)
+    assert again.tables[0] is report.tables[0]
 
 
 def small_model_families(rates):
@@ -267,18 +269,22 @@ def small_model_families(rates):
     return grid, build
 
 
-def test_families_built_again_find_the_kept_sides_and_report():
+def test_families_built_again_find_the_kept_tables():
     e = GrowthRate.exponential
     rates = {"h": e(1.0), "k": e(2.0), "mu": e(0.5), "nu": e(0.25)}
     grid, build = small_model_families(rates)
     first, second = build(rates), build(dict(rates))
     assert first[0] is not second[0]
     assert first[0].terms == second[0].terms
-    assert theorem_sides(*first, grid, 8, 3) is theorem_sides(*second, grid, 8, 3)
+    tables = theorem_tables(*first, grid, 8, 3)
+    assert theorem_tables(*second, grid, 8, 3) is tables
     report = verify_norm_trichotomy(*first, grid, 1e-9, 8, 3)
-    assert verify_norm_trichotomy(*second, grid, 1e-9, 8, 3) is report
+    assert verify_norm_trichotomy(*second, grid, 1e-9, 8, 3).tables[0] is tables[0]
+    unprojected = verify_norm_trichotomy_unprojected(*second, grid, 1e-9, 8, 3)
+    assert all(a is b for a, b in zip(unprojected.tables, tables[1:]))
+    assert report.tables == [tables[0]]
     other = build({**rates, "h": e(1.5)})  # another stable term
-    assert theorem_sides(*other, grid, 8, 3) is not theorem_sides(*first, grid, 8, 3)
+    assert theorem_tables(*other, grid, 8, 3) is not tables
 
 
 def test_values_draw_the_vectors_only_for_terms_not_kept(monkeypatch):
@@ -444,11 +450,44 @@ def test_batched_theorem_records_match_per_pair_loop():
         got = [tuple(r[k] for k in ("tag", "t", "s", "vector_id", "margin"))
                for r in report.records]
         assert got == reference_theorem_rows(fwd, bwd, grid, 6, 17, unprojected)
-    sides = theorem_sides(fwd, bwd, grid, samples=6, seed=17)
-    assert theorem_sides(fwd, bwd, iter(grid), samples=6, seed=17) is sides
-    other = theorem_sides(fwd, bwd, grid, samples=6, seed=18)
-    assert other is not sides
-    assert theorem_sides(fwd, bwd, grid, samples=6, seed=18) is other
+    tables = theorem_tables(fwd, bwd, grid, samples=6, seed=17)
+    assert theorem_tables(fwd, bwd, iter(grid), samples=6, seed=17) is tables
+    other = theorem_tables(fwd, bwd, grid, samples=6, seed=18)
+    assert other is not tables
+    assert theorem_tables(fwd, bwd, grid, samples=6, seed=18) is other
+
+
+def held_arrays(root) -> list[np.ndarray]:
+    """Every array reachable from ``root`` through containers and attributes."""
+    seen, todo, arrays = set(), [root], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, dict):
+            todo += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple)):
+            todo += obj
+        elif hasattr(obj, "__dict__") and not callable(obj):
+            todo += vars(obj).values()
+    return arrays
+
+
+def test_norm_systems_keep_no_pair_by_vector_array():
+    scenario = parse_scenario(SCENARIOS / "nonuniform_example.json")
+    grid = make_grid(scenario.grid_max, scenario.grid_step)
+    operator = runner._build_operator(scenario, grid)
+    fwd, bwd = runner._norm_families(scenario, operator, grid)
+    for verify in (verify_norm_trichotomy, verify_norm_trichotomy_unprojected):
+        assert verify(fwd, bwd, grid, scenario.tol_theorem, scenario.samples,
+                      scenario.seed).passed
+    batch = scenario.dimension + scenario.samples
+    shapes = {a.shape for a in held_arrays(operator.kept)}
+    assert (len(grid), 4, batch) in shapes  # the kept term values
+    assert len(grid) == 21 and (231, batch) not in shapes
 
 
 @pytest.mark.parametrize("as_input", [list, iter])
@@ -763,15 +802,14 @@ def test_crosscheck_limit_is_the_full_norm_factor_envelope():
     assert all(nf.terms[0]._kept.keys() >= {0.125, 3.0} for nf, _ in cases[-2:])
 
 
-def test_compatibility_reads_the_theorem_side_bases(uniform_norms, nonuniform_norms,
-                                                   grid10):
+def test_compatibility_reads_the_kept_values(uniform_norms, nonuniform_norms,
+                                            grid10):
     block = rank_two_block_families(make_grid(2.0, 0.25), 1.0, 0.25)
     for (fwd, bwd), grid in ((uniform_norms, grid10), (nonuniform_norms, grid10),
                              (block, make_grid(2.0, 0.25))):
-        sides = theorem_sides(fwd, bwd, grid, samples=8, seed=21)
         _, x = util.test_vector_batch(fwd.family.dimension, 8, 21)
         for nf in (fwd, bwd):
-            values = sides.base[nf.variant][:, 0]
+            values = nf.values(grid, 8, 21)[:, 0]
             assert np.array_equal(values, [nf.evaluate_many(t, x) for t in grid])
             report = check_compatibility(nf, grid, samples=8, seed=21)
             assert report.ratios == values.max(axis=1).tolist()

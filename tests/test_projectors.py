@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from tricho import (EvolutionOperator, GeneratorSpec, GrowthRate,
                     build_inverses, check_compatible, check_inverse_properties,
                     check_invariance, check_orthogonal,
                     compute_restricted_inverse, from_generator,
-                    identity_operator, rate_model)
-from tricho import projectors
-from tricho.util import make_grid, opnorm
+                    identity_operator, parse_scenario, rate_model)
+from tricho import projectors, runner
+from tricho.evolution import check_cocycle, conjugate
+from tricho.util import grid_pairs, make_grid, opnorm
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 E_MINUS_2 = 0.1353352832366127  # frozen reciprocal of e^2
 
@@ -208,3 +212,39 @@ def test_batched_inverse_identities_match_per_triple_loop():
         report = check_inverse_properties(operator, family, j, grid, 1e-9)
         assert report.residuals == want
         assert report.passed
+
+
+S = np.array([[0.0, 1.0, 0.3], [-1.0, 0.0, 0.5], [-0.3, -0.5, 0.0]])  # skew
+
+
+def rotating_frame(times) -> np.ndarray:
+    """Q(t) = expm(t S) in Rodrigues' form, I + sin(θt)/θ S + (1 - cos(θt))/θ² S²
+    with θ = |S|_F / sqrt(2), over an array of times as an (m, 3, 3) stack."""
+    theta = math.sqrt(1.0 + 0.09 + 0.25)
+    t = np.asarray(times, dtype=float)[:, None, None]
+    return (np.eye(3) + np.sin(theta * t) / theta * S
+            + (1.0 - np.cos(theta * t)) / theta ** 2 * (S @ S))
+
+
+def test_structural_checks_pass_in_a_rotating_frame():
+    """The nonuniform example moved into the frame Q(t): U'(t, s) = Q(t) U(t, s)
+    Q(s)^T and P'_j(t) = Q(t) P_j Q(t)^T are the same system in other
+    coordinates. |U| reaches 4.4e7 on this grid, so residuals that are not
+    relative to it read rounding times |U| (invariance 7.7e-9 and
+    compatibility up to 2.0e-9 against tol 1e-10)."""
+    scenario = parse_scenario(SCENARIOS / "nonuniform_example.json")
+    grid = make_grid(scenario.grid_max, scenario.grid_step)
+    q = rotating_frame([1.0, 2.5, 3.5])  # orthogonal, and Q(1) Q(2.5) = Q(3.5)
+    assert np.allclose(q @ np.swapaxes(q, 1, 2), np.eye(3), 0, 1e-14)
+    assert np.allclose(q[0] @ q[1], q[2], 0, 1e-14) and len(grid) == 21
+    operator = conjugate(runner._build_operator(scenario, grid), rotating_frame)
+    family = ProjectorFamily(3, [
+        lambda t, j=j: (lambda q: q @ scenario.family.member(j, 0.0) @ q.T)(
+            rotating_frame([t])[0]) for j in (1, 2, 3)])
+    tol = scenario.tol_structural
+    assert tol == 1e-10
+    invariance = check_invariance(family, operator, grid_pairs(grid), tol)
+    compatibility = check_compatible(family, operator, grid, tol)
+    for report in (invariance, compatibility, check_cocycle(operator, grid, tol)):
+        assert report.passed, report.residuals
+    assert max(*invariance.residuals.values(), *compatibility.residuals.values()) < 1e-14

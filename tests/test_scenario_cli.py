@@ -304,13 +304,21 @@ def test_failed_splitting_check_skips_no_norm_check():
 
 
 def test_precondition_failure_recorded_as_error(tmp_path):
-    # dichotomy requested with a nonzero third member
-    tree = minimal_tree(checks=["dichotomy"])
-    report = run(scenario_from_tree(tree))
+    # dichotomy with a nonzero third member fails at parse; a scenario built
+    # past the parser reaches check_dichotomy's own guard
+    scenario = scenario_from_tree(minimal_tree())
+    scenario.checks = ["dichotomy"]
+    report = run(scenario)
     assert report.checks[0]["status"] == "error"
     assert "error" in report.checks[0]["payload"]
     assert report.overall == "error"
     assert report.exit_code == 2
+
+
+def test_dichotomy_without_a_center_member_parses():
+    tree = minimal_tree(checks=["dichotomy"], projectors={
+        "type": "coordinate_split", "sizes": [1, 2, 0]})
+    assert run(scenario_from_tree(tree)).overall == "pass"
 
 
 def test_csv_row_count_for_three_point_grid(tmp_path):
@@ -339,7 +347,7 @@ def test_emit_writes_a_shared_block_as_a_deep_copy_of_it(tmp_path):
     report = run(parse_scenario(SCENARIOS / "nonuniform_example.json"))
     blocks = {e["name"]: e["rows"] for e in report.checks}
     shared = blocks["rate_instantiation"][0][1]
-    assert shared is blocks["norm_trichotomy"][0][1]  # the kept theorem report
+    assert shared is blocks["norm_trichotomy"][0][1]  # the kept projected table
     emit(report, "csv", tmp_path / "shared")
     for entry in report.checks:
         entry["rows"] = copy.deepcopy(entry["rows"])  # no block shared
@@ -452,6 +460,33 @@ CLI_PARSE_ERRORS = {  # case -> (scenario file or tree, options, text of the err
         "type": "ode", "step": 0.01,
         "builtin": {"name": "periodic_diag", "omega": 1.0, "phase": 0.5}}),
         [], "operator.builtin.phase is not"),
+    "misspelt_grid_step": (minimal_tree(grid={"t_max": 10.0, "step": 0.5,
+                                              "stpe": 0.25}), [], "grid.stpe is not"),
+    "matrix_on_rate_model": (minimal_tree(operator={
+        "type": "rate_model", "matrix": np.eye(3).tolist()}), [],
+        "operator.matrix is not"),
+    "matrix_and_builtin": (minimal_tree(operator={
+        "type": "ode", "step": 0.01, "matrix": np.eye(3).tolist(),
+        "builtin": {"name": "periodic_diag"}}), [], "operator takes either"),
+    "matrices_on_coordinate_split": (minimal_tree(projectors={
+        "type": "coordinate_split", "sizes": [1, 1, 1],
+        "matrices": [np.eye(3).tolist()] * 3}), [], "projectors.matrices is not"),
+    "misspelt_rate_exponent": (minimal_tree(rates={**minimal_tree()["rates"], "h": {
+        "kind": "exponential", "exponent": 1.0, "exponnt": 2.0}}), [],
+        "rates.h.exponnt is not"),
+    "misspelt_bound_coeff": (minimal_tree(bounds={"trichotomy": {
+        "kind": "affine", "coeff": 1.0, "offset": 3.0, "cofe": 2.0}}), [],
+        "bounds.trichotomy.cofe is not"),
+    "extra_instantiation_key": (minimal_tree(rate_instantiation={
+        "kind": "exponential", "exponents": [1.0, 2.0, 0.5, 0.25], "extra": 1}),
+        [], "rate_instantiation.extra is not"),
+    # dichotomy needs member 3 to vanish
+    "dichotomy_with_a_center_block": (minimal_tree(checks=["dichotomy"]), [],
+                                      "projectors.sizes[2] gives a nonzero"),
+    "dichotomy_with_a_center_matrix": (minimal_tree(
+        checks=["dichotomy"], projectors={"type": "explicit", "matrices": [
+            np.diag([1.0, 0, 0]).tolist(), np.diag([0, 1.0, 0]).tolist(),
+            np.diag([0, 0, 1.0]).tolist()]}), [], "projectors.matrices[2] gives a nonzero"),
 }
 
 

@@ -160,7 +160,8 @@ def test_factors_invariant_under_orthogonal_conjugation(nonuniform_operator,
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     rotated_family = ProjectorFamily.constant(
         *(q @ np.diag([float(i == j) for i in range(3)]) @ q.T for j in range(3)))
-    rotated = conjugate(nonuniform_operator, q)
+    rotated = conjugate(nonuniform_operator,
+                        lambda times: np.broadcast_to(q, (len(times), 3, 3)))
     grid = make_grid(6.0, 1.0)
     base = check_trichotomy(nonuniform_operator,
                             ProjectorFamily.coordinate_split(1, 1, 1),
