@@ -38,9 +38,10 @@ class EvolutionOperator:
     pairs as an (m, n, n) stack. Each distinct pair is computed once per
     operator and kept read-only in the array-keyed ``store``. Everything
     derived from U that a lookup cannot rebuild is kept beside it through
-    ``keep``: the restricted inverses, factor tables, norm terms, their
-    values on the sample vectors and the norm systems' margin tables.
-    ``run`` empties ``kept`` when it returns.
+    ``keep``: the restricted inverses, one (pairs, 4) factor table per
+    splitting system and grid, the norm terms, their values on the sample
+    vectors and the norm systems' margin tables. ``run`` empties ``kept``
+    when it returns.
     """
 
     def __init__(self, dimension: int, compute: Callable[[np.ndarray], np.ndarray]):
@@ -226,8 +227,11 @@ def conjugate(operator: EvolutionOperator, frame: Callable) -> EvolutionOperator
 
 
 def check_identity(operator: EvolutionOperator, times, tol: float) -> CheckReport:
-    """Residual of U(t, t) = I over sampled times."""
-    stack = operator.evaluate_many(np.repeat(np.asarray(times, dtype=float)[:, None], 2, 1))
+    """Residual of U(t, t) = I over sampled times; none raises ValueError."""
+    times = np.asarray(times, dtype=float)
+    if not len(times):
+        raise ValueError("grid must be nonempty")
+    stack = operator.evaluate_many(np.repeat(times[:, None], 2, 1))
     worst = peak(stack - np.eye(operator.dimension))
     return CheckReport("identity", tol, {"identity": worst}, worst <= tol)
 

@@ -13,7 +13,8 @@ where W_j(t, r) = V_j(t, r) P_j(t) are the restricted inverse maps. The
 future supremum is truncated to [t, t + horizon] and sampled at the lattice
 step; the past supremum runs over the global lattice restricted to [0, t].
 Truncation honesty: each family measures how much its values move when the
-horizon doubles, and theorem verdicts widen their tolerance by that slack.
+horizon doubles at the times it is built on, which are the grid of every
+norm check, and theorem verdicts widen their tolerance by that slack.
 """
 from __future__ import annotations
 
@@ -177,9 +178,10 @@ class NormTerm:
 
 
 class LyapunovNormFamily:
-    """One norm-family variant: the sum of its three ``VARIANTS`` terms, each
-    a ``NormTerm`` kept through ``operator.keep``, so the two variants share
-    their stable and unstable terms. Evaluations are pure."""
+    """One norm-family variant on the grid ``times``, where it measures its
+    truncation slack and every norm check reads it: the sum of its three
+    ``VARIANTS`` terms, each a ``NormTerm`` kept through ``operator.keep``, so
+    the two variants share their stable and unstable terms. Evaluations are pure."""
 
     def __init__(self, variant: str, operator, family, rates,
                  horizon: float, step: float, times):
@@ -189,13 +191,11 @@ class LyapunovNormFamily:
             raise ValueError("horizon must be positive")
         if step <= 0:
             raise ValueError("step must be positive")
-        self.variant = variant
-        self.operator = operator
-        self.family = family
-        self.rates = rates
-        self.horizon = float(horizon)
-        self.step = float(step)
-        times, self.terms = tuple(times), []
+        self.times = times = tuple(times)
+        if not times:
+            raise ValueError("grid must be nonempty")
+        self.variant, self.operator, self.family, self.rates = variant, operator, family, rates
+        self.horizon, self.step, self.terms = float(horizon), float(step), []
         for tag in VARIANTS[variant]:
             key = (tag, family, rates.get(TERMS[tag][1]), self.horizon, self.step, times)
             self.terms.append(operator.keep(("norm_term", *key),
@@ -223,16 +223,15 @@ class LyapunovNormFamily:
         x = np.asarray(x, dtype=float).reshape(-1, 1)
         return float(self.evaluate_many(t, x)[0])
 
-    def values(self, grid, samples: int, seed: int) -> np.ndarray:
-        """Norms of the sample vectors x, P1 x, P2 x and P3 x at each grid time,
-        (grid, 4, batch): the sum of the terms' values, each kept once. The
+    def values(self, samples: int, seed: int) -> np.ndarray:
+        """Norms of the sample vectors x, P1 x, P2 x and P3 x at each of ``times``,
+        (times, 4, batch): the sum of the terms' values, each kept once. The
         vectors are drawn only when some term's values are not kept yet."""
-        grid = tuple(grid)
         blocks = functools.cache(  # drawn for the first term not kept
-            lambda: [_block(y) for y in _projected(self.family, grid, samples, seed)[2]])
+            lambda: [_block(y) for y in _projected(self.family, self.times, samples, seed)[2]])
         return sum(self.operator.keep(
-            ("term_values", term, grid, samples, seed), lambda: np.stack(
-                [_term(term.at(t)[0], b) for t, b in zip(grid, blocks())]))
+            ("term_values", term, samples, seed), lambda: np.stack(
+                [_term(term.at(t)[0], b) for t, b in zip(self.times, blocks())]))
             for term in self.terms)
 
 
@@ -250,9 +249,9 @@ def build_norm_family(variant: str, operator, family, rates,
     return LyapunovNormFamily(variant, operator, family, rates, horizon, step, times)
 
 
-def check_compatibility(norm_family: LyapunovNormFamily, grid, samples: int,
+def check_compatibility(norm_family: LyapunovNormFamily, samples: int,
                         seed: int = 0) -> CompatibilityReport:
-    """Estimate the sandwich constants |x| <= |x|_t <= C(t) |x|.
+    """Sandwich constants |x| <= |x|_t <= C(t) |x| at the family's times.
 
     C(t) is maximized over the orthonormal basis plus seeded random unit
     vectors: column 0 of the family's kept ``values``, which
@@ -262,27 +261,24 @@ def check_compatibility(norm_family: LyapunovNormFamily, grid, samples: int,
     construction can never exceed. The report is not kept: the values and
     peaks it reads are, so a second call redoes only maxima and minima.
     """
-    grid = list(grid)
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    values = norm_family.values(grid, samples, seed)[:, 0]
+    values = norm_family.values(samples, seed)[:, 0]
     ratios = values.max(axis=1).tolist()
     lower = float(values.min()) - 1.0
 
-    limit = _fullnorm_limit(norm_family, grid)
+    limit = _fullnorm_limit(norm_family)
     crosscheck_ok = all(c <= lim * (1.0 + _CROSSCHECK_TOL) + 1e-12
                         for c, lim in zip(ratios, limit))
     passed = (lower >= -1e-12 and crosscheck_ok
               and all(math.isfinite(c) for c in ratios))
     return CompatibilityReport(
-        grid=grid, ratios=ratios, c_uniform=max(ratios), lower_margin=lower,
+        grid=list(norm_family.times), ratios=ratios, c_uniform=max(ratios), lower_margin=lower,
         crosscheck_limit=limit, crosscheck_ok=crosscheck_ok, samples=samples,
         seed=seed, passed=passed)
 
 
-def _fullnorm_limit(nf: LyapunovNormFamily, grid) -> list[float]:
+def _fullnorm_limit(nf: LyapunovNormFamily) -> list[float]:
     """3 * nondecreasing envelope of the terms' peaks, floored at 1."""
-    peaks = np.array([[term.at(t)[1] for term in nf.terms] for t in grid])
+    peaks = np.array([[term.at(t)[1] for term in nf.terms] for t in nf.times])
     envelope = np.maximum.accumulate(np.maximum(1.0, peaks.max(axis=1)))
     return [3.0 * float(v) for v in envelope]
 
@@ -293,34 +289,36 @@ def _require_shared_sources(forward: LyapunovNormFamily,
         raise StructuralError("pass the forward family first, backward second")
     if forward.operator is not backward.operator or forward.family is not backward.family:
         raise StructuralError("norm families must be built from the same sources")
+    if forward.times != backward.times:
+        raise StructuralError("norm families must be built at the same times")
 
 
 def theorem_tables(forward: LyapunovNormFamily, backward: LyapunovNormFamily,
-                   grid, samples: int = 32, seed: int = 0) -> tuple[Rows, Rows, Rows]:
-    """Margin tables of the norm inequalities over grid pairs, worst vector
-    per (pair, tag): the projected system, the unprojected one and the
-    projection lemma, which asserts that applying any member at its own time
-    never increases either norm (it reduces the unprojected system to the
-    projected one). Inequalities are in ratio form (divided by the rate
+                   samples: int = 32, seed: int = 0) -> tuple[Rows, Rows, Rows]:
+    """Margin tables of the norm inequalities over the pairs of the families'
+    times, worst vector per (pair, tag): the projected system, the unprojected
+    one and the projection lemma, which asserts that applying any member at its
+    own time never increases either norm (it reduces the unprojected system to
+    the projected one). Inequalities are in ratio form (divided by the rate
     value at the left argument), which keeps margins O(1) and matches the
-    exponential/polynomial specialization forms. Per ``TERMS``, N binding at
-    s means forward norms; the quotient inverts the factor's. Each tag's
-    left-hand norms, the U terms batched per t over s and the W_j terms per
-    s over t, are reduced against both right-hand sides (the kept
-    ``values``) before the next tag's are built. The tables are kept through
-    ``operator.keep`` per terms of the two families (which fix the four
-    rates), grid, sample count and seed.
+    exponential/polynomial specialization forms. Per ``TERMS``, N binding at s
+    means forward norms; the quotient inverts the factor's. Each tag's
+    left-hand norms, the U terms batched per t over s and the W_j terms per s
+    over t, are reduced against both right-hand sides (the kept ``values``)
+    before the next tag's are built. The tables are kept through
+    ``operator.keep`` per terms of the two families (which fix the four rates
+    and the times), sample count and seed.
     """
     _require_shared_sources(forward, backward)
-    grid = list(grid)
     return forward.operator.keep(
-        ("tables", *forward.terms, *backward.terms, tuple(grid), samples, seed),
-        lambda: _theorem_tables(forward, backward, grid, samples, seed))
+        ("tables", *forward.terms, *backward.terms, samples, seed),
+        lambda: _theorem_tables(forward, backward, samples, seed))
 
 
-def _theorem_tables(forward, backward, grid, samples, seed) -> tuple[Rows, Rows, Rows]:
+def _theorem_tables(forward, backward, samples, seed) -> tuple[Rows, Rows, Rows]:
+    grid = list(forward.times)
     ids, x, proj = _projected(forward.family, grid, samples, seed)
-    base = {nf.variant: nf.values(grid, samples, seed) for nf in (forward, backward)}
+    base = {nf.variant: nf.values(samples, seed) for nf in (forward, backward)}
     rows, cols = np.tril_indices(len(grid))  # grid_pairs order
     ts, ss = (np.asarray(grid, dtype=float)[i] for i in (rows, cols))
     third = forward.family.stack(3, grid).any(axis=(1, 2))
@@ -400,32 +398,32 @@ def _finish(label, tables, tol, families, samples, seed) -> TheoremReport:
 
 
 def verify_norm_trichotomy(forward: LyapunovNormFamily,
-                           backward: LyapunovNormFamily, grid,
+                           backward: LyapunovNormFamily,
                            tol: float = 1e-9, samples: int = 32,
                            seed: int = 0) -> TheoremReport:
-    """Constant-free inequality system in the built norms over grid pairs:
-    the projected table of ``theorem_tables``, kept and shared with
-    ``verify_norm_trichotomy_unprojected`` of the same arguments. The pass
-    threshold is tol plus the measured truncation slack of the two families.
+    """Constant-free inequality system in the built norms over the pairs of
+    the families' times: the projected table of ``theorem_tables``, kept and
+    shared with ``verify_norm_trichotomy_unprojected``. The pass threshold
+    is tol plus the truncation slack the families measured at those times.
     """
-    projected = theorem_tables(forward, backward, grid, samples, seed)[0]
+    projected = theorem_tables(forward, backward, samples, seed)[0]
     return _finish("norm_trichotomy", [projected], tol, (forward, backward),
                    samples, seed)
 
 
 def verify_norm_trichotomy_unprojected(forward: LyapunovNormFamily,
-                                       backward: LyapunovNormFamily, grid,
+                                       backward: LyapunovNormFamily,
                                        tol: float = 1e-9, samples: int = 32,
                                        seed: int = 0) -> TheoremReport:
     """Variant with unprojected right-hand sides, plus the projection lemma:
     the other two tables of ``theorem_tables``."""
-    _, unprojected, lemma = theorem_tables(forward, backward, grid, samples, seed)
+    _, unprojected, lemma = theorem_tables(forward, backward, samples, seed)
     return _finish("norm_trichotomy_unprojected", [unprojected, lemma], tol,
                    (forward, backward), samples, seed)
 
 
 def verify_sufficiency(forward: LyapunovNormFamily,
-                       backward: LyapunovNormFamily, grid,
+                       backward: LyapunovNormFamily,
                        samples: int = 32, seed: int = 0) -> TrichotomyReport:
     """Close the loop: bound built from measured sandwich constants.
 
@@ -435,13 +433,11 @@ def verify_sufficiency(forward: LyapunovNormFamily,
     It reads the kept term values and projected factor table.
     """
     _require_shared_sources(forward, backward)
-    grid = list(grid)
-    compat_f, compat_b = (check_compatibility(nf, grid, samples, seed=seed)
-                          for nf in (forward, backward))
+    grid = list(forward.times)
+    ratios = (nf.values(samples, seed)[:, 0].max(axis=1) for nf in (forward, backward))
     family = forward.family
     pnorm = sum(opnorms(family.stack(j, grid)) for j in (1, 2, 3))
-    candidate = np.maximum.accumulate(
-        np.maximum(compat_f.ratios, compat_b.ratios) * pnorm)
+    candidate = np.maximum.accumulate(np.maximum(*ratios) * pnorm)
     # check_trichotomy reads the bound at grid times only
     bound = dict(zip(grid, candidate)).__getitem__
     report = check_trichotomy(forward.operator, family, forward.rates, grid,
@@ -470,5 +466,5 @@ def check_rate_specialization(kind: str, exponents, operator, family, grid,
     grid = list(grid)
     fwd, bwd = (build_norm_family(variant, operator, family, rates, horizon,
                                   step, grid) for variant in VARIANTS)
-    report = verify_norm_trichotomy(fwd, bwd, grid, tol, samples, seed)
+    report = verify_norm_trichotomy(fwd, bwd, tol, samples, seed)
     return dataclasses.replace(report, label=f"{kind}_rates")

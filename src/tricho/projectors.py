@@ -126,10 +126,10 @@ def _commutation(family, index: int, u: np.ndarray, pairs: np.ndarray, u_norm) -
     return peak(u @ p_s - family.stack(index, pairs[:, 0]) @ u, np.maximum(1.0, u_norm))
 
 
-def check_invariance(family: ProjectorFamily, operator, pairs, tol: float) -> CheckReport:
-    """Worst commutation residual |U(t,s)P_i(s) - P_i(t)U(t,s)| over pairs,
-    relative to |U(t,s)| floored at 1, as ``check_cocycle`` explains."""
-    pairs = ordered_pairs(pairs)
+def check_invariance(family: ProjectorFamily, operator, grid, tol: float) -> CheckReport:
+    """Worst commutation residual |U(t,s)P_i(s) - P_i(t)U(t,s)| over grid
+    pairs, relative to |U(t,s)| floored at 1, as ``check_cocycle`` explains."""
+    pairs = grid_pairs(grid)
     u = operator.evaluate_many(pairs)
     u_norm = opnorms(u)
     worst = max(_commutation(family, i, u, pairs, u_norm) for i in (1, 2, 3))
@@ -226,9 +226,6 @@ def check_compatible(family: ProjectorFamily, operator, grid, tol: float) -> Che
     members pass vacuously. A rank-deficient restriction fails the report
     rather than raising.
     """
-    grid = list(grid)
-    if not grid:
-        raise ValueError("grid must be nonempty")
     pairs = grid_pairs(grid)
     u = operator.evaluate_many(pairs)
     u_norm = opnorms(u)

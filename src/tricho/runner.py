@@ -26,7 +26,7 @@ import numpy as np
 from . import evolution, norms, projectors, trichotomy
 from .reports import Rows
 from .scenario import STAGES, STRUCTURAL, Scenario
-from .util import grid_pairs, make_grid
+from .util import make_grid
 
 
 @dataclass
@@ -72,8 +72,7 @@ def _run_check(name: str, scenario: Scenario, operator, grid) -> tuple[bool, dic
         return (ident.passed and coc.passed, payload,
                 ident.csv_rows(name) + coc.csv_rows(name))
     if name == "invariance":
-        return _outcome(name, projectors.check_invariance(family, op,
-                                                          grid_pairs(grid), tol))
+        return _outcome(name, projectors.check_invariance(family, op, grid, tol))
     if name == "compatibility":
         return _outcome(name, projectors.check_compatible(family, op, grid, tol))
     if name in ("trichotomy", "trichotomy_full", "uniform", "dichotomy"):
@@ -82,7 +81,7 @@ def _run_check(name: str, scenario: Scenario, operator, grid) -> tuple[bool, dic
         return rep.passed is None or rep.passed, rep.payload(), rep.csv_rows(name)
     if name == "norms":
         fwd, bwd = _norm_families(s, op, grid)
-        rep_f, rep_b = (norms.check_compatibility(nf, grid, s.samples, seed=s.seed)
+        rep_f, rep_b = (norms.check_compatibility(nf, s.samples, seed=s.seed)
                         for nf in (fwd, bwd))
         ok = (rep_f.passed and rep_b.passed
               and not fwd.horizon_flagged and not bwd.horizon_flagged)
@@ -94,15 +93,14 @@ def _run_check(name: str, scenario: Scenario, operator, grid) -> tuple[bool, dic
         return ok, payload, rows
     if name == "norm_trichotomy":
         fwd, bwd = _norm_families(s, op, grid)
-        rep = norms.verify_norm_trichotomy(fwd, bwd, grid, s.tol_theorem,
-                                           s.samples, s.seed)
-        suff = norms.verify_sufficiency(fwd, bwd, grid, s.samples, s.seed)
+        rep = norms.verify_norm_trichotomy(fwd, bwd, s.tol_theorem, s.samples, s.seed)
+        suff = norms.verify_sufficiency(fwd, bwd, s.samples, s.seed)
         payload = {"necessity": rep.payload(), "sufficiency": suff.payload()}
         rows = rep.csv_rows(name) + suff.csv_rows(name + "_sufficiency")
         return rep.passed and bool(suff.passed), payload, rows
     if name == "norm_trichotomy_unprojected":
         return _outcome(name, norms.verify_norm_trichotomy_unprojected(
-            *_norm_families(s, op, grid), grid, s.tol_theorem, s.samples, s.seed))
+            *_norm_families(s, op, grid), s.tol_theorem, s.samples, s.seed))
     if name == "rate_instantiation":
         kind, exponents = s.instantiation
         rep = norms.check_rate_specialization(

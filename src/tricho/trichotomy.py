@@ -41,27 +41,29 @@ INEQUALITIES = tuple(TERMS)
 _REL_SLACK = 1e-9  # forgiveness when comparing factors against a bound
 
 
-def factor_table(operator, family: ProjectorFamily, rates: dict, pairs,
-                 tags=INEQUALITIES, full: bool = False) -> dict[str, np.ndarray]:
-    """Minimal admissible bounding values of each inequality in ``tags`` at
-    every (t, s) pair, one read-only array per tag.
+def factor_table(operator, family: ProjectorFamily, rates: dict, grid,
+                 full: bool = False) -> np.ndarray:
+    """Minimal admissible bounding values of the four inequalities at every
+    pair of ``grid_pairs(grid)``, as one read-only (pairs, 4) array with
+    columns in ``INEQUALITIES`` order.
 
-    Each tag takes one batched product and SVD per member rank. Rank-0
-    members make the inequality vacuous and give 0. With ``full=True`` the
-    right-hand side uses the unprojected state norm. Each array is computed
-    once per operator and kept through ``operator.keep``, keyed by the
-    family, the tag, its rate, ``full`` and the pairs, so every check that
-    reads the same table shares it.
+    Each inequality takes one batched product and SVD per member rank.
+    Rank-0 members make the inequality vacuous and give 0. With ``full=True``
+    the right-hand side uses the unprojected state norm. The table is
+    computed once per operator and kept through ``operator.keep``, keyed by
+    the family, the four rates, ``full`` and the grid, so every check that
+    reads the same system shares it.
     """
-    for tag in tags:
-        if tag not in INEQUALITIES:
-            raise ValueError(f"unknown inequality {tag!r}")
-    pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
-    at = pairs.tobytes()  # keeps no per-pair objects
-    return {tag: operator.keep(
-                ("factors", family, tag, rates.get(TERMS[tag][1]), full, at),
-                lambda: _factors(operator, family, rates, pairs, tag, full))
-            for tag in tags}
+    grid = tuple(grid)
+    key = ("factors", family, *(rates.get(TERMS[tag][1]) for tag in INEQUALITIES), full, grid)
+
+    def build():
+        pairs = grid_pairs(grid)
+        out = np.stack([_factors(operator, family, rates, pairs, tag, full)
+                        for tag in INEQUALITIES], axis=1)
+        out.flags.writeable = False
+        return out
+    return operator.keep(key, build)
 
 
 def _factors(operator, family, rates, pairs, tag, full) -> np.ndarray:
@@ -78,28 +80,26 @@ def _factors(operator, family, rates, pairs, tag, full) -> np.ndarray:
             mats = build_inverses(operator, family)[j].stack(sub)
             mats = mats if full else mats @ right
         out[rows] = rates[rate_key].ratios(*(sub.T if rising else sub.T[::-1])) * opnorms(mats)
-    out.flags.writeable = False
     return out
 
 
 def required_factor(operator, family: ProjectorFamily, rates: dict, t: float,
                     s: float, inequality: str, full: bool = False) -> float:
-    """Minimal admissible bounding value for one inequality at one pair
-    (``factor_table`` at a single pair)."""
-    table = factor_table(operator, family, rates, [(t, s)], (inequality,), full)
-    return float(table[inequality][0])
+    """Minimal admissible bounding value for one inequality at one pair, as
+    ``factor_table`` computes it; not kept."""
+    if inequality not in TERMS:
+        raise ValueError(f"unknown inequality {inequality!r}")
+    pair = np.array([[t, s]], dtype=float)
+    return float(_factors(operator, family, rates, pair, inequality, full)[0])
 
 
 def _run_system(operator, family, rates, grid, bound, label,
                 full=False) -> TrichotomyReport:
     grid = list(grid)
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    factors = factor_table(operator, family, rates, grid_pairs(grid), full=full)
+    value = factor_table(operator, family, rates, grid, full)
     rows, cols = np.tril_indices(len(grid))  # grid_pairs order
     binds = [TERMS[tag][2] for tag in INEQUALITIES]
     at = np.stack([cols if b == "s" else rows for b in binds], axis=1)  # N's time
-    value = np.stack([factors[tag] for tag in INEQUALITIES], axis=1)
     worst = np.zeros((len(grid), len(binds)))
     np.maximum.at(worst, (at, np.arange(len(binds))), value)
     pointwise = dict(zip(INEQUALITIES, worst.T.tolist()))
@@ -128,7 +128,7 @@ def check_trichotomy(operator, family: ProjectorFamily, rates: dict, grid,
 
     ``bound``, when given, must be a nondecreasing function; the report
     passes iff it dominates the measured envelope on the grid. The projected
-    ``factor_table`` over ``grid_pairs(grid)`` is kept on the operator, so
+    ``factor_table`` of ``grid`` is kept on the operator, so
     ``check_uniform``, ``check_dichotomy`` and ``norms.verify_sufficiency``
     on the same operator, family, rates and grid read it without recomputing.
     """

@@ -130,8 +130,10 @@ def make_grid(t_max: float, step: float) -> list[float]:
 
 def grid_pairs(grid) -> np.ndarray:
     """All ordered pairs (t, s) with t >= s as an (m, 2) array; grid indices
-    i >= j sit at row i(i+1)/2 + j."""
+    i >= j sit at row i(i+1)/2 + j. An empty grid raises ValueError."""
     grid = np.asarray(grid, dtype=float)
+    if not len(grid):
+        raise ValueError("grid must be nonempty")
     rows, cols = np.tril_indices(len(grid))
     return np.stack((grid[rows], grid[cols]), axis=1)
 

@@ -96,12 +96,12 @@ def test_criterion_3_nonuniform_reproduction(nonuniform_operator, split_family,
              f"(each >= T+0.9), runtime {elapsed:.2f}s (< 10 s)")
 
 
-def test_criterion_4_norm_necessity(norm_stacks, grid10):
+def test_criterion_4_norm_necessity(norm_stacks):
     details = []
     ok = True
     for key, (fwd, bwd) in norm_stacks.items():
         sens = max(fwd.horizon_delta_rel, bwd.horizon_delta_rel)
-        report = verify_norm_trichotomy(fwd, bwd, grid10, tol=1e-9,
+        report = verify_norm_trichotomy(fwd, bwd, tol=1e-9,
                                         samples=32, seed=2024)
         ok = ok and report.passed and sens < 1e-6
         details.append(f"{key}: min margin {report.min_margin:.2e} >= "
@@ -110,11 +110,11 @@ def test_criterion_4_norm_necessity(norm_stacks, grid10):
     _verdict(4, ok, "; ".join(details))
 
 
-def test_criterion_5_sufficiency_loop(norm_stacks, grid10):
+def test_criterion_5_sufficiency_loop(norm_stacks):
     details = []
     ok = True
     for key, (fwd, bwd) in norm_stacks.items():
-        report = verify_sufficiency(fwd, bwd, grid10, samples=32, seed=2024)
+        report = verify_sufficiency(fwd, bwd, samples=32, seed=2024)
         ok = ok and bool(report.passed)
         details.append(f"{key}: envelope {report.envelope[-1]:.2f} <= "
                        f"bound {report.bound_values[-1]:.2f}")
@@ -125,10 +125,10 @@ def test_criterion_5_sufficiency_loop(norm_stacks, grid10):
 def test_criterion_6_uniform_theorem(norm_stacks, uniform_operator,
                                      split_family, exp_rates, grid10):
     fwd, bwd = norm_stacks["uniform"]
-    compat_f = check_compatibility(fwd, grid10, samples=32, seed=2024)
-    compat_b = check_compatibility(bwd, grid10, samples=32, seed=2024)
+    compat_f = check_compatibility(fwd, samples=32, seed=2024)
+    compat_b = check_compatibility(bwd, samples=32, seed=2024)
     c = max(compat_f.c_uniform, compat_b.c_uniform)
-    margins = verify_norm_trichotomy(fwd, bwd, grid10, tol=1e-9, samples=32,
+    margins = verify_norm_trichotomy(fwd, bwd, tol=1e-9, samples=32,
                                      seed=2024)
     classified = check_uniform(uniform_operator, split_family, exp_rates,
                                grid10, constant=3.0)

@@ -534,13 +534,14 @@ def test_run_computes_each_distinct_pair_once(monkeypatch):
     # the instantiation rates equal the scenario's, so every pair of norm
     # families sums the same four terms, not six stacks: one kept set of
     # theorem tables, and one report per theorem check made from it. Families
-    # are rebuilt by each of the four norm checks, and compatibility reports
-    # by the norms check and the sufficiency loop, from the kept terms and
-    # their values.
+    # are rebuilt by each of the four norm checks from the kept terms, and
+    # compatibility reports made by the norms check only: the sufficiency
+    # loop reads the kept values. One factor table per splitting system.
     assert [key[0] for key in kept].count("tables") == 1
+    assert [key[0] for key in kept].count("factors") == 2
     assert {key[0] for key in kept} == {"inverses", "factors", "norm_term",
                                         "term_values", "tables"}
-    assert sorted(built) == (["CompatibilityReport"] * 4
+    assert sorted(built) == (["CompatibilityReport"] * 2
                              + ["LyapunovNormFamily"] * 8 + ["NormTerm"] * 4
                              + ["TheoremReport"] * 3)
 

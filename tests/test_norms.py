@@ -13,7 +13,6 @@ from tricho import (DomainError, GeneratorSpec, GrowthRate, ProjectorFamily,
 from tricho import norms, parse_scenario, run, runner, util
 from tricho.norms import query_lattice, theorem_tables
 from tricho.projectors import build_inverses
-from tricho.trichotomy import factor_table
 from tricho.util import make_grid
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -138,46 +137,46 @@ def test_variant_and_parameter_validation(uniform_operator, split_family,
                           without_nu, HORIZON, STEP, grid10)
 
 
-def test_compatibility_constant_outer_rate(uniform_norms, grid10):
+def test_compatibility_constant_outer_rate(uniform_norms):
     fwd, _ = uniform_norms
-    report = check_compatibility(fwd, grid10, samples=32, seed=5)
+    report = check_compatibility(fwd, samples=32, seed=5)
     assert report.passed
     assert report.lower_margin >= -1e-12
     # the norm is an l1-style sum over three one-dimensional pieces, so the
     # sandwich constant on unit vectors tops out at sqrt(3)
     assert report.c_uniform <= math.sqrt(3.0) + 1e-9
-    basis_only = check_compatibility(fwd, grid10, samples=0, seed=5)
+    basis_only = check_compatibility(fwd, samples=0, seed=5)
     assert basis_only.c_uniform == pytest.approx(1.0, rel=1e-12)
 
 
 def test_compatibility_growing_outer_rate(nonuniform_norms, grid10):
     fwd, bwd = nonuniform_norms
     for family in (fwd, bwd):
-        report = check_compatibility(family, grid10, samples=32, seed=5)
+        report = check_compatibility(family, samples=32, seed=5)
         assert report.passed
         for t, c in zip(grid10, report.ratios):
             assert c <= 3.0 * (t + 1.0) + 1e-9
         assert report.crosscheck_ok
 
 
-def test_norm_system_margins_uniform(uniform_norms, grid10):
+def test_norm_system_margins_uniform(uniform_norms):
     fwd, bwd = uniform_norms
-    report = verify_norm_trichotomy(fwd, bwd, grid10, tol=1e-10, samples=32,
+    report = verify_norm_trichotomy(fwd, bwd, tol=1e-10, samples=32,
                                     seed=9)
     assert report.passed
     assert report.min_margin >= -(1e-10 + report.truncation_slack)
 
 
-def test_norm_system_margins_nonuniform(nonuniform_norms, grid10):
+def test_norm_system_margins_nonuniform(nonuniform_norms):
     fwd, bwd = nonuniform_norms
-    report = verify_norm_trichotomy(fwd, bwd, grid10, tol=1e-9, samples=32,
+    report = verify_norm_trichotomy(fwd, bwd, tol=1e-9, samples=32,
                                     seed=9)
     assert report.passed
 
 
-def test_equal_time_records_have_zero_margin(uniform_norms, grid10):
+def test_equal_time_records_have_zero_margin(uniform_norms):
     fwd, bwd = uniform_norms
-    report = verify_norm_trichotomy(fwd, bwd, grid10, tol=1e-10, samples=8,
+    report = verify_norm_trichotomy(fwd, bwd, tol=1e-10, samples=8,
                                     seed=9)
     diag = [r for r in report.records if r["t"] == r["s"]]
     assert diag
@@ -187,15 +186,22 @@ def test_equal_time_records_have_zero_margin(uniform_norms, grid10):
 
 def test_mismatched_sources_rejected(uniform_norms, nonuniform_norms, grid10):
     with pytest.raises(StructuralError):
-        verify_norm_trichotomy(uniform_norms[0], nonuniform_norms[1], grid10)
+        verify_norm_trichotomy(uniform_norms[0], nonuniform_norms[1])
     with pytest.raises(StructuralError):
-        verify_norm_trichotomy(uniform_norms[1], uniform_norms[0], grid10)
+        verify_norm_trichotomy(uniform_norms[1], uniform_norms[0])
+    fwd = uniform_norms[0]
+    coarse = build_norm_family("backward", fwd.operator, fwd.family, fwd.rates,
+                               HORIZON, STEP, grid10[::2])
+    for check in (verify_norm_trichotomy, verify_norm_trichotomy_unprojected,
+                  verify_sufficiency, theorem_tables):
+        with pytest.raises(StructuralError, match="same times"):
+            check(fwd, coarse)
 
 
 def test_sufficiency_loop_uniform(uniform_norms, uniform_operator, split_family,
                                   exp_rates, grid10):
     fwd, bwd = uniform_norms
-    report = verify_sufficiency(fwd, bwd, grid10, samples=32, seed=9)
+    report = verify_sufficiency(fwd, bwd, samples=32, seed=9)
     assert report.passed
     assert report.label == "sufficiency"
     # a flat bound of 3 already dominates the constant-outer-rate system
@@ -204,15 +210,15 @@ def test_sufficiency_loop_uniform(uniform_norms, uniform_operator, split_family,
     assert flat.passed
 
 
-def test_sufficiency_loop_nonuniform(nonuniform_norms, grid10):
+def test_sufficiency_loop_nonuniform(nonuniform_norms):
     fwd, bwd = nonuniform_norms
-    report = verify_sufficiency(fwd, bwd, grid10, samples=32, seed=9)
+    report = verify_sufficiency(fwd, bwd, samples=32, seed=9)
     assert report.passed
 
 
-def test_unprojected_system_and_lemma(uniform_norms, nonuniform_norms, grid10):
+def test_unprojected_system_and_lemma(uniform_norms, nonuniform_norms):
     for fwd, bwd in (uniform_norms, nonuniform_norms):
-        report = verify_norm_trichotomy_unprojected(fwd, bwd, grid10, tol=1e-9,
+        report = verify_norm_trichotomy_unprojected(fwd, bwd, tol=1e-9,
                                                     samples=16, seed=9)
         assert report.passed
         lemma = [r for r in report.records
@@ -246,16 +252,16 @@ def test_specialization_with_the_family_rates_shares_their_report():
     operator = rate_model(GrowthRate.polynomial(1.0), *rates.values(), family)
     fwd, bwd = (build_norm_family(variant, operator, family, rates, 1.0, 0.5,
                                   grid) for variant in norms.VARIANTS)
-    report = verify_norm_trichotomy(fwd, bwd, grid, 1e-9, 8, 3)
+    report = verify_norm_trichotomy(fwd, bwd, 1e-9, 8, 3)
     special = check_rate_specialization("exponential", (1.0, 2.0, 0.5, 0.25),
                                         operator, family, grid, 1.0, 0.5,
                                         1e-9, 8, 3)
     assert special.payload() == report.payload()
     assert special.tables[0] is report.tables[0]  # the kept projected table
-    assert special.tables[0] is theorem_tables(fwd, bwd, grid, 8, 3)[0]
+    assert special.tables[0] is theorem_tables(fwd, bwd, 8, 3)[0]
     assert special.label == "exponential_rates"
     assert report.label == "norm_trichotomy"
-    again = verify_norm_trichotomy(fwd, bwd, grid, 1e-9, 8, 3)
+    again = verify_norm_trichotomy(fwd, bwd, 1e-9, 8, 3)
     assert again.tables[0] is report.tables[0]
 
 
@@ -276,15 +282,15 @@ def test_families_built_again_find_the_kept_tables():
     first, second = build(rates), build(dict(rates))
     assert first[0] is not second[0]
     assert first[0].terms == second[0].terms
-    tables = theorem_tables(*first, grid, 8, 3)
-    assert theorem_tables(*second, grid, 8, 3) is tables
-    report = verify_norm_trichotomy(*first, grid, 1e-9, 8, 3)
-    assert verify_norm_trichotomy(*second, grid, 1e-9, 8, 3).tables[0] is tables[0]
-    unprojected = verify_norm_trichotomy_unprojected(*second, grid, 1e-9, 8, 3)
+    tables = theorem_tables(*first, 8, 3)
+    assert theorem_tables(*second, 8, 3) is tables
+    report = verify_norm_trichotomy(*first, 1e-9, 8, 3)
+    assert verify_norm_trichotomy(*second, 1e-9, 8, 3).tables[0] is tables[0]
+    unprojected = verify_norm_trichotomy_unprojected(*second, 1e-9, 8, 3)
     assert all(a is b for a, b in zip(unprojected.tables, tables[1:]))
     assert report.tables == [tables[0]]
     other = build({**rates, "h": e(1.5)})  # another stable term
-    assert theorem_tables(*other, grid, 8, 3) is not tables
+    assert theorem_tables(*other, 8, 3) is not tables
 
 
 def test_values_draw_the_vectors_only_for_terms_not_kept(monkeypatch):
@@ -300,10 +306,10 @@ def test_values_draw_the_vectors_only_for_terms_not_kept(monkeypatch):
     rates = {"h": e(1.0), "k": e(2.0), "mu": e(0.5), "nu": e(0.25)}
     grid, build = small_model_families(rates)
     fwd, bwd = build(rates)
-    want = [nf.values(grid, 8, 3) for nf in (fwd, bwd)]
+    want = [nf.values(8, 3) for nf in (fwd, bwd)]
     assert len(draws) == 2  # the backward family's center term was not kept
     for nf, values in zip([fwd, bwd, *build(rates)], want * 2):
-        assert nf.values(grid, 8, 3).tobytes() == values.tobytes()
+        assert nf.values(8, 3).tobytes() == values.tobytes()
     assert len(draws) == 2
 
 
@@ -363,11 +369,11 @@ def test_coupled_stable_block_full_pipeline():
     fwd = build_norm_family("forward", operator, family, rates, 4.0, 0.5, grid)
     bwd = build_norm_family("backward", operator, family, rates, 4.0, 0.5, grid)
     assert fwd.horizon_delta_rel < 1e-6 and bwd.horizon_delta_rel < 1e-6
-    theorem = verify_norm_trichotomy(fwd, bwd, grid, tol=1e-7, samples=8,
+    theorem = verify_norm_trichotomy(fwd, bwd, tol=1e-7, samples=8,
                                      seed=13)
     assert theorem.passed, theorem.min_margin
-    assert verify_sufficiency(fwd, bwd, grid, samples=8, seed=13).passed
-    assert check_compatibility(fwd, grid, samples=8, seed=13).passed
+    assert verify_sufficiency(fwd, bwd, samples=8, seed=13).passed
+    assert check_compatibility(fwd, samples=8, seed=13).passed
 
 
 def test_dichotomy_specialization_has_vacuous_center_rows(exp_rates):
@@ -446,15 +452,17 @@ def test_batched_theorem_records_match_per_pair_loop():
                 for variant in ("forward", "backward"))
     for verify, unprojected in ((verify_norm_trichotomy, False),
                                 (verify_norm_trichotomy_unprojected, True)):
-        report = verify(fwd, bwd, grid, samples=6, seed=17)
+        report = verify(fwd, bwd, samples=6, seed=17)
         got = [tuple(r[k] for k in ("tag", "t", "s", "vector_id", "margin"))
                for r in report.records]
         assert got == reference_theorem_rows(fwd, bwd, grid, 6, 17, unprojected)
-    tables = theorem_tables(fwd, bwd, grid, samples=6, seed=17)
-    assert theorem_tables(fwd, bwd, iter(grid), samples=6, seed=17) is tables
-    other = theorem_tables(fwd, bwd, grid, samples=6, seed=18)
+    tables = theorem_tables(fwd, bwd, samples=6, seed=17)
+    again = [build_norm_family(variant, operator, family, rates, horizon, step,
+                               iter(grid)) for variant in ("forward", "backward")]
+    assert theorem_tables(*again, samples=6, seed=17) is tables
+    other = theorem_tables(fwd, bwd, samples=6, seed=18)
     assert other is not tables
-    assert theorem_tables(fwd, bwd, grid, samples=6, seed=18) is other
+    assert theorem_tables(fwd, bwd, samples=6, seed=18) is other
 
 
 def held_arrays(root) -> list[np.ndarray]:
@@ -482,7 +490,7 @@ def test_norm_systems_keep_no_pair_by_vector_array():
     operator = runner._build_operator(scenario, grid)
     fwd, bwd = runner._norm_families(scenario, operator, grid)
     for verify in (verify_norm_trichotomy, verify_norm_trichotomy_unprojected):
-        assert verify(fwd, bwd, grid, scenario.tol_theorem, scenario.samples,
+        assert verify(fwd, bwd, scenario.tol_theorem, scenario.samples,
                       scenario.seed).passed
     batch = scenario.dimension + scenario.samples
     shapes = {a.shape for a in held_arrays(operator.kept)}
@@ -753,24 +761,18 @@ def test_variants_share_their_stable_and_unstable_terms(uniform_norms):
     assert fwd.terms[2] is not bwd.terms[2]
 
 
-def reference_fullnorm_limit(nf, grid):
-    """The crosscheck limit from full-norm factor tables over each term's
+def reference_fullnorm_limit(nf):
+    """The crosscheck limit from full-norm required factors over each term's
     lattice pairs at the horizon, built apart from the family's stacks."""
-    def pairs(lattice, later):
-        lattices = [lattice(t) for t in grid]
-        sizes = [len(x) for x in lattices]
-        own = np.repeat(np.asarray(grid, dtype=float), sizes)
-        both = (np.concatenate(lattices), own)[::1 if later else -1]
-        return np.stack(both, axis=1), np.cumsum([0] + sizes)
-
-    future = pairs(lambda t: norms._future_times(t, nf.horizon, nf.step), True)
-    past = pairs(lambda t: norms._past_times(t, nf.step), False)
-    requirement = np.ones(len(grid))
+    lattices = {"s": [norms._future_times(t, nf.horizon, nf.step) for t in nf.times],
+                "t": [norms._past_times(t, nf.step) for t in nf.times]}
+    requirement = np.ones(len(nf.times))
     for tag in norms.VARIANTS[nf.variant]:
-        lattice, starts = future if norms.TERMS[tag][2] == "s" else past
-        table = factor_table(nf.operator, nf.family, nf.rates, lattice, [tag],
-                             full=True)[tag]
-        requirement = np.maximum(requirement, np.maximum.reduceat(table, starts[:-1]))
+        binds = norms.TERMS[tag][2]
+        requirement = np.maximum(requirement, [max(
+            required_factor(nf.operator, nf.family, nf.rates,
+                            *((tau, t) if binds == "s" else (t, tau)), tag, full=True)
+            for tau in lattice) for t, lattice in zip(nf.times, lattices[binds])])
     return [3.0 * float(v) for v in np.maximum.accumulate(requirement)]
 
 
@@ -788,18 +790,18 @@ def rank_two_block_families(grid, horizon, step):
 
 
 def test_crosscheck_limit_is_the_full_norm_factor_envelope():
-    example_grid, families = example_families()
-    grid = make_grid(2.0, 0.25)
-    cases = [(nf, example_grid) for nf in families]
-    cases += [(nf, grid) for nf in rank_two_block_families(grid, 1.0, 0.25)]
-    # times the families were not built at are built on first use
-    cases += [(nf, [0.125, 0.5, 1.75, 3.0]) for nf, _ in cases[-2:][::-1]]
-    for nf, at in cases:
-        report = check_compatibility(nf, at, samples=4, seed=3)
-        want = reference_fullnorm_limit(nf, at)
+    _, cases = example_families()
+    block = rank_two_block_families(make_grid(2.0, 0.25), 1.0, 0.25)
+    cases += block + rank_two_block_families([0.125, 0.5, 1.75, 3.0], 1.0, 0.25)
+    for nf in cases:
+        report = check_compatibility(nf, samples=4, seed=3)
+        want = reference_fullnorm_limit(nf)
         assert report.crosscheck_limit == want
         assert max(want) > 3.0  # some peak above the floor of 1
-    assert all(nf.terms[0]._kept.keys() >= {0.125, 3.0} for nf, _ in cases[-2:])
+    # a time a family was not built at is built on first use
+    assert 3.0 not in block[0].terms[0]._kept
+    block[0].evaluate(3.0, np.ones(4))
+    assert 3.0 in block[0].terms[0]._kept
 
 
 def test_compatibility_reads_the_kept_values(uniform_norms, nonuniform_norms,
@@ -809,8 +811,8 @@ def test_compatibility_reads_the_kept_values(uniform_norms, nonuniform_norms,
                              (block, make_grid(2.0, 0.25))):
         _, x = util.test_vector_batch(fwd.family.dimension, 8, 21)
         for nf in (fwd, bwd):
-            values = nf.values(grid, 8, 21)[:, 0]
+            values = nf.values(8, 21)[:, 0]
             assert np.array_equal(values, [nf.evaluate_many(t, x) for t in grid])
-            report = check_compatibility(nf, grid, samples=8, seed=21)
+            report = check_compatibility(nf, samples=8, seed=21)
             assert report.ratios == values.max(axis=1).tolist()
             assert report.lower_margin == float(values.min()) - 1.0

@@ -7,12 +7,14 @@ import pytest
 from tricho import (EvolutionOperator, GeneratorSpec, GrowthRate,
                     NotStronglyInvariantError, ProjectorFamily, StructuralError,
                     build_inverses, check_compatible, check_inverse_properties,
-                    check_invariance, check_orthogonal,
+                    check_invariance, check_orthogonal, check_trichotomy,
+                    check_trichotomy_full,
                     compute_restricted_inverse, from_generator,
                     identity_operator, parse_scenario, rate_model)
 from tricho import projectors, runner
 from tricho.evolution import check_cocycle, conjugate
-from tricho.util import grid_pairs, make_grid, opnorm
+from tricho.trichotomy import TERMS
+from tricho.util import grid_pairs, make_grid, opnorm, opnorms
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -57,15 +59,14 @@ def test_dimension_mismatch_is_structural():
 
 
 def test_invariance_of_model_operator_is_exact(nonuniform_operator, split_family):
-    pairs = [(t, s) for t in GRID for s in GRID if t >= s]
-    report = check_invariance(split_family, nonuniform_operator, pairs, 1e-12)
+    report = check_invariance(split_family, nonuniform_operator, GRID, 1e-12)
     assert report.passed
     assert report.worst == 0.0
 
 
 def test_identity_operator_commutes(split_family):
     report = check_invariance(split_family, identity_operator(3),
-                              [(2.0, 1.0)], 1e-14)
+                              [1.0, 2.0], 1e-14)
     assert report.passed
 
 
@@ -79,7 +80,7 @@ def test_rotation_breaks_invariance_of_axis_projector():
         2, lambda pairs: np.array([rot(t, s) for t, s in pairs]))
     family = ProjectorFamily.constant(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
                                       np.zeros((2, 2)))
-    report = check_invariance(family, operator, [(math.pi / 2, 0.0)], 1e-10)
+    report = check_invariance(family, operator, [0.0, math.pi / 2], 1e-10)
     assert not report.passed
     # U P1 - P1 U at a quarter turn is the antidiagonal of ones
     assert report.residuals["commutation"] == pytest.approx(1.0)
@@ -226,25 +227,62 @@ def rotating_frame(times) -> np.ndarray:
             + (1.0 - np.cos(theta * t)) / theta ** 2 * (S @ S))
 
 
-def test_structural_checks_pass_in_a_rotating_frame():
-    """The nonuniform example moved into the frame Q(t): U'(t, s) = Q(t) U(t, s)
-    Q(s)^T and P'_j(t) = Q(t) P_j Q(t)^T are the same system in other
-    coordinates. |U| reaches 4.4e7 on this grid, so residuals that are not
-    relative to it read rounding times |U| (invariance 7.7e-9 and
-    compatibility up to 2.0e-9 against tol 1e-10)."""
+def rotated_example():
+    """The nonuniform example (G=21), its operator and family, and the same
+    system moved into the frame Q(t): U'(t, s) = Q(t) U(t, s) Q(s)^T and
+    P'_j(t) = Q(t) P_j Q(t)^T, the same system in other coordinates."""
     scenario = parse_scenario(SCENARIOS / "nonuniform_example.json")
     grid = make_grid(scenario.grid_max, scenario.grid_step)
     q = rotating_frame([1.0, 2.5, 3.5])  # orthogonal, and Q(1) Q(2.5) = Q(3.5)
     assert np.allclose(q @ np.swapaxes(q, 1, 2), np.eye(3), 0, 1e-14)
     assert np.allclose(q[0] @ q[1], q[2], 0, 1e-14) and len(grid) == 21
-    operator = conjugate(runner._build_operator(scenario, grid), rotating_frame)
+    base = runner._build_operator(scenario, grid)
     family = ProjectorFamily(3, [
         lambda t, j=j: (lambda q: q @ scenario.family.member(j, 0.0) @ q.T)(
             rotating_frame([t])[0]) for j in (1, 2, 3)])
+    return scenario, grid, base, conjugate(base, rotating_frame), family
+
+
+def test_structural_checks_pass_in_a_rotating_frame():
+    """|U| reaches 4.4e7 on the rotated example's grid, so residuals that are
+    not relative to it read rounding times |U| (invariance 7.7e-9 and
+    compatibility up to 2.0e-9 against tol 1e-10)."""
+    scenario, grid, _, operator, family = rotated_example()
     tol = scenario.tol_structural
     assert tol == 1e-10
-    invariance = check_invariance(family, operator, grid_pairs(grid), tol)
+    invariance = check_invariance(family, operator, grid, tol)
     compatibility = check_compatible(family, operator, grid, tol)
     for report in (invariance, compatibility, check_cocycle(operator, grid, tol)):
         assert report.passed, report.residuals
     assert max(*invariance.residuals.values(), *compatibility.residuals.values()) < 1e-14
+
+
+@pytest.mark.parametrize("check", [check_trichotomy, check_trichotomy_full])
+def test_splitting_factors_agree_in_a_rotating_frame(check):
+    """Each factor is f = q |M|, q the tag's rate quotient and M = U(t, s) B,
+    or the restricted inverse W(t, s) B, for an orthonormal range basis B
+    (the full variant takes P_j itself). Rounding is counted in units of
+    eps |U(t, s)|, the size of the rotated U's entries. The rotated M is
+    reached through four 3x3 products around U, as in
+    Q(t) U Q(s)^T Q(s) P_j Q(s)^T, every factor but U of norm 1; each rounds
+    within gamma_3 = 3 eps of the product of its factors' norms (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.5):
+    12 eps. Q from Rodrigues' form is orthogonal to within about eps and
+    enters four times: 4 eps. The unrotated M takes columns of U exactly,
+    the coordinate split's bases being unit vectors. So the factors agree
+    within 16 eps |U| q. Inverting the restriction scales W's share by
+    |W|^2, at most 3.6 here, and W's tags read at most 2.0 of the 16.
+    Measured: 4.0 projected and 9.5 full, both on equal-time pairs, where U
+    is I and the frame's own rounding is all there is."""
+    scenario, grid, base, operator, family = rotated_example()
+    bound = scenario.bounds["trichotomy"]
+    want = check(base, scenario.family, scenario.rates, grid, bound)
+    got = check(operator, family, scenario.rates, grid, bound)
+    assert want.passed and got.passed
+    pairs = grid_pairs(grid)
+    scale = opnorms(base.evaluate_many(pairs))[:, None] * np.stack(
+        [scenario.rates[key].ratios(*(pairs.T if rising else pairs.T[::-1]))
+         for _, key, _, rising in TERMS.values()], axis=1)
+    slack = np.abs(got.rows.value - want.rows.value) / (np.finfo(float).eps * scale)
+    assert slack.max() <= 16.0
+    assert got.uniform_constant == pytest.approx(11.0, rel=16 * np.finfo(float).eps)

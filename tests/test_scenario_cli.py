@@ -595,7 +595,7 @@ def test_emitted_files_match_the_in_memory_report(tmp_path):
         variant, operator, scenario.family, scenario.rates, scenario.horizon,
         scenario.grid_step, grid) for variant in norms.VARIANTS]
     records = norms.verify_norm_trichotomy_unprojected(
-        *families, grid, scenario.tol_theorem, scenario.samples,
+        *families, scenario.tol_theorem, scenario.samples,
         scenario.seed).records
     vectors = [row[-1] for row in rows if row[0] == "norm_trichotomy_unprojected"]
     assert vectors == [r["vector_id"] for r in records]

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tricho import (GrowthRate, EvolutionOperator, PreconditionError,
-                    ProjectorFamily, build_inverses, check_dichotomy,
-                    check_trichotomy, check_trichotomy_full, check_uniform,
-                    conjugate, identity_operator, rate_model, required_factor)
-from tricho.util import make_grid, range_basis
+from tricho import (GrowthRate, EvolutionOperator, GeneratorSpec,
+                    PreconditionError, ProjectorFamily, build_inverses,
+                    check_dichotomy, check_trichotomy, check_trichotomy_full,
+                    check_uniform, conjugate, from_generator, identity_operator,
+                    rate_model, required_factor)
+from tricho.trichotomy import INEQUALITIES, TERMS, factor_table
+from tricho.util import grid_pairs, make_grid, opnorms, range_basis
 
 
 def test_stable_factor_is_outer_quotient(nonuniform_operator, split_family, exp_rates):
@@ -245,3 +249,76 @@ def test_rank_zero_member_gives_vacuous_factor(exp_rates):
     family, operator = dichotomy_fixture(exp_rates)
     got = required_factor(operator, family, exp_rates, 2.0, 1.0, "center_growth")
     assert got == 0.0
+
+
+# -- the paper's connections between the systems, as properties -------------
+
+OBLIQUE = np.array([[1.0, -2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+PROPERTY = settings(max_examples=50, derandomize=True, deadline=None)
+exponents = st.floats(0.1, 3.0)
+
+
+@st.composite
+def constant_systems(draw):
+    """An RK4 operator of a constant generator A = V diag(a) V^-1, anchored on
+    a grid of G <= 11 times, with V the identity or ``OBLIQUE``, and the
+    family V E_j V^-1: (operator, family, grid)."""
+    a = [draw(st.floats(-2.0, -0.5)), draw(st.floats(0.5, 2.5)), draw(st.floats(-0.3, 0.3))]
+    v = OBLIQUE if draw(st.booleans()) else np.eye(3)
+    v_inv = np.linalg.inv(v)
+    grid = make_grid(0.25 * draw(st.integers(1, 10)), 0.25)
+    operator = from_generator(GeneratorSpec.constant(v @ np.diag(a) @ v_inv, 0.05),
+                              anchors=grid)
+    family = ProjectorFamily.constant(*(v @ np.diag(e) @ v_inv for e in np.eye(3)))
+    return operator, family, grid
+
+
+def exponential_rates(h, k, mu, nu):
+    return {key: GrowthRate.exponential(a)
+            for key, a in zip(("h", "k", "mu", "nu"), (h, k, mu, nu))}
+
+
+@PROPERTY
+@given(constant_systems(), exponents, exponents, exponents, exponents)
+def test_full_factors_lie_between_projected_and_member_norm_times_projected(
+        system, h, k, mu, nu):
+    # |M B| <= |M P_j| <= |M B| |P_j| for B an orthonormal basis of Range P_j,
+    # with P_j at s for the decay tags (M = U) and at t for the growth tags
+    # (M = W); the oblique family reaches |P_1| = |P_2| = sqrt(5)
+    operator, family, grid = system
+    rates = exponential_rates(h, k, mu, nu)
+    projected, full = (factor_table(operator, family, rates, grid, f) for f in (False, True))
+    pairs = grid_pairs(grid)
+    for column, (j, _, binds, _) in enumerate(TERMS.values()):
+        member = opnorms(family.stack(j, pairs[:, 1 if binds == "s" else 0]))
+        assert np.all(projected[:, column] <= full[:, column] * (1.0 + 1e-12))
+        assert np.all(full[:, column] <= member * projected[:, column] * (1.0 + 1e-12))
+
+
+@PROPERTY
+@given(constant_systems(), exponents, exponents, exponents, exponents,
+       st.floats(0.1, 1.0), st.floats(1.0, 3.0))
+def test_a_slower_rate_never_raises_its_factor(system, h, k, mu, nu, lower, higher):
+    # h and k divide out growth, mu and nu bound the central drift from both sides
+    operator, family, grid = system
+    base = factor_table(operator, family, exponential_rates(h, k, mu, nu), grid)
+    column = dict(zip(INEQUALITIES, base.T))
+    for tag, rates in (("stable_decay", (h * lower, k, mu, nu)),
+                       ("unstable_growth", (h, k * lower, mu, nu)),
+                       ("center_growth", (h, k, mu * higher, nu)),
+                       ("center_decay", (h, k, mu, nu * higher))):
+        moved = factor_table(operator, family, exponential_rates(*rates), grid)
+        assert np.all(moved[:, INEQUALITIES.index(tag)] <= column[tag])
+
+
+@PROPERTY
+@given(constant_systems(), exponents, exponents, exponents, exponents,
+       st.floats(0.5, 2.0))
+def test_a_passing_uniform_constant_is_a_passing_trichotomy_bound(
+        system, h, k, mu, nu, scale):
+    operator, family, grid = system
+    rates = exponential_rates(h, k, mu, nu)
+    constant = scale * check_uniform(operator, family, rates, grid).uniform_constant
+    uniform = check_uniform(operator, family, rates, grid, constant)
+    if uniform.passed:
+        assert check_trichotomy(operator, family, rates, grid, lambda a: constant).passed

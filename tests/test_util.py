@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from tricho import (GeneratorSpec, ProjectorFamily, check_cocycle, evolution,
+from tricho import (GeneratorSpec, ProjectorFamily, build_norm_family,
+                    check_cocycle, check_compatible, check_identity,
+                    check_invariance, check_inverse_properties,
+                    check_orthogonal, check_trichotomy, evolution,
                     from_generator, util)
 from tricho.norms import query_lattice
 from tricho.util import grid_pairs, make_grid, opnorms, peak, range_basis
@@ -224,3 +227,26 @@ def test_impossible_test_vector_batch_raises_before_building_ids(monkeypatch):
             util.test_vector_batch(3, samples, 0)
     ids, x = util.test_vector_batch(3, 4, 0)
     assert ids == ["e1", "e2", "e3", "r01", "r02", "r03", "r04"] and x.shape == (3, 7)
+
+
+EMPTY_GRID_ENTRY_POINTS = {
+    "check_identity": lambda op, family, rates: check_identity(op, [], 1e-10),
+    "check_cocycle": lambda op, family, rates: check_cocycle(op, [], 1e-10),
+    "check_invariance": lambda op, family, rates: check_invariance(family, op, [], 1e-10),
+    "check_inverse_properties": lambda op, family, rates: check_inverse_properties(
+        op, family, 2, [], 1e-10),
+    "check_compatible": lambda op, family, rates: check_compatible(family, op, [], 1e-10),
+    "check_orthogonal": lambda op, family, rates: check_orthogonal(family, [], 1e-10),
+    "check_trichotomy": lambda op, family, rates: check_trichotomy(op, family, rates, []),
+    "build_norm_family": lambda op, family, rates: build_norm_family(
+        "forward", op, family, rates, 1.0, 0.5, []),
+}
+
+
+@pytest.mark.parametrize("entry", EMPTY_GRID_ENTRY_POINTS.values(),
+                         ids=EMPTY_GRID_ENTRY_POINTS)
+def test_an_empty_grid_raises_at_every_entry_point(entry, nonuniform_operator,
+                                                   split_family, exp_rates):
+    # no check passes vacuously on no times
+    with pytest.raises(ValueError, match="grid must be nonempty"):
+        entry(nonuniform_operator, split_family, exp_rates)
