@@ -67,19 +67,21 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    emit_started = time.perf_counter()
     try:
         paths = emit(report, args.format, args.out)
     except OSError as exc:
         print(f"error: cannot write reports to {args.out}: "
               f"{exc.strerror or exc}", file=sys.stderr)
         return 2
+    emit_s = time.perf_counter() - emit_started
     for entry in report.checks:
         elapsed = report.timing.get(entry["name"])
         suffix = f" ({elapsed:.3f}s)" if elapsed is not None else ""
         print(f"[{entry['status']:>7}] {entry['name']}{suffix}")
     print(f"overall: {report.overall}")
     print(f"wrote {', '.join(str(p) for p in paths)} "
-          f"in {time.perf_counter() - started:.3f}s")
+          f"in {time.perf_counter() - started:.3f}s (emit {emit_s:.3f}s)")
     return report.exit_code
 
 

@@ -10,14 +10,14 @@ All output files are byte-stable for a fixed scenario and seed: numbers are
 written as their shortest round-trip ``repr`` and wall-clock timing stays
 out of the emitted artifacts (it is kept on the in-memory report and
 printed by the CLI). ``report.json`` holds check summaries, each with the
-records that bind it; the per-pair records are written only to
-``records.csv``.
+records that bind it; the per-pair records go only to ``records.csv``,
+written in chunks of records that format each distinct float once.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -159,31 +159,45 @@ def run(scenario: Scenario) -> RunReport:
 # -- serialization ----------------------------------------------------------
 
 COLUMNS = ("check", "t", "s", "tag", "value", "margin", "vector")
-_CHUNK = 256  # records formatted at a time, so no whole column is a list
+_CHUNK = 1024  # records formatted at a time; of a column, only a shared one is held whole
 
 
-def _text(rows: Rows, check: str):
-    """One block of records as CSV text of check ``check``, ``_CHUNK`` lines a
-    piece in record order; ``format`` writes floats as their ``repr``. Names
-    and sample-vector ids hold no delimiter, quote or NUL: no cell is quoted."""
-    times = [repr(t) for t in rows.grid]  # formatted once per grid time
-    t, s = ([""] * len(rows.value) if at is None else [times[i] for i in at.tolist()]
-            for at in (rows.t, rows.s))
-    heads = (f"{check},{a},{b},{tag}," for a, b in zip(t, s) for tag in rows.tags)
-    columns = [a if a is None else a.ravel() for a in (rows.value, rows.margin, rows.vector)]
+def _floats(x: np.ndarray) -> np.ndarray:
+    """The cells ``repr(v) + ","`` of the floats ``x``, one ``repr`` per bit
+    pattern: deduplicated by value, -0.0 and 0.0 would merge."""
+    keys, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    return np.array([f"{v!r}," for v in keys.view(float).tolist()], dtype=object)[inverse]
+
+
+def _text(rows: Rows, check: str, kept: dict):
+    """One block of records as CSV text of check ``check``, ``_CHUNK`` records
+    a piece; a float column reads its cells from ``kept`` by id, or formats
+    them per chunk. Names and sample-vector ids hold no delimiter or quote."""
+    times = np.array([f"{t!r}," for t in rows.grid], dtype=object)
+    tags = np.array([f"{tag}," for tag in rows.tags], dtype=object)
+    floats = [(k, id(a), a.ravel()) for k, a in ((4, rows.value), (5, rows.margin))
+              if a is not None]
     for lo in range(0, rows.value.size, _CHUNK):
-        cells = [itertools.repeat("") if a is None else a[lo:lo + _CHUNK].tolist()
-                 for a in columns]
-        yield "".join(map("{}{},{},{}\n".format, itertools.islice(heads, _CHUNK), *cells))
+        hi = min(lo + _CHUNK, rows.value.size)
+        pair, tag = np.divmod(np.arange(lo, hi), len(rows.tags))
+        parts = np.full((hi - lo, 7), ",", dtype=object)  # a None column: empty cells
+        parts[:, 0], parts[:, 3] = check + ",", tags[tag]
+        parts[:, 1], parts[:, 2] = ("," if at is None else times[at[pair]]
+                                    for at in (rows.t, rows.s))
+        for k, key, a in floats:
+            parts[:, k] = kept[key][lo:hi] if key in kept else _floats(a[lo:hi])
+        parts[:, 6] = "\n" if rows.vector is None else np.char.add(
+            rows.vector.ravel()[lo:hi], "\n")
+        yield "".join(parts.ravel().tolist())
 
 
 def emit(report: RunReport, format: str, out_dir) -> list[Path]:
     """Write report files; returns the written paths.
 
     ``format`` is "json", "csv" or "both". ``records.csv`` is written from
-    each check's columns (``Rows``) with no row built, a block two checks
-    share formatted once. Identical report contents produce byte-identical
-    files; a non-finite number raises ValueError.
+    the checks' columns (``Rows``) a chunk of records at a time, a column
+    two blocks share formatted once. Identical report contents produce
+    byte-identical files; a non-finite number raises ValueError.
     """
     if format not in ("json", "csv", "both"):
         raise ValueError(f"format must be json, csv or both, got {format!r}")
@@ -211,13 +225,17 @@ def emit(report: RunReport, format: str, out_dir) -> list[Path]:
             path = out / "records.csv"
             with path.open("w", newline="") as fh:
                 fh.write(",".join(COLUMNS) + "\n")
-                # a block two checks share is formatted once, with NUL for its name
-                owners = [rows for _, rows in blocks]
-                shared = {rows: list(_text(rows, "\0")) for rows in dict.fromkeys(owners)
-                          if owners.count(rows) > 1}
+                # a column several blocks write is formatted once, and kept until
+                # the last of them is written
+                readers = Counter(id(a) for _, rows in blocks for a in (rows.value, rows.margin))
+                kept = {}
                 for check, rows in blocks:
-                    fh.writelines((c.replace("\0", check) for c in shared[rows])
-                                  if rows in shared else _text(rows, check))
+                    columns = {id(a): a for a in (rows.value, rows.margin) if a is not None}
+                    kept |= {key: _floats(a.ravel()) for key, a in columns.items()
+                             if readers[key] > 1 and key not in kept}
+                    fh.writelines(_text(rows, check, kept))
+                    readers.subtract(columns.keys())
+                    kept = {key: cells for key, cells in kept.items() if readers[key]}
             written.append(path)
         path = out / "summary.csv"
         lines = ["check,status", *(f"{e['name']},{e['status']}" for e in report.checks),

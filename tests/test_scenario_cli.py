@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import math
+import re
 import weakref
 from pathlib import Path
 
@@ -274,7 +275,10 @@ def test_example_cli_all_pass(tmp_path, capsys, path):
     rows = (out / "summary.csv").read_text().splitlines()[1:]
     assert len(rows) == len(json.loads(path.read_text())["checks"]) + 1
     assert all(row.endswith(",pass") for row in rows)
-    assert "overall: pass" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "overall: pass" in text
+    total, emitted = re.search(r"^wrote .* in (\S+)s \(emit (\S+)s\)$", text, re.M).groups()
+    assert 0.0 <= float(emitted) <= float(total)
 
 
 def test_failed_prerequisite_skips_dependents(tmp_path):
@@ -682,3 +686,41 @@ def test_records_csv_matches_a_csv_writer_over_the_records(tmp_path, monkeypatch
     writer.writerow(runner.COLUMNS)
     writer.writerows(row + ("",) * (len(runner.COLUMNS) - len(row)) for row in rows)
     assert (tmp_path / "records.csv").read_text() == want.getvalue()
+
+
+def test_records_csv_matches_its_oracles_across_chunk_boundaries(tmp_path, monkeypatch):
+    """Chunks of 7 records end inside a pair of 4 tags, and the kept trichotomy
+    value column is written by blocks whose chunks end at other records."""
+    monkeypatch.setattr(runner, "_CHUNK", 7)
+    test_records_csv_matches_a_csv_writer_over_the_records(tmp_path, monkeypatch)
+    test_emit_writes_a_shared_block_as_a_deep_copy_of_it(tmp_path)
+
+
+@pytest.mark.parametrize("chunk", [3, runner._CHUNK])
+def test_records_csv_writes_every_float_cell_as_its_repr(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(runner, "_CHUNK", chunk)
+    value = np.array([[-0.0, 0.0], [5e-324, 1.7976931348623157e308], [1e16, 1e-05],
+                      [0.1 + 0.2, -0.0], [0.0, -5e-324]])
+    grid, at = [0.0, 0.5, 1.0], np.array([0, 1, 2, 2, 1])
+    vector = np.array(["e1", "r02"])[np.arange(10).reshape(5, 2) % 2]
+    blocks = [("a", Rows(grid, at, at[::-1], ["x", "y"], value, -value[::-1], vector)),
+              ("empty", Rows(grid, at[:0], at[:0], ["p", "q", "r", "s"], np.zeros((0, 4)))),
+              ("narrow", Rows(grid, at[:1], at[:1], [], np.zeros((1, 0)))),
+              ("b", Rows(grid, at, None, ["x", "y"], value)),  # shares a's value column
+              ("c", Rows([], None, None, ["u", "v"], np.array([[0.0, -0.0]]), value[:1]))]
+    entry = {"name": "x", "status": "pass", "payload": {}, "rows": blocks}
+    emit(runner.RunReport(scenario={}, checks=[entry], overall="pass"), "csv", tmp_path)
+
+    def cell(column, p, j):  # one cell as a per-record writer gives it
+        if column is None:
+            return ""
+        return str(column[p, j]) if column.dtype.kind == "U" else repr(float(column[p, j]))
+    want = [",".join(runner.COLUMNS)]
+    for check, rows in blocks:
+        for p, j in np.ndindex(rows.value.shape):
+            times = ["" if i is None else repr(rows.grid[i[p]]) for i in (rows.t, rows.s)]
+            cells = [cell(c, p, j) for c in (rows.value, rows.margin, rows.vector)]
+            want.append(",".join([check, *times, rows.tags[j], *cells]))
+    text = (tmp_path / "records.csv").read_text()
+    assert text == "\n".join(want) + "\n"
+    assert text.startswith(want[0] + "\na,0.0,0.5,x,-0.0,-0.0,e1\na,0.0,0.5,y,0.0,5e-324,r02\n")
