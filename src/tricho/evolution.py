@@ -25,7 +25,7 @@ from .errors import PreconditionError
 from .rates import GrowthRate
 from .projectors import ProjectorFamily, ordered_pairs
 from .reports import CheckReport
-from .util import MatrixStore, grid_pairs, opnorm, opnorms, peak, triple_blocks
+from .util import MatrixStore, grid_pairs, opnorm, peak, triple_blocks
 
 _PROBE_TIMES = (0.0, 0.9, 2.3, 5.7)
 _PROBE_TOL = 1e-9
@@ -36,7 +36,8 @@ class EvolutionOperator:
 
     ``compute(pairs)`` gives the matrices of an (m, 2) array of in-domain
     pairs as an (m, n, n) stack. Each distinct pair is computed once per
-    operator and kept read-only in the array-keyed ``store``. Everything
+    operator and kept read-only in the array-keyed ``store``, and its
+    spectral norm |U(t, s)| beside it when ``norms`` first reads it. Everything
     derived from U that a lookup cannot rebuild is kept beside it through
     ``keep``: the restricted inverses, one (pairs, 4) factor table per
     splitting system and grid, the norm terms, their values on the sample
@@ -63,6 +64,10 @@ class EvolutionOperator:
     def evaluate_many(self, pairs) -> np.ndarray:
         """U(t, s) for each (t, s) of an (m, 2) array or list as a new stack."""
         return self.store.stack(pairs)
+
+    def norms(self, pairs) -> np.ndarray:
+        """|U(t, s)| for each (t, s), each pair's taken by SVD once per operator."""
+        return self.store.norms(pairs)
 
 
 def identity_operator(dimension: int) -> EvolutionOperator:
@@ -243,16 +248,24 @@ def check_cocycle(operator: EvolutionOperator, times, tol: float) -> CheckReport
     Residuals are measured relative to the size of U(t, t0), floored at 1:
     growing operators reach norms ~e^{a t} where even a one-ulp relative
     error dwarfs any absolute tolerance, so the scale-aware residual is the
-    meaningful one. U is read once over ``grid_pairs(times)``; the triples
-    are taken one outer time at a time (``util.triple_blocks``), each block
-    reduced to its worst residual norm by ``util.peak``. For an operator
+    meaningful one. U and its kept norms are read once over
+    ``grid_pairs(times)``; the triples are taken one outer time at a time
+    (``util.triple_blocks``), each block gathered, multiplied and subtracted
+    into two buffers of the pair stack's size and reduced to its worst
+    residual norm by ``util.peak``. For an operator
     anchored on the times (``from_generator``), U(t, t0) is the chain product
     through s, so the residual shows floating-point reassociation only, not
     the integration error.
     """
-    stack = operator.evaluate_many(grid_pairs(times))
-    scale = np.maximum(1.0, opnorms(stack))
+    pairs = grid_pairs(times)
+    stack = operator.evaluate_many(pairs)
+    scale = np.maximum(1.0, operator.norms(pairs))
+    gathered, residual = np.empty_like(stack), np.empty_like(stack)
     worst = 0.0
     for direct, left, right in triple_blocks(len(times)):
-        worst = max(worst, peak(stack[direct] - stack[left] @ stack[right], scale[direct]))
+        a, r = gathered[:len(direct)], residual[:len(direct)]
+        # mode "clip" (the rows are in range): "raise" would buffer out
+        np.matmul(np.take(stack, left, axis=0, out=a, mode="clip"), stack[right], out=r)
+        np.subtract(np.take(stack, direct, axis=0, out=a, mode="clip"), r, out=r)
+        worst = max(worst, peak(r, scale[direct]))
     return CheckReport("cocycle", tol, {"cocycle": worst}, worst <= tol)

@@ -30,7 +30,7 @@ from .rates import GrowthRate
 from .reports import (CompatibilityReport, Rows, TheoremReport, TrichotomyReport,
                       smallest_margins)
 from .trichotomy import TERMS, check_trichotomy
-from .util import grid_pairs, opnorms, test_vector_batch
+from .util import contenders, grid_pairs, norm_bounds, opnorms, test_vector_batch
 
 VARIANTS = {"forward": ("stable_decay", "unstable_growth", "center_growth"),
             "backward": ("stable_decay", "unstable_growth", "center_decay")}
@@ -121,9 +121,11 @@ class NormTerm:
     ``rate``'s quotient times U(tau, t) P_j(t) over the future lattice of t
     where ``TERMS[tag]`` binds N at s, else times W_j(t, r) over the past one.
     ``at(t)`` gives its screened narrow stack at t (``_view``) and its peak,
-    quotient times the spectral norm of each map: ``factor_table(full=True)``
-    to the bit. ``basis`` holds the norms of the basis vectors at ``times``,
-    at the horizon and at twice it; other times are built on first use."""
+    the largest quotient times spectral norm of a map: ``factor_table(full=True)``
+    to the bit. A past term reads the norms kept beside W_j; a future term
+    takes the SVD only of the maps ``util.contenders`` keeps for each time's
+    peak. ``basis`` holds the norms of the basis vectors at ``times``, at the
+    horizon and at twice it; other times are built on first use."""
 
     def __init__(self, operator, tag: str, family, rate, horizon: float,
                  step: float, times):
@@ -152,12 +154,21 @@ class NormTerm:
             if self.rate is None:
                 raise StructuralError(f"the {self.tag} norm term needs the {key!r} rate")
             at = pairs[live]
-            maps = (self.operator.evaluate_many(at) @ member[live] if future
-                    else build_inverses(self.operator, self.family)[j].stack(at))
             ratios = self.rate.ratios(*(at.T if rising else at.T[::-1]))
-            stack[live] = ratios[:, None, None] * maps
-            seen = narrow[live]  # no SVD past the horizon
-            norms[live & narrow] = ratios[seen] * opnorms(maps[seen])
+            if future:  # every time's lattice has the same length
+                maps = self.operator.evaluate_many(at) @ member[live]
+                stack[live] = ratios[:, None, None] * maps
+                # only each time's largest norm is read, so only its
+                # contenders go to the SVD; none past the horizon
+                sift = live & narrow
+                bounds = norm_bounds(stack.reshape(len(times), -1, *member.shape[1:])[:, :cut])
+                if bounds is not None:
+                    sift[narrow] &= contenders(*bounds, cut)
+                norms[sift] = ratios[sift[live]] * opnorms(maps[sift[live]])
+            else:  # W_j keeps its norms
+                inverses = build_inverses(self.operator, self.family)[j]
+                stack[live] = ratios[:, None, None] * inverses.stack(at)
+                norms[live] = ratios * inverses.norms(at)
         starts = np.cumsum([0] + sizes)
         for t, lo, hi in zip(times, starts, starts[1:]):
             # a copy, so the whole stack can go after the horizon pass
@@ -329,7 +340,8 @@ def _theorem_tables(forward, backward, samples, seed) -> tuple[Rows, Rows, Rows]
     quotients = {tag: forward.rates[key].ratios(*((ss, ts) if rising else (ts, ss)))
                  for tag, (_, key, _, rising) in TERMS.items() if tag in tags}
     pairs = grid_pairs(grid)
-    u = forward.operator.evaluate_many(pairs)
+    store = forward.operator.store  # U gathered a block at a time, not copied whole
+    u_rows = store.rows(pairs)
     inverses = build_inverses(forward.operator, forward.family)
     offsets = np.cumsum(np.arange(len(grid) + 1))  # row i of pairs starts here
     zero = np.zeros((len(rows), 1))
@@ -343,7 +355,7 @@ def _theorem_tables(forward, backward, samples, seed) -> tuple[Rows, Rows, Rows]
         for i, a in enumerate(grid):
             if binds == "s":  # |U(t, s) P_j(s) x|_t forward, t = a over s <= t
                 at = slice(offsets[i], offsets[i + 1])
-                lhs[at] = forward.evaluate_many(a, u[at] @ proj[:i + 1, j])
+                lhs[at] = forward.evaluate_many(a, store.values[u_rows[at]] @ proj[:i + 1, j])
             else:  # |W_j(t, s) x|_s backward, s = a over t >= s
                 at = offsets[i:-1] + i
                 lhs[at] = backward.evaluate_many(a, inverses[j].stack(pairs[at]) @ x)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, NotStronglyInvariantError, StructuralError
 from .reports import CheckReport
-from .util import MatrixStore, grid_pairs, opnorms, peak, range_bases, triple_blocks
+from .util import MatrixStore, grid_pairs, peak, range_bases, triple_blocks
 
 RANK_TOL = 1e-10  # scale-invariant: smallest singular value vs largest
 
@@ -130,8 +130,7 @@ def check_invariance(family: ProjectorFamily, operator, grid, tol: float) -> Che
     """Worst commutation residual |U(t,s)P_i(s) - P_i(t)U(t,s)| over grid
     pairs, relative to |U(t,s)| floored at 1, as ``check_cocycle`` explains."""
     pairs = grid_pairs(grid)
-    u = operator.evaluate_many(pairs)
-    u_norm = opnorms(u)
+    u, u_norm = operator.evaluate_many(pairs), operator.norms(pairs)
     worst = max(_commutation(family, i, u, pairs, u_norm) for i in (1, 2, 3))
     return CheckReport("invariance", tol, {"commutation": worst}, worst <= tol)
 
@@ -182,7 +181,8 @@ def compute_restricted_inverse(operator, family: ProjectorFamily, index: int,
 class InverseFamily:
     """W(t, s) = V_j(t, s) P_j(t) of one operator and family on t >= s >= 0,
     one ``restricted_inverses`` call per batch of unseen pairs, kept read-only
-    in an array-keyed ``store`` with the note of each of its rows."""
+    in an array-keyed ``store`` with the note of each of its rows and, once
+    read, its spectral norm."""
 
     def __init__(self, operator, family: ProjectorFamily, index: int):
         def compute(pairs):
@@ -205,6 +205,11 @@ class InverseFamily:
             raise NotStronglyInvariantError(note)
         return out
 
+    def norms(self, pairs) -> np.ndarray:
+        """|W(t, s)| for each pair (0 where W does not exist), each pair's
+        taken by SVD once."""
+        return self.store.norms(pairs)
+
     def evaluate(self, t: float, s: float) -> np.ndarray:
         self.stack([(t, s)])
         return self.store.get((t, s))
@@ -222,23 +227,23 @@ def check_compatible(family: ProjectorFamily, operator, grid, tol: float) -> Che
 
     For every grid pair the computed W(t, s) must satisfy
     U(t,s) W = P_j(t) and W U(t,s) P_j(s) = P_j(s) within tol relative to
-    |U| |W|, and P1 commute with U relative to |U|, each floored at 1. Zero
-    members pass vacuously. A rank-deficient restriction fails the report
-    rather than raising.
+    |U| |W|, and P1 commute with U relative to |U|, each floored at 1; the
+    norms are the ones kept beside U and W. Zero members pass vacuously. A
+    rank-deficient restriction fails the report rather than raising.
     """
     pairs = grid_pairs(grid)
-    u = operator.evaluate_many(pairs)
-    u_norm = opnorms(u)
+    u, u_norm = operator.evaluate_many(pairs), operator.norms(pairs)
     residuals = {"invariance_p1": _commutation(family, 1, u, pairs, u_norm),
                  "right_inverse": 0.0, "left_inverse": 0.0}
     notes = []
     for j in (2, 3):
-        w, failed = build_inverses(operator, family)[j].evaluate_many(pairs)
+        inverses = build_inverses(operator, family)[j]
+        w, failed = inverses.evaluate_many(pairs)
         ok = np.equal(failed, None)
         notes += failed[~ok].tolist()
         p_t, p_s = (family.stack(j, x) for x in pairs[ok].T)
         w, u_ok = w[ok], u[ok]
-        scale = np.maximum(1.0, u_norm[ok] * opnorms(w))
+        scale = np.maximum(1.0, u_norm[ok] * inverses.norms(pairs[ok]))
         for key, r in (("right_inverse", u_ok @ w - p_t), ("left_inverse", w @ u_ok @ p_s - p_s)):
             residuals[key] = max(residuals[key], peak(r, scale))
     passed = not notes and all(v <= tol for v in residuals.values())
@@ -254,17 +259,23 @@ def check_inverse_properties(operator, family: ProjectorFamily, index: int,
     range (W lands in Range P(s)) over every pair t >= s of ``times``;
     equal_time (W(t, t) = P(t)) on its diagonal pairs; cocycle
     (W(t, t0) = W(s, t0) W(t, s)) over every triple t >= s >= t0, taken one
-    outer time at a time (``util.triple_blocks``).
+    outer time at a time (``util.triple_blocks``) into two buffers of the
+    pair stack's size. The norms are the ones kept beside U and W.
     """
     pairs = grid_pairs(times)
-    w = build_inverses(operator, family)[index].stack(pairs)  # raises at the first failure
+    inverses = build_inverses(operator, family)[index]
+    w = inverses.stack(pairs)  # raises at the first failure
     u = operator.evaluate_many(pairs)
     p_t, p_s = (family.stack(index, x) for x in pairs.T)
     equal = pairs[:, 0] == pairs[:, 1]
-    scale = np.maximum(1.0, opnorms(u) * opnorms(w))
+    scale = np.maximum(1.0, operator.norms(pairs) * inverses.norms(pairs))
+    gathered, residual = np.empty_like(w), np.empty_like(w)
     cocycle = 0.0
-    for direct, left, right in triple_blocks(len(times)):
-        cocycle = max(cocycle, peak(w[direct] - w[right] @ w[left]))
+    for direct, left, right in triple_blocks(len(times)):  # as check_cocycle
+        a, r = gathered[:len(direct)], residual[:len(direct)]
+        np.matmul(w[right], np.take(w, left, axis=0, out=a, mode="clip"), out=r)
+        np.subtract(np.take(w, direct, axis=0, out=a, mode="clip"), r, out=r)
+        cocycle = max(cocycle, peak(r))
     worst = {"right_inverse": peak(u @ w - p_t, scale),
              "left_inverse": peak(w @ u @ p_s - p_s, scale),
              "cocycle": cocycle,

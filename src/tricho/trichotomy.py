@@ -49,7 +49,8 @@ def factor_table(operator, family: ProjectorFamily, rates: dict, grid,
 
     Each inequality takes one batched product and SVD per member rank.
     Rank-0 members make the inequality vacuous and give 0. With ``full=True``
-    the right-hand side uses the unprojected state norm. The table is
+    the right-hand side uses the unprojected state norm, and the growth
+    inequalities read the norms kept beside W_j. The table is
     computed once per operator and kept through ``operator.keep``, keyed by
     the family, the four rates, ``full`` and the grid, so every check that
     reads the same system shares it.
@@ -75,11 +76,12 @@ def _factors(operator, family, rates, pairs, tag, full) -> np.ndarray:
         sub = pairs[rows]
         right = family.stack(j, sub[:, 1]) if full and decay else bases[rows, :, :rank]
         if decay:
-            mats = operator.evaluate_many(sub) @ right
+            norms = opnorms(operator.evaluate_many(sub) @ right)
         else:
-            mats = build_inverses(operator, family)[j].stack(sub)
-            mats = mats if full else mats @ right
-        out[rows] = rates[rate_key].ratios(*(sub.T if rising else sub.T[::-1])) * opnorms(mats)
+            inverses = build_inverses(operator, family)[j]
+            mats = inverses.stack(sub)  # raises where W does not exist
+            norms = inverses.norms(sub) if full else opnorms(mats @ right)
+        out[rows] = rates[rate_key].ratios(*(sub.T if rising else sub.T[::-1])) * norms
     return out
 
 

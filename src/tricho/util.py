@@ -12,23 +12,28 @@ import numpy as np
 
 _RANGE_CUTOFF = 0.5  # projector singular values cluster at {0} and [1, inf)
 _SCREEN_MARGIN = 1e-9  # relative, far above the rounding of either bound
+_SQUARE_SAFE = (1e-150, 1e150)  # largest entries whose Frobenius sums need no rescale
 
 
 class MatrixStore:
     """Matrices of one shape keyed by time or by (t, s) pair, each computed
-    once and kept read-only in ``values``, in the order computed.
+    once and kept read-only in ``values``, in the order computed, with the
+    spectral norm of each row computed on its first read by ``norms``.
 
     Keys are a 1-D array of times or an (m, 2) array of pairs, or lists of
     them. A pair is the complex t + 1j*s, which numpy sorts lexicographically,
     so a lookup is one ``searchsorted`` in the sorted keys, one hit test and
-    one gather. ``compute(keys)`` gets the unseen keys of a batch once each,
-    in first-seen order; 0.0 and -0.0 are one key, and NaN is never found.
+    one gather; a batch's unseen keys are merged into them with one
+    ``searchsorted`` and one ``insert``. ``compute(keys)`` gets the unseen
+    keys of a batch once each, in first-seen order; 0.0 and -0.0 are one
+    key, and NaN is never found.
     """
 
     def __init__(self, shape: tuple, compute):
         self.shape = tuple(shape)
         self.compute = compute
         self.values = np.empty((0, *self.shape))
+        self._norms = np.empty(0)  # of each row of values; NaN until read
         self._keys = np.array([np.nan])  # sorted; NaN sorts last and equals no key
         self._slots = np.array([-1])  # row of values of each key
 
@@ -40,14 +45,14 @@ class MatrixStore:
         miss = np.flatnonzero(self._keys[pos] != flat)
         if len(miss):
             order = miss[np.argsort(flat[miss], kind="stable")]
-            heads = np.concatenate(([True], flat[order[1:]] != flat[order[:-1]]))
-            new = np.flatnonzero(np.bincount(order[heads], minlength=len(flat)))  # first-seen order
+            heads = order[np.concatenate(([True], flat[order[1:]] != flat[order[:-1]]))]
+            new = np.flatnonzero(np.bincount(heads, minlength=len(flat)))  # first-seen order
             stack = np.asarray(self.compute(keys[new]), dtype=float)
-            slots = np.arange(len(self.values), len(self.values) + len(new))
             self.values = np.concatenate((self.values, stack.reshape(-1, *self.shape)))
-            merged = np.concatenate((self._keys, flat[new]))
-            order = np.argsort(merged, kind="stable")
-            self._keys, self._slots = merged[order], np.concatenate((self._slots, slots))[order]
+            # heads holds the new keys in key order, each one's row after new's
+            at, slots = pos[heads], len(self.values) - len(new) + np.searchsorted(new, heads)
+            self._keys = np.insert(self._keys.astype(flat.dtype, copy=False), at, flat[heads])
+            self._slots = np.insert(self._slots, at, slots)
             pos = np.searchsorted(self._keys, flat)
         return self._slots[pos]
 
@@ -62,6 +67,18 @@ class MatrixStore:
         """The matrices of ``keys`` as a new (m, *shape) stack."""
         rows = self.rows(keys)  # may grow values
         return self.values[rows]
+
+    def norms(self, keys) -> np.ndarray:
+        """The spectral norms of the matrices of ``keys``, ``opnorms`` to the
+        bit; each row's is computed once, in one batched SVD per call."""
+        rows = self.rows(keys)  # may grow values
+        grown = len(self.values) - len(self._norms)
+        self._norms = np.concatenate((self._norms, np.full(grown, np.nan)))
+        unread = np.zeros(len(self.values), dtype=bool)
+        unread[rows] = np.isnan(self._norms[rows])
+        if unread.any():
+            self._norms[unread] = opnorms(self.values[unread])
+        return self._norms[rows]
 
 
 def opnorm(m: np.ndarray) -> float:
@@ -78,24 +95,53 @@ def opnorms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.norm(stack, 2, axis=(-2, -1))
 
 
+def norm_bounds(stack: np.ndarray):
+    """Bounds on the spectral norm of each matrix of a (..., rows, cols)
+    stack, max(max|r_ij|, ||R||_F / sqrt(min(rows, cols))) <= ||R|| <=
+    ||R||_F, as two flat arrays; None when an entry is not finite. The
+    entries go into one (rows * cols, m) copy, so each reduction runs across
+    matrices. The Frobenius norms are rescaled by each matrix's largest entry
+    only when some nonzero matrix's largest entry lies outside [1e-150,
+    1e150]: within it no square overflows, and the squares that underflow
+    move a sum of at least 1e-300 by less than 1e-20 of it."""
+    flat = np.abs(np.moveaxis(stack, (-2, -1), (0, 1)), order="C")
+    flat = flat.reshape(math.prod(stack.shape[-2:]), math.prod(stack.shape[:-2]))
+    size = flat.max(axis=0, initial=0.0)
+    if not np.isfinite(size).all():  # max keeps a NaN
+        return None
+    if size.max(initial=0.0) > _SQUARE_SAFE[1] or ((size > 0.0) & (size < _SQUARE_SAFE[0])).any():
+        flat /= np.where(size > 0.0, size, 1.0)
+        upper = size * np.sqrt(np.square(flat, out=flat).sum(axis=0))
+    else:
+        upper = np.sqrt(np.square(flat, out=flat).sum(axis=0))
+    return np.maximum(size, upper / math.sqrt(max(1, min(stack.shape[-2:])))), upper
+
+
+def contenders(lower: np.ndarray, upper: np.ndarray, length: int) -> np.ndarray:
+    """Which matrices can hold the largest norm of their segment of
+    ``length`` consecutive ones, given bounds on each (``norm_bounds``):
+    those whose upper bound reaches the segment's largest lower bound, less a
+    margin rounding cannot cross."""
+    floor = lower.reshape(-1, length).max(axis=1, keepdims=True)
+    return (upper.reshape(-1, length) * (1.0 + _SCREEN_MARGIN)
+            >= floor * (1.0 - _SCREEN_MARGIN)).ravel()
+
+
 def peak(stack: np.ndarray, scale=1.0) -> float:
     """Largest spectral norm over a (..., rows, cols) stack, each divided by
     its positive ``scale``: ``max(opnorms(stack) / scale)`` to the bit, 0.0
-    with no SVD if all are zero. Each norm lies in [max(|r_ij|, ||R||_F /
-    sqrt(min(rows, cols))), ||R||_F]; only a matrix whose upper bound reaches
-    the largest lower bound, less a margin rounding cannot cross, goes to the
-    SVD. Non-finite stacks all go: the SVD raises on NaN, gives NaN on inf."""
-    scale = np.broadcast_to(scale, stack.shape[:-2])
-    if np.isfinite(stack).all():
-        size = np.abs(stack).max(axis=(-2, -1), initial=0.0)
-        unit = stack / np.where(size > 0.0, size, 1.0)[..., None, None]  # no under/overflow
-        upper = size * np.linalg.norm(unit, axis=(-2, -1)) / scale
+    with no SVD if all are zero. Only the ``contenders`` of the scaled
+    ``norm_bounds`` go to the SVD; non-finite stacks all go: the SVD raises
+    on NaN, gives NaN on inf."""
+    scale = np.broadcast_to(scale, stack.shape[:-2]).reshape(-1)
+    stack = stack.reshape(len(scale), *stack.shape[-2:])
+    bounds = norm_bounds(stack)
+    if bounds is not None:
+        lower, upper = (b / scale for b in bounds)
         if not upper.any():
             return 0.0
-        floor = max((size / scale).max(), upper.max() / math.sqrt(min(stack.shape[-2:])))
-        if math.isfinite(floor):
-            keep = upper * (1.0 + _SCREEN_MARGIN) >= floor * (1.0 - _SCREEN_MARGIN)
-            stack, scale = stack[keep], scale[keep]
+        keep = contenders(lower, upper, len(lower))
+        stack, scale = stack[keep], scale[keep]
     return float(np.max(opnorms(stack) / scale, initial=0.0))
 
 

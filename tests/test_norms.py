@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -816,3 +817,86 @@ def test_compatibility_reads_the_kept_values(uniform_norms, nonuniform_norms,
             report = check_compatibility(nf, samples=8, seed=21)
             assert report.ratios == values.max(axis=1).tolist()
             assert report.lower_margin == float(values.min()) - 1.0
+
+
+def unscreened_peak(term, t):
+    """A term's peak at t with every map of its lattice through the SVD."""
+    j, _, binds, rising = norms.TERMS[term.tag]
+    if binds == "s":
+        lattice = norms._future_times(t, term.horizon, term.step)
+        pairs = np.stack((lattice, np.full(len(lattice), t)), axis=1)
+        maps = term.operator.evaluate_many(pairs) @ term.family.stack(j, pairs[:, 1])
+    else:
+        lattice = norms._past_times(t, term.step)
+        pairs = np.stack((np.full(len(lattice), t), lattice), axis=1)
+        maps = build_inverses(term.operator, term.family)[j].stack(pairs)
+    return float(np.max(term.rate.ratios(*(pairs.T if rising else pairs.T[::-1]))
+                        * util.opnorms(maps)))
+
+
+def vanishing_center_terms(grid, horizon, step):
+    """Future terms of a family whose member 3 is 0 before t = 1, over a
+    full generator; a steep center rate puts weighted maps below 1e-150."""
+    a = np.array([[-1.0, 0.4, 0.2], [0.3, 1.2, -0.5], [0.1, 0.2, 0.1]])
+    operator = from_generator(GeneratorSpec.constant(a, 0.05),
+                              anchors=query_lattice(grid, horizon, step))
+    e1, e3 = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0])
+    center = lambda t: e3 if t >= 1.0 else np.zeros((3, 3))
+    family = ProjectorFamily(3, [lambda t: e1, lambda t: np.eye(3) - e1 - center(t), center])
+    return [norms.NormTerm(operator, tag, family, GrowthRate.exponential(rate),
+                           horizon, step, grid)
+            for tag, rate in (("stable_decay", 1.0), ("center_growth", 80.0),
+                              ("center_growth", 0.5))]
+
+
+def test_screened_peaks_are_the_unscreened_maximum(monkeypatch):
+    example_grid, families = example_families()
+    grid = make_grid(2.0, 0.25)
+    cases = [(term, example_grid) for nf in families for term in nf.terms]
+    cases += [(term, grid) for nf in rank_two_block_families(grid, 1.0, 0.25)
+              + oblique_families(grid, 1.0, 0.25) for term in nf.terms]
+    vanishing = vanishing_center_terms(grid, 5.0, 0.5)
+    cases += [(term, grid) for term in vanishing]
+    for term, at in cases:
+        for t in at:
+            assert term.at(t)[1] == unscreened_peak(term, t)
+    assert [term.at(0.5)[1] for term in vanishing[1:]] == [0.0, 0.0]
+    steep = np.abs(vanishing[1].at(2.0)[0][0])
+    assert steep[steep > 0.0].min() < 1e-150
+
+    # the screen sends only a part of the lattice maps to the SVD
+    sent = []
+    monkeypatch.setattr(norms, "opnorms", lambda stack: sent.append(len(stack))
+                        or util.opnorms(stack))
+    term = families[0].terms[0]
+    rebuilt = norms.NormTerm(term.operator, term.tag, term.family, term.rate,
+                             term.horizon, term.step, example_grid)
+    assert [rebuilt.at(t)[1] for t in example_grid] == [term.at(t)[1] for t in example_grid]
+    lattice = len(norms._future_times(0.0, term.horizon, term.step))
+    assert 0 < sum(sent) < len(example_grid) * lattice // 2
+
+
+def test_run_sends_each_grid_pair_norm_of_u_and_w_to_the_svd_once(monkeypatch):
+    """On the nonuniform example (G=21) every off-diagonal grid pair's U, W_2
+    and W_3 reaches the SVD once per run: the checks and factor tables read
+    the norms kept beside them. numpy's spectral norm takes its SVD through
+    ``numpy.linalg._linalg.svd``, which is wrapped here."""
+    example = parse_scenario(SCENARIOS / "nonuniform_example.json")
+    grid = make_grid(example.grid_max, example.grid_step)
+    pairs = util.grid_pairs(grid)
+    pairs = pairs[pairs[:, 0] > pairs[:, 1]]  # U(t, t) = I at every t
+    operator = runner._build_operator(example, grid)
+    inverses = build_inverses(operator, example.family)
+    want = [m.tobytes() for stack in (operator.evaluate_many(pairs), inverses[2].stack(pairs),
+                                      inverses[3].stack(pairs)) for m in stack]
+    assert len(set(want)) == len(want) == 3 * 210
+    sent = Counter()
+    svd = np.linalg._linalg.svd
+
+    def counting(a, *args, **kwargs):
+        a = np.asarray(a)
+        sent.update(m.tobytes() for m in a.reshape(-1, *a.shape[-2:]))
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg._linalg, "svd", counting)
+    assert run(example).overall == "pass"
+    assert [sent[m] for m in want] == [1] * len(want)

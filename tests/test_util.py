@@ -1,14 +1,18 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tricho import (GeneratorSpec, ProjectorFamily, build_norm_family,
                     check_cocycle, check_compatible, check_identity,
                     check_invariance, check_inverse_properties,
                     check_orthogonal, check_trichotomy, evolution,
-                    from_generator, util)
+                    from_generator, runner, scenario_from_tree, util)
 from tricho.norms import query_lattice
+from tricho.scenario import read_tree
 from tricho.util import grid_pairs, make_grid, opnorms, peak, range_basis
 
 
@@ -41,6 +45,7 @@ def test_peak_of_zeros_takes_no_svd(monkeypatch):
     assert peak(np.zeros((5, 3, 3)), np.full(5, 2.0)) == 0.0
     assert peak(np.zeros((0, 3, 3))) == 0.0
     assert peak(-0.0 * np.ones((2, 3, 1))) == 0.0
+    assert peak(np.ones((4, 3, 0))) == peak(np.ones((2, 0, 3))) == 0.0  # empty matrices
 
 
 def test_peak_keeps_the_svd_answer_on_nonfinite_residuals():
@@ -54,6 +59,39 @@ def test_peak_keeps_the_svd_answer_on_nonfinite_residuals():
     stack[2, 0, 1] = np.inf
     assert np.isnan(all_svd_peak(stack)) and np.isnan(peak(stack))
     assert np.isnan(peak(stack, np.full(4, 3.0)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_peak_is_the_largest_scaled_norm_from_1e_200_to_1e200(m, rows, cols, data):
+    """Entries span 1e-200 to 1e200 with zeros, so both the direct and the
+    rescaled Frobenius bound are taken, and matrices far apart in size meet
+    in one stack."""
+    def draw(elements, shape):
+        return np.array(data.draw(st.lists(elements, min_size=math.prod(shape),
+                                           max_size=math.prod(shape)))).reshape(shape)
+    shape = (m, rows, cols)
+    sign = draw(st.sampled_from([-1.0, 0.0, 0.0, 1.0]), shape)
+    stack = sign * 10.0 ** draw(st.floats(-200.0, 200.0), shape)
+    stack *= 10.0 ** draw(st.floats(-200.0, 0.0), (m, 1, 1))  # sizes apart
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0), (m,))
+    assert peak(stack, scale) == all_svd_peak(stack, scale)
+    assert peak(stack) == all_svd_peak(stack)
+    stack[data.draw(st.integers(0, m - 1)), 0, 0] = np.inf  # an inf: every matrix
+    assert np.isnan(peak(stack, scale)) and np.isnan(all_svd_peak(stack, scale))
+
+
+def test_peak_screen_keeps_the_largest_of_each_segment():
+    rng = np.random.default_rng(7)
+    stack = rng.standard_normal((30, 3, 3)) * 10.0 ** rng.uniform(-170, 170, (30, 1, 1))
+    stack[10:15] = 0.0  # a segment of zeros keeps all its rows: none is below 0
+    keep = util.contenders(*util.norm_bounds(stack), 5)
+    norms = opnorms(stack)
+    for lo in range(0, 30, 5):
+        assert keep[lo:lo + 5].any()
+        assert norms[lo:lo + 5][keep[lo:lo + 5]].max() == norms[lo:lo + 5].max()
+    assert not keep.all()
+    assert util.norm_bounds(np.where(np.arange(30)[:, None, None] == 3, np.nan, stack)) is None
 
 
 def ode_block_g41():
@@ -75,6 +113,7 @@ def test_cocycle_sends_fewer_residuals_than_triples_to_the_svd(monkeypatch):
     direct, left, right = row(i, k), row(i, j), row(j, k)
     want = all_svd_peak(stack[direct] - stack[left] @ stack[right],
                         np.maximum(1.0, opnorms(stack))[direct])
+    operator.norms(grid_pairs(grid))  # the scale |U| is kept beside U: not counted
     counted = []
 
     def counting(stack):
@@ -170,6 +209,54 @@ def test_array_store_matches_the_dict_store_bit_for_bit(batches, matrices):
     for got, want, row in handed_out:
         assert got.tobytes() == want.tobytes()
         assert row.tobytes() == want[-1].tobytes()
+
+
+def zero_at_three(pairs):
+    """``pair_matrices``, zero where t = 3."""
+    return [np.zeros((2, 2)) if t == 3.0 else m
+            for (t, _), m in zip(pairs, pair_matrices(pairs))]
+
+
+def test_store_norms_are_opnorms_read_once(monkeypatch):
+    sent = []
+
+    def counting(stack):
+        sent.extend(m.tobytes() for m in stack)
+        return opnorms(stack)
+    monkeypatch.setattr(util, "opnorms", counting)
+    store = util.MatrixStore((2, 2), lambda pairs: zero_at_three(pairs.tolist()))
+    first = [(2.0, 1.0), (3.0, 0.0), (2.0, 1.0), (0.5, 0.25), (3.0, 0.0)]  # repeats, a zero
+    for keys in (first, first[::-1]):
+        got = store.norms(keys)
+        assert got.tobytes() == opnorms(store.stack(keys)).tobytes()
+    assert len(sent) == 3 and got[0] == 0.0
+    store.stack([(7.5, 2.0), (2.0, 0.5)])  # rows added after norms were read
+    keys = [(7.5, 2.0), (2.0, 1.0), (3.0, 0.0), (4.0, 1.0)]  # read, unread, unseen
+    assert store.norms(keys).tobytes() == opnorms(store.stack(keys)).tobytes()
+    assert len(sent) == 5 and len(set(sent)) == 5
+    assert store.norms(keys + first).tobytes() == opnorms(store.stack(keys + first)).tobytes()
+    assert len(sent) == 5
+
+
+def test_single_pair_lookups_match_one_batch():
+    """5,151 one-pair ``evaluate`` calls over the unseen grid pairs of the
+    rate_g101 workload (the nonuniform example at step 0.1), each merging one
+    new key into the store, give the matrices of one batched call."""
+    tree = read_tree(Path(__file__).resolve().parents[1] / "scenarios" / "nonuniform_example.json")
+    tree["grid"]["step"] = 0.1
+    example = scenario_from_tree(tree)
+    grid = make_grid(example.grid_max, example.grid_step)
+    pairs = grid_pairs(grid)
+    batched, single = (runner._build_operator(example, grid) for _ in range(2))
+    want = batched.evaluate_many(pairs)
+    order = np.random.default_rng(3).permutation(len(pairs))  # keys land between seen ones
+    got = np.empty_like(want)
+    for i in order.tolist():
+        got[i] = single.evaluate(*pairs[i].tolist())
+    assert len(pairs) == 5151
+    assert got.tobytes() == want.tobytes()
+    assert single.evaluate_many(pairs).tobytes() == want.tobytes()
+    assert single.store.values.shape == (5151, 3, 3)
 
 
 def test_store_rows_are_read_only_and_stacks_are_new():
