@@ -25,7 +25,7 @@ from .errors import PreconditionError
 from .rates import GrowthRate
 from .projectors import ProjectorFamily, ordered_pairs
 from .reports import CheckReport
-from .util import MatrixStore, grid_pairs, opnorm, peak, triple_blocks
+from .util import MatrixStore, cocycle_residual, grid_pairs, opnorm, peak
 
 _PROBE_TIMES = (0.0, 0.9, 2.3, 5.7)
 _PROBE_TOL = 1e-9
@@ -40,8 +40,8 @@ class EvolutionOperator:
     spectral norm |U(t, s)| beside it when ``norms`` first reads it. Everything
     derived from U that a lookup cannot rebuild is kept beside it through
     ``keep``: the restricted inverses, one (pairs, 4) factor table per
-    splitting system and grid, the norm terms, their values on the sample
-    vectors and the norm systems' margin tables. ``run`` empties ``kept``
+    splitting system and grid, the norm terms, their values on a norm
+    family's sample batch and the norm systems' margin tables. ``run`` empties ``kept``
     when it returns.
     """
 
@@ -249,23 +249,13 @@ def check_cocycle(operator: EvolutionOperator, times, tol: float) -> CheckReport
     growing operators reach norms ~e^{a t} where even a one-ulp relative
     error dwarfs any absolute tolerance, so the scale-aware residual is the
     meaningful one. U and its kept norms are read once over
-    ``grid_pairs(times)``; the triples are taken one outer time at a time
-    (``util.triple_blocks``), each block gathered, multiplied and subtracted
-    into two buffers of the pair stack's size and reduced to its worst
-    residual norm by ``util.peak``. For an operator
+    ``grid_pairs(times)`` and the triples reduced to their worst scaled
+    residual by ``util.cocycle_residual``. For an operator
     anchored on the times (``from_generator``), U(t, t0) is the chain product
     through s, so the residual shows floating-point reassociation only, not
     the integration error.
     """
     pairs = grid_pairs(times)
-    stack = operator.evaluate_many(pairs)
-    scale = np.maximum(1.0, operator.norms(pairs))
-    gathered, residual = np.empty_like(stack), np.empty_like(stack)
-    worst = 0.0
-    for direct, left, right in triple_blocks(len(times)):
-        a, r = gathered[:len(direct)], residual[:len(direct)]
-        # mode "clip" (the rows are in range): "raise" would buffer out
-        np.matmul(np.take(stack, left, axis=0, out=a, mode="clip"), stack[right], out=r)
-        np.subtract(np.take(stack, direct, axis=0, out=a, mode="clip"), r, out=r)
-        worst = max(worst, peak(r, scale[direct]))
+    worst = cocycle_residual(operator.evaluate_many(pairs),
+                             np.maximum(1.0, operator.norms(pairs)))
     return CheckReport("cocycle", tol, {"cocycle": worst}, worst <= tol)

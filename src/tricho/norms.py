@@ -60,12 +60,12 @@ def query_lattice(grid, horizon: float, step: float) -> list[float]:
 
 
 def _view(stack: np.ndarray):
-    """A stack screened once for all its terms: (stack, mask of entries
-    nonzero in some matrix, live columns, all finite, each column's largest
-    |entry|)."""
+    """A stack screened once for all its terms: (stack, whether each column
+    is nonzero in one row only, live columns, all finite, each column's
+    largest |entry|)."""
     nonzero = stack.any(axis=0)
-    return (stack, nonzero, nonzero.any(axis=0), bool(np.isfinite(stack).all()),
-            np.abs(stack).max(axis=(0, 1), initial=0.0))
+    return (stack, np.count_nonzero(nonzero, axis=0) == 1, nonzero.any(axis=0),
+            bool(np.isfinite(stack).all()), np.abs(stack).max(axis=(0, 1), initial=0.0))
 
 
 def _block(x: np.ndarray):
@@ -100,19 +100,16 @@ def _term(view, block) -> np.ndarray:
     for c* the column's largest |entry|: each image entry is one product,
     and rounding is monotone, so |fl(c x)| = fl(|c| |x|) and fl(y^2) never
     decrease as |c| and |y| grow; the largest square is c*'s to the bit,
-    and if any square overflows, c*'s does. With several rows, stack and
-    block are cut to them and to row k: a dropped squared row is +0. Two
-    or more live, or a non-finite entry (0 * inf is NaN), cut nothing."""
-    stack, nonzero, columns, finite, peak = view
+    and if any square overflows, c*'s does. Anything else, or a non-finite
+    entry (0 * inf is NaN), takes the whole product."""
+    stack, single, columns, finite, peak = view
     wide, rows, finite_x, shape = block
     live = (columns & rows).nonzero()[0]
     if len(live) < 2 and finite and finite_x:
         if len(live) == 0:
             return np.zeros(shape)
-        cut = nonzero[:, live[0]].nonzero()[0]
-        if len(cut) == 1:
+        if single[live[0]]:
             return np.sqrt(np.square(peak[live] * wide[live])).reshape(shape)
-        stack, wide = stack[:, cut][:, :, live], wide[live]
     return np.sqrt(_full_term(stack, wide)).reshape(shape)
 
 
@@ -192,21 +189,26 @@ class LyapunovNormFamily:
     """One norm-family variant on the grid ``times``, where it measures its
     truncation slack and every norm check reads it: the sum of its three
     ``VARIANTS`` terms, each a ``NormTerm`` kept through ``operator.keep``, so
-    the two variants share their stable and unstable terms. Evaluations are pure."""
+    the two variants share their stable and unstable terms. Its sample batch,
+    the basis plus ``samples`` random unit vectors drawn with ``seed``, is
+    the one every check of the family estimates over. Evaluations are pure."""
 
     def __init__(self, variant: str, operator, family, rates,
-                 horizon: float, step: float, times):
+                 horizon: float, step: float, times, samples: int = 32, seed: int = 0):
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {tuple(VARIANTS)}")
         if horizon <= 0:
             raise ValueError("horizon must be positive")
         if step <= 0:
             raise ValueError("step must be positive")
+        if samples < 0:
+            raise ValueError("samples must be nonnegative")
         self.times = times = tuple(times)
         if not times:
             raise ValueError("grid must be nonempty")
         self.variant, self.operator, self.family, self.rates = variant, operator, family, rates
         self.horizon, self.step, self.terms = float(horizon), float(step), []
+        self.samples, self.seed = samples, seed
         for tag in VARIANTS[variant]:
             key = (tag, family, rates.get(TERMS[tag][1]), self.horizon, self.step, times)
             self.terms.append(operator.keep(("norm_term", *key),
@@ -234,45 +236,46 @@ class LyapunovNormFamily:
         x = np.asarray(x, dtype=float).reshape(-1, 1)
         return float(self.evaluate_many(t, x)[0])
 
-    def values(self, samples: int, seed: int) -> np.ndarray:
+    def values(self) -> np.ndarray:
         """Norms of the sample vectors x, P1 x, P2 x and P3 x at each of ``times``,
-        (times, 4, batch): the sum of the terms' values, each kept once. The
-        vectors are drawn only when some term's values are not kept yet."""
+        (times, 4, batch): the sum of the terms' values, each kept once per
+        batch. The vectors are drawn only when some term's values are not kept yet."""
         blocks = functools.cache(  # drawn for the first term not kept
-            lambda: [_block(y) for y in _projected(self.family, self.times, samples, seed)[2]])
+            lambda: [_block(y) for y in _projected(self)[2]])
         return sum(self.operator.keep(
-            ("term_values", term, samples, seed), lambda: np.stack(
+            ("term_values", term, self.samples, self.seed), lambda: np.stack(
                 [_term(term.at(t)[0], b) for t, b in zip(self.times, blocks())]))
             for term in self.terms)
 
 
-def _projected(family, grid, samples: int, seed: int):
-    """The sample ids and vectors x, and x, P1 x, P2 x, P3 x per grid time."""
-    ids, x = test_vector_batch(family.dimension, samples, seed)
-    return ids, x, np.stack([np.broadcast_to(x, (len(grid), *x.shape))]
-                            + [family.stack(j, grid) @ x for j in (1, 2, 3)], axis=1)
+def _projected(nf: LyapunovNormFamily):
+    """The family's sample ids and vectors x, and x, P1 x, P2 x, P3 x per time."""
+    ids, x = test_vector_batch(nf.family.dimension, nf.samples, nf.seed)
+    return ids, x, np.stack([np.broadcast_to(x, (len(nf.times), *x.shape))]
+                            + [nf.family.stack(j, nf.times) @ x for j in (1, 2, 3)], axis=1)
 
 
-def build_norm_family(variant: str, operator, family, rates,
-                      horizon: float, step: float, times) -> LyapunovNormFamily:
+def build_norm_family(variant: str, operator, family, rates, horizon: float,
+                      step: float, times, samples: int = 32,
+                      seed: int = 0) -> LyapunovNormFamily:
     """Construct one norm-family variant and measure its truncation slack.
     Not kept: a rebuild finds its three kept terms and sums their deltas."""
-    return LyapunovNormFamily(variant, operator, family, rates, horizon, step, times)
+    return LyapunovNormFamily(variant, operator, family, rates, horizon, step, times,
+                              samples, seed)
 
 
-def check_compatibility(norm_family: LyapunovNormFamily, samples: int,
-                        seed: int = 0) -> CompatibilityReport:
+def check_compatibility(norm_family: LyapunovNormFamily) -> CompatibilityReport:
     """Sandwich constants |x| <= |x|_t <= C(t) |x| at the family's times.
 
-    C(t) is maximized over the orthonormal basis plus seeded random unit
-    vectors: column 0 of the family's kept ``values``, which
+    C(t) is maximized over the family's sample batch, the orthonormal basis
+    plus seeded random unit vectors: column 0 of its kept ``values``, which
     ``theorem_tables`` reads too. The lower bound is exact on every sample. The estimate
     is cross-checked against three times the envelope of the terms' peaks,
     the full-norm required factors over their lattice stacks, which the
     construction can never exceed. The report is not kept: the values and
     peaks it reads are, so a second call redoes only maxima and minima.
     """
-    values = norm_family.values(samples, seed)[:, 0]
+    values = norm_family.values()[:, 0]
     ratios = values.max(axis=1).tolist()
     lower = float(values.min()) - 1.0
 
@@ -283,8 +286,8 @@ def check_compatibility(norm_family: LyapunovNormFamily, samples: int,
               and all(math.isfinite(c) for c in ratios))
     return CompatibilityReport(
         grid=list(norm_family.times), ratios=ratios, c_uniform=max(ratios), lower_margin=lower,
-        crosscheck_limit=limit, crosscheck_ok=crosscheck_ok, samples=samples,
-        seed=seed, passed=passed)
+        crosscheck_limit=limit, crosscheck_ok=crosscheck_ok,
+        samples=norm_family.samples, seed=norm_family.seed, passed=passed)
 
 
 def _fullnorm_limit(nf: LyapunovNormFamily) -> list[float]:
@@ -302,34 +305,37 @@ def _require_shared_sources(forward: LyapunovNormFamily,
         raise StructuralError("norm families must be built from the same sources")
     if forward.times != backward.times:
         raise StructuralError("norm families must be built at the same times")
+    if (forward.samples, forward.seed) != (backward.samples, backward.seed):
+        raise StructuralError("norm families must be built on the same sample batch")
 
 
-def theorem_tables(forward: LyapunovNormFamily, backward: LyapunovNormFamily,
-                   samples: int = 32, seed: int = 0) -> tuple[Rows, Rows, Rows]:
+def theorem_tables(forward: LyapunovNormFamily,
+                   backward: LyapunovNormFamily) -> tuple[Rows, Rows, Rows]:
     """Margin tables of the norm inequalities over the pairs of the families'
     times, worst vector per (pair, tag): the projected system, the unprojected
     one and the projection lemma, which asserts that applying any member at its
     own time never increases either norm (it reduces the unprojected system to
-    the projected one). Inequalities are in ratio form (divided by the rate
-    value at the left argument), which keeps margins O(1) and matches the
-    exponential/polynomial specialization forms. Per ``TERMS``, N binding at s
-    means forward norms; the quotient inverts the factor's. Each tag's
-    left-hand norms, the U terms batched per t over s and the W_j terms per s
-    over t, are reduced against both right-hand sides (the kept ``values``)
-    before the next tag's are built. The tables are kept through
-    ``operator.keep`` per terms of the two families (which fix the four rates
-    and the times), sample count and seed.
+    the projected one), over the families' shared sample batch. Inequalities
+    are in ratio form (divided by the rate value at the left argument), which
+    keeps margins O(1) and matches the exponential/polynomial specialization
+    forms. Per ``TERMS``, N binding at s means forward norms; the quotient
+    inverts the factor's. Each tag's left-hand norms, the U terms batched per
+    t over s and the W_j terms per s over t, are reduced against both
+    right-hand sides (the kept ``values``) before the next tag's are built.
+    The tables are kept through ``operator.keep`` per terms of the two
+    families (which fix the four rates and the times) and their batch's
+    sample count and seed.
     """
     _require_shared_sources(forward, backward)
     return forward.operator.keep(
-        ("tables", *forward.terms, *backward.terms, samples, seed),
-        lambda: _theorem_tables(forward, backward, samples, seed))
+        ("tables", *forward.terms, *backward.terms, forward.samples, forward.seed),
+        lambda: _theorem_tables(forward, backward))
 
 
-def _theorem_tables(forward, backward, samples, seed) -> tuple[Rows, Rows, Rows]:
+def _theorem_tables(forward, backward) -> tuple[Rows, Rows, Rows]:
     grid = list(forward.times)
-    ids, x, proj = _projected(forward.family, grid, samples, seed)
-    base = {nf.variant: nf.values(samples, seed) for nf in (forward, backward)}
+    ids, x, proj = _projected(forward)
+    base = {nf.variant: nf.values() for nf in (forward, backward)}
     rows, cols = np.tril_indices(len(grid))  # grid_pairs order
     ts, ss = (np.asarray(grid, dtype=float)[i] for i in (rows, cols))
     third = forward.family.stack(3, grid).any(axis=(1, 2))
@@ -395,7 +401,7 @@ def _margins(grid, ids, at, tags, columns) -> Rows:
         "vacuous": vacuous})
 
 
-def _finish(label, tables, tol, families, samples, seed) -> TheoremReport:
+def _finish(label, tables, tol, families) -> TheoremReport:
     """The report of ``tables``, its tolerance widened by the families' slack."""
     slack = max(nf.horizon_delta_abs for nf in families)
     worst_per_tag = {tag: r["margin"] for tag, r in smallest_margins(tables).items()}
@@ -406,37 +412,33 @@ def _finish(label, tables, tol, families, samples, seed) -> TheoremReport:
                          passed=min_margin >= -(tol + slack),
                          vacuous_count=sum(int(t.fields["vacuous"].sum())
                                            for t in tables),
-                         seed=seed, samples=samples)
+                         seed=families[0].seed, samples=families[0].samples)
 
 
 def verify_norm_trichotomy(forward: LyapunovNormFamily,
                            backward: LyapunovNormFamily,
-                           tol: float = 1e-9, samples: int = 32,
-                           seed: int = 0) -> TheoremReport:
+                           tol: float = 1e-9) -> TheoremReport:
     """Constant-free inequality system in the built norms over the pairs of
     the families' times: the projected table of ``theorem_tables``, kept and
     shared with ``verify_norm_trichotomy_unprojected``. The pass threshold
     is tol plus the truncation slack the families measured at those times.
     """
-    projected = theorem_tables(forward, backward, samples, seed)[0]
-    return _finish("norm_trichotomy", [projected], tol, (forward, backward),
-                   samples, seed)
+    projected = theorem_tables(forward, backward)[0]
+    return _finish("norm_trichotomy", [projected], tol, (forward, backward))
 
 
 def verify_norm_trichotomy_unprojected(forward: LyapunovNormFamily,
                                        backward: LyapunovNormFamily,
-                                       tol: float = 1e-9, samples: int = 32,
-                                       seed: int = 0) -> TheoremReport:
+                                       tol: float = 1e-9) -> TheoremReport:
     """Variant with unprojected right-hand sides, plus the projection lemma:
     the other two tables of ``theorem_tables``."""
-    _, unprojected, lemma = theorem_tables(forward, backward, samples, seed)
+    _, unprojected, lemma = theorem_tables(forward, backward)
     return _finish("norm_trichotomy_unprojected", [unprojected, lemma], tol,
-                   (forward, backward), samples, seed)
+                   (forward, backward))
 
 
 def verify_sufficiency(forward: LyapunovNormFamily,
-                       backward: LyapunovNormFamily,
-                       samples: int = 32, seed: int = 0) -> TrichotomyReport:
+                       backward: LyapunovNormFamily) -> TrichotomyReport:
     """Close the loop: bound built from measured sandwich constants.
 
     The candidate bound N(a) = sup_{s <= a} C(s) (|P1(s)| + |P2(s)| + |P3(s)|)
@@ -446,7 +448,7 @@ def verify_sufficiency(forward: LyapunovNormFamily,
     """
     _require_shared_sources(forward, backward)
     grid = list(forward.times)
-    ratios = (nf.values(samples, seed)[:, 0].max(axis=1) for nf in (forward, backward))
+    ratios = (nf.values()[:, 0].max(axis=1) for nf in (forward, backward))
     family = forward.family
     pnorm = sum(opnorms(family.stack(j, grid)) for j in (1, 2, 3))
     candidate = np.maximum.accumulate(np.maximum(*ratios) * pnorm)
@@ -477,6 +479,6 @@ def check_rate_specialization(kind: str, exponents, operator, family, grid,
     rates = {key: GrowthRate(kind, a) for key, a in zip(("h", "k", "mu", "nu"), alphas)}
     grid = list(grid)
     fwd, bwd = (build_norm_family(variant, operator, family, rates, horizon,
-                                  step, grid) for variant in VARIANTS)
-    report = verify_norm_trichotomy(fwd, bwd, tol, samples, seed)
+                                  step, grid, samples, seed) for variant in VARIANTS)
+    report = verify_norm_trichotomy(fwd, bwd, tol)
     return dataclasses.replace(report, label=f"{kind}_rates")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, NotStronglyInvariantError, StructuralError
 from .reports import CheckReport
-from .util import MatrixStore, grid_pairs, peak, range_bases, triple_blocks
+from .util import MatrixStore, cocycle_residual, grid_pairs, peak, range_bases
 
 RANK_TOL = 1e-10  # scale-invariant: smallest singular value vs largest
 
@@ -258,9 +258,10 @@ def check_inverse_properties(operator, family: ProjectorFamily, index: int,
     at s), relative to |U| |W| floored at 1 as in ``check_compatible``, and
     range (W lands in Range P(s)) over every pair t >= s of ``times``;
     equal_time (W(t, t) = P(t)) on its diagonal pairs; cocycle
-    (W(t, t0) = W(s, t0) W(t, s)) over every triple t >= s >= t0, taken one
-    outer time at a time (``util.triple_blocks``) into two buffers of the
-    pair stack's size. The norms are the ones kept beside U and W.
+    (W(t, t0) = W(s, t0) W(t, s)) over every triple t >= s >= t0, the
+    transpose of the residual ``util.cocycle_residual`` takes of the
+    transposed stack, with the same spectral norm. The norms are the ones
+    kept beside U and W.
     """
     pairs = grid_pairs(times)
     inverses = build_inverses(operator, family)[index]
@@ -269,16 +270,9 @@ def check_inverse_properties(operator, family: ProjectorFamily, index: int,
     p_t, p_s = (family.stack(index, x) for x in pairs.T)
     equal = pairs[:, 0] == pairs[:, 1]
     scale = np.maximum(1.0, operator.norms(pairs) * inverses.norms(pairs))
-    gathered, residual = np.empty_like(w), np.empty_like(w)
-    cocycle = 0.0
-    for direct, left, right in triple_blocks(len(times)):  # as check_cocycle
-        a, r = gathered[:len(direct)], residual[:len(direct)]
-        np.matmul(w[right], np.take(w, left, axis=0, out=a, mode="clip"), out=r)
-        np.subtract(np.take(w, direct, axis=0, out=a, mode="clip"), r, out=r)
-        cocycle = max(cocycle, peak(r))
     worst = {"right_inverse": peak(u @ w - p_t, scale),
              "left_inverse": peak(w @ u @ p_s - p_s, scale),
-             "cocycle": cocycle,
+             "cocycle": cocycle_residual(np.swapaxes(w, 1, 2)),
              "range": peak(w - p_s @ w),
              "equal_time": peak(w[equal] - p_t[equal])}
     return CheckReport(f"inverse_properties_{index}", tol, worst,

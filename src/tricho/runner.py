@@ -53,10 +53,11 @@ def _build_operator(scenario: Scenario, grid) -> evolution.EvolutionOperator:
 
 
 def _norm_families(scenario: Scenario, operator, grid) -> list:
-    """Forward and backward norm families of the scenario's rates."""
+    """Forward and backward norm families of the scenario's rates and sample batch."""
     return [norms.build_norm_family(variant, operator, scenario.family,
                                     scenario.rates, scenario.horizon,
-                                    scenario.grid_step, grid)
+                                    scenario.grid_step, grid, scenario.samples,
+                                    scenario.seed)
             for variant in norms.VARIANTS]
 
 
@@ -81,8 +82,7 @@ def _run_check(name: str, scenario: Scenario, operator, grid) -> tuple[bool, dic
         return rep.passed is None or rep.passed, rep.payload(), rep.csv_rows(name)
     if name == "norms":
         fwd, bwd = _norm_families(s, op, grid)
-        rep_f, rep_b = (norms.check_compatibility(nf, s.samples, seed=s.seed)
-                        for nf in (fwd, bwd))
+        rep_f, rep_b = (norms.check_compatibility(nf) for nf in (fwd, bwd))
         ok = (rep_f.passed and rep_b.passed
               and not fwd.horizon_flagged and not bwd.horizon_flagged)
         payload = {"forward": rep_f.payload(), "backward": rep_b.payload(),
@@ -93,14 +93,14 @@ def _run_check(name: str, scenario: Scenario, operator, grid) -> tuple[bool, dic
         return ok, payload, rows
     if name == "norm_trichotomy":
         fwd, bwd = _norm_families(s, op, grid)
-        rep = norms.verify_norm_trichotomy(fwd, bwd, s.tol_theorem, s.samples, s.seed)
-        suff = norms.verify_sufficiency(fwd, bwd, s.samples, s.seed)
+        rep = norms.verify_norm_trichotomy(fwd, bwd, s.tol_theorem)
+        suff = norms.verify_sufficiency(fwd, bwd)
         payload = {"necessity": rep.payload(), "sufficiency": suff.payload()}
         rows = rep.csv_rows(name) + suff.csv_rows(name + "_sufficiency")
         return rep.passed and bool(suff.passed), payload, rows
     if name == "norm_trichotomy_unprojected":
         return _outcome(name, norms.verify_norm_trichotomy_unprojected(
-            *_norm_families(s, op, grid), s.tol_theorem, s.samples, s.seed))
+            *_norm_families(s, op, grid), s.tol_theorem))
     if name == "rate_instantiation":
         kind, exponents = s.instantiation
         rep = norms.check_rate_specialization(

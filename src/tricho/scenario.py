@@ -254,11 +254,12 @@ def scenario_from_tree(tree: dict) -> Scenario:
             generator = GeneratorSpec.constant(operator["matrix"], op_step)
         elif "builtin" in operator:
             builtin = _require(operator, "builtin", dict, "operator")
-            _known(builtin, ("name", "omega", "base", "amplitude"), "operator.builtin")
             name = builtin.get("name")
             if name not in ("rotation", "periodic_diag"):
                 raise ScenarioError("operator.builtin.name must be rotation "
                                     f"or periodic_diag, got {name!r}")
+            extra = ("base", "amplitude") if name == "periodic_diag" else ()
+            _known(builtin, ("name", "omega", *extra), "operator.builtin")
             if name == "rotation" and n != 2:
                 raise ScenarioError("operator.builtin.name rotation needs "
                                     f"dimension 2, got {n}")

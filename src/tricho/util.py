@@ -184,15 +184,27 @@ def grid_pairs(grid) -> np.ndarray:
     return np.stack((grid[rows], grid[cols]), axis=1)
 
 
-def triple_blocks(size: int):
-    """For each outer grid index i, the rows in ``grid_pairs`` of the (i, k),
-    (i, j) and (j, k) pairs of every triple i >= j >= k. The (j, k) pairs are
-    the leading (i + 1)(i + 2)/2 rows, so they come as a slice; the (i, k)
-    and (i, j) pairs as index arrays. No block is longer than the pairs."""
+def cocycle_residual(stack: np.ndarray, scale=1.0) -> float:
+    """Worst residual M(i, k) - M(i, j) M(j, k) over every triple i >= j >= k
+    of grid indices, for a stack in ``grid_pairs`` order, each divided by the
+    positive ``scale`` of its (i, k) pair, as ``peak`` takes it. The triples
+    go one outer index i at a time: its (j, k) pairs are the leading
+    (i + 1)(i + 2)/2 rows, and its (i, k) and (i, j) pairs are gathered,
+    multiplied and subtracted into two buffers of the stack's size."""
+    scale = np.broadcast_to(scale, len(stack))
+    size = math.isqrt(2 * len(stack))  # len(stack) = size (size + 1) / 2
     rows, cols = np.tril_indices(size)
+    gathered, residual = np.empty(stack.shape), np.empty(stack.shape)
+    worst = 0.0
     for i in range(size):
         m, first = (i + 1) * (i + 2) // 2, i * (i + 1) // 2
-        yield first + cols[:m], first + rows[:m], slice(m)
+        direct, left = first + cols[:m], first + rows[:m]
+        a, r = gathered[:m], residual[:m]
+        # mode "clip" (the rows are in range): "raise" would buffer out
+        np.matmul(np.take(stack, left, axis=0, out=a, mode="clip"), stack[:m], out=r)
+        np.subtract(np.take(stack, direct, axis=0, out=a, mode="clip"), r, out=r)
+        worst = max(worst, peak(r, scale[direct]))
+    return worst
 
 
 def test_vector_batch(dimension: int, samples: int, seed: int) -> tuple[list[str], np.ndarray]:

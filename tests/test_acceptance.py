@@ -37,9 +37,9 @@ def norm_stacks(uniform_operator, nonuniform_operator, split_family, exp_rates,
     for key, operator in (("uniform", uniform_operator),
                           ("nonuniform", nonuniform_operator)):
         fwd = build_norm_family("forward", operator, split_family, exp_rates,
-                                HORIZON, STEP, grid10)
+                                HORIZON, STEP, grid10, samples=32, seed=2024)
         bwd = build_norm_family("backward", operator, split_family, exp_rates,
-                                HORIZON, STEP, grid10)
+                                HORIZON, STEP, grid10, samples=32, seed=2024)
         out[key] = (fwd, bwd)
     return out
 
@@ -101,8 +101,7 @@ def test_criterion_4_norm_necessity(norm_stacks):
     ok = True
     for key, (fwd, bwd) in norm_stacks.items():
         sens = max(fwd.horizon_delta_rel, bwd.horizon_delta_rel)
-        report = verify_norm_trichotomy(fwd, bwd, tol=1e-9,
-                                        samples=32, seed=2024)
+        report = verify_norm_trichotomy(fwd, bwd, tol=1e-9)
         ok = ok and report.passed and sens < 1e-6
         details.append(f"{key}: min margin {report.min_margin:.2e} >= "
                        f"-(1e-9 + {report.truncation_slack:.1e}), "
@@ -114,7 +113,7 @@ def test_criterion_5_sufficiency_loop(norm_stacks):
     details = []
     ok = True
     for key, (fwd, bwd) in norm_stacks.items():
-        report = verify_sufficiency(fwd, bwd, samples=32, seed=2024)
+        report = verify_sufficiency(fwd, bwd)
         ok = ok and bool(report.passed)
         details.append(f"{key}: envelope {report.envelope[-1]:.2f} <= "
                        f"bound {report.bound_values[-1]:.2f}")
@@ -125,11 +124,10 @@ def test_criterion_5_sufficiency_loop(norm_stacks):
 def test_criterion_6_uniform_theorem(norm_stacks, uniform_operator,
                                      split_family, exp_rates, grid10):
     fwd, bwd = norm_stacks["uniform"]
-    compat_f = check_compatibility(fwd, samples=32, seed=2024)
-    compat_b = check_compatibility(bwd, samples=32, seed=2024)
+    compat_f = check_compatibility(fwd)
+    compat_b = check_compatibility(bwd)
     c = max(compat_f.c_uniform, compat_b.c_uniform)
-    margins = verify_norm_trichotomy(fwd, bwd, tol=1e-9, samples=32,
-                                     seed=2024)
+    margins = verify_norm_trichotomy(fwd, bwd, tol=1e-9)
     classified = check_uniform(uniform_operator, split_family, exp_rates,
                                grid10, constant=3.0)
     ok = (compat_f.passed and compat_b.passed and c <= 3.0

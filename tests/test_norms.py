@@ -22,6 +22,13 @@ HORIZON = 5.0
 STEP = 0.5
 
 
+def on_batch(nf, samples, seed):
+    """A family of nf's sources and times on another sample batch; it finds
+    nf's kept terms."""
+    return build_norm_family(nf.variant, nf.operator, nf.family, nf.rates,
+                             nf.horizon, nf.step, nf.times, samples, seed)
+
+
 @pytest.fixture(scope="module")
 def uniform_norms(uniform_operator, split_family, exp_rates, grid10):
     build = lambda variant: build_norm_family(
@@ -132,6 +139,9 @@ def test_variant_and_parameter_validation(uniform_operator, split_family,
     with pytest.raises(ValueError):
         build_norm_family("forward", uniform_operator, split_family,
                           exp_rates, 0.0, STEP, grid10)
+    with pytest.raises(ValueError, match="samples"):
+        build_norm_family("forward", uniform_operator, split_family,
+                          exp_rates, HORIZON, STEP, grid10, samples=-1)
     without_nu = {key: rate for key, rate in exp_rates.items() if key != "nu"}
     with pytest.raises(StructuralError):
         build_norm_family("backward", uniform_operator, split_family,
@@ -140,20 +150,20 @@ def test_variant_and_parameter_validation(uniform_operator, split_family,
 
 def test_compatibility_constant_outer_rate(uniform_norms):
     fwd, _ = uniform_norms
-    report = check_compatibility(fwd, samples=32, seed=5)
+    report = check_compatibility(on_batch(fwd, 32, 5))
     assert report.passed
     assert report.lower_margin >= -1e-12
     # the norm is an l1-style sum over three one-dimensional pieces, so the
     # sandwich constant on unit vectors tops out at sqrt(3)
     assert report.c_uniform <= math.sqrt(3.0) + 1e-9
-    basis_only = check_compatibility(fwd, samples=0, seed=5)
+    basis_only = check_compatibility(on_batch(fwd, 0, 5))
     assert basis_only.c_uniform == pytest.approx(1.0, rel=1e-12)
 
 
 def test_compatibility_growing_outer_rate(nonuniform_norms, grid10):
     fwd, bwd = nonuniform_norms
     for family in (fwd, bwd):
-        report = check_compatibility(family, samples=32, seed=5)
+        report = check_compatibility(on_batch(family, 32, 5))
         assert report.passed
         for t, c in zip(grid10, report.ratios):
             assert c <= 3.0 * (t + 1.0) + 1e-9
@@ -161,24 +171,21 @@ def test_compatibility_growing_outer_rate(nonuniform_norms, grid10):
 
 
 def test_norm_system_margins_uniform(uniform_norms):
-    fwd, bwd = uniform_norms
-    report = verify_norm_trichotomy(fwd, bwd, tol=1e-10, samples=32,
-                                    seed=9)
+    fwd, bwd = (on_batch(nf, 32, 9) for nf in uniform_norms)
+    report = verify_norm_trichotomy(fwd, bwd, tol=1e-10)
     assert report.passed
     assert report.min_margin >= -(1e-10 + report.truncation_slack)
 
 
 def test_norm_system_margins_nonuniform(nonuniform_norms):
-    fwd, bwd = nonuniform_norms
-    report = verify_norm_trichotomy(fwd, bwd, tol=1e-9, samples=32,
-                                    seed=9)
+    fwd, bwd = (on_batch(nf, 32, 9) for nf in nonuniform_norms)
+    report = verify_norm_trichotomy(fwd, bwd, tol=1e-9)
     assert report.passed
 
 
 def test_equal_time_records_have_zero_margin(uniform_norms):
-    fwd, bwd = uniform_norms
-    report = verify_norm_trichotomy(fwd, bwd, tol=1e-10, samples=8,
-                                    seed=9)
+    fwd, bwd = (on_batch(nf, 8, 9) for nf in uniform_norms)
+    report = verify_norm_trichotomy(fwd, bwd, tol=1e-10)
     diag = [r for r in report.records if r["t"] == r["s"]]
     assert diag
     for r in diag:
@@ -199,10 +206,19 @@ def test_mismatched_sources_rejected(uniform_norms, nonuniform_norms, grid10):
             check(fwd, coarse)
 
 
+def test_families_on_different_batches_are_rejected(uniform_norms):
+    fwd, bwd = uniform_norms
+    for other in (on_batch(bwd, 32, 1), on_batch(bwd, 8, 0)):
+        for check in (verify_norm_trichotomy, verify_norm_trichotomy_unprojected,
+                      verify_sufficiency, theorem_tables):
+            with pytest.raises(StructuralError, match="same sample batch"):
+                check(fwd, other)
+
+
 def test_sufficiency_loop_uniform(uniform_norms, uniform_operator, split_family,
                                   exp_rates, grid10):
-    fwd, bwd = uniform_norms
-    report = verify_sufficiency(fwd, bwd, samples=32, seed=9)
+    fwd, bwd = (on_batch(nf, 32, 9) for nf in uniform_norms)
+    report = verify_sufficiency(fwd, bwd)
     assert report.passed
     assert report.label == "sufficiency"
     # a flat bound of 3 already dominates the constant-outer-rate system
@@ -212,15 +228,15 @@ def test_sufficiency_loop_uniform(uniform_norms, uniform_operator, split_family,
 
 
 def test_sufficiency_loop_nonuniform(nonuniform_norms):
-    fwd, bwd = nonuniform_norms
-    report = verify_sufficiency(fwd, bwd, samples=32, seed=9)
+    fwd, bwd = (on_batch(nf, 32, 9) for nf in nonuniform_norms)
+    report = verify_sufficiency(fwd, bwd)
     assert report.passed
 
 
 def test_unprojected_system_and_lemma(uniform_norms, nonuniform_norms):
-    for fwd, bwd in (uniform_norms, nonuniform_norms):
-        report = verify_norm_trichotomy_unprojected(fwd, bwd, tol=1e-9,
-                                                    samples=16, seed=9)
+    for families in (uniform_norms, nonuniform_norms):
+        fwd, bwd = (on_batch(nf, 16, 9) for nf in families)
+        report = verify_norm_trichotomy_unprojected(fwd, bwd, tol=1e-9)
         assert report.passed
         lemma = [r for r in report.records
                  if r["tag"].startswith("projection_bound")]
@@ -252,17 +268,17 @@ def test_specialization_with_the_family_rates_shares_their_report():
     rates = {"h": e(1.0), "k": e(2.0), "mu": e(0.5), "nu": e(0.25)}
     operator = rate_model(GrowthRate.polynomial(1.0), *rates.values(), family)
     fwd, bwd = (build_norm_family(variant, operator, family, rates, 1.0, 0.5,
-                                  grid) for variant in norms.VARIANTS)
-    report = verify_norm_trichotomy(fwd, bwd, 1e-9, 8, 3)
+                                  grid, 8, 3) for variant in norms.VARIANTS)
+    report = verify_norm_trichotomy(fwd, bwd, 1e-9)
     special = check_rate_specialization("exponential", (1.0, 2.0, 0.5, 0.25),
                                         operator, family, grid, 1.0, 0.5,
                                         1e-9, 8, 3)
     assert special.payload() == report.payload()
     assert special.tables[0] is report.tables[0]  # the kept projected table
-    assert special.tables[0] is theorem_tables(fwd, bwd, 8, 3)[0]
+    assert special.tables[0] is theorem_tables(fwd, bwd)[0]
     assert special.label == "exponential_rates"
     assert report.label == "norm_trichotomy"
-    again = verify_norm_trichotomy(fwd, bwd, 1e-9, 8, 3)
+    again = verify_norm_trichotomy(fwd, bwd, 1e-9)
     assert again.tables[0] is report.tables[0]
 
 
@@ -271,7 +287,7 @@ def small_model_families(rates):
     family = ProjectorFamily.coordinate_split(1, 1, 1)
     operator = rate_model(GrowthRate.polynomial(1.0), *rates.values(), family)
     build = lambda rates: [build_norm_family(variant, operator, family, rates,
-                                             1.0, 0.5, grid)
+                                             1.0, 0.5, grid, 8, 3)
                            for variant in norms.VARIANTS]
     return grid, build
 
@@ -283,15 +299,15 @@ def test_families_built_again_find_the_kept_tables():
     first, second = build(rates), build(dict(rates))
     assert first[0] is not second[0]
     assert first[0].terms == second[0].terms
-    tables = theorem_tables(*first, 8, 3)
-    assert theorem_tables(*second, 8, 3) is tables
-    report = verify_norm_trichotomy(*first, 1e-9, 8, 3)
-    assert verify_norm_trichotomy(*second, 1e-9, 8, 3).tables[0] is tables[0]
-    unprojected = verify_norm_trichotomy_unprojected(*second, 1e-9, 8, 3)
+    tables = theorem_tables(*first)
+    assert theorem_tables(*second) is tables
+    report = verify_norm_trichotomy(*first, 1e-9)
+    assert verify_norm_trichotomy(*second, 1e-9).tables[0] is tables[0]
+    unprojected = verify_norm_trichotomy_unprojected(*second, 1e-9)
     assert all(a is b for a, b in zip(unprojected.tables, tables[1:]))
     assert report.tables == [tables[0]]
     other = build({**rates, "h": e(1.5)})  # another stable term
-    assert theorem_tables(*other, 8, 3) is not tables
+    assert theorem_tables(*other) is not tables
 
 
 def test_values_draw_the_vectors_only_for_terms_not_kept(monkeypatch):
@@ -307,10 +323,10 @@ def test_values_draw_the_vectors_only_for_terms_not_kept(monkeypatch):
     rates = {"h": e(1.0), "k": e(2.0), "mu": e(0.5), "nu": e(0.25)}
     grid, build = small_model_families(rates)
     fwd, bwd = build(rates)
-    want = [nf.values(8, 3) for nf in (fwd, bwd)]
+    want = [nf.values() for nf in (fwd, bwd)]
     assert len(draws) == 2  # the backward family's center term was not kept
     for nf, values in zip([fwd, bwd, *build(rates)], want * 2):
-        assert nf.values(8, 3).tobytes() == values.tobytes()
+        assert nf.values().tobytes() == values.tobytes()
     assert len(draws) == 2
 
 
@@ -367,14 +383,13 @@ def test_coupled_stable_block_full_pipeline():
                           for t in grid for s in grid if t >= s))
     assert uniform.uniform_constant == pytest.approx(oracle, abs=1e-6)
 
-    fwd = build_norm_family("forward", operator, family, rates, 4.0, 0.5, grid)
-    bwd = build_norm_family("backward", operator, family, rates, 4.0, 0.5, grid)
+    fwd = build_norm_family("forward", operator, family, rates, 4.0, 0.5, grid, 8, 13)
+    bwd = build_norm_family("backward", operator, family, rates, 4.0, 0.5, grid, 8, 13)
     assert fwd.horizon_delta_rel < 1e-6 and bwd.horizon_delta_rel < 1e-6
-    theorem = verify_norm_trichotomy(fwd, bwd, tol=1e-7, samples=8,
-                                     seed=13)
+    theorem = verify_norm_trichotomy(fwd, bwd, tol=1e-7)
     assert theorem.passed, theorem.min_margin
-    assert verify_sufficiency(fwd, bwd, samples=8, seed=13).passed
-    assert check_compatibility(fwd, samples=8, seed=13).passed
+    assert verify_sufficiency(fwd, bwd).passed
+    assert check_compatibility(fwd).passed
 
 
 def test_dichotomy_specialization_has_vacuous_center_rows(exp_rates):
@@ -449,21 +464,21 @@ def test_batched_theorem_records_match_per_pair_loop():
     e = GrowthRate.exponential
     rates = {"h": e(1.0), "k": e(2.0), "mu": e(0.5), "nu": e(0.25)}
     fwd, bwd = (build_norm_family(variant, operator, family, rates, horizon,
-                                  step, grid)
+                                  step, grid, 6, 17)
                 for variant in ("forward", "backward"))
     for verify, unprojected in ((verify_norm_trichotomy, False),
                                 (verify_norm_trichotomy_unprojected, True)):
-        report = verify(fwd, bwd, samples=6, seed=17)
+        report = verify(fwd, bwd)
         got = [tuple(r[k] for k in ("tag", "t", "s", "vector_id", "margin"))
                for r in report.records]
         assert got == reference_theorem_rows(fwd, bwd, grid, 6, 17, unprojected)
-    tables = theorem_tables(fwd, bwd, samples=6, seed=17)
+    tables = theorem_tables(fwd, bwd)
     again = [build_norm_family(variant, operator, family, rates, horizon, step,
-                               iter(grid)) for variant in ("forward", "backward")]
-    assert theorem_tables(*again, samples=6, seed=17) is tables
-    other = theorem_tables(fwd, bwd, samples=6, seed=18)
+                               iter(grid), 6, 17) for variant in ("forward", "backward")]
+    assert theorem_tables(*again) is tables
+    other = theorem_tables(on_batch(fwd, 6, 18), on_batch(bwd, 6, 18))
     assert other is not tables
-    assert theorem_tables(fwd, bwd, samples=6, seed=18) is other
+    assert theorem_tables(on_batch(fwd, 6, 18), on_batch(bwd, 6, 18)) is other
 
 
 def held_arrays(root) -> list[np.ndarray]:
@@ -491,8 +506,7 @@ def test_norm_systems_keep_no_pair_by_vector_array():
     operator = runner._build_operator(scenario, grid)
     fwd, bwd = runner._norm_families(scenario, operator, grid)
     for verify in (verify_norm_trichotomy, verify_norm_trichotomy_unprojected):
-        assert verify(fwd, bwd, scenario.tol_theorem, scenario.samples,
-                      scenario.seed).passed
+        assert verify(fwd, bwd, scenario.tol_theorem).passed
     batch = scenario.dimension + scenario.samples
     shapes = {a.shape for a in held_arrays(operator.kept)}
     assert (len(grid), 4, batch) in shapes  # the kept term values
@@ -795,7 +809,7 @@ def test_crosscheck_limit_is_the_full_norm_factor_envelope():
     block = rank_two_block_families(make_grid(2.0, 0.25), 1.0, 0.25)
     cases += block + rank_two_block_families([0.125, 0.5, 1.75, 3.0], 1.0, 0.25)
     for nf in cases:
-        report = check_compatibility(nf, samples=4, seed=3)
+        report = check_compatibility(on_batch(nf, 4, 3))
         want = reference_fullnorm_limit(nf)
         assert report.crosscheck_limit == want
         assert max(want) > 3.0  # some peak above the floor of 1
@@ -811,10 +825,10 @@ def test_compatibility_reads_the_kept_values(uniform_norms, nonuniform_norms,
     for (fwd, bwd), grid in ((uniform_norms, grid10), (nonuniform_norms, grid10),
                              (block, make_grid(2.0, 0.25))):
         _, x = util.test_vector_batch(fwd.family.dimension, 8, 21)
-        for nf in (fwd, bwd):
-            values = nf.values(8, 21)[:, 0]
+        for nf in (on_batch(fwd, 8, 21), on_batch(bwd, 8, 21)):
+            values = nf.values()[:, 0]
             assert np.array_equal(values, [nf.evaluate_many(t, x) for t in grid])
-            report = check_compatibility(nf, samples=8, seed=21)
+            report = check_compatibility(nf)
             assert report.ratios == values.max(axis=1).tolist()
             assert report.lower_margin == float(values.min()) - 1.0
 

@@ -559,6 +559,18 @@ def test_rotation_dimension_fails_at_parse():
         scenario_from_tree(tree)
 
 
+@pytest.mark.parametrize("key", ["base", "amplitude"])
+def test_rotation_rejects_the_periodic_diag_keys_at_parse(tmp_path, capsys, key):
+    # rotation reads only omega: a base or amplitude would be ignored
+    tree = ode_tree(2, builtin={"name": "rotation", "omega": 1.0, key: [0.5, -0.5]})
+    with pytest.raises(ScenarioError, match=rf"operator\.builtin\.{key} is not"):
+        scenario_from_tree(tree)
+    code = main(["--scenario", str(write_tree(tmp_path, tree)), "--out",
+                 str(tmp_path / "out")])
+    assert code == 2
+    assert f"operator.builtin.{key}" in capsys.readouterr().err
+
+
 def test_nonfinite_operator_matrix_fails_at_parse():
     matrix = [[-1.0, 0.0, 0.0], [0.0, float("inf"), 0.0], [0.0, 0.0, 0.0]]
     with pytest.raises(ScenarioError, match=r"operator\.matrix"):
@@ -597,10 +609,10 @@ def test_emitted_files_match_the_in_memory_report(tmp_path):
     operator = runner._build_operator(scenario, grid)
     families = [norms.build_norm_family(
         variant, operator, scenario.family, scenario.rates, scenario.horizon,
-        scenario.grid_step, grid) for variant in norms.VARIANTS]
+        scenario.grid_step, grid, scenario.samples, scenario.seed)
+        for variant in norms.VARIANTS]
     records = norms.verify_norm_trichotomy_unprojected(
-        *families, scenario.tol_theorem, scenario.samples,
-        scenario.seed).records
+        *families, scenario.tol_theorem).records
     vectors = [row[-1] for row in rows if row[0] == "norm_trichotomy_unprojected"]
     assert vectors == [r["vector_id"] for r in records]
     assert all(row[-1] == "" for row in rows[1:] if row[0] == "trichotomy")

@@ -148,6 +148,19 @@ def test_uniform_constant_bounds_projected_system(nonuniform_operator,
     assert report.passed
 
 
+def test_uniform_and_trichotomy_agree_on_a_constant_bound(nonuniform_operator,
+                                                          split_family, exp_rates,
+                                                          grid10):
+    # a constant just under the uniform constant 11, inside the absolute
+    # slack of 1e-12 that the trichotomy pass rule adds to its relative one
+    c = (11.0 - 0.5e-12) / (1.0 + 1e-9)
+    uniform = check_uniform(nonuniform_operator, split_family, exp_rates, grid10, c)
+    bounded = check_trichotomy(nonuniform_operator, split_family, exp_rates,
+                               grid10, bound=lambda a: c)
+    assert uniform.uniform_constant == 11.0
+    assert uniform.passed == bounded.passed is True
+
+
 def test_refining_grid_never_lowers_envelope(nonuniform_operator, split_family,
                                              exp_rates):
     coarse = check_trichotomy(nonuniform_operator, split_family, exp_rates,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tricho import (GeneratorSpec, ProjectorFamily, build_norm_family,
                     check_cocycle, check_compatible, check_identity,
                     check_invariance, check_inverse_properties,
-                    check_orthogonal, check_trichotomy, evolution,
+                    check_orthogonal, check_trichotomy,
                     from_generator, runner, scenario_from_tree, util)
 from tricho.norms import query_lattice
 from tricho.scenario import read_tree
@@ -132,7 +132,7 @@ def test_cocycle_residual_stacks_are_no_taller_than_the_pair_stack(monkeypatch):
     def measuring(stack, scale=1.0):
         heights.append(len(stack))
         return peak(stack, scale)
-    monkeypatch.setattr(evolution, "peak", measuring)
+    monkeypatch.setattr(util, "peak", measuring)
     check_cocycle(operator, grid, 1e-8)
     assert sum(heights) == 12341
     assert max(heights) <= len(grid_pairs(grid)) == 861
