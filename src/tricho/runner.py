@@ -11,7 +11,8 @@ written as their shortest round-trip ``repr`` and wall-clock timing stays
 out of the emitted artifacts (it is kept on the in-memory report and
 printed by the CLI). ``report.json`` holds check summaries, each with the
 records that bind it; the per-pair records go only to ``records.csv``,
-written in chunks of records that format each distinct float once.
+written in chunks of records that format each distinct float once, and a
+column whose bits several checks write once.
 """
 from __future__ import annotations
 
@@ -159,45 +160,77 @@ def run(scenario: Scenario) -> RunReport:
 # -- serialization ----------------------------------------------------------
 
 COLUMNS = ("check", "t", "s", "tag", "value", "margin", "vector")
-_CHUNK = 1024  # records formatted at a time; of a column, only a shared one is held whole
+_CHUNK = 1024  # records formatted at a time; a column whose bits blocks share is held whole
 
 
 def _floats(x: np.ndarray) -> np.ndarray:
     """The cells ``repr(v) + ","`` of the floats ``x``, one ``repr`` per bit
-    pattern: deduplicated by value, -0.0 and 0.0 would merge."""
+    pattern (``x`` a chunk, or a whole column several blocks write):
+    deduplicated by value, -0.0 and 0.0 would merge."""
     keys, inverse = np.unique(x.view(np.int64), return_inverse=True)
     return np.array([f"{v!r}," for v in keys.view(float).tolist()], dtype=object)[inverse]
 
 
-def _text(rows: Rows, check: str, kept: dict):
+def _column_keys(blocks) -> list[tuple]:
+    """Per block, the keys of its value and margin columns (None where
+    absent): a column's key is the id of the first column whose float64 bits
+    equal its own, whichever object holds it. The size and a strided sample
+    of the bits pick the candidates, and whole bit views confirm."""
+    firsts = {}  # fingerprint -> the distinct columns that have it
+
+    def key(a):
+        if a is None:
+            return None
+        bits = a.ravel().view(np.int64)
+        seen = firsts.setdefault((bits.size, bits[::max(1, bits.size // 32)].tobytes()), [])
+        first = next((b for b in seen if np.array_equal(b.ravel().view(np.int64), bits)), None)
+        if first is None:
+            seen.append(first := a)
+        return id(first)
+    return [(key(rows.value), key(rows.margin)) for _, rows in blocks]
+
+
+def _text(rows: Rows, check: str, whole: list):
     """One block of records as CSV text of check ``check``, ``_CHUNK`` records
-    a piece; a float column reads its cells from ``kept`` by id, or formats
-    them per chunk. Names and sample-vector ids hold no delimiter or quote."""
+    a piece, filled into one cell grid whose constant cells are written once.
+    ``whole`` holds, per float column (value, margin), its cells formatted
+    whole, or None to format them per chunk. Names and sample-vector ids hold
+    no delimiter or quote."""
+    size = rows.value.size
     times = np.array([f"{t!r}," for t in rows.grid], dtype=object)
     tags = np.array([f"{tag}," for tag in rows.tags], dtype=object)
-    floats = [(k, id(a), a.ravel()) for k, a in ((4, rows.value), (5, rows.margin))
-              if a is not None]
-    for lo in range(0, rows.value.size, _CHUNK):
-        hi = min(lo + _CHUNK, rows.value.size)
+    parts = np.full((min(_CHUNK, size), 7), ",", dtype=object)  # a None column: empty cells
+    parts[:, 0] = check + ","
+    floats = [(k, a.ravel(), cells) for k, a, cells
+              in zip((4, 5), (rows.value, rows.margin), whole) if a is not None]
+    if rows.vector is None:
+        parts[:, 6] = "\n"
+    else:
+        ids, vector = np.unique(rows.vector.ravel(), return_inverse=True)
+        ends = np.array([f"{v}\n" for v in ids.tolist()], dtype=object)
+    for lo in range(0, size, _CHUNK):
+        hi = min(lo + _CHUNK, size)
+        cut = parts[:hi - lo]
         pair, tag = np.divmod(np.arange(lo, hi), len(rows.tags))
-        parts = np.full((hi - lo, 7), ",", dtype=object)  # a None column: empty cells
-        parts[:, 0], parts[:, 3] = check + ",", tags[tag]
-        parts[:, 1], parts[:, 2] = ("," if at is None else times[at[pair]]
-                                    for at in (rows.t, rows.s))
-        for k, key, a in floats:
-            parts[:, k] = kept[key][lo:hi] if key in kept else _floats(a[lo:hi])
-        parts[:, 6] = "\n" if rows.vector is None else np.char.add(
-            rows.vector.ravel()[lo:hi], "\n")
-        yield "".join(parts.ravel().tolist())
+        cut[:, 3] = tags[tag]
+        for k, at in ((1, rows.t), (2, rows.s)):
+            if at is not None:
+                cut[:, k] = times[at[pair]]
+        for k, a, cells in floats:
+            cut[:, k] = _floats(a[lo:hi]) if cells is None else cells[lo:hi]
+        if rows.vector is not None:
+            cut[:, 6] = ends[vector[lo:hi]]
+        yield "".join(cut.ravel().tolist())
 
 
 def emit(report: RunReport, format: str, out_dir) -> list[Path]:
     """Write report files; returns the written paths.
 
     ``format`` is "json", "csv" or "both". ``records.csv`` is written from
-    the checks' columns (``Rows``) a chunk of records at a time, a column
-    two blocks share formatted once. Identical report contents produce
-    byte-identical files; a non-finite number raises ValueError.
+    the checks' columns (``Rows``) a chunk of records at a time. A value or
+    margin column whose bits several blocks write is formatted once, whichever
+    objects hold it. Identical report contents produce byte-identical files;
+    a non-finite number raises ValueError.
     """
     if format not in ("json", "csv", "both"):
         raise ValueError(f"format must be json, csv or both, got {format!r}")
@@ -225,16 +258,17 @@ def emit(report: RunReport, format: str, out_dir) -> list[Path]:
             path = out / "records.csv"
             with path.open("w", newline="") as fh:
                 fh.write(",".join(COLUMNS) + "\n")
-                # a column several blocks write is formatted once, and kept until
-                # the last of them is written
-                readers = Counter(id(a) for _, rows in blocks for a in (rows.value, rows.margin))
+                # a column whose bits several blocks write is formatted once, and
+                # kept until the last of them is written
+                keys = _column_keys(blocks)
+                readers = Counter(key for pair in keys for key in pair if key is not None)
                 kept = {}
-                for check, rows in blocks:
-                    columns = {id(a): a for a in (rows.value, rows.margin) if a is not None}
-                    kept |= {key: _floats(a.ravel()) for key, a in columns.items()
-                             if readers[key] > 1 and key not in kept}
-                    fh.writelines(_text(rows, check, kept))
-                    readers.subtract(columns.keys())
+                for (check, rows), pair in zip(blocks, keys):
+                    for key, a in zip(pair, (rows.value, rows.margin)):
+                        if readers[key] > 1 and key not in kept:
+                            kept[key] = _floats(a.ravel())
+                    fh.writelines(_text(rows, check, [kept.get(key) for key in pair]))
+                    readers.subtract(key for key in pair if key is not None)
                     kept = {key: cells for key, cells in kept.items() if readers[key]}
             written.append(path)
         path = out / "summary.csv"

@@ -729,27 +729,24 @@ def test_basis_norms_are_the_kernel_on_the_identity():
 
 
 def test_one_entry_columns_never_reach_the_full_product(monkeypatch):
-    full_term, cut_to_one, shortcuts = norms._full_term, [], []
-    term = norms._term
-
-    def counted_full_term(stack, wide):
-        cut_to_one.append(stack.shape[1:] == (1, 1))
-        return full_term(stack, wide)
+    full_term, term, full, shortcuts = norms._full_term, norms._term, [], []
+    monkeypatch.setattr(norms, "_full_term",  # the shapes of the stacks it takes
+                        lambda stack, wide: full.append(stack.shape) or full_term(stack, wide))
 
     def counted_term(view, block):
-        before = len(cut_to_one)
+        before = len(full)
         out = term(view, block)
-        shortcuts.append(len(cut_to_one) == before and out.any())
+        shortcuts.append(len(full) == before and out.any())
         return out
 
-    monkeypatch.setattr(norms, "_full_term", counted_full_term)
     monkeypatch.setattr(norms, "_term", counted_term)
     report = run(parse_scenario(SCENARIOS / "nonuniform_example.json"))  # G=21
     assert report.overall == "pass"
     # each shared term is evaluated once per time, and none while it is built:
-    # 336 kernel calls, 168 of them nonzero shortcuts
-    assert sum(shortcuts) > 150
-    assert not any(cut_to_one)
+    # 336 kernel calls, none of them the full product, 168 nonzero one-row shortcuts
+    assert not full
+    assert len(shortcuts) == 336
+    assert sum(shortcuts) == 168
 
 
 def test_terms_are_built_without_the_kernel(monkeypatch):

@@ -671,7 +671,9 @@ def per_record_rows(check, report):
             for r in report.records]
 
 
-def test_records_csv_matches_a_csv_writer_over_the_records(tmp_path, monkeypatch):
+def emit_every_check(tmp_path, monkeypatch):
+    """Runs every check on a coordinate split, asserts that records.csv equals
+    a csv.writer over the reports' records, and returns the run's report."""
     reports = []  # (check, report) in the order the runner asks for rows
     for cls in (CheckReport, CompatibilityReport, TrichotomyReport, TheoremReport):
         def wrapped(self, check, original=cls.csv_rows):
@@ -698,14 +700,37 @@ def test_records_csv_matches_a_csv_writer_over_the_records(tmp_path, monkeypatch
     writer.writerow(runner.COLUMNS)
     writer.writerows(row + ("",) * (len(runner.COLUMNS) - len(row)) for row in rows)
     assert (tmp_path / "records.csv").read_text() == want.getvalue()
+    return report
+
+
+def test_records_csv_matches_a_csv_writer_over_the_records(tmp_path, monkeypatch):
+    emit_every_check(tmp_path, monkeypatch)
+
+
+def counted_float_cells(monkeypatch) -> list[int]:
+    """The sizes of the arrays ``runner._floats`` formats, from now on."""
+    sizes, floats = [], runner._floats
+    monkeypatch.setattr(runner, "_floats", lambda x: sizes.append(x.size) or floats(x))
+    return sizes
 
 
 def test_records_csv_matches_its_oracles_across_chunk_boundaries(tmp_path, monkeypatch):
     """Chunks of 7 records end inside a pair of 4 tags, and the kept trichotomy
-    value column is written by blocks whose chunks end at other records."""
+    value column is written by blocks whose chunks end at other records.
+    trichotomy_full writes trichotomy's factors and margins from arrays of its
+    own; each column of equal bits is formatted once, whichever array holds it."""
     monkeypatch.setattr(runner, "_CHUNK", 7)
-    test_records_csv_matches_a_csv_writer_over_the_records(tmp_path, monkeypatch)
+    sizes = counted_float_cells(monkeypatch)
+    report = emit_every_check(tmp_path, monkeypatch)
+    blocks = {e["name"]: e["rows"] for e in report.checks}
+    plain, full = blocks["trichotomy"][0][1], blocks["trichotomy_full"][0][1]
+    for a, b in ((plain.value, full.value), (plain.margin, full.margin)):
+        assert a is not b and a.tobytes() == b.tobytes()
+    distinct = {a.tobytes(): a.size for e in report.checks for _, rows in e["rows"]
+                for a in (rows.value, rows.margin) if a is not None}
+    assert sum(sizes) == sum(distinct.values())
     test_emit_writes_a_shared_block_as_a_deep_copy_of_it(tmp_path)
+    test_records_csv_writes_every_float_cell_as_its_repr(tmp_path / "repr", monkeypatch, 7)
 
 
 @pytest.mark.parametrize("chunk", [3, runner._CHUNK])
@@ -719,8 +744,11 @@ def test_records_csv_writes_every_float_cell_as_its_repr(tmp_path, monkeypatch, 
               ("empty", Rows(grid, at[:0], at[:0], ["p", "q", "r", "s"], np.zeros((0, 4)))),
               ("narrow", Rows(grid, at[:1], at[:1], [], np.zeros((1, 0)))),
               ("b", Rows(grid, at, None, ["x", "y"], value)),  # shares a's value column
-              ("c", Rows([], None, None, ["u", "v"], np.array([[0.0, -0.0]]), value[:1]))]
+              ("c", Rows([], None, None, ["u", "v"], np.array([[0.0, -0.0]]), value[:1])),
+              ("d", Rows(grid, at, at[::-1], ["x", "y"], value.copy())),  # a's bits
+              ("e", Rows(grid, at, at[::-1], ["x", "y"], value + 0.0))]  # -0.0 made 0.0
     entry = {"name": "x", "status": "pass", "payload": {}, "rows": blocks}
+    sizes = counted_float_cells(monkeypatch)
     emit(runner.RunReport(scenario={}, checks=[entry], overall="pass"), "csv", tmp_path)
 
     def cell(column, p, j):  # one cell as a per-record writer gives it
@@ -736,3 +764,6 @@ def test_records_csv_writes_every_float_cell_as_its_repr(tmp_path, monkeypatch, 
     text = (tmp_path / "records.csv").read_text()
     assert text == "\n".join(want) + "\n"
     assert text.startswith(want[0] + "\na,0.0,0.5,x,-0.0,-0.0,e1\na,0.0,0.5,y,0.0,5e-324,r02\n")
+    assert "\nd,0.0,0.5,x,-0.0,,\n" in text and "\ne,0.0,0.5,x,0.0,,\n" in text
+    # a's value and margin, c's value and margin, e's value: d's is a's
+    assert sum(sizes) == 10 + 10 + 2 + 2 + 10
