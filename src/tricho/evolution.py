@@ -25,7 +25,7 @@ from .errors import PreconditionError
 from .rates import GrowthRate
 from .projectors import ProjectorFamily, ordered_pairs
 from .reports import CheckReport
-from .util import MatrixStore, cocycle_residual, grid_pairs, opnorm, peak
+from .util import MatrixStore, cocycle_residual, grid_pairs, opnorms, peak
 
 _PROBE_TIMES = (0.0, 0.9, 2.3, 5.7)
 _PROBE_TOL = 1e-9
@@ -90,7 +90,7 @@ def rate_model(u: GrowthRate, h: GrowthRate, k: GrowthRate,
     the quotients. A batch of pairs is one broadcast expression over the
     member stacks and the quotient columns of ``GrowthRate.ratios``.
     """
-    _require_model_family(family)
+    require_model_family(family)
 
     def compute(pairs):
         t, s = pairs.T
@@ -103,19 +103,23 @@ def rate_model(u: GrowthRate, h: GrowthRate, k: GrowthRate,
     return EvolutionOperator(family.dimension, compute)
 
 
-def _require_model_family(family: ProjectorFamily) -> None:
-    eye = np.eye(family.dimension)
-    for t in _PROBE_TIMES:
-        ps = family.members(t)
-        if opnorm(ps[0] + ps[1] + ps[2] - eye) > _PROBE_TOL:
+def require_model_family(family: ProjectorFamily) -> None:
+    """Raise PreconditionError unless, at every probe pair s <= t, the members
+    sum to the identity and P_i(t) P_j(s) = delta_ij P_i(s). All pairs are
+    checked as stacks, in one spectral-norm call per kind of product."""
+    p = np.stack([family.stack(j, _PROBE_TIMES) for j in (1, 2, 3)], axis=1)
+    t, s = np.tril_indices(len(_PROBE_TIMES))  # the probe times ascend
+    with np.errstate(all="ignore"):  # an overflow gives a nan norm, which fails too
+        sums = ~(opnorms(p.sum(axis=1) - np.eye(family.dimension)) <= _PROBE_TOL)
+        deviation = p[t, :, None] @ p[s, None] - np.eye(3)[:, :, None, None] * p[s, :, None]
+        products = ~(opnorms(deviation) <= _PROBE_TOL).all(axis=(1, 2))
+    # the first failure a loop over t, then s <= t, meets; the sum at t comes first
+    for k in np.flatnonzero(products | (sums[t] & (s == 0)))[:1]:
+        if sums[t[k]]:
             raise PreconditionError("family members must sum to the identity")
-        for s in (s for s in _PROBE_TIMES if s <= t):
-            qs = family.members(s)
-            if any(opnorm(ps[i] @ qs[j] - (qs[i] if i == j else 0.0)) > _PROBE_TOL
-                   for i in range(3) for j in range(3)):
-                raise PreconditionError(
-                    "family is not orthogonal-and-constant enough for the rate "
-                    f"model (member products deviate at t={t}, s={s})")
+        raise PreconditionError(
+            "family is not orthogonal-and-constant enough for the rate model (member "
+            f"products deviate at t={_PROBE_TIMES[t[k]]}, s={_PROBE_TIMES[s[k]]})")
 
 
 @dataclass(frozen=True)

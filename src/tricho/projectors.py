@@ -74,9 +74,6 @@ class ProjectorFamily:
         """Matrix of P_index(t), index in {1, 2, 3}."""
         return self._stores[index].get(t)
 
-    def members(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.member(1, t), self.member(2, t), self.member(3, t)
-
     def stack(self, index: int, times) -> np.ndarray:
         """P_index(t) for each of ``times`` as an (m, n, n) stack."""
         return self._stores[index].stack(times)

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ScenarioError
-from .evolution import GeneratorSpec
+from .errors import PreconditionError, ScenarioError
+from .evolution import GeneratorSpec, require_model_family
 from .projectors import ProjectorFamily
 from .rates import GrowthRate
 from .util import opnorm
@@ -59,9 +59,16 @@ class Scenario:
     echo: dict = field(default_factory=dict)  # normalized source tree
 
 
-def _require(tree: dict, key: str, kind, where: str = "scenario"):
+_RULES = {"positive": lambda x: x > 0, "nonnegative": lambda x: x >= 0,
+          ">= 1": lambda x: x >= 1}  # number rules, by the words of their message
+
+
+def _require(tree: dict, key: str, kind, where: str = "scenario", default=None):
+    """``tree[key]``, a ``kind`` but not a bool; ``default``, if given, when left out."""
     if key not in tree:
-        raise ScenarioError(f"{where}.{key} is missing")
+        if default is None:
+            raise ScenarioError(f"{where}.{key} is missing")
+        return default
     value = tree[key]
     if isinstance(value, bool) or not isinstance(value, kind):  # bool is an int
         raise ScenarioError(f"{where}.{key} has wrong type "
@@ -69,16 +76,32 @@ def _require(tree: dict, key: str, kind, where: str = "scenario"):
     return value
 
 
-def _optional(tree: dict, key: str, kind, default, where: str = "scenario"):
-    """``_require`` for a key that may be left out."""
-    return _require(tree, key, kind, where) if key in tree else default
-
-
 def _known(tree: dict, keys, where: str = "scenario") -> None:
     """Reject a key outside ``keys``: a misspelt optional key, not its default."""
     for key in tree:
         if key not in keys:
             raise ScenarioError(f"{where}.{key} is not a known key")
+
+
+def _section(tree: dict, key: str, keys=None, where: str = "scenario", default=None):
+    """The object at ``tree[key]``, or ``default`` if given and it is left out,
+    with no key outside ``keys``; a typed object leaves them to ``_variant``."""
+    node = _require(tree, key, dict, where, default)
+    if keys is not None:
+        _known(node, keys, f"{where}.{key}".removeprefix("scenario."))
+    return node
+
+
+def _variant(node: dict, field: str, kinds: dict, where: str) -> str:
+    """``node[field]``, a key of ``kinds``, once ``node`` is known to hold no
+    key but ``field`` and the keys ``kinds`` maps that type to."""
+    value = node.get(field)
+    if type(value) is not str or value not in kinds:  # a list is unhashable
+        *others, last = kinds
+        raise ScenarioError(f"{where}.{field} must be {', '.join(others)} "
+                            f"or {last}, got {value!r}")
+    _known(node, (field, *kinds[value]), where)
+    return value
 
 
 def _finite(x) -> bool:
@@ -90,14 +113,17 @@ def _finite(x) -> bool:
         return False
 
 
-def _number(tree: dict, key: str, where: str = "scenario", default=None) -> float:
-    """A finite number at ``tree[key]``; ``default``, if given, when left out."""
-    if default is not None and key not in tree:
-        return default
-    value = _require(tree, key, (int, float), where)
-    if not _finite(value):
+def _number(tree: dict, key: str, where: str = "scenario", default=None,
+            rule: str | None = None, kind=(int, float)):
+    """A finite float at ``tree[key]`` (any int when ``kind`` is int) meeting
+    ``rule``, a key of ``_RULES``; ``default``, if given, when left out."""
+    value = _require(tree, key, kind, where, default)
+    if kind is not int and not _finite(value):
         raise ScenarioError(f"{where}.{key} must be finite")
-    return float(value)
+    if rule is not None and not _RULES[rule](value):
+        raise ScenarioError(f"{where}.{key}".removeprefix("scenario.")
+                            + f" must be {rule}")
+    return value if kind is int else float(value)
 
 
 def _finite_array(value, shape: tuple, where: str) -> None:
@@ -108,36 +134,28 @@ def _finite_array(value, shape: tuple, where: str) -> None:
 
 
 def _bounded_ratio(rate: GrowthRate, gap: float, where: str) -> None:
-    """Reject a rate whose ratio over ``gap`` overflows a float."""
+    """Reject a closed-form rate whose ratio rate(gap) / rate(0) = rate(gap) overflows."""
     try:
-        finite = math.isfinite(rate.ratio(gap, 0.0))
+        if math.isfinite(rate(gap)):  # the bits of rate.ratio(gap, 0.0), without numpy
+            return
     except OverflowError:
-        finite = False
-    if not finite:
-        raise ScenarioError(f"{where}: ratio over a gap of {gap:g} overflows")
+        pass
+    raise ScenarioError(f"{where}: ratio over a gap of {gap:g} overflows")
 
 
-def _parse_rate(spec, key: str) -> GrowthRate:
-    if not isinstance(spec, dict):
-        raise ScenarioError(f"rates.{key} must be an object")
-    kind = spec.get("kind")
+def _parse_rate(rates: dict, key: str) -> GrowthRate:
     where = f"rates.{key}"
+    spec = _section(rates, key, where="rates")
+    kind = _variant(spec, "kind", {"exponential": ("exponent",), "polynomial": (
+        "exponent",), "tabulated": ("table",)}, where)
+    if kind != "tabulated":
+        return GrowthRate(kind, _number(spec, "exponent", where, rule="positive"))
+    table = _require(spec, "table", list, where)
+    _finite_array(table, (len(table), 2), f"{where}.table")
     try:
-        if kind in ("exponential", "polynomial"):
-            _known(spec, ("kind", "exponent"), where)
-            return GrowthRate(kind, _number(spec, "exponent", where))
-        if kind == "tabulated":
-            _known(spec, ("kind", "table"), where)
-            table = _require(spec, "table", list, where)
-            where += ".table"
-            _finite_array(table, (len(table), 2), where)
-            return GrowthRate.tabulated(table)
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
-    raise ScenarioError(f"rates.{key}.kind must be exponential, polynomial "
-                        f"or tabulated, got {kind!r}")
+        return GrowthRate.tabulated(table)
+    except ValueError as exc:  # the knots' order and values
+        raise ScenarioError(f"{where}.table: {exc}") from exc
 
 
 def _periodic_diag(base, amplitude, omega: float):
@@ -153,37 +171,81 @@ def _periodic_diag(base, amplitude, omega: float):
     return coefficient
 
 
-def _parse_bound(spec, where: str):
+def _parse_generator(tree: dict, n: int, rates: dict) -> GeneratorSpec | None:
+    """The generator of an ``ode`` operator; None for the rate model."""
+    operator = _section(tree, "operator")
+    if _variant(operator, "type", {"rate_model": (), "ode": (
+            "step", "matrix", "builtin")}, "operator") == "rate_model":
+        if "u" not in rates:
+            raise ScenarioError("operator.type rate_model needs rates.u")
+        return None
+    step = _number(operator, "step", "operator", rule="positive")
+    if ("matrix" in operator) == ("builtin" in operator):
+        raise ScenarioError("operator takes either matrix or builtin (exactly one)")
+    if "matrix" in operator:
+        _finite_array(operator["matrix"], (n, n), "operator.matrix")
+        return GeneratorSpec.constant(operator["matrix"], step)
+    where = "operator.builtin"
+    builtin = _section(operator, "builtin", where="operator")
+    name = _variant(builtin, "name", {"rotation": ("omega",), "periodic_diag": (
+        "omega", "base", "amplitude")}, where)
+    if name == "rotation" and n != 2:
+        raise ScenarioError(f"{where}.name rotation needs dimension 2, got {n}")
+    omega = _number(builtin, "omega", where, 1.0)
+    if name == "rotation":
+        return GeneratorSpec.constant([[0.0, omega], [-omega, 0.0]], step)
+    base = builtin.get("base", [0.0] * n)
+    amplitude = builtin.get("amplitude", [0.0] * n)
+    _finite_array(base, (n,), f"{where}.base")
+    _finite_array(amplitude, (n,), f"{where}.amplitude")
+    if not all(math.isfinite(abs(b) + abs(a)) for b, a in zip(base, amplitude)):
+        raise ScenarioError(f"{where}: |base| + |amplitude| overflows")
+    return GeneratorSpec(n, _periodic_diag(base, amplitude, omega), step)
+
+
+def _parse_family(tree: dict, n: int) -> tuple[ProjectorFamily, str]:
+    """The projector family and the key of ``projectors`` that gives its members."""
+    projectors = _section(tree, "projectors")
+    if _variant(projectors, "type", {"coordinate_split": ("sizes",), "explicit": (
+            "matrices",)}, "projectors") == "coordinate_split":
+        sizes = _require(projectors, "sizes", list, "projectors")
+        if len(sizes) != 3 or any(type(v) is not int or v < 0 for v in sizes):
+            raise ScenarioError("projectors.sizes must be three nonnegative integers")
+        if sum(sizes) != n:
+            raise ScenarioError(
+                f"projectors.sizes must sum to dimension {n}, got {sum(sizes)}")
+        return ProjectorFamily.coordinate_split(*sizes), "sizes"
+    mats = _require(projectors, "matrices", list, "projectors")
+    if len(mats) != 3:
+        raise ScenarioError("projectors.matrices must list three matrices")
+    for i, m in enumerate(mats):
+        _finite_array(m, (n, n), f"projectors.matrices[{i}]")
+    return ProjectorFamily.constant(*mats), "matrices"
+
+
+def _parse_bound(bounds: dict):
     """A nondecreasing bound N(a) with N(0) >= 1: every grid starts at 0,
     where the factor |P_j(0)| of a nonzero projector is already >= 1."""
-    kind = spec.get("kind")
-    if kind == "constant":
-        _known(spec, ("kind", "value"), where)
-        value = _number(spec, "value", where)
-        if value < 1:
-            raise ScenarioError(f"{where}.value must be >= 1")
+    where = "bounds.trichotomy"
+    spec = _section(bounds, "trichotomy", where="bounds")
+    if _variant(spec, "kind", {"constant": ("value",), "affine": (
+            "coeff", "offset")}, where) == "constant":
+        value = _number(spec, "value", where, rule=">= 1")
         return lambda a: value
-    if kind == "affine":
-        _known(spec, ("kind", "coeff", "offset"), where)
-        coeff = _number(spec, "coeff", where)
-        offset = _number(spec, "offset", where)
-        if coeff < 0:
-            raise ScenarioError(f"{where}.coeff must be nonnegative "
-                                "(bounds are nondecreasing)")
-        if offset < 1:
-            raise ScenarioError(f"{where}.offset must be >= 1 (the bound at t = 0)")
-        return lambda a: coeff * a + offset
-    raise ScenarioError(f"{where}.kind must be constant or affine, got {kind!r}")
+    coeff = _number(spec, "coeff", where, rule="nonnegative")
+    offset = _number(spec, "offset", where, rule=">= 1")
+    return lambda a: coeff * a + offset
 
 
 def read_tree(path):
-    """The JSON tree of a scenario file, not yet checked."""
-    path = Path(path)
-    if not path.exists():
-        raise ScenarioError(f"scenario file {path} does not exist")
+    """The JSON tree of a scenario file, not yet checked. A file that cannot
+    be read (missing, or a directory) or is not UTF-8 JSON raises ScenarioError."""
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ScenarioError(f"scenario file {path} cannot be read: "
+                            f"{exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"scenario file {path} is not valid JSON: {exc}") from exc
 
 
@@ -197,33 +259,20 @@ def scenario_from_tree(tree: dict) -> Scenario:
     _known(tree, ("dimension", "grid", "horizon", "rates", "operator", "projectors",
                   "tolerances", "seed", "samples", "checks", "bounds",
                   "rate_instantiation"))
-    n = _require(tree, "dimension", int)
-    if n <= 0:
-        raise ScenarioError("dimension must be positive")
+    n = _number(tree, "dimension", rule="positive", kind=int)
     if 8 * n * n > np.iinfo(np.intp).max:  # more bytes than numpy can describe
         raise ScenarioError("dimension is too large for an n x n float64 array")
 
-    grid = _require(tree, "grid", dict)
-    _known(grid, ("t_max", "step"), "grid")
-    t_max = _number(grid, "t_max", "grid")
-    step = _number(grid, "step", "grid")
-    if t_max <= 0:
-        raise ScenarioError("grid.t_max must be positive")
-    if step <= 0:
-        raise ScenarioError("grid.step must be positive")
+    grid = _section(tree, "grid", ("t_max", "step"))
+    t_max = _number(grid, "t_max", "grid", rule="positive")
+    step = _number(grid, "step", "grid", rule="positive")
     if step > t_max:
         raise ScenarioError("grid.step must not exceed grid.t_max")
+    horizon = _number(tree, "horizon", default=5.0, rule="positive")
 
-    horizon = _number(tree, "horizon", default=5.0)
-    if horizon <= 0:
-        raise ScenarioError("horizon must be positive")
-
-    rates_tree = _require(tree, "rates", dict)
-    _known(rates_tree, (*RATE_KEYS, "u"), "rates")
-    rates = {key: _parse_rate(_require(rates_tree, key, dict, "rates"), key)
-             for key in RATE_KEYS}
-    if "u" in rates_tree:
-        rates["u"] = _parse_rate(rates_tree["u"], "u")
+    rates_tree = _section(tree, "rates", (*RATE_KEYS, "u"))
+    rates = {key: _parse_rate(rates_tree, key) for key in (*RATE_KEYS, "u")
+             if key != "u" or key in rates_tree}
     needed = t_max + 2.0 * horizon
     gap = max(t_max, 2.0 * horizon + step)  # widest gap of a rising ratio
     for key, rate in rates.items():
@@ -235,125 +284,39 @@ def scenario_from_tree(tree: dict) -> Scenario:
         if span is None and key in RATE_KEYS:  # tabulated ratios are finite
             _bounded_ratio(rate, gap, f"rates.{key}")
 
-    operator = _require(tree, "operator", dict)
-    op_type = operator.get("type")
-    if op_type == "rate_model":
-        _known(operator, ("type",), "operator")
-        if "u" not in rates:
-            raise ScenarioError("operator.type rate_model needs rates.u")
-        generator = None
-    elif op_type == "ode":
-        _known(operator, ("type", "step", "matrix", "builtin"), "operator")
-        if "matrix" in operator and "builtin" in operator:
-            raise ScenarioError("operator takes either matrix or builtin, not both")
-        op_step = _number(operator, "step", "operator")
-        if op_step <= 0:
-            raise ScenarioError("operator.step must be positive")
-        if "matrix" in operator:
-            _finite_array(operator["matrix"], (n, n), "operator.matrix")
-            generator = GeneratorSpec.constant(operator["matrix"], op_step)
-        elif "builtin" in operator:
-            builtin = _require(operator, "builtin", dict, "operator")
-            name = builtin.get("name")
-            if name not in ("rotation", "periodic_diag"):
-                raise ScenarioError("operator.builtin.name must be rotation "
-                                    f"or periodic_diag, got {name!r}")
-            extra = ("base", "amplitude") if name == "periodic_diag" else ()
-            _known(builtin, ("name", "omega", *extra), "operator.builtin")
-            if name == "rotation" and n != 2:
-                raise ScenarioError("operator.builtin.name rotation needs "
-                                    f"dimension 2, got {n}")
-            omega = _number(builtin, "omega", "operator.builtin", 1.0)
-            if name == "rotation":
-                generator = GeneratorSpec.constant([[0.0, omega], [-omega, 0.0]],
-                                                   op_step)
-            else:
-                base = builtin.get("base", [0.0] * n)
-                amplitude = builtin.get("amplitude", [0.0] * n)
-                _finite_array(base, (n,), "operator.builtin.base")
-                _finite_array(amplitude, (n,), "operator.builtin.amplitude")
-                if not all(math.isfinite(abs(b) + abs(a))
-                           for b, a in zip(base, amplitude)):
-                    raise ScenarioError("operator.builtin: |base| + |amplitude| overflows")
-                generator = GeneratorSpec(n, _periodic_diag(base, amplitude, omega),
-                                          op_step)
-        else:
-            raise ScenarioError("operator needs either matrix or builtin")
-    else:
-        raise ScenarioError(f"operator.type must be rate_model or ode, got {op_type!r}")
+    generator = _parse_generator(tree, n, rates)
+    family, members = _parse_family(tree, n)
 
-    projectors = _require(tree, "projectors", dict)
-    proj_type = projectors.get("type")
-    if proj_type == "coordinate_split":
-        _known(projectors, ("type", "sizes"), "projectors")
-        sizes = _require(projectors, "sizes", list, "projectors")
-        if len(sizes) != 3 or any(type(v) is not int or v < 0 for v in sizes):
-            raise ScenarioError("projectors.sizes must be three nonnegative integers")
-        if sum(sizes) != n:
-            raise ScenarioError(
-                f"projectors.sizes must sum to dimension {n}, got {sum(sizes)}")
-        family = ProjectorFamily.coordinate_split(*sizes)
-    elif proj_type == "explicit":
-        _known(projectors, ("type", "matrices"), "projectors")
-        mats = _require(projectors, "matrices", list, "projectors")
-        if len(mats) != 3:
-            raise ScenarioError("projectors.matrices must list three matrices")
-        for i, m in enumerate(mats):
-            _finite_array(m, (n, n), f"projectors.matrices[{i}]")
-        family = ProjectorFamily.constant(*mats)
-    else:
-        raise ScenarioError("projectors.type must be coordinate_split or "
-                            f"explicit, got {proj_type!r}")
-
-    tols = _optional(tree, "tolerances", dict, {})
-    _known(tols, ("structural", "theorem"), "tolerances")
-    tol_structural = _number(tols, "structural", "tolerances", 1e-10)
-    tol_theorem = _number(tols, "theorem", "tolerances", 1e-9)
-    if tol_structural <= 0 or tol_theorem <= 0:
-        raise ScenarioError("tolerances must be positive")
-
-    seed = _optional(tree, "seed", int, 0)
-    samples = _optional(tree, "samples", int, 32)
-    for key, value in (("seed", seed), ("samples", samples)):
-        if value < 0:
-            raise ScenarioError(f"{key} must be a nonnegative integer")
+    tols = _section(tree, "tolerances", ("structural", "theorem"), default={})
+    tol_structural = _number(tols, "structural", "tolerances", 1e-10, "positive")
+    tol_theorem = _number(tols, "theorem", "tolerances", 1e-9, "positive")
+    seed = _number(tree, "seed", default=0, rule="nonnegative", kind=int)
+    samples = _number(tree, "samples", default=32, rule="nonnegative", kind=int)
     if 8 * n * (n + samples) > np.iinfo(np.intp).max:
         raise ScenarioError("samples is too large for the n x (n + samples) "
                             "float64 test vectors")
 
-    checks = tree.get("checks", [])
-    if not isinstance(checks, list):
-        raise ScenarioError("checks must be a list")
+    checks = _require(tree, "checks", list, default=[])
     for name in checks:
         if name not in CHECK_NAMES:
             raise ScenarioError(f"checks: unknown check {name!r} "
                                 f"(known: {', '.join(CHECK_NAMES)})")
     if "dichotomy" in checks and opnorm(family.member(3, 0.0)) > 1e-12:  # as check_dichotomy
-        key = "sizes" if proj_type == "coordinate_split" else "matrices"
-        raise ScenarioError(f"projectors.{key}[2] gives a nonzero member 3: "
+        raise ScenarioError(f"projectors.{members}[2] gives a nonzero member 3: "
                             "dichotomy needs it to vanish")
 
-    bounds_tree = _optional(tree, "bounds", dict, {})
-    _known(bounds_tree, ("trichotomy", "uniform"), "bounds")
+    bounds_tree = _section(tree, "bounds", ("trichotomy", "uniform"), default={})
     bounds = {}
     if "trichotomy" in bounds_tree:
-        bounds["trichotomy"] = _parse_bound(
-            _require(bounds_tree, "trichotomy", dict, "bounds"),
-            "bounds.trichotomy")
+        bounds["trichotomy"] = _parse_bound(bounds_tree)
     if "uniform" in bounds_tree:
-        value = _number(bounds_tree, "uniform", "bounds")
-        if value < 1:
-            raise ScenarioError("bounds.uniform must be a number >= 1")
-        bounds["uniform"] = value
+        bounds["uniform"] = _number(bounds_tree, "uniform", "bounds", rule=">= 1")
 
-    inst = _optional(tree, "rate_instantiation", (dict, type(None)), None)
     instantiation = None
-    if inst is not None:
-        _known(inst, ("kind", "exponents"), "rate_instantiation")
-        kind = inst.get("kind")
-        if kind not in ("exponential", "polynomial"):
-            raise ScenarioError("rate_instantiation.kind must be exponential "
-                                "or polynomial")
+    if tree.get("rate_instantiation") is not None:
+        inst = _section(tree, "rate_instantiation")
+        kind = _variant(inst, "kind", dict.fromkeys(("exponential", "polynomial"), (
+            "exponents",)), "rate_instantiation")
         exps = _require(inst, "exponents", list, "rate_instantiation")
         if len(exps) != 4 or not all(_finite(v) and v > 0 for v in exps):
             raise ScenarioError("rate_instantiation.exponents must be four "
@@ -370,6 +333,11 @@ def scenario_from_tree(tree: dict) -> Scenario:
             "rate_instantiation requested but scenario rates are mixed or "
             "tabulated; add a rate_instantiation block with kind and exponents")
 
+    if generator is None and members == "matrices":  # splits pass by construction
+        try:  # the rate model's own check, last, so any other fault is named first
+            require_model_family(family)
+        except PreconditionError as exc:
+            raise ScenarioError(f"projectors.matrices: {exc}") from exc
     return Scenario(dimension=n, family=family, generator=generator, rates=rates,
                     grid_max=t_max, grid_step=step, horizon=horizon,
                     tol_structural=tol_structural, tol_theorem=tol_theorem,

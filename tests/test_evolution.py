@@ -61,6 +61,24 @@ def test_non_orthogonal_family_rejected(exp_rates):
                    exp_rates["mu"], exp_rates["nu"], family)
 
 
+E1, E2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+
+
+@pytest.mark.filterwarnings("error")  # an overflow fails the check without a warning
+@pytest.mark.parametrize("members, message", [
+    ((lambda t: E1 if t < 2 else E2, lambda t: E2 if t < 2 else E1),
+     "member products deviate at t=2.3, s=0.0"),
+    ((lambda t: E1, lambda t: E2 if t < 5 else 0 * E2),  # at t = 5.7 the sum fails first
+     "family members must sum to the identity"),
+    ((lambda t: 1e308 * E1, lambda t: 1e308 * E1 + E2),  # the sum overflows: a nan norm
+     "family members must sum to the identity"),
+], ids=["swap_at_2", "p2_vanishes_at_5", "sum_overflows"])
+def test_model_family_check_names_the_first_failure_a_probe_loop_meets(members, message):
+    family = ProjectorFamily(2, [*members, lambda t: np.zeros((2, 2))])  # probes 0, 0.9, 2.3, 5.7
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        evolution.require_model_family(family)
+
+
 def test_constant_inner_rates_leave_outer_quotient(split_family):
     one = GrowthRate.constant(30.0)
     u = GrowthRate.polynomial(1.0)
@@ -432,7 +450,7 @@ def test_batched_cocycle_matches_per_triple_loop():
 def per_pair_model(rates, family, t, s):
     """The rate-model formula at one pair, scalar quotients times members."""
     u, h, k, mu, nu = rates
-    p1, p2, p3 = family.members(s)
+    p1, p2, p3 = (family.member(j, s) for j in (1, 2, 3))
     return u.ratio(s, t) * (h.ratio(s, t) * p1 + k.ratio(t, s) * p2
                             + mu.ratio(t, s) * nu.ratio(s, t) * p3)
 

@@ -242,6 +242,48 @@ def test_overflow_inside_a_check_ends_it_in_error(tmp_path):
                           for e in errors.values())
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0])
+@pytest.mark.parametrize("key", ["structural", "theorem"])
+def test_nonpositive_tolerance_fails_naming_its_key(key, value):
+    with pytest.raises(ScenarioError, match=rf"^tolerances\.{key} must be positive"):
+        scenario_from_tree(minimal_tree(tolerances={key: value}))
+
+
+EXPONENTS = [1.0, 2.0, 0.5, 0.25]
+# type field -> (its section with an unknown type, a key only another type takes,
+# its section with that key)
+TYPED_OBJECTS = {
+    "operator.type": ({"type": "lti"},
+                      "operator.step", {"type": "rate_model", "step": 0.01}),
+    "operator.builtin.name": (
+        {"type": "ode", "step": 0.01, "builtin": {"name": "spiral"}}, "operator.builtin.base",
+        {"type": "ode", "step": 0.01, "builtin": {"name": "rotation", "base": [0.0, 0.0]}}),
+    "projectors.type": (  # a list, which no dict of types can hold as a key
+        {"type": ["explicit"], "matrices": []}, "projectors.matrices",
+        {"type": "coordinate_split", "sizes": [1, 1, 1], "matrices": [np.eye(3).tolist()] * 3}),
+    "rates.h.kind": (
+        {**minimal_tree()["rates"], "h": {"kind": "linear", "exponent": 1.0}}, "rates.h.table",
+        {**minimal_tree()["rates"], "h": {"kind": "exponential", "exponent": 1.0,
+                                          "table": [[0.0, 1.0], [40.0, 1.0]]}}),
+    "bounds.trichotomy.kind": (
+        {"trichotomy": {"kind": "quadratic", "value": 2.0}}, "bounds.trichotomy.offset",
+        {"trichotomy": {"kind": "constant", "value": 2.0, "offset": 1.0}}),
+    "rate_instantiation.kind": (  # a rate's key: both kinds take only exponents
+        {"kind": "tabulated", "exponents": EXPONENTS}, "rate_instantiation.exponent",
+        {"kind": "exponential", "exponents": EXPONENTS, "exponent": 1.0}),
+}
+
+
+@pytest.mark.parametrize("field", TYPED_OBJECTS)
+def test_typed_object_rejects_an_unknown_type_and_another_types_key(field):
+    section = field.partition(".")[0]
+    unknown, key, foreign = TYPED_OBJECTS[field]
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(field)} must be \w"):
+        scenario_from_tree(minimal_tree(**{section: unknown}))
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(key)} is not a known key$"):
+        scenario_from_tree(minimal_tree(**{section: foreign}))
+
+
 def test_bounds_validation():
     tree = minimal_tree(bounds={"trichotomy": {"kind": "affine", "coeff": -1.0,
                                                "offset": 2.0}})
@@ -491,6 +533,11 @@ CLI_PARSE_ERRORS = {  # case -> (scenario file or tree, options, text of the err
         checks=["dichotomy"], projectors={"type": "explicit", "matrices": [
             np.diag([1.0, 0, 0]).tolist(), np.diag([0, 1.0, 0]).tolist(),
             np.diag([0, 0, 1.0]).tolist()]}), [], "projectors.matrices[2] gives a nonzero"),
+    # the rate model needs members that sum to the identity, checked at parse
+    "rate_model_members_off_the_identity": (minimal_tree(projectors={
+        "type": "explicit", "matrices": [np.diag([1.0, 0, 0]).tolist(),
+                                         np.diag([0, 1.0, 0]).tolist(), [[0] * 3] * 3]}),
+        [], "projectors.matrices: family members must sum to the identity"),
 }
 
 
@@ -522,6 +569,20 @@ def test_cli_missing_file_exit_code(tmp_path, capsys):
     code = main(["--scenario", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+@pytest.mark.parametrize("content", [None, b"{\"dimension\": \xff}"],
+                         ids=["directory", "not_utf8"])
+def test_cli_unreadable_scenario_exit_code_names_the_file(tmp_path, capsys, content):
+    path = tmp_path / "scenario.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code = main(["--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: scenario file {path} ")
 
 
 def test_cli_unwritable_out_exit_code(tmp_path, capsys):
