@@ -1,8 +1,8 @@
 """Command-line front end: parse a scenario, run its checks, emit reports.
 
 Exit codes: 0 all requested checks passed, 1 at least one check failed or
-was skipped behind a failure, 2 scenario/parse/setup error or an output
-directory that cannot be written.
+was skipped behind a failure, 2 scenario/parse/setup error or a report that
+cannot be written out.
 """
 from __future__ import annotations
 
@@ -70,9 +70,9 @@ def main(argv=None) -> int:
     emit_started = time.perf_counter()
     try:
         paths = emit(report, args.format, args.out)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a value JSON cannot hold
         print(f"error: cannot write reports to {args.out}: "
-              f"{exc.strerror or exc}", file=sys.stderr)
+              f"{getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
         return 2
     emit_s = time.perf_counter() - emit_started
     for entry in report.checks:

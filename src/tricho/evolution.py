@@ -11,7 +11,7 @@ queries is answered in one pass: chain products of the propagators, and
 every gap off the anchors through one call of the same kernel. Every
 operator keeps one store of the pairs it has computed, so each distinct
 U(t, s) is computed once per operator, in one batched call per batch of
-unseen pairs, and shared read-only by every check that reads it.
+unseen pairs, and every check reads it from there, each read a new array.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ class EvolutionOperator:
 
     ``compute(pairs)`` gives the matrices of an (m, 2) array of in-domain
     pairs as an (m, n, n) stack. Each distinct pair is computed once per
-    operator and kept read-only in the array-keyed ``store``, and its
+    operator and kept in the array-keyed ``store``, and its
     spectral norm |U(t, s)| beside it when ``norms`` first reads it. Everything
     derived from U that a lookup cannot rebuild is kept beside it through
     ``keep``: the restricted inverses, one (pairs, 4) factor table per
@@ -58,8 +58,8 @@ class EvolutionOperator:
         return self.kept[key]
 
     def evaluate(self, t: float, s: float) -> np.ndarray:
-        """Read-only matrix of U(t, s); only t >= s >= 0 is in the domain."""
-        return self.store.get((t, s))
+        """U(t, s), t >= s >= 0, as a new matrix: ``evaluate_many`` at one pair."""
+        return self.store.stack([(t, s)])[0]
 
     def evaluate_many(self, pairs) -> np.ndarray:
         """U(t, s) for each (t, s) of an (m, 2) array or list as a new stack."""

@@ -232,10 +232,6 @@ class LyapunovNormFamily:
         block = _block(np.asarray(x, dtype=float))
         return sum(_term(term.at(t)[0], block) for term in self.terms)
 
-    def evaluate(self, t: float, x) -> float:
-        x = np.asarray(x, dtype=float).reshape(-1, 1)
-        return float(self.evaluate_many(t, x)[0])
-
     def values(self) -> np.ndarray:
         """Norms of the sample vectors x, P1 x, P2 x and P3 x at each of ``times``,
         (times, 4, batch): the sum of the terms' values, each kept once per

@@ -26,8 +26,8 @@ RANK_TOL = 1e-10  # scale-invariant: smallest singular value vs largest
 class ProjectorFamily:
     """Three maps t -> n x n matrix, constant or callback-defined.
 
-    Members and their range bases are evaluated once per time, read-only, in
-    stores keyed by arrays of times: one batched SVD per batch of new times.
+    Members and range bases are computed once per time in stores keyed by
+    times, one batched SVD per batch of new times; each read is a new stack.
     """
 
     def __init__(self, dimension: int, members):
@@ -69,10 +69,6 @@ class ProjectorFamily:
         for m, lo, hi in zip(mats, (0, n1, n1 + n2), (n1, n1 + n2, n)):
             m[lo:hi, lo:hi] = np.eye(hi - lo)
         return cls.constant(*mats)
-
-    def member(self, index: int, t: float) -> np.ndarray:
-        """Matrix of P_index(t), index in {1, 2, 3}."""
-        return self._stores[index].get(t)
 
     def stack(self, index: int, times) -> np.ndarray:
         """P_index(t) for each of ``times`` as an (m, n, n) stack."""
@@ -177,9 +173,9 @@ def compute_restricted_inverse(operator, family: ProjectorFamily, index: int,
 
 class InverseFamily:
     """W(t, s) = V_j(t, s) P_j(t) of one operator and family on t >= s >= 0,
-    one ``restricted_inverses`` call per batch of unseen pairs, kept read-only
-    in an array-keyed ``store`` with the note of each of its rows and, once
-    read, its spectral norm."""
+    one ``restricted_inverses`` call per batch of unseen pairs, kept in an
+    array-keyed ``store`` with the note of each of its rows and, once read,
+    its spectral norm; each read returns a new array."""
 
     def __init__(self, operator, family: ProjectorFamily, index: int):
         def compute(pairs):
@@ -208,8 +204,8 @@ class InverseFamily:
         return self.store.norms(pairs)
 
     def evaluate(self, t: float, s: float) -> np.ndarray:
-        self.stack([(t, s)])
-        return self.store.get((t, s))
+        """W(t, s) as a new matrix: ``stack`` at one pair."""
+        return self.stack([(t, s)])[0]
 
 
 def build_inverses(operator, family: ProjectorFamily) -> dict[int, InverseFamily]:

@@ -93,10 +93,6 @@ class GrowthRate:
 
     __call__ = evaluate
 
-    def ratio(self, a: float, b: float) -> float:
-        """evaluate(a) / evaluate(b): ``ratios`` at one pair of times."""
-        return float(self.ratios([a], [b])[0])
-
     def ratios(self, a, b) -> np.ndarray:
         """evaluate(a) / evaluate(b) over 1-D arrays of times broadcast together;
         exactly 1 where a == b. Exponentials go through exp(exponent*(a-b)), so

@@ -18,9 +18,10 @@ import numpy as np
 
 from .errors import PreconditionError, ScenarioError
 from .evolution import GeneratorSpec, require_model_family
+from .norms import _future_times
 from .projectors import ProjectorFamily
 from .rates import GrowthRate
-from .util import opnorm
+from .util import make_grid, opnorm
 
 STAGES = (  # the checks a run takes, by stage in dependency order
     ("orthogonality",),
@@ -136,7 +137,7 @@ def _finite_array(value, shape: tuple, where: str) -> None:
 def _bounded_ratio(rate: GrowthRate, gap: float, where: str) -> None:
     """Reject a closed-form rate whose ratio rate(gap) / rate(0) = rate(gap) overflows."""
     try:
-        if math.isfinite(rate(gap)):  # the bits of rate.ratio(gap, 0.0), without numpy
+        if math.isfinite(rate(gap)):  # the bits of rate.ratios([gap], [0.0]), without numpy
             return
     except OverflowError:
         pass
@@ -223,9 +224,9 @@ def _parse_family(tree: dict, n: int) -> tuple[ProjectorFamily, str]:
     return ProjectorFamily.constant(*mats), "matrices"
 
 
-def _parse_bound(bounds: dict):
-    """A nondecreasing bound N(a) with N(0) >= 1: every grid starts at 0,
-    where the factor |P_j(0)| of a nonzero projector is already >= 1."""
+def _parse_bound(bounds: dict, last: float):
+    """A nondecreasing bound N(a) with N(0) >= 1 and finite at the last grid
+    time ``last``: every grid starts at 0, where |P_j(0)| >= 1 if P_j != 0."""
     where = "bounds.trichotomy"
     spec = _section(bounds, "trichotomy", where="bounds")
     if _variant(spec, "kind", {"constant": ("value",), "affine": (
@@ -234,6 +235,8 @@ def _parse_bound(bounds: dict):
         return lambda a: value
     coeff = _number(spec, "coeff", where, rule="nonnegative")
     offset = _number(spec, "offset", where, rule=">= 1")
+    if not math.isfinite(coeff * last + offset):  # a float product overflows to inf
+        raise ScenarioError(f"{where} overflows at t_max = {last:g}")
     return lambda a: coeff * a + offset
 
 
@@ -273,14 +276,15 @@ def scenario_from_tree(tree: dict) -> Scenario:
     rates_tree = _section(tree, "rates", (*RATE_KEYS, "u"))
     rates = {key: _parse_rate(rates_tree, key) for key in (*RATE_KEYS, "u")
              if key != "u" or key in rates_tree}
-    needed = t_max + 2.0 * horizon
+    last = make_grid(t_max, step)[-1]
+    reach = _future_times(last, 2.0 * horizon, step)[-1]  # as the norms' lattice steps
     gap = max(t_max, 2.0 * horizon + step)  # widest gap of a rising ratio
     for key, rate in rates.items():
         span = rate.span
-        if span is not None and span[1] < needed - 1e-9:
+        if span is not None and span[1] < reach:
             raise ScenarioError(
-                f"rates.{key}: tabulated span must reach t_max + 2*horizon "
-                f"= {needed:g} (got {span[1]:g})")
+                f"rates.{key}: tabulated span must reach t_max + 2*horizon = "
+                f"{t_max + 2.0 * horizon:g} on the norms' lattice, at {reach:g} (got {span[1]:g})")
         if span is None and key in RATE_KEYS:  # tabulated ratios are finite
             _bounded_ratio(rate, gap, f"rates.{key}")
 
@@ -301,14 +305,14 @@ def scenario_from_tree(tree: dict) -> Scenario:
         if name not in CHECK_NAMES:
             raise ScenarioError(f"checks: unknown check {name!r} "
                                 f"(known: {', '.join(CHECK_NAMES)})")
-    if "dichotomy" in checks and opnorm(family.member(3, 0.0)) > 1e-12:  # as check_dichotomy
+    if "dichotomy" in checks and opnorm(family.stack(3, [0.0])[0]) > 1e-12:  # as check_dichotomy
         raise ScenarioError(f"projectors.{members}[2] gives a nonzero member 3: "
                             "dichotomy needs it to vanish")
 
     bounds_tree = _section(tree, "bounds", ("trichotomy", "uniform"), default={})
     bounds = {}
     if "trichotomy" in bounds_tree:
-        bounds["trichotomy"] = _parse_bound(bounds_tree)
+        bounds["trichotomy"] = _parse_bound(bounds_tree, last)
     if "uniform" in bounds_tree:
         bounds["uniform"] = _number(bounds_tree, "uniform", "bounds", rule=">= 1")
 

@@ -17,8 +17,8 @@ _SQUARE_SAFE = (1e-150, 1e150)  # largest entries whose Frobenius sums need no r
 
 class MatrixStore:
     """Matrices of one shape keyed by time or by (t, s) pair, each computed
-    once and kept read-only in ``values``, in the order computed, with the
-    spectral norm of each row computed on its first read by ``norms``.
+    once and kept in ``values`` in the order computed. ``stack`` reads them
+    as a new array, ``norms`` their spectral norms, each taken once.
 
     Keys are a 1-D array of times or an (m, 2) array of pairs, or lists of
     them. A pair is the complex t + 1j*s, which numpy sorts lexicographically,
@@ -55,13 +55,6 @@ class MatrixStore:
             self._slots = np.insert(self._slots, at, slots)
             pos = np.searchsorted(self._keys, flat)
         return self._slots[pos]
-
-    def get(self, key) -> np.ndarray:
-        """The read-only matrix of one key."""
-        row = self.rows([key])[0]  # may grow values
-        m = self.values[row]
-        m.flags.writeable = False
-        return m
 
     def stack(self, keys) -> np.ndarray:
         """The matrices of ``keys`` as a new (m, *shape) stack."""

@@ -194,8 +194,8 @@ def test_anchored_queries_compose_with_cached_factors():
             want = free.evaluate(b, a) @ want
         got = operator.evaluate(anchors[hi], anchors[lo])
         assert np.array_equal(got, want)
-        with pytest.raises(ValueError):
-            got[0, 0] = 1.0
+        got[0, 0] = 1.0
+        assert np.array_equal(operator.evaluate(anchors[hi], anchors[lo]), want)
     # between, before and past the anchors only the gaps are integrated
     for t, s in [(0.75, 0.25), (0.9, 0.6), (3.0, 0.2), (4.0, 0.0),
                  (5.3, 1.0), (4.7, 4.2), (6.1, 3.3)]:
@@ -450,9 +450,10 @@ def test_batched_cocycle_matches_per_triple_loop():
 def per_pair_model(rates, family, t, s):
     """The rate-model formula at one pair, scalar quotients times members."""
     u, h, k, mu, nu = rates
-    p1, p2, p3 = (family.member(j, s) for j in (1, 2, 3))
-    return u.ratio(s, t) * (h.ratio(s, t) * p1 + k.ratio(t, s) * p2
-                            + mu.ratio(t, s) * nu.ratio(s, t) * p3)
+    p1, p2, p3 = (family.stack(j, [s])[0] for j in (1, 2, 3))
+    return u.ratios([s], [t])[0] * (h.ratios([s], [t])[0] * p1
+                                    + k.ratios([t], [s])[0] * p2
+                                    + mu.ratios([t], [s])[0] * nu.ratios([s], [t])[0] * p3)
 
 
 def rotated_split_family():
@@ -570,8 +571,8 @@ def test_stored_pairs_are_not_changed_through_returned_stacks(nonuniform_operato
     want = first.copy()
     first[:] = 7.0
     assert np.array_equal(nonuniform_operator.evaluate_many(pairs), want)
-    with pytest.raises(ValueError):
-        nonuniform_operator.evaluate(2.0, 1.0)[0, 0] = 7.0
+    nonuniform_operator.evaluate(2.0, 1.0)[0, 0] = 7.0
+    assert np.array_equal(nonuniform_operator.evaluate(2.0, 1.0), want[0])
 
 
 def test_out_of_domain_pair_raises_beside_stored_pairs(uniform_operator):

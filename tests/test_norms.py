@@ -50,8 +50,8 @@ def test_basis_values_are_one_for_constant_outer_rate(uniform_norms, grid10):
     for t in grid10:
         for i in range(3):
             e = np.eye(3)[:, i]
-            assert fwd.evaluate(t, e) == pytest.approx(1.0, rel=1e-12)
-            assert bwd.evaluate(t, e) == pytest.approx(1.0, rel=1e-12)
+            assert fwd.evaluate_many(t, e[:, None])[0] == pytest.approx(1.0, rel=1e-12)
+            assert bwd.evaluate_many(t, e[:, None])[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_scalar_oracle_for_nonuniform_norm(nonuniform_norms, grid10):
@@ -60,7 +60,7 @@ def test_scalar_oracle_for_nonuniform_norm(nonuniform_norms, grid10):
     for t in (0.0, 2.0, 7.5):
         x = np.array([0.3, -0.4, 1.2])
         want = 0.3 + (t + 1.0) * 0.4 + 1.2
-        assert fwd.evaluate(t, x) == pytest.approx(want, rel=1e-12)
+        assert fwd.evaluate_many(t, x[:, None])[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_backward_scalar_oracle_for_nonuniform_norm(nonuniform_operator,
@@ -73,20 +73,20 @@ def test_backward_scalar_oracle_for_nonuniform_norm(nonuniform_operator,
     lattice = [0.5 * i for i in range(int(t / 0.5) + 1)]
     u = GrowthRate.polynomial(1.0)
     mu = exp_rates["mu"]
-    center = max(u.ratio(t, r) * mu.ratio(r, t) for r in lattice)
+    center = max(u.ratios([t], [r])[0] * mu.ratios([r], [t])[0] for r in lattice)
     x = np.array([0.0, 0.0, 2.0])
-    assert bwd.evaluate(t, x) == pytest.approx(2.0 * center, rel=1e-12)
+    assert bwd.evaluate_many(t, x[:, None])[0] == pytest.approx(2.0 * center, rel=1e-12)
 
 
 def test_zero_vector_evaluates_to_zero(uniform_norms):
     fwd, bwd = uniform_norms
-    assert fwd.evaluate(3.0, np.zeros(3)) == 0.0
-    assert bwd.evaluate(3.0, np.zeros(3)) == 0.0
+    assert fwd.evaluate_many(3.0, np.zeros((3, 1)))[0] == 0.0
+    assert bwd.evaluate_many(3.0, np.zeros((3, 1)))[0] == 0.0
 
 
 def test_negative_time_rejected(uniform_norms):
     with pytest.raises(DomainError):
-        uniform_norms[0].evaluate(-1.0, np.ones(3))
+        uniform_norms[0].evaluate_many(-1.0, np.ones((3, 1)))
 
 
 def test_norm_axioms_on_samples(nonuniform_norms, rng):
@@ -97,10 +97,11 @@ def test_norm_axioms_on_samples(nonuniform_norms, rng):
             x = rng.standard_normal(3)
             y = rng.standard_normal(3)
             lam = float(rng.standard_normal())
-            nx, ny = family.evaluate(t, x), family.evaluate(t, y)
-            assert family.evaluate(t, lam * x) == pytest.approx(
+            nx = family.evaluate_many(t, x[:, None])[0]
+            ny = family.evaluate_many(t, y[:, None])[0]
+            assert family.evaluate_many(t, lam * x[:, None])[0] == pytest.approx(
                 abs(lam) * nx, rel=1e-10, abs=1e-12)
-            assert family.evaluate(t, x + y) <= nx + ny + 1e-10
+            assert family.evaluate_many(t, (x + y)[:, None])[0] <= nx + ny + 1e-10
 
 
 def test_lower_bound_dominates_base_norm(nonuniform_norms, rng):
@@ -109,7 +110,7 @@ def test_lower_bound_dominates_base_norm(nonuniform_norms, rng):
         for _ in range(50):
             t = float(rng.choice([0.0, 0.5, 3.0, 9.5]))
             x = rng.standard_normal(3)
-            assert family.evaluate(t, x) >= np.linalg.norm(x) - 1e-12
+            assert family.evaluate_many(t, x[:, None])[0] >= np.linalg.norm(x) - 1e-12
 
 
 def test_enlarging_horizon_never_decreases(nonuniform_operator, split_family,
@@ -121,7 +122,8 @@ def test_enlarging_horizon_never_decreases(nonuniform_operator, split_family,
     for _ in range(20):
         t = float(rng.choice(grid10))
         x = rng.standard_normal(3)
-        assert large.evaluate(t, x) >= small.evaluate(t, x) - 1e-12
+        assert (large.evaluate_many(t, x[:, None])[0]
+                >= small.evaluate_many(t, x[:, None])[0] - 1e-12)
 
 
 def test_horizon_sensitivity_is_tiny_on_examples(uniform_norms, nonuniform_norms):
@@ -247,9 +249,9 @@ def test_unprojected_reduces_to_projected_on_range_vectors(uniform_norms):
     # for x already in the stable range the two right-hand sides coincide
     fwd, _ = uniform_norms
     x = np.eye(3)[:, 0]
-    p1 = fwd.family.member(1, 2.0)
-    assert fwd.evaluate(2.0, p1 @ x) == pytest.approx(fwd.evaluate(2.0, x),
-                                                      rel=1e-14)
+    p1 = fwd.family.stack(1, [2.0])[0]
+    assert fwd.evaluate_many(2.0, (p1 @ x)[:, None])[0] == pytest.approx(
+        fwd.evaluate_many(2.0, x[:, None])[0], rel=1e-14)
 
 
 def test_exponential_specialization_passes(uniform_operator, split_family,
@@ -418,24 +420,24 @@ def reference_theorem_rows(fwd, bwd, grid, samples, seed, unprojected):
     for i, t in enumerate(grid):
         for s in grid[:i + 1]:
             u = fwd.operator.evaluate(t, s)
-            y1, y3 = family.member(1, s) @ x, family.member(3, s) @ x
+            y1, y3 = family.stack(1, [s])[0] @ x, family.stack(3, [s])[0] @ x
             sides = (
                 ("stable_decay", fwd.evaluate_many(t, u @ y1),
                  fwd.evaluate_many(s, x if unprojected else y1),
-                 rates["h"].ratio(s, t)),
+                 rates["h"].ratios([s], [t])[0]),
                 ("unstable_growth",
                  bwd.evaluate_many(s, inverses[2].evaluate(t, s) @ x),
                  bwd.evaluate_many(t, x if unprojected
-                                   else family.member(2, t) @ x),
-                 rates["k"].ratio(s, t)),
+                                   else family.stack(2, [t])[0] @ x),
+                 rates["k"].ratios([s], [t])[0]),
                 ("center_growth", fwd.evaluate_many(t, u @ y3),
                  fwd.evaluate_many(s, x if unprojected else y3),
-                 rates["mu"].ratio(t, s)),
+                 rates["mu"].ratios([t], [s])[0]),
                 ("center_decay",
                  bwd.evaluate_many(s, inverses[3].evaluate(t, s) @ x),
                  bwd.evaluate_many(t, x if unprojected
-                                   else family.member(3, t) @ x),
-                 rates["nu"].ratio(t, s)))
+                                   else family.stack(3, [t])[0] @ x),
+                 rates["nu"].ratios([t], [s])[0]))
             for tag, lhs, base, quotient in sides:
                 margins = quotient * base - lhs
                 k = int(np.argmin(margins))
@@ -446,7 +448,7 @@ def reference_theorem_rows(fwd, bwd, grid, samples, seed, unprojected):
                               (bwd, "projection_bound_backward")):
                 base = nf.evaluate_many(t, x)
                 for j in (1, 2, 3):
-                    margins = base - nf.evaluate_many(t, family.member(j, t) @ x)
+                    margins = base - nf.evaluate_many(t, family.stack(j, [t])[0] @ x)
                     k = int(np.argmin(margins))
                     rows.append((label, t, t, ids[k], float(margins[k])))
     return rows
@@ -812,7 +814,7 @@ def test_crosscheck_limit_is_the_full_norm_factor_envelope():
         assert max(want) > 3.0  # some peak above the floor of 1
     # a time a family was not built at is built on first use
     assert 3.0 not in block[0].terms[0]._kept
-    block[0].evaluate(3.0, np.ones(4))
+    block[0].evaluate_many(3.0, np.ones((4, 1)))
     assert 3.0 in block[0].terms[0]._kept
 
 

@@ -95,7 +95,7 @@ def test_restricted_inverse_scalar_block(uniform_operator, split_family):
 def test_restricted_inverse_equal_times_is_projector(uniform_operator, split_family):
     for j in (2, 3):
         w = compute_restricted_inverse(uniform_operator, split_family, j, 3.0, 3.0)
-        np.testing.assert_allclose(w, split_family.member(j, 3.0), atol=1e-14)
+        np.testing.assert_allclose(w, split_family.stack(j, [3.0])[0], atol=1e-14)
 
 
 def collapse_operator():
@@ -195,12 +195,12 @@ def test_batched_inverse_identities_match_per_triple_loop():
         for t in grid:
             want["equal_time"] = max(want["equal_time"], opnorm(
                 compute_restricted_inverse(operator, family, j, t, t)
-                - family.member(j, t)))
+                - family.stack(j, [t])[0]))
         for i, t in enumerate(grid):
             for k, s in enumerate(grid[:i + 1]):
                 w = compute_restricted_inverse(operator, family, j, t, s)
                 u = operator.evaluate(t, s)
-                p_t, p_s = family.member(j, t), family.member(j, s)
+                p_t, p_s = family.stack(j, [t])[0], family.stack(j, [s])[0]
                 for key, value in (("right_inverse", opnorm(u @ w - p_t)),
                                    ("left_inverse", opnorm(w @ u @ p_s - p_s)),
                                    ("range", opnorm(w - p_s @ w))):
@@ -238,7 +238,7 @@ def rotated_example():
     assert np.allclose(q[0] @ q[1], q[2], 0, 1e-14) and len(grid) == 21
     base = runner._build_operator(scenario, grid)
     family = ProjectorFamily(3, [
-        lambda t, j=j: (lambda q: q @ scenario.family.member(j, 0.0) @ q.T)(
+        lambda t, j=j: (lambda q: q @ scenario.family.stack(j, [0.0])[0] @ q.T)(
             rotating_frame([t])[0]) for j in (1, 2, 3)])
     return scenario, grid, base, conjugate(base, rotating_frame), family
 

@@ -38,21 +38,21 @@ def test_closed_forms_within_ulps(rate):
 def test_ratio_identity_cases():
     for rate in (GrowthRate.exponential(2.0), GrowthRate.polynomial(1.0),
                  GrowthRate.constant(5.0)):
-        assert rate.ratio(3.0, 3.0) == 1.0
+        assert rate.ratios([3.0], [3.0])[0] == 1.0
 
 
 def test_exponential_ratio_value():
-    got = GrowthRate.exponential(2.0).ratio(1.0, 0.0)
+    got = GrowthRate.exponential(2.0).ratios([1.0], [0.0])[0]
     assert got == pytest.approx(E_2, rel=1e-15)
 
 
 def test_polynomial_ratio_value():
-    assert GrowthRate.polynomial(1.0).ratio(3.0, 1.0) == 2.0
+    assert GrowthRate.polynomial(1.0).ratios([3.0], [1.0])[0] == 2.0
 
 
 def test_exponential_ratio_avoids_overflow():
     # e^(2*800) overflows a float; the ratio of nearby times must not
-    assert GrowthRate.exponential(2.0).ratio(800.5, 800.0) == pytest.approx(
+    assert GrowthRate.exponential(2.0).ratios([800.5], [800.0])[0] == pytest.approx(
         math.e, rel=1e-15)
 
 
@@ -61,8 +61,8 @@ def test_exponential_ratio_avoids_overflow():
        t=st.floats(0.0, 50.0), s=st.floats(0.0, 50.0), q=st.floats(0.0, 50.0))
 def test_exponential_ratio_multiplicative(alpha, t, s, q):
     rate = GrowthRate.exponential(alpha)
-    assert rate.ratio(t, s) * rate.ratio(s, q) == pytest.approx(
-        rate.ratio(t, q), rel=1e-12)
+    assert rate.ratios([t], [s])[0] * rate.ratios([s], [q])[0] == pytest.approx(
+        rate.ratios([t], [q])[0], rel=1e-12)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -91,7 +91,7 @@ def test_negative_time_errors():
     with pytest.raises(DomainError):
         GrowthRate.exponential(1.0).evaluate(-0.1)
     with pytest.raises(DomainError):
-        GrowthRate.polynomial(1.0).ratio(1.0, -1.0)
+        GrowthRate.polynomial(1.0).ratios([1.0], [-1.0])
 
 
 @pytest.mark.parametrize("rate", [
@@ -172,7 +172,7 @@ def test_ratios_match_the_scalar_quotient_bit_for_bit(rate):
     want = [scalar_ratio(rate, x, y) for x, y in zip(a.tolist(), b.tolist())]
     assert np.array_equal(rate.ratios(a, b), want)
     assert np.array_equal(rate.ratios(a, 4.0), [scalar_ratio(rate, x, 4.0) for x in a])
-    assert [rate.ratio(x, y) for x, y in zip(a[::29], b[::29])] == want[::29]
+    assert [rate.ratios([x], [y])[0] for x, y in zip(a[::29], b[::29])] == want[::29]
     # equal times give exactly 1 without evaluating, even past a table's span
     assert rate.ratios([np.inf, 40.0], [np.inf, 40.0]).tolist() == [1.0, 1.0]
     with pytest.raises(DomainError):

@@ -13,7 +13,7 @@ import pytest
 
 from tricho import (ProjectorFamily, ScenarioError, emit, parse_scenario, run,
                     scenario_from_tree)
-from tricho import norms, runner
+from tricho import cli, norms, runner
 from tricho.cli import main
 from tricho.reports import (CheckReport, CompatibilityReport, Rows, TheoremReport,
                             TrichotomyReport)
@@ -113,6 +113,22 @@ def test_short_tabulated_span_rejected():
     tree["rates"]["u"] = {"kind": "tabulated", "table": [[0.0, 1.0], [12.0, 1.0]]}
     with pytest.raises(ScenarioError, match="t_max \\+ 2\\*horizon"):
         scenario_from_tree(tree)
+
+
+@pytest.mark.parametrize("horizon, short, reach", [(1.2, 12.4, 12.5), (0.2, 10.4, 10.5)])
+def test_tabulated_span_must_reach_the_last_time_of_the_norm_lattice(horizon, short, reach):
+    # the doubled future lattice steps from t_max = 10 by 0.5 for
+    # ceil(2*horizon / 0.5) steps, at least one: past t_max + 2*horizon
+    tree = read_tree(SCENARIOS / "uniform_example.json")
+    tree["horizon"] = horizon
+    tree["rates"]["u"] = {"kind": "tabulated", "table": [[0.0, 1.0], [short, 1.0]]}
+    with pytest.raises(ScenarioError, match=re.escape(
+            f"rates.u: tabulated span must reach t_max + 2*horizon = {short:g} "
+            f"on the norms' lattice, at {reach:g} (got {short:g})")):
+        scenario_from_tree(tree)
+    tree["rates"]["u"]["table"][1][0] = reach
+    report = run(scenario_from_tree(tree))
+    assert [c["status"] for c in report.checks] == ["pass"] * len(tree["checks"])
 
 
 WRONG_TYPES = {
@@ -502,6 +518,10 @@ CLI_PARSE_ERRORS = {  # case -> (scenario file or tree, options, text of the err
     "affine_trichotomy_offset_below_one": (minimal_tree(bounds={"trichotomy": {
         "kind": "affine", "coeff": 5.0, "offset": 0.999}}), [],
         "bounds.trichotomy.offset"),
+    # coeff * a + offset is inf from a = 2 on; the report could not be written
+    "affine_trichotomy_bound_overflows_on_the_grid": ({**read_tree(
+        SCENARIOS / "nonuniform_example.json"), "bounds": {"trichotomy": {
+            "kind": "affine", "coeff": 1e308, "offset": 1}}}, [], "bounds.trichotomy"),
     "extra_builtin_key": (minimal_tree(operator={
         "type": "ode", "step": 0.01,
         "builtin": {"name": "periodic_diag", "omega": 1.0, "phase": 0.5}}),
@@ -593,6 +613,17 @@ def test_cli_unwritable_out_exit_code(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(taken) in err[0]
+
+
+def test_cli_report_json_cannot_hold_exits_2(tmp_path, capsys, monkeypatch):
+    def emit_inf(report, fmt, out):
+        return json.dumps(math.inf, allow_nan=False)
+    monkeypatch.setattr(cli, "emit", emit_inf)
+    code = main(["--scenario", str(write_tree(tmp_path, minimal_tree())),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "JSON compliant" in err[0]
 
 
 def test_scenario_echo_is_sorted_and_complete():

@@ -40,10 +40,10 @@ def test_unstable_factor_matches_direct_svd_route(nonuniform_operator,
                                                   split_family, exp_rates):
     # independent oracle: smallest singular value of the forward restriction
     t, s = 3.5, 1.0
-    basis_s = range_basis(split_family.member(2, s))
+    basis_s = range_basis(split_family.stack(2, [s])[0])
     sigma = np.linalg.svd(nonuniform_operator.evaluate(t, s) @ basis_s,
                           compute_uv=False)
-    oracle = exp_rates["k"].ratio(t, s) / sigma[-1]
+    oracle = exp_rates["k"].ratios([t], [s])[0] / sigma[-1]
     got = required_factor(nonuniform_operator, split_family, exp_rates,
                           t, s, "unstable_growth")
     assert got == pytest.approx(oracle, rel=1e-10)
@@ -52,10 +52,10 @@ def test_unstable_factor_matches_direct_svd_route(nonuniform_operator,
 def test_center_decay_factor_matches_direct_svd_route(nonuniform_operator,
                                                       split_family, exp_rates):
     t, s = 5.0, 2.0
-    basis_s = range_basis(split_family.member(3, s))
+    basis_s = range_basis(split_family.stack(3, [s])[0])
     sigma = np.linalg.svd(nonuniform_operator.evaluate(t, s) @ basis_s,
                           compute_uv=False)
-    oracle = exp_rates["nu"].ratio(s, t) / sigma[-1]
+    oracle = exp_rates["nu"].ratios([s], [t])[0] / sigma[-1]
     got = required_factor(nonuniform_operator, split_family, exp_rates,
                           t, s, "center_decay")
     assert got == pytest.approx(oracle, rel=1e-10)

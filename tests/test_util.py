@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tricho import (GeneratorSpec, ProjectorFamily, build_norm_family,
+from tricho import (GeneratorSpec, ProjectorFamily, build_inverses, build_norm_family,
                     check_cocycle, check_compatible, check_identity,
                     check_invariance, check_inverse_properties,
                     check_orthogonal, check_trichotomy,
@@ -198,8 +198,8 @@ def test_array_store_matches_the_dict_store_bit_for_bit(batches, matrices):
         for form in (keys, np.array(keys)):  # a list and an array give the same rows
             got = store.stack(form)
             assert got.tobytes() == want.tobytes()
-        assert store.get(keys[0]).tobytes() == want[0].tobytes()
-        handed_out.append((got, want, store.get(keys[-1])))
+        assert store.stack([keys[0]])[0].tobytes() == want[0].tobytes()
+        handed_out.append((got, want, store.stack([keys[-1]])[0]))
     # compute saw each unseen key once, the first-seen one of 0.0 and -0.0,
     # in first-seen order, batch by batch
     assert seen["array"] == seen["dict"]
@@ -259,13 +259,24 @@ def test_single_pair_lookups_match_one_batch():
     assert single.store.values.shape == (5151, 3, 3)
 
 
-def test_store_rows_are_read_only_and_stacks_are_new():
+def test_every_read_is_a_new_array_with_the_stores_bits():
+    """``MatrixStore.stack``, ``EvolutionOperator.evaluate`` and
+    ``InverseFamily.evaluate`` each return a new, writable array holding the
+    store's bits; writing into it leaves the next read unchanged."""
     store = util.MatrixStore((2, 2), pair_matrices)
-    first = store.stack([(2.0, 1.0), (3.0, 0.0)])
-    first[:] = 7.0
-    assert store.get((2.0, 1.0))[0, 0] == 2.0
-    with pytest.raises(ValueError):
-        store.get((2.0, 1.0))[0, 0] = 7.0
+    operator = from_generator(GeneratorSpec.constant(np.diag([-1.0, 0.5, 2.0]), 0.1),
+                              anchors=[0.0, 1.0, 2.0])
+    inverses = build_inverses(operator, ProjectorFamily.coordinate_split(1, 1, 1))[2]
+    for source, read, keys in [
+            (store, store.stack, [(2.0, 1.0), (3.0, 0.0), (2.0, 1.0)]),
+            (operator.store, lambda keys: operator.evaluate(*keys[0]), [(2.0, 0.5)]),
+            (inverses.store, lambda keys: inverses.evaluate(*keys[0]), [(2.0, 0.5)])]:
+        got = read(keys)
+        held = source.values[source.rows(keys)].reshape(got.shape)
+        assert got.tobytes() == held.tobytes() and held.any()
+        assert got.flags.writeable and not np.shares_memory(got, source.values)
+        got[...] = 7.0
+        assert read(keys).tobytes() == held.tobytes()
     assert store.stack([]).shape == (0, 2, 2)
 
 
@@ -295,7 +306,7 @@ def test_batched_range_bases_match_range_basis_bit_for_bit():
             family.bases(j, times[5:][::-1])  # a first batch
             bases, ranks = family.bases(j, times)
             for t, basis, rank in zip(times, bases, ranks):
-                want = range_basis(family.member(j, t))
+                want = range_basis(family.stack(j, [t])[0])
                 assert rank == want.shape[1]
                 assert basis[:, :rank].tobytes() == want.tobytes()
                 assert not basis[:, rank:].any()
