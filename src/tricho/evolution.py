@@ -25,7 +25,7 @@ from .errors import PreconditionError
 from .rates import GrowthRate
 from .projectors import ProjectorFamily, ordered_pairs
 from .reports import CheckReport
-from .util import MatrixStore, cocycle_residual, grid_pairs, opnorms, peak
+from .util import MatrixStore, cocycle_residual, grid_pairs, opnorms, peak, time_stack
 
 _PROBE_TIMES = (0.0, 0.9, 2.3, 5.7)
 _PROBE_TOL = 1e-9
@@ -145,18 +145,6 @@ class GeneratorSpec:
         return cls(a.shape[0], lambda times: np.broadcast_to(a, (len(times), *a.shape)), step)
 
 
-def _coefficients(coefficient, times: np.ndarray, n: int) -> np.ndarray:
-    """``coefficient(times)``, checked to be an (m, n, n) stack of finite numbers."""
-    a = np.asarray(coefficient(times), dtype=float)
-    if a.shape != (len(times), n, n):
-        raise ValueError(f"coefficient from t={times[0]} has shape {a.shape}, "
-                         f"expected {(len(times), n, n)}")
-    finite = np.isfinite(a).all(axis=(1, 2))
-    if not finite.all():
-        raise ValueError(f"coefficient is unbounded at t={times[np.argmin(finite)]}")
-    return a
-
-
 def _rk4(coefficient, starts, ends, step: float, n: int) -> np.ndarray:
     """RK4 propagators over [starts[i], ends[i]] as an (m, n, n) stack, I where
     empty. Intervals of one step count advance together, one coefficient call
@@ -171,7 +159,8 @@ def _rk4(coefficient, starts, ends, step: float, n: int) -> np.ndarray:
         x, m = out[rows], len(s)
         for i in range(int(steps)):
             tau = s + i * h
-            a = _coefficients(coefficient, np.concatenate((tau, tau + 0.5 * h, tau + h)), n)
+            a = time_stack("coefficient", coefficient,
+                           np.concatenate((tau, tau + 0.5 * h, tau + h)), n)
             k1 = a[:m] @ x
             k2 = a[m:2 * m] @ (x + half * k1)
             k3 = a[m:2 * m] @ (x + half * k2)
@@ -200,7 +189,7 @@ def from_generator(spec: GeneratorSpec, anchors=None) -> EvolutionOperator:
     for a in anchor_list:
         if not 0 <= a < math.inf:  # false for NaN
             raise ValueError(f"anchors must be finite and nonnegative, got {a}")
-    _coefficients(spec.coefficient, np.array(anchor_list or (0.0, 0.5, 1.0)), n)
+    time_stack("coefficient", spec.coefficient, anchor_list or (0.0, 0.5, 1.0), n)
     props = _rk4(spec.coefficient, anchor_list[:-1], anchor_list[1:], spec.step, n)
     points = np.array(anchor_list)
 
@@ -228,9 +217,9 @@ def from_generator(spec: GeneratorSpec, anchors=None) -> EvolutionOperator:
 
 def conjugate(operator: EvolutionOperator, frame: Callable) -> EvolutionOperator:
     """Operator in a moving orthonormal frame: Q(t) U(t, s) Q(s)^T, where
-    ``frame`` gives Q over an array of times as an (m, n, n) stack."""
+    ``frame`` gives Q over an array of times, an (m, n, n) stack ``time_stack`` checks."""
     def compute(pairs):
-        q_t, q_s = (frame(x) for x in pairs.T)
+        q_t, q_s = (time_stack("frame", frame, x, operator.dimension) for x in pairs.T)
         return q_t @ operator.evaluate_many(pairs) @ np.swapaxes(q_s, -1, -2)
     return EvolutionOperator(operator.dimension, compute)
 

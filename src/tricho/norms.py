@@ -439,8 +439,8 @@ def verify_sufficiency(forward: LyapunovNormFamily,
 
     The candidate bound N(a) = sup_{s <= a} C(s) (|P1(s)| + |P2(s)| + |P3(s)|)
     is assembled from the measured compatibility ratios of both families and
-    fed back into the projected trichotomy system, which it must dominate.
-    It reads the kept term values and projected factor table.
+    fed back, as its array over the grid, into the projected trichotomy
+    system, which it must dominate; it reads the kept values and factor table.
     """
     _require_shared_sources(forward, backward)
     grid = list(forward.times)
@@ -448,10 +448,7 @@ def verify_sufficiency(forward: LyapunovNormFamily,
     family = forward.family
     pnorm = sum(opnorms(family.stack(j, grid)) for j in (1, 2, 3))
     candidate = np.maximum.accumulate(np.maximum(*ratios) * pnorm)
-    # check_trichotomy reads the bound at grid times only
-    bound = dict(zip(grid, candidate)).__getitem__
-    report = check_trichotomy(forward.operator, family, forward.rates, grid,
-                              bound=bound)
+    report = check_trichotomy(forward.operator, family, forward.rates, grid, lambda a: candidate)
     report.label = "sufficiency"
     return report
 

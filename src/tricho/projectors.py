@@ -12,22 +12,21 @@ defining identities.
 """
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from .errors import DomainError, NotStronglyInvariantError, StructuralError
 from .reports import CheckReport
-from .util import MatrixStore, cocycle_residual, grid_pairs, peak, range_bases
+from .util import MatrixStore, cocycle_residual, grid_pairs, peak, range_bases, time_stack
 
 RANK_TOL = 1e-10  # scale-invariant: smallest singular value vs largest
 
 
 class ProjectorFamily:
-    """Three maps t -> n x n matrix, constant or callback-defined.
+    """Three members, each mapping a 1-D array of m times to the (m, n, n)
+    stack of its matrices at them; ``constant`` builds time-independent ones.
 
-    Members and range bases are computed once per time in stores keyed by
-    times, one batched SVD per batch of new times; each read is a new stack.
+    Range bases are computed once per time in stores keyed by times, one
+    batched SVD per batch of new times; each read is a new stack.
     """
 
     def __init__(self, dimension: int, members):
@@ -36,20 +35,9 @@ class ProjectorFamily:
         if len(members) != 3:
             raise StructuralError("a family has exactly three members")
         self.dimension = n = int(dimension)
-        self._stores = {i: MatrixStore((n, n), partial(self._compute, i, member))
-                        for i, member in enumerate(members, 1)}  # index -> P_index
+        self._members = dict(enumerate(members, 1))  # index -> P_index
         self._bases = {i: MatrixStore((n, n), lambda times, i=i: range_bases(
-            self.stack(i, times))[0]) for i in self._stores}
-
-    def _compute(self, index: int, member, times) -> list[np.ndarray]:
-        times = times.tolist()
-        out = [np.array(member(t), dtype=float) for t in times]
-        for t, m in zip(times, out):
-            if m.shape != (self.dimension, self.dimension):
-                raise StructuralError(
-                    f"member {index} at t={t} has shape {m.shape}, "
-                    f"expected {(self.dimension, self.dimension)}")
-        return out
+            self.stack(i, times))[0]) for i in self._members}
 
     @classmethod
     def constant(cls, p1, p2, p3) -> "ProjectorFamily":
@@ -57,7 +45,7 @@ class ProjectorFamily:
         n = mats[0].shape[0]
         if any(m.shape != (n, n) for m in mats):
             raise StructuralError("members must be square matrices of equal size")
-        return cls(n, [lambda t, m=m: m for m in mats])
+        return cls(n, [lambda times, m=m: np.broadcast_to(m, (len(times), n, n)) for m in mats])
 
     @classmethod
     def coordinate_split(cls, n1: int, n2: int, n3: int) -> "ProjectorFamily":
@@ -71,8 +59,9 @@ class ProjectorFamily:
         return cls.constant(*mats)
 
     def stack(self, index: int, times) -> np.ndarray:
-        """P_index(t) for each of ``times`` as an (m, n, n) stack."""
-        return self._stores[index].stack(times)
+        """P_index(t) for each of ``times`` as a new (m, n, n) stack, from one
+        call of the member checked by ``util.time_stack``."""
+        return np.array(time_stack(f"member {index}", self._members[index], times, self.dimension))
 
     def bases(self, index: int, times) -> tuple[np.ndarray, np.ndarray]:
         """``util.range_bases`` of P_index(t) for each of ``times``."""

@@ -232,7 +232,7 @@ def _parse_bound(bounds: dict, last: float):
     if _variant(spec, "kind", {"constant": ("value",), "affine": (
             "coeff", "offset")}, where) == "constant":
         value = _number(spec, "value", where, rule=">= 1")
-        return lambda a: value
+        return lambda a: np.full_like(a, value, dtype=float)
     coeff = _number(spec, "coeff", where, rule="nonnegative")
     offset = _number(spec, "offset", where, rule=">= 1")
     if not math.isfinite(coeff * last + offset):  # a float product overflows to inf

@@ -108,7 +108,7 @@ def _run_system(operator, family, rates, grid, bound, label,
     fields = {"factor": value, "binds": np.array(binds), "bound": None, "margin": None}
     bound_values = None
     if bound is not None:
-        bound_values = [float(bound(a)) for a in grid]
+        bound_values = np.full(len(grid), bound(np.array(grid, dtype=float)), dtype=float).tolist()
         fields["bound"] = np.array(bound_values)[at]
         fields["margin"] = fields["bound"] - value
     requirement = np.maximum(1.0, worst.max(axis=1)).tolist()
@@ -125,12 +125,12 @@ def _run_system(operator, family, rates, grid, bound, label,
 
 
 def check_trichotomy(operator, family: ProjectorFamily, rates: dict, grid,
-                     bound: Callable[[float], float] | None = None) -> TrichotomyReport:
+                     bound: Callable | None = None) -> TrichotomyReport:
     """Projected-right-hand-side system over all grid pairs.
 
-    ``bound``, when given, must be a nondecreasing function; the report
-    passes iff it dominates the measured envelope on the grid. The projected
-    ``factor_table`` of ``grid`` is kept on the operator, so
+    ``bound``, when given, maps the grid array to a nondecreasing N at each
+    time (a scalar: at all); the report passes iff N dominates the envelope.
+    The projected ``factor_table`` of ``grid`` is kept on the operator, so
     ``check_uniform``, ``check_dichotomy`` and ``norms.verify_sufficiency``
     on the same operator, family, rates and grid read it without recomputing.
     """
@@ -138,7 +138,7 @@ def check_trichotomy(operator, family: ProjectorFamily, rates: dict, grid,
 
 
 def check_trichotomy_full(operator, family: ProjectorFamily, rates: dict, grid,
-                          bound: Callable[[float], float] | None = None) -> TrichotomyReport:
+                          bound: Callable | None = None) -> TrichotomyReport:
     """Variant whose right-hand sides use the full state norm |x|."""
     return _run_system(operator, family, rates, grid, bound, "trichotomy_full",
                        full=True)
@@ -153,12 +153,12 @@ def check_uniform(operator, family: ProjectorFamily, rates: dict, grid,
     projected ones. The verdict is evidence on the grid only, under the pass
     rule of ``check_trichotomy`` with the constant as its bound.
     """
-    bound = (lambda a: float(constant)) if constant is not None else None
+    bound = (lambda a: np.full_like(a, constant, dtype=float)) if constant is not None else None
     return _run_system(operator, family, rates, grid, bound, "uniform")
 
 
 def check_dichotomy(operator, family: ProjectorFamily, rates: dict, grid,
-                    bound: Callable[[float], float] | None = None) -> TrichotomyReport:
+                    bound: Callable | None = None) -> TrichotomyReport:
     """Two-projector special case: member 3 must vanish identically.
 
     Delegates to the projected system; the center rows are vacuous

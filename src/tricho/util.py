@@ -1,5 +1,5 @@
-"""Small numeric helpers: a matrix store, grids, spectral norms, range bases,
-sample vectors.
+"""Small numeric helpers: a matrix store, a checker for time-indexed stacks,
+grids, spectral norms, range bases, sample vectors.
 
 Everything here is deterministic; random vectors always come from an
 explicitly seeded generator.
@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import StructuralError
 
 _RANGE_CUTOFF = 0.5  # projector singular values cluster at {0} and [1, inf)
 _SCREEN_MARGIN = 1e-9  # relative, far above the rounding of either bound
@@ -72,6 +74,21 @@ class MatrixStore:
         if unread.any():
             self._norms[unread] = opnorms(self.values[unread])
         return self._norms[rows]
+
+
+def time_stack(name: str, fn, times, n: int) -> np.ndarray:
+    """``fn(times)`` over a 1-D float array of m times, checked to be an (m, n, n)
+    stack: a wrong shape raises StructuralError and a NaN or inf ValueError (max
+    and min keep both: no (m, n, n) mask), naming ``name`` and the first bad time."""
+    times = np.asarray(times, dtype=float)
+    a = np.asarray(fn(times), dtype=float)
+    if a.shape != (len(times), n, n):
+        at = f" from t={times[0]}" if len(times) else ""
+        raise StructuralError(f"{name}{at} has shape {a.shape}, expected {(len(times), n, n)}")
+    finite = np.isfinite(a.max(axis=(1, 2))) & np.isfinite(a.min(axis=(1, 2)))
+    if not finite.all():
+        raise ValueError(f"{name} is NaN or unbounded at t={times[np.argmin(finite)]}")
+    return a
 
 
 def opnorm(m: np.ndarray) -> float:

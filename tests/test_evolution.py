@@ -10,20 +10,14 @@ from hypothesis import strategies as st
 from tricho import (DomainError, GeneratorSpec, GrowthRate, PreconditionError,
                     ProjectorFamily, check_cocycle, check_identity,
                     from_generator, rate_model, run, scenario_from_tree)
-from tricho import evolution, norms, projectors, runner, scenario, trichotomy
+from tricho import StructuralError, evolution, norms, projectors, runner, scenario, trichotomy
+from tricho.evolution import conjugate
 from tricho.util import make_grid, opnorm
+
+from oracle import batched
 
 # frozen scalar-arithmetic oracles for the model operator at (1, 0), u(t)=t+1
 DIAG_1_0 = [0.18393972058572117, 3.694528049465325, 0.6420127083438707]
-
-
-def batched(entries):
-    """Coefficient over an array of times from ``entries(times)``: n rows of
-    n entries, each an array over the times or a constant."""
-    def coefficient(times):
-        rows = [np.broadcast_arrays(*row, times)[:-1] for row in entries(times)]
-        return np.moveaxis(np.array(rows), -1, 0)
-    return coefficient
 
 
 def test_equal_times_give_identity(nonuniform_operator):
@@ -61,20 +55,21 @@ def test_non_orthogonal_family_rejected(exp_rates):
                    exp_rates["mu"], exp_rates["nu"], family)
 
 
-E1, E2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-
-
 @pytest.mark.filterwarnings("error")  # an overflow fails the check without a warning
 @pytest.mark.parametrize("members, message", [
-    ((lambda t: E1 if t < 2 else E2, lambda t: E2 if t < 2 else E1),
+    ((batched(lambda t: [[t < 2, 0], [0, t >= 2]]),  # the two members swap at t = 2
+      batched(lambda t: [[t >= 2, 0], [0, t < 2]])),
      "member products deviate at t=2.3, s=0.0"),
-    ((lambda t: E1, lambda t: E2 if t < 5 else 0 * E2),  # at t = 5.7 the sum fails first
+    ((batched(lambda t: [[1, 0], [0, 0]]),  # at t = 5.7 the sum fails first
+      batched(lambda t: [[0, 0], [0, t < 5]])),
      "family members must sum to the identity"),
-    ((lambda t: 1e308 * E1, lambda t: 1e308 * E1 + E2),  # the sum overflows: a nan norm
+    ((batched(lambda t: [[1e308, 0], [0, 0]]),  # the sum overflows: a nan norm
+      batched(lambda t: [[1e308, 0], [0, 1]])),
      "family members must sum to the identity"),
 ], ids=["swap_at_2", "p2_vanishes_at_5", "sum_overflows"])
 def test_model_family_check_names_the_first_failure_a_probe_loop_meets(members, message):
-    family = ProjectorFamily(2, [*members, lambda t: np.zeros((2, 2))])  # probes 0, 0.9, 2.3, 5.7
+    # the probe times are 0, 0.9, 2.3 and 5.7
+    family = ProjectorFamily(2, [*members, batched(lambda t: [[0, 0], [0, 0]])])
     with pytest.raises(PreconditionError, match=re.escape(message)):
         evolution.require_model_family(family)
 
@@ -265,6 +260,15 @@ def test_coefficient_unbounded_between_anchors_rejected():
     operator = from_generator(gen)
     with pytest.raises(ValueError, match=r"unbounded at t=0\.375"):
         operator.evaluate(0.5, 0.0)
+
+
+def test_a_frame_of_the_wrong_shape_is_structural_and_named():
+    """One matrix where a stack over the times is due would broadcast
+    through the products unnoticed."""
+    frame = conjugate(from_generator(GeneratorSpec.constant(np.eye(2), 0.1)),
+                      lambda times: np.eye(2))
+    with pytest.raises(StructuralError, match=r"^frame from t=1\.0 has shape \(2, 2\)"):
+        frame.evaluate_many([(1.0, 0.0), (2.0, 1.0)])
 
 
 def test_coefficient_not_a_stack_rejected():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from collections import Counter
 from pathlib import Path
@@ -15,6 +17,8 @@ from tricho import norms, parse_scenario, run, runner, util
 from tricho.norms import query_lattice, theorem_tables
 from tricho.projectors import build_inverses
 from tricho.util import make_grid
+
+from oracle import batched
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -233,6 +237,13 @@ def test_sufficiency_loop_nonuniform(nonuniform_norms):
     fwd, bwd = (on_batch(nf, 32, 9) for nf in nonuniform_norms)
     report = verify_sufficiency(fwd, bwd)
     assert report.passed
+    # at seed 2024 the report is pinned to the bit
+    report = verify_sufficiency(*(on_batch(nf, 32, 2024) for nf in nonuniform_norms))
+    assert report.bound_values[-1] == 33.215729163209964 and report.envelope[-1] == 11.0
+    assert hashlib.sha256(json.dumps(report.payload(), sort_keys=True).encode()).hexdigest() \
+        == "2d89bb5201a1d22b2ca2e78d35177df0045c81c896fe158c72320d21d9625134"
+    assert hashlib.sha256(report.rows.margin.tobytes()).hexdigest() \
+        == "432fda345f6967dec99046b01acd78ad8df43a18e8fc500aa64ad74c22e8991f"
 
 
 def test_unprojected_system_and_lemma(uniform_norms, nonuniform_norms):
@@ -853,9 +864,9 @@ def vanishing_center_terms(grid, horizon, step):
     a = np.array([[-1.0, 0.4, 0.2], [0.3, 1.2, -0.5], [0.1, 0.2, 0.1]])
     operator = from_generator(GeneratorSpec.constant(a, 0.05),
                               anchors=query_lattice(grid, horizon, step))
-    e1, e3 = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0])
-    center = lambda t: e3 if t >= 1.0 else np.zeros((3, 3))
-    family = ProjectorFamily(3, [lambda t: e1, lambda t: np.eye(3) - e1 - center(t), center])
+    family = ProjectorFamily(3, [batched(lambda t: [[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+                                 batched(lambda t: [[0, 0, 0], [0, 1, 0], [0, 0, t < 1.0]]),
+                                 batched(lambda t: [[0, 0, 0], [0, 0, 0], [0, 0, t >= 1.0]])])
     return [norms.NormTerm(operator, tag, family, GrowthRate.exponential(rate),
                            horizon, step, grid)
             for tag, rate in (("stable_decay", 1.0), ("center_growth", 80.0),

@@ -58,6 +58,16 @@ def test_dimension_mismatch_is_structural():
         check_orthogonal(family, [0.0], 1e-10)
 
 
+def test_a_member_that_is_nan_at_one_time_is_named_with_that_time():
+    """The check sees the NaN before any SVD does."""
+    family = ProjectorFamily(3, [
+        lambda times: np.broadcast_to(diag3(1, 0, 0), (len(times), 3, 3)),
+        lambda times: np.where((times == 1.5)[:, None, None], np.nan, diag3(0, 1, 0)),
+        lambda times: np.broadcast_to(diag3(0, 0, 1), (len(times), 3, 3))])
+    with pytest.raises(ValueError, match=r"^member 2 is NaN or unbounded at t=1\.5$"):
+        check_orthogonal(family, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5], 1e-10)
+
+
 def test_invariance_of_model_operator_is_exact(nonuniform_operator, split_family):
     report = check_invariance(split_family, nonuniform_operator, GRID, 1e-12)
     assert report.passed
@@ -238,8 +248,8 @@ def rotated_example():
     assert np.allclose(q[0] @ q[1], q[2], 0, 1e-14) and len(grid) == 21
     base = runner._build_operator(scenario, grid)
     family = ProjectorFamily(3, [
-        lambda t, j=j: (lambda q: q @ scenario.family.stack(j, [0.0])[0] @ q.T)(
-            rotating_frame([t])[0]) for j in (1, 2, 3)])
+        lambda times, p=scenario.family.stack(j, [0.0])[0]: (
+            lambda q: q @ p @ np.swapaxes(q, 1, 2))(rotating_frame(times)) for j in (1, 2, 3)])
     return scenario, grid, base, conjugate(base, rotating_frame), family
 
 

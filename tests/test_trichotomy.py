@@ -13,6 +13,8 @@ from tricho import (GrowthRate, EvolutionOperator, GeneratorSpec,
 from tricho.trichotomy import INEQUALITIES, TERMS, factor_table
 from tricho.util import grid_pairs, make_grid, opnorms, range_basis
 
+from oracle import batched
+
 
 def test_stable_factor_is_outer_quotient(nonuniform_operator, split_family, exp_rates):
     got = required_factor(nonuniform_operator, split_family, exp_rates,
@@ -75,6 +77,19 @@ def test_constant_bound_fails_on_long_grid(nonuniform_operator, split_family,
                               grid, bound=lambda a: 10.0)
     assert report.passed is False
     assert report.envelope[-1] == pytest.approx(21.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("scalar, array", [
+    (lambda a: 10.0, lambda times: np.full(len(times), 10.0)),
+    (lambda a: 3.0 * (a + 1.0), lambda times: np.array([3.0 * (a + 1.0) for a in times.tolist()])),
+], ids=["constant", "affine"])
+def test_a_bound_over_the_grid_array_reports_as_its_scalar_lambda(
+        scalar, array, nonuniform_operator, split_family, exp_rates, grid10):
+    want, got = (check_trichotomy(nonuniform_operator, split_family, exp_rates, grid10,
+                                  bound=bound) for bound in (scalar, array))
+    assert got.payload() == want.payload()
+    assert got.records == want.records
+    assert got.bound_values == want.bound_values and got.passed == want.passed
 
 
 def test_identity_operator_flat_envelope():
@@ -238,10 +253,9 @@ def test_dichotomy_rejects_nonzero_third_member(nonuniform_operator,
 
 
 def test_dichotomy_names_the_first_time_member_3_is_nonzero(exp_rates):
-    zero, third = np.zeros((2, 2)), np.diag([0.0, 1.0])
-    family = ProjectorFamily(2, [lambda t: np.diag([1.0, 0.0]),
-                                 lambda t: third if t == 0.0 else zero,
-                                 lambda t: zero if t == 0.0 else third])
+    family = ProjectorFamily(2, [batched(lambda t: [[1, 0], [0, 0]]),
+                                 batched(lambda t: [[0, 0], [0, t == 0.0]]),
+                                 batched(lambda t: [[0, 0], [0, t != 0.0]])])
     operator = identity_operator(2)
     with pytest.raises(PreconditionError, match=r"nonzero at t=0\.5$"):
         check_dichotomy(operator, family, exp_rates, [0.0, 0.5, 1.0])

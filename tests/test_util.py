@@ -289,15 +289,17 @@ def projector(*columns):
 def test_batched_range_bases_match_range_basis_bit_for_bit():
     times = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 7.25]
 
-    def turning(t):  # rank 0 before t = 1, then 1, then 2 from t = 2.5
-        if t < 1.0:
-            return np.zeros((3, 3))
-        first = [math.cos(t), math.sin(t), 0.5]
-        return projector(first) if t < 2.5 else projector(first, [0.0, 1.0, t])
+    def turning(times):  # rank 0 before t = 1, then 1, then 2 from t = 2.5
+        def at(t):
+            if t < 1.0:
+                return np.zeros((3, 3))
+            first = [math.cos(t), math.sin(t), 0.5]
+            return projector(first) if t < 2.5 else projector(first, [0.0, 1.0, t])
+        return np.reshape([at(t) for t in times], (-1, 3, 3))
 
     oblique = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    turning_family = ProjectorFamily(3, [turning, lambda t: np.eye(3) - turning(t),
-                                         lambda t: np.zeros((3, 3))])
+    turning_family = ProjectorFamily(3, [turning, lambda times: np.eye(3) - turning(times),
+                                         lambda times: np.zeros((len(times), 3, 3))])
     families = [ProjectorFamily.coordinate_split(1, 2, 0),
                 ProjectorFamily.constant(oblique, np.eye(3) - oblique, np.zeros((3, 3))),
                 turning_family]
