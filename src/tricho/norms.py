@@ -35,7 +35,8 @@ from .util import contenders, grid_pairs, norm_bounds, opnorms, test_vector_batc
 VARIANTS = {"forward": ("stable_decay", "unstable_growth", "center_growth"),
             "backward": ("stable_decay", "unstable_growth", "center_decay")}
 _SENSITIVITY_LIMIT = 1e-6
-_IMAGE_FLOATS = 1 << 16  # image entries per chunk of a norm term (512 kB)
+_IMAGE_FLOATS = 1 << 16  # floats per chunk of a norm term's images or of a table (512 kB)
+_STACK_FLOATS = 1 << 18  # lattice-stack entries per run of a norm term's build (2 MB)
 _CROSSCHECK_TOL = 1e-9  # relative slack of C(t) against its full-norm limit
 
 
@@ -57,6 +58,18 @@ def query_lattice(grid, horizon: float, step: float) -> list[float]:
     families on ``grid`` samples, with the families' own float expressions."""
     times = [grid] + [_future_times(t, 2.0 * horizon, step) for t in grid]
     return sorted(set(np.concatenate(times).tolist()))
+
+
+def _chunks(counts, width: int, budget: int):
+    """Runs [lo, hi) of consecutive items of ``counts`` rows each, ``width``
+    floats a row: each of at most ``budget`` floats, or of one item."""
+    lo = size = 0
+    for i, count in enumerate(counts):
+        if i > lo and (size + count) * width > budget:
+            yield lo, i
+            lo, size = i, 0
+        size += count
+    yield lo, len(counts)
 
 
 def _view(stack: np.ndarray):
@@ -134,11 +147,21 @@ class NormTerm:
         """Keeps the screened narrow stack and peak at each of ``times``, the
         future lattice running out to ``horizon``, and returns the norms of
         the basis vectors there, (times, n), over the narrow part and the
-        whole: |M e_k| is column k's norm, so no kernel call is needed."""
-        j, key, binds, rising = TERMS[self.tag]
-        future = binds == "s"
+        whole: |M e_k| is column k's norm, so no kernel call is needed. The
+        lattice stacks are built a run of times at a time, each of at most
+        ``_STACK_FLOATS`` entries or of one time: no run holds a whole G=401
+        term, and every term of the benchmark workloads is one run."""
+        future = TERMS[self.tag][2] == "s"
         lattices = [_future_times(t, horizon, self.step) if future
                     else _past_times(t, self.step) for t in times]
+        runs = _chunks([len(x) for x in lattices], self.family.dimension ** 2, _STACK_FLOATS)
+        return [np.concatenate(basis) for basis in zip(*(
+            self._build_run(times[lo:hi], lattices[lo:hi]) for lo, hi in runs))]
+
+    def _build_run(self, times, lattices) -> list[np.ndarray]:
+        """``_build`` over one run of times and their lattices."""
+        j, key, binds, rising = TERMS[self.tag]
+        future = binds == "s"
         sizes = [len(x) for x in lattices]
         own = np.repeat(np.asarray(times, dtype=float), sizes)
         pairs = np.stack((np.concatenate(lattices), own)[::1 if future else -1], axis=1)
@@ -316,11 +339,12 @@ def theorem_tables(forward: LyapunovNormFamily,
     keeps margins O(1) and matches the exponential/polynomial specialization
     forms. Per ``TERMS``, N binding at s means forward norms; the quotient
     inverts the factor's. Each tag's left-hand norms, the U terms batched per
-    t over s and the W_j terms per s over t, are reduced against both
-    right-hand sides (the kept ``values``) before the next tag's are built.
-    The tables are kept through ``operator.keep`` per terms of the two
-    families (which fix the four rates and the times) and their batch's
-    sample count and seed.
+    t over s and the W_j terms per s over t, are built a chunk of outer times
+    at a time and reduced against both right-hand sides (the kept ``values``)
+    into the tables' columns before the next chunk is built, so no (pairs,
+    batch) array is ever held whole. The tables are kept through
+    ``operator.keep`` per terms of the two families (which fix the four rates
+    and the times) and their batch's sample count and seed.
     """
     _require_shared_sources(forward, backward)
     return forward.operator.keep(
@@ -329,6 +353,10 @@ def theorem_tables(forward: LyapunovNormFamily,
 
 
 def _theorem_tables(forward, backward) -> tuple[Rows, Rows, Rows]:
+    """``theorem_tables``: per tag in ``TERMS`` order, outer times ascending in
+    chunks of one time or more whose (pairs, batch) arrays hold at most
+    ``_IMAGE_FLOATS`` floats, each chunk's ``_worst`` records written straight
+    into the table columns."""
     grid = list(forward.times)
     ids, x, proj = _projected(forward)
     base = {nf.variant: nf.values() for nf in (forward, backward)}
@@ -337,8 +365,8 @@ def _theorem_tables(forward, backward) -> tuple[Rows, Rows, Rows]:
     third = forward.family.stack(3, grid).any(axis=(1, 2))
     vacant = ~(third[rows] | third[cols])  # per pair: member 3 is 0 at t and s
     tags = list(TERMS)[:2 if vacant.all() else 4]  # center terms raised if mu or nu is missing
-    # every quotient column before the (pairs, batch) work: made inside the
-    # loop, they raised the peak RSS of rate_g101 by ~0.7 MB
+    # each quotient column once over all pairs, (pairs,) as rows and cols:
+    # 2.6 MB for the four at G=401, where a chunk's arrays take 512 kB
     quotients = {tag: forward.rates[key].ratios(*((ss, ts) if rising else (ts, ss)))
                  for tag, (_, key, _, rising) in TERMS.items() if tag in tags}
     pairs = grid_pairs(grid)
@@ -346,51 +374,59 @@ def _theorem_tables(forward, backward) -> tuple[Rows, Rows, Rows]:
     u_rows = store.rows(pairs)
     inverses = build_inverses(forward.operator, forward.family)
     offsets = np.cumsum(np.arange(len(grid) + 1))  # row i of pairs starts here
-    zero = np.zeros((len(rows), 1))
-    tables = [[], []]  # projected, unprojected: per tag its _worst columns
-    for tag, (j, _, binds, _) in TERMS.items():
-        if tag not in tags:  # no central member anywhere
-            for table in tables:
-                table.append(_worst(zero, zero))
+    tables = [_table(len(rows), len(TERMS)) for _ in range(2)]  # projected, unprojected
+    for k, (tag, (j, _, binds, _)) in enumerate(TERMS.items()):
+        if tag not in tags:  # no central member anywhere: left as _table fills it
             continue
-        lhs = np.empty((len(rows), x.shape[1]))
-        for i, a in enumerate(grid):
-            if binds == "s":  # |U(t, s) P_j(s) x|_t forward, t = a over s <= t
-                at = slice(offsets[i], offsets[i + 1])
-                lhs[at] = forward.evaluate_many(a, store.values[u_rows[at]] @ proj[:i + 1, j])
-            else:  # |W_j(t, s) x|_s backward, s = a over t >= s
-                at = offsets[i:-1] + i
-                lhs[at] = backward.evaluate_many(a, inverses[j].stack(pairs[at]) @ x)
-        right = base["forward" if binds == "s" else "backward"]
-        center = tag.startswith("center")
-        if center:  # vacuous where P3 is 0 at t and s
-            lhs[vacant] = 0.0
-        for table, column in zip(tables, (j, 0)):
-            rhs = quotients[tag][:, None] * right[cols if binds == "s" else rows, column]
-            if center:
-                rhs[vacant] = 0.0
-            table.append(_worst(lhs, rhs))
+        # the pairs of each outer time a: (a, s <= a) for U, (t >= a, a) for W_j
+        at = [np.arange(offsets[i], offsets[i + 1]) if binds == "s" else offsets[i:-1] + i
+              for i in range(len(grid))]
+        right, other = (base["forward"], cols) if binds == "s" else (base["backward"], rows)
+        # a chunk holds four (pairs, batch) arrays: lhs, a gathered right side, rhs, margins
+        for lo, hi in _chunks([len(a) for a in at], 4 * x.shape[1], _IMAGE_FLOATS):
+            chunk = np.concatenate(at[lo:hi])
+            lhs = np.concatenate([  # |U(t, s) P_j(s) x|_t forward, else |W_j(t, s) x|_s
+                forward.evaluate_many(a, store.values[u_rows[at[i]]] @ proj[:i + 1, j])
+                if binds == "s" else backward.evaluate_many(a, inverses[j].stack(pairs[at[i]]) @ x)
+                for i, a in enumerate(grid[lo:hi], lo)])
+            blank = vacant[chunk] & tag.startswith("center")  # vacuous: P3 is 0 at t and s
+            lhs[blank] = 0.0
+            for table, column in zip(tables, (j, 0)):
+                rhs = quotients[tag][chunk, None] * right[other[chunk], column]
+                rhs[blank] = 0.0
+                _worst(lhs, rhs, table, (chunk, k))
+    lemma = _table(len(grid), 2 * 3)
+    for k, (variant, j) in enumerate((v, j) for v in VARIANTS for j in (1, 2, 3)):
+        _worst(base[variant][:, j], base[variant][:, 0], lemma, (slice(None), k))
     diagonal = np.arange(len(grid))
     return (*(_margins(grid, ids, (rows, cols), list(TERMS), table) for table in tables),
             _margins(grid, ids, (diagonal, diagonal),
                      [f"projection_bound_{variant}" for variant in VARIANTS for _ in (1, 2, 3)],
-                     [_worst(base[variant][:, j], base[variant][:, 0])
-                      for variant in VARIANTS for j in (1, 2, 3)]))
+                     lemma))
 
 
-def _worst(lhs, rhs) -> list[np.ndarray]:
-    """Worst sample vector per row of the (pairs, batch) sides of one tag:
-    its lhs, rhs, margin and index, and whether both sides vanish."""
+def _table(count: int, width: int) -> list[np.ndarray]:
+    """The ``_worst`` columns of a (count, width) table; a cell never written
+    reads as both sides zero: lhs, rhs and margin 0, vector 0, vacuous."""
+    return [np.zeros((count, width), dtype) for dtype in (float, float, float, np.intp)] + [
+        np.ones((count, width), dtype=bool)]
+
+
+def _worst(lhs, rhs, table, at) -> None:
+    """Worst sample vector per row of the (rows, batch) sides of one tag,
+    written into ``table`` at ``at``: its lhs, rhs, margin and index, and
+    whether both sides vanish."""
     margins = rhs - lhs
-    idx = np.argmin(margins, axis=1)[:, None]
-    vacuous = np.all(lhs == 0.0, axis=1) & np.all(rhs == 0.0, axis=1)
-    picked = [np.take_along_axis(a, idx, axis=1)[:, 0] for a in (lhs, rhs, margins)]
-    return [*picked, idx[:, 0], vacuous]
+    idx = np.argmin(margins, axis=1)
+    pick = np.arange(len(idx)), idx
+    vacuous = ~(lhs.any(axis=1) | rhs.any(axis=1))  # NaN counts as nonzero, -0.0 as 0
+    for column, value in zip(table, (lhs[pick], rhs[pick], margins[pick], idx, vacuous)):
+        column[at] = value
 
 
-def _margins(grid, ids, at, tags, columns) -> Rows:
-    """One table from per-tag ``_worst`` columns at the (t, s) grid indices."""
-    lhs, rhs, margin, vector, vacuous = (np.stack(c, axis=1) for c in zip(*columns))
+def _margins(grid, ids, at, tags, table) -> Rows:
+    """One table from its ``_worst`` columns at the (t, s) grid indices."""
+    lhs, rhs, margin, vector, vacuous = table
     vector = np.array(ids)[vector]
     return Rows(grid, *at, tags, lhs, margin, vector, {
         "vector_id": vector, "lhs": lhs, "rhs": rhs, "margin": margin,

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -465,7 +467,36 @@ def reference_theorem_rows(fwd, bwd, grid, samples, seed, unprojected):
     return rows
 
 
-def test_batched_theorem_records_match_per_pair_loop():
+def bits(x):
+    """An array or scalar's dtype, shape and bytes: equal only if bit-equal."""
+    x = np.asarray(x)
+    return x.dtype.str, x.shape, x.tobytes()
+
+
+def table_bits(table) -> list:
+    """Every field of a table of ``theorem_tables``, as ``bits``."""
+    return [table.tags, *(bits(c) for c in (table.t, table.s, table.value, table.margin,
+                                             table.vector, *table.fields.values()))]
+
+
+CHUNKS = norms._chunks
+
+
+def table_budget(monkeypatch, budget: int) -> list[int]:
+    """Sets the tables' chunk budget; returns the list that gathers how many
+    chunks each tag's walk over the outer times takes."""
+    monkeypatch.setattr(norms, "_IMAGE_FLOATS", budget)
+    counts = []
+    monkeypatch.setattr(norms, "_chunks", lambda *args: (
+        counts.append(len(list(CHUNKS(*args)))) or CHUNKS(*args)))
+    return counts
+
+
+# budgets of a table chunk and the chunks they give G=5 with a batch of 10:
+# one outer time each, a few each, and one chunk
+@pytest.mark.parametrize("budget, chunks", [(1, 5), (240, 3), (1 << 16, 1)],
+                         ids=["one_time", "few_times", "one_chunk"])
+def test_batched_theorem_records_match_per_pair_loop(monkeypatch, budget, chunks):
     # G=5 grid, non-commuting rotating unstable block, nonzero central member
     a = np.diag([-1.5, 2.5, 2.5, 0.0])
     a[1, 2], a[2, 1] = 1.0, -1.0
@@ -479,6 +510,7 @@ def test_batched_theorem_records_match_per_pair_loop():
     fwd, bwd = (build_norm_family(variant, operator, family, rates, horizon,
                                   step, grid, 6, 17)
                 for variant in ("forward", "backward"))
+    counts = table_budget(monkeypatch, budget)
     for verify, unprojected in ((verify_norm_trichotomy, False),
                                 (verify_norm_trichotomy_unprojected, True)):
         report = verify(fwd, bwd)
@@ -492,6 +524,49 @@ def test_batched_theorem_records_match_per_pair_loop():
     other = theorem_tables(on_batch(fwd, 6, 18), on_batch(bwd, 6, 18))
     assert other is not tables
     assert theorem_tables(on_batch(fwd, 6, 18), on_batch(bwd, 6, 18)) is other
+    assert counts == [chunks] * 8  # two tables, four tags each
+
+
+@pytest.mark.parametrize("name", ["nonuniform_example", "dichotomy_example"])
+def test_theorem_tables_are_bit_equal_across_chunk_budgets(monkeypatch, name):
+    scenario = parse_scenario(SCENARIOS / f"{name}.json")
+    grid = make_grid(scenario.grid_max, scenario.grid_step)
+    operator = runner._build_operator(scenario, grid)
+    fwd, bwd = runner._norm_families(scenario, operator, grid)
+    batch = scenario.dimension + scenario.samples
+    tables, counts = [], []
+    for budget in (1, 40 * batch, 1 << 16):  # one outer time a chunk, a few, one chunk
+        counts.append(table_budget(monkeypatch, budget))
+        tables.append(norms._theorem_tables(fwd, bwd))  # not kept: built anew
+    assert set(counts[0]) == {len(grid)}
+    assert all(1 < c < len(grid) for c in counts[1]) and set(counts[2]) == {1}
+    for other in tables[1:]:
+        assert [table_bits(t) for t in other] == [table_bits(t) for t in tables[0]]
+    if name == "dichotomy_example":  # no central member: zero, vacuous center columns
+        for table in tables[0][:2]:
+            assert table.tags[2:] == ["center_growth", "center_decay"]
+            assert table.fields["vacuous"][:, 2:].all() and not table.value[:, 2:].any()
+            assert not table.margin[:, 2:].any() and not table.fields["rhs"][:, 2:].any()
+
+
+def test_theorem_tables_transient_memory_stays_below_its_tables():
+    # at G=201 all pairs' (pairs, batch) sides of one tag would take 4x the tables
+    scenario = parse_scenario(SCENARIOS / "nonuniform_example.json")
+    scenario = dataclasses.replace(scenario, grid_step=0.05)
+    grid = make_grid(scenario.grid_max, scenario.grid_step)
+    operator = runner._build_operator(scenario, grid)
+    fwd, bwd = runner._norm_families(scenario, operator, grid)
+    for nf in (fwd, bwd):
+        nf.values()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        theorem_tables(fwd, bwd)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(grid) == 201
+    assert peak - after < after - before, (peak - after, after - before)
 
 
 def held_arrays(root) -> list[np.ndarray]:
@@ -550,6 +625,25 @@ def test_families_keep_only_the_narrow_stacks(uniform_norms, grid10):
             assert all(stack.base is None for stack in stacks)
             assert len(stacks[0]) == future
             assert len(stacks[2]) == (future if nf.variant == "forward" else t / STEP + 1)
+
+
+@pytest.mark.parametrize("budget", [1, 200])  # one time a run; 22 lattice pairs a run
+def test_terms_built_in_runs_match_a_one_pass_build(monkeypatch, nonuniform_operator,
+                                                     split_family, exp_rates, grid10, budget):
+    build = lambda tag: norms.NormTerm(nonuniform_operator, tag, split_family,
+                                       exp_rates[norms.TERMS[tag][1]], HORIZON, STEP, grid10)
+    whole = [build(tag) for tag in norms.TERMS]
+    runs, build_run = [], norms.NormTerm._build_run
+    monkeypatch.setattr(norms.NormTerm, "_build_run", lambda self, times, lattices: (
+        runs.append(len(times)) or build_run(self, times, lattices)))
+    monkeypatch.setattr(norms, "_STACK_FLOATS", budget)
+    for one, term in zip(whole, [build(tag) for tag in norms.TERMS]):
+        assert [bits(b) for b in term.basis] == [bits(b) for b in one.basis]
+        for t in grid10:
+            (view, peak), (want, want_peak) = term.at(t), one.at(t)
+            assert [bits(v) for v in view] == [bits(v) for v in want]
+            assert bits(peak) == bits(want_peak) and view[0].base is None
+    assert max(runs) < len(grid10)  # no term built in one run
 
 
 def broadcast_term(stack, x):
