@@ -16,9 +16,9 @@ import numpy as np
 @dataclass(eq=False)
 class Rows:
     """Records of one check as columns. Record ``p * len(tags) + j`` is tag
-    ``tags[j]`` at the pair (grid[t[p]], grid[s[p]]), so records run in C
-    order of the (pairs, tags) arrays. ``records.csv`` writes ``value``,
-    ``margin`` and ``vector``, a column or time of None as empty cells.
+    ``tags[j]`` at the pair (grid[t[p]], grid[s[p]]): record order is check
+    order, then pairs, then tags. ``records.csv`` writes ``value``, ``margin``
+    and ``vector`` in the (t, s) row of the pair, a time of None as "".
     ``fields`` are a record's named columns after its tag and times, each
     broadcast to (pairs, tags), None where unset."""
 

@@ -10,22 +10,20 @@ All output files are byte-stable for a fixed scenario and seed: numbers are
 written as their shortest round-trip ``repr`` and wall-clock timing stays
 out of the emitted artifacts (it is kept on the in-memory report and
 printed by the CLI). ``report.json`` holds check summaries, each with the
-records that bind it; the per-pair records go only to ``records.csv``,
-written in chunks of records that format each distinct float once, and a
-column whose bits several checks write once.
+records that bind it; the per-pair records go only to ``records.csv``, one
+row per (t, s) and one column per check, tag and field, written a chunk of
+cells at a time with each distinct float of a chunk formatted once.
 """
 from __future__ import annotations
 
 import json
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import evolution, norms, projectors, trichotomy
-from .reports import Rows
 from .scenario import STAGES, STRUCTURAL, Scenario
 from .util import make_grid
 
@@ -159,78 +157,92 @@ def run(scenario: Scenario) -> RunReport:
 
 # -- serialization ----------------------------------------------------------
 
-COLUMNS = ("check", "t", "s", "tag", "value", "margin", "vector")
-_CHUNK = 1024  # records formatted at a time; a column whose bits blocks share is held whole
+_CELLS = 1024 * 7  # cells written a chunk at a time
 
 
 def _floats(x: np.ndarray) -> np.ndarray:
-    """The cells ``repr(v) + ","`` of the floats ``x``, one ``repr`` per bit
-    pattern (``x`` a chunk, or a whole column several blocks write):
-    deduplicated by value, -0.0 and 0.0 would merge."""
+    """The cells ``repr(v)`` of the floats ``x``, one ``repr`` per bit
+    pattern: deduplicated by value, -0.0 and 0.0 would merge."""
     keys, inverse = np.unique(x.view(np.int64), return_inverse=True)
-    return np.array([f"{v!r}," for v in keys.view(float).tolist()], dtype=object)[inverse]
+    return np.array(list(map(repr, keys.view(float).tolist())), dtype=object)[inverse]
 
 
-def _column_keys(blocks) -> list[tuple]:
-    """Per block, the keys of its value and margin columns (None where
-    absent): a column's key is the id of the first column whose float64 bits
-    equal its own, whichever object holds it. The size and a strided sample
-    of the bits pick the candidates, and whole bit views confirm."""
-    firsts = {}  # fingerprint -> the distinct columns that have it
-
-    def key(a):
-        if a is None:
-            return None
-        bits = a.ravel().view(np.int64)
-        seen = firsts.setdefault((bits.size, bits[::max(1, bits.size // 32)].tobytes()), [])
-        first = next((b for b in seen if np.array_equal(b.ravel().view(np.int64), bits)), None)
-        if first is None:
-            seen.append(first := a)
-        return id(first)
-    return [(key(rows.value), key(rows.margin)) for _, rows in blocks]
+def _header(blocks) -> tuple[list[str], list[list]]:
+    """The column names after ``t,s``, ``<check>.<tag>.<field>``, a tag that
+    repeats in its block numbered ``_1``, ``_2``, ...; and per block, the
+    (field, array, (tags,) columns of the cell grid) of each field it has."""
+    names, columns = [], []
+    for check, rows in blocks:
+        have = [f for f in ("value", "margin", "vector") if getattr(rows, f) is not None]
+        columns.append([(f, getattr(rows, f), len(names) + 2 + i + len(have) * np.arange(
+            len(rows.tags))) for i, f in enumerate(have)])
+        for j, tag in enumerate(rows.tags):
+            if rows.tags.count(tag) > 1:
+                tag = f"{tag}_{rows.tags[:j + 1].count(tag)}"
+            names += [f"{check}.{tag}.{f}" for f in have]
+    return names, columns
 
 
-def _text(rows: Rows, check: str, whole: list):
-    """One block of records as CSV text of check ``check``, ``_CHUNK`` records
-    a piece, filled into one cell grid whose constant cells are written once.
-    ``whole`` holds, per float column (value, margin), its cells formatted
-    whole, or None to format them per chunk. Names and sample-vector ids hold
-    no delimiter or quote."""
-    size = rows.value.size
-    times = np.array([f"{t!r}," for t in rows.grid], dtype=object)
-    tags = np.array([f"{tag}," for tag in rows.tags], dtype=object)
-    parts = np.full((min(_CHUNK, size), 7), ",", dtype=object)  # a None column: empty cells
-    parts[:, 0] = check + ","
-    floats = [(k, a.ravel(), cells) for k, a, cells
-              in zip((4, 5), (rows.value, rows.margin), whole) if a is not None]
-    if rows.vector is None:
-        parts[:, 6] = "\n"
-    else:
-        ids, vector = np.unique(rows.vector.ravel(), return_inverse=True)
-        ends = np.array([f"{v}\n" for v in ids.tolist()], dtype=object)
-    for lo in range(0, size, _CHUNK):
-        hi = min(lo + _CHUNK, size)
-        cut = parts[:hi - lo]
-        pair, tag = np.divmod(np.arange(lo, hi), len(rows.tags))
-        cut[:, 3] = tags[tag]
-        for k, at in ((1, rows.t), (2, rows.s)):
-            if at is not None:
-                cut[:, k] = times[at[pair]]
-        for k, a, cells in floats:
-            cut[:, k] = _floats(a[lo:hi]) if cells is None else cells[lo:hi]
-        if rows.vector is not None:
-            cut[:, 6] = ends[vector[lo:hi]]
-        yield "".join(cut.ravel().tolist())
+def _rows(blocks) -> tuple[np.ndarray, list[tuple]]:
+    """One row per (t, s) key, in the order keys first appear in record
+    order: each row's time cells, (rows, 2), "" for no time; and the blocks
+    grouped by their pair at each row (-1 where none), as (pairs, [block
+    indices]). Times are told apart by their bits."""
+    times = np.unique(np.concatenate([rows.grid for _, rows in blocks]).view(np.int64),
+                      return_index=True)[0]  # a plain unique imports numpy.ma (~1 MB)
+    width, rows_of = len(times) + 1, []  # time len(times): none
+    row_of = np.full(width * width, -1, dtype=np.int32)  # key t * width + s -> row
+    for _, rows in blocks:  # no key for a block of no records
+        t, s = (len(times) if at is None else np.searchsorted(
+            times, np.asarray(rows.grid, float).view(np.int64))[at] for at in (rows.t, rows.s))
+        key = np.broadcast_to(t * width + s, rows.value.shape[:1])[:rows.value.size]
+        new, first = np.unique(key[row_of[key] < 0], return_index=True)
+        row_of[new[np.argsort(first)]] = np.arange(len(new)) + row_of.max() + 1
+        rows_of.append(row_of[key])
+    key, groups = np.argsort(row_of)[-(row_of.max() + 1):], {}
+    for b, row in enumerate(rows_of):
+        pair = np.full(len(key), -1, dtype=np.int32)
+        pair[row] = np.arange(len(row))
+        if np.count_nonzero(pair >= 0) < len(row):  # a row holds one record per tag
+            raise ValueError(f"{blocks[b][0]} has two records of one tag at one (t, s)")
+        groups.setdefault(pair.tobytes(), (pair, []))[1].append(b)
+    texts = np.array([*map(repr, times.view(float).tolist()), ""], dtype=object)
+    return texts[np.stack(np.divmod(key, width), axis=1)], list(groups.values())
+
+
+def _text(blocks):
+    """``records.csv``: its header, then a cell grid per chunk of about ``_CELLS``
+    cells, floats formatted by ``_floats``. No name or vector id holds a comma."""
+    names, columns = _header(blocks)
+    times, groups = _rows(blocks)
+    yield ",".join(["t", "s", *names]) + "\n"
+    width = len(names) + 2
+    blank = np.full((max(1, _CELLS // width), width - 2), "", dtype=object)  # rows per chunk
+    for lo in range(0, len(times), len(blank)):
+        chunk = slice(lo, lo + len(blank))
+        cells = np.concatenate([times[chunk], blank[:len(times[chunk])]], axis=1)
+        floats, spots = [], []
+        for pair, members in groups:
+            row = np.flatnonzero(pair[chunk] >= 0)[:, None]
+            pair, spot = pair[chunk][row[:, 0]], row * width
+            for f, a, cols in (c for b in members if row.size for c in columns[b]):
+                if f == "vector":
+                    cells[row, cols] = a[pair]
+                else:
+                    floats.append(a[pair])
+                    spots.append(spot + cols)
+        cells.reshape(-1)[np.concatenate(spots, axis=None)] = _floats(
+            np.concatenate(floats, axis=None))
+        yield "\n".join(map(",".join, cells.tolist())) + "\n"
 
 
 def emit(report: RunReport, format: str, out_dir) -> list[Path]:
     """Write report files; returns the written paths.
 
     ``format`` is "json", "csv" or "both". ``records.csv`` is written from
-    the checks' columns (``Rows``) a chunk of records at a time. A value or
-    margin column whose bits several blocks write is formatted once, whichever
-    objects hold it. Identical report contents produce byte-identical files;
-    a non-finite number raises ValueError.
+    the checks' columns (``Rows``), one row per (t, s) key and one column per
+    ``<check>.<tag>.<field>`` (``_header``, ``_rows``). Identical report
+    contents give byte-identical files; a non-finite number raises ValueError.
     """
     if format not in ("json", "csv", "both"):
         raise ValueError(f"format must be json, csv or both, got {format!r}")
@@ -257,19 +269,7 @@ def emit(report: RunReport, format: str, out_dir) -> list[Path]:
         if any(rows.value.size for _, rows in blocks):
             path = out / "records.csv"
             with path.open("w", newline="") as fh:
-                fh.write(",".join(COLUMNS) + "\n")
-                # a column whose bits several blocks write is formatted once, and
-                # kept until the last of them is written
-                keys = _column_keys(blocks)
-                readers = Counter(key for pair in keys for key in pair if key is not None)
-                kept = {}
-                for (check, rows), pair in zip(blocks, keys):
-                    for key, a in zip(pair, (rows.value, rows.margin)):
-                        if readers[key] > 1 and key not in kept:
-                            kept[key] = _floats(a.ravel())
-                    fh.writelines(_text(rows, check, [kept.get(key) for key in pair]))
-                    readers.subtract(key for key in pair if key is not None)
-                    kept = {key: cells for key, cells in kept.items() if readers[key]}
+                fh.writelines(_text(blocks))
             written.append(path)
         path = out / "summary.csv"
         lines = ["check,status", *(f"{e['name']},{e['status']}" for e in report.checks),

@@ -1,10 +1,10 @@
 import copy
 import csv
 import gc
-import io
 import json
 import math
 import re
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -19,6 +19,8 @@ from tricho.reports import (CheckReport, CompatibilityReport, Rows, TheoremRepor
                             TrichotomyReport)
 from tricho.scenario import CHECK_NAMES, read_tree
 from tricho.util import make_grid
+
+from records_long import LONG_COLUMNS, long_rows
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -388,10 +390,14 @@ def test_csv_row_count_for_three_point_grid(tmp_path):
                         grid={"t_max": 2.0, "step": 1.0})
     report = run(scenario_from_tree(tree))
     emit(report, "csv", tmp_path)
-    rows = (tmp_path / "records.csv").read_text().strip().splitlines()
-    body = [r for r in rows[1:] if r.startswith("trichotomy,")]
-    # 6 ordered pairs on a 3-point grid, 4 inequalities each
-    assert len(body) == 24
+    with (tmp_path / "records.csv").open() as fh:
+        header, *rows = csv.reader(fh)
+    values = [i for i, name in enumerate(header)
+              if name.startswith("trichotomy.") and name.endswith(".value")]
+    # 6 ordered pairs on a 3-point grid, one row each, with 4 inequalities
+    assert len(rows) == 6 and len(values) == 4
+    assert all(row[i] for row in rows for i in values)
+    assert len(list(long_rows(tmp_path / "records.csv"))) == 24
 
 
 def test_emit_is_deterministic(tmp_path):
@@ -416,7 +422,23 @@ def test_emit_writes_a_shared_block_as_a_deep_copy_of_it(tmp_path):
     emit(report, "csv", tmp_path / "copied")
     text = (tmp_path / "shared" / "records.csv").read_bytes()
     assert text == (tmp_path / "copied" / "records.csv").read_bytes()
-    assert text.count(b"\nrate_instantiation,") == shared.value.size
+    records = long_rows(tmp_path / "shared" / "records.csv")
+    assert sum(row[0] == "rate_instantiation" for row in records) == shared.value.size
+
+
+def test_emit_csv_high_water_is_bounded(tmp_path):
+    """At G=201 the CSV emit holds a chunk of cells and the row layout, not
+    the file (15.3 MB traced when every record was kept per block)."""
+    tree = read_tree(SCENARIOS / "nonuniform_example.json")
+    tree["grid"]["step"] = 0.05
+    report = run(scenario_from_tree(tree))
+    tracemalloc.start()
+    try:
+        emit(report, "csv", tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 def test_emit_summary_only_when_no_records(tmp_path):
@@ -687,16 +709,16 @@ def test_emitted_files_match_the_in_memory_report(tmp_path):
     for tag, margin in theorem["worst_per_tag"].items():
         assert theorem["binding"][tag]["margin"] == margin
 
-    with (tmp_path / "records.csv").open() as fh:
-        rows = list(csv.reader(fh))
-    memory = [[check, repr(rows_.grid[rows_.t[p]]), repr(rows_.grid[rows_.s[p]]),
+    blocks = [block for e in report.checks for block in e["rows"]]
+    assert (tmp_path / "records.csv").read_text() == wide_csv(blocks)
+    rows = list(long_rows(tmp_path / "records.csv"))
+    memory = [(check, repr(rows_.grid[rows_.t[p]]), repr(rows_.grid[rows_.s[p]]),
                tag, repr(float(rows_.value[p, j])),
                "" if rows_.margin is None else repr(float(rows_.margin[p, j])),
-               "" if rows_.vector is None else str(rows_.vector[p, j])]
-              for e in report.checks for check, rows_ in e["rows"]
+               "" if rows_.vector is None else str(rows_.vector[p, j]))
+              for check, rows_ in blocks
               for p in range(len(rows_.t)) for j, tag in enumerate(rows_.tags)]
-    assert rows[0] == list(runner.COLUMNS)
-    assert rows[1:] == memory
+    assert rows == memory
     grid = make_grid(scenario.grid_max, scenario.grid_step)
     operator = runner._build_operator(scenario, grid)
     families = [norms.build_norm_family(
@@ -707,7 +729,7 @@ def test_emitted_files_match_the_in_memory_report(tmp_path):
         *families, scenario.tol_theorem).records
     vectors = [row[-1] for row in rows if row[0] == "norm_trichotomy_unprojected"]
     assert vectors == [r["vector_id"] for r in records]
-    assert all(row[-1] == "" for row in rows[1:] if row[0] == "trichotomy")
+    assert all(row[-1] == "" for row in rows if row[0] == "trichotomy")
 
 
 def test_run_frees_its_norm_families(monkeypatch):
@@ -732,6 +754,15 @@ def test_run_frees_its_norm_families(monkeypatch):
         gc.enable()
     assert report.overall == "pass"
     assert refs and not alive
+
+
+def test_emit_refuses_a_block_with_two_records_of_one_tag_at_one_pair(tmp_path):
+    at = np.array([0, 1, 1])  # (0.5, 0.0) twice: one row cannot hold both
+    entry = {"name": "x", "status": "pass", "payload": {}, "rows": [
+        ("x", Rows([0.0, 0.5], at, at[::-1] * 0, ["tag"], np.zeros((3, 1))))]}
+    report = runner.RunReport(scenario={}, checks=[entry], overall="pass")
+    with pytest.raises(ValueError, match="x has two records"):
+        emit(report, "csv", tmp_path)
 
 
 @pytest.mark.parametrize("where", ["payload", "rows"])
@@ -763,15 +794,51 @@ def per_record_rows(check, report):
             for r in report.records]
 
 
-def emit_every_check(tmp_path, monkeypatch):
-    """Runs every check on a coordinate split, asserts that records.csv equals
-    a csv.writer over the reports' records, and returns the run's report."""
-    reports = []  # (check, report) in the order the runner asks for rows
+def long_cells(row) -> tuple:
+    """One row of ``per_record_rows`` as the text of its long ``records.csv``
+    cells, as a ``csv.writer`` gives them."""
+    return tuple(map(str, row)) + ("",) * (len(LONG_COLUMNS) - len(row))
+
+
+def wide_csv(blocks) -> str:
+    """``records.csv`` as a writer of one record at a time gives it: a row
+    per (t, s) text in order of first appearance, a column per check, tag
+    (numbered where it repeats in its block) and field the block has."""
+    names, table = [], {}  # table: (t, s) -> {column name: cell}
+    for check, rows in blocks:
+        fields = [f for f in ("value", "margin", "vector") if getattr(rows, f) is not None]
+        tags = [f"{tag}_{rows.tags[:j + 1].count(tag)}" if rows.tags.count(tag) > 1
+                else tag for j, tag in enumerate(rows.tags)]
+        names += [f"{check}.{tag}.{f}" for tag in tags for f in fields]
+        for p, j in np.ndindex(rows.value.shape):
+            key = tuple("" if at is None else repr(rows.grid[at[p]]) for at in (rows.t, rows.s))
+            for f in fields:
+                cell = getattr(rows, f)[p, j]
+                table.setdefault(key, {})[f"{check}.{tags[j]}.{f}"] = (
+                    str(cell) if f == "vector" else repr(float(cell)))
+    lines = [",".join(["t", "s", *names])]
+    lines += [",".join([*key, *(cells.get(name, "") for name in names)])
+              for key, cells in table.items()]
+    return "\n".join(lines) + "\n"
+
+
+def captured_reports(monkeypatch) -> list[tuple]:
+    """The (check, report) pairs whose ``csv_rows`` the runner asks for from
+    now on, in its order."""
+    reports = []
     for cls in (CheckReport, CompatibilityReport, TrichotomyReport, TheoremReport):
         def wrapped(self, check, original=cls.csv_rows):
             reports.append((check, self))
             return original(self, check)
         monkeypatch.setattr(cls, "csv_rows", wrapped)
+    return reports
+
+
+def emit_every_check(tmp_path, monkeypatch):
+    """Runs every check on a coordinate split, asserts that records.csv equals
+    a per-record writer over the blocks and reads back as the reports'
+    records, and returns the run's report."""
+    reports = captured_reports(monkeypatch)
     scenario = scenario_from_tree(minimal_tree(  # P3 = 0: vacuous center rows
         grid={"t_max": 2.0, "step": 0.5}, horizon=1.0, samples=4,
         checks=list(CHECK_NAMES),
@@ -782,16 +849,14 @@ def emit_every_check(tmp_path, monkeypatch):
     assert report.overall == "pass"
     emit(report, "csv", tmp_path)
 
-    rows = [row for check, rep in reports for row in per_record_rows(check, rep)]
     assert any(r["margin"] is not None for _, rep in reports
                if isinstance(rep, TrichotomyReport) for r in rep.records)
     assert any(r["vacuous"] for _, rep in reports
                if isinstance(rep, TheoremReport) for r in rep.records)
-    want = io.StringIO()
-    writer = csv.writer(want, lineterminator="\n")
-    writer.writerow(runner.COLUMNS)
-    writer.writerows(row + ("",) * (len(runner.COLUMNS) - len(row)) for row in rows)
-    assert (tmp_path / "records.csv").read_text() == want.getvalue()
+    blocks = [block for e in report.checks for block in e["rows"]]
+    assert (tmp_path / "records.csv").read_text() == wide_csv(blocks)
+    want = [long_cells(row) for check, rep in reports for row in per_record_rows(check, rep)]
+    assert list(long_rows(tmp_path / "records.csv")) == want
     return report
 
 
@@ -799,63 +864,93 @@ def test_records_csv_matches_a_csv_writer_over_the_records(tmp_path, monkeypatch
     emit_every_check(tmp_path, monkeypatch)
 
 
-def counted_float_cells(monkeypatch) -> list[int]:
-    """The sizes of the arrays ``runner._floats`` formats, from now on."""
-    sizes, floats = [], runner._floats
-    monkeypatch.setattr(runner, "_floats", lambda x: sizes.append(x.size) or floats(x))
-    return sizes
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.name)
+def test_records_csv_reads_back_as_every_record_of_the_run(tmp_path, monkeypatch, path):
+    reports = captured_reports(monkeypatch)
+    tree = read_tree(path)
+    tree["seed"] = 2024
+    emit(run(scenario_from_tree(tree)), "csv", tmp_path)
+    with (tmp_path / "records.csv").open() as fh:
+        header = next(csv.reader(fh))
+    assert len(set(header)) == len(header)  # no column named twice
+    want = [long_cells(row) for check, rep in reports for row in per_record_rows(check, rep)]
+    assert list(long_rows(tmp_path / "records.csv")) == want
+
+
+def formatted_per_chunk(monkeypatch) -> list[list[float]]:
+    """Per call of ``runner._floats`` from now on (one per chunk of rows), the
+    floats it formats with ``repr``."""
+    calls, inside, floats = [], [], runner._floats
+
+    def counted(x):
+        inside.append([])
+        cells = floats(x)
+        calls.append(inside.pop())
+        return cells
+
+    def counted_repr(value):
+        if inside:
+            inside[-1].append(value)
+        return repr(value)
+    monkeypatch.setattr(runner, "_floats", counted)
+    monkeypatch.setattr(runner, "repr", counted_repr, raising=False)
+    return calls
 
 
 def test_records_csv_matches_its_oracles_across_chunk_boundaries(tmp_path, monkeypatch):
-    """Chunks of 7 records end inside a pair of 4 tags, and the kept trichotomy
-    value column is written by blocks whose chunks end at other records.
+    """Budgets of one row, of three rows and of one chunk write the same file.
     trichotomy_full writes trichotomy's factors and margins from arrays of its
-    own; each column of equal bits is formatted once, whichever array holds it."""
-    monkeypatch.setattr(runner, "_CHUNK", 7)
-    sizes = counted_float_cells(monkeypatch)
-    report = emit_every_check(tmp_path, monkeypatch)
+    own, uniform and norm_trichotomy_sufficiency write trichotomy's factors:
+    each distinct float of a chunk is formatted once, whichever array holds it."""
+    report = emit_every_check(tmp_path / "default", monkeypatch)
     blocks = {e["name"]: e["rows"] for e in report.checks}
     plain, full = blocks["trichotomy"][0][1], blocks["trichotomy_full"][0][1]
     for a, b in ((plain.value, full.value), (plain.margin, full.margin)):
         assert a is not b and a.tobytes() == b.tobytes()
-    distinct = {a.tobytes(): a.size for e in report.checks for _, rows in e["rows"]
-                for a in (rows.value, rows.margin) if a is not None}
-    assert sum(sizes) == sum(distinct.values())
-    test_emit_writes_a_shared_block_as_a_deep_copy_of_it(tmp_path)
+    text = (tmp_path / "default" / "records.csv").read_text()
+    width, rows = len(text.partition("\n")[0].split(",")), text.count("\n") - 1
+    for budget, step in ((1, 1), (3 * width + 2, 3), (width * rows, rows)):
+        monkeypatch.setattr(runner, "_CELLS", budget)
+        calls = formatted_per_chunk(monkeypatch)
+        emit(report, "csv", tmp_path / str(budget))
+        assert (tmp_path / str(budget) / "records.csv").read_text() == text
+        assert len(calls) == -(-rows // step)
+        for formatted in calls:
+            bits = np.array(formatted).view(np.int64)
+            assert len(np.unique(bits)) == len(bits)
+    test_emit_writes_a_shared_block_as_a_deep_copy_of_it(tmp_path / "shared")
     test_records_csv_writes_every_float_cell_as_its_repr(tmp_path / "repr", monkeypatch, 7)
 
 
-@pytest.mark.parametrize("chunk", [3, runner._CHUNK])
-def test_records_csv_writes_every_float_cell_as_its_repr(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(runner, "_CHUNK", chunk)
+@pytest.mark.parametrize("budget", [3, 60, 1024])  # cells: 1 row, 2 rows, 1 chunk
+def test_records_csv_writes_every_float_cell_as_its_repr(tmp_path, monkeypatch, budget):
+    monkeypatch.setattr(runner, "_CELLS", budget)
     value = np.array([[-0.0, 0.0], [5e-324, 1.7976931348623157e308], [1e16, 1e-05],
                       [0.1 + 0.2, -0.0], [0.0, -5e-324]])
-    grid, at = [0.0, 0.5, 1.0], np.array([0, 1, 2, 2, 1])
+    grid, at, lines = [0.0, 0.5, 1.0], np.array([0, 1, 2, 2, 1]), [0.0, 1.0, 2.0, 3.0, 4.0]
     vector = np.array(["e1", "r02"])[np.arange(10).reshape(5, 2) % 2]
     blocks = [("a", Rows(grid, at, at[::-1], ["x", "y"], value, -value[::-1], vector)),
               ("empty", Rows(grid, at[:0], at[:0], ["p", "q", "r", "s"], np.zeros((0, 4)))),
               ("narrow", Rows(grid, at[:1], at[:1], [], np.zeros((1, 0)))),
-              ("b", Rows(grid, at, None, ["x", "y"], value)),  # shares a's value column
+              ("b", Rows(lines, np.arange(5), None, ["x", "y"], value)),  # a's value column
               ("c", Rows([], None, None, ["u", "v"], np.array([[0.0, -0.0]]), value[:1])),
               ("d", Rows(grid, at, at[::-1], ["x", "y"], value.copy())),  # a's bits
-              ("e", Rows(grid, at, at[::-1], ["x", "y"], value + 0.0))]  # -0.0 made 0.0
+              ("e", Rows(grid, at, at[::-1], ["x", "y"], value + 0.0)),  # -0.0 made 0.0
+              ("f", Rows(grid, at[:2], at[:2], ["z", "w", "z"], value[:2, [0, 1, 0]]))]
     entry = {"name": "x", "status": "pass", "payload": {}, "rows": blocks}
-    sizes = counted_float_cells(monkeypatch)
+    calls = formatted_per_chunk(monkeypatch)
     emit(runner.RunReport(scenario={}, checks=[entry], overall="pass"), "csv", tmp_path)
 
-    def cell(column, p, j):  # one cell as a per-record writer gives it
-        if column is None:
-            return ""
-        return str(column[p, j]) if column.dtype.kind == "U" else repr(float(column[p, j]))
-    want = [",".join(runner.COLUMNS)]
-    for check, rows in blocks:
-        for p, j in np.ndindex(rows.value.shape):
-            times = ["" if i is None else repr(rows.grid[i[p]]) for i in (rows.t, rows.s)]
-            cells = [cell(c, p, j) for c in (rows.value, rows.margin, rows.vector)]
-            want.append(",".join([check, *times, rows.tags[j], *cells]))
     text = (tmp_path / "records.csv").read_text()
-    assert text == "\n".join(want) + "\n"
-    assert text.startswith(want[0] + "\na,0.0,0.5,x,-0.0,-0.0,e1\na,0.0,0.5,y,0.0,5e-324,r02\n")
-    assert "\nd,0.0,0.5,x,-0.0,,\n" in text and "\ne,0.0,0.5,x,0.0,,\n" in text
-    # a's value and margin, c's value and margin, e's value: d's is a's
-    assert sum(sizes) == 10 + 10 + 2 + 2 + 10
+    assert text == wide_csv(blocks)
+    header, first, *_ = text.splitlines()
+    assert header.startswith("t,s,a.x.value,a.x.margin,a.x.vector,a.y.value,a.y.margin,"
+                             "a.y.vector,empty.p.value,empty.q.value,")
+    assert header.endswith(",f.z_1.value,f.w.value,f.z_2.value")
+    assert first.startswith("0.0,0.5,-0.0,-0.0,e1,0.0,5e-324,r02,,,,,,,,,,,-0.0,0.0,0.0,0.0,")
+    assert "\n1.0,,,,,,,,,,,,5e-324,1.7976931348623157e+308,,,,,,,,,,,\n" in text  # b's
+    assert "\n,,,,,,,,,,,,,,0.0,-0.0,-0.0,0.0,,,,,,,\n" in text  # c's row
+    assert len(text.splitlines()) == 1 + 5 + 5 + 1 + 2  # header, a's keys, b's, c's, f's
+    for formatted in calls:  # each distinct float of a chunk formatted once
+        bits = np.array(formatted).view(np.int64)
+        assert len(np.unique(bits)) == len(bits)
