@@ -30,7 +30,8 @@ from .rates import GrowthRate
 from .reports import (CompatibilityReport, Rows, TheoremReport, TrichotomyReport,
                       smallest_margins)
 from .trichotomy import TERMS, check_trichotomy
-from .util import contenders, grid_pairs, norm_bounds, opnorms, test_vector_batch
+from .util import (chunks, contenders, grid_pairs, norm_bounds, opnorms, pair_index,
+                   test_vector_batch)
 
 VARIANTS = {"forward": ("stable_decay", "unstable_growth", "center_growth"),
             "backward": ("stable_decay", "unstable_growth", "center_decay")}
@@ -60,25 +61,18 @@ def query_lattice(grid, horizon: float, step: float) -> list[float]:
     return sorted(set(np.concatenate(times).tolist()))
 
 
-def _chunks(counts, width: int, budget: int):
-    """Runs [lo, hi) of consecutive items of ``counts`` rows each, ``width``
-    floats a row: each of at most ``budget`` floats, or of one item."""
-    lo = size = 0
-    for i, count in enumerate(counts):
-        if i > lo and (size + count) * width > budget:
-            yield lo, i
-            lo, size = i, 0
-        size += count
-    yield lo, len(counts)
-
-
 def _view(stack: np.ndarray):
-    """A stack screened once for all its terms: (stack, whether each column
-    is nonzero in one row only, live columns, all finite, each column's
-    largest |entry|)."""
+    """A stack screened once for all its terms: (a copy of the stack, kept only
+    with two live columns, a live column of two nonzero rows or a non-finite
+    entry, where ``_term`` may multiply it, else None; whether each column is
+    nonzero in one row only, live columns, all finite, each column's largest
+    |entry|, whether some entry is zero)."""
     nonzero = stack.any(axis=0)
-    return (stack, np.count_nonzero(nonzero, axis=0) == 1, nonzero.any(axis=0),
-            bool(np.isfinite(stack).all()), np.abs(stack).max(axis=(0, 1), initial=0.0))
+    single, columns = np.count_nonzero(nonzero, axis=0) == 1, nonzero.any(axis=0)
+    finite = bool(np.isfinite(stack).all())
+    needed = not finite or np.count_nonzero(columns) > 1 or not single[columns].all()
+    return (stack.copy() if needed else None, single, columns, finite,
+            np.abs(stack).max(axis=(0, 1), initial=0.0), not stack.all())
 
 
 def _block(x: np.ndarray):
@@ -114,23 +108,27 @@ def _term(view, block) -> np.ndarray:
     and rounding is monotone, so |fl(c x)| = fl(|c| |x|) and fl(y^2) never
     decrease as |c| and |y| grow; the largest square is c*'s to the bit,
     and if any square overflows, c*'s does. Anything else, or a non-finite
-    entry (0 * inf is NaN), takes the whole product."""
-    stack, single, columns, finite, peak = view
+    entry (0 * inf is NaN), takes the whole product. Where the screen dropped
+    the stack, a column with a non-finite entry is NaN, as its product with
+    a zero entry of some matrix gives, unless no entry is zero."""
+    stack, single, columns, finite, peak, zero = view
     wide, rows, finite_x, shape = block
     live = (columns & rows).nonzero()[0]
-    if len(live) < 2 and finite and finite_x:
-        if len(live) == 0:
-            return np.zeros(shape)
-        if single[live[0]]:
-            return np.sqrt(np.square(peak[live] * wide[live])).reshape(shape)
-    return np.sqrt(_full_term(stack, wide)).reshape(shape)
+    if stack is not None and not (finite and finite_x and len(live) < 2
+                                  and single[live].all()):
+        return np.sqrt(_full_term(stack, wide)).reshape(shape)
+    out = np.sqrt(np.square(peak[live] * wide[live]))[0] if len(live) else np.zeros(wide.shape[1])
+    if not finite_x and zero:  # 0 * inf and 0 * NaN are NaN
+        out = out + (0.0 * wide).sum(axis=0)
+    return out.reshape(shape)
 
 
 class NormTerm:
     """The term of inequality ``tag`` in every norm family that sums it:
     ``rate``'s quotient times U(tau, t) P_j(t) over the future lattice of t
     where ``TERMS[tag]`` binds N at s, else times W_j(t, r) over the past one.
-    ``at(t)`` gives its screened narrow stack at t (``_view``) and its peak,
+    ``at(t)`` gives its narrow stack at t as screened (``_view``: the stack
+    itself only where the kernel may multiply it) and its peak,
     the largest quotient times spectral norm of a map: ``factor_table(full=True)``
     to the bit. A past term reads the norms kept beside W_j; a future term
     takes the SVD only of the maps ``util.contenders`` keeps for each time's
@@ -144,7 +142,7 @@ class NormTerm:
         self.basis = self._build(times, 2.0 * horizon)
 
     def _build(self, times, horizon: float) -> list[np.ndarray]:
-        """Keeps the screened narrow stack and peak at each of ``times``, the
+        """Keeps the screen of the narrow stack and peak at each of ``times``, the
         future lattice running out to ``horizon``, and returns the norms of
         the basis vectors there, (times, n), over the narrow part and the
         whole: |M e_k| is column k's norm, so no kernel call is needed. The
@@ -154,7 +152,7 @@ class NormTerm:
         future = TERMS[self.tag][2] == "s"
         lattices = [_future_times(t, horizon, self.step) if future
                     else _past_times(t, self.step) for t in times]
-        runs = _chunks([len(x) for x in lattices], self.family.dimension ** 2, _STACK_FLOATS)
+        runs = chunks([len(x) for x in lattices], self.family.dimension ** 2, _STACK_FLOATS)
         return [np.concatenate(basis) for basis in zip(*(
             self._build_run(times[lo:hi], lattices[lo:hi]) for lo, hi in runs))]
 
@@ -191,8 +189,8 @@ class NormTerm:
                 norms[live] = ratios * inverses.norms(at)
         starts = np.cumsum([0] + sizes)
         for t, lo, hi in zip(times, starts, starts[1:]):
-            # a copy, so the whole stack can go after the horizon pass
-            self._kept[t] = _view(stack[lo:hi][:cut].copy()), float(norms[lo:hi].max())
+            # _view copies a stack it keeps: the whole one goes after the horizon pass
+            self._kept[t] = _view(stack[lo:hi][:cut]), float(norms[lo:hi].max())
         # squared in place (the kept stacks are copies), rows summed in
         # _full_term's order; a column past the cut counts as 0
         columns = np.square(stack, out=stack).sum(axis=1)
@@ -200,7 +198,7 @@ class NormTerm:
                 for c in (np.where(narrow[:, None], columns, 0.0), columns)]
 
     def at(self, t: float):
-        """The screened narrow stack at t and its peak."""
+        """The screen of the narrow stack at t (``_view``) and its peak."""
         if t not in self._kept:
             if not 0 <= t < math.inf:
                 raise DomainError(f"norms are defined for finite t >= 0, not t={t}")
@@ -270,7 +268,7 @@ class LyapunovNormFamily:
 def _projected(nf: LyapunovNormFamily):
     """The family's sample ids and vectors x, and x, P1 x, P2 x, P3 x per time."""
     ids, x = test_vector_batch(nf.family.dimension, nf.samples, nf.seed)
-    return ids, x, np.stack([np.broadcast_to(x, (len(nf.times), *x.shape))]
+    return np.array(ids, dtype=object), x, np.stack([np.broadcast_to(x, (len(nf.times), *x.shape))]
                             + [nf.family.stack(j, nf.times) @ x for j in (1, 2, 3)], axis=1)
 
 
@@ -360,30 +358,28 @@ def _theorem_tables(forward, backward) -> tuple[Rows, Rows, Rows]:
     grid = list(forward.times)
     ids, x, proj = _projected(forward)
     base = {nf.variant: nf.values() for nf in (forward, backward)}
-    rows, cols = np.tril_indices(len(grid))  # grid_pairs order
-    ts, ss = (np.asarray(grid, dtype=float)[i] for i in (rows, cols))
+    rows, cols = pair_index(len(grid))  # grid_pairs order
     third = forward.family.stack(3, grid).any(axis=(1, 2))
     vacant = ~(third[rows] | third[cols])  # per pair: member 3 is 0 at t and s
     tags = list(TERMS)[:2 if vacant.all() else 4]  # center terms raised if mu or nu is missing
-    # each quotient column once over all pairs, (pairs,) as rows and cols:
-    # 2.6 MB for the four at G=401, where a chunk's arrays take 512 kB
-    quotients = {tag: forward.rates[key].ratios(*((ss, ts) if rising else (ts, ss)))
-                 for tag, (_, key, _, rising) in TERMS.items() if tag in tags}
     pairs = grid_pairs(grid)
     store = forward.operator.store  # U gathered a block at a time, not copied whole
     u_rows = store.rows(pairs)
     inverses = build_inverses(forward.operator, forward.family)
     offsets = np.cumsum(np.arange(len(grid) + 1))  # row i of pairs starts here
-    tables = [_table(len(rows), len(TERMS)) for _ in range(2)]  # projected, unprojected
-    for k, (tag, (j, _, binds, _)) in enumerate(TERMS.items()):
+    tables = [_table(len(rows), len(TERMS), x.shape[1]) for _ in range(2)]  # projected, not
+    for k, (tag, (j, key, binds, rising)) in enumerate(TERMS.items()):
         if tag not in tags:  # no central member anywhere: left as _table fills it
             continue
+        # the tag's quotient column once over all pairs: 0.6 MB at G=401,
+        # where a chunk's arrays take 512 kB
+        quotient = forward.rates[key].ratios(*(pairs.T[::-1] if rising else pairs.T))
         # the pairs of each outer time a: (a, s <= a) for U, (t >= a, a) for W_j
         at = [np.arange(offsets[i], offsets[i + 1]) if binds == "s" else offsets[i:-1] + i
               for i in range(len(grid))]
         right, other = (base["forward"], cols) if binds == "s" else (base["backward"], rows)
         # a chunk holds four (pairs, batch) arrays: lhs, a gathered right side, rhs, margins
-        for lo, hi in _chunks([len(a) for a in at], 4 * x.shape[1], _IMAGE_FLOATS):
+        for lo, hi in chunks([len(a) for a in at], 4 * x.shape[1], _IMAGE_FLOATS):
             chunk = np.concatenate(at[lo:hi])
             lhs = np.concatenate([  # |U(t, s) P_j(s) x|_t forward, else |W_j(t, s) x|_s
                 forward.evaluate_many(a, store.values[u_rows[at[i]]] @ proj[:i + 1, j])
@@ -392,45 +388,36 @@ def _theorem_tables(forward, backward) -> tuple[Rows, Rows, Rows]:
             blank = vacant[chunk] & tag.startswith("center")  # vacuous: P3 is 0 at t and s
             lhs[blank] = 0.0
             for table, column in zip(tables, (j, 0)):
-                rhs = quotients[tag][chunk, None] * right[other[chunk], column]
+                rhs = quotient[chunk, None] * right[other[chunk], column]
                 rhs[blank] = 0.0
                 _worst(lhs, rhs, table, (chunk, k))
-    lemma = _table(len(grid), 2 * 3)
+    lemma = _table(len(grid), 2 * 3, x.shape[1])
     for k, (variant, j) in enumerate((v, j) for v in VARIANTS for j in (1, 2, 3)):
         _worst(base[variant][:, j], base[variant][:, 0], lemma, (slice(None), k))
     diagonal = np.arange(len(grid))
-    return (*(_margins(grid, ids, (rows, cols), list(TERMS), table) for table in tables),
-            _margins(grid, ids, (diagonal, diagonal),
-                     [f"projection_bound_{variant}" for variant in VARIANTS for _ in (1, 2, 3)],
-                     lemma))
+    return (*(Rows(grid, rows, cols, list(TERMS), *table, ids) for table in tables),
+            Rows(grid, diagonal, diagonal, [f"projection_bound_{variant}"
+                                            for variant in VARIANTS for _ in (1, 2, 3)],
+                 *lemma, ids))
 
 
-def _table(count: int, width: int) -> list[np.ndarray]:
-    """The ``_worst`` columns of a (count, width) table; a cell never written
-    reads as both sides zero: lhs, rhs and margin 0, vector 0, vacuous."""
-    return [np.zeros((count, width), dtype) for dtype in (float, float, float, np.intp)] + [
-        np.ones((count, width), dtype=bool)]
+def _table(count: int, width: int, batch: int) -> list[np.ndarray]:
+    """The ``_worst`` columns of a (count, width) table over a batch of
+    vectors, each index in the smallest unsigned type that holds it; a cell
+    never written reads as both sides zero: lhs and rhs 0, vector 0, vacuous."""
+    dtypes = (float, float, np.min_scalar_type(max(0, batch - 1)))
+    return [np.zeros((count, width), d) for d in dtypes] + [np.ones((count, width), dtype=bool)]
 
 
 def _worst(lhs, rhs, table, at) -> None:
     """Worst sample vector per row of the (rows, batch) sides of one tag,
-    written into ``table`` at ``at``: its lhs, rhs, margin and index, and
-    whether both sides vanish."""
-    margins = rhs - lhs
-    idx = np.argmin(margins, axis=1)
+    the one of smallest margin rhs - lhs, written into ``table`` at ``at``:
+    its lhs, rhs and index, and whether both sides vanish."""
+    idx = np.argmin(rhs - lhs, axis=1)
     pick = np.arange(len(idx)), idx
     vacuous = ~(lhs.any(axis=1) | rhs.any(axis=1))  # NaN counts as nonzero, -0.0 as 0
-    for column, value in zip(table, (lhs[pick], rhs[pick], margins[pick], idx, vacuous)):
+    for column, value in zip(table, (lhs[pick], rhs[pick], idx, vacuous)):
         column[at] = value
-
-
-def _margins(grid, ids, at, tags, table) -> Rows:
-    """One table from its ``_worst`` columns at the (t, s) grid indices."""
-    lhs, rhs, margin, vector, vacuous = table
-    vector = np.array(ids)[vector]
-    return Rows(grid, *at, tags, lhs, margin, vector, {
-        "vector_id": vector, "lhs": lhs, "rhs": rhs, "margin": margin,
-        "vacuous": vacuous})
 
 
 def _finish(label, tables, tol, families) -> TheoremReport:
@@ -442,7 +429,7 @@ def _finish(label, tables, tol, families) -> TheoremReport:
                          worst_per_tag=worst_per_tag, min_margin=min_margin,
                          tolerance=tol, truncation_slack=slack,
                          passed=min_margin >= -(tol + slack),
-                         vacuous_count=sum(int(t.fields["vacuous"].sum())
+                         vacuous_count=sum(int(t.vacuous.sum())
                                            for t in tables),
                          seed=families[0].seed, samples=families[0].samples)
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DomainError, NotStronglyInvariantError, StructuralError
 from .reports import CheckReport
-from .util import MatrixStore, cocycle_residual, grid_pairs, peak, range_bases, time_stack
+from .util import (MatrixStore, chunks, cocycle_residual, grid_pairs, peak, range_bases,
+                   time_stack)
 
 RANK_TOL = 1e-10  # scale-invariant: smallest singular value vs largest
 
@@ -108,12 +109,21 @@ def _commutation(family, index: int, u: np.ndarray, pairs: np.ndarray, u_norm) -
     return peak(u @ p_s - family.stack(index, pairs[:, 0]) @ u, np.maximum(1.0, u_norm))
 
 
+def _blocks(operator, grid):
+    """``grid_pairs(grid)`` a run of outer grid indices at a time, each run's
+    (pairs, n, n) stacks of at most 2^16 floats (512 kB) or of one index, with
+    U and |U| there; norms have per-matrix bits, so no maximum moves."""
+    pairs = grid_pairs(grid)
+    for lo, hi in chunks(range(1, len(grid) + 1), operator.dimension ** 2, 1 << 16):
+        block = pairs[lo * (lo + 1) // 2:hi * (hi + 1) // 2]
+        yield block, operator.evaluate_many(block), operator.norms(block)
+
+
 def check_invariance(family: ProjectorFamily, operator, grid, tol: float) -> CheckReport:
     """Worst commutation residual |U(t,s)P_i(s) - P_i(t)U(t,s)| over grid
     pairs, relative to |U(t,s)| floored at 1, as ``check_cocycle`` explains."""
-    pairs = grid_pairs(grid)
-    u, u_norm = operator.evaluate_many(pairs), operator.norms(pairs)
-    worst = max(_commutation(family, i, u, pairs, u_norm) for i in (1, 2, 3))
+    worst = max(_commutation(family, i, u, pairs, u_norm)
+                for pairs, u, u_norm in _blocks(operator, grid) for i in (1, 2, 3))
     return CheckReport("invariance", tol, {"commutation": worst}, worst <= tol)
 
 
@@ -167,18 +177,18 @@ class InverseFamily:
     its spectral norm; each read returns a new array."""
 
     def __init__(self, operator, family: ProjectorFamily, index: int):
+        notes = self._notes = [np.empty(0, dtype=object)]  # not self: no cycle via the store
         def compute(pairs):
-            stack, notes = restricted_inverses(operator, family, index, pairs)
-            self._notes = np.concatenate((self._notes, notes))  # row order
+            stack, new = restricted_inverses(operator, family, index, pairs)
+            notes[0] = np.concatenate((notes[0], new))  # row order
             return stack
 
         self.store = MatrixStore((family.dimension, family.dimension), compute)
-        self._notes = np.empty(0, dtype=object)
 
     def evaluate_many(self, pairs) -> tuple[np.ndarray, np.ndarray]:
         """Stack of W over pairs and one note per pair, as ``restricted_inverses``."""
         rows = self.store.rows(pairs)  # may grow values and notes
-        return self.store.values[rows], self._notes[rows]
+        return self.store.values[rows], self._notes[0][rows]
 
     def stack(self, pairs) -> np.ndarray:
         """Stack of W over pairs; NotStronglyInvariantError where W does not exist."""
@@ -211,23 +221,25 @@ def check_compatible(family: ProjectorFamily, operator, grid, tol: float) -> Che
     U(t,s) W = P_j(t) and W U(t,s) P_j(s) = P_j(s) within tol relative to
     |U| |W|, and P1 commute with U relative to |U|, each floored at 1; the
     norms are the ones kept beside U and W. Zero members pass vacuously. A
-    rank-deficient restriction fails the report rather than raising.
+    rank-deficient restriction fails the report rather than raising; pairs
+    go a block at a time (``_blocks``), notes in pair order.
     """
-    pairs = grid_pairs(grid)
-    u, u_norm = operator.evaluate_many(pairs), operator.norms(pairs)
-    residuals = {"invariance_p1": _commutation(family, 1, u, pairs, u_norm),
-                 "right_inverse": 0.0, "left_inverse": 0.0}
-    notes = []
-    for j in (2, 3):
-        inverses = build_inverses(operator, family)[j]
-        w, failed = inverses.evaluate_many(pairs)
-        ok = np.equal(failed, None)
-        notes += failed[~ok].tolist()
-        p_t, p_s = (family.stack(j, x) for x in pairs[ok].T)
-        w, u_ok = w[ok], u[ok]
-        scale = np.maximum(1.0, u_norm[ok] * inverses.norms(pairs[ok]))
-        for key, r in (("right_inverse", u_ok @ w - p_t), ("left_inverse", w @ u_ok @ p_s - p_s)):
-            residuals[key] = max(residuals[key], peak(r, scale))
+    residuals = dict.fromkeys(("invariance_p1", "right_inverse", "left_inverse"), 0.0)
+    notes, families = {2: [], 3: []}, build_inverses(operator, family)
+    for pairs, u, u_norm in _blocks(operator, grid):
+        p1 = _commutation(family, 1, u, pairs, u_norm)
+        residuals["invariance_p1"] = max(residuals["invariance_p1"], p1)
+        for j, inverses in families.items():
+            w, failed = inverses.evaluate_many(pairs)
+            ok = np.equal(failed, None)
+            notes[j] += failed[~ok].tolist()
+            p_t, p_s = (family.stack(j, x) for x in pairs[ok].T)
+            w, u_ok = w[ok], u[ok]
+            scale = np.maximum(1.0, u_norm[ok] * inverses.norms(pairs[ok]))
+            for key, r in (("right_inverse", u_ok @ w - p_t),
+                           ("left_inverse", w @ u_ok @ p_s - p_s)):
+                residuals[key] = max(residuals[key], peak(r, scale))
+    notes = notes[2] + notes[3]
     passed = not notes and all(v <= tol for v in residuals.values())
     return CheckReport("compatibility", tol, residuals, passed, notes)
 

@@ -2,9 +2,10 @@
 
 Each report flattens itself into a plain dict of summaries (``payload``)
 and into (check, ``Rows``) blocks of ``records.csv`` columns (``csv_rows``).
-Per-pair results stay the (pairs, tags) arrays the kernels produce: a
-payload keeps, per tag, the records that bind (``binding``), and
-``records`` builds every record as a dict on demand.
+Per-pair results stay the (pairs, tags) arrays the kernels produce, only
+those no later read can rebuild; margins, splitting bounds and vector ids
+are derived on read, for the pairs read. A payload keeps, per tag, the
+records that bind (``binding``); ``records`` builds every record on demand.
 """
 from __future__ import annotations
 
@@ -19,24 +20,46 @@ class Rows:
     ``tags[j]`` at the pair (grid[t[p]], grid[s[p]]): record order is check
     order, then pairs, then tags. ``records.csv`` writes ``value``, ``margin``
     and ``vector`` in the (t, s) row of the pair, a time of None as "".
-    ``fields`` are a record's named columns after its tag and times, each
-    broadcast to (pairs, tags), None where unset."""
+    Kept: ``value``; ``rhs``, shaped as ``value``, or with ``binds``
+    (a splitting system's: per tag, "t" or "s") one per grid time, read at
+    that time of the pair; ``vector``, the index into ``ids`` of each
+    record's worst sample vector; ``vacuous``. A margin is rhs - value."""
 
     grid: list[float]
     t: np.ndarray | None  # (pairs,) grid indices
     s: np.ndarray | None
     tags: list[str]
     value: np.ndarray
-    margin: np.ndarray | None = None
-    vector: np.ndarray | None = None  # sample-vector ids
-    fields: dict = field(default_factory=dict)
+    rhs: np.ndarray | None = None
+    vector: np.ndarray | None = None
+    vacuous: np.ndarray | None = None
+    ids: np.ndarray | list[str] | None = None
+    binds: list[str] | None = None
+
+    def _rhs(self, p) -> np.ndarray:
+        if self.binds is None:
+            return self.rhs[p]
+        on_t = np.equal(self.binds, "t")
+        return self.rhs[np.where(on_t, self.t[p][..., None], self.s[p][..., None])]
+
+    def margin(self, p=slice(None)) -> np.ndarray | None:
+        """rhs - value at the pairs ``p`` (an index, a slice or an array)."""
+        return None if self.rhs is None else self._rhs(p) - self.value[p]
+
+    def vector_ids(self, p=slice(None)) -> np.ndarray | None:
+        """The ids of the worst sample vectors at the pairs ``p``."""
+        return None if self.vector is None else np.asarray(self.ids)[self.vector[p]]
 
     def record(self, p: int, j: int) -> dict:
-        return {"tag": self.tags[j], "t": self.grid[self.t[p]],
-                "s": self.grid[self.s[p]], **{
-                    name: None if col is None
-                    else np.broadcast_to(col, self.value.shape)[p, j].item()
-                    for name, col in self.fields.items()}}
+        """A splitting system's record where ``binds`` is set, else a norm table's."""
+        value, out = self.value[p, j].item(), {
+            "tag": self.tags[j], "t": self.grid[self.t[p]], "s": self.grid[self.s[p]]}
+        rhs, margin = (None, None) if self.rhs is None else (
+            self._rhs(p)[j].item(), self.margin(p)[j].item())
+        if self.binds is not None:
+            return {**out, "factor": value, "binds": self.binds[j], "bound": rhs, "margin": margin}
+        return {**out, "vector_id": self.ids[self.vector[p, j]], "lhs": value, "rhs": rhs,
+                "margin": margin, "vacuous": self.vacuous[p, j].item()}
 
     def records(self) -> list[dict]:
         return [self.record(p, j) for p, j in np.ndindex(self.value.shape)]
@@ -57,7 +80,7 @@ def smallest_margins(tables: list[Rows]) -> dict[str, dict]:
     """Per tag, the first record in record order of smallest margin; no tag
     is in two tables."""
     return {tag: table.record(*at) for table in tables
-            for tag, at in _first(table.tags, table.margin).items()}
+            for tag, at in _first(table.tags, table.margin()).items()}
 
 
 @dataclass
@@ -80,7 +103,7 @@ class CheckReport:
     def csv_rows(self, check: str) -> list[tuple[str, Rows]]:
         values = np.array([list(self.residuals.values())], dtype=float)
         return [(check, Rows([], None, None, list(self.residuals), values,
-                             self.tol - values))]
+                             np.full_like(values, self.tol)))]
 
 
 @dataclass
@@ -126,7 +149,7 @@ class TrichotomyReport:
         }
         if self.bound_values is not None:
             out["bound_values"] = list(self.bound_values)
-            for tag, at in _first(r.tags, r.margin).items():
+            for tag, at in _first(r.tags, r.margin()).items():
                 binding[tag]["margin"] = r.record(*at)
         return out
 
@@ -152,10 +175,9 @@ class CompatibilityReport:
         return {k: v for k, v in asdict(self).items() if k != "passed"}
 
     def csv_rows(self, check: str) -> list[tuple[str, Rows]]:
-        ratios = np.array(self.ratios)[:, None]
-        margin = np.array(self.crosscheck_limit)[:, None] - ratios
         return [(check, Rows(self.grid, np.arange(len(self.grid)), None,
-                             ["compatibility_ratio"], ratios, margin))]
+                             ["compatibility_ratio"], np.array(self.ratios)[:, None],
+                             np.array(self.crosscheck_limit)[:, None]))]
 
 
 @dataclass

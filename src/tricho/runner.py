@@ -162,7 +162,10 @@ _CELLS = 1024 * 7  # cells written a chunk at a time
 
 def _floats(x: np.ndarray) -> np.ndarray:
     """The cells ``repr(v)`` of the floats ``x``, one ``repr`` per bit
-    pattern: deduplicated by value, -0.0 and 0.0 would merge."""
+    pattern: deduplicated by value, -0.0 and 0.0 would merge. A non-finite
+    float, such as a margin rhs - value that overflows, raises ValueError."""
+    if not np.isfinite(x).all():
+        raise ValueError("cannot serialize a non-finite number")
     keys, inverse = np.unique(x.view(np.int64), return_inverse=True)
     return np.array(list(map(repr, keys.view(float).tolist())), dtype=object)[inverse]
 
@@ -170,49 +173,57 @@ def _floats(x: np.ndarray) -> np.ndarray:
 def _header(blocks) -> tuple[list[str], list[list]]:
     """The column names after ``t,s``, ``<check>.<tag>.<field>``, a tag that
     repeats in its block numbered ``_1``, ``_2``, ...; and per block, the
-    (field, array, (tags,) columns of the cell grid) of each field it has."""
+    (field, its read at an array of pairs, (tags,) columns of the cell grid)
+    of each field it has: margins where it keeps an rhs, vectors where indices."""
     names, columns = [], []
     for check, rows in blocks:
-        have = [f for f in ("value", "margin", "vector") if getattr(rows, f) is not None]
-        columns.append([(f, getattr(rows, f), len(names) + 2 + i + len(have) * np.arange(
-            len(rows.tags))) for i, f in enumerate(have)])
+        have = [(f, read) for f, read, kept in (
+            ("value", rows.value.__getitem__, rows.value), ("margin", rows.margin, rows.rhs),
+            ("vector", rows.vector_ids, rows.vector)) if kept is not None]
+        columns.append([(f, read, len(names) + 2 + i + len(have) * np.arange(len(rows.tags)))
+                        for i, (f, read) in enumerate(have)])
         for j, tag in enumerate(rows.tags):
             if rows.tags.count(tag) > 1:
                 tag = f"{tag}_{rows.tags[:j + 1].count(tag)}"
-            names += [f"{check}.{tag}.{f}" for f in have]
+            names += [f"{check}.{tag}.{f}" for f, _ in have]
     return names, columns
 
 
 def _rows(blocks) -> tuple[np.ndarray, list[tuple]]:
     """One row per (t, s) key, in the order keys first appear in record
     order: each row's time cells, (rows, 2), "" for no time; and the blocks
-    grouped by their pair at each row (-1 where none), as (pairs, [block
+    grouped by the t and s arrays and grid bits they share, each group keyed
+    once, as (its pair at each row, -1 where none or past its end, [block
     indices]). Times are told apart by their bits."""
     times = np.unique(np.concatenate([rows.grid for _, rows in blocks]).view(np.int64),
                       return_index=True)[0]  # a plain unique imports numpy.ma (~1 MB)
-    width, rows_of = len(times) + 1, []  # time len(times): none
+    width, groups = len(times) + 1, {}  # time len(times): none
     row_of = np.full(width * width, -1, dtype=np.int32)  # key t * width + s -> row
-    for _, rows in blocks:  # no key for a block of no records
-        t, s = (len(times) if at is None else np.searchsorted(
-            times, np.asarray(rows.grid, float).view(np.int64))[at] for at in (rows.t, rows.s))
-        key = np.broadcast_to(t * width + s, rows.value.shape[:1])[:rows.value.size]
-        new, first = np.unique(key[row_of[key] < 0], return_index=True)
-        row_of[new[np.argsort(first)]] = np.arange(len(new)) + row_of.max() + 1
-        rows_of.append(row_of[key])
-    key, groups = np.argsort(row_of)[-(row_of.max() + 1):], {}
-    for b, row in enumerate(rows_of):
-        pair = np.full(len(key), -1, dtype=np.int32)
-        pair[row] = np.arange(len(row))
-        if np.count_nonzero(pair >= 0) < len(row):  # a row holds one record per tag
-            raise ValueError(f"{blocks[b][0]} has two records of one tag at one (t, s)")
-        groups.setdefault(pair.tobytes(), (pair, []))[1].append(b)
+    for b, (check, rows) in enumerate(blocks):
+        size = rows.value.shape[0] if rows.value.size else 0  # no key without records
+        grid = np.asarray(rows.grid, float).view(np.int64)
+        group = (id(rows.t), id(rows.s), size, grid.tobytes())
+        if group not in groups:
+            t, s = (len(times) if at is None else np.searchsorted(times, grid)[at]
+                    for at in (rows.t, rows.s))
+            key = np.broadcast_to(t * width + s, (size,))
+            new, first = np.unique(key[row_of[key] < 0], return_index=True)
+            row_of[new[np.argsort(first)]] = np.arange(len(new)) + row_of.max() + 1
+            pair = np.full(row_of.max() + 1, -1, dtype=np.int32)
+            pair[row_of[key]] = np.arange(size)
+            if np.count_nonzero(pair >= 0) < size:  # a row holds one record per tag
+                raise ValueError(f"{check} has two records of one tag at one (t, s)")
+            groups[group] = pair, []
+        groups[group][1].append(b)
+    key = np.argsort(row_of)[-(row_of.max() + 1):]
     texts = np.array([*map(repr, times.view(float).tolist()), ""], dtype=object)
     return texts[np.stack(np.divmod(key, width), axis=1)], list(groups.values())
 
 
 def _text(blocks):
     """``records.csv``: its header, then a cell grid per chunk of about ``_CELLS``
-    cells, floats formatted by ``_floats``. No name or vector id holds a comma."""
+    cells, read for the chunk's rows only, floats formatted by ``_floats``.
+    No name or vector id holds a comma."""
     names, columns = _header(blocks)
     times, groups = _rows(blocks)
     yield ",".join(["t", "s", *names]) + "\n"
@@ -225,11 +236,11 @@ def _text(blocks):
         for pair, members in groups:
             row = np.flatnonzero(pair[chunk] >= 0)[:, None]
             pair, spot = pair[chunk][row[:, 0]], row * width
-            for f, a, cols in (c for b in members if row.size for c in columns[b]):
+            for f, read, cols in (c for b in members if row.size for c in columns[b]):
                 if f == "vector":
-                    cells[row, cols] = a[pair]
+                    cells[row, cols] = read(pair)
                 else:
-                    floats.append(a[pair])
+                    floats.append(read(pair))
                     spots.append(spot + cols)
         cells.reshape(-1)[np.concatenate(spots, axis=None)] = _floats(
             np.concatenate(floats, axis=None))
@@ -263,9 +274,6 @@ def emit(report: RunReport, format: str, out_dir) -> list[Path]:
 
     if format in ("csv", "both"):
         blocks = [block for e in report.checks for block in e["rows"]]
-        if not all(np.isfinite(a).all() for _, rows in blocks
-                   for a in (rows.value, rows.margin) if a is not None):
-            raise ValueError("cannot serialize a non-finite number")
         if any(rows.value.size for _, rows in blocks):
             path = out / "records.csv"
             with path.open("w", newline="") as fh:

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import PreconditionError
 from .projectors import ProjectorFamily, build_inverses, rank_groups
 from .reports import Rows, TrichotomyReport
-from .util import grid_pairs, opnorms
+from .util import grid_pairs, opnorms, pair_index
 
 # tag -> (member, rate, argument N binds to, whether the factor's rate
 # quotient is rate(t)/rate(s))
@@ -99,24 +99,20 @@ def _run_system(operator, family, rates, grid, bound, label,
                 full=False) -> TrichotomyReport:
     grid = list(grid)
     value = factor_table(operator, family, rates, grid, full)
-    rows, cols = np.tril_indices(len(grid))  # grid_pairs order
+    index = pair_index(len(grid))  # (t, s) grid indices in grid_pairs order
     binds = [TERMS[tag][2] for tag in INEQUALITIES]
-    at = np.stack([cols if b == "s" else rows for b in binds], axis=1)  # N's time
     worst = np.zeros((len(grid), len(binds)))
-    np.maximum.at(worst, (at, np.arange(len(binds))), value)
+    for k, b in enumerate(binds):  # per time, the largest factor N binds to there
+        np.maximum.at(worst[:, k], index[b == "s"], value[:, k])
     pointwise = dict(zip(INEQUALITIES, worst.T.tolist()))
-    fields = {"factor": value, "binds": np.array(binds), "bound": None, "margin": None}
-    bound_values = None
-    if bound is not None:
-        bound_values = np.full(len(grid), bound(np.array(grid, dtype=float)), dtype=float).tolist()
-        fields["bound"] = np.array(bound_values)[at]
-        fields["margin"] = fields["bound"] - value
+    bound_values = None if bound is None else np.full(
+        len(grid), bound(np.array(grid, dtype=float)), dtype=float).tolist()
     requirement = np.maximum(1.0, worst.max(axis=1)).tolist()
     envelope = list(np.maximum.accumulate(requirement))
     passed = None if bound is None else all(
         e <= b * (1.0 + _REL_SLACK) + 1e-12 for e, b in zip(envelope, bound_values))
-    table = Rows(grid, rows, cols, list(INEQUALITIES), value, fields["margin"],
-                 fields=fields)
+    table = Rows(grid, *index, list(INEQUALITIES), value,
+                 None if bound is None else np.array(bound_values), binds=binds)
     return TrichotomyReport(label=label, grid=grid, rows=table,
                             pointwise=pointwise, requirement=requirement,
                             envelope=envelope,

@@ -6,6 +6,7 @@ explicitly seeded generator.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -184,14 +185,34 @@ def make_grid(t_max: float, step: float) -> list[float]:
     return grid
 
 
+@functools.lru_cache(maxsize=4)
+def pair_index(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``grid_pairs``' (t, s) grid indices, read-only: one copy per grid size."""
+    index = np.tril_indices(size)
+    index[0].flags.writeable = index[1].flags.writeable = False
+    return index
+
+
 def grid_pairs(grid) -> np.ndarray:
     """All ordered pairs (t, s) with t >= s as an (m, 2) array; grid indices
     i >= j sit at row i(i+1)/2 + j. An empty grid raises ValueError."""
     grid = np.asarray(grid, dtype=float)
     if not len(grid):
         raise ValueError("grid must be nonempty")
-    rows, cols = np.tril_indices(len(grid))
+    rows, cols = pair_index(len(grid))
     return np.stack((grid[rows], grid[cols]), axis=1)
+
+
+def chunks(counts, width: int, budget: int):
+    """Runs [lo, hi) of consecutive items of ``counts`` rows each, ``width``
+    floats a row: each of at most ``budget`` floats, or of one item."""
+    lo = size = 0
+    for i, count in enumerate(counts):
+        if i > lo and (size + count) * width > budget:
+            yield lo, i
+            lo, size = i, 0
+        size += count
+    yield lo, len(counts)
 
 
 def cocycle_residual(stack: np.ndarray, scale=1.0) -> float:
@@ -203,7 +224,7 @@ def cocycle_residual(stack: np.ndarray, scale=1.0) -> float:
     multiplied and subtracted into two buffers of the stack's size."""
     scale = np.broadcast_to(scale, len(stack))
     size = math.isqrt(2 * len(stack))  # len(stack) = size (size + 1) / 2
-    rows, cols = np.tril_indices(size)
+    rows, cols = pair_index(size)
     gathered, residual = np.empty(stack.shape), np.empty(stack.shape)
     worst = 0.0
     for i in range(size):

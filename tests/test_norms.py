@@ -13,8 +13,9 @@ from tricho import (DomainError, GeneratorSpec, GrowthRate, ProjectorFamily,
                     StructuralError, build_norm_family,
                     check_compatibility, check_rate_specialization,
                     check_trichotomy, check_uniform, from_generator,
-                    rate_model, required_factor, verify_norm_trichotomy,
-                    verify_norm_trichotomy_unprojected, verify_sufficiency)
+                    rate_model, required_factor, scenario_from_tree,
+                    verify_norm_trichotomy, verify_norm_trichotomy_unprojected,
+                    verify_sufficiency)
 from tricho import norms, parse_scenario, run, runner, util
 from tricho.norms import query_lattice, theorem_tables
 from tricho.projectors import build_inverses
@@ -23,6 +24,7 @@ from tricho.util import make_grid
 from oracle import batched
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
 HORIZON = 5.0
 STEP = 0.5
@@ -244,7 +246,7 @@ def test_sufficiency_loop_nonuniform(nonuniform_norms):
     assert report.bound_values[-1] == 33.215729163209964 and report.envelope[-1] == 11.0
     assert hashlib.sha256(json.dumps(report.payload(), sort_keys=True).encode()).hexdigest() \
         == "2d89bb5201a1d22b2ca2e78d35177df0045c81c896fe158c72320d21d9625134"
-    assert hashlib.sha256(report.rows.margin.tobytes()).hexdigest() \
+    assert hashlib.sha256(report.rows.margin().tobytes()).hexdigest() \
         == "432fda345f6967dec99046b01acd78ad8df43a18e8fc500aa64ad74c22e8991f"
 
 
@@ -474,12 +476,13 @@ def bits(x):
 
 
 def table_bits(table) -> list:
-    """Every field of a table of ``theorem_tables``, as ``bits``."""
-    return [table.tags, *(bits(c) for c in (table.t, table.s, table.value, table.margin,
-                                             table.vector, *table.fields.values()))]
+    """Every field of a table of ``theorem_tables``, kept or derived, as ``bits``."""
+    return [table.tags, list(table.ids), table.binds, table.vector_ids().tolist(),
+            *(bits(c) for c in (table.t, table.s, table.value, table.rhs, table.vector,
+                                table.vacuous, table.margin()))]
 
 
-CHUNKS = norms._chunks
+CHUNKS = util.chunks
 
 
 def table_budget(monkeypatch, budget: int) -> list[int]:
@@ -487,7 +490,7 @@ def table_budget(monkeypatch, budget: int) -> list[int]:
     chunks each tag's walk over the outer times takes."""
     monkeypatch.setattr(norms, "_IMAGE_FLOATS", budget)
     counts = []
-    monkeypatch.setattr(norms, "_chunks", lambda *args: (
+    monkeypatch.setattr(norms, "chunks", lambda *args: (
         counts.append(len(list(CHUNKS(*args)))) or CHUNKS(*args)))
     return counts
 
@@ -545,8 +548,8 @@ def test_theorem_tables_are_bit_equal_across_chunk_budgets(monkeypatch, name):
     if name == "dichotomy_example":  # no central member: zero, vacuous center columns
         for table in tables[0][:2]:
             assert table.tags[2:] == ["center_growth", "center_decay"]
-            assert table.fields["vacuous"][:, 2:].all() and not table.value[:, 2:].any()
-            assert not table.margin[:, 2:].any() and not table.fields["rhs"][:, 2:].any()
+            assert table.vacuous[:, 2:].all() and not table.value[:, 2:].any()
+            assert not table.margin()[:, 2:].any() and not table.rhs[:, 2:].any()
 
 
 def test_theorem_tables_transient_memory_stays_below_its_tables():
@@ -616,15 +619,30 @@ def test_iterator_times_keep_the_truncation_slack(as_input):
     assert nf.horizon_flagged
 
 
+def screened_stacks(term, times, horizon) -> list[np.ndarray]:
+    """The narrow lattice stacks at ``times`` of ``term`` built there out to
+    ``horizon``, as its screen (``_view``) is handed them."""
+    seen, view = [], norms._view
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(norms, "_view", lambda stack: seen.append(stack.copy()) or view(stack))
+        norms.NormTerm(term.operator, term.tag, term.family, term.rate, horizon,
+                       term.step, times)
+    return seen
+
+
 def test_families_keep_only_the_narrow_stacks(uniform_norms, grid10):
-    # the whole stacks serve the horizon-doubling pass and are dropped after it
+    # the whole stacks serve the horizon-doubling pass and are dropped after
+    # it; a narrow one is kept, as a copy, only where the kernel may multiply it
     for nf in uniform_norms:
-        for t in grid10:
+        stacks = [screened_stacks(term, grid10, HORIZON) for term in nf.terms]
+        for term, seen in zip(nf.terms, stacks):
+            for t, stack in zip(grid10, seen):
+                kept = term.at(t)[0][0]
+                assert kept is None or (kept.base is None and bits(kept) == bits(stack))
+        for i, t in enumerate(grid10):
             future = len(norms._future_times(t, HORIZON, STEP))
-            stacks = [term.at(t)[0][0] for term in nf.terms]
-            assert all(stack.base is None for stack in stacks)
-            assert len(stacks[0]) == future
-            assert len(stacks[2]) == (future if nf.variant == "forward" else t / STEP + 1)
+            assert len(stacks[0][i]) == future
+            assert len(stacks[2][i]) == (future if nf.variant == "forward" else t / STEP + 1)
 
 
 @pytest.mark.parametrize("budget", [1, 200])  # one time a run; 22 lattice pairs a run
@@ -642,7 +660,8 @@ def test_terms_built_in_runs_match_a_one_pass_build(monkeypatch, nonuniform_oper
         for t in grid10:
             (view, peak), (want, want_peak) = term.at(t), one.at(t)
             assert [bits(v) for v in view] == [bits(v) for v in want]
-            assert bits(peak) == bits(want_peak) and view[0].base is None
+            assert bits(peak) == bits(want_peak)
+            assert view[0] is None or view[0].base is None
     assert max(runs) < len(grid10)  # no term built in one run
 
 
@@ -769,11 +788,14 @@ def test_kept_screen_term_takes_the_full_path_on_nonfinite_entries():
 
 
 def lattice_stacks(term, t):
-    """term's kept narrow stack at t, and its whole stack out to twice the
-    horizon: the narrow stack of the same term built at twice the horizon."""
-    whole = norms.NormTerm(term.operator, term.tag, term.family, term.rate,
-                           2.0 * term.horizon, term.step, [t])
-    return term.at(t)[0][0], whole.at(t)[0][0]
+    """term's narrow stack at t, which it keeps where it keeps one, and its
+    whole stack out to twice the horizon: the narrow stack of the same term
+    built at twice the horizon."""
+    (narrow,), (whole,) = (screened_stacks(term, [t], h) for h in (term.horizon,
+                                                                    2.0 * term.horizon))
+    kept = term.at(t)[0][0]
+    assert kept is None or bits(kept) == bits(narrow)
+    return narrow, whole
 
 
 def example_families():
@@ -800,6 +822,60 @@ def oblique_families(grid, horizon, step):
     rates = {"h": e(0.3), "k": e(0.3), "mu": e(0.1), "nu": e(0.1)}
     return [build_norm_family(variant, operator, family, rates, horizon, step,
                               grid) for variant in norms.VARIANTS]
+
+
+def dropped_stack_cases():
+    """Stacks whose screen drops them, each with vectors holding inf, -inf and
+    NaN beside finite columns: n = 3 with one live column of one nonzero row
+    and with none, n = 1 with every entry nonzero, with a zero entry and with
+    none nonzero, and empty lattices."""
+    rng = np.random.default_rng(12)
+    one = np.full((6, 3, 3), -0.0)
+    one[:, 2, 1] = rng.standard_normal(6)
+    x = rng.standard_normal((3, 7))
+    x[1, 0], x[0, 1], x[2, 2], x[:, 3] = np.inf, -np.inf, np.nan, 0.0
+    x[1, 4], x[0, 4] = -np.inf, np.nan
+    line = np.array([[1.0, np.inf, -np.inf, np.nan, 0.0, -0.0, 1e200]])
+    dense = rng.standard_normal((5, 1, 1))
+    holed = dense.copy()
+    holed[3] = 0.0
+    return [(one, x), (one, np.stack([x, x[::-1]])), (np.zeros((4, 3, 3)), x),
+            (np.zeros((0, 3, 3)), x), (dense, line), (-dense, line[None]),
+            (holed, line), (np.zeros((3, 1, 1)), line), (np.zeros((0, 1, 1)), line)]
+
+
+def test_terms_keep_a_stack_only_where_the_kernel_may_multiply_it():
+    # the nonuniform example's terms keep no lattice stack at any time
+    grid, families = example_families()
+    assert all(term.at(t)[0][0] is None for nf in families for term in nf.terms
+               for t in grid)
+    # ode_block_g41's rank-2 unstable term keeps its stacks, as copies, and only it
+    tree = json.loads((WORKLOADS / "ode_block_g41.json").read_text())["scenario"]
+    scenario = scenario_from_tree(tree)
+    grid = make_grid(scenario.grid_max, scenario.grid_step)
+    operator = runner._build_operator(scenario, grid)
+    for nf in runner._norm_families(scenario, operator, grid):
+        for term in nf.terms:
+            kept = [term.at(t)[0][0] for t in grid]
+            if term.tag == "unstable_growth":
+                seen = screened_stacks(term, grid, term.horizon)
+                assert all(k.base is None and bits(k) == bits(s) for k, s in zip(kept, seen))
+            else:
+                assert all(k is None for k in kept)
+    # where the stack is dropped, the screen gives the product's bits, NaN
+    # where it gives NaN, on non-finite vectors too
+    for stack, x in dropped_stack_cases():
+        assert norms._view(stack)[0] is None
+        with np.errstate(invalid="ignore", over="ignore"):
+            want, got = broadcast_term(stack, x), kept_term(stack, x)
+        assert got.shape == want.shape and not np.isinf(want).all()
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert bits(np.nan_to_num(got)) == bits(np.nan_to_num(want))
+    with np.errstate(invalid="ignore", over="ignore"):
+        cases = [broadcast_term(*case) for case in dropped_stack_cases()]
+    assert np.isnan(cases[0][[0, 1, 2, 4]]).all() and np.isfinite(cases[0][[3, 5, 6]]).all()
+    assert np.isinf(cases[4][[1, 2, 6]]).all() and np.isnan(cases[6][[1, 2]]).all()
+    assert not cases[3].any() and not cases[8].any()  # empty lattices: 0
 
 
 def test_basis_norms_are_the_kernel_on_the_identity():
@@ -979,7 +1055,7 @@ def test_screened_peaks_are_the_unscreened_maximum(monkeypatch):
         for t in at:
             assert term.at(t)[1] == unscreened_peak(term, t)
     assert [term.at(0.5)[1] for term in vanishing[1:]] == [0.0, 0.0]
-    steep = np.abs(vanishing[1].at(2.0)[0][0])
+    steep = np.abs(screened_stacks(vanishing[1], [2.0], vanishing[1].horizon)[0])
     assert steep[steep > 0.0].min() < 1e-150
 
     # the screen sends only a part of the lattice maps to the SVD

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +192,20 @@ def test_inverses_cache_is_shared(monkeypatch, split_family, exp_rates):
     assert computed == [(2, 2.0, 1.0)]
     assert check_compatible(split_family, operator, [0.0, 1.0, 2.0], 1e-10).passed
     assert len(computed) == len(set(computed)) == 2 * 6
+
+
+def test_inverse_family_is_freed_without_the_cycle_collector(uniform_operator, split_family):
+    # its store's compute keeps the notes, not the family: a dropped family
+    # and its W go at once, not when the cyclic collector next runs
+    family = projectors.InverseFamily(uniform_operator, split_family, 2)
+    family.evaluate_many(grid_pairs(GRID))
+    gone = weakref.ref(family)
+    gc.disable()
+    try:
+        del family
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_batched_inverse_identities_match_per_triple_loop():

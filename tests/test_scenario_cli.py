@@ -441,6 +441,29 @@ def test_emit_csv_high_water_is_bounded(tmp_path):
     assert peak <= 8e6
 
 
+def test_run_holds_and_peaks_in_bounded_memory():
+    """At G=201 a run keeps only what a later read needs: margins, splitting
+    bounds and vector ids are derived on read, every table shares one pair
+    index, no norm term keeps a stack its kernel never multiplies, and the
+    structural checks read a block of pairs at a time (13.2 MB held and
+    32.2 MB high-water when the reports kept every column)."""
+    tree = read_tree(SCENARIOS / "nonuniform_example.json")
+    run(scenario_from_tree(tree))  # G=21 first: every module a run imports
+    tree["grid"]["step"] = 0.05
+    scenario = scenario_from_tree(tree)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = run(scenario)
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.overall == "pass"
+    assert held <= 6e6, held
+    assert peak <= 27e6, peak
+
+
 def test_emit_summary_only_when_no_records(tmp_path):
     report = run(scenario_from_tree(minimal_tree(checks=[])))
     paths = emit(report, "csv", tmp_path)
@@ -714,9 +737,10 @@ def test_emitted_files_match_the_in_memory_report(tmp_path):
     rows = list(long_rows(tmp_path / "records.csv"))
     memory = [(check, repr(rows_.grid[rows_.t[p]]), repr(rows_.grid[rows_.s[p]]),
                tag, repr(float(rows_.value[p, j])),
-               "" if rows_.margin is None else repr(float(rows_.margin[p, j])),
-               "" if rows_.vector is None else str(rows_.vector[p, j]))
+               "" if margin is None else repr(float(margin[p, j])),
+               "" if ids is None else str(ids[p, j]))
               for check, rows_ in blocks
+              for margin, ids in [(rows_.margin(), rows_.vector_ids())]
               for p in range(len(rows_.t)) for j, tag in enumerate(rows_.tags)]
     assert rows == memory
     grid = make_grid(scenario.grid_max, scenario.grid_step)
@@ -773,7 +797,7 @@ def test_emit_refuses_nonfinite_numbers(tmp_path, where):
     else:
         entry["rows"].append(("x", Rows([0.0], np.zeros(1, int), np.zeros(1, int),
                                         ["tag"], np.array([[float("nan")]]),
-                                        np.zeros((1, 1)), None)))
+                                        np.zeros((1, 1)))))
     report = runner.RunReport(scenario={}, checks=[entry], overall="pass")
     with pytest.raises(ValueError):
         emit(report, "json" if where == "payload" else "csv", tmp_path)
@@ -806,14 +830,15 @@ def wide_csv(blocks) -> str:
     (numbered where it repeats in its block) and field the block has."""
     names, table = [], {}  # table: (t, s) -> {column name: cell}
     for check, rows in blocks:
-        fields = [f for f in ("value", "margin", "vector") if getattr(rows, f) is not None]
+        columns = {"value": rows.value, "margin": rows.margin(), "vector": rows.vector_ids()}
+        fields = [f for f, column in columns.items() if column is not None]
         tags = [f"{tag}_{rows.tags[:j + 1].count(tag)}" if rows.tags.count(tag) > 1
                 else tag for j, tag in enumerate(rows.tags)]
         names += [f"{check}.{tag}.{f}" for tag in tags for f in fields]
         for p, j in np.ndindex(rows.value.shape):
             key = tuple("" if at is None else repr(rows.grid[at[p]]) for at in (rows.t, rows.s))
             for f in fields:
-                cell = getattr(rows, f)[p, j]
+                cell = columns[f][p, j]
                 table.setdefault(key, {})[f"{check}.{tags[j]}.{f}"] = (
                     str(cell) if f == "vector" else repr(float(cell)))
     lines = [",".join(["t", "s", *names])]
@@ -905,8 +930,9 @@ def test_records_csv_matches_its_oracles_across_chunk_boundaries(tmp_path, monke
     report = emit_every_check(tmp_path / "default", monkeypatch)
     blocks = {e["name"]: e["rows"] for e in report.checks}
     plain, full = blocks["trichotomy"][0][1], blocks["trichotomy_full"][0][1]
-    for a, b in ((plain.value, full.value), (plain.margin, full.margin)):
+    for a, b in ((plain.value, full.value), (plain.rhs, full.rhs)):
         assert a is not b and a.tobytes() == b.tobytes()
+    assert plain.margin().tobytes() == full.margin().tobytes()
     text = (tmp_path / "default" / "records.csv").read_text()
     width, rows = len(text.partition("\n")[0].split(",")), text.count("\n") - 1
     for budget, step in ((1, 1), (3 * width + 2, 3), (width * rows, rows)):
@@ -928,12 +954,13 @@ def test_records_csv_writes_every_float_cell_as_its_repr(tmp_path, monkeypatch, 
     value = np.array([[-0.0, 0.0], [5e-324, 1.7976931348623157e308], [1e16, 1e-05],
                       [0.1 + 0.2, -0.0], [0.0, -5e-324]])
     grid, at, lines = [0.0, 0.5, 1.0], np.array([0, 1, 2, 2, 1]), [0.0, 1.0, 2.0, 3.0, 4.0]
-    vector = np.array(["e1", "r02"])[np.arange(10).reshape(5, 2) % 2]
-    blocks = [("a", Rows(grid, at, at[::-1], ["x", "y"], value, -value[::-1], vector)),
+    vector = np.arange(10).reshape(5, 2) % 2  # into ids e1, r02
+    minus = np.full_like(value, -0.0)  # an rhs whose margins, -0.0 - value, are -value
+    blocks = [("a", Rows(grid, at, at[::-1], ["x", "y"], value, minus, vector, ids=["e1", "r02"])),
               ("empty", Rows(grid, at[:0], at[:0], ["p", "q", "r", "s"], np.zeros((0, 4)))),
               ("narrow", Rows(grid, at[:1], at[:1], [], np.zeros((1, 0)))),
               ("b", Rows(lines, np.arange(5), None, ["x", "y"], value)),  # a's value column
-              ("c", Rows([], None, None, ["u", "v"], np.array([[0.0, -0.0]]), value[:1])),
+              ("c", Rows([], None, None, ["u", "v"], np.array([[0.0, -0.0]]), minus[:1])),
               ("d", Rows(grid, at, at[::-1], ["x", "y"], value.copy())),  # a's bits
               ("e", Rows(grid, at, at[::-1], ["x", "y"], value + 0.0)),  # -0.0 made 0.0
               ("f", Rows(grid, at[:2], at[:2], ["z", "w", "z"], value[:2, [0, 1, 0]]))]
@@ -947,7 +974,7 @@ def test_records_csv_writes_every_float_cell_as_its_repr(tmp_path, monkeypatch, 
     assert header.startswith("t,s,a.x.value,a.x.margin,a.x.vector,a.y.value,a.y.margin,"
                              "a.y.vector,empty.p.value,empty.q.value,")
     assert header.endswith(",f.z_1.value,f.w.value,f.z_2.value")
-    assert first.startswith("0.0,0.5,-0.0,-0.0,e1,0.0,5e-324,r02,,,,,,,,,,,-0.0,0.0,0.0,0.0,")
+    assert first.startswith("0.0,0.5,-0.0,0.0,e1,0.0,-0.0,r02,,,,,,,,,,,-0.0,0.0,0.0,0.0,")
     assert "\n1.0,,,,,,,,,,,,5e-324,1.7976931348623157e+308,,,,,,,,,,,\n" in text  # b's
     assert "\n,,,,,,,,,,,,,,0.0,-0.0,-0.0,0.0,,,,,,,\n" in text  # c's row
     assert len(text.splitlines()) == 1 + 5 + 5 + 1 + 2  # header, a's keys, b's, c's, f's
