@@ -241,14 +241,14 @@ def check_cocycle(operator: EvolutionOperator, times, tol: float) -> CheckReport
     Residuals are measured relative to the size of U(t, t0), floored at 1:
     growing operators reach norms ~e^{a t} where even a one-ulp relative
     error dwarfs any absolute tolerance, so the scale-aware residual is the
-    meaningful one. U and its kept norms are read once over
-    ``grid_pairs(times)`` and the triples reduced to their worst scaled
-    residual by ``util.cocycle_residual``. For an operator
+    meaningful one. ``util.cocycle_residual`` reduces the triples of
+    ``grid_pairs(times)`` to their worst scaled residual, gathering U from its
+    store a run at a time, and the kept norms of U scale it. For an operator
     anchored on the times (``from_generator``), U(t, t0) is the chain product
     through s, so the residual shows floating-point reassociation only, not
     the integration error.
     """
     pairs = grid_pairs(times)
-    worst = cocycle_residual(operator.evaluate_many(pairs),
-                             np.maximum(1.0, operator.norms(pairs)))
+    rows = operator.store.rows(pairs)  # may grow values
+    worst = cocycle_residual(operator.store.values, rows, np.maximum(1.0, operator.norms(pairs)))
     return CheckReport("cocycle", tol, {"cocycle": worst}, worst <= tol)

@@ -36,8 +36,6 @@ from .util import (chunks, contenders, grid_pairs, norm_bounds, opnorms, pair_in
 VARIANTS = {"forward": ("stable_decay", "unstable_growth", "center_growth"),
             "backward": ("stable_decay", "unstable_growth", "center_decay")}
 _SENSITIVITY_LIMIT = 1e-6
-_IMAGE_FLOATS = 1 << 16  # floats per chunk of a norm term's images or of a table (512 kB)
-_STACK_FLOATS = 1 << 18  # lattice-stack entries per run of a norm term's build (2 MB)
 _CROSSCHECK_TOL = 1e-9  # relative slack of C(t) against its full-norm limit
 
 
@@ -85,12 +83,11 @@ def _block(x: np.ndarray):
 
 def _full_term(stack: np.ndarray, wide: np.ndarray) -> np.ndarray:
     """max over the stack of |M y|^2 per column y of wide: one product per
-    chunk of about ``_IMAGE_FLOATS`` image entries (kept in cache), with the
-    n-term sums of a block of its own, and squared rows summed in place."""
+    ``chunks`` run of matrices (its images kept in cache), with the n-term
+    sums of a block of its own, and squared rows summed in place."""
     worst = np.zeros(wide.shape[1])
-    step = max(1, _IMAGE_FLOATS // max(1, stack.shape[1] * wide.shape[1]))
-    for lo in range(0, stack.shape[0], step):
-        images = stack[lo:lo + step] @ wide
+    for lo, hi in chunks(len(stack), stack.shape[1] * wide.shape[1]):
+        images = stack[lo:hi] @ wide
         np.square(images, out=images)
         total = images[:, 0]
         for row in range(1, images.shape[1]):
@@ -146,13 +143,11 @@ class NormTerm:
         future lattice running out to ``horizon``, and returns the norms of
         the basis vectors there, (times, n), over the narrow part and the
         whole: |M e_k| is column k's norm, so no kernel call is needed. The
-        lattice stacks are built a run of times at a time, each of at most
-        ``_STACK_FLOATS`` entries or of one time: no run holds a whole G=401
-        term, and every term of the benchmark workloads is one run."""
+        lattice stacks are built a ``chunks`` run of times at a time."""
         future = TERMS[self.tag][2] == "s"
         lattices = [_future_times(t, horizon, self.step) if future
                     else _past_times(t, self.step) for t in times]
-        runs = chunks([len(x) for x in lattices], self.family.dimension ** 2, _STACK_FLOATS)
+        runs = chunks([len(x) for x in lattices], self.family.dimension ** 2)
         return [np.concatenate(basis) for basis in zip(*(
             self._build_run(times[lo:hi], lattices[lo:hi]) for lo, hi in runs))]
 
@@ -351,10 +346,8 @@ def theorem_tables(forward: LyapunovNormFamily,
 
 
 def _theorem_tables(forward, backward) -> tuple[Rows, Rows, Rows]:
-    """``theorem_tables``: per tag in ``TERMS`` order, outer times ascending in
-    chunks of one time or more whose (pairs, batch) arrays hold at most
-    ``_IMAGE_FLOATS`` floats, each chunk's ``_worst`` records written straight
-    into the table columns."""
+    """``theorem_tables``: per tag in ``TERMS`` order, ``chunks`` runs of outer
+    times ascending, each run's ``_worst`` records written into the table columns."""
     grid = list(forward.times)
     ids, x, proj = _projected(forward)
     base = {nf.variant: nf.values() for nf in (forward, backward)}
@@ -371,15 +364,14 @@ def _theorem_tables(forward, backward) -> tuple[Rows, Rows, Rows]:
     for k, (tag, (j, key, binds, rising)) in enumerate(TERMS.items()):
         if tag not in tags:  # no central member anywhere: left as _table fills it
             continue
-        # the tag's quotient column once over all pairs: 0.6 MB at G=401,
-        # where a chunk's arrays take 512 kB
+        # the tag's quotient column once over all pairs: 0.6 MB at G=401
         quotient = forward.rates[key].ratios(*(pairs.T[::-1] if rising else pairs.T))
         # the pairs of each outer time a: (a, s <= a) for U, (t >= a, a) for W_j
         at = [np.arange(offsets[i], offsets[i + 1]) if binds == "s" else offsets[i:-1] + i
               for i in range(len(grid))]
         right, other = (base["forward"], cols) if binds == "s" else (base["backward"], rows)
         # a chunk holds four (pairs, batch) arrays: lhs, a gathered right side, rhs, margins
-        for lo, hi in chunks([len(a) for a in at], 4 * x.shape[1], _IMAGE_FLOATS):
+        for lo, hi in chunks([len(a) for a in at], 4 * x.shape[1]):
             chunk = np.concatenate(at[lo:hi])
             lhs = np.concatenate([  # |U(t, s) P_j(s) x|_t forward, else |W_j(t, s) x|_s
                 forward.evaluate_many(a, store.values[u_rows[at[i]]] @ proj[:i + 1, j])

@@ -110,11 +110,10 @@ def _commutation(family, index: int, u: np.ndarray, pairs: np.ndarray, u_norm) -
 
 
 def _blocks(operator, grid):
-    """``grid_pairs(grid)`` a run of outer grid indices at a time, each run's
-    (pairs, n, n) stacks of at most 2^16 floats (512 kB) or of one index, with
-    U and |U| there; norms have per-matrix bits, so no maximum moves."""
+    """``grid_pairs(grid)`` a ``chunks`` run of outer grid indices at a time,
+    with U and |U| there; norms have per-matrix bits, so no maximum moves."""
     pairs = grid_pairs(grid)
-    for lo, hi in chunks(range(1, len(grid) + 1), operator.dimension ** 2, 1 << 16):
+    for lo, hi in chunks(np.arange(1, len(grid) + 1), operator.dimension ** 2):
         block = pairs[lo * (lo + 1) // 2:hi * (hi + 1) // 2]
         yield block, operator.evaluate_many(block), operator.norms(block)
 
@@ -266,7 +265,7 @@ def check_inverse_properties(operator, family: ProjectorFamily, index: int,
     scale = np.maximum(1.0, operator.norms(pairs) * inverses.norms(pairs))
     worst = {"right_inverse": peak(u @ w - p_t, scale),
              "left_inverse": peak(w @ u @ p_s - p_s, scale),
-             "cocycle": cocycle_residual(np.swapaxes(w, 1, 2)),
+             "cocycle": cocycle_residual(np.swapaxes(w, 1, 2), np.arange(len(w)), np.ones(len(w))),
              "range": peak(w - p_s @ w),
              "equal_time": peak(w[equal] - p_t[equal])}
     return CheckReport(f"inverse_properties_{index}", tol, worst,

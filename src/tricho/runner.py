@@ -11,8 +11,8 @@ written as their shortest round-trip ``repr`` and wall-clock timing stays
 out of the emitted artifacts (it is kept on the in-memory report and
 printed by the CLI). ``report.json`` holds check summaries, each with the
 records that bind it; the per-pair records go only to ``records.csv``, one
-row per (t, s) and one column per check, tag and field, written a chunk of
-cells at a time with each distinct float of a chunk formatted once.
+row per (t, s) and one column per check, tag and field, written a run of
+rows at a time (``util.chunks``), each distinct float of a run formatted once.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import evolution, norms, projectors, trichotomy
 from .scenario import STAGES, STRUCTURAL, Scenario
-from .util import make_grid
+from .util import chunks, make_grid
 
 
 @dataclass
@@ -157,8 +157,6 @@ def run(scenario: Scenario) -> RunReport:
 
 # -- serialization ----------------------------------------------------------
 
-_CELLS = 1024 * 7  # cells written a chunk at a time
-
 
 def _floats(x: np.ndarray) -> np.ndarray:
     """The cells ``repr(v)`` of the floats ``x``, one ``repr`` per bit
@@ -221,21 +219,20 @@ def _rows(blocks) -> tuple[np.ndarray, list[tuple]]:
 
 
 def _text(blocks):
-    """``records.csv``: its header, then a cell grid per chunk of about ``_CELLS``
-    cells, read for the chunk's rows only, floats formatted by ``_floats``.
+    """``records.csv``: its header, then a cell grid per ``chunks`` run of
+    rows, read for the run's rows only, floats formatted by ``_floats``.
     No name or vector id holds a comma."""
     names, columns = _header(blocks)
     times, groups = _rows(blocks)
     yield ",".join(["t", "s", *names]) + "\n"
     width = len(names) + 2
-    blank = np.full((max(1, _CELLS // width), width - 2), "", dtype=object)  # rows per chunk
-    for lo in range(0, len(times), len(blank)):
-        chunk = slice(lo, lo + len(blank))
-        cells = np.concatenate([times[chunk], blank[:len(times[chunk])]], axis=1)
+    for lo, hi in chunks(len(times), 9 * width):  # a cell: a pointer and ~66 bytes of text
+        cells = np.full((hi - lo, width), "", dtype=object)
+        cells[:, :2] = times[lo:hi]
         floats, spots = [], []
         for pair, members in groups:
-            row = np.flatnonzero(pair[chunk] >= 0)[:, None]
-            pair, spot = pair[chunk][row[:, 0]], row * width
+            row = np.flatnonzero(pair[lo:hi] >= 0)[:, None]
+            pair, spot = pair[lo:hi][row[:, 0]], row * width
             for f, read, cols in (c for b in members if row.size for c in columns[b]):
                 if f == "vector":
                     cells[row, cols] = read(pair)

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import PreconditionError
 from .projectors import ProjectorFamily, build_inverses, rank_groups
 from .reports import Rows, TrichotomyReport
-from .util import grid_pairs, opnorms, pair_index
+from .util import chunks, grid_pairs, opnorms, pair_index
 
 # tag -> (member, rate, argument N binds to, whether the factor's rate
 # quotient is rate(t)/rate(s))
@@ -68,20 +68,24 @@ def factor_table(operator, family: ProjectorFamily, rates: dict, grid,
 
 
 def _factors(operator, family, rates, pairs, tag, full) -> np.ndarray:
+    """Inequality ``tag``'s factors at ``pairs``, each rank's pairs a ``chunks`` run at a time."""
     j, rate_key, binds, rising = TERMS[tag]
     decay = binds == "s"  # U on Range P_j(s); else W_j on Range P_j(t)
-    bases, ranks = family.bases(j, pairs[:, 1 if decay else 0])
+    times, at = np.unique(pairs[:, 1 if decay else 0], return_inverse=True)
+    bases, ranks = family.bases(j, times)
+    inverses = None if decay else build_inverses(operator, family)[j]
     out = np.zeros(len(pairs))
-    for rank, rows in rank_groups(ranks):
-        sub = pairs[rows]
-        right = family.stack(j, sub[:, 1]) if full and decay else bases[rows, :, :rank]
-        if decay:
-            norms = opnorms(operator.evaluate_many(sub) @ right)
-        else:
-            inverses = build_inverses(operator, family)[j]
-            mats = inverses.stack(sub)  # raises where W does not exist
-            norms = inverses.norms(sub) if full else opnorms(mats @ right)
-        out[rows] = rates[rate_key].ratios(*(sub.T if rising else sub.T[::-1])) * norms
+    for rank, group in rank_groups(ranks[at]):
+        # a run holds U or W, the right side and their product
+        for rows in (group[lo:hi] for lo, hi in chunks(len(group), 3 * family.dimension ** 2)):
+            sub = pairs[rows]
+            right = family.stack(j, sub[:, 1]) if full and decay else bases[at[rows], :, :rank]
+            if decay:
+                norms = opnorms(operator.evaluate_many(sub) @ right)
+            else:
+                mats = inverses.stack(sub)  # raises where W does not exist
+                norms = inverses.norms(sub) if full else opnorms(mats @ right)
+            out[rows] = rates[rate_key].ratios(*(sub.T if rising else sub.T[::-1])) * norms
     return out
 
 

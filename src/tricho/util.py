@@ -16,6 +16,7 @@ from .errors import StructuralError
 _RANGE_CUTOFF = 0.5  # projector singular values cluster at {0} and [1, inf)
 _SCREEN_MARGIN = 1e-9  # relative, far above the rounding of either bound
 _SQUARE_SAFE = (1e-150, 1e150)  # largest entries whose Frobenius sums need no rescale
+BUDGET = 2 ** 16  # floats (512 kB) a run of any batched pass holds: see ``chunks``
 
 
 class MatrixStore:
@@ -36,12 +37,14 @@ class MatrixStore:
         self.shape = tuple(shape)
         self.compute = compute
         self.values = np.empty((0, *self.shape))
-        self._norms = np.empty(0)  # of each row of values; NaN until read
+        self._norms = np.empty(0)  # of each row of values (or more); NaN until read
         self._keys = np.array([np.nan])  # sorted; NaN sorts last and equals no key
         self._slots = np.array([-1])  # row of values of each key
 
     def rows(self, keys) -> np.ndarray:
-        """The row of ``values`` holding each key, computing unseen keys first."""
+        """The row of ``values`` holding each key, computing unseen keys first a
+        ``chunks`` run at a time: a run that raises keeps the runs before it,
+        unkeyed, and which error a batch raises can depend on where runs end."""
         keys = np.asarray(keys, dtype=float)
         flat = np.ascontiguousarray(keys).view(complex)[:, 0] if keys.ndim == 2 else keys
         pos = np.searchsorted(self._keys, flat)
@@ -50,10 +53,17 @@ class MatrixStore:
             order = miss[np.argsort(flat[miss], kind="stable")]
             heads = order[np.concatenate(([True], flat[order[1:]] != flat[order[:-1]]))]
             new = np.flatnonzero(np.bincount(heads, minlength=len(flat)))  # first-seen order
-            stack = np.asarray(self.compute(keys[new]), dtype=float)
-            self.values = np.concatenate((self.values, stack.reshape(-1, *self.shape)))
+            start = len(self.values)
+            self.values = np.concatenate((self.values, np.empty((len(new), *self.shape))))
+            self._norms = np.concatenate((self._norms[:start], np.full(len(new), np.nan)))
+            for lo, hi in chunks(len(new), math.prod(self.shape)):
+                try:
+                    self.values[start + lo:start + hi] = self.compute(keys[new[lo:hi]])
+                except BaseException:
+                    self.values = self.values[:start + lo].copy()
+                    raise
             # heads holds the new keys in key order, each one's row after new's
-            at, slots = pos[heads], len(self.values) - len(new) + np.searchsorted(new, heads)
+            at, slots = pos[heads], start + np.searchsorted(new, heads)
             self._keys = np.insert(self._keys.astype(flat.dtype, copy=False), at, flat[heads])
             self._slots = np.insert(self._slots, at, slots)
             pos = np.searchsorted(self._keys, flat)
@@ -66,14 +76,13 @@ class MatrixStore:
 
     def norms(self, keys) -> np.ndarray:
         """The spectral norms of the matrices of ``keys``, ``opnorms`` to the
-        bit; each row's is computed once, in one batched SVD per call."""
+        bit; each row's is computed once, in one batched SVD per ``chunks`` run."""
         rows = self.rows(keys)  # may grow values
-        grown = len(self.values) - len(self._norms)
-        self._norms = np.concatenate((self._norms, np.full(grown, np.nan)))
         unread = np.zeros(len(self.values), dtype=bool)
         unread[rows] = np.isnan(self._norms[rows])
-        if unread.any():
-            self._norms[unread] = opnorms(self.values[unread])
+        unread = np.flatnonzero(unread)
+        for lo, hi in chunks(len(unread), math.prod(self.shape)):
+            self._norms[unread[lo:hi]] = opnorms(self.values[unread[lo:hi]])
         return self._norms[rows]
 
 
@@ -115,7 +124,7 @@ def norm_bounds(stack: np.ndarray):
     only when some nonzero matrix's largest entry lies outside [1e-150,
     1e150]: within it no square overflows, and the squares that underflow
     move a sum of at least 1e-300 by less than 1e-20 of it."""
-    flat = np.abs(np.moveaxis(stack, (-2, -1), (0, 1)), order="C")
+    flat = np.abs(stack.transpose(*range(stack.ndim)[-2:], *range(stack.ndim - 2)), order="C")
     flat = flat.reshape(math.prod(stack.shape[-2:]), math.prod(stack.shape[:-2]))
     size = flat.max(axis=0, initial=0.0)
     if not np.isfinite(size).all():  # max keeps a NaN
@@ -203,38 +212,36 @@ def grid_pairs(grid) -> np.ndarray:
     return np.stack((grid[rows], grid[cols]), axis=1)
 
 
-def chunks(counts, width: int, budget: int):
-    """Runs [lo, hi) of consecutive items of ``counts`` rows each, ``width``
-    floats a row: each of at most ``budget`` floats, or of one item."""
-    lo = size = 0
-    for i, count in enumerate(counts):
-        if i > lo and (size + count) * width > budget:
-            yield lo, i
-            lo, size = i, 0
-        size += count
-    yield lo, len(counts)
+def chunks(items, width: int):
+    """Runs [lo, hi) of consecutive items, ``width`` floats a row, each of at
+    most ``BUDGET`` floats or of one item. ``items`` is a count of one-row items
+    or an array of row counts, cut by ``searchsorted``: no Python step per item."""
+    items = np.ones(items, np.int64) if np.ndim(items) == 0 else items
+    edge, hi = np.concatenate(([0], np.cumsum(items, dtype=np.int64))) * width, 0
+    while hi < len(edge) - 1:
+        lo, hi = hi, max(hi + 1, int(np.searchsorted(edge, edge[hi] + BUDGET, "right")) - 1)
+        yield lo, hi
 
 
-def cocycle_residual(stack: np.ndarray, scale=1.0) -> float:
+def cocycle_residual(values: np.ndarray, rows: np.ndarray, scale: np.ndarray) -> float:
     """Worst residual M(i, k) - M(i, j) M(j, k) over every triple i >= j >= k
-    of grid indices, for a stack in ``grid_pairs`` order, each divided by the
-    positive ``scale`` of its (i, k) pair, as ``peak`` takes it. The triples
-    go one outer index i at a time: its (j, k) pairs are the leading
-    (i + 1)(i + 2)/2 rows, and its (i, k) and (i, j) pairs are gathered,
-    multiplied and subtracted into two buffers of the stack's size."""
-    scale = np.broadcast_to(scale, len(stack))
-    size = math.isqrt(2 * len(stack))  # len(stack) = size (size + 1) / 2
-    rows, cols = pair_index(size)
-    gathered, residual = np.empty(stack.shape), np.empty(stack.shape)
+    of grid indices of the stack ``values[rows]`` (``grid_pairs`` order), each
+    divided by the positive ``scale`` of its (i, k) pair, taken a ``chunks``
+    run of (i, j) pairs and their j + 1 triples at a time, gathered by row."""
+    t, s = pair_index(math.isqrt(2 * len(rows)))  # len(rows) = size (size + 1) / 2
+    # per (i, j) pair: the pair (i, 0), the pair (j, 0) and its first triple
+    row_i, row_j, edge = t * (t + 1) // 2, s * (s + 1) // 2, np.cumsum(s + 1) - (s + 1)
+    take = lambda pair: values.take(rows.take(pair), axis=0)
     worst = 0.0
-    for i in range(size):
-        m, first = (i + 1) * (i + 2) // 2, i * (i + 1) // 2
-        direct, left = first + cols[:m], first + rows[:m]
-        a, r = gathered[:m], residual[:m]
-        # mode "clip" (the rows are in range): "raise" would buffer out
-        np.matmul(np.take(stack, left, axis=0, out=a, mode="clip"), stack[:m], out=r)
-        np.subtract(np.take(stack, direct, axis=0, out=a, mode="clip"), r, out=r)
-        worst = max(worst, peak(r, scale[direct]))
+    for lo, hi in chunks(s + 1, 5 * values[0].size):  # three gathered, a product, indices
+        left = np.repeat(np.arange(lo, hi), s[lo:hi] + 1)  # (i, j)
+        k = np.arange(edge[lo], edge[lo] + len(left)) - edge[left]
+        direct = row_i[left] + k  # (i, k)
+        residual = np.matmul(take(left), take(row_j[left] + k))  # M(i, j) M(j, k)
+        np.subtract(take(direct), residual, out=residual)
+        bounds = norm_bounds(residual)  # a run all below the worst so far takes no SVD
+        if bounds is None or (bounds[1] / scale[direct]).max() * (1.0 + _SCREEN_MARGIN) >= worst:
+            worst = max(worst, peak(residual, scale[direct]))
     return worst
 
 

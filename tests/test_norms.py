@@ -486,12 +486,14 @@ CHUNKS = util.chunks
 
 
 def table_budget(monkeypatch, budget: int) -> list[int]:
-    """Sets the tables' chunk budget; returns the list that gathers how many
-    chunks each tag's walk over the outer times takes."""
-    monkeypatch.setattr(norms, "_IMAGE_FLOATS", budget)
+    """Sets the one run budget; returns the list that gathers how many
+    chunks each tag's walk over the outer times takes (the walks over
+    per-item counts: a norm term's kernel walks a count of equal items)."""
+    monkeypatch.setattr(util, "BUDGET", budget)
     counts = []
-    monkeypatch.setattr(norms, "chunks", lambda *args: (
-        counts.append(len(list(CHUNKS(*args)))) or CHUNKS(*args)))
+    monkeypatch.setattr(norms, "chunks", lambda items, width: (
+        np.ndim(items) and counts.append(len(list(CHUNKS(items, width))))
+        or CHUNKS(items, width)))
     return counts
 
 
@@ -654,7 +656,7 @@ def test_terms_built_in_runs_match_a_one_pass_build(monkeypatch, nonuniform_oper
     runs, build_run = [], norms.NormTerm._build_run
     monkeypatch.setattr(norms.NormTerm, "_build_run", lambda self, times, lattices: (
         runs.append(len(times)) or build_run(self, times, lattices)))
-    monkeypatch.setattr(norms, "_STACK_FLOATS", budget)
+    monkeypatch.setattr(util, "BUDGET", budget)
     for one, term in zip(whole, [build(tag) for tag in norms.TERMS]):
         assert [bits(b) for b in term.basis] == [bits(b) for b in one.basis]
         for t in grid10:
@@ -684,12 +686,12 @@ def test_chunked_term_matches_one_shot(monkeypatch, n):
     for x in (rng.standard_normal((n, 9)), rng.standard_normal((5, n, 9)),
               rng.standard_normal((2, 3, n, 9))):
         want = broadcast_term(stack, x)
-        monkeypatch.setattr(norms, "_IMAGE_FLOATS", 4 * x.size)  # 6 chunks
+        monkeypatch.setattr(util, "BUDGET", 4 * x.size)  # 6 chunks
         assert np.array_equal(kept_term(stack, x), want)
 
 
 def test_term_skipping_zero_coordinates_keeps_the_bits(monkeypatch):
-    monkeypatch.setattr(norms, "_IMAGE_FLOATS", 64)  # several chunks
+    monkeypatch.setattr(util, "BUDGET", 64)  # several chunks
     rng = np.random.default_rng(11)
     n = 4
     block = np.zeros((23, n, n))  # a coordinate block: rows and columns 1, 2

@@ -13,7 +13,7 @@ import pytest
 
 from tricho import (ProjectorFamily, ScenarioError, emit, parse_scenario, run,
                     scenario_from_tree)
-from tricho import cli, norms, runner
+from tricho import cli, norms, runner, util
 from tricho.cli import main
 from tricho.reports import (CheckReport, CompatibilityReport, Rows, TheoremReport,
                             TrichotomyReport)
@@ -935,8 +935,9 @@ def test_records_csv_matches_its_oracles_across_chunk_boundaries(tmp_path, monke
     assert plain.margin().tobytes() == full.margin().tobytes()
     text = (tmp_path / "default" / "records.csv").read_text()
     width, rows = len(text.partition("\n")[0].split(",")), text.count("\n") - 1
-    for budget, step in ((1, 1), (3 * width + 2, 3), (width * rows, rows)):
-        monkeypatch.setattr(runner, "_CELLS", budget)
+    # a cell counts as 9 floats of the budget: its pointer and its text
+    for budget, step in ((1, 1), (9 * (3 * width + 2), 3), (9 * width * rows, rows)):
+        monkeypatch.setattr(util, "BUDGET", budget)
         calls = formatted_per_chunk(monkeypatch)
         emit(report, "csv", tmp_path / str(budget))
         assert (tmp_path / str(budget) / "records.csv").read_text() == text
@@ -948,9 +949,9 @@ def test_records_csv_matches_its_oracles_across_chunk_boundaries(tmp_path, monke
     test_records_csv_writes_every_float_cell_as_its_repr(tmp_path / "repr", monkeypatch, 7)
 
 
-@pytest.mark.parametrize("budget", [3, 60, 1024])  # cells: 1 row, 2 rows, 1 chunk
-def test_records_csv_writes_every_float_cell_as_its_repr(tmp_path, monkeypatch, budget):
-    monkeypatch.setattr(runner, "_CELLS", budget)
+@pytest.mark.parametrize("cells", [3, 60, 1024])  # 1 row, 2 rows, 1 chunk
+def test_records_csv_writes_every_float_cell_as_its_repr(tmp_path, monkeypatch, cells):
+    monkeypatch.setattr(util, "BUDGET", 9 * cells)  # a cell counts as 9 floats
     value = np.array([[-0.0, 0.0], [5e-324, 1.7976931348623157e308], [1e16, 1e-05],
                       [0.1 + 0.2, -0.0], [0.0, -5e-324]])
     grid, at, lines = [0.0, 0.5, 1.0], np.array([0, 1, 2, 2, 1]), [0.0, 1.0, 2.0, 3.0, 4.0]
@@ -981,3 +982,32 @@ def test_records_csv_writes_every_float_cell_as_its_repr(tmp_path, monkeypatch, 
     for formatted in calls:  # each distinct float of a chunk formatted once
         bits = np.array(formatted).view(np.int64)
         assert len(np.unique(bits)) == len(bits)
+
+
+def budget_scenarios() -> list:
+    """The benchmark workloads' scenarios, grids cut to at most 21 times, and
+    the shipped scenarios."""
+    root = Path(__file__).resolve().parents[1]
+    trees = []
+    for path in sorted((root / "bench" / "workloads").glob("*.json")):
+        tree = json.loads(path.read_text())["scenario"]
+        grid = tree["grid"]
+        grid["step"] = max(grid["step"], grid["t_max"] / 20)
+        trees.append(pytest.param(tree, id=path.stem))
+    return trees + [pytest.param(read_tree(path), id=path.stem)
+                    for path in sorted(SCENARIOS.glob("*.json"))]
+
+
+@pytest.mark.parametrize("tree", budget_scenarios())
+def test_reports_are_byte_identical_across_run_budgets(tmp_path, monkeypatch, tree):
+    """Every batched pass takes its runs from ``util.chunks``: with the one
+    budget at 1 float (one item a run), at a middle value and at its default,
+    every emitted file is the same bytes."""
+    files = []
+    for budget in (1, 500, util.BUDGET):
+        monkeypatch.setattr(util, "BUDGET", budget)
+        report = run(scenario_from_tree(json.loads(json.dumps(tree))))
+        emit(report, "both", tmp_path / str(budget))
+        files.append({path.name: path.read_bytes() for path in (tmp_path / str(budget)).iterdir()})
+    assert {"report.json", "summary.csv", "records.csv"} <= set(files[0])
+    assert files[1] == files[0] and files[2] == files[0]

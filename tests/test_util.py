@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,10 @@ from tricho import (GeneratorSpec, ProjectorFamily, build_inverses, build_norm_f
                     check_cocycle, check_compatible, check_identity,
                     check_invariance, check_inverse_properties,
                     check_orthogonal, check_trichotomy,
-                    from_generator, runner, scenario_from_tree, util)
+                    from_generator, runner, scenario_from_tree, trichotomy, util)
 from tricho.norms import query_lattice
 from tricho.scenario import read_tree
-from tricho.util import grid_pairs, make_grid, opnorms, peak, range_basis
+from tricho.util import grid_pairs, make_grid, norm_bounds, opnorms, peak, range_basis
 
 
 def all_svd_peak(stack, scale=1.0):
@@ -127,14 +128,19 @@ def test_cocycle_sends_fewer_residuals_than_triples_to_the_svd(monkeypatch):
 
 def test_cocycle_residual_stacks_are_no_taller_than_the_pair_stack(monkeypatch):
     operator, grid = ode_block_g41()
-    heights = []
+    heights, peaked = [], []
+
+    def bounding(stack):  # each run's residuals, and again in peak for a run screened in
+        heights.append(len(stack))
+        return norm_bounds(stack)
 
     def measuring(stack, scale=1.0):
-        heights.append(len(stack))
+        peaked.append(len(stack))
         return peak(stack, scale)
+    monkeypatch.setattr(util, "norm_bounds", bounding)
     monkeypatch.setattr(util, "peak", measuring)
     check_cocycle(operator, grid, 1e-8)
-    assert sum(heights) == 12341
+    assert sum(heights) - sum(peaked) == 12341 and peaked
     assert max(heights) <= len(grid_pairs(grid)) == 861
 
 
@@ -236,6 +242,27 @@ def test_store_norms_are_opnorms_read_once(monkeypatch):
     assert len(sent) == 5 and len(set(sent)) == 5
     assert store.norms(keys + first).tobytes() == opnorms(store.stack(keys + first)).tobytes()
     assert len(sent) == 5
+
+
+def test_a_run_that_raises_keeps_the_runs_before_it_unkeyed(monkeypatch):
+    """With two keys a run, a compute that raises on the second run leaves
+    the first run's rows in ``values`` with no key, as a family's notes kept
+    by compute call line up; the next batch's rows follow them."""
+    monkeypatch.setattr(util, "BUDGET", 2 * 4)  # two 2 x 2 matrices a run
+    calls = []
+
+    def compute(times):
+        calls.append(times.tolist())
+        if (times < 0.0).any():
+            raise ValueError("a negative time")
+        return times[:, None, None] * np.ones((len(times), 2, 2))
+    store = util.MatrixStore((2, 2), compute)
+    with pytest.raises(ValueError, match="a negative time"):
+        store.rows([1.0, 2.0, -3.0, 4.0, 5.0])
+    assert calls == [[1.0, 2.0], [-3.0, 4.0]] and store.values[:, 0, 0].tolist() == [1.0, 2.0]
+    assert store.rows([2.0, 6.0]).tolist() == [2, 3]
+    assert store.stack([6.0, 2.0])[:, 0, 0].tolist() == [6.0, 2.0]
+    assert store.norms([2.0, 6.0]).tobytes() == opnorms(store.stack([2.0, 6.0])).tobytes()
 
 
 def test_single_pair_lookups_match_one_batch():
@@ -350,3 +377,56 @@ def test_an_empty_grid_raises_at_every_entry_point(entry, nonuniform_operator,
     # no check passes vacuously on no times
     with pytest.raises(ValueError, match="grid must be nonempty"):
         entry(nonuniform_operator, split_family, exp_rates)
+
+
+def covered(runs, sizes, width, budget) -> None:
+    """``chunks``' runs are contiguous, cover every item once, and each holds
+    at most ``budget`` floats or one item."""
+    ends = [0] + [hi for _, hi in runs]
+    assert [lo for lo, _ in runs] == ends[:-1] and ends[-1] == len(sizes)
+    for lo, hi in runs:
+        assert hi > lo and (sum(sizes[lo:hi]) * width <= budget or hi - lo == 1)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(counts=st.lists(st.integers(0, 50), max_size=40), items=st.integers(0, 300),
+       width=st.integers(1, 20), budget=st.integers(1, 400))
+def test_chunks_cover_every_item_once_within_the_budget(counts, items, width, budget):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(util, "BUDGET", budget)
+        covered(list(util.chunks(np.array(counts, dtype=int), width)), counts, width, budget)
+        covered(list(util.chunks(items, width)), [1] * items, width, budget)
+        # equal items are runs of as many as fit, as per-item counts of 1 give them
+        assert list(util.chunks(items, width)) == list(util.chunks(np.ones(items, int), width))
+
+
+def g201():
+    """The nonuniform example at step 0.05 (G=201): its scenario and grid."""
+    tree = read_tree(Path(__file__).resolve().parents[1] / "scenarios" / "nonuniform_example.json")
+    tree["grid"]["step"] = 0.05
+    scenario = scenario_from_tree(tree)
+    return scenario, make_grid(scenario.grid_max, scenario.grid_step)
+
+
+def high_water(call) -> float:
+    """The tracemalloc high-water of ``call()`` in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cocycle_and_factor_table_walk_in_bounded_runs():
+    """At G=201 (20,301 pairs, 1.5 MB a stack of U) U's first read, the
+    cocycle's triples and a splitting system's factors go a ``chunks`` run at
+    a time: 6.5 and 10.1 MB traced, where whole-stack passes took 10.1 and
+    18.9 MB."""
+    scenario, grid = g201()
+    operator = runner._build_operator(scenario, grid)
+    assert len(grid) == 201
+    assert high_water(lambda: check_cocycle(operator, grid, 1e-10)) <= 8e6
+    operator = runner._build_operator(scenario, grid)
+    assert high_water(lambda: trichotomy.factor_table(
+        operator, scenario.family, scenario.rates, grid)) <= 14e6
