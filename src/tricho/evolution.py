@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .rates import GrowthRate
-from .projectors import ProjectorFamily, ordered_pairs
+from .projectors import RANK_TOL, ProjectorFamily, ordered_pairs
 from .reports import CheckReport
 from .util import MatrixStore, cocycle_residual, grid_pairs, opnorms, peak, time_stack
 
@@ -39,17 +39,29 @@ class EvolutionOperator:
     operator and kept in the array-keyed ``store``, and its
     spectral norm |U(t, s)| beside it when ``norms`` first reads it. Everything
     derived from U that a lookup cannot rebuild is kept beside it through
-    ``keep``: the restricted inverses, one (pairs, 4) factor table per
-    splitting system and grid, the norm terms, their values on a norm
-    family's sample batch and the norm systems' margin tables. ``run`` empties ``kept``
-    when it returns.
+    ``keep``: the members' integrated blocks (``image``), the restricted
+    inverses, one (pairs, 4) factor table per splitting system and grid, the
+    norm terms, their values on a norm family's sample batch and the norm
+    systems' margin tables. ``run`` empties ``kept`` when it returns.
+    ``generator`` is the spec and anchors ``from_generator`` read, else None.
     """
 
     def __init__(self, dimension: int, compute: Callable[[np.ndarray], np.ndarray]):
-        self.dimension = dimension
+        self.dimension, self.generator = dimension, None
         self.store = MatrixStore((dimension, dimension),
                                  lambda pairs: compute(ordered_pairs(pairs)))
         self.kept: dict = {}
+
+    def image(self, family, index: int, pairs) -> np.ndarray:
+        """Member j = ``index``'s image U(t, s) T_j(s) of its frame
+        (``ProjectorFamily.frame``) at an (m, 2) array of pairs: T_j U_j, its
+        block U_j(t, s) = S_j(t) U(t, s) T_j(s) sliced from ``_joint_blocks``,
+        where that integrates the blocks, else from U's stored matrices."""
+        joint, member = self.keep(("block", family), lambda: _joint_blocks(self, family))
+        if joint is None:
+            return self.evaluate_many(pairs) @ family.frame(index, pairs[:, 1])[0]
+        u = joint.evaluate_many(pairs)[:, member == index][:, :, member == index]
+        return family.frames[index - 1][0] @ u
 
     def keep(self, key, build: Callable[[], object]):
         """``kept[key]``, set to ``build()`` on the first call with ``key``."""
@@ -212,7 +224,36 @@ def from_generator(spec: GeneratorSpec, anchors=None) -> EvolutionOperator:
         out[tail] = gaps[2] @ out[tail]
         return out
 
-    return EvolutionOperator(n, compute)
+    operator = EvolutionOperator(n, compute)
+    operator.generator = spec, anchor_list
+    return operator
+
+
+def _joint_blocks(operator: EvolutionOperator, family: ProjectorFamily):
+    """A generated U's blocks in a constant family's frames as one operator,
+    B = L A(t) F with L the S_j stacked and F the T_j side by side, integrated
+    with U's step and anchors, and the member of each column of B. Its
+    off-block entries are set to 0, so no rounding of one member's range
+    reaches another's. (None, None) where U is not generated, the family not
+    constant, or B couples two members beyond RANK_TOL of its largest |entry|
+    at some time the pass over the anchor intervals reads: those blocks are
+    derived from U."""
+    if operator.generator is None or family.frames is None:
+        return None, None
+    (spec, anchors), (bases, lefts) = operator.generator, zip(*family.frames)
+    basis, left = np.concatenate(bases, axis=1), np.concatenate(lefts)
+    member = np.repeat([1, 2, 3], [b.shape[1] for b in bases])
+    if not len(member):
+        return None, None
+    apart, largest = member[:, None] != member, np.zeros(2)  # off the blocks, anywhere
+
+    def coefficient(times):
+        joint = left @ spec.coefficient(times) @ basis
+        size = np.abs(joint)
+        np.maximum(largest, [size[:, apart].max(initial=0.0), size.max(initial=0.0)], out=largest)
+        return np.where(apart, 0.0, joint)
+    blocks = from_generator(GeneratorSpec(len(member), coefficient, spec.step), anchors)
+    return (blocks, member) if largest[0] <= RANK_TOL * largest[1] else (None, None)
 
 
 def conjugate(operator: EvolutionOperator, frame: Callable) -> EvolutionOperator:

@@ -9,9 +9,10 @@ Two variants exist, differing in how the central directions are weighted:
 - backward: the same first two terms (shared ``NormTerm`` objects), third term
                     sup_{r <= t}   nu(r)/nu(t) |W3(t,r) x|
 
-where W_j(t, r) = V_j(t, r) P_j(t) are the restricted inverse maps. The
-future supremum is truncated to [t, t + horizon] and sampled at the lattice
-step; the past supremum runs over the global lattice restricted to [0, t].
+where W_j(t, r) = V_j(t, r) P_j(t) are the restricted inverse maps, each
+term read on S_j x through member j's image (``NormTerm``). The future
+supremum is truncated to [t, t + horizon] and sampled at the lattice step;
+the past supremum runs over the global lattice restricted to [0, t].
 Truncation honesty: each family measures how much its values move when the
 horizon doubles at the times it is built on, which are the grid of every
 norm check, and theorem verdicts widen their tolerance by that slack.
@@ -59,78 +60,44 @@ def query_lattice(grid, horizon: float, step: float) -> list[float]:
     return sorted(set(np.concatenate(times).tolist()))
 
 
-def _view(stack: np.ndarray):
-    """A stack screened once for all its terms: (a copy of the stack, kept only
-    with two live columns, a live column of two nonzero rows or a non-finite
-    entry, where ``_term`` may multiply it, else None; whether each column is
-    nonzero in one row only, live columns, all finite, each column's largest
-    |entry|, whether some entry is zero)."""
-    nonzero = stack.any(axis=0)
-    single, columns = np.count_nonzero(nonzero, axis=0) == 1, nonzero.any(axis=0)
-    finite = bool(np.isfinite(stack).all())
-    needed = not finite or np.count_nonzero(columns) > 1 or not single[columns].all()
-    return (stack.copy() if needed else None, single, columns, finite,
-            np.abs(stack).max(axis=(0, 1), initial=0.0), not stack.all())
-
-
-def _block(x: np.ndarray):
-    """x, (n, batch) or a stack (..., n, batch), as one wide (n, p * batch)
-    block, with its live rows, its finiteness and the shape of its norms."""
-    wide = np.moveaxis(x, -2, 0).reshape(x.shape[-2], -1)
-    return (wide, wide.any(axis=1), bool(np.isfinite(wide).all()),
-            x.shape[:-2] + x.shape[-1:])
-
-
 def _full_term(stack: np.ndarray, wide: np.ndarray) -> np.ndarray:
     """max over the stack of |M y|^2 per column y of wide: one product per
-    ``chunks`` run of matrices (its images kept in cache), with the n-term
-    sums of a block of its own, and squared rows summed in place."""
+    ``chunks`` run of matrices (its images kept in cache), squared in place
+    and summed over rows in order."""
     worst = np.zeros(wide.shape[1])
     for lo, hi in chunks(len(stack), stack.shape[1] * wide.shape[1]):
         images = stack[lo:hi] @ wide
-        np.square(images, out=images)
-        total = images[:, 0]
-        for row in range(1, images.shape[1]):
-            total += images[:, row]
+        total = np.square(images, out=images).sum(axis=1)
         np.maximum(worst, total.max(axis=0), out=worst)
     return worst
 
 
-def _term(view, block) -> np.ndarray:
-    """max over a screened stack (``_view``) of |M y| per column y of a
-    block (``_block``). Coordinate k is live when column k of some matrix
-    and row k of some vector are nonzero. With none live the term is 0.
-    With one, whose column has one nonzero row, it is sqrt(square(c* x_k))
-    for c* the column's largest |entry|: each image entry is one product,
-    and rounding is monotone, so |fl(c x)| = fl(|c| |x|) and fl(y^2) never
-    decrease as |c| and |y| grow; the largest square is c*'s to the bit,
-    and if any square overflows, c*'s does. Anything else, or a non-finite
-    entry (0 * inf is NaN), takes the whole product. Where the screen dropped
-    the stack, a column with a non-finite entry is NaN, as its product with
-    a zero entry of some matrix gives, unless no entry is zero."""
-    stack, single, columns, finite, peak, zero = view
-    wide, rows, finite_x, shape = block
-    live = (columns & rows).nonzero()[0]
-    if stack is not None and not (finite and finite_x and len(live) < 2
-                                  and single[live].all()):
-        return np.sqrt(_full_term(stack, wide)).reshape(shape)
-    out = np.sqrt(np.square(peak[live] * wide[live]))[0] if len(live) else np.zeros(wide.shape[1])
-    if not finite_x and zero:  # 0 * inf and 0 * NaN are NaN
-        out = out + (0.0 * wide).sum(axis=0)
-    return out.reshape(shape)
+def _term(reach, y: np.ndarray) -> np.ndarray:
+    """max over a stack of maps of |M y| per column y of a (w, batch) block or
+    (..., w, batch) stack of them, given ``reach``: for w = 1, the maps'
+    largest column norm c, so the term is c |y|; else the (lattice, n, w)
+    stack, multiplied a ``_full_term`` run at a time, unless y is 0 and the
+    maps finite."""
+    if y.shape[-2] <= 1:  # w = 0 sums to 0
+        return reach * np.abs(y).sum(axis=-2)
+    if not y.any() and np.isfinite(reach).all():  # as S_j P_i x, i != j
+        return np.zeros(y.shape[:-2] + y.shape[-1:])
+    wide = np.moveaxis(y, -2, 0).reshape(y.shape[-2], -1)
+    return np.sqrt(_full_term(reach, wide)).reshape(y.shape[:-2] + y.shape[-1:])
 
 
 class NormTerm:
-    """The term of inequality ``tag`` in every norm family that sums it:
-    ``rate``'s quotient times U(tau, t) P_j(t) over the future lattice of t
-    where ``TERMS[tag]`` binds N at s, else times W_j(t, r) over the past one.
-    ``at(t)`` gives its narrow stack at t as screened (``_view``: the stack
-    itself only where the kernel may multiply it) and its peak,
-    the largest quotient times spectral norm of a map: ``factor_table(full=True)``
-    to the bit. A past term reads the norms kept beside W_j; a future term
-    takes the SVD only of the maps ``util.contenders`` keeps for each time's
-    peak. ``basis`` holds the norms of the basis vectors at ``times``, at the
-    horizon and at twice it; other times are built on first use."""
+    """The term of inequality ``tag`` in every norm family that sums it: at t,
+    the largest |M y| (``_term``) for y = S_j(t) x over the maps M,
+    ``rate``'s quotient times member j's image U(tau, t) T_j(t) over the
+    future lattice of t where ``TERMS[tag]`` binds N at s, else times
+    W_j(t, r) T_j(t) over the past one. ``at(t)`` gives those maps out to the
+    horizon, or for width 1 their largest column norm, the peak, the largest
+    quotient times |M S_j(t)|: ``factor_table(full=True)`` to the bit, and S_j(t). A past
+    term reads the norms kept beside W_j; a future term takes the SVD only
+    of the maps ``util.contenders`` keeps for each time's peak. ``basis``
+    holds the norms of the basis vectors at ``times``, at the horizon and
+    at twice it; other times are built on first use."""
 
     def __init__(self, operator, tag: str, family, rate, horizon: float,
                  step: float, times):
@@ -139,11 +106,11 @@ class NormTerm:
         self.basis = self._build(times, 2.0 * horizon)
 
     def _build(self, times, horizon: float) -> list[np.ndarray]:
-        """Keeps the screen of the narrow stack and peak at each of ``times``, the
-        future lattice running out to ``horizon``, and returns the norms of
-        the basis vectors there, (times, n), over the narrow part and the
-        whole: |M e_k| is column k's norm, so no kernel call is needed. The
-        lattice stacks are built a ``chunks`` run of times at a time."""
+        """Keeps the maps and peak at each of ``times``, the future lattice
+        running out to ``horizon``, and returns the norms of the basis
+        vectors there, (times, n), over the narrow part and the whole:
+        |M S e_k| is column k's norm, so no product with a vector is
+        needed. The lattice stacks are built a ``chunks`` run of times at a time."""
         future = TERMS[self.tag][2] == "s"
         lattices = [_future_times(t, horizon, self.step) if future
                     else _past_times(t, self.step) for t in times]
@@ -156,44 +123,50 @@ class NormTerm:
         j, key, binds, rising = TERMS[self.tag]
         future = binds == "s"
         sizes = [len(x) for x in lattices]
-        own = np.repeat(np.asarray(times, dtype=float), sizes)
-        pairs = np.stack((np.concatenate(lattices), own)[::1 if future else -1], axis=1)
-        member = self.family.stack(j, own)  # pairs: (tau, t) or (t, r), later first
+        own, lattice = np.repeat(np.asarray(times, dtype=float), sizes), np.concatenate(lattices)
+        pairs = np.stack((lattice, own)[::1 if future else -1], axis=1)  # later first
+        basis, right = self.family.frame(j, own)
         cut = len(_future_times(0.0, self.horizon, self.step)) if future else len(pairs)
         narrow = np.concatenate([np.arange(size) < cut for size in sizes])
-        live = member.any(axis=(1, 2))
-        stack, norms = np.zeros(member.shape), np.zeros(len(pairs))
+        live = right.any(axis=(1, 2))  # the member is not 0 at t
+        n = self.family.dimension
+        maps, full = np.zeros((len(pairs), n, right.shape[1])), np.zeros((len(pairs), n, n))
+        norms = np.zeros(len(pairs))
         if live.any():
             if self.rate is None:
                 raise StructuralError(f"the {self.tag} norm term needs the {key!r} rate")
             at = pairs[live]
             ratios = self.rate.ratios(*(at.T if rising else at.T[::-1]))
-            if future:  # every time's lattice has the same length
-                maps = self.operator.evaluate_many(at) @ member[live]
-                stack[live] = ratios[:, None, None] * maps
-                # only each time's largest norm is read, so only its
+            inverses = None if future else build_inverses(self.operator, self.family)[j]
+            images = (self.operator.image(self.family, j, at) if future
+                      else inverses.stack(at) @ basis[live])
+            maps[live] = ratios[:, None, None] * images
+            full[live] = maps[live] @ right[live]
+            if future:  # only each time's largest norm is read, so only its
                 # contenders go to the SVD; none past the horizon
                 sift = live & narrow
-                bounds = norm_bounds(stack.reshape(len(times), -1, *member.shape[1:])[:, :cut])
+                bounds = norm_bounds(full.reshape(len(times), -1, *full.shape[1:])[:, :cut])
                 if bounds is not None:
                     sift[narrow] &= contenders(*bounds, cut)
-                norms[sift] = ratios[sift[live]] * opnorms(maps[sift[live]])
+                sent = sift[live]
+                norms[sift] = ratios[sent] * opnorms(images[sent] @ right[sift])
             else:  # W_j keeps its norms
-                inverses = build_inverses(self.operator, self.family)[j]
-                stack[live] = ratios[:, None, None] * inverses.stack(at)
                 norms[live] = ratios * inverses.norms(at)
         starts = np.cumsum([0] + sizes)
         for t, lo, hi in zip(times, starts, starts[1:]):
-            # _view copies a stack it keeps: the whole one goes after the horizon pass
-            self._kept[t] = _view(stack[lo:hi][:cut]), float(norms[lo:hi].max())
-        # squared in place (the kept stacks are copies), rows summed in
-        # _full_term's order; a column past the cut counts as 0
-        columns = np.square(stack, out=stack).sum(axis=1)
+            stack = maps[lo:hi][:cut]  # kept as a copy: the whole maps go after the horizon pass
+            reach = (stack.copy() if stack.shape[2] > 1
+                     else float(np.hypot.reduce(stack, axis=1, initial=0.0).max(initial=0.0)))
+            self._kept[t] = reach, float(norms[lo:hi].max()), np.array(right[lo])
+        # squared in place, rows summed in _full_term's order; a column past
+        # the cut counts as 0
+        columns = np.square(full, out=full).sum(axis=1)
         return [np.sqrt(np.maximum.reduceat(c, starts[:-1]))
                 for c in (np.where(narrow[:, None], columns, 0.0), columns)]
 
     def at(self, t: float):
-        """The screen of the narrow stack at t (``_view``) and its peak."""
+        """The maps at t out to the horizon, (lattice, n, w), or for w <= 1
+        their largest column norm, the peak and S_j(t)."""
         if t not in self._kept:
             if not 0 <= t < math.inf:
                 raise DomainError(f"norms are defined for finite t >= 0, not t={t}")
@@ -245,18 +218,18 @@ class LyapunovNormFamily:
     def evaluate_many(self, t: float, x: np.ndarray) -> np.ndarray:
         """Norm values for each column of the (dimension, batch) matrix x,
         or of each matrix of a (..., dimension, batch) stack."""
-        block = _block(np.asarray(x, dtype=float))
-        return sum(_term(term.at(t)[0], block) for term in self.terms)
+        x = np.asarray(x, dtype=float)
+        return sum(_term(reach, left @ x) for reach, _, left in (term.at(t) for term in self.terms))
 
     def values(self) -> np.ndarray:
         """Norms of the sample vectors x, P1 x, P2 x and P3 x at each of ``times``,
         (times, 4, batch): the sum of the terms' values, each kept once per
         batch. The vectors are drawn only when some term's values are not kept yet."""
-        blocks = functools.cache(  # drawn for the first term not kept
-            lambda: [_block(y) for y in _projected(self)[2]])
+        vectors = functools.cache(lambda: _projected(self)[2])  # drawn for the first term not kept
         return sum(self.operator.keep(
-            ("term_values", term, self.samples, self.seed), lambda: np.stack(
-                [_term(term.at(t)[0], b) for t, b in zip(self.times, blocks())]))
+            ("term_values", term, self.samples, self.seed), lambda: np.stack([
+                _term(reach, left @ v) for (reach, _, left), v in zip(map(term.at, self.times),
+                                                                      vectors())]))
             for term in self.terms)
 
 
@@ -349,16 +322,13 @@ def _theorem_tables(forward, backward) -> tuple[Rows, Rows, Rows]:
     """``theorem_tables``: per tag in ``TERMS`` order, ``chunks`` runs of outer
     times ascending, each run's ``_worst`` records written into the table columns."""
     grid = list(forward.times)
-    ids, x, proj = _projected(forward)
+    ids, x = test_vector_batch(forward.family.dimension, forward.samples, forward.seed)
     base = {nf.variant: nf.values() for nf in (forward, backward)}
     rows, cols = pair_index(len(grid))  # grid_pairs order
     third = forward.family.stack(3, grid).any(axis=(1, 2))
     vacant = ~(third[rows] | third[cols])  # per pair: member 3 is 0 at t and s
     tags = list(TERMS)[:2 if vacant.all() else 4]  # center terms raised if mu or nu is missing
-    pairs = grid_pairs(grid)
-    store = forward.operator.store  # U gathered a block at a time, not copied whole
-    u_rows = store.rows(pairs)
-    inverses = build_inverses(forward.operator, forward.family)
+    pairs, inverses = grid_pairs(grid), build_inverses(forward.operator, forward.family)
     offsets = np.cumsum(np.arange(len(grid) + 1))  # row i of pairs starts here
     tables = [_table(len(rows), len(TERMS), x.shape[1]) for _ in range(2)]  # projected, not
     for k, (tag, (j, key, binds, rising)) in enumerate(TERMS.items()):
@@ -366,19 +336,21 @@ def _theorem_tables(forward, backward) -> tuple[Rows, Rows, Rows]:
             continue
         # the tag's quotient column once over all pairs: 0.6 MB at G=401
         quotient = forward.rates[key].ratios(*(pairs.T[::-1] if rising else pairs.T))
-        # the pairs of each outer time a: (a, s <= a) for U, (t >= a, a) for W_j
+        # the pairs of each outer time a: (a, s <= a) for U_j, (t >= a, a) for U_j^-1
         at = [np.arange(offsets[i], offsets[i + 1]) if binds == "s" else offsets[i:-1] + i
               for i in range(len(grid))]
         right, other = (base["forward"], cols) if binds == "s" else (base["backward"], rows)
+        y = forward.family.frame(j, grid)[1] @ x  # S_j x at each time
         # a chunk holds four (pairs, batch) arrays: lhs, a gathered right side, rhs, margins
         for lo, hi in chunks([len(a) for a in at], 4 * x.shape[1]):
             chunk = np.concatenate(at[lo:hi])
             lhs = np.concatenate([  # |U(t, s) P_j(s) x|_t forward, else |W_j(t, s) x|_s
-                forward.evaluate_many(a, store.values[u_rows[at[i]]] @ proj[:i + 1, j])
-                if binds == "s" else backward.evaluate_many(a, inverses[j].stack(pairs[at[i]]) @ x)
+                forward.evaluate_many(a, forward.operator.image(forward.family, j, pairs[at[i]])
+                                      @ y[cols[at[i]]]) if binds == "s"
+                else backward.evaluate_many(a, inverses[j].stack(pairs[at[i]]) @ x)
                 for i, a in enumerate(grid[lo:hi], lo)])
-            blank = vacant[chunk] & tag.startswith("center")  # vacuous: P3 is 0 at t and s
-            lhs[blank] = 0.0
+            # vacuous: P3 is 0 at t and s, so S_3 x and lhs are 0 there already
+            blank = vacant[chunk] & tag.startswith("center")
             for table, column in zip(tables, (j, 0)):
                 rhs = quotient[chunk, None] * right[other[chunk], column]
                 rhs[blank] = 0.0

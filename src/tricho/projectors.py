@@ -7,8 +7,8 @@ for an evolution operator U when each member commutes with U along
 trajectories, and *compatible* when additionally U(t, s) restricts to an
 isomorphism between the ranges of P2 (and P3) at times s and t. For a
 compatible family the restricted inverse maps V_j(t, s) exist; this module
-computes them as matrices W(t, s) = V_j(t, s) P_j(t) and verifies their
-defining identities.
+computes them from the blocks of U in each member's frame (``frame``) as
+matrices W(t, s) = V_j(t, s) P_j(t) and verifies their defining identities.
 """
 from __future__ import annotations
 
@@ -16,29 +16,25 @@ import numpy as np
 
 from .errors import DomainError, NotStronglyInvariantError, StructuralError
 from .reports import CheckReport
-from .util import (MatrixStore, chunks, cocycle_residual, grid_pairs, peak, range_bases,
-                   time_stack)
+from .util import (MatrixStore, chunks, cocycle_residual, grid_pairs, peak, range_basis,
+                   range_bases, time_stack)
 
 RANK_TOL = 1e-10  # scale-invariant: smallest singular value vs largest
 
 
 class ProjectorFamily:
     """Three members, each mapping a 1-D array of m times to the (m, n, n)
-    stack of its matrices at them; ``constant`` builds time-independent ones.
-
-    Range bases are computed once per time in stores keyed by times, one
-    batched SVD per batch of new times; each read is a new stack.
-    """
+    stack of its matrices at them; ``constant`` builds time-independent ones
+    and keeps their frames in ``frames`` (None for callback members)."""
 
     def __init__(self, dimension: int, members):
         if dimension <= 0:
             raise StructuralError("dimension must be positive")
         if len(members) != 3:
             raise StructuralError("a family has exactly three members")
-        self.dimension = n = int(dimension)
+        self.dimension = int(dimension)
         self._members = dict(enumerate(members, 1))  # index -> P_index
-        self._bases = {i: MatrixStore((n, n), lambda times, i=i: range_bases(
-            self.stack(i, times))[0]) for i in self._members}
+        self.frames = None
 
     @classmethod
     def constant(cls, p1, p2, p3) -> "ProjectorFamily":
@@ -46,7 +42,13 @@ class ProjectorFamily:
         n = mats[0].shape[0]
         if any(m.shape != (n, n) for m in mats):
             raise StructuralError("members must be square matrices of equal size")
-        return cls(n, [lambda times, m=m: np.broadcast_to(m, (len(times), n, n)) for m in mats])
+        # basis columns in the order of their largest entries' rows: a
+        # coordinate block's frame keeps its coordinates' order, so do its products
+        bases = [b[:, np.argsort(np.abs(b).argmax(axis=0), kind="stable")]
+                 for b in map(range_basis, mats)]
+        family = cls(n, [lambda times, m=m: np.broadcast_to(m, (len(times), n, n)) for m in mats])
+        family.frames = [(b, b.T @ m) for b, m in zip(bases, mats)]
+        return family
 
     @classmethod
     def coordinate_split(cls, n1: int, n2: int, n3: int) -> "ProjectorFamily":
@@ -64,15 +66,18 @@ class ProjectorFamily:
         call of the member checked by ``util.time_stack``."""
         return np.array(time_stack(f"member {index}", self._members[index], times, self.dimension))
 
-    def bases(self, index: int, times) -> tuple[np.ndarray, np.ndarray]:
-        """``util.range_bases`` of P_index(t) for each of ``times``."""
-        b = self._bases[index].stack(times)
-        return b, np.count_nonzero(b.any(axis=-2), axis=-1)
-
-
-def rank_groups(ranks: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Each nonzero rank with the positions holding it."""
-    return [(r, np.flatnonzero(ranks == r)) for r in sorted(set(ranks.tolist()) - {0})]
+    def frame(self, index: int, times) -> tuple[np.ndarray, np.ndarray]:
+        """T_j(t) and S_j(t) = T_j(t)^T P_j(t) of member j = ``index`` at each
+        of ``times``, as (m, n, w) and (m, w, n) stacks: a constant member's
+        range basis, w its rank, or a callback member's ``util.range_bases``,
+        w = n, with zero columns past its rank at t, one SVD a distinct time."""
+        times = np.asarray(times, dtype=float)
+        if self.frames is not None:
+            return tuple(np.broadcast_to(f, (len(times), *f.shape)) for f in self.frames[index - 1])
+        distinct, at = np.unique(times, return_inverse=True)
+        p = self.stack(index, distinct)
+        basis = range_bases(p)[0]
+        return basis[at], (np.swapaxes(basis, -1, -2) @ p)[at]
 
 
 def ordered_pairs(pairs) -> np.ndarray:
@@ -128,37 +133,36 @@ def check_invariance(family: ProjectorFamily, operator, grid, tol: float) -> Che
 
 def restricted_inverses(operator, family: ProjectorFamily, index: int,
                         pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices of V_j(t, s) P_j(t) for j = index in {2, 3} over (t, s) pairs.
-
-    The restriction of U(t, s) to Range P_j(s) is expressed in orthonormal
-    bases of the two ranges and inverted, in one batched SVD and solve per
-    rank. Returns the (m, n, n) stack and an object array of one note per
-    pair: None, or why the restriction is not an isomorphism (then the matrix
-    is zero rather than a garbage inverse). Rank-0 members yield zero.
+    """Matrices of V_j(t, s) P_j(t) = T_j(s) U_j(t, s)^-1 S_j(t) for
+    j = index in {2, 3} over (t, s) pairs, from the member's blocks, S_j(t)
+    times its image (``EvolutionOperator.image``), in one batched SVD and solve. Returns the
+    (m, n, n) stack and an object array of one note per pair: None, or why
+    the restriction is not an isomorphism (then the matrix is zero rather
+    than a garbage inverse). Rank-0 members yield zero.
     """
     if index not in (2, 3):
         raise ValueError("restricted inverses exist for members 2 and 3")
     pairs = ordered_pairs(pairs)
-    (basis_t, rank_t), (basis_s, rank_s) = (family.bases(index, x) for x in pairs.T)
+    (basis_t, left), (basis, _) = (family.frame(index, x) for x in pairs.T)
+    # ranks that differ at t and s leave a zero singular value in the larger
+    rank = np.maximum(*(np.count_nonzero(b.any(axis=-2), axis=-1) for b in (basis_t, basis)))
     out = np.zeros((len(pairs), family.dimension, family.dimension))
     notes = np.full(len(pairs), None, dtype=object)
-    for i in np.flatnonzero(rank_s != rank_t):
-        t, s = pairs[i].tolist()
-        notes[i] = (f"rank of member {index} changes from {rank_s[i]} at "
-                    f"s={s} to {rank_t[i]} at t={t}")
-    for rank, rows in rank_groups(np.where(rank_s == rank_t, rank_s, 0)):
-        sub, b_s, b_t = pairs[rows], basis_s[rows, :, :rank], basis_t[rows, :, :rank]
-        mapped = operator.evaluate_many(sub) @ b_s
-        restricted = np.swapaxes(b_t, -1, -2) @ mapped  # b_t orthonormal
-        sigma = np.linalg.svd(restricted, compute_uv=False)
-        good = (sigma[:, 0] != 0.0) & (sigma[:, -1] > RANK_TOL * sigma[:, 0])
-        for i in np.flatnonzero(~good):
-            (t, s), (hi, lo) = sub[i].tolist(), sigma[i, [0, -1]].tolist()
-            notes[rows[i]] = (f"restriction of U({t}, {s}) to range of member "
-                              f"{index} is rank-deficient (singular values "
-                              f"{lo:.3e} vs {hi:.3e})")
-        rhs = np.swapaxes(b_t[good], -1, -2) @ family.stack(index, sub[good, 0])
-        out[rows[good]] = b_s[good] @ np.linalg.solve(restricted[good], rhs)
+    rows = np.flatnonzero(rank)
+    sub, rank = pairs[rows], rank[rows]
+    blocks = left[rows] @ operator.image(family, index, sub)
+    sigma = np.linalg.svd(blocks, compute_uv=False)
+    high, low = sigma.max(axis=-1, initial=0.0), sigma[np.arange(len(rows)), rank - 1]
+    good = (high != 0.0) & (low > RANK_TOL * high)
+    for i in np.flatnonzero(~good):
+        t, s = sub[i].tolist()
+        notes[rows[i]] = (f"restriction of U({t}, {s}) to range of member "
+                          f"{index} is rank-deficient (singular values "
+                          f"{low[i]:.3e} vs {high[i]:.3e})")
+    # a callback member's block is 0 past its rank: solve with 1 on that diagonal
+    past = np.arange(blocks.shape[-1]) >= rank[good, None]
+    blocks = np.where(past[:, None] & np.eye(blocks.shape[-1], dtype=bool), 1.0, blocks[good])
+    out[rows[good]] = basis[rows[good]] @ np.linalg.solve(blocks, left[rows[good]])
     return out, notes
 
 

@@ -15,7 +15,8 @@ The growth-type inequalities (unstable_growth, center_decay) are evaluated
 through the restricted inverse maps, which is the equivalent computational
 route when the family is compatible with the operator. The *full* variant
 replaces the projected right-hand vector by the whole state, so factors
-become norms of the composed maps on the whole space.
+become norms of the composed maps on the whole space. Every map is read
+through its member's image (``EvolutionOperator.image``) or block.
 
 Verdicts are grid-relative evidence: a finite grid can never prove the
 asymptotic statement, only falsify a proposed bound or exhibit an envelope.
@@ -27,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionError
-from .projectors import ProjectorFamily, build_inverses, rank_groups
+from .projectors import ProjectorFamily, build_inverses
 from .reports import Rows, TrichotomyReport
 from .util import chunks, grid_pairs, opnorms, pair_index
 
@@ -47,7 +48,7 @@ def factor_table(operator, family: ProjectorFamily, rates: dict, grid,
     pair of ``grid_pairs(grid)``, as one read-only (pairs, 4) array with
     columns in ``INEQUALITIES`` order.
 
-    Each inequality takes one batched product and SVD per member rank.
+    Each inequality takes one batched product and SVD per run of pairs.
     Rank-0 members make the inequality vacuous and give 0. With ``full=True``
     the right-hand side uses the unprojected state norm, and the growth
     inequalities read the norms kept beside W_j. The table is
@@ -68,24 +69,29 @@ def factor_table(operator, family: ProjectorFamily, rates: dict, grid,
 
 
 def _factors(operator, family, rates, pairs, tag, full) -> np.ndarray:
-    """Inequality ``tag``'s factors at ``pairs``, each rank's pairs a ``chunks`` run at a time."""
+    """Inequality ``tag``'s factors at ``pairs``, a ``chunks`` run at a time:
+    the rate quotient times |U T_j(s)|, member j's image
+    (``EvolutionOperator.image``), or |W_j T_j(t)|, and with ``full``
+    |U T_j(s) S_j(s)| or |W_j|; an integrated block's are accurate relative
+    to themselves, not to |U|."""
     j, rate_key, binds, rising = TERMS[tag]
-    decay = binds == "s"  # U on Range P_j(s); else W_j on Range P_j(t)
-    times, at = np.unique(pairs[:, 1 if decay else 0], return_inverse=True)
-    bases, ranks = family.bases(j, times)
+    decay = binds == "s"  # U_j on Range P_j(s); else U_j^-1 on Range P_j(t)
     inverses = None if decay else build_inverses(operator, family)[j]
     out = np.zeros(len(pairs))
-    for rank, group in rank_groups(ranks[at]):
-        # a run holds U or W, the right side and their product
-        for rows in (group[lo:hi] for lo, hi in chunks(len(group), 3 * family.dimension ** 2)):
-            sub = pairs[rows]
-            right = family.stack(j, sub[:, 1]) if full and decay else bases[at[rows], :, :rank]
-            if decay:
-                norms = opnorms(operator.evaluate_many(sub) @ right)
-            else:
-                mats = inverses.stack(sub)  # raises where W does not exist
-                norms = inverses.norms(sub) if full else opnorms(mats @ right)
-            out[rows] = rates[rate_key].ratios(*(sub.T if rising else sub.T[::-1])) * norms
+    # a run holds the image or W, the right side and their product
+    for lo, hi in chunks(len(pairs), 3 * family.dimension ** 2):
+        (basis_t, _), (basis_s, right) = (family.frame(j, x) for x in pairs[lo:hi].T)
+        rows = np.flatnonzero((basis_s if decay else basis_t).any(axis=(1, 2)))
+        if not len(rows):  # no ratio is read: a vacuous tag may lack its rate
+            continue
+        sub = pairs[lo + rows]
+        if decay:
+            image = operator.image(family, j, sub)
+            norms = opnorms(image @ right[rows] if full else image)
+        else:
+            mats = inverses.stack(sub)  # raises where W does not exist
+            norms = inverses.norms(sub) if full else opnorms(mats @ basis_t[rows])
+        out[lo + rows] = rates[rate_key].ratios(*(sub.T if rising else sub.T[::-1])) * norms
     return out
 
 

@@ -234,8 +234,10 @@ def test_run_integrates_each_lattice_interval_once(monkeypatch):
     report = run(parsed)
     assert report.overall == "pass"
     # one probe call over the anchors, then one call per RK4 step over the
-    # stage times of every lattice interval, each of step / rk4_step steps
-    assert calls[0] == 1 + round(step / rk4_step)
+    # stage times of every lattice interval, each of step / rk4_step steps:
+    # for U, and once for the three members' blocks together
+    # (EvolutionOperator.block), which share every coefficient call
+    assert calls[0] == 2 * (1 + round(step / rk4_step))
 
 
 def test_nonpositive_step_rejected():
@@ -562,7 +564,7 @@ def test_run_computes_each_distinct_pair_once(monkeypatch):
     # loop reads the kept values. One factor table per splitting system.
     assert [key[0] for key in kept].count("tables") == 1
     assert [key[0] for key in kept].count("factors") == 2
-    assert {key[0] for key in kept} == {"inverses", "factors", "norm_term",
+    assert {key[0] for key in kept} == {"block", "inverses", "factors", "norm_term",
                                         "term_values", "tables"}
     assert sorted(built) == (["CompatibilityReport"] * 2
                              + ["LyapunovNormFamily"] * 8 + ["NormTerm"] * 4
@@ -625,3 +627,62 @@ def test_norm_at_a_nonfinite_time_raises_domain_error(make, t, split_family,
                                   split_family, exp_rates, 1.0, 0.5, [0.0, 1.0, 2.0])
     with pytest.raises(DomainError, match=str(t)):
         fwd.evaluate_many(t, np.eye(3))
+
+
+def test_a_coupled_generator_fails_trichotomy_alone():
+    """A = [[-1, 0], [5, 2]] carries member 1's range into member 2's, so the
+    (1, 1, 0) split is not invariant and |U(t, s) P_1| grows like e^{2(t-s)}.
+    With no invariance check in the run, the blocks are not integrated apart
+    (that would read the decoupled e^{-(t-s)}): the stable factors are
+    |U(t, s) e_1| and ``trichotomy`` fails. Each check alone gives the verdict
+    it gives reading the products U P_j in the whole space."""
+    tree = {"dimension": 2, "operator": {"type": "ode", "step": 0.05,
+                                         "matrix": [[-1.0, 0.0], [5.0, 2.0]]},
+            "projectors": {"type": "coordinate_split", "sizes": [1, 1, 0]},
+            "rates": {key: {"kind": "exponential", "exponent": a}
+                      for key, a in (("h", 1.0), ("k", 2.0), ("mu", 0.5), ("nu", 0.25))},
+            "grid": {"t_max": 4.0, "step": 0.5}, "horizon": 2.0,
+            "tolerances": {"structural": 1e-8, "theorem": 1e-9},
+            "checks": ["trichotomy"],
+            "bounds": {"trichotomy": {"kind": "constant", "value": 1.5}}}
+    parsed = scenario.scenario_from_tree(tree)
+    grid = make_grid(parsed.grid_max, parsed.grid_step)
+    operator = runner._build_operator(parsed, grid)
+    pairs = evolution.grid_pairs(grid)
+    stable = trichotomy.factor_table(operator, parsed.family, parsed.rates, grid)[:, 0]
+    want = np.exp(pairs[:, 0] - pairs[:, 1]) * np.linalg.norm(
+        operator.evaluate_many(pairs)[:, :, 0], axis=1)
+    np.testing.assert_allclose(stable, want, rtol=1e-12)
+    assert stable.max() > math.exp(8.0)
+    report = runner.run(parsed)
+    assert [c["status"] for c in report.checks] == ["fail"]
+    # every other check alone reads the coupling too: the norm terms read
+    # U(tau, t) T_j(t), which carries it; the unprojected norm system holds
+    tree["bounds"]["uniform"] = 1.5
+    statuses = {check: runner.run(scenario.scenario_from_tree({**tree, "checks": [check]}))
+                .checks[-1]["status"] for check in (
+                    "invariance", "compatibility", "trichotomy_full", "uniform", "norms",
+                    "norm_trichotomy", "norm_trichotomy_unprojected")}
+    assert statuses == {**dict.fromkeys(statuses, "fail"), "norm_trichotomy_unprojected": "pass"}
+
+
+def test_coupling_between_the_anchors_keeps_the_blocks_read_from_u():
+    """A(t) carries member 1's range into member 2's only between the anchors
+    (5 sin^2(2 pi t) is 0, up to rounding, at every multiple of 0.5): the joint block pass
+    reads it at its RK4 stage times, so the stable factors are still
+    |U(t, s) e_1| and not the decoupled e^{-(t-s)}."""
+    def coefficient(times):
+        a = np.zeros((len(times), 2, 2))
+        a[:, 0, 0], a[:, 1, 1], a[:, 1, 0] = -1.0, 2.0, 5.0 * np.sin(2 * np.pi * times) ** 2
+        return a
+    grid = make_grid(4.0, 0.5)
+    operator = from_generator(GeneratorSpec(2, coefficient, 0.05), anchors=grid)
+    family = ProjectorFamily.coordinate_split(1, 1, 0)
+    assert coefficient(np.array(grid))[:, 1, 0].max() < 1e-25  # far below RANK_TOL
+    rates = {"h": GrowthRate.exponential(1.0), "k": GrowthRate.exponential(2.0)}
+    pairs = evolution.grid_pairs(grid)
+    stable = trichotomy.factor_table(operator, family, rates, grid)[:, 0]
+    want = np.exp(pairs[:, 0] - pairs[:, 1]) * np.linalg.norm(
+        operator.evaluate_many(pairs)[:, :, 0], axis=1)
+    np.testing.assert_allclose(stable, want, rtol=1e-12)
+    assert stable.max() > math.exp(4.0)

@@ -621,30 +621,49 @@ def test_iterator_times_keep_the_truncation_slack(as_input):
     assert nf.horizon_flagged
 
 
-def screened_stacks(term, times, horizon) -> list[np.ndarray]:
-    """The narrow lattice stacks at ``times`` of ``term`` built there out to
-    ``horizon``, as its screen (``_view``) is handed them."""
-    seen, view = [], norms._view
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(norms, "_view", lambda stack: seen.append(stack.copy()) or view(stack))
-        norms.NormTerm(term.operator, term.tag, term.family, term.rate, horizon,
-                       term.step, times)
-    return seen
+def lattice_maps(term, t, horizon) -> tuple[np.ndarray, np.ndarray]:
+    """``term``'s weighted maps M at t over its lattice out to ``horizon``:
+    the rate quotient times member j's image U(tau, t) T_j(t) on the future
+    lattice, or times W_j(t, r) T_j(t) on the past one; and the full maps
+    M S_j(t)."""
+    j, _, binds, rising = norms.TERMS[term.tag]
+    basis, right = term.family.frame(j, [t])
+    if binds == "s":
+        lattice = norms._future_times(t, horizon, term.step)
+        pairs = np.stack((lattice, np.full(len(lattice), t)), axis=1)
+        images = term.operator.image(term.family, j, pairs)
+    else:
+        lattice = norms._past_times(t, term.step)
+        pairs = np.stack((np.full(len(lattice), t), lattice), axis=1)
+        images = build_inverses(term.operator, term.family)[j].stack(pairs) @ basis
+    maps = term.rate.ratios(*(pairs.T if rising else pairs.T[::-1]))[:, None, None] * images
+    return maps, maps @ right
+
+
+def reach(stack):
+    """What a term keeps of its narrow maps: the stack itself where the kernel
+    multiplies it (width 2 or more), else its largest column norm."""
+    if stack.shape[2] > 1:
+        return stack
+    return float(np.hypot.reduce(stack, axis=1, initial=0.0).max(initial=0.0))
 
 
 def test_families_keep_only_the_narrow_stacks(uniform_norms, grid10):
     # the whole stacks serve the horizon-doubling pass and are dropped after
-    # it; a narrow one is kept, as a copy, only where the kernel may multiply it
-    for nf in uniform_norms:
-        stacks = [screened_stacks(term, grid10, HORIZON) for term in nf.terms]
-        for term, seen in zip(nf.terms, stacks):
-            for t, stack in zip(grid10, seen):
-                kept = term.at(t)[0][0]
-                assert kept is None or (kept.base is None and bits(kept) == bits(stack))
-        for i, t in enumerate(grid10):
-            future = len(norms._future_times(t, HORIZON, STEP))
-            assert len(stacks[0][i]) == future
-            assert len(stacks[2][i]) == (future if nf.variant == "forward" else t / STEP + 1)
+    # it; a narrow one is kept, as a copy, only where the kernel multiplies
+    # it, and a width-1 term keeps its largest column norm alone
+    block = rank_two_block_families(grid10, HORIZON, STEP)
+    for nf in (*uniform_norms, *block):
+        for term in nf.terms:
+            for t in grid10:
+                kept, narrow = term.at(t)[0], lattice_maps(term, t, HORIZON)[0]
+                if narrow.shape[2] == 1:
+                    assert kept == reach(narrow) == np.linalg.norm(narrow, axis=1).max()
+                    continue
+                assert kept.base is None and bits(kept) == bits(narrow)
+                future = len(norms._future_times(t, HORIZON, STEP))
+                assert len(kept) == (t / STEP + 1 if norms.TERMS[term.tag][2] == "t" else future)
+    assert any(isinstance(term.at(0.0)[0], np.ndarray) for nf in block for term in nf.terms)
 
 
 @pytest.mark.parametrize("budget", [1, 200])  # one time a run; 22 lattice pairs a run
@@ -660,10 +679,9 @@ def test_terms_built_in_runs_match_a_one_pass_build(monkeypatch, nonuniform_oper
     for one, term in zip(whole, [build(tag) for tag in norms.TERMS]):
         assert [bits(b) for b in term.basis] == [bits(b) for b in one.basis]
         for t in grid10:
-            (view, peak), (want, want_peak) = term.at(t), one.at(t)
-            assert [bits(v) for v in view] == [bits(v) for v in want]
-            assert bits(peak) == bits(want_peak)
-            assert view[0] is None or view[0].base is None
+            (kept, peak, left), (want, want_peak, _) = term.at(t), one.at(t)
+            assert bits(kept) == bits(want) and bits(peak) == bits(want_peak)
+            assert not isinstance(kept, np.ndarray) or kept.base is None
     assert max(runs) < len(grid10)  # no term built in one run
 
 
@@ -675,8 +693,8 @@ def broadcast_term(stack, x):
 
 
 def kept_term(stack, x):
-    """The norm-term kernel on the whole stack, screened as a family keeps it."""
-    return norms._term(norms._view(stack), norms._block(x))
+    """The norm-term kernel on the whole stack, reduced as a term keeps it."""
+    return norms._term(reach(stack), x)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -789,15 +807,32 @@ def test_kept_screen_term_takes_the_full_path_on_nonfinite_entries():
             assert np.array_equal(kept_term(stack_, x_), want, equal_nan=True)
 
 
+def test_zero_vectors_skip_the_product_only_on_finite_maps(monkeypatch):
+    # another member's vectors reach a term as S_j P_i x = 0: no product is
+    # needed for the product's zeros, but a non-finite map keeps its NaN
+    stack = np.random.default_rng(10).standard_normal((7, 3, 3))
+    bad = stack.copy()
+    bad[4, 1, 2] = np.inf
+    full, full_term = [], norms._full_term
+    monkeypatch.setattr(norms, "_full_term", lambda *args: full.append(1) or full_term(*args))
+    for x in (np.zeros((3, 5)), np.full((2, 3, 5), -0.0)):
+        full.clear()
+        assert bits(norms._term(stack, x)) == bits(broadcast_term(stack, x))
+        assert not full
+        with np.errstate(invalid="ignore"):
+            want = broadcast_term(bad, x)
+            assert np.isnan(want).all()
+            assert np.array_equal(norms._term(bad, x), want, equal_nan=True)
+        assert full
+
+
 def lattice_stacks(term, t):
-    """term's narrow stack at t, which it keeps where it keeps one, and its
-    whole stack out to twice the horizon: the narrow stack of the same term
-    built at twice the horizon."""
-    (narrow,), (whole,) = (screened_stacks(term, [t], h) for h in (term.horizon,
+    """term's full maps at t over its lattice out to the horizon, whose block
+    maps it keeps (reduced by ``reach``), and out to twice the horizon."""
+    (narrow, full), (_, whole) = (lattice_maps(term, t, h) for h in (term.horizon,
                                                                     2.0 * term.horizon))
-    kept = term.at(t)[0][0]
-    assert kept is None or bits(kept) == bits(narrow)
-    return narrow, whole
+    assert bits(term.at(t)[0]) == bits(reach(narrow))
+    return full, whole
 
 
 def example_families():
@@ -849,8 +884,8 @@ def dropped_stack_cases():
 def test_terms_keep_a_stack_only_where_the_kernel_may_multiply_it():
     # the nonuniform example's terms keep no lattice stack at any time
     grid, families = example_families()
-    assert all(term.at(t)[0][0] is None for nf in families for term in nf.terms
-               for t in grid)
+    assert all(not isinstance(term.at(t)[0], np.ndarray) for nf in families
+               for term in nf.terms for t in grid)
     # ode_block_g41's rank-2 unstable term keeps its stacks, as copies, and only it
     tree = json.loads((WORKLOADS / "ode_block_g41.json").read_text())["scenario"]
     scenario = scenario_from_tree(tree)
@@ -858,19 +893,27 @@ def test_terms_keep_a_stack_only_where_the_kernel_may_multiply_it():
     operator = runner._build_operator(scenario, grid)
     for nf in runner._norm_families(scenario, operator, grid):
         for term in nf.terms:
-            kept = [term.at(t)[0][0] for t in grid]
+            kept = [term.at(t)[0] for t in grid]
             if term.tag == "unstable_growth":
-                seen = screened_stacks(term, grid, term.horizon)
+                seen = [lattice_maps(term, t, term.horizon)[0] for t in grid]
                 assert all(k.base is None and bits(k) == bits(s) for k, s in zip(kept, seen))
             else:
-                assert all(k is None for k in kept)
-    # where the stack is dropped, the screen gives the product's bits, NaN
-    # where it gives NaN, on non-finite vectors too
+                assert not any(isinstance(k, np.ndarray) for k in kept)
+    # a stack of width 2 or more gives the product's bits, NaN where it gives
+    # NaN, on non-finite vectors too; a width-1 stack gives its largest |entry|
+    # times |y|, which is the product where no entry is 0 (0 * inf is NaN) and
+    # no square overflows
     for stack, x in dropped_stack_cases():
-        assert norms._view(stack)[0] is None
         with np.errstate(invalid="ignore", over="ignore"):
             want, got = broadcast_term(stack, x), kept_term(stack, x)
+            peak = np.abs(stack).max(initial=0.0) * np.abs(x[..., 0, :])
         assert got.shape == want.shape and not np.isinf(want).all()
+        if stack.shape[1] == 1:
+            assert bits(got) == bits(peak)
+            if len(stack) and stack.all():
+                assert np.array_equal(np.isnan(got), np.isnan(want))
+                assert np.array_equal(got[np.isfinite(want)], want[np.isfinite(want)])
+            continue
         assert np.array_equal(np.isnan(got), np.isnan(want))
         assert bits(np.nan_to_num(got)) == bits(np.nan_to_num(want))
     with np.errstate(invalid="ignore", over="ignore"):
@@ -913,25 +956,32 @@ def test_basis_norms_are_the_kernel_on_the_identity():
     assert any(nf.horizon_flagged for nf, _ in cases)
 
 
-def test_one_entry_columns_never_reach_the_full_product(monkeypatch):
-    full_term, term, full, shortcuts = norms._full_term, norms._term, [], []
+def test_rank_one_blocks_never_reach_the_full_product(monkeypatch):
+    full_term, term, full, widths, nonzero = norms._full_term, norms._term, [], [], []
     monkeypatch.setattr(norms, "_full_term",  # the shapes of the stacks it takes
                         lambda stack, wide: full.append(stack.shape) or full_term(stack, wide))
 
-    def counted_term(view, block):
-        before = len(full)
-        out = term(view, block)
-        shortcuts.append(len(full) == before and out.any())
+    def counted_term(reach, y):
+        out = term(reach, y)
+        widths.append(y.shape[-2])
+        nonzero.append(out.any())
         return out
 
     monkeypatch.setattr(norms, "_term", counted_term)
     report = run(parse_scenario(SCENARIOS / "nonuniform_example.json"))  # G=21
     assert report.overall == "pass"
-    # each shared term is evaluated once per time, and none while it is built:
-    # 336 kernel calls, none of them the full product, 168 nonzero one-row shortcuts
+    # every member of its coordinate split has rank 1: each shared term is
+    # evaluated once per time, and none while it is built: 336 kernel calls,
+    # each a block's peak times |y|, none of them the full product, 168 nonzero
     assert not full
-    assert len(shortcuts) == 336
-    assert sum(shortcuts) == 168
+    assert len(widths) == 336 and set(widths) == {1}
+    assert sum(nonzero) == 168
+    # ode_block_g41's rank-2 unstable member does, with its 4 x 2 images of the frame
+    tree = json.loads((WORKLOADS / "ode_block_g41.json").read_text())["scenario"]
+    tree["grid"]["step"] = 2.5
+    assert run(scenario_from_tree(tree)).overall == "pass"
+    assert full and {shape[1:] for shape in full} == {(4, 2)}
+    assert set(widths) == {1, 2}
 
 
 def test_terms_are_built_without_the_kernel(monkeypatch):
@@ -1016,12 +1066,12 @@ def test_compatibility_reads_the_kept_values(uniform_norms, nonuniform_norms,
 
 
 def unscreened_peak(term, t):
-    """A term's peak at t with every map of its lattice through the SVD."""
+    """A term's peak at t with every full map of its lattice through the SVD."""
     j, _, binds, rising = norms.TERMS[term.tag]
     if binds == "s":
         lattice = norms._future_times(t, term.horizon, term.step)
         pairs = np.stack((lattice, np.full(len(lattice), t)), axis=1)
-        maps = term.operator.evaluate_many(pairs) @ term.family.stack(j, pairs[:, 1])
+        maps = term.operator.image(term.family, j, pairs) @ term.family.frame(j, [t])[1]
     else:
         lattice = norms._past_times(t, term.step)
         pairs = np.stack((np.full(len(lattice), t), lattice), axis=1)
@@ -1057,7 +1107,7 @@ def test_screened_peaks_are_the_unscreened_maximum(monkeypatch):
         for t in at:
             assert term.at(t)[1] == unscreened_peak(term, t)
     assert [term.at(0.5)[1] for term in vanishing[1:]] == [0.0, 0.0]
-    steep = np.abs(screened_stacks(vanishing[1], [2.0], vanishing[1].horizon)[0])
+    steep = np.abs(lattice_maps(vanishing[1], 2.0, vanishing[1].horizon)[1])
     assert steep[steep > 0.0].min() < 1e-150
 
     # the screen sends only a part of the lattice maps to the SVD

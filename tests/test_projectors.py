@@ -133,6 +133,22 @@ def test_compatible_fails_on_collapse(split_family):
     assert report.notes  # the rank failure is recorded, not raised
 
 
+def test_a_member_whose_rank_changes_has_no_restricted_inverse():
+    # P2 = diag(0, 1, 1) up to t = 1, then diag(0, 1, 0): from rank 2 to 1
+    members = [lambda t: np.diag([1.0, 0.0, 0.0]), lambda t: np.diag([0.0, 1.0, float(t <= 1.0)]),
+               lambda t: np.diag([0.0, 0.0, float(t > 1.0)])]
+    family = ProjectorFamily(3, [lambda times, m=m: np.array([m(t) for t in times])
+                                 for m in members])
+    w, notes = projectors.restricted_inverses(identity_operator(3), family, 2,
+                                              [(0.5, 0.0), (2.0, 0.5), (2.0, 1.5)])
+    assert notes[0] is None and np.array_equal(w[0], np.diag([0.0, 1.0, 1.0]))
+    assert "rank-deficient (singular values 0.000e+00 vs 1.000e+00)" in notes[1]
+    assert not w[1].any()
+    assert notes[2] is None and np.array_equal(w[2], np.diag([0.0, 1.0, 0.0]))
+    report = check_compatible(family, identity_operator(3), [0.0, 2.0], 1e-10)
+    assert not report.passed and len(report.notes) == 2  # W_2 and W_3 at (2, 0)
+
+
 def test_zero_third_member_is_vacuously_compatible(exp_rates):
     family = ProjectorFamily.constant(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
                                       np.zeros((2, 2)))
@@ -231,11 +247,11 @@ def test_batched_inverse_identities_match_per_triple_loop():
                                    ("left_inverse", opnorm(w @ u @ p_s - p_s)),
                                    ("range", opnorm(w - p_s @ w))):
                     want[key] = max(want[key], value)
-                for t0 in grid[:k + 1]:
-                    want["cocycle"] = max(want["cocycle"], opnorm(
+                for t0 in grid[:k + 1]:  # the transpose, as the check takes it
+                    want["cocycle"] = max(want["cocycle"], opnorm((
                         compute_restricted_inverse(operator, family, j, t, t0)
                         - compute_restricted_inverse(operator, family, j, s, t0)
-                        @ w))
+                        @ w).T))
         report = check_inverse_properties(operator, family, j, grid, 1e-9)
         assert report.residuals == want
         assert report.passed

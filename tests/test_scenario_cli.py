@@ -247,7 +247,14 @@ def test_rate_that_overflows_only_past_the_widest_gap_runs(tmp_path):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # as the CLI runs
 def test_overflow_inside_a_check_ends_it_in_error(tmp_path):
     tree = json.loads((SCENARIOS / "uniform_example.json").read_text())
-    tree["rates"]["mu"]["exponent"] = 36
+    tree["rates"]["mu"]["exponent"] = 36  # weighted maps near e^(36 * 10) = 4e156:
+    code = main(["--scenario", str(write_tree(tmp_path, tree)), "--out", str(tmp_path / "a")])
+    assert code == 0  # a rank-1 term is its peak times |y|, which squares nothing
+    # a rank-2 member growing like e^(36 t): its maps over twice the horizon
+    # reach e^360 = 2e156, whose squares overflow in the product kernel
+    tree["operator"] = {"type": "ode", "step": 0.01, "matrix": [
+        [36.0, 1.0, 0.0], [-1.0, 36.0, 0.0], [0.0, 0.0, 0.0]]}
+    tree["projectors"] = {"type": "coordinate_split", "sizes": [2, 0, 1]}
     out = tmp_path / "out"
     code = main(["--scenario", str(write_tree(tmp_path, tree)), "--out", str(out)])
     assert code == 2

@@ -330,17 +330,22 @@ def test_batched_range_bases_match_range_basis_bit_for_bit():
     families = [ProjectorFamily.coordinate_split(1, 2, 0),
                 ProjectorFamily.constant(oblique, np.eye(3) - oblique, np.zeros((3, 3))),
                 turning_family]
+    ranks = lambda family, j: np.count_nonzero(family.frame(j, times)[0].any(axis=-2), axis=-1)
     for family in families:
         for j in (1, 2, 3):
-            family.bases(j, times[5:][::-1])  # a first batch
-            bases, ranks = family.bases(j, times)
-            for t, basis, rank in zip(times, bases, ranks):
-                want = range_basis(family.stack(j, [t])[0])
+            bases, left = family.frame(j, times)
+            for t, basis, rank, s in zip(times, bases, ranks(family, j), left):
+                p = family.stack(j, [t])[0]
+                want = range_basis(p)
+                if family.frames is not None:  # a constant frame: columns by leading row
+                    want = want[:, np.argsort(np.abs(want).argmax(axis=0), kind="stable")]
                 assert rank == want.shape[1]
-                assert basis[:, :rank].tobytes() == want.tobytes()
+                assert basis.shape[1] == (rank if family.frames is not None else 3)
+                assert np.ascontiguousarray(basis[:, :rank]).tobytes() == want.tobytes()
                 assert not basis[:, rank:].any()
-    assert turning_family.bases(1, times)[1].tolist() == [0, 0, 1, 1, 1, 2, 2, 2]
-    assert turning_family.bases(2, times)[1].tolist() == [3, 3, 2, 2, 2, 1, 1, 1]
+                assert s.tobytes() == (basis.T @ p).tobytes()
+    assert ranks(turning_family, 1).tolist() == [0, 0, 1, 1, 1, 2, 2, 2]
+    assert ranks(turning_family, 2).tolist() == [3, 3, 2, 2, 2, 1, 1, 1]
 
 
 def test_impossible_test_vector_batch_raises_before_building_ids(monkeypatch):
